@@ -50,10 +50,6 @@ ENGINE_KERNELS = [
     {"name": "scan", "kernel": "scan", "shape": [1 << 22]},
 ]
 ENGINE_MAX_BLOCKS = 2048
-#: warm rounds per program process; a round launches every kernel once.
-#: Replay launches are ~4x faster, so they get more rounds.
-ENGINE_BATCHED_ROUNDS = 2
-ENGINE_REPLAY_ROUNDS = 4
 
 #: service-mixed: 2-D SSAM scenarios whose launch configuration tunes, so
 #: the ``plan_kwargs`` axis supplies new cells without end (every session

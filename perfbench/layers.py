@@ -68,8 +68,11 @@ class Collector:
         # span: [layer, start, end, parent index, child seconds]
         self.spans: List[list] = []
         self.counts: Dict[str, float] = {}
-        self.queue_enter: Dict[str, Tuple[str, float]] = {}
-        self.queue_start: Dict[str, float] = {}
+        #: service queue: run id -> submit accepted, cell -> run id,
+        #: cell -> start of its execution
+        self.accepted: Dict[str, float] = {}
+        self.cell_run: Dict[str, str] = {}
+        self.cell_started: Dict[str, float] = {}
         self._local = threading.local()
         self._lock = threading.Lock()
 
@@ -107,20 +110,25 @@ class Collector:
 
     def summary(self) -> Dict[str, float]:
         """Self seconds per layer (``<layer>_s``), every count, and the
-        service queue wait: per run, the shortest time one of its cells
-        waited in the worker queue, summed over runs."""
+        service queue wait: for each run with queued cells, the time from
+        the moment its submit was accepted (``submit_sweep`` returned) until
+        the first of its cells started (zero if one started before),
+        summed over runs."""
         out: Dict[str, float] = dict(self.counts)
         for layer, start, end, _parent, child in self.spans:
             if layer is not None:
                 key = f"{layer}_s"
                 out[key] = out.get(key, 0.0) + (end - start - child)
-        waits: Dict[str, float] = {}
-        for key, (run_id, entered) in self.queue_enter.items():
-            started = self.queue_start.get(key)
-            if started is not None:
-                wait = started - entered
-                waits[run_id] = min(waits.get(run_id, wait), wait)
-        out["service.queue_wait_s"] = sum(waits.values())
+        first_start: Dict[str, float] = {}
+        for cell, started in self.cell_started.items():
+            run_id = self.cell_run.get(cell)
+            if run_id is not None:
+                first_start[run_id] = min(first_start.get(run_id, started),
+                                          started)
+        out["service.queue_wait_s"] = sum(
+            max(0.0, started - self.accepted[run_id])
+            for run_id, started in first_start.items()
+            if run_id in self.accepted)
         return out
 
     def inclusive(self, layers) -> float:
@@ -148,20 +156,25 @@ def _observe(collector, args, kwargs, result, span) -> None:
     collector.count("tuning.evals", len(times))
 
 
+def _accepted(collector, args, kwargs, result, span) -> None:
+    collector.accepted[result["run_id"]] = span[2]
+
+
 def _enqueue(collector, args, kwargs, result, span) -> None:
     _pool, run_id, cell = args[:3]
-    collector.queue_enter.setdefault(cell, (run_id, span[1]))
+    collector.cell_run.setdefault(cell, run_id)
 
 
 def _dequeue(collector, args, kwargs, result, span) -> None:
     job = args[1] if len(args) > 1 else kwargs["job"]
-    collector.queue_start.setdefault(job.key, span[1])
+    collector.cell_started.setdefault(job.key, span[1])
 
 
 _EXTRACTORS = {
     "repro.gpu.kernel:Kernel.launch": _launch_blocks,
     "repro.service.store:ResultStore.get": _store_hit,
     "repro.tuning.search:SearchSession.observe": _observe,
+    "repro.service.daemon:SweepService.submit_sweep": _accepted,
     "repro.service.queue:WorkerPool.submit": _enqueue,
     "repro.service.queue:WorkerPool._run_one": _dequeue,
 }

@@ -11,8 +11,9 @@ and the spread: the distance between the first and third quartiles
 (``statistics.quantiles(values, n=4)``) as a share of the median, next to
 the metric's bound from ``BENCHMARK.json``.  A spread at or above a third
 of the bound is flagged, except for ``setup_s``.  ``--write`` records the
-figures with the machine they were measured on, replacing the entries of
-the workloads measured and keeping everything else in the file.
+figures with the machine they were measured on under ``sets`` and the
+seed range, so separate sets of runs sit side by side, replacing the
+entries of the workloads measured and keeping everything else in the file.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def main(argv=None) -> int:
     names = (args.workloads.split(",") if args.workloads
              else [w["name"] for w in config["workloads"]])
     seeds = _seeds(args.seeds)
-    record = {"machine": _machine(), "workloads": {}}
+    workloads = {}
     steady = True
     for name in names:
         results = [run_once(config, name, seed) for seed in seeds]
@@ -90,14 +91,16 @@ def main(argv=None) -> int:
                   f"spread {spread:7.4f} bound {metric['bound']:.2f}"
                   f"{'  <-- not steady' if flagged else ''}", flush=True)
         steady &= entry["correct"]
-        record["workloads"][name] = entry
+        workloads[name] = entry
     if args.write:
+        record = {}
         if os.path.exists(args.write):
             with open(args.write, encoding="utf-8") as handle:
-                previous = json.load(handle)
-            record = {**previous, **record,
-                      "workloads": {**previous.get("workloads", {}),
-                                    **record["workloads"]}}
+                record = json.load(handle)
+        sets = record.setdefault("sets", {})
+        previous = sets.get(args.seeds, {}).get("workloads", {})
+        sets[args.seeds] = {"machine": _machine(),
+                            "workloads": {**previous, **workloads}}
         with open(args.write, "w", encoding="utf-8") as handle:
             json.dump(record, handle, indent=2)
             handle.write("\n")

@@ -2,15 +2,14 @@
 
 Usage::
 
-    python3 perfbench/selfcheck.py [--seed 1] [--delay 0.02] [--write perfbench/baseline.json]
+    python3 perfbench/selfcheck.py [--seed 1] [--write perfbench/baseline.json]
 
 Every call of ``repro.trace.replay.record_trace`` is made to sleep
-``--delay`` seconds first, from the launcher (the program's source is not
+``DELAY_S`` seconds first, from the launcher (the program's source is not
 touched).  The check passes when the benchmark shows the planted cost where
 the layer map predicts it and nowhere else:
 
-* ``trace.record_s`` on sweep-cold (the workload that runs beside the
-  ones of ``BENCHMARK.json`` for this check) grows by about records x delay;
+* ``trace.record_s`` on sweep-cold grows by about records x delay;
 * sweep-cold ``throughput_per_s`` (cells/s) drops by more than its bound;
 * engine-large ``throughput_per_s`` (warm replay blocks/s) stays within
   its bound, because warm replay launches never record.
@@ -26,12 +25,13 @@ import sys
 import run
 
 TARGET = "repro.trace.replay:record_trace"
+#: seconds slept before every call of TARGET
+DELAY_S = 0.02
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--delay", type=float, default=0.02)
     parser.add_argument("--write", default=None, metavar="PATH",
                         help="add the outcome to this JSON record")
     args = parser.parse_args(argv)
@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     bound = next(m["bound"] for m in config["end_to_end"]
                  if m["name"] == "throughput_per_s")
     seconds = config["run_seconds"]
-    plant = {"target": TARGET, "seconds": args.delay}
+    plant = {"target": TARGET, "seconds": DELAY_S}
 
     def metrics(workload, trace, planted):
         _lines, result = run.run(workload, args.seed, seconds, trace,
@@ -61,7 +61,7 @@ def main(argv=None) -> int:
                 "engine-large", False, planted)["throughput_per_s"],
         }
     base, planted = figures["base"], figures["planted"]
-    expected = planted["sweep-cold trace.records"] * args.delay
+    expected = planted["sweep-cold trace.records"] * DELAY_S
     grown = (planted["sweep-cold trace.record_s"]
              - base["sweep-cold trace.record_s"])
     cells = (planted["sweep-cold throughput_per_s"]
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
         "engine-large replay blocks/s within its bound":
             abs(blocks - 1) <= bound,
     }
-    outcome = {"target": TARGET, "delay_s": args.delay, "seed": args.seed,
+    outcome = {"target": TARGET, "delay_s": DELAY_S, "seed": args.seed,
                "figures": figures, "record_s_growth": grown,
                "record_s_expected": expected, "cells_ratio": cells,
                "replay_blocks_ratio": blocks, "checks": checks}
