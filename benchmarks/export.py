@@ -3,8 +3,7 @@
 Measures the quantities this PR's acceptance criteria pin:
 
 * **blocks/s per kernel x engine** — the five paper SSAM kernels through
-  the scalar (per-block loop), batched (vectorized multi-block) and replay
-  (compiled trace) engines, on paper-scale domains with grid sampling to
+  the batched (vectorized multi-block) and replay (compiled trace) engines, on paper-scale domains with grid sampling to
   bound wall-clock.  Replay is timed cold (record + compile + run) and
   warm (cached program, memoized counters); the headline pin is warm
   replay >= 3x batched blocks/s on conv2d and stencil2d.
@@ -47,7 +46,7 @@ import pathlib
 import sys
 import tempfile
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
@@ -84,32 +83,32 @@ def _workloads(quick: bool) -> Dict[str, Dict[str, object]]:
     conv_spec = ConvolutionSpec.gaussian(9)
     taps = rng.random(7).astype(np.float32)
 
-    def conv2d(batch_size, blocks=None):
+    def conv2d(batch_size):
         from repro.kernels.conv2d_ssam import ssam_convolve2d
         return ssam_convolve2d(image, conv_spec, batch_size=batch_size,
-                               max_blocks=blocks or max_blocks)
+                               max_blocks=max_blocks)
 
-    def stencil2d(batch_size, blocks=None):
+    def stencil2d(batch_size):
         from repro.kernels.stencil2d_ssam import ssam_stencil2d
         return ssam_stencil2d(image, get_stencil("2d9pt"),
                               batch_size=batch_size,
-                              max_blocks=blocks or max_blocks)
+                              max_blocks=max_blocks)
 
-    def stencil3d(batch_size, blocks=None):
+    def stencil3d(batch_size):
         from repro.kernels.stencil3d_ssam import ssam_stencil3d
         return ssam_stencil3d(volume, get_stencil("3d7pt"),
                               batch_size=batch_size,
-                              max_blocks=blocks or max_blocks)
+                              max_blocks=max_blocks)
 
-    def conv1d(batch_size, blocks=None):
+    def conv1d(batch_size):
         from repro.kernels.conv1d_ssam import ssam_convolve1d
         return ssam_convolve1d(sequence, taps, batch_size=batch_size,
-                               max_blocks=blocks or max_blocks)
+                               max_blocks=max_blocks)
 
-    def scan(batch_size, blocks=None):
+    def scan(batch_size):
         from repro.kernels.scan_ssam import ssam_scan
         return ssam_scan(sequence, batch_size=batch_size,
-                         max_blocks=blocks or max_blocks)
+                         max_blocks=max_blocks)
 
     shapes = {
         "conv2d": {"domain": list(image.shape), "filter": "gaussian9"},
@@ -125,14 +124,13 @@ def _workloads(quick: bool) -> Dict[str, Dict[str, object]]:
             for name in runners}
 
 
-def _rate(run: Callable, batch_size, repeats: int,
-          blocks_cap: Optional[int] = None) -> Dict[str, float]:
+def _rate(run: Callable, batch_size, repeats: int) -> Dict[str, float]:
     """Best-of-N blocks/s of one engine on one workload."""
     best = float("inf")
     blocks = 0
     for _ in range(repeats):
         start = time.perf_counter()
-        result = run(batch_size, blocks_cap)
+        result = run(batch_size)
         best = min(best, time.perf_counter() - start)
         blocks = int(result.launch.blocks_executed)
     return {"blocks": blocks, "seconds": round(best, 6),
@@ -147,7 +145,7 @@ def measure_throughput(quick: bool) -> Dict[str, object]:
         engines: Dict[str, Dict[str, float]] = {}
         engines["batched"] = _rate(run, "auto", repeats)
         cold_start = time.perf_counter()
-        cold_result = run("replay", None)
+        cold_result = run("replay")
         cold_seconds = time.perf_counter() - cold_start
         engines["replay_cold"] = {
             "blocks": int(cold_result.launch.blocks_executed),
@@ -156,11 +154,6 @@ def measure_throughput(quick: bool) -> Dict[str, object]:
                 cold_result.launch.blocks_executed / cold_seconds, 1),
         }
         engines["replay"] = _rate(run, "replay", repeats)
-        # the per-block loop is orders of magnitude slower: sample a
-        # smaller grid so the artifact stays cheap (blocks/s is a rate,
-        # sampling does not change it materially)
-        engines["scalar"] = _rate(run, 1, 1,
-                                  blocks_cap=128 if quick else 512)
         speedup = (engines["replay"]["blocks_per_second"]
                    / engines["batched"]["blocks_per_second"])
         out[name] = dict(workload)
@@ -178,7 +171,7 @@ def measure_new_architectures(quick: bool) -> Dict[str, object]:
     """
     from repro.scenarios import ScenarioCase, get_scenario, scenario_names
 
-    engines = ("scalar", "batched", "replay")
+    engines = ("batched", "replay")
     size = "tiny" if quick else "small"
     out: Dict[str, object] = {}
     for name in scenario_names(role="ssam"):

@@ -36,7 +36,7 @@ from ..convolution.spec import ConvolutionSpec
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture
-from ..gpu.block import BlockContext
+from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchConfig, LaunchResult
 from ..gpu.memory import DeviceBuffer
@@ -71,7 +71,7 @@ def _analytic_result(name: str, counters: KernelCounters, config: LaunchConfig,
 # NPP-like: naive per-output kernel, no staging
 # ---------------------------------------------------------------------------
 
-def _npp_block(ctx: BlockContext, src: DeviceBuffer, dst: DeviceBuffer,
+def _npp_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
                weights: Tuple[float, ...], width: int, height: int,
                filter_width: int, filter_height: int, anchor_x: int, anchor_y: int) -> None:
     gx = ctx.block_idx_x * ctx.block_threads + ctx.thread_idx_x
@@ -151,7 +151,7 @@ def npp_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
 # ArrayFire-like: shared-memory tile + halo, one output per thread
 # ---------------------------------------------------------------------------
 
-def _shared_block(ctx: BlockContext, src: DeviceBuffer, dst: DeviceBuffer,
+def _shared_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
                   weights: Tuple[float, ...], width: int, height: int,
                   filter_width: int, filter_height: int, anchor_x: int, anchor_y: int,
                   tile_rows: int, overhead_per_tap: float) -> None:

@@ -30,7 +30,7 @@ import numpy as np
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture
-from ..gpu.block import BlockContext
+from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchConfig, LaunchResult
 from ..gpu.memory import DeviceBuffer, GlobalMemory
@@ -50,7 +50,7 @@ def _analytic_result(name, counters, config, architecture, parameters) -> Kernel
 # "original": naive per-output kernel
 # ---------------------------------------------------------------------------
 
-def _naive_block(ctx: BlockContext, src: DeviceBuffer, dst: DeviceBuffer,
+def _naive_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
                  points: Tuple[Tuple[int, int, float], ...], width: int, height: int) -> None:
     gx = ctx.block_idx_x * ctx.block_threads + ctx.thread_idx_x
     gy = ctx.block_idx_y
@@ -132,7 +132,7 @@ def original_stencil2d(grid: Optional[np.ndarray], spec: StencilSpec, iterations
 # shared-memory tiling ("ppcg" / "halide")
 # ---------------------------------------------------------------------------
 
-def _shared_block(ctx: BlockContext, src: DeviceBuffer, dst: DeviceBuffer,
+def _shared_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
                   points: Tuple[Tuple[int, int, float], ...], width: int, height: int,
                   tile_rows: int, halo_x: int, halo_y: int, x_min: int, y_min: int,
                   overhead_per_tap: float) -> None:

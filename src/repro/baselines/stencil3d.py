@@ -16,7 +16,7 @@ import numpy as np
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture
-from ..gpu.block import BlockContext
+from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchConfig, LaunchResult
 from ..gpu.memory import DeviceBuffer, GlobalMemory
@@ -31,7 +31,7 @@ def _analytic_result(name, counters, config, architecture, parameters) -> Kernel
     return KernelRunResult(name=name, output=None, launch=launch, parameters=parameters)
 
 
-def _naive3d_block(ctx: BlockContext, src: DeviceBuffer, dst: DeviceBuffer,
+def _naive3d_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
                    points: Tuple[Tuple[int, int, int, float], ...],
                    width: int, height: int, depth: int) -> None:
     gx = ctx.block_idx_x * ctx.block_threads + ctx.thread_idx_x

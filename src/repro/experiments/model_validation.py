@@ -49,7 +49,7 @@ CLAIM_MAX_EXTENT = 21
 QUICK_CLAIM_MAX_EXTENT = 9
 
 #: functional engine the model predictions are validated against (the
-#: scalar engine is bit-identical, so one reference suffices)
+#: replay engine is bit-identical, so one reference suffices)
 REFERENCE_ENGINE = "batched"
 #: problem size of the cross-engine cells; --quick shrinks it
 CROSS_SIZE = "small"

@@ -1,9 +1,10 @@
 """The simulated GPU substrate: architectures, SIMT execution and timing.
 
 This subpackage stands in for the CUDA toolkit + Tesla hardware used in the
-paper.  Kernels written against :class:`~repro.gpu.block.BlockContext` are
-functionally executed (lane-vectorised with NumPy) while every warp
-instruction and memory transaction is counted; the analytical model in
+paper.  Kernels written against :class:`~repro.gpu.batch.BatchedBlockContext`
+are functionally executed (vectorised over lanes and blocks with NumPy)
+while every warp instruction and memory transaction is counted; the
+analytical model in
 :mod:`repro.gpu.profiler` then converts the counts into execution-time
 estimates for the architecture presets of Table 1.
 """
@@ -19,13 +20,7 @@ from .architecture import (
     get_architecture,
     table1_rows,
 )
-from .batch import (
-    BatchedBlockContext,
-    BatchedSharedArray,
-    BatchedSharedMemory,
-    BatchedTrafficTracker,
-)
-from .block import BlockContext
+from .batch import BatchedBlockContext, BatchedTrafficTracker
 from .counters import KernelCounters, merge_counters
 from .kernel import (
     Kernel,
@@ -40,7 +35,6 @@ from .latency import LatencyTable, ThroughputTable
 from .memory import (
     DeviceBuffer,
     GlobalMemory,
-    coalesced_transactions,
     coalesced_transactions_matrix,
     rowwise_unique_counts,
     rowwise_unique_pad,
@@ -54,7 +48,12 @@ from .register_file import (
     register_cache_capacity,
     registers_for_cache,
 )
-from .shared_memory import SharedMemory, bank_conflict_degree, bank_conflict_profile
+from .shared_memory import (
+    SharedArray,
+    SharedMemory,
+    bank_conflict_degree,
+    bank_conflict_profile,
+)
 from .warp import Warp, ballot, shfl_down, shfl_idx, shfl_up, shfl_xor
 
 __all__ = [
@@ -68,10 +67,7 @@ __all__ = [
     "get_architecture",
     "table1_rows",
     "BatchedBlockContext",
-    "BatchedSharedArray",
-    "BatchedSharedMemory",
     "BatchedTrafficTracker",
-    "BlockContext",
     "KernelCounters",
     "merge_counters",
     "Kernel",
@@ -85,7 +81,6 @@ __all__ = [
     "ThroughputTable",
     "DeviceBuffer",
     "GlobalMemory",
-    "coalesced_transactions",
     "coalesced_transactions_matrix",
     "rowwise_unique_counts",
     "rowwise_unique_pad",
@@ -101,6 +96,7 @@ __all__ = [
     "allocate_registers",
     "register_cache_capacity",
     "registers_for_cache",
+    "SharedArray",
     "SharedMemory",
     "bank_conflict_degree",
     "bank_conflict_profile",

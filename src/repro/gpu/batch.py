@@ -1,18 +1,28 @@
-"""Batched grid execution: many thread blocks as one vectorized pass.
+"""The SIMT programming surface kernels are written against.
 
-The legacy engine in :mod:`repro.gpu.kernel` runs one
-:class:`~repro.gpu.block.BlockContext` per grid block in a Python loop; for
-paper-scale grids that is millions of interpreter iterations.  The
-:class:`BatchedBlockContext` defined here executes a *batch* of blocks
-simultaneously: every per-thread register vector has shape
-``(num_blocks, block_threads)`` instead of ``(block_threads,)`` and the
-block indices become ``(num_blocks, 1)`` column vectors, so kernel bodies
-written against the legacy context run unchanged — per-block scalars simply
-broadcast along the new leading axis.
+A :class:`BatchedBlockContext` executes a *batch* of CUDA thread blocks as
+one vectorized pass.  Kernels are ordinary Python functions
+``kernel(ctx, *args)`` in which every "per-thread" value is a NumPy array of
+shape ``(num_blocks, block_threads)`` (structure-of-arrays, one row per
+block) and the block indices are ``(num_blocks, 1)`` column vectors, so
+per-block scalars broadcast along the leading axis.  A batch of one block is
+an ordinary batch.  The context provides
 
-All accounting is vectorized to match, and is **exactly** equivalent to the
-per-block path (the differential tests assert bit-identical outputs and
-counters):
+* thread/block/lane indices,
+* counted global-memory loads and stores (with per-warp coalescing and
+  per-block unique-line DRAM accounting),
+* counted shared-memory allocation and access (with bank conflicts),
+* warp shuffles restricted to 32-lane groups, and
+* counted arithmetic intrinsics (``mad``, ``add``, ``mul``) so the timing
+  model sees the same instruction mix the GPU would execute.
+
+Using the intrinsics is what makes a kernel's cost observable; plain NumPy
+arithmetic still computes correctly but is invisible to the profiler, so the
+library's kernels always go through the intrinsics.
+
+All accounting is vectorized, and is independent of how the grid is split
+into batches (the differential tests assert bit-identical outputs and
+counters between a batch of one block and larger batches):
 
 * warp-coalescing sector counts: one sorted unique-count pass over a
   ``(batch * warps, warp_size)`` line matrix
@@ -22,14 +32,13 @@ counters):
 * shared-memory bank conflicts: one ``bincount`` over ``(warp, bank)``
   pairs (:func:`repro.gpu.shared_memory.bank_conflict_profile`).
 
-Functional scatter semantics also match the sequential engine: batches are
-flattened in block order, so when two blocks store to the same location the
-higher block index wins, exactly as in the per-block loop.
+Functional scatter semantics do not depend on the batch size either:
+batches are flattened in block order, so when two blocks store to the same
+location the higher block index wins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,7 +46,6 @@ import numpy as np
 from ..dtypes import Precision, resolve_precision
 from ..errors import SimulationError
 from .architecture import GPUArchitecture
-from .block import _SIMTContextBase
 from .check import active_race_checker
 from .counters import KernelCounters
 from .memory import (
@@ -49,65 +57,14 @@ from .memory import (
 )
 from .shared_memory import SharedArray, SharedMemory, bank_conflict_profile
 from .simt import grouped_warp_counts
-
-
-@dataclass
-class BatchedSharedArray(SharedArray):
-    """A named shared-memory allocation replicated across a batch of blocks.
-
-    ``array`` has shape ``(num_blocks, *shape)``: every block of the batch
-    owns an independent copy, exactly as each block owns its own scratchpad
-    on hardware.
-    """
-
-    @property
-    def num_blocks(self) -> int:
-        return int(self.array.shape[0])
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of one block's copy (what counts against the capacity)."""
-        return int(self.array.nbytes // max(1, self.num_blocks))
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Per-block flat view, shape ``(num_blocks, size)``."""
-        return self.array.reshape(self.array.shape[0], -1)
-
-
-class BatchedSharedMemory(SharedMemory):
-    """Shared-memory arenas for a whole batch of thread blocks.
-
-    Same capacity checks per block and cumulative statistics fields as
-    :class:`~repro.gpu.shared_memory.SharedMemory`, but each named array is
-    allocated once for the batch with a leading block axis.
-    """
-
-    def __init__(self, num_blocks: int, capacity_bytes: int,
-                 banks: int = 32, bank_bytes: int = 4) -> None:
-        super().__init__(capacity_bytes, banks, bank_bytes)
-        self.num_blocks = int(num_blocks)
-
-    def allocate(self, name: str, shape: Tuple[int, ...],
-                 precision: object = "float32") -> BatchedSharedArray:
-        """Allocate a named shared array in every block of the batch."""
-        # per-block capacity is validated before materializing the batch copies
-        prec, per_block = self._check_allocate(name, shape, precision)
-        array = np.zeros((self.num_blocks,) + tuple(shape), dtype=prec.numpy_dtype)
-        shared = BatchedSharedArray(name=name, array=array,
-                                    offset_bytes=self._used_bytes)
-        self._arrays[name] = shared
-        self._used_bytes += per_block
-        return shared
+from . import warp as warp_ops
 
 
 class BatchedTrafficTracker:
     """Per-block unique-line DRAM read accounting for a batch of blocks.
 
     Records the ``(batch, lanes)`` cache-line matrices of every counted load
-    and computes each block's unique-line count with segmented sorts — the
-    vectorised equivalent of running one
-    :class:`~repro.gpu.memory.BlockTrafficTracker` per block.
+    and computes each block's unique-line count with segmented sorts.
 
     Memory is bounded: whenever a buffer's pending matrices exceed
     ``compact_columns`` columns they are folded into a sentinel-padded
@@ -196,16 +153,13 @@ class BatchedTrafficTracker:
         return float(total)
 
 
-class BatchedBlockContext(_SIMTContextBase):
+class BatchedBlockContext:
     """Execution context of a batch of thread blocks on the simulated GPU.
 
-    Drop-in replacement for :class:`~repro.gpu.block.BlockContext` with a
-    leading block axis: register vectors are ``(num_blocks, block_threads)``
-    arrays, ``block_idx_x/y/z`` are ``(num_blocks, 1)`` columns and every
-    index/mask argument may be anything broadcastable to the register shape.
-    The shared kernel surface (arithmetic, shuffles, coercion) lives in
-    :class:`~repro.gpu.block._SIMTContextBase`; only the memory paths and
-    their vectorized accounting are defined here.
+    Register vectors are ``(num_blocks, block_threads)`` arrays,
+    ``block_idx_x/y/z`` are ``(num_blocks, 1)`` columns and every index/mask
+    argument may be anything broadcastable to the register shape.  Every
+    counted instruction is issued once per warp of every block of the batch.
     """
 
     def __init__(
@@ -234,10 +188,10 @@ class BatchedBlockContext(_SIMTContextBase):
                 f"block size {self.block_threads} must be a multiple of the warp size"
             )
         self.num_warps = self.block_threads // self.warp_size
-        self.shared = BatchedSharedMemory(self.num_blocks,
-                                          architecture.shared_memory_per_block,
-                                          architecture.shared_memory_banks,
-                                          architecture.shared_memory_bank_bytes)
+        self.shared = SharedMemory(architecture.shared_memory_per_block,
+                                   self.num_blocks,
+                                   architecture.shared_memory_banks,
+                                   architecture.shared_memory_bank_bytes)
         self._traffic = (BatchedTrafficTracker(self.num_blocks,
                                                architecture.cache_line_bytes)
                          if count_traffic else None)
@@ -284,6 +238,77 @@ class BatchedBlockContext(_SIMTContextBase):
     def block_idx_z(self) -> np.ndarray:
         return self.block_indices[:, 2:3]
 
+    # ------------------------------------------------------------ registers
+    @property
+    def numpy_dtype(self) -> np.dtype:
+        """Element dtype of the kernel's working precision."""
+        return self.precision.numpy_dtype
+
+    def zeros(self) -> np.ndarray:
+        """A zero-filled per-thread register vector."""
+        return np.zeros(self._register_shape, dtype=self.numpy_dtype)
+
+    def full(self, value: float) -> np.ndarray:
+        """A constant per-thread register vector."""
+        return np.full(self._register_shape, value, dtype=self.numpy_dtype)
+
+    # ------------------------------------------------------------- coercion
+    def _as_indices(self, flat_indices: object, op: str) -> np.ndarray:
+        """Coerce indices to one ``int64`` entry per thread (broadcasting)."""
+        arr = np.asarray(flat_indices, dtype=np.int64)
+        try:
+            return np.broadcast_to(arr, self._register_shape)
+        except ValueError:
+            raise SimulationError(f"{op} expects one index per thread") from None
+
+    def _as_mask(self, mask: Optional[object]) -> Optional[np.ndarray]:
+        if mask is None:
+            return None
+        arr = np.asarray(mask, dtype=bool)
+        try:
+            return np.broadcast_to(arr, self._register_shape)
+        except ValueError:
+            raise SimulationError("mask must broadcast to one lane per thread") from None
+
+    def _as_register(self, values: object) -> np.ndarray:
+        return np.broadcast_to(np.asarray(values), self._register_shape)
+
+    # --------------------------------------------------------------- shuffles
+    def shfl_up(self, values: np.ndarray, delta: int = 1) -> np.ndarray:
+        """``__shfl_up_sync`` across each warp (counted)."""
+        self.counters.shfl += self._issue_warps
+        return warp_ops.shfl_up(self._as_register(values), delta, self.warp_size)
+
+    def shfl_down(self, values: np.ndarray, delta: int = 1) -> np.ndarray:
+        """``__shfl_down_sync`` across each warp (counted)."""
+        self.counters.shfl += self._issue_warps
+        return warp_ops.shfl_down(self._as_register(values), delta, self.warp_size)
+
+    def shfl_idx(self, values: np.ndarray, source_lane: int) -> np.ndarray:
+        """``__shfl_sync`` broadcast from ``source_lane`` (counted)."""
+        self.counters.shfl += self._issue_warps
+        return warp_ops.shfl_idx(self._as_register(values), source_lane, self.warp_size)
+
+    # -------------------------------------------------------------- arithmetic
+    def mad(self, a: np.ndarray, b: np.ndarray, acc: np.ndarray) -> np.ndarray:
+        """Fused multiply-add ``a * b + acc`` (one FMA warp instruction)."""
+        self.counters.fma += self._issue_warps
+        return np.asarray(a, dtype=self.numpy_dtype) * np.asarray(b, dtype=self.numpy_dtype) + acc
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Counted addition."""
+        self.counters.add += self._issue_warps
+        return np.asarray(a, dtype=self.numpy_dtype) + np.asarray(b, dtype=self.numpy_dtype)
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Counted multiplication."""
+        self.counters.mul += self._issue_warps
+        return np.asarray(a, dtype=self.numpy_dtype) * np.asarray(b, dtype=self.numpy_dtype)
+
+    def overhead(self, instructions: float = 1.0) -> None:
+        """Account for integer/addressing instructions not modelled explicitly."""
+        self.counters.misc += instructions * self._issue_warps
+
     # ------------------------------------------------------- warp bookkeeping
     def _active_warps(self, mask: Optional[np.ndarray]) -> int:
         if mask is None:
@@ -328,7 +353,7 @@ class BatchedBlockContext(_SIMTContextBase):
         """Scatter ``values`` into ``buffer`` for every block of the batch.
 
         Duplicate destinations resolve in block order (later block wins),
-        matching the sequential per-block engine.
+        whatever the batch size.
         """
         flat_indices = self._as_indices(flat_indices, "store_global")
         if np.any(flat_indices < 0) or np.any(flat_indices >= buffer.size):
@@ -353,12 +378,12 @@ class BatchedBlockContext(_SIMTContextBase):
 
     # ----------------------------------------------------------- shared mem
     def alloc_shared(self, name: str, shape: Tuple[int, ...],
-                     precision: Optional[object] = None) -> BatchedSharedArray:
+                     precision: Optional[object] = None) -> SharedArray:
         """Allocate a named shared-memory array in every block of the batch."""
         prec = self.precision if precision is None else resolve_precision(precision)
         return self.shared.allocate(name, shape, prec)
 
-    def _smem_access(self, shared: BatchedSharedArray, flat_indices: object,
+    def _smem_access(self, shared: SharedArray, flat_indices: object,
                      mask: Optional[object], op: str):
         raw = np.asarray(flat_indices)
         # warp-uniform accesses (a scalar or per-block column index) are
@@ -386,7 +411,7 @@ class BatchedBlockContext(_SIMTContextBase):
                 None if lane_mask is None else self._warp_matrix(lane_mask))
         return flat_indices, lane_mask, degrees, broadcasts, active_counts, uniform
 
-    def load_shared(self, shared: BatchedSharedArray, flat_indices: np.ndarray,
+    def load_shared(self, shared: SharedArray, flat_indices: np.ndarray,
                     mask: Optional[np.ndarray] = None) -> np.ndarray:
         """Counted shared-memory gather (bank conflicts and broadcasts).
 
@@ -409,11 +434,7 @@ class BatchedBlockContext(_SIMTContextBase):
         self.counters.smem_broadcast += broadcast_warps
         self.counters.smem_load += accesses
         self.counters.smem_bank_conflicts += conflicts
-        self.shared.broadcast_count += broadcast_warps
-        self.shared.access_count += accesses
-        self.shared.conflict_extra += conflicts
         active_total = int(active_counts.sum())
-        self.shared.bytes_read += float(active_total * itemsize)
         self.counters.smem_read_bytes += float(active_total * itemsize)
         if lane_mask is None and uniform:
             per_block = shared.flat[np.arange(self.num_blocks), flat_indices[:, 0]]
@@ -428,7 +449,7 @@ class BatchedBlockContext(_SIMTContextBase):
             .astype(self.numpy_dtype, copy=False)
         return values
 
-    def store_shared(self, shared: BatchedSharedArray, flat_indices: np.ndarray,
+    def store_shared(self, shared: SharedArray, flat_indices: np.ndarray,
                      values: np.ndarray, mask: Optional[np.ndarray] = None) -> None:
         """Counted shared-memory scatter."""
         flat_indices, lane_mask, degrees, broadcasts, active_counts, _ = \
@@ -439,10 +460,7 @@ class BatchedBlockContext(_SIMTContextBase):
         conflicts = int((store_degrees - 1).sum())
         self.counters.smem_store += accesses
         self.counters.smem_bank_conflicts += conflicts
-        self.shared.access_count += accesses
-        self.shared.conflict_extra += conflicts
         active_total = int(active_counts.sum())
-        self.shared.bytes_written += float(active_total * itemsize)
         self.counters.smem_write_bytes += float(active_total * itemsize)
         values = np.broadcast_to(np.asarray(values), self._register_shape)
         if self._race is not None:
@@ -461,7 +479,8 @@ class BatchedBlockContext(_SIMTContextBase):
 
     # -------------------------------------------------------------- control
     def syncthreads(self) -> None:
-        super().syncthreads()
+        """``__syncthreads()`` — counted barrier; closes a race-check phase."""
+        self.counters.sync += self._issue_warps
         if self._race is not None:
             self._race.on_barrier()
 

@@ -1,8 +1,9 @@
 """Kernel objects, launch configuration and grid execution.
 
 A :class:`Kernel` wraps a Python function with the signature
-``func(ctx: BlockContext, *args)`` and executes it over the thread blocks of
-the launch grid, accumulating :class:`~repro.gpu.counters.KernelCounters`.
+``func(ctx: BatchedBlockContext, *args)`` and executes it over the thread
+blocks of the launch grid, accumulating
+:class:`~repro.gpu.counters.KernelCounters`.
 
 Two execution modes are supported:
 
@@ -15,16 +16,16 @@ Two execution modes are supported:
 
 Either mode runs on one of two engines:
 
-* **batched** (the default, ``batch_size="auto"``) — large chunks of the
-  grid execute as one vectorized pass through
+* **batched** (the default, ``batch_size="auto"`` or a block count) —
+  chunks of the grid execute as one vectorized pass through
   :class:`~repro.gpu.batch.BatchedBlockContext`, with all coalescing /
   unique-line / bank-conflict accounting computed by segmented NumPy
-  reductions instead of per-warp Python loops;
-* **legacy** (``batch_size=1``) — one
-  :class:`~repro.gpu.block.BlockContext` per block in a Python loop, kept
-  for differential testing of the batched engine.
+  reductions; ``batch_size=1`` runs a batch of one block at a time;
+* **replay** (``batch_size="replay"``) — the kernel body is recorded once
+  as a dataflow trace and replayed by :mod:`repro.trace.replay`.
 
-Both engines produce bit-identical outputs and identical counters.
+Every batch size and both engines produce bit-identical outputs and
+identical counters.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from ..dtypes import Precision, resolve_precision
 from ..errors import ConfigurationError, LaunchError
 from .architecture import GPUArchitecture, get_architecture
 from .batch import BatchedBlockContext
-from .block import BlockContext
 from .counters import KernelCounters
 from .occupancy import OccupancyResult, compute_occupancy
 from .profiler import TimingBreakdown, estimate_time
@@ -242,10 +242,10 @@ class Kernel:
         batch_size:
             Blocks executed per vectorized batch.  ``"auto"`` (default)
             bounds the batch by a memory budget (:func:`auto_batch_size`);
-            ``1`` selects the legacy per-block loop, which produces
-            bit-identical results and counters.  ``"replay"`` records the
-            kernel body once as a dataflow trace and executes subsequent
-            chunks through the compiled replay engine
+            an integer fixes the number of blocks per batch (every batch
+            size yields bit-identical results and counters).  ``"replay"``
+            records the kernel body once as a dataflow trace and executes
+            subsequent chunks through the compiled replay engine
             (:mod:`repro.trace.replay`), bit-identical to ``"auto"``.
         """
         if batch_size == "replay":
@@ -270,36 +270,21 @@ class Kernel:
             sampled = True
         chunk = _resolve_batch_size(batch_size, config, len(block_indices))
         executed = 0
-        if chunk <= 1:
-            for block_idx in block_indices:
-                ctx = BlockContext(
-                    block_idx=block_idx,
-                    grid_dim=config.grid_dim,
-                    block_threads=config.block_threads,
-                    architecture=arch,
-                    counters=counters,
-                    precision=config.precision,
-                    count_traffic=count_traffic,
-                )
-                self.func(ctx, *args)
-                ctx.finalize()
-                executed += 1
-        else:
-            index_matrix = np.asarray(block_indices, dtype=np.int64).reshape(-1, 3)
-            for start in range(0, index_matrix.shape[0], chunk):
-                batch = index_matrix[start:start + chunk]
-                ctx = BatchedBlockContext(
-                    block_indices=batch,
-                    grid_dim=config.grid_dim,
-                    block_threads=config.block_threads,
-                    architecture=arch,
-                    counters=counters,
-                    precision=config.precision,
-                    count_traffic=count_traffic,
-                )
-                self.func(ctx, *args)
-                ctx.finalize()
-                executed += int(batch.shape[0])
+        index_matrix = np.asarray(block_indices, dtype=np.int64).reshape(-1, 3)
+        for start in range(0, index_matrix.shape[0], chunk):
+            batch = index_matrix[start:start + chunk]
+            ctx = BatchedBlockContext(
+                block_indices=batch,
+                grid_dim=config.grid_dim,
+                block_threads=config.block_threads,
+                architecture=arch,
+                counters=counters,
+                precision=config.precision,
+                count_traffic=count_traffic,
+            )
+            self.func(ctx, *args)
+            ctx.finalize()
+            executed += int(batch.shape[0])
         sample_fraction = executed / total_blocks if total_blocks else 1.0
         if sampled and sample_fraction > 0:
             counters = counters.scaled(1.0 / sample_fraction)

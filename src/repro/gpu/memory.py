@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -135,20 +135,6 @@ class GlobalMemory:
         return buffer
 
 
-def coalesced_transactions(flat_indices: np.ndarray, itemsize: int,
-                           line_bytes: int = 128) -> int:
-    """Number of memory sectors touched by one warp-level access.
-
-    A fully coalesced access of 32 contiguous 4-byte words touches a single
-    128-byte sector; strided or scattered accesses touch more.  Inactive
-    lanes must be filtered out by the caller.
-    """
-    if flat_indices.size == 0:
-        return 0
-    lines = (flat_indices.astype(np.int64) * itemsize) // line_bytes
-    return int(np.unique(lines).size)
-
-
 _SENTINEL = np.iinfo(np.int64).max
 
 
@@ -227,41 +213,12 @@ def coalesced_transactions_matrix(flat_indices: np.ndarray, itemsize: int,
                                   mask: Optional[np.ndarray] = None) -> int:
     """Total sectors touched by a matrix of warp accesses (one warp per row).
 
-    Equivalent to summing :func:`coalesced_transactions` over the rows with
-    inactive lanes filtered by ``mask``, but computed in one vectorised pass.
+    A fully coalesced access of 32 contiguous 4-byte words touches a single
+    128-byte sector; strided or scattered accesses touch more.  Lanes that
+    ``mask`` marks inactive touch nothing.
     """
     lines = (np.asarray(flat_indices, dtype=np.int64) * itemsize) // line_bytes
     return int(rowwise_unique_counts(lines, mask).sum())
-
-
-class BlockTrafficTracker:
-    """Tracks the unique global-memory lines read by one thread block.
-
-    ``finalize`` converts the touched-line sets into DRAM bytes according to
-    the perfect-intra-block-reuse policy described in the module docstring.
-    Only *reads* are tracked — write traffic is charged directly per store
-    (see the module docstring).
-    """
-
-    def __init__(self, line_bytes: int = 128) -> None:
-        self.line_bytes = line_bytes
-        self._read_lines: Dict[int, List[np.ndarray]] = {}
-
-    def record_read(self, buffer: DeviceBuffer, flat_indices: np.ndarray) -> None:
-        if buffer.cached:
-            return
-        lines = (flat_indices.astype(np.int64) * buffer.itemsize) // self.line_bytes
-        self._read_lines.setdefault(buffer.buffer_id, []).append(lines)
-
-    def finalize(self) -> float:
-        """The block's DRAM read bytes (unique lines per touched buffer)."""
-        total = 0
-        for chunks in self._read_lines.values():
-            if not chunks:
-                continue
-            lines = np.concatenate(chunks)
-            total += int(np.unique(lines).size) * self.line_bytes
-        return float(total)
 
 
 def clamp_indices(indices: np.ndarray, lower: int, upper: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..dtypes import Precision
 from ..errors import ConfigurationError, SpecificationError
-from ..gpu.block import BlockContext
+from ..gpu.batch import BatchedBlockContext
 from ..gpu.kernel import LaunchResult
 from ..gpu.memory import DeviceBuffer, GlobalMemory
 
@@ -84,7 +84,7 @@ def check_grid3d(grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def load_weights_to_shared(ctx: BlockContext, weights: DeviceBuffer, count: int,
+def load_weights_to_shared(ctx: BatchedBlockContext, weights: DeviceBuffer, count: int,
                            name: str = "weights"):
     """Stage ``count`` filter weights from global into shared memory.
 
@@ -103,11 +103,10 @@ def load_weights_to_shared(ctx: BlockContext, weights: DeviceBuffer, count: int,
     return smem
 
 
-def broadcast_weight(ctx: BlockContext, smem, flat_index: int) -> np.ndarray:
+def broadcast_weight(ctx: BatchedBlockContext, smem, flat_index: int) -> np.ndarray:
     """Warp-uniform (broadcast) read of one staged weight.
 
-    The scalar index broadcasts to one lane per thread on both the legacy
-    and the batched execution engine.
+    The scalar index broadcasts to one lane per thread of every block.
     """
     return ctx.load_shared(smem, np.int64(flat_index))
 

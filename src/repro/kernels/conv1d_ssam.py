@@ -17,7 +17,7 @@ from ..core.launch_defaults import paper_default
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture
-from ..gpu.block import BlockContext
+from ..gpu.batch import BatchedBlockContext
 from ..gpu.kernel import Kernel, LaunchConfig, grid_1d
 from ..gpu.memory import DeviceBuffer, GlobalMemory
 from ..gpu.occupancy import validate_block_threads
@@ -29,7 +29,7 @@ CONV1D_REGISTERS_PER_THREAD = 22
 CONV1D_MEMORY_PARALLELISM = 2.0
 
 
-def _conv1d_ssam_block(ctx: BlockContext, src: DeviceBuffer, dst: DeviceBuffer,
+def _conv1d_ssam_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
                        taps: tuple, length: int, anchor: int) -> None:
     """1-D SSAM convolution for one thread block."""
     filter_width = len(taps)

@@ -29,7 +29,7 @@ from ..core.plan import SSAMPlan, plan_convolution
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture
-from ..gpu.block import BlockContext
+from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchResult
 from ..gpu.memory import DeviceBuffer, GlobalMemory
@@ -44,18 +44,17 @@ from .common import (
 )
 
 
-def _conv2d_ssam_block(ctx: BlockContext, src: DeviceBuffer, dst: DeviceBuffer,
+def _conv2d_ssam_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
                        weights: DeviceBuffer, width: int, height: int,
                        filter_width: int, filter_height: int,
                        outputs_per_thread: int, anchor_x: int, anchor_y: int,
                        block_rows: int = 1) -> None:
     """Listing 1, executed for one thread block (or a whole batch of blocks).
 
-    Written against the broadcast contract shared by
-    :class:`~repro.gpu.block.BlockContext` and
-    :class:`~repro.gpu.batch.BatchedBlockContext`: block indices are scalars
-    on the legacy path and ``(num_blocks, 1)`` columns on the batched path,
-    so every index expression broadcasts to the context's register shape.
+    Written against the broadcast contract of
+    :class:`~repro.gpu.batch.BatchedBlockContext`: block indices are
+    ``(num_blocks, 1)`` columns, so every index expression broadcasts to the
+    context's ``(num_blocks, block_threads)`` register shape.
 
     ``block_rows`` (R) selects the block shape: R=1 lays every warp along x
     (the paper's scheme, kept branch-for-branch identical here); R>1 splits
@@ -132,10 +131,10 @@ def ssam_convolve2d(image: np.ndarray, spec: ConvolutionSpec,
     Launch parameters left as ``None`` resolve through the default chain of
     :mod:`repro.core.launch_defaults` (paper constants P=4, B=128 for a
     direct call like this one).  Pass ``max_blocks`` to sample the grid when
-    only cost estimates are needed, and ``batch_size=1`` to force the legacy
-    per-block engine.  ``keep_output=True`` returns the (partial) output
-    buffer even for sampled runs — the executed blocks' results are exactly
-    those of a full run; unexecuted blocks leave zeros.
+    only cost estimates are needed, and ``batch_size`` to choose the blocks
+    per batch (or ``"replay"``).  ``keep_output=True`` returns the (partial)
+    output buffer even for sampled runs — the executed blocks' results are
+    exactly those of a full run; unexecuted blocks leave zeros.
     """
     image = check_image(image)
     require_edge_boundary(spec.boundary, "the SSAM convolution kernel")

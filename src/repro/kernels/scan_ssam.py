@@ -18,7 +18,7 @@ from ..core.launch_defaults import paper_default
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture
-from ..gpu.block import BlockContext
+from ..gpu.batch import BatchedBlockContext
 from ..gpu.kernel import Kernel, LaunchConfig, grid_1d
 from ..gpu.memory import DeviceBuffer, GlobalMemory
 from ..gpu.occupancy import validate_block_threads
@@ -30,7 +30,7 @@ SCAN_REGISTERS_PER_THREAD = 24
 SCAN_MEMORY_PARALLELISM = 2.0
 
 
-def _scan_block(ctx: BlockContext, src: DeviceBuffer, dst: DeviceBuffer,
+def _scan_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
                 block_sums: DeviceBuffer, length: int) -> None:
     """Warp-level Kogge–Stone scan + shared-memory combine across warps."""
     warp_size = ctx.warp_size

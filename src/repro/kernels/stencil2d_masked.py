@@ -25,7 +25,7 @@ from ..core.plan import SSAMPlan, plan_stencil
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture
-from ..gpu.block import BlockContext
+from ..gpu.batch import BatchedBlockContext
 from ..gpu.kernel import Kernel, LaunchResult
 from ..gpu.memory import DeviceBuffer, GlobalMemory
 from ..stencils.spec import StencilSpec
@@ -37,7 +37,8 @@ from .stencil2d_ssam import ColumnGroups, build_column_groups
 DEFAULT_MARGIN = 2
 
 
-def _stencil2d_masked_block(ctx: BlockContext, src: DeviceBuffer, dst: DeviceBuffer,
+def _stencil2d_masked_block(ctx: BatchedBlockContext,
+                            src: DeviceBuffer, dst: DeviceBuffer,
                             width: int, height: int, columns: ColumnGroups,
                             footprint_width: int, footprint_height: int,
                             outputs_per_thread: int, x_min: int, y_min: int,

@@ -23,7 +23,7 @@ from ..core.plan import SSAMPlan, plan_stencil
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture
-from ..gpu.block import BlockContext
+from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchResult
 from ..gpu.memory import DeviceBuffer, GlobalMemory
@@ -46,7 +46,8 @@ def build_column_groups(spec: StencilSpec) -> ColumnGroups:
     return tuple(groups)
 
 
-def _stencil2d_ssam_block(ctx: BlockContext, src: DeviceBuffer, dst: DeviceBuffer,
+def _stencil2d_ssam_block(ctx: BatchedBlockContext,
+                          src: DeviceBuffer, dst: DeviceBuffer,
                           width: int, height: int, columns: ColumnGroups,
                           footprint_width: int, footprint_height: int,
                           outputs_per_thread: int, x_min: int, y_min: int,

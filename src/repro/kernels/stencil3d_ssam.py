@@ -24,7 +24,7 @@ from ..core.launch_defaults import paper_default
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture
-from ..gpu.block import BlockContext
+from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchConfig, LaunchResult
 from ..gpu.occupancy import validate_block_threads
@@ -61,7 +61,8 @@ def split_out_of_plane(spec: StencilSpec):
     return tuple(axial), tuple(general)
 
 
-def _stencil3d_ssam_block(ctx: BlockContext, src: DeviceBuffer, dst: DeviceBuffer,
+def _stencil3d_ssam_block(ctx: BatchedBlockContext,
+                          src: DeviceBuffer, dst: DeviceBuffer,
                           width: int, height: int, depth: int,
                           columns: ColumnGroups, axial, general,
                           footprint_width: int, footprint_height: int,

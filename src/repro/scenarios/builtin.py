@@ -88,15 +88,12 @@ EVALUATED = tuple(arch.name.split()[-1].lower() for arch in EVALUATED_ARCHITECTU
 MODERN = tuple(arch.name.lower() for arch in MODERN_ARCHITECTURES)
 BASELINE_ARCHITECTURES = EVALUATED + MODERN
 BOTH_PRECISIONS = ("float32", "float64")
-FUNCTIONAL_ENGINES = ("scalar", "batched")
-#: functional engines + the Section 5 analytic performance model
-MODELED_ENGINES = ("scalar", "batched", "model")
-ALL_ENGINES = ("scalar", "batched", "analytic", "model")
+#: the batched engine + the closed-form profile and the Section 5 model
+ALL_ENGINES = ("batched", "analytic", "model")
 #: the SSAM kernels additionally run through the compiled trace-replay
-#: engine (baseline scenarios keep the legacy tuples: their kernels are not
-#: traced)
-SSAM_MODELED_ENGINES = ("scalar", "batched", "replay", "model")
-SSAM_ALL_ENGINES = ("scalar", "batched", "replay", "analytic", "model")
+#: engine (baseline scenarios do not: their kernels are not traced)
+SSAM_MODELED_ENGINES = ("batched", "replay", "model")
+SSAM_ALL_ENGINES = ("batched", "replay", "analytic", "model")
 
 
 def binomial_taps(count: int) -> np.ndarray:
@@ -540,7 +537,7 @@ def _model_conv2d_shared(label: str):
 
 
 def _register_conv2d_baseline(label: str, fn, engines) -> None:
-    functional = "scalar" in engines
+    functional = "batched" in engines
     register(Scenario(
         name=f"conv2d-{label}",
         family="convolution",

@@ -30,19 +30,17 @@ from ..errors import ConfigurationError
 from ..gpu.architecture import architecture_names
 from ..serialization import stable_digest
 
-#: execution engines a scenario may support: the legacy per-block SIMT loop,
-#: the vectorised multi-block engine, the compiled trace-replay engine, the
-#: closed-form instruction/traffic profile, and the Section 5 analytic
-#: performance model
-ENGINES: Tuple[str, ...] = ("scalar", "batched", "replay", "analytic", "model")
+#: execution engines a scenario may support: the vectorised multi-block
+#: engine, the compiled trace-replay engine, the closed-form
+#: instruction/traffic profile, and the Section 5 analytic performance model
+ENGINES: Tuple[str, ...] = ("batched", "replay", "analytic", "model")
 
 #: engines that evaluate closed forms instead of executing the kernel; these
 #: never build a workload array and never produce a functional output
 NON_EXECUTING_ENGINES: Tuple[str, ...] = ("analytic", "model")
 
 #: how each functional engine maps onto the kernels' ``batch_size`` parameter
-ENGINE_BATCH_SIZE: Dict[str, object] = {"scalar": 1, "batched": "auto",
-                                        "replay": "replay"}
+ENGINE_BATCH_SIZE: Dict[str, object] = {"batched": "auto", "replay": "replay"}
 
 #: the launch parameters a scenario may declare tunable: the sliding-window
 #: depth P and the CUDA block size B of Section 7.1's design-space study,
@@ -491,7 +489,7 @@ def expand_matrix(matrix: Mapping[str, object]) -> List[ScenarioCase]:
         {"scenarios": ["conv2d", "scan"],     # or "all", "ssam", a family name
          "architectures": ["p100", "v100"],   # or "all"
          "precisions": ["float32", "float64"],
-         "engines": ["scalar", "batched"],
+         "engines": ["batched", "replay"],
          "sizes": ["tiny"],
          "plan_kwargs": [{}, {"block_threads": 256}]}   # optional sixth axis
 

@@ -46,21 +46,21 @@ MATRICES: Dict[str, Dict[str, object]] = {
         "scenarios": "ssam",
         "architectures": ["p100", "v100", "a100", "h100"],
         "precisions": ["float32", "float64"],
-        "engines": ["scalar", "batched", "replay"],
+        "engines": ["batched", "replay"],
         "sizes": ["tiny"],
     },
     "smoke": {
         "scenarios": ["conv2d", "scan"],
         "architectures": ["p100"],
         "precisions": ["float32"],
-        "engines": ["scalar", "batched", "replay"],
+        "engines": ["batched", "replay"],
         "sizes": ["tiny"],
     },
     "default": {
         "scenarios": "all",
         "architectures": ["p100", "v100", "a100", "h100"],
         "precisions": ["float32", "float64"],
-        "engines": ["scalar", "batched", "replay", "analytic", "model"],
+        "engines": ["batched", "replay", "analytic", "model"],
         "sizes": ["tiny", "small"],
     },
     # the SSAM kernels at the evaluation-scale domains of Section 6,

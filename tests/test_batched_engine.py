@@ -1,10 +1,13 @@
-"""Differential tests: the batched engine vs. the legacy per-block engine.
+"""Differential tests: a batch of one block vs. larger batches.
 
-Every test runs the same kernel twice — once with ``batch_size=1`` (the
-legacy :class:`~repro.gpu.block.BlockContext` loop) and once with the
-batched engine — and asserts **bit-identical** outputs plus **identical**
-:class:`~repro.gpu.counters.KernelCounters`.  Domains are chosen so that
-grids contain partial/masked edge blocks in every dimension.
+Every test runs the same kernel twice — once with ``batch_size=1`` (one
+:class:`~repro.gpu.batch.BatchedBlockContext` per block) and once with
+multi-block batches (``"auto"`` or a fixed size) — and asserts
+**bit-identical** outputs plus **identical**
+:class:`~repro.gpu.counters.KernelCounters`.  This checks that the
+segmented per-block accounting does not depend on how the grid is cut into
+batches.  Domains are chosen so that grids contain partial/masked edge
+blocks in every dimension.
 """
 
 import numpy as np
@@ -31,18 +34,18 @@ from repro.stencils.catalog import get_stencil
 from repro.workloads import random_grid_3d, random_image, sequence
 
 
-def assert_equivalent(legacy, batched):
+def assert_equivalent(single, batched):
     """Outputs bit-identical, counters identical field by field."""
-    if legacy.output is None:
+    if single.output is None:
         assert batched.output is None
     else:
-        assert legacy.output.dtype == batched.output.dtype
-        np.testing.assert_array_equal(legacy.output, batched.output)
-    legacy_counters = legacy.launch.counters.as_dict()
+        assert single.output.dtype == batched.output.dtype
+        np.testing.assert_array_equal(single.output, batched.output)
+    single_counters = single.launch.counters.as_dict()
     batched_counters = batched.launch.counters.as_dict()
-    mismatched = {name: (legacy_counters[name], batched_counters[name])
-                  for name in legacy_counters
-                  if legacy_counters[name] != batched_counters[name]}
+    mismatched = {name: (single_counters[name], batched_counters[name])
+                  for name in single_counters
+                  if single_counters[name] != batched_counters[name]}
     assert not mismatched, f"counter mismatch: {mismatched}"
 
 
@@ -50,59 +53,59 @@ def assert_equivalent(legacy, batched):
 
 @pytest.mark.parametrize("batch_size", ["auto", 7])
 @pytest.mark.parametrize("size", [3, 5])
-def test_conv2d_batched_matches_legacy(size, batch_size):
+def test_conv2d_batched_matches_batch_of_one(size, batch_size):
     spec = ConvolutionSpec.random(size, seed=size)
     image = random_image(97, 83, seed=1)  # partial blocks on both grid edges
-    legacy = ssam_convolve2d(image, spec, "p100", batch_size=1)
+    single = ssam_convolve2d(image, spec, "p100", batch_size=1)
     batched = ssam_convolve2d(image, spec, "p100", batch_size=batch_size)
-    assert_equivalent(legacy, batched)
+    assert_equivalent(single, batched)
 
 
-def test_conv2d_batched_matches_legacy_rectangular_double():
+def test_conv2d_batched_matches_batch_of_one_rectangular_double():
     spec = ConvolutionSpec.random(5, 3, seed=9)
     image = random_image(66, 41, precision="float64", seed=2)
-    legacy = ssam_convolve2d(image, spec, "v100", precision="float64", batch_size=1)
+    single = ssam_convolve2d(image, spec, "v100", precision="float64", batch_size=1)
     batched = ssam_convolve2d(image, spec, "v100", precision="float64")
-    assert_equivalent(legacy, batched)
+    assert_equivalent(single, batched)
 
 
-def test_conv1d_batched_matches_legacy():
+def test_conv1d_batched_matches_batch_of_one():
     data = sequence(301, seed=3)
     taps = np.array([0.25, 0.5, 0.25, -0.1, 0.3])
-    legacy = ssam_convolve1d(data, taps, batch_size=1)
+    single = ssam_convolve1d(data, taps, batch_size=1)
     batched = ssam_convolve1d(data, taps)
-    assert_equivalent(legacy, batched)
+    assert_equivalent(single, batched)
 
 
 @pytest.mark.parametrize("name", ["2d5pt", "2d9pt", "2d121pt"])
-def test_stencil2d_batched_matches_legacy(name):
+def test_stencil2d_batched_matches_batch_of_one(name):
     spec = get_stencil(name)
     grid = random_image(70, 45, seed=2)
-    legacy = ssam_stencil2d(grid, spec, iterations=2, batch_size=1)
+    single = ssam_stencil2d(grid, spec, iterations=2, batch_size=1)
     batched = ssam_stencil2d(grid, spec, iterations=2)
-    assert_equivalent(legacy, batched)
+    assert_equivalent(single, batched)
 
 
 @pytest.mark.parametrize("name", ["3d7pt", "3d27pt"])
-def test_stencil3d_batched_matches_legacy(name):
+def test_stencil3d_batched_matches_batch_of_one(name):
     spec = get_stencil(name)
     grid = random_grid_3d(25, 17, 9, seed=4)  # masked edges in x, y and z
-    legacy = ssam_stencil3d(grid, spec, iterations=1, batch_size=1)
+    single = ssam_stencil3d(grid, spec, iterations=1, batch_size=1)
     batched = ssam_stencil3d(grid, spec, iterations=1)
-    assert_equivalent(legacy, batched)
+    assert_equivalent(single, batched)
 
 
 @pytest.mark.parametrize("length", [33, 1000])
-def test_scan_batched_matches_legacy(length):
+def test_scan_batched_matches_batch_of_one(length):
     data = sequence(length, seed=length)
-    legacy = ssam_scan(data, batch_size=1)
+    single = ssam_scan(data, batch_size=1)
     batched = ssam_scan(data)
-    assert_equivalent(legacy, batched)
+    assert_equivalent(single, batched)
 
 
 # --- the functional baselines ---------------------------------------------------
 
-def test_baseline_conv2d_batched_matches_legacy():
+def test_baseline_conv2d_batched_matches_batch_of_one():
     from repro.baselines.conv2d import (
         arrayfire_like_convolve2d,
         halide_like_convolve2d,
@@ -113,12 +116,12 @@ def test_baseline_conv2d_batched_matches_legacy():
     image = random_image(130, 71, seed=6)
     for runner in (npp_like_convolve2d, arrayfire_like_convolve2d,
                    halide_like_convolve2d):
-        legacy = runner(image, spec, batch_size=1)
+        single = runner(image, spec, batch_size=1)
         batched = runner(image, spec)
-        assert_equivalent(legacy, batched)
+        assert_equivalent(single, batched)
 
 
-def test_baseline_stencils_batched_matches_legacy():
+def test_baseline_stencils_batched_matches_batch_of_one():
     from repro.baselines.stencil2d import (
         halide_like_stencil2d,
         original_stencil2d,
@@ -158,20 +161,20 @@ def _launch_axpy(n, **kwargs):
 
 
 @pytest.mark.parametrize("batch_size", [2, 3, "auto"])
-def test_masked_partial_warps_match_legacy(batch_size):
-    legacy, legacy_out = _launch_axpy(300, batch_size=1)
+def test_masked_partial_warps_match_batch_of_one(batch_size):
+    single, single_out = _launch_axpy(300, batch_size=1)
     batched, batched_out = _launch_axpy(300, batch_size=batch_size)
-    np.testing.assert_array_equal(legacy_out, batched_out)
-    assert legacy.counters.as_dict() == batched.counters.as_dict()
-    assert batched.blocks_executed == legacy.blocks_executed
+    np.testing.assert_array_equal(single_out, batched_out)
+    assert single.counters.as_dict() == batched.counters.as_dict()
+    assert batched.blocks_executed == single.blocks_executed
 
 
-def test_batched_sampling_matches_legacy_sampling():
-    legacy, _ = _launch_axpy(128 * 64, max_blocks=8, batch_size=1)
+def test_batched_sampling_matches_batch_of_one_sampling():
+    single, _ = _launch_axpy(128 * 64, max_blocks=8, batch_size=1)
     batched, _ = _launch_axpy(128 * 64, max_blocks=8, batch_size="auto")
-    assert legacy.sampled and batched.sampled
-    assert batched.blocks_executed == legacy.blocks_executed == 8
-    assert legacy.counters.as_dict() == batched.counters.as_dict()
+    assert single.sampled and batched.sampled
+    assert batched.blocks_executed == single.blocks_executed == 8
+    assert single.counters.as_dict() == batched.counters.as_dict()
 
 
 def test_batch_size_validation():

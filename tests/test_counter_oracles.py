@@ -1,19 +1,21 @@
 """Counter-oracle property tests for the memory-system accounting.
 
-Seeded-random address streams are replayed through both execution engines
-(the legacy per-block :class:`~repro.gpu.block.BlockContext` and the
-vectorised :class:`~repro.gpu.batch.BatchedBlockContext`) and the counted
-quantities are checked against deliberately brute-force Python oracles:
+Seeded-random address streams are replayed through the vectorised
+:class:`~repro.gpu.batch.BatchedBlockContext` and the counted quantities are
+checked against deliberately brute-force Python oracles:
 
 * per-warp coalescing sectors (``gmem_load_transactions`` /
   ``gmem_store_transactions``),
 * per-block unique-line DRAM read traffic (``dram_read_bytes``),
 * shared-memory bank conflicts / broadcasts (``smem_bank_conflicts``,
-  ``smem_load``, ``smem_broadcast``).
+  ``smem_load``, ``smem_broadcast``),
+* and, counter for counter, everything else the memory paths write: active
+  and divergent warps (``gmem_load``/``gmem_store``,
+  ``divergent_branches``) and the byte counts (``cache_read_bytes``,
+  ``dram_write_bytes``, ``smem_read_bytes``, ``smem_write_bytes``).
 
 The oracles use nothing but Python sets/dicts and loops, so any bug in the
-segmented NumPy accounting paths shows up as a disagreement; additionally
-the two engines are cross-validated counter-for-counter.
+segmented NumPy accounting paths shows up as a disagreement.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import pytest
 from repro.dtypes import resolve_precision
 from repro.gpu.architecture import get_architecture
 from repro.gpu.batch import BatchedBlockContext
-from repro.gpu.block import BlockContext
 from repro.gpu.counters import KernelCounters
 from repro.gpu.memory import GlobalMemory
 
@@ -53,6 +54,19 @@ def oracle_warp_sectors(indices, mask, itemsize):
         if active:
             total += oracle_sectors(active, itemsize)
     return total
+
+
+def oracle_warp_activity(width, mask):
+    """Brute force ``(active warps, divergent warps)`` of one block-wide
+    access: a warp is active when any lane is, divergent when its lanes
+    disagree."""
+    active = divergent = 0
+    for w in range(0, width, WARP_SIZE):
+        lanes = [mask is None or bool(mask[i]) for i in range(w, w + WARP_SIZE)]
+        if any(lanes):
+            active += 1
+            divergent += not all(lanes)
+    return active, divergent
 
 
 def oracle_unique_line_bytes(reads, itemsize, line_bytes=LINE_BYTES):
@@ -107,6 +121,55 @@ def oracle_smem_counts(accesses, itemsize, is_store):
     return ops, broadcasts, conflicts
 
 
+def oracle_counters(kind, streams, itemsize, cached):
+    """Brute force: every counter one engine run of ``streams`` writes.
+
+    ``kind`` names the context method every access goes through; all the
+    counters that method does not touch must stay zero.
+    """
+    expected = KernelCounters(blocks_executed=NUM_BLOCKS,
+                              warps_executed=NUM_BLOCKS * BLOCK_THREADS // WARP_SIZE)
+    flat = [(list(indices), mask)
+            for per_block in streams for indices, mask in per_block]
+    for indices, mask in flat:
+        active_bytes = itemsize * sum(
+            1 for i in range(len(indices)) if mask is None or mask[i])
+        if kind == "load_shared":
+            expected.smem_read_bytes += active_bytes
+            continue
+        if kind == "store_shared":
+            expected.smem_write_bytes += active_bytes
+            continue
+        warps, divergent = oracle_warp_activity(len(indices), mask)
+        sectors = oracle_warp_sectors(indices, mask, itemsize)
+        expected.divergent_branches += divergent
+        if kind == "load_global":
+            expected.gmem_load += warps
+            expected.gmem_load_transactions += sectors
+            expected.cache_read_bytes += active_bytes
+        else:
+            expected.gmem_store += warps
+            expected.gmem_store_transactions += sectors
+            if not cached:
+                expected.dram_write_bytes += active_bytes
+    if kind == "load_global" and not cached:
+        expected.dram_read_bytes = sum(
+            oracle_unique_line_bytes(
+                [(list(per_block[b][0]), per_block[b][1]) for per_block in streams],
+                itemsize)
+            for b in range(NUM_BLOCKS))
+    if kind in ("load_shared", "store_shared"):
+        is_store = kind == "store_shared"
+        ops, broadcasts, conflicts = oracle_smem_counts(flat, itemsize, is_store)
+        if is_store:
+            expected.smem_store = ops
+        else:
+            expected.smem_load = ops
+            expected.smem_broadcast = broadcasts
+        expected.smem_bank_conflicts = conflicts
+    return expected.as_dict()
+
+
 # ----------------------------------------------------------------- drivers
 
 def _stream(rng, high, mask_mode):
@@ -140,15 +203,6 @@ def _make_streams(seed, high, patterns=("random",)):
     return streams
 
 
-def _legacy_contexts(arch, counters, precision):
-    return [
-        BlockContext(block_idx=(b, 0, 0), grid_dim=(NUM_BLOCKS, 1, 1),
-                     block_threads=BLOCK_THREADS, architecture=arch,
-                     counters=counters, precision=precision)
-        for b in range(NUM_BLOCKS)
-    ]
-
-
 def _batched_context(arch, counters, precision):
     block_indices = np.array([(b, 0, 0) for b in range(NUM_BLOCKS)], dtype=np.int64)
     return BatchedBlockContext(block_indices=block_indices,
@@ -157,65 +211,45 @@ def _batched_context(arch, counters, precision):
                                counters=counters, precision=precision)
 
 
-def _batch_matrix(per_block, pick):
-    return np.stack([pick(entry) for entry in per_block])
+def _batch_streams(streams):
+    """Stack each access's per-block streams into batch matrices."""
+    for per_block in streams:
+        masks = [mask for _, mask in per_block]
+        yield (np.stack([indices for indices, _ in per_block]),
+               None if masks[0] is None else np.stack(masks))
 
 
-def _run_global(engine, arch, precision, streams, store=False):
+def _run_global(engine, arch, precision, streams, store=False, cached=False):
     """Replay the streams through one engine; returns the counters."""
     counters = KernelCounters()
     memory = GlobalMemory()
-    buffer = memory.allocate((BUFFER_ELEMENTS,), precision, name="g")
-    if engine == "legacy":
-        contexts = _legacy_contexts(arch, counters, precision)
-        for per_block in streams:
-            for ctx, (indices, mask) in zip(contexts, per_block):
-                if store:
-                    ctx.store_global(buffer, indices, np.float64(1.0), mask=mask)
-                else:
-                    ctx.load_global(buffer, indices, mask=mask)
-        for ctx in contexts:
-            ctx.finalize()
-    else:
-        ctx = _batched_context(arch, counters, precision)
-        for per_block in streams:
-            indices = _batch_matrix(per_block, lambda e: e[0])
-            masks = [mask for _, mask in per_block]
-            mask = None if masks[0] is None else np.stack(masks)
-            if store:
-                ctx.store_global(buffer, indices, np.float64(1.0), mask=mask)
-            else:
-                ctx.load_global(buffer, indices, mask=mask)
-        ctx.finalize()
+    buffer = memory.to_device(np.zeros(BUFFER_ELEMENTS, precision.numpy_dtype),
+                              name="g", cached=cached)
+    ctx = CONTEXTS[engine](arch, counters, precision)
+    for indices, mask in _batch_streams(streams):
+        if store:
+            ctx.store_global(buffer, indices, np.float64(1.0), mask=mask)
+        else:
+            ctx.load_global(buffer, indices, mask=mask)
+    ctx.finalize()
     return counters
 
 
 def _run_shared(engine, arch, precision, streams, store=False):
     counters = KernelCounters()
-    if engine == "legacy":
-        contexts = _legacy_contexts(arch, counters, precision)
-        shared = [ctx.alloc_shared("s", (SMEM_ELEMENTS,)) for ctx in contexts]
-        for per_block in streams:
-            for ctx, smem, (indices, mask) in zip(contexts, shared, per_block):
-                if store:
-                    ctx.store_shared(smem, indices, np.float64(1.0), mask=mask)
-                else:
-                    ctx.load_shared(smem, indices, mask=mask)
-    else:
-        ctx = _batched_context(arch, counters, precision)
-        smem = ctx.alloc_shared("s", (SMEM_ELEMENTS,))
-        for per_block in streams:
-            indices = _batch_matrix(per_block, lambda e: e[0])
-            masks = [mask for _, mask in per_block]
-            mask = None if masks[0] is None else np.stack(masks)
-            if store:
-                ctx.store_shared(smem, indices, np.float64(1.0), mask=mask)
-            else:
-                ctx.load_shared(smem, indices, mask=mask)
+    ctx = CONTEXTS[engine](arch, counters, precision)
+    smem = ctx.alloc_shared("s", (SMEM_ELEMENTS,))
+    for indices, mask in _batch_streams(streams):
+        if store:
+            ctx.store_shared(smem, indices, np.float64(1.0), mask=mask)
+        else:
+            ctx.load_shared(smem, indices, mask=mask)
     return counters
 
 
-ENGINES = ("legacy", "batched")
+#: the execution contexts the oracles check, by engine name
+CONTEXTS = {"batched": _batched_context}
+ENGINES = tuple(CONTEXTS)
 SEEDS = (0, 1, 2)
 
 
@@ -239,7 +273,8 @@ def test_coalescing_sectors_match_oracle(engine, seed, precision_name):
     # a fully coalesced float32 warp access is exactly one 128-byte sector
     if precision_name == "float32":
         solo = KernelCounters()
-        ctx = BlockContext((0, 0, 0), (1, 1, 1), BLOCK_THREADS, arch, solo, precision)
+        ctx = BatchedBlockContext(np.zeros((1, 3), dtype=np.int64), (1, 1, 1),
+                                  BLOCK_THREADS, arch, solo, precision)
         memory = GlobalMemory()
         buffer = memory.allocate((BUFFER_ELEMENTS,), precision)
         ctx.load_global(buffer, np.arange(BLOCK_THREADS, dtype=np.int64))
@@ -314,17 +349,35 @@ def test_bank_conflicts_on_stores_match_oracle(engine, seed):
     assert counters.smem_bank_conflicts == conflicts
 
 
+#: (context method, buffer cached?) of each memory path
+ACCESSES = (("load_global", False), ("load_global", True),
+            ("store_global", False), ("store_global", True),
+            ("load_shared", False), ("store_shared", False))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("kind, cached", ACCESSES,
+                         ids=[k + ("-cached" if c else "") for k, c in ACCESSES])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("precision_name", ["float32", "float64"])
-def test_engines_agree_counter_for_counter(seed, precision_name):
-    """The legacy and batched engines must agree on every counter."""
+def test_memory_paths_match_oracle_counter_for_counter(engine, kind, cached,
+                                                       seed, precision_name):
+    """Every counter a memory path writes, against the brute-force oracles."""
+    shared = kind.endswith("shared")
     arch = get_architecture("p100")
     precision = resolve_precision(precision_name)
-    gstreams = _make_streams(seed, BUFFER_ELEMENTS,
-                             patterns=("contiguous", "strided"))
-    sstreams = _make_streams(seed + 100, SMEM_ELEMENTS,
-                             patterns=("broadcast", "strided"))
-    for runner, streams in ((_run_global, gstreams), (_run_shared, sstreams)):
-        legacy = runner("legacy", arch, precision, streams)
-        batched = runner("batched", arch, precision, streams)
-        assert legacy.as_dict() == batched.as_dict()
+    store = kind.startswith("store")
+    if shared:
+        streams = _make_streams(seed, SMEM_ELEMENTS,
+                                patterns=("broadcast", "strided"))
+        counters = _run_shared(engine, arch, precision, streams, store=store)
+    else:
+        streams = _make_streams(seed, BUFFER_ELEMENTS,
+                                patterns=("contiguous", "strided"))
+        counters = _run_global(engine, arch, precision, streams,
+                               store=store, cached=cached)
+    expected = oracle_counters(kind, streams, precision.itemsize, cached)
+    actual = counters.as_dict()
+    mismatched = {name: (actual[name], expected[name])
+                  for name in expected if actual[name] != expected[name]}
+    assert not mismatched, f"(engine, oracle) mismatch: {mismatched}"

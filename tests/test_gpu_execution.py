@@ -6,7 +6,7 @@ import pytest
 from repro.dtypes import resolve_precision
 from repro.errors import ConfigurationError, LaunchError, SimulationError
 from repro.gpu.architecture import TESLA_P100, TESLA_V100
-from repro.gpu.block import BlockContext
+from repro.gpu.batch import BatchedBlockContext
 from repro.gpu.counters import KernelCounters, merge_counters
 from repro.gpu.kernel import Kernel, LaunchConfig, grid_1d, grid_2d
 from repro.gpu.memory import GlobalMemory
@@ -19,7 +19,7 @@ from repro.gpu.microbench import (
 )
 from repro.gpu.occupancy import compute_occupancy
 from repro.gpu.profiler import estimate_time
-from repro.gpu.simt import active_warp_count, divergent_warp_count, predicate_statistics
+from repro.gpu.simt import grouped_warp_counts
 
 
 # --- occupancy ---------------------------------------------------------------
@@ -82,11 +82,11 @@ def test_counters_round_trip_dict():
 def test_active_and_divergent_warps():
     mask = np.zeros(96, dtype=bool)
     mask[:40] = True  # warp0 full, warp1 partial, warp2 empty
-    assert active_warp_count(mask) == 2
-    assert divergent_warp_count(mask) == 1
-    active, divergent, fraction = predicate_statistics(mask)
-    assert (active, divergent) == (2, 1)
-    assert fraction == pytest.approx(40 / 96)
+    assert grouped_warp_counts(mask) == (2, 1)
+    # a batch of blocks sums over every warp of every block
+    batch = np.stack([mask, np.ones(96, dtype=bool), np.zeros(96, dtype=bool)])
+    assert grouped_warp_counts(batch) == (5, 1)
+    assert grouped_warp_counts(np.zeros((0, 32), dtype=bool)) == (0, 0)
 
 
 # --- block context / kernel launch ---------------------------------------------
@@ -136,12 +136,18 @@ def test_kernel_launch_rejects_bad_block_size():
         Kernel(_axpy_kernel).launch(config, (None, None, None, 0), "p100")
 
 
+def _single_block_context(block_threads, counters):
+    """A batch of one block: block (0, 0, 0) of a one-block grid."""
+    return BatchedBlockContext(np.zeros((1, 3), dtype=np.int64), (1, 1, 1),
+                               block_threads, TESLA_P100, counters,
+                               resolve_precision("float32"))
+
+
 def test_block_context_bounds_checking():
     memory = GlobalMemory()
     buf = memory.allocate((10,), "float32")
     counters = KernelCounters()
-    ctx = BlockContext((0, 0, 0), (1, 1, 1), 32, TESLA_P100, counters,
-                       resolve_precision("float32"))
+    ctx = _single_block_context(32, counters)
     with pytest.raises(SimulationError):
         ctx.load_global(buf, np.full(32, 100, dtype=np.int64))
     with pytest.raises(SimulationError):
@@ -150,15 +156,15 @@ def test_block_context_bounds_checking():
 
 def test_block_context_shuffle_and_shared_roundtrip():
     counters = KernelCounters()
-    ctx = BlockContext((0, 0, 0), (1, 1, 1), 64, TESLA_P100, counters,
-                       resolve_precision("float32"))
+    ctx = _single_block_context(64, counters)
     values = ctx.thread_idx_x.astype(np.float32)
     shifted = ctx.shfl_up(values, 1)
-    assert shifted[33] == 32.0 and shifted[32] == 32.0
+    assert shifted.shape == (1, 64)
+    assert shifted[0, 33] == 32.0 and shifted[0, 32] == 32.0
     smem = ctx.alloc_shared("buf", (64,))
     ctx.store_shared(smem, ctx.thread_idx_x, values)
     loaded = ctx.load_shared(smem, ctx.thread_idx_x[::-1].copy())
-    np.testing.assert_array_equal(loaded, values[::-1])
+    np.testing.assert_array_equal(loaded, values[None, ::-1])
     assert counters.shfl == 2
     assert counters.smem_store == 2
     ctx.syncthreads()

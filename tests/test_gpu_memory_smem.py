@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dtypes import resolve_precision
 from repro.errors import ResourceExhaustedError, SimulationError
+from repro.gpu.architecture import TESLA_P100
+from repro.gpu.batch import BatchedBlockContext, BatchedTrafficTracker
+from repro.gpu.counters import KernelCounters
 from repro.gpu.memory import (
-    BlockTrafficTracker,
     DeviceBuffer,
     GlobalMemory,
-    coalesced_transactions,
+    coalesced_transactions_matrix,
     linear_index_2d,
     linear_index_3d,
 )
@@ -18,6 +21,11 @@ from repro.gpu.shared_memory import SharedMemory, bank_conflict_degree
 
 
 # --- coalescing -----------------------------------------------------------
+
+def coalesced_transactions(indices, itemsize):
+    """Sectors touched by one warp access (a one-row access matrix)."""
+    return coalesced_transactions_matrix(np.asarray(indices)[None, :], itemsize)
+
 
 def test_contiguous_float32_access_is_one_transaction():
     indices = np.arange(32)
@@ -69,19 +77,25 @@ def test_to_device_copies_data():
     memory.free(buf)
 
 
+def _record_read(tracker, buf, indices):
+    """Record one single-block load of ``indices`` (element indices)."""
+    lines = (np.asarray(indices)[None, :] * buf.itemsize) // tracker.line_bytes
+    tracker.record_read(buf, lines, None)
+
+
 def test_block_traffic_tracker_unique_lines():
     buf = DeviceBuffer(array=np.zeros(1024, dtype=np.float32))
-    tracker = BlockTrafficTracker()
-    tracker.record_read(buf, np.arange(32))          # one 128 B line
-    tracker.record_read(buf, np.arange(32))          # same line again: free
-    tracker.record_read(buf, np.arange(32, 64))      # a second line
+    tracker = BatchedTrafficTracker(1)
+    _record_read(tracker, buf, np.arange(32))        # one 128 B line
+    _record_read(tracker, buf, np.arange(32))        # same line again: free
+    _record_read(tracker, buf, np.arange(32, 64))    # a second line
     assert tracker.finalize() == 256.0
 
 
 def test_cached_buffers_generate_no_dram_traffic():
     buf = DeviceBuffer(array=np.zeros(1024, dtype=np.float32), cached=True)
-    tracker = BlockTrafficTracker()
-    tracker.record_read(buf, np.arange(64))
+    tracker = BatchedTrafficTracker(1)
+    _record_read(tracker, buf, np.arange(64))
     assert tracker.finalize() == 0.0
 
 
@@ -111,6 +125,10 @@ def test_shared_memory_allocation_and_limits():
     smem = SharedMemory(capacity_bytes=256)
     arr = smem.allocate("a", (32,), "float32")
     assert arr.nbytes == 128
+    # a batch holds one copy per block; capacity is per block
+    batch = SharedMemory(capacity_bytes=256, num_blocks=3)
+    arr = batch.allocate("a", (32,), "float32")
+    assert arr.nbytes == 128 and arr.flat.shape == (3, 32)
     with pytest.raises(ResourceExhaustedError):
         smem.allocate("b", (64,), "float32")
     with pytest.raises(SimulationError):
@@ -120,15 +138,18 @@ def test_shared_memory_allocation_and_limits():
 
 
 def test_shared_memory_access_accounting():
-    smem = SharedMemory(capacity_bytes=4096)
-    arr = smem.allocate("tile", (512,), "float32")
-    degree, broadcast = smem.record_load(arr, np.full(32, 3))
-    assert broadcast and degree == 1
-    degree, broadcast = smem.record_load(arr, np.arange(32) * 2)
-    assert not broadcast and degree == 2
-    assert smem.conflict_extra == 1
-    assert smem.record_store(arr, np.arange(32)) == 1
-    assert smem.bytes_written == 32 * 4
+    counters = KernelCounters()
+    ctx = BatchedBlockContext(np.zeros((1, 3), dtype=np.int64), (1, 1, 1), 32,
+                              TESLA_P100, counters, resolve_precision("float32"))
+    arr = ctx.alloc_shared("tile", (512,))
+    ctx.load_shared(arr, np.full(32, 3))
+    assert (counters.smem_broadcast, counters.smem_load) == (1, 0)
+    ctx.load_shared(arr, np.arange(32) * 2)
+    assert counters.smem_load == 2
+    assert counters.smem_bank_conflicts == 1
+    ctx.store_shared(arr, np.arange(32), np.ones(32))
+    assert counters.smem_store == 1
+    assert counters.smem_write_bytes == 32 * 4
 
 
 # --- fp64 parity against a brute-force oracle ------------------------------

@@ -242,7 +242,7 @@ def test_cached_payloads_replay_with_current_provenance(tmp_path):
          "block_threads": PAPER_LAUNCH_DEFAULTS["block_threads"]})
     store.close()
     matrix = {"scenarios": ["conv2d"], "architectures": ["p100"],
-              "precisions": ["float32"], "engines": ["scalar"],
+              "precisions": ["float32"], "engines": ["batched"],
               "sizes": ["tiny"]}
     cold_cache = SimulationCache(cache_dir)
     cold = run_sweep(matrix, cache=cold_cache)
@@ -261,7 +261,7 @@ def test_cached_payloads_replay_with_current_provenance(tmp_path):
 def test_sweeps_record_the_source_and_stay_deterministic_across_workers(
         tuned_db):
     matrix = {"scenarios": ["conv2d"], "architectures": ["p100"],
-              "precisions": ["float32"], "engines": ["scalar", "batched"],
+              "precisions": ["float32"], "engines": ["batched", "replay"],
               "sizes": ["tiny"]}
     with tuning_database(tuned_db):
         serial = run_sweep(matrix, workers=1)

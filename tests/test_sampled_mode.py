@@ -119,12 +119,12 @@ def test_sampled_scan_preserves_leading_block():
     assert np.array_equal(sampled.output[:block], full.output[:block])
 
 
-@pytest.mark.parametrize("engine", ("legacy", "batched"))
-def test_sampled_mode_identical_across_engines(engine):
-    """Sampling composes with either execution engine bit-identically."""
+@pytest.mark.parametrize("batch_size", [1, "auto"],
+                         ids=["batch-of-one", "batched"])
+def test_sampled_mode_identical_across_engines(batch_size):
+    """Sampling composes with any batch size bit-identically."""
     spec = ConvolutionSpec.box(3)
     image = _positive_image((96, 256))
-    batch_size = 1 if engine == "legacy" else "auto"
     result = ssam_convolve2d(image, spec, max_blocks=MAX_BLOCKS,
                              batch_size=batch_size, keep_output=True)
     reference = ssam_convolve2d(image, spec, max_blocks=MAX_BLOCKS,

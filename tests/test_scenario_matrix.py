@@ -3,12 +3,13 @@
 Nothing in this file names a kernel: every test cell is derived from the
 scenario registry's envelopes, so registering a new kernel, architecture or
 precision instantly adds its full correctness suite.  Each cell runs the
-scenario on both execution engines and checks
+scenario on every functional engine it supports and checks
 
-* **engine parity** — the batched engine's output is bit-identical to the
-  legacy per-block engine's and every counter matches field by field;
-* **functional correctness** — both outputs match the scenario's CPU oracle
-  to a precision-scaled tolerance.
+* **engine parity** — the trace-replay engine's output (cold and warm) is
+  bit-identical to the batched engine's and every counter matches field by
+  field;
+* **functional correctness** — the batched output matches the scenario's
+  CPU oracle to a precision-scaled tolerance.
 
 The SSAM kernels are exercised over their full envelope (every architecture
 x both precisions); baselines are thinned to the evaluated architectures at
@@ -42,22 +43,22 @@ TIER1_KERNELS = ("conv1d", "conv2d", "stencil2d", "stencil3d", "scan",
                  "stencil2d-masked", "conv2d-pipeline")
 TIER1_ARCHITECTURES = ("p100", "v100", "a100", "h100")
 TIER1_PRECISIONS = ("float32", "float64")
-TIER1_ENGINES = ("scalar", "batched", "replay")
+TIER1_ENGINES = ("batched", "replay")
 
 
 def derive_differential_cells() -> List[ScenarioCase]:
-    """One cell per (scenario, architecture, precision) with both engines.
+    """One cell per (scenario, architecture, precision) on the batched engine.
 
     Cells are expanded from the registered envelopes — scenarios without a
     CPU oracle (analytic-only baselines) contribute nothing.  The returned
-    case names the batched engine; the test itself also runs the scalar
-    engine for the parity check.
+    case names the batched engine; the test itself also runs the replay
+    engine for the parity check where the scenario supports it.
     """
     cells: List[ScenarioCase] = []
     for scenario in all_scenarios():
         if scenario.oracle is None:
             continue
-        if not {"scalar", "batched"} <= set(scenario.engines):
+        if "batched" not in scenario.engines:
             continue
         if scenario.role == "ssam":
             architectures = scenario.architectures
@@ -91,11 +92,7 @@ def _assert_engine_parity(reference, other, label):
 @pytest.mark.parametrize("case", DIFFERENTIAL_CELLS, ids=lambda c: c.case_id)
 def test_differential_matrix(case):
     scenario = get_scenario(case.scenario)
-    scalar = scenario.run_case(replace(case, engine="scalar"))
     batched = scenario.run_case(case)
-
-    # engine parity: scalar vs batched
-    _assert_engine_parity(scalar, batched, "scalar/batched")
 
     # replay parity where the scenario supports the trace-replay engine:
     # run twice so both the cold (record + compile) path and the warm
@@ -115,7 +112,7 @@ def test_differential_matrix(case):
 
 
 def test_matrix_covers_acceptance_envelope():
-    """The derived matrix spans all 10 SSAM kernels x 3 engines x 2
+    """The derived matrix spans all 10 SSAM kernels x 2 engines x 2
     precisions x >= 4 architectures (each cell runs every engine)."""
     covered = {(c.scenario, c.architecture, c.precision)
                for c in DIFFERENTIAL_CELLS}

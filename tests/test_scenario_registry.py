@@ -43,7 +43,7 @@ def test_envelope_supports_and_size_restrictions():
     assert not conv2d.supports("p100", "float16", "batched")
     # paper-scale domains run only on the closed-form engines
     assert conv2d.engines_for("paper") == ("analytic", "model")
-    assert not conv2d.supports("p100", "float32", "scalar", "paper")
+    assert not conv2d.supports("p100", "float32", "batched", "paper")
     assert conv2d.supports("p100", "float32", "analytic", "paper")
     assert conv2d.supports("p100", "float32", "model", "paper")
     # the engine restriction never leaks into the runner parameters
@@ -60,7 +60,7 @@ def test_unknown_lookups_raise():
         get_scenario("conv2d").resolve_size("galactic")
     with pytest.raises(ConfigurationError):
         get_scenario("conv2d").run_case(
-            ScenarioCase("conv2d", "p100", "float32", "scalar", "paper"))
+            ScenarioCase("conv2d", "p100", "float32", "batched", "paper"))
     with pytest.raises(ConfigurationError):
         get_scenario("conv2d-cudnn").oracle_output(
             ScenarioCase("conv2d-cudnn", "p100", "float32", "analytic", "tiny"))
@@ -77,7 +77,7 @@ def test_duplicate_and_invalid_registrations_raise():
     with pytest.raises(ConfigurationError):
         Scenario(name="bad", family="scan", dims=1, runner=donor.runner,
                  sizes={}, architectures=("p100",),
-                 precisions=("float32",), engines=("scalar",))
+                 precisions=("float32",), engines=("batched",))
 
 
 def test_case_identity_is_stable():
@@ -111,7 +111,7 @@ def test_expand_matrix_selectors_and_order():
 
 def test_expand_matrix_rejects_empty_and_unknown():
     with pytest.raises(ConfigurationError):
-        expand_matrix({"scenarios": ["conv2d"], "engines": ["scalar"],
+        expand_matrix({"scenarios": ["conv2d"], "engines": ["batched"],
                        "sizes": ["paper"]})  # paper is analytic-only
     with pytest.raises(ConfigurationError):
         expand_matrix({"scenarios": ["warp-drive"]})
@@ -180,7 +180,10 @@ def test_register_unregister_round_trip():
 
 
 def test_engines_constant_matches_registry_vocabulary():
-    assert ENGINES == ("scalar", "batched", "replay", "analytic", "model")
+    assert ENGINES == ("batched", "replay", "analytic", "model")
+    # the retired per-block engine is no longer part of the vocabulary
+    with pytest.raises(ConfigurationError, match="scalar"):
+        expand_matrix({"scenarios": ["conv2d"], "engines": ["scalar"]})
     for scenario in all_scenarios():
         assert set(scenario.engines) <= set(ENGINES)
         for size in scenario.sizes:
@@ -213,7 +216,7 @@ def test_model_engine_requires_an_evaluator():
     with pytest.raises(ConfigurationError):
         Scenario(name="bad", family="scan", dims=1, runner=donor.runner,
                  sizes={"tiny": {}}, architectures=("p100",),
-                 precisions=("float32",), engines=("scalar", "model"))
+                 precisions=("float32",), engines=("batched", "model"))
 
 
 # ------------------------------------------------- launch-parameter overrides

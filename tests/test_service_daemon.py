@@ -181,6 +181,8 @@ def test_submit_with_unknown_architecture_is_a_400_listing_names(service):
     # unknown engines and precisions fail the same way
     with pytest.raises(SimulationError, match=r"\(400\).*unknown engines"):
         client.submit_sweep({"scenarios": "ssam", "engines": ["vector"]})
+    with pytest.raises(SimulationError, match=r"\(400\).*unknown engines"):
+        client.submit_sweep({"scenarios": "ssam", "engines": ["scalar"]})
     with pytest.raises(SimulationError, match=r"\(400\).*float16"):
         client.submit_sweep({"scenarios": "ssam", "precisions": ["float16"]})
 

@@ -148,6 +148,18 @@ def test_dynamic_checker_confirms_the_static_race():
     assert event["phase"] == 0
 
 
+@pytest.mark.parametrize("num_blocks, batch_size", [(1, "auto"), (4, 1)],
+                         ids=["one-block-grid", "batch-of-one"])
+def test_dynamic_checker_sees_single_block_launches(num_blocks, batch_size):
+    """Every launch that runs one block at a time is race-checked too."""
+    kernel, config, args = build_racy_stencil(num_blocks=num_blocks)
+    with shared_race_checking() as checker:
+        kernel.launch(config, args, "p100", batch_size=batch_size)
+    assert checker.events
+    assert {(e["kind"], e["shared"]) for e in checker.events} == \
+        {("read-after-write", "tile")}
+
+
 def test_dynamic_checker_raises_when_not_record_only():
     kernel, config, args = build_racy_stencil()
     with pytest.raises(SharedMemoryRaceError):

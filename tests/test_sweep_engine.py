@@ -29,12 +29,12 @@ def test_load_matrix_presets_and_files(tmp_path):
     path.write_text(json.dumps({"scenarios": ["scan"],
                                 "architectures": ["p100"],
                                 "precisions": ["float32"],
-                                "engines": ["scalar"],
+                                "engines": ["batched"],
                                 "sizes": ["tiny"]}))
     from_file = load_matrix(str(path))
     assert from_file["name"] == "custom"
     assert [c.case_id for c in expand_matrix(from_file)] == \
-        ["scan:p100:float32:scalar:tiny"]
+        ["scan:p100:float32:batched:tiny"]
     with pytest.raises(ConfigurationError):
         load_matrix("no-such-preset")
     with pytest.raises(ConfigurationError):
@@ -48,8 +48,8 @@ def test_load_matrix_presets_and_files(tmp_path):
 def test_jobs_have_unique_keys_and_scenario_cache_fields():
     pending = jobs("tier1")
     keys = [job.key for job in pending]
-    # 10 SSAM kernels x 4 architectures x 2 precisions x 3 engines
-    assert len(keys) == len(set(keys)) == 240
+    # 10 SSAM kernels x 4 architectures x 2 precisions x 2 engines
+    assert len(keys) == len(set(keys)) == 160
     for job in pending:
         assert job.func == "repro.scenarios.sweep:_measure_case"
         fields = dict(job.cache_fields)
