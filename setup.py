@@ -1,8 +1,9 @@
-"""Legacy setup shim.
+"""Minimal setup shim carrying no project metadata.
 
-Kept so that ``pip install -e .`` works in fully offline environments whose
-pip/setuptools cannot build PEP 660 editable wheels (no ``wheel`` package);
-all project metadata lives in ``pyproject.toml``.
+The tree is not installed: it is used in place with ``src/`` on the path,
+for example ``PYTHONPATH=src python -m repro.experiments.runner --help``
+for the CLI and ``PYTHONPATH=src python -m pytest -q tests`` for the tests.
+No console script is declared.
 """
 
 from setuptools import setup

@@ -8,7 +8,6 @@ cost accounting.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal
 
 from ..convolution.spec import ConvolutionSpec
 from ..stencils.spec import StencilSpec
@@ -26,6 +25,8 @@ def convolve2d_fft_reference(image: np.ndarray, spec: ConvolutionSpec) -> np.nda
     path uses zero padding rather than edge replication at the boundary,
     exactly like a cuFFT-based pipeline without explicit border handling.
     """
+    from scipy import signal  # imported here: nothing else needs scipy at start-up
+
     image64 = np.asarray(image, dtype=np.float64)
     result = signal.fftconvolve(image64, spec.weights[::-1, ::-1], mode="same")
     return result.astype(image.dtype)

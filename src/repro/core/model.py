@@ -5,7 +5,8 @@ A :class:`SystolicProgram` captures, from the perspective of one warp,
 * **O** — the computing operations applied at every stage (Equation 1:
   ``s <- ctrl(r (x) x) (+) s``),
 * **D** — the dependency graph along which partial results travel
-  (a :class:`networkx.DiGraph`, see :mod:`repro.core.dependency`),
+  (a :class:`~repro.core.dependency.DependencyGraph` of ``(lane, stage)``
+  nodes, see :mod:`repro.core.dependency`),
 * **X** — the input values held in the register cache, and
 * **Y** — the output values produced by the warp.
 
@@ -20,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from ..convolution.spec import ConvolutionSpec
 from ..errors import SpecificationError
 from ..stencils.spec import StencilSpec
 from .dependency import (
+    DependencyGraph,
     convolution_dependency,
     critical_path_cycles,
     scan_dependency,
@@ -77,7 +77,7 @@ class SystolicProgram:
 
     name: str
     operations: Tuple[Operation, ...]
-    dependency: nx.DiGraph
+    dependency: DependencyGraph
     inputs: Tuple[RegisterBinding, ...]
     outputs: Tuple[RegisterBinding, ...]
     warp_size: int = 32

@@ -11,26 +11,11 @@ Layered as data → execution → presentation:
 * the per-experiment modules (``table1`` ... ``model_validation``) each
   provide ``jobs``/``assemble``/``render`` plus their legacy ``run``/
   ``report`` surface;
-* :mod:`~repro.experiments.runner` — the ``ssam-repro`` CLI.
+* :mod:`~repro.experiments.runner` — the CLI
+  (``python -m repro.experiments.runner``).
 """
 
-from . import (
-    cache,
-    figure4,
-    figure5,
-    figure6,
-    jobs,
-    model_validation,
-    parallel,
-    results,
-    runner,
-    table1,
-    table2,
-    table3,
-)
-from .cache import SimulationCache
-from .results import ExperimentResult, Measurement, load_result
-from .runner import run_experiment, run_experiment_results
+import importlib
 
 __all__ = [
     "cache",
@@ -52,3 +37,23 @@ __all__ = [
     "run_experiment",
     "run_experiment_results",
 ]
+
+#: re-exported names and the submodule each comes from
+_EXPORTS = {
+    "SimulationCache": "cache",
+    "ExperimentResult": "results",
+    "Measurement": "results",
+    "load_result": "results",
+    "run_experiment": "runner",
+    "run_experiment_results": "runner",
+}
+
+
+def __getattr__(name):
+    # Submodules load on first use, so ``python -m repro.experiments.runner``
+    # does not find the runner already imported by its own package.
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

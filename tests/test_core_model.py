@@ -1,6 +1,5 @@
 """Tests for the SSAM core: register cache, blocking, J=(O,D,X,Y), Section 5 model."""
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,7 +159,7 @@ def test_stencil_dependency_deltas():
 def test_scan_dependency_is_kogge_stone():
     graph = scan_dependency(32)
     assert shuffle_schedule(graph) == [1, 2, 4, 8, 16]
-    assert nx.is_directed_acyclic_graph(graph)
+    validate_dependency(graph)  # acyclic, warp-local, one delta per stage
 
 
 def test_dependency_validation_errors():
@@ -174,6 +173,51 @@ def test_dependency_validation_errors():
     bad.add_edge((0, 0), (5, 1), kind="shuffle", delta=5)  # second delta in one stage
     with pytest.raises(DependencyError):
         validate_dependency(bad)
+
+
+def _broken(edit):
+    graph = convolution_dependency(3)
+    edit(graph)
+    return graph
+
+
+@pytest.mark.parametrize("graph, message", [
+    (type(convolution_dependency(1))(), "empty"),
+    (_broken(lambda g: g.add_edge((1, 1), (0, 0), kind="shuffle", delta=-1)), "cycle"),
+    (_broken(lambda g: g.add_edge((4, 0), (4, 1), kind="shuffle", delta=0)),
+     "zero lane delta"),
+    (_broken(lambda g: g.add_edge((6, 0), (4, 1), kind="local", delta=0)),
+     "local edge changes lanes"),
+    (_broken(lambda g: g.add_edge((2, 0), (2, 2), kind="local", delta=0)),
+     "consecutive stages"),
+    (_broken(lambda g: g.add_node((40, 0), lane=40, stage=0, mads=1)),
+     "outside the warp"),
+], ids=["empty", "cycle", "zero-delta-shuffle", "local-lane-change",
+        "skipped-stage", "lane-outside-warp"])
+def test_validate_dependency_rejects(graph, message):
+    with pytest.raises(DependencyError, match=message):
+        validate_dependency(graph)
+
+
+def _stencil_graph(name):
+    columns = get_stencil(name).columns()
+    return stencil_dependency(list(columns),
+                              taps_per_column=[len(p) for p in columns.values()])
+
+
+# critical-path cycles on (p100, v100), the shuffle schedule and |V|, |E|
+@pytest.mark.parametrize("build, p100, v100, schedule, nodes, edges", [
+    (lambda: convolution_dependency(3), 84.0, 56.0, [1, 1], 96, 62),
+    (lambda: convolution_dependency(9), 318.0, 212.0, [1] * 8, 288, 248),
+    (lambda: _stencil_graph("2d5pt"), 96.0, 64.0, [1, 1], 96, 62),
+    (lambda: scan_dependency(32), 201.0, 134.0, [1, 2, 4, 8, 16], 192, 289),
+], ids=["conv3", "conv9", "2d5pt", "scan32"])
+def test_dependency_analysis_is_pinned(build, p100, v100, schedule, nodes, edges):
+    graph = build()
+    assert critical_path_cycles(graph, "p100") == p100
+    assert critical_path_cycles(graph, "v100") == v100
+    assert shuffle_schedule(graph) == schedule
+    assert (graph.number_of_nodes(), graph.number_of_edges()) == (nodes, edges)
 
 
 def test_critical_path_grows_with_filter_width():
