@@ -1,8 +1,12 @@
 """Counter-oracle property tests for the memory-system accounting.
 
-Seeded-random address streams are replayed through the vectorised
-:class:`~repro.gpu.batch.BatchedBlockContext` and the counted quantities are
-checked against deliberately brute-force Python oracles:
+Seeded-random address streams are issued by a small traced kernel and
+counted three ways — the batched engine
+(:class:`~repro.gpu.batch.BatchedBlockContext`), a warm compiled replay
+launch (:mod:`repro.trace.replay`) and the static IR prediction
+(:func:`repro.analysis.lint.predict_counters` over the full grid) — and the
+counted quantities are checked against deliberately brute-force Python
+oracles:
 
 * per-warp coalescing sectors (``gmem_load_transactions`` /
   ``gmem_store_transactions``),
@@ -23,11 +27,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.concrete import evaluate_data_free
+from repro.analysis.lint import predict_counters
 from repro.dtypes import resolve_precision
 from repro.gpu.architecture import get_architecture
 from repro.gpu.batch import BatchedBlockContext
 from repro.gpu.counters import KernelCounters
+from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.gpu.memory import GlobalMemory
+from repro.trace.replay import fallback_log, record_trace
 
 WARP_SIZE = 32
 LINE_BYTES = 128
@@ -183,87 +191,170 @@ def _stream(rng, high, mask_mode):
     return indices, mask
 
 
-def _make_streams(seed, high, patterns=("random",)):
-    """Per-block access streams: ``streams[a][b] = (indices, mask)``."""
+def _make_streams(seed, high, patterns=("random",), variation="varying"):
+    """Per-block access streams: ``streams[a][b] = (indices, mask)``.
+
+    ``variation="uniform"`` gives every block the same random streams.
+    """
     rng = np.random.default_rng(seed)
     streams = []
     for access in range(NUM_ACCESSES):
         mask_mode = ("none", "random", "dead-warp")[access % 3]
-        per_block = [_stream(rng, high, mask_mode) for _ in range(NUM_BLOCKS)]
+        if variation == "uniform":
+            per_block = [_stream(rng, high, mask_mode)] * NUM_BLOCKS
+        else:
+            per_block = [_stream(rng, high, mask_mode)
+                         for _ in range(NUM_BLOCKS)]
         streams.append(per_block)
     if "contiguous" in patterns:
         base = np.arange(BLOCK_THREADS, dtype=np.int64)
         streams.append([(base, None) for _ in range(NUM_BLOCKS)])
     if "broadcast" in patterns:
-        streams.append([(np.full(BLOCK_THREADS, 7, dtype=np.int64), None)
-                        for _ in range(NUM_BLOCKS)])
+        same = np.full(BLOCK_THREADS, 7, dtype=np.int64)
+        streams.append([(same, None) for _ in range(NUM_BLOCKS)])
     if "strided" in patterns:
         strided = (np.arange(BLOCK_THREADS, dtype=np.int64) * 2) % high
         streams.append([(strided, None) for _ in range(NUM_BLOCKS)])
     return streams
 
 
-def _batched_context(arch, counters, precision):
-    block_indices = np.array([(b, 0, 0) for b in range(NUM_BLOCKS)], dtype=np.int64)
-    return BatchedBlockContext(block_indices=block_indices,
-                               grid_dim=(NUM_BLOCKS, 1, 1),
-                               block_threads=BLOCK_THREADS, architecture=arch,
-                               counters=counters, precision=precision)
+#: the launch every engine runs: one row of NUM_BLOCKS blocks
+GRID = (NUM_BLOCKS, 1, 1)
+BLOCKS = np.array([(b, 0, 0) for b in range(NUM_BLOCKS)], dtype=np.int64)
 
 
-def _batch_streams(streams):
-    """Stack each access's per-block streams into batch matrices."""
-    for per_block in streams:
-        masks = [mask for _, mask in per_block]
-        yield (np.stack([indices for indices, _ in per_block]),
-               None if masks[0] is None else np.stack(masks))
+def _select(ctx, per_block):
+    """One access's ``(indices, mask)`` for the block(s) ``ctx`` runs.
+
+    Block-uniform streams are plain constants (launch-static in replay);
+    block-varying ones are picked with ``np.where`` on ``blockIdx.x`` —
+    data-free, so replay compiles them to its chunk-tier path and the
+    static prediction covers them.
+    """
+    indices, mask = per_block[0]
+    if all(i is indices and m is mask for i, m in per_block):
+        return indices, mask
+    for b in range(1, NUM_BLOCKS):
+        hit = ctx.block_idx_x == b
+        indices = np.where(hit, per_block[b][0], indices)
+        if mask is not None:
+            mask = np.where(hit, per_block[b][1], mask)
+    return indices, mask
 
 
-def _run_global(engine, arch, precision, streams, store=False, cached=False):
-    """Replay the streams through one engine; returns the counters."""
+def _stream_kernel(streams, op):
+    """A kernel issuing every access of ``streams`` through ``ctx.<op>``."""
+    def body(ctx, target):
+        if op.endswith("shared"):
+            target = ctx.alloc_shared("s", (SMEM_ELEMENTS,))
+        for per_block in streams:
+            indices, mask = _select(ctx, per_block)
+            if op.startswith("store"):
+                getattr(ctx, op)(target, indices, np.float64(1.0), mask=mask)
+            else:
+                getattr(ctx, op)(target, indices, mask=mask)
+    return Kernel(body, name=f"oracle_{op}")
+
+
+def _run_batched(kernel, make_args, arch, precision):
+    """All blocks in one batch of the eager engine."""
     counters = KernelCounters()
-    memory = GlobalMemory()
-    buffer = memory.to_device(np.zeros(BUFFER_ELEMENTS, precision.numpy_dtype),
-                              name="g", cached=cached)
-    ctx = CONTEXTS[engine](arch, counters, precision)
-    for indices, mask in _batch_streams(streams):
-        if store:
-            ctx.store_global(buffer, indices, np.float64(1.0), mask=mask)
-        else:
-            ctx.load_global(buffer, indices, mask=mask)
+    ctx = BatchedBlockContext(block_indices=BLOCKS, grid_dim=GRID,
+                              block_threads=BLOCK_THREADS, architecture=arch,
+                              counters=counters, precision=precision)
+    kernel.func(ctx, *make_args())
     ctx.finalize()
     return counters
 
 
+def _run_replay(kernel, make_args, arch, precision):
+    """A warm replay launch: every chunk runs the compiled program."""
+    config = LaunchConfig(grid_dim=GRID, block_threads=BLOCK_THREADS,
+                          precision=precision)
+    before = len(fallback_log())
+    kernel.launch(config, make_args(), architecture=arch, batch_size="replay")
+    for program in kernel._trace_cache.values():
+        program.counter_cache.clear()  # re-derive, don't reuse, the counters
+    result = kernel.launch(config, make_args(), architecture=arch,
+                           batch_size="replay")
+    assert fallback_log()[before:] == [], "replay fell back to batched"
+    return result.counters
+
+
+def _run_static(kernel, make_args, arch, precision):
+    """``predict_counters`` over the full grid, nothing left unpredicted."""
+    config = LaunchConfig(grid_dim=GRID, block_threads=BLOCK_THREADS,
+                          precision=precision)
+    trace = record_trace(kernel, config, make_args(), arch, KernelCounters(),
+                         True, BLOCKS)
+    prediction = predict_counters(trace, evaluate_data_free(trace, BLOCKS),
+                                  NUM_BLOCKS, arch)
+    assert not prediction.unpredicted
+    return KernelCounters.from_dict(prediction.counters)
+
+
+def _run_global(engine, arch, precision, streams, store=False, cached=False):
+    """Run the streams through one engine; returns the counters."""
+    def make_args():
+        memory = GlobalMemory()
+        return (memory.to_device(np.zeros(BUFFER_ELEMENTS,
+                                          precision.numpy_dtype),
+                                 name="g", cached=cached),)
+    kernel = _stream_kernel(streams, "store_global" if store
+                            else "load_global")
+    return CONTEXTS[engine](kernel, make_args, arch, precision)
+
+
 def _run_shared(engine, arch, precision, streams, store=False):
-    counters = KernelCounters()
-    ctx = CONTEXTS[engine](arch, counters, precision)
-    smem = ctx.alloc_shared("s", (SMEM_ELEMENTS,))
-    for indices, mask in _batch_streams(streams):
-        if store:
-            ctx.store_shared(smem, indices, np.float64(1.0), mask=mask)
-        else:
-            ctx.load_shared(smem, indices, mask=mask)
-    return counters
+    kernel = _stream_kernel(streams, "store_shared" if store
+                            else "load_shared")
+    return CONTEXTS[engine](kernel, lambda: (None,), arch, precision)
 
 
 #: the execution contexts the oracles check, by engine name
-CONTEXTS = {"batched": _batched_context}
+CONTEXTS = {"batched": _run_batched, "replay": _run_replay,
+            "static": _run_static}
 ENGINES = tuple(CONTEXTS)
 SEEDS = (0, 1, 2)
+#: block-varying streams reach replay's chunk-tier accounting, block-uniform
+#: ones its launch-static thunks
+VARIATIONS = ("varying", "uniform")
+
+
+def _legs(shared):
+    """``(engine, variation)`` pairs an access kind is checked on.
+
+    Replay compiles only thread-uniform shared-memory index patterns; a
+    block-varying one falls back to the batched engine (covered by the
+    replay tests), so that pair is not an oracle leg.
+    """
+    return [(engine, variation) for engine in ENGINES
+            for variation in VARIATIONS
+            if not (shared and engine == "replay" and variation == "varying")]
+
+
+def _leg_ids(legs):
+    return [f"{engine}-{variation}" for engine, variation in legs]
+
+
+GLOBAL_LEGS = _legs(shared=False)
+SHARED_LEGS = _legs(shared=True)
 
 
 # ------------------------------------------------------------------- tests
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine, variation", GLOBAL_LEGS,
+                         ids=_leg_ids(GLOBAL_LEGS))
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("precision_name", ["float32", "float64"])
-def test_coalescing_sectors_match_oracle(engine, seed, precision_name):
+def test_coalescing_sectors_match_oracle(engine, variation, seed,
+                                         precision_name):
     arch = get_architecture("p100")
     precision = resolve_precision(precision_name)
     itemsize = precision.itemsize
     streams = _make_streams(seed, BUFFER_ELEMENTS,
-                            patterns=("contiguous", "strided"))
+                            patterns=("contiguous", "strided"),
+                            variation=variation)
     counters = _run_global(engine, arch, precision, streams)
     expected = sum(
         oracle_warp_sectors(list(indices), mask, itemsize)
@@ -281,12 +372,13 @@ def test_coalescing_sectors_match_oracle(engine, seed, precision_name):
         assert solo.gmem_load_transactions == BLOCK_THREADS // WARP_SIZE
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine, variation", GLOBAL_LEGS,
+                         ids=_leg_ids(GLOBAL_LEGS))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_store_sectors_match_oracle(engine, seed):
+def test_store_sectors_match_oracle(engine, variation, seed):
     arch = get_architecture("v100")
     precision = resolve_precision("float32")
-    streams = _make_streams(seed, BUFFER_ELEMENTS)
+    streams = _make_streams(seed, BUFFER_ELEMENTS, variation=variation)
     counters = _run_global(engine, arch, precision, streams, store=True)
     expected = sum(
         oracle_warp_sectors(list(indices), mask, precision.itemsize)
@@ -300,13 +392,15 @@ def test_store_sectors_match_oracle(engine, seed):
     assert counters.dram_write_bytes == active * precision.itemsize
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine, variation", GLOBAL_LEGS,
+                         ids=_leg_ids(GLOBAL_LEGS))
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("precision_name", ["float32", "float64"])
-def test_unique_line_dram_traffic_matches_oracle(engine, seed, precision_name):
+def test_unique_line_dram_traffic_matches_oracle(engine, variation, seed,
+                                                 precision_name):
     arch = get_architecture("p100")
     precision = resolve_precision(precision_name)
-    streams = _make_streams(seed, BUFFER_ELEMENTS)
+    streams = _make_streams(seed, BUFFER_ELEMENTS, variation=variation)
     counters = _run_global(engine, arch, precision, streams)
     expected = sum(
         oracle_unique_line_bytes(
@@ -317,15 +411,17 @@ def test_unique_line_dram_traffic_matches_oracle(engine, seed, precision_name):
     assert counters.dram_read_bytes == expected
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine, variation", SHARED_LEGS,
+                         ids=_leg_ids(SHARED_LEGS))
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("precision_name", ["float32", "float64"])
-def test_bank_conflicts_match_oracle(engine, seed, precision_name):
+def test_bank_conflicts_match_oracle(engine, variation, seed, precision_name):
     arch = get_architecture("p100")
     precision = resolve_precision(precision_name)
     itemsize = precision.itemsize
     streams = _make_streams(seed, SMEM_ELEMENTS,
-                            patterns=("contiguous", "broadcast", "strided"))
+                            patterns=("contiguous", "broadcast", "strided"),
+                            variation=variation)
     counters = _run_shared(engine, arch, precision, streams)
     flat = [(list(indices), mask)
             for per_block in streams for indices, mask in per_block]
@@ -335,12 +431,14 @@ def test_bank_conflicts_match_oracle(engine, seed, precision_name):
     assert counters.smem_bank_conflicts == conflicts
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine, variation", SHARED_LEGS,
+                         ids=_leg_ids(SHARED_LEGS))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_bank_conflicts_on_stores_match_oracle(engine, seed):
+def test_bank_conflicts_on_stores_match_oracle(engine, variation, seed):
     arch = get_architecture("v100")
     precision = resolve_precision("float64")
-    streams = _make_streams(seed, SMEM_ELEMENTS, patterns=("strided",))
+    streams = _make_streams(seed, SMEM_ELEMENTS, patterns=("strided",),
+                            variation=variation)
     counters = _run_shared(engine, arch, precision, streams, store=True)
     flat = [(list(indices), mask)
             for per_block in streams for indices, mask in per_block]
@@ -353,15 +451,21 @@ def test_bank_conflicts_on_stores_match_oracle(engine, seed):
 ACCESSES = (("load_global", False), ("load_global", True),
             ("store_global", False), ("store_global", True),
             ("load_shared", False), ("store_shared", False))
+#: every (engine, variation, kind, cached) case of the counter-for-counter test
+PATH_CASES = [(engine, variation, kind, cached)
+              for kind, cached in ACCESSES
+              for engine, variation in _legs(kind.endswith("shared"))]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("kind, cached", ACCESSES,
-                         ids=[k + ("-cached" if c else "") for k, c in ACCESSES])
+@pytest.mark.parametrize(
+    "engine, variation, kind, cached", PATH_CASES,
+    ids=[f"{e}-{v}-{k}" + ("-cached" if c else "")
+         for e, v, k, c in PATH_CASES])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("precision_name", ["float32", "float64"])
-def test_memory_paths_match_oracle_counter_for_counter(engine, kind, cached,
-                                                       seed, precision_name):
+def test_memory_paths_match_oracle_counter_for_counter(engine, variation, kind,
+                                                       cached, seed,
+                                                       precision_name):
     """Every counter a memory path writes, against the brute-force oracles."""
     shared = kind.endswith("shared")
     arch = get_architecture("p100")
@@ -369,11 +473,13 @@ def test_memory_paths_match_oracle_counter_for_counter(engine, kind, cached,
     store = kind.startswith("store")
     if shared:
         streams = _make_streams(seed, SMEM_ELEMENTS,
-                                patterns=("broadcast", "strided"))
+                                patterns=("broadcast", "strided"),
+                                variation=variation)
         counters = _run_shared(engine, arch, precision, streams, store=store)
     else:
         streams = _make_streams(seed, BUFFER_ELEMENTS,
-                                patterns=("contiguous", "strided"))
+                                patterns=("contiguous", "strided"),
+                                variation=variation)
         counters = _run_global(engine, arch, precision, streams,
                                store=store, cached=cached)
     expected = oracle_counters(kind, streams, precision.itemsize, cached)
