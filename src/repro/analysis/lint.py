@@ -1,15 +1,14 @@
 """Static performance lint: predicted counters + dynamic cross-check.
 
-``predict_counters`` replays a trace's data-free index/mask matrices
-through the *same* accounting helpers the batched engine uses
-(:func:`~repro.gpu.memory.rowwise_unique_counts`,
-:func:`~repro.gpu.memory.coalesced_transactions_matrix`,
-:func:`~repro.gpu.shared_memory.bank_conflict_profile`,
-:func:`~repro.gpu.simt.grouped_warp_counts`), so on a fully data-free
-kernel the static prediction is **bit-identical** to the dynamic counters
-of the recorded chunk — any disagreement is a verifier or engine bug and
-is reported as a ``divergence`` finding.  Counter fields fed by
-data-dependent indices or masks are listed as unpredicted and excluded.
+``predict_counters`` feeds a trace's data-free index/mask matrices to
+the *same* per-access counter rule the engines use
+(:func:`~repro.gpu.memory.global_access_counts`,
+:func:`~repro.gpu.shared_memory.shared_access_counts`), so on a fully
+data-free kernel the static prediction is **bit-identical** to the
+dynamic counters of the same blocks — any disagreement is a verifier or
+engine bug and is reported as a ``divergence`` finding.  Counter fields
+fed by data-dependent indices or masks are listed as unpredicted and
+excluded.
 
 On top of the prediction the lint flags statically visible inefficiencies:
 shared-memory accesses whose worst warp exceeds the natural conflict
@@ -20,16 +19,12 @@ more than twice the ideal sector count.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..gpu.memory import (
-    _SENTINEL,
-    rowwise_unique_counts,
-)
-from ..gpu.shared_memory import bank_conflict_profile
-from ..gpu.simt import grouped_warp_counts
+from ..gpu.memory import _SENTINEL, global_access_counts, rowwise_unique_counts
+from ..gpu.shared_memory import shared_access_counts
 from ..trace.ir import Trace
 from .accesses import Access, GLOBAL, extract_accesses
 from .concrete import index_matrix, mask_matrix
@@ -62,22 +57,12 @@ class CounterPrediction:
     def bump(self, field: str, amount) -> None:
         self.counters[field] = self.counters.get(field, 0.0) + float(amount)
 
+    def bump_all(self, deltas: Dict[str, float]) -> None:
+        for field, amount in deltas.items():
+            self.bump(field, amount)
+
     def give_up(self, fields) -> None:
         self.unpredicted.update(fields)
-
-
-def _warp_matrix(values: np.ndarray, warp_size: int) -> np.ndarray:
-    return np.ascontiguousarray(values).reshape(-1, warp_size)
-
-
-def _active_warps(prediction: CounterPrediction,
-                  mask: Optional[np.ndarray], num_blocks: int,
-                  num_warps: int, warp_size: int) -> int:
-    if mask is None:
-        return num_blocks * num_warps
-    active, divergent = grouped_warp_counts(mask, warp_size)
-    prediction.bump("divergent_branches", divergent)
-    return active
 
 
 def _global_access(prediction: CounterPrediction, trace: Trace,
@@ -94,29 +79,18 @@ def _global_access(prediction: CounterPrediction, trace: Trace,
     itemsize = int(info["itemsize"])
     warp_size = trace.warp_size
     line_bytes = architecture.cache_line_bytes
-    warps = _active_warps(prediction, mask, idx.shape[0], trace.num_warps,
-                          warp_size)
-    lines = (idx * itemsize) // line_bytes
-    warp_mask = None if mask is None else _warp_matrix(mask, warp_size)
-    sector_counts = rowwise_unique_counts(_warp_matrix(lines, warp_size),
-                                          warp_mask)
-    active = idx.size if mask is None else int(mask.sum())
-    if access.is_store:
-        prediction.bump("gmem_store", warps)
-        prediction.bump("gmem_store_transactions", int(sector_counts.sum()))
-        if not info["cached"]:
-            prediction.bump("dram_write_bytes", float(active * itemsize))
-    else:
-        prediction.bump("gmem_load", warps)
-        prediction.bump("gmem_load_transactions", int(sector_counts.sum()))
-        prediction.bump("cache_read_bytes", float(active * itemsize))
-        if count_traffic and not info["cached"] and active:
-            chunk = (np.where(mask, lines, _SENTINEL) if mask is not None
-                     else np.ascontiguousarray(lines))
-            traffic.setdefault(access.slot, []).append(chunk)
+    counts = global_access_counts(idx, mask, itemsize, line_bytes, warp_size,
+                                  store=access.is_store,
+                                  cached=bool(info["cached"]))
+    prediction.bump_all(counts.counters)
+    if (not access.is_store and count_traffic and not info["cached"]
+            and counts.active):
+        chunk = (np.where(mask, counts.lines, _SENTINEL) if mask is not None
+                 else np.ascontiguousarray(counts.lines))
+        traffic.setdefault(access.slot, []).append(chunk)
     # coalescing lint: worst warp vs the ideal fully-coalesced sector count
     ideal = max(1, math.ceil(warp_size * itemsize / line_bytes))
-    worst = int(sector_counts.max()) if sector_counts.size else 0
+    worst = int(counts.sectors.max()) if counts.sectors.size else 0
     if worst > 2 * ideal:
         name = str(info["name"])
         op = "store" if access.is_store else "load"
@@ -130,26 +104,6 @@ def _global_access(prediction: CounterPrediction, trace: Trace,
                     "ideal_sectors": ideal}))
 
 
-def _shared_profile(trace: Trace, access: Access, idx: np.ndarray,
-                    mask: Optional[np.ndarray], itemsize: int,
-                    architecture) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    warp_size = trace.warp_size
-    num_rows = idx.shape[0] * trace.num_warps
-    if access.uniform:
-        if mask is None:
-            active_counts = np.full(num_rows, warp_size, dtype=np.int64)
-        else:
-            active_counts = _warp_matrix(mask, warp_size).sum(axis=1)
-        broadcasts = active_counts > 0
-        degrees = broadcasts.astype(np.int64)
-        return degrees, broadcasts, active_counts
-    warp_mask = None if mask is None else _warp_matrix(mask, warp_size)
-    return bank_conflict_profile(
-        _warp_matrix(idx, warp_size), itemsize,
-        architecture.shared_memory_banks,
-        architecture.shared_memory_bank_bytes, warp_mask)
-
-
 def _shared_access(prediction: CounterPrediction, trace: Trace,
                    access: Access, idx: Optional[np.ndarray],
                    mask: Optional[np.ndarray], architecture) -> None:
@@ -160,29 +114,16 @@ def _shared_access(prediction: CounterPrediction, trace: Trace,
         return
     params = trace.nodes[access.alloc].params
     itemsize = int(params["itemsize"])
-    degrees, broadcasts, active_counts = _shared_profile(
-        trace, access, idx, mask, itemsize, architecture)
-    active_total = int(active_counts.sum())
-    if access.is_store:
-        store_degrees = degrees[active_counts > 0]
-        prediction.bump("smem_store", int(store_degrees.sum()))
-        prediction.bump("smem_bank_conflicts", int((store_degrees - 1).sum()))
-        prediction.bump("smem_write_bytes", float(active_total * itemsize))
-        lint_degrees = store_degrees
-    else:
-        occupied = active_counts > 0
-        conflict_degrees = degrees[occupied & ~broadcasts]
-        prediction.bump("smem_broadcast", int((broadcasts & occupied).sum()))
-        prediction.bump("smem_load", int(conflict_degrees.sum()))
-        prediction.bump("smem_bank_conflicts",
-                        int((conflict_degrees - 1).sum()))
-        prediction.bump("smem_read_bytes", float(active_total * itemsize))
-        lint_degrees = conflict_degrees
+    counts = shared_access_counts(
+        idx, mask, itemsize, architecture.shared_memory_banks,
+        architecture.shared_memory_bank_bytes, trace.warp_size,
+        store=access.is_store, uniform=access.uniform)
+    prediction.bump_all(counts.counters)
     # bank-conflict lint: the natural degree of a wide element is
     # itemsize // bank_bytes (fp64 splits into two words); anything beyond
     # serialises the warp
     natural = max(1, itemsize // architecture.shared_memory_bank_bytes)
-    worst = int(lint_degrees.max()) if lint_degrees.size else 0
+    worst = int(counts.degrees.max()) if counts.degrees.size else 0
     if worst > natural:
         name = str(params["name"])
         op = "store" if access.is_store else "load"

@@ -679,7 +679,8 @@ def model_scan(length: int, architecture: object = "p100",
     counters.gmem_load = warp_passes
     counters.gmem_load_transactions = warp_passes * sectors
     counters.shfl = stages * warp_passes
-    counters.add = (stages + warps_per_block) * warp_passes
+    # the stage adds, one carry add per warp total, and the final add
+    counters.add = (stages + warps_per_block + 1) * warp_passes
     counters.smem_store = warp_passes
     counters.smem_broadcast = warps_per_block * warp_passes
     counters.sync = warp_passes

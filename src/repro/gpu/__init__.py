@@ -35,7 +35,7 @@ from .latency import LatencyTable, ThroughputTable
 from .memory import (
     DeviceBuffer,
     GlobalMemory,
-    coalesced_transactions_matrix,
+    global_access_counts,
     rowwise_unique_counts,
     rowwise_unique_pad,
 )
@@ -53,6 +53,7 @@ from .shared_memory import (
     SharedMemory,
     bank_conflict_degree,
     bank_conflict_profile,
+    shared_access_counts,
 )
 from .warp import Warp, ballot, shfl_down, shfl_idx, shfl_up, shfl_xor
 
@@ -81,7 +82,7 @@ __all__ = [
     "ThroughputTable",
     "DeviceBuffer",
     "GlobalMemory",
-    "coalesced_transactions_matrix",
+    "global_access_counts",
     "rowwise_unique_counts",
     "rowwise_unique_pad",
     "DependentChain",
@@ -100,6 +101,7 @@ __all__ = [
     "SharedMemory",
     "bank_conflict_degree",
     "bank_conflict_profile",
+    "shared_access_counts",
     "Warp",
     "ballot",
     "shfl_down",

@@ -24,13 +24,14 @@ All accounting is vectorized, and is independent of how the grid is split
 into batches (the differential tests assert bit-identical outputs and
 counters between a batch of one block and larger batches):
 
-* warp-coalescing sector counts: one sorted unique-count pass over a
-  ``(batch * warps, warp_size)`` line matrix
-  (:func:`repro.gpu.memory.rowwise_unique_counts`);
+* each memory access is counted by the one per-access rule that replay
+  and the static verifier share:
+  :func:`repro.gpu.memory.global_access_counts` (active and divergent
+  warps, per-warp line transactions, bytes) and
+  :func:`repro.gpu.shared_memory.shared_access_counts` (broadcasts versus
+  bank-conflict degrees, bytes);
 * per-block unique-line DRAM accounting: a segmented unique over the batch
-  (:class:`BatchedTrafficTracker`);
-* shared-memory bank conflicts: one ``bincount`` over ``(warp, bank)``
-  pairs (:func:`repro.gpu.shared_memory.bank_conflict_profile`).
+  (:class:`BatchedTrafficTracker`).
 
 Functional scatter semantics do not depend on the batch size either:
 batches are flattened in block order, so when two blocks store to the same
@@ -51,12 +52,10 @@ from .counters import KernelCounters
 from .memory import (
     _SENTINEL,
     DeviceBuffer,
-    coalesced_transactions_matrix,
-    rowwise_unique_counts,
+    global_access_counts,
     rowwise_unique_pad,
 )
-from .shared_memory import SharedArray, SharedMemory, bank_conflict_profile
-from .simt import grouped_warp_counts
+from .shared_memory import SharedArray, SharedMemory, shared_access_counts
 from . import warp as warp_ops
 
 
@@ -309,18 +308,6 @@ class BatchedBlockContext:
         """Account for integer/addressing instructions not modelled explicitly."""
         self.counters.misc += instructions * self._issue_warps
 
-    # ------------------------------------------------------- warp bookkeeping
-    def _active_warps(self, mask: Optional[np.ndarray]) -> int:
-        if mask is None:
-            return self.num_blocks * self.num_warps
-        active, divergent = grouped_warp_counts(mask, self.warp_size)
-        self.counters.divergent_branches += divergent
-        return active
-
-    def _warp_matrix(self, values: np.ndarray) -> np.ndarray:
-        """Reshape a register-shaped array to ``(batch * warps, warp_size)``."""
-        return np.ascontiguousarray(values).reshape(-1, self.warp_size)
-
     # ----------------------------------------------------------- global mem
     def load_global(self, buffer: DeviceBuffer, flat_indices: np.ndarray,
                     mask: Optional[np.ndarray] = None) -> np.ndarray:
@@ -329,18 +316,13 @@ class BatchedBlockContext:
         if np.any(flat_indices < 0) or np.any(flat_indices >= buffer.size):
             raise SimulationError(f"out-of-bounds global load on {buffer.name!r}")
         mask = self._as_mask(mask)
-        warps = self._active_warps(mask)
-        self.counters.gmem_load += warps
-        itemsize = buffer.itemsize
-        # one line matrix serves both the sector count and the traffic record
-        lines = (flat_indices * itemsize) // self.architecture.cache_line_bytes
-        self.counters.gmem_load_transactions += int(
-            rowwise_unique_counts(self._warp_matrix(lines),
-                                  None if mask is None else self._warp_matrix(mask)).sum())
-        active = flat_indices.size if mask is None else int(mask.sum())
-        self.counters.cache_read_bytes += float(active * itemsize)
-        if self._traffic is not None and active:
-            self._traffic.record_read(buffer, lines, mask)
+        access = global_access_counts(
+            flat_indices, mask, buffer.itemsize,
+            self.architecture.cache_line_bytes, self.warp_size,
+            store=False, cached=buffer.cached)
+        self.counters.accumulate(access.counters)
+        if self._traffic is not None and access.active:
+            self._traffic.record_read(buffer, access.lines, mask)
         values = np.zeros(self._register_shape, dtype=buffer.dtype)
         if mask is None:
             values[:] = buffer.flat[flat_indices]
@@ -359,16 +341,10 @@ class BatchedBlockContext:
         if np.any(flat_indices < 0) or np.any(flat_indices >= buffer.size):
             raise SimulationError(f"out-of-bounds global store on {buffer.name!r}")
         mask = self._as_mask(mask)
-        warps = self._active_warps(mask)
-        self.counters.gmem_store += warps
-        itemsize = buffer.itemsize
-        self.counters.gmem_store_transactions += coalesced_transactions_matrix(
-            self._warp_matrix(flat_indices), itemsize,
-            self.architecture.cache_line_bytes,
-            None if mask is None else self._warp_matrix(mask))
-        active = flat_indices.size if mask is None else int(mask.sum())
-        if not buffer.cached:
-            self.counters.dram_write_bytes += float(active * itemsize)
+        self.counters.accumulate(global_access_counts(
+            flat_indices, mask, buffer.itemsize,
+            self.architecture.cache_line_bytes, self.warp_size,
+            store=True, cached=buffer.cached).counters)
         values = np.broadcast_to(np.asarray(values), self._register_shape)
         if mask is None:
             buffer.flat[flat_indices] = values.astype(buffer.dtype, copy=False)
@@ -385,10 +361,10 @@ class BatchedBlockContext:
 
     def _smem_access(self, shared: SharedArray, flat_indices: object,
                      mask: Optional[object], op: str):
+        """Bounds-check and count one shared access; returns the coerced
+        ``(indices, mask, uniform)``."""
         raw = np.asarray(flat_indices)
-        # warp-uniform accesses (a scalar or per-block column index) are
-        # broadcasts by construction: all active lanes of every warp read
-        # one address, so the sort/bincount conflict analysis is skipped.
+        # a scalar or per-block column index is warp-uniform
         uniform = raw.ndim == 0 or raw.shape[-1] == 1
         flat_indices = self._as_indices(flat_indices, op)
         size = shared.flat.shape[1]
@@ -396,20 +372,11 @@ class BatchedBlockContext:
             raise SimulationError(
                 f"out-of-bounds shared {op.split('_')[0]} on {shared.name!r}")
         lane_mask = self._as_mask(mask)
-        if uniform:
-            rows = self.num_blocks * self.num_warps
-            if lane_mask is None:
-                active_counts = np.full(rows, self.warp_size, dtype=np.int64)
-            else:
-                active_counts = self._warp_matrix(lane_mask).sum(axis=1)
-            broadcasts = active_counts > 0
-            degrees = broadcasts.astype(np.int64)
-        else:
-            degrees, broadcasts, active_counts = bank_conflict_profile(
-                self._warp_matrix(flat_indices), shared.array.itemsize,
-                self.shared.banks, self.shared.bank_bytes,
-                None if lane_mask is None else self._warp_matrix(lane_mask))
-        return flat_indices, lane_mask, degrees, broadcasts, active_counts, uniform
+        self.counters.accumulate(shared_access_counts(
+            flat_indices, lane_mask, shared.array.itemsize, self.shared.banks,
+            self.shared.bank_bytes, self.warp_size,
+            store=op == "store_shared", uniform=uniform).counters)
+        return flat_indices, lane_mask, uniform
 
     def load_shared(self, shared: SharedArray, flat_indices: np.ndarray,
                     mask: Optional[np.ndarray] = None) -> np.ndarray:
@@ -419,23 +386,12 @@ class BatchedBlockContext:
         one element per block and broadcast it across the lanes, instead of
         gathering one element per lane.
         """
-        flat_indices, lane_mask, degrees, broadcasts, active_counts, uniform = \
+        flat_indices, lane_mask, uniform = \
             self._smem_access(shared, flat_indices, mask, "load_shared")
         if self._race is not None:
             self._race.on_access(shared.name, shared.flat.shape[1],
                                  flat_indices, lane_mask, None,
                                  is_store=False)
-        itemsize = shared.array.itemsize
-        occupied = active_counts > 0
-        broadcast_warps = int((broadcasts & occupied).sum())
-        conflict_degrees = degrees[occupied & ~broadcasts]
-        accesses = int(conflict_degrees.sum())
-        conflicts = int((conflict_degrees - 1).sum())
-        self.counters.smem_broadcast += broadcast_warps
-        self.counters.smem_load += accesses
-        self.counters.smem_bank_conflicts += conflicts
-        active_total = int(active_counts.sum())
-        self.counters.smem_read_bytes += float(active_total * itemsize)
         if lane_mask is None and uniform:
             per_block = shared.flat[np.arange(self.num_blocks), flat_indices[:, 0]]
             values = np.empty(self._register_shape, dtype=self.numpy_dtype)
@@ -452,16 +408,8 @@ class BatchedBlockContext:
     def store_shared(self, shared: SharedArray, flat_indices: np.ndarray,
                      values: np.ndarray, mask: Optional[np.ndarray] = None) -> None:
         """Counted shared-memory scatter."""
-        flat_indices, lane_mask, degrees, broadcasts, active_counts, _ = \
+        flat_indices, lane_mask, _ = \
             self._smem_access(shared, flat_indices, mask, "store_shared")
-        itemsize = shared.array.itemsize
-        store_degrees = degrees[active_counts > 0]
-        accesses = int(store_degrees.sum())
-        conflicts = int((store_degrees - 1).sum())
-        self.counters.smem_store += accesses
-        self.counters.smem_bank_conflicts += conflicts
-        active_total = int(active_counts.sum())
-        self.counters.smem_write_bytes += float(active_total * itemsize)
         values = np.broadcast_to(np.asarray(values), self._register_shape)
         if self._race is not None:
             self._race.on_access(shared.name, shared.flat.shape[1],

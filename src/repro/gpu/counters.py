@@ -58,6 +58,11 @@ class KernelCounters:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
+    def accumulate(self, deltas: Mapping[str, float]) -> None:
+        """Add a ``{field: amount}`` mapping of counter deltas (in place)."""
+        for name, amount in deltas.items():
+            setattr(self, name, getattr(self, name) + amount)
+
     def scaled(self, factor: float) -> "KernelCounters":
         """Return a copy with every count multiplied by ``factor``.
 

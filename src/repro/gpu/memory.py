@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..dtypes import resolve_precision
 from ..errors import LaunchError, SimulationError
+from .simt import grouped_warp_counts
 
 _buffer_ids = itertools.count(1)
 
@@ -208,22 +209,55 @@ def rowwise_unique_pad(values: np.ndarray,
     return out
 
 
-def coalesced_transactions_matrix(flat_indices: np.ndarray, itemsize: int,
-                                  line_bytes: int = 128,
-                                  mask: Optional[np.ndarray] = None) -> int:
-    """Total sectors touched by a matrix of warp accesses (one warp per row).
+class GlobalAccessCounts(NamedTuple):
+    """What one counted global load or store adds to the counters."""
 
-    A fully coalesced access of 32 contiguous 4-byte words touches a single
-    128-byte sector; strided or scattered accesses touch more.  Lanes that
-    ``mask`` marks inactive touch nothing.
+    #: counter deltas (``gmem_load``/``gmem_store``, its transactions,
+    #: ``divergent_branches`` and the byte field of the access)
+    counters: Dict[str, float]
+    #: cache-line sectors each warp touches, one entry per warp
+    sectors: np.ndarray
+    #: cache line of every lane (the DRAM traffic record of a load)
+    lines: np.ndarray
+    #: number of active lanes
+    active: int
+
+
+def global_access_counts(flat_indices: np.ndarray, mask: Optional[np.ndarray],
+                         itemsize: int, line_bytes: int, warp_size: int, *,
+                         store: bool, cached: bool) -> GlobalAccessCounts:
+    """The counter rule of one global-memory access, shared by every engine.
+
+    ``flat_indices`` (and ``mask``, ``None`` meaning every lane is active)
+    hold one entry per lane, lanes last: one block's ``(threads,)`` row or
+    a batch's ``(blocks, threads)`` matrix.  A warp issues the access when
+    any lane is active and diverges when its lanes disagree; it pays one
+    transaction per distinct cache line its active lanes touch.  Loads
+    count cache read bytes; stores count DRAM write bytes unless the
+    buffer is ``cached``.  Unique-line DRAM *read* traffic spans many
+    accesses, so it is left to the caller (from ``lines``).
     """
-    lines = (np.asarray(flat_indices, dtype=np.int64) * itemsize) // line_bytes
-    return int(rowwise_unique_counts(lines, mask).sum())
-
-
-def clamp_indices(indices: np.ndarray, lower: int, upper: int) -> np.ndarray:
-    """Clamp indices to ``[lower, upper]`` (replicate / 'nearest' boundary)."""
-    return np.clip(indices, lower, upper)
+    lines = (flat_indices * itemsize) // line_bytes
+    if mask is None:
+        warps, divergent, active = lines.size // warp_size, 0, lines.size
+        warp_mask = None
+    else:
+        warp_mask = np.ascontiguousarray(mask).reshape(-1, warp_size)
+        warps, divergent = grouped_warp_counts(warp_mask, warp_size)
+        active = int(np.count_nonzero(warp_mask))
+    sectors = rowwise_unique_counts(
+        np.ascontiguousarray(lines).reshape(-1, warp_size), warp_mask)
+    nbytes = float(active * itemsize)
+    if store:
+        counters = {"gmem_store": warps, "divergent_branches": divergent,
+                    "gmem_store_transactions": int(sectors.sum())}
+        if not cached:
+            counters["dram_write_bytes"] = nbytes
+    else:
+        counters = {"gmem_load": warps, "divergent_branches": divergent,
+                    "gmem_load_transactions": int(sectors.sum()),
+                    "cache_read_bytes": nbytes}
+    return GlobalAccessCounts(counters, sectors, lines, active)
 
 
 def linear_index_2d(row: np.ndarray, col: np.ndarray, width: int) -> np.ndarray:

@@ -96,15 +96,6 @@ def allocate_registers(architecture: GPUArchitecture, requested_per_thread: int,
     return RegisterAllocation(requested_per_thread, cap, spilled)
 
 
-def register_limited_threads_per_sm(architecture: GPUArchitecture,
-                                    registers_per_thread: int) -> int:
-    """Maximum resident threads per SM permitted by the register file."""
-    if registers_per_thread <= 0:
-        return architecture.max_threads_per_sm
-    return min(architecture.max_threads_per_sm,
-               architecture.registers_per_sm // registers_per_thread)
-
-
 def register_cache_capacity(architecture: GPUArchitecture,
                             registers_per_thread: int,
                             precision: object = "float32",

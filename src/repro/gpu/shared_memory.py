@@ -11,7 +11,7 @@ filter weights (Section 4.6), which is why the distinction is modelled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -127,6 +127,63 @@ def bank_conflict_profile(flat_indices: np.ndarray, itemsize: int,
         counts = np.bincount(keys, minlength=rows * banks).reshape(rows, banks)
         degrees = np.maximum(degrees, counts.max(axis=1))
     return degrees, broadcasts, active_counts
+
+
+class SharedAccessCounts(NamedTuple):
+    """What one counted shared-memory load or store adds to the counters."""
+
+    #: counter deltas (``smem_load``/``smem_store``, ``smem_broadcast``,
+    #: ``smem_bank_conflicts`` and the byte field of the access)
+    counters: Dict[str, float]
+    #: conflict degree of every warp that pays a bank access (broadcast
+    #: reads and fully inactive warps pay none)
+    degrees: np.ndarray
+
+
+def shared_access_counts(flat_indices: np.ndarray, mask: Optional[np.ndarray],
+                         itemsize: int, banks: int, bank_bytes: int,
+                         warp_size: int, *, store: bool,
+                         uniform: bool) -> SharedAccessCounts:
+    """The counter rule of one shared-memory access, shared by every engine.
+
+    Indices and ``mask`` (``None``: all lanes active) are laid out lanes
+    last, as for :func:`repro.gpu.memory.global_access_counts`.  A read
+    whose active lanes all hit one address is a broadcast; any other
+    access by a warp with an active lane costs its bank-conflict degree in
+    accesses, of which ``degree - 1`` are conflicts.  ``uniform`` marks a
+    warp-uniform index (a scalar or per-block column), a broadcast by
+    construction, so the conflict analysis is skipped.
+    """
+    if mask is None:
+        warp_mask = None
+    else:
+        warp_mask = np.ascontiguousarray(mask).reshape(-1, warp_size)
+    if uniform:
+        if warp_mask is None:
+            active_counts = np.full(flat_indices.size // warp_size, warp_size,
+                                    dtype=np.int64)
+        else:
+            active_counts = warp_mask.sum(axis=1)
+        broadcasts = active_counts > 0
+        degrees = broadcasts.astype(np.int64)
+    else:
+        degrees, broadcasts, active_counts = bank_conflict_profile(
+            np.ascontiguousarray(flat_indices).reshape(-1, warp_size),
+            itemsize, banks, bank_bytes, warp_mask)
+    occupied = active_counts > 0
+    nbytes = float(int(active_counts.sum()) * itemsize)
+    if store:
+        paid = degrees[occupied]
+        counters = {"smem_store": int(paid.sum()),
+                    "smem_bank_conflicts": int((paid - 1).sum()),
+                    "smem_write_bytes": nbytes}
+    else:
+        paid = degrees[occupied & ~broadcasts]
+        counters = {"smem_broadcast": int(broadcasts.sum()),
+                    "smem_load": int(paid.sum()),
+                    "smem_bank_conflicts": int((paid - 1).sum()),
+                    "smem_read_bytes": nbytes}
+    return SharedAccessCounts(counters, paid)
 
 
 class SharedMemory:

@@ -271,8 +271,10 @@ def analytic_counters(spec: ConvolutionSpec, width: int, height: int,
     """Closed-form warp-instruction / traffic profile of the SSAM kernel.
 
     The profile mirrors :func:`_conv2d_ssam_block` instruction by
-    instruction; ``tests/test_kernels/test_analytic_profiles.py`` checks it
-    against the counted execution on small domains.
+    instruction.  ``tests/test_kernels.py`` checks it against the counted
+    execution on small domains, and ``tests/test_trace_counts.py`` checks
+    the warp-instruction fields of :func:`model_convolution2d` (which uses
+    this profile) against the exact counts of the kernel's trace.
     """
     blocking = plan.blocking
     prec = plan.precision

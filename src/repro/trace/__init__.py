@@ -1,14 +1,13 @@
-"""Kernel trace IR, compiled replay engine, fusion and derived counts.
+"""Kernel trace IR, compiled replay engine and fusion.
 
 The package captures each kernel body once as a dataflow IR
 (:mod:`repro.trace.ir`, recorded by :mod:`repro.trace.tracer`), compiles it
-to a straight-line vectorized program (:mod:`repro.trace.replay`), fuses
-adjacent traces that share a blocking plan (:mod:`repro.trace.fusion`) and
-derives static instruction counts from the IR (:mod:`repro.trace.counts`).
+to a straight-line vectorized program (:mod:`repro.trace.replay`) and fuses
+adjacent traces that share a blocking plan (:mod:`repro.trace.fusion`).
+Static counts of a trace come from
+:func:`repro.analysis.lint.predict_counters`.
 """
 
-from .counts import (MODEL_AGREEMENT_BOUNDS, block_counts, check_against_model,
-                     launch_counts, relative_errors)
 from .fusion import FusedStage, fused_launch
 from .ir import Trace, TraceUnsupported
 from .replay import ReplayProgram, ReplaySession, compile_trace, replay_launch
@@ -22,9 +21,4 @@ __all__ = [
     "fused_launch",
     "compile_trace",
     "replay_launch",
-    "block_counts",
-    "launch_counts",
-    "relative_errors",
-    "check_against_model",
-    "MODEL_AGREEMENT_BOUNDS",
 ]

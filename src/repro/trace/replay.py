@@ -7,19 +7,23 @@ emits three artifacts:
   materialise LAUNCH-tier values (e.g. loads from buffers the trace never
   stores to, shared-memory staging of broadcast weights) and precompute the
   per-block **linear counter delta**: the sum of every accounting
-  contribution that is identical for all blocks (instruction counts, warp
-  activity of thread-uniform masks, coalescing of thread-uniform index
-  patterns, all shared-memory costs of the five SSAM kernels).  Applying
-  that delta once per chunk — scaled by the chunk's block count — replaces
+  contribution that is identical for all blocks (instruction counts, and
+  every thread-uniform memory access counted on one block's row by the
+  per-access rule the batched engine and the verifier share,
+  :func:`~repro.gpu.memory.global_access_counts` and
+  :func:`~repro.gpu.shared_memory.shared_access_counts`).  Applying that
+  delta once per chunk — scaled by the chunk's block count — replaces
   hundreds of per-op counter updates and per-warp sort/unique reductions.
 * a *chunk program* — closures run per batch chunk that compute only the
   genuinely block-varying values (CHUNK tier), writing into a pooled
   scratch arena (liveness-scanned slots, allocated once at the maximum
   chunk size) so the steady state performs no large allocations.
-* exact-accounting *fast paths* for the block-varying memory ops: bounds
-  via min/max reductions, coalescing via a sorted-adjacent-difference
-  count with a verified masked variant, both falling back to the batched
-  engine's :func:`~repro.gpu.memory.rowwise_unique_counts` whenever their
+* exact-accounting *fast paths* for the block-varying global accesses
+  (one step serves loads and stores): the same rule as
+  :func:`~repro.gpu.memory.global_access_counts` on pooled buffers, with
+  bounds via min/max reductions and coalescing via a
+  sorted-adjacent-difference count with a verified masked variant, falling
+  back to :func:`~repro.gpu.memory.rowwise_unique_counts` whenever its
   soundness precondition does not hold — every counter and every output
   byte stays bit-identical to the batched engine by construction.
 
@@ -44,9 +48,10 @@ from ..gpu.kernel import LaunchResult, auto_batch_size
 from ..gpu.memory import (
     _SENTINEL,
     DeviceBuffer,
+    global_access_counts,
     rowwise_unique_counts,
 )
-from ..gpu.shared_memory import bank_conflict_profile
+from ..gpu.shared_memory import shared_access_counts
 from ..gpu.simt import grouped_warp_counts
 from ..gpu import warp as warp_ops
 from .ir import (
@@ -671,28 +676,29 @@ def compile_trace(trace: Trace, architecture: GPUArchitecture,
             env[nid] = buf
         program.chunk_steps.append(step)
 
-    # ------------------------------------------------------- global loads
+    # ------------------------------------------------------ global memory
 
-    def emit_load_global(node, tier):
+    def emit_global(node, tier, is_store: bool):
         nid = node.id
         params = node.params
         slot = params["slot"]
         masked = params["masked"]
         i_idx = node.inputs[0]
-        i_mask = node.inputs[1] if masked else None
+        i_val = node.inputs[1] if is_store else None
+        i_mask = node.inputs[-1] if masked else None
         info = trace.slot_info[slot]
         itemsize = int(info["itemsize"])
         buf_dtype = np.dtype(info["dtype"])
         cached = bool(info["cached"])
-        idx_static = static_tier(i_idx)
-        mask_static = static_tier(i_mask)
-        track = count_traffic and not cached
+        static = static_tier(i_idx) and static_tier(i_mask)
+        track = count_traffic and not cached and not is_store
         idx_cast = np.dtype(nodes[i_idx].dtype) != np.dtype(np.int64)
+        op_word = "store" if is_store else "load"
 
-        if idx_static and mask_static:
-            # the whole access pattern is thread-uniform: fold warp counts,
-            # transactions and bytes into the per-block delta, record one
-            # broadcast traffic row per chunk
+        if static:
+            # the whole access pattern is thread-uniform: one block's
+            # counter deltas fold into the per-block delta, and a load
+            # records one broadcast traffic row per chunk
             cell = new_cell() if track else None
 
             def thunk(session, i_idx=i_idx, i_mask=i_mask, slot=slot,
@@ -702,23 +708,16 @@ def compile_trace(trace: Trace, architecture: GPUArchitecture,
                 idx = row_of(env[i_idx], np.int64)
                 if int(idx.min()) < 0 or int(idx.max()) >= buffer.size:
                     raise SimulationError(
-                        f"out-of-bounds global load on {buffer.name!r}")
+                        f"out-of-bounds global {op_word} on {buffer.name!r}")
                 mask = None if i_mask is None else row_of(env[i_mask], bool)
-                if mask is None:
-                    warps, div, active = W, 0, T
-                else:
-                    warps, div = grouped_warp_counts(mask, ws)
-                    active = int(mask.sum())
-                lines = (idx * itemsize) // line_bytes
-                trans = int(rowwise_unique_counts(
-                    lines.reshape(-1, ws),
-                    None if mask is None else mask.reshape(-1, ws)).sum())
-                if cell is not None and active:
-                    session.cells[cell] = (np.where(mask, lines, _SENTINEL)
-                                           if mask is not None else lines)
-                return {"gmem_load": warps, "divergent_branches": div,
-                        "gmem_load_transactions": trans,
-                        "cache_read_bytes": float(active * itemsize)}
+                counts = global_access_counts(idx, mask, itemsize, line_bytes,
+                                              ws, store=is_store,
+                                              cached=cached)
+                if cell is not None and counts.active:
+                    session.cells[cell] = (
+                        np.where(mask, counts.lines, _SENTINEL)
+                        if mask is not None else counts.lines)
+                return counts.counters
             program.delta_thunks.append(thunk)
             if cell is not None:
                 def record(session, cell=cell, slot=slot):
@@ -729,40 +728,47 @@ def compile_trace(trace: Trace, architecture: GPUArchitecture,
                 program.chunk_steps.append(record)
 
         if tier == TIER_LAUNCH:
-            def load_step(session, i_idx=i_idx, i_mask=i_mask, slot=slot,
-                          nid=nid):
+            def launch_step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask,
+                            slot=slot, nid=nid):
                 env = session.env
                 buffer = session.buffers[slot]
                 idx = row_of(env[i_idx], np.int64)
+                mask = None if i_mask is None else row_of(env[i_mask], bool)
+                if is_store:
+                    values = np.broadcast_to(np.asarray(env[i_val]), (T,))
+                    if mask is None:
+                        buffer.flat[idx] = values.astype(buffer.dtype,
+                                                         copy=False)
+                    else:
+                        buffer.flat[idx[mask]] = values[mask].astype(
+                            buffer.dtype, copy=False)
+                    return
                 values = np.zeros((T,), dtype=buffer.dtype)
-                if i_mask is None:
+                if mask is None:
                     values[:] = buffer.flat[idx]
                 else:
-                    mask = row_of(env[i_mask], bool)
                     values[mask] = buffer.flat[idx[mask]]
                 env[nid] = values.astype(working, copy=False)
-            program.launch_steps.append(load_step)
+            program.launch_steps.append(launch_step)
             return
 
-        # CHUNK-tier value (and possibly CHUNK-tier accounting)
-        out_slot = pooled(node)
-        dyn_acct = not (idx_static and mask_static)
+        # CHUNK-tier value or store (and possibly CHUNK-tier accounting)
+        out_slot = None if is_store else pooled(node)
         lines_slot = diff_slot = None
-        if dyn_acct:
+        if not static:
             lines_slot = pool.alloc((T,), np.int64)
             if ws > 1:
                 diff_slot = pool.alloc((T - W,), np.int64)
         shift = _line_shift(itemsize, line_bytes)
 
-        def step(session, i_idx=i_idx, i_mask=i_mask, slot=slot, nid=nid,
-                 out_slot=out_slot, lines_slot=lines_slot,
-                 diff_slot=diff_slot, dyn_acct=dyn_acct, idx_cast=idx_cast,
+        def step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask, slot=slot,
+                 nid=nid, out_slot=out_slot, lines_slot=lines_slot,
+                 diff_slot=diff_slot, dyn_acct=not static, idx_cast=idx_cast,
                  masked=masked, track=track, buf_dtype=buf_dtype,
                  itemsize=itemsize, shift=shift):
             env = session.env
             B = session.B
             buffer = session.buffers[slot]
-            counters = session.counters
             account = session.account
             idx = np.asarray(env[i_idx])
             if idx_cast:
@@ -770,7 +776,7 @@ def compile_trace(trace: Trace, architecture: GPUArchitecture,
             if account and (int(idx.min()) < 0
                             or int(idx.max()) >= buffer.size):
                 raise SimulationError(
-                    f"out-of-bounds global load on {buffer.name!r}")
+                    f"out-of-bounds global {op_word} on {buffer.name!r}")
             shape = (B, T)
             idxb = idx if idx.shape == shape else np.broadcast_to(idx, shape)
             mask = None
@@ -779,14 +785,15 @@ def compile_trace(trace: Trace, architecture: GPUArchitecture,
                 if mask.shape != shape:
                     mask = np.broadcast_to(mask, shape)
             if dyn_acct and account:
+                # the rule of global_access_counts, on pooled buffers and
+                # with the sorted-row transaction fast path
+                counters = session.counters
                 if mask is None:
                     warps, active = B * W, B * T
                 else:
                     warps, div = grouped_warp_counts(mask, ws)
                     counters.divergent_branches += div
                     active = int(mask.sum())
-                counters.gmem_load += warps
-                counters.cache_read_bytes += float(active * itemsize)
                 lines = session.s(lines_slot).reshape(shape)
                 if shift is not None:
                     np.right_shift(idxb, shift, out=lines)
@@ -799,7 +806,15 @@ def compile_trace(trace: Trace, architecture: GPUArchitecture,
                 dbuf = (session.s(diff_slot).reshape(-1, ws - 1)
                         if diff_slot is not None else None)
                 trans, d, rows_sorted = _transactions(wm, mm, dbuf)
-                counters.gmem_load_transactions += trans
+                if is_store:
+                    counters.gmem_store += warps
+                    counters.gmem_store_transactions += trans
+                    if not cached:
+                        counters.dram_write_bytes += float(active * itemsize)
+                else:
+                    counters.gmem_load += warps
+                    counters.cache_read_bytes += float(active * itemsize)
+                    counters.gmem_load_transactions += trans
                 if track and active:
                     if (mask is None and rows_sorted and d is not None
                             and int(d.max()) <= 1):
@@ -812,6 +827,15 @@ def compile_trace(trace: Trace, architecture: GPUArchitecture,
                                   else np.where(mask, lines, _SENTINEL))
                         session.traffic.setdefault(slot, []).append(
                             ("mat", record))
+            if is_store:
+                values = np.broadcast_to(np.asarray(env[i_val]), shape)
+                if mask is None:
+                    buffer.flat[idxb] = values.astype(buffer.dtype,
+                                                      copy=False)
+                else:
+                    buffer.flat[idxb[mask]] = values[mask].astype(
+                        buffer.dtype, copy=False)
+                return
             # functional gather — mirrors the batched engine expression
             if out_slot is not None and buf_dtype == working and mask is None:
                 out = session.s(out_slot)
@@ -830,125 +854,6 @@ def compile_trace(trace: Trace, architecture: GPUArchitecture,
             else:
                 values[mask] = buffer.flat[idxb[mask]]
             env[nid] = values.astype(working, copy=False)
-        program.chunk_steps.append(step)
-
-    # ------------------------------------------------------ global stores
-
-    def emit_store_global(node, tier):
-        params = node.params
-        slot = params["slot"]
-        masked = params["masked"]
-        i_idx = node.inputs[0]
-        i_val = node.inputs[1]
-        i_mask = node.inputs[2] if masked else None
-        info = trace.slot_info[slot]
-        itemsize = int(info["itemsize"])
-        cached = bool(info["cached"])
-        idx_static = static_tier(i_idx)
-        mask_static = static_tier(i_mask)
-        idx_cast = np.dtype(nodes[i_idx].dtype) != np.dtype(np.int64)
-
-        if idx_static and mask_static:
-            def thunk(session, i_idx=i_idx, i_mask=i_mask, slot=slot):
-                env = session.env
-                buffer = session.buffers[slot]
-                idx = row_of(env[i_idx], np.int64)
-                if int(idx.min()) < 0 or int(idx.max()) >= buffer.size:
-                    raise SimulationError(
-                        f"out-of-bounds global store on {buffer.name!r}")
-                mask = None if i_mask is None else row_of(env[i_mask], bool)
-                if mask is None:
-                    warps, div, active = W, 0, T
-                else:
-                    warps, div = grouped_warp_counts(mask, ws)
-                    active = int(mask.sum())
-                lines = (idx * itemsize) // line_bytes
-                trans = int(rowwise_unique_counts(
-                    lines.reshape(-1, ws),
-                    None if mask is None else mask.reshape(-1, ws)).sum())
-                delta = {"gmem_store": warps, "divergent_branches": div,
-                         "gmem_store_transactions": trans}
-                if not buffer.cached:
-                    delta["dram_write_bytes"] = float(active * itemsize)
-                return delta
-            program.delta_thunks.append(thunk)
-
-        if tier == TIER_LAUNCH:
-            def store_step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask,
-                           slot=slot):
-                env = session.env
-                buffer = session.buffers[slot]
-                idx = row_of(env[i_idx], np.int64)
-                values = np.broadcast_to(np.asarray(env[i_val]), (T,))
-                if i_mask is None:
-                    buffer.flat[idx] = values.astype(buffer.dtype, copy=False)
-                else:
-                    mask = row_of(env[i_mask], bool)
-                    buffer.flat[idx[mask]] = values[mask].astype(
-                        buffer.dtype, copy=False)
-            program.launch_steps.append(store_step)
-            return
-
-        dyn_acct = not (idx_static and mask_static)
-        lines_slot = diff_slot = None
-        if dyn_acct:
-            lines_slot = pool.alloc((T,), np.int64)
-            if ws > 1:
-                diff_slot = pool.alloc((T - W,), np.int64)
-        shift = _line_shift(itemsize, line_bytes)
-
-        def step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask, slot=slot,
-                 lines_slot=lines_slot, diff_slot=diff_slot,
-                 dyn_acct=dyn_acct, idx_cast=idx_cast, masked=masked,
-                 cached=cached, itemsize=itemsize, shift=shift):
-            env = session.env
-            B = session.B
-            buffer = session.buffers[slot]
-            counters = session.counters
-            account = session.account
-            idx = np.asarray(env[i_idx])
-            if idx_cast:
-                idx = idx.astype(np.int64)
-            if account and (int(idx.min()) < 0
-                            or int(idx.max()) >= buffer.size):
-                raise SimulationError(
-                    f"out-of-bounds global store on {buffer.name!r}")
-            shape = (B, T)
-            idxb = idx if idx.shape == shape else np.broadcast_to(idx, shape)
-            mask = None
-            if masked:
-                mask = np.asarray(env[i_mask])
-                if mask.shape != shape:
-                    mask = np.broadcast_to(mask, shape)
-            if dyn_acct and account:
-                if mask is None:
-                    warps, active = B * W, B * T
-                else:
-                    warps, div = grouped_warp_counts(mask, ws)
-                    counters.divergent_branches += div
-                    active = int(mask.sum())
-                counters.gmem_store += warps
-                lines = session.s(lines_slot).reshape(shape)
-                if shift is not None:
-                    np.right_shift(idxb, shift, out=lines)
-                else:
-                    np.multiply(idxb, itemsize, out=lines)
-                    np.floor_divide(lines, line_bytes, out=lines)
-                wm = lines.reshape(-1, ws)
-                mm = (None if mask is None
-                      else np.ascontiguousarray(mask).reshape(-1, ws))
-                dbuf = (session.s(diff_slot).reshape(-1, ws - 1)
-                        if diff_slot is not None else None)
-                counters.gmem_store_transactions += _transactions(
-                    wm, mm, dbuf)[0]
-                if not cached:
-                    counters.dram_write_bytes += float(active * itemsize)
-            values = np.broadcast_to(np.asarray(env[i_val]), shape)
-            if mask is None:
-                buffer.flat[idxb] = values.astype(buffer.dtype, copy=False)
-            else:
-                buffer.flat[idxb[mask]] = values[mask].astype(buffer.dtype,
-                                                              copy=False)
         program.chunk_steps.append(step)
 
     # -------------------------------------------------------- shared memory
@@ -995,34 +900,9 @@ def compile_trace(trace: Trace, architecture: GPUArchitecture,
                 raise SimulationError(
                     f"out-of-bounds shared {op_word} on {name!r}")
             mask = None if i_mask is None else row_of(env[i_mask], bool)
-            if uniform:
-                if mask is None:
-                    active_counts = np.full(W, ws, dtype=np.int64)
-                else:
-                    active_counts = mask.reshape(-1, ws).sum(axis=1)
-                broadcasts = active_counts > 0
-                degrees = broadcasts.astype(np.int64)
-            else:
-                degrees, broadcasts, active_counts = bank_conflict_profile(
-                    idx.reshape(-1, ws), itemsize, banks, bank_bytes,
-                    None if mask is None else mask.reshape(-1, ws))
-            active_total = int(active_counts.sum())
-            if is_load:
-                occupied = active_counts > 0
-                broadcast_warps = int((broadcasts & occupied).sum())
-                conflict_degrees = degrees[occupied & ~broadcasts]
-                accesses = int(conflict_degrees.sum())
-                conflicts = int((conflict_degrees - 1).sum())
-                return {"smem_broadcast": broadcast_warps,
-                        "smem_load": accesses,
-                        "smem_bank_conflicts": conflicts,
-                        "smem_read_bytes": float(active_total * itemsize)}
-            store_degrees = degrees[active_counts > 0]
-            accesses = int(store_degrees.sum())
-            conflicts = int((store_degrees - 1).sum())
-            return {"smem_store": accesses,
-                    "smem_bank_conflicts": conflicts,
-                    "smem_write_bytes": float(active_total * itemsize)}
+            return shared_access_counts(idx, mask, itemsize, banks,
+                                        bank_bytes, ws, store=not is_load,
+                                        uniform=uniform).counters
         program.delta_thunks.append(thunk)
 
     def emit_load_shared(node, tier):
@@ -1215,10 +1095,8 @@ def compile_trace(trace: Trace, architecture: GPUArchitecture,
             add_delta("sync", W)
         elif op == "misc":
             add_delta("misc", node.params["instructions"] * W)
-        elif op == "load_global":
-            emit_load_global(node, tier)
-        elif op == "store_global":
-            emit_store_global(node, tier)
+        elif op in ("load_global", "store_global"):
+            emit_global(node, tier, is_store=op == "store_global")
         elif op == "alloc_shared":
             emit_alloc_shared(node, content_tiers[node.id])
         elif op == "load_shared":

@@ -13,7 +13,7 @@ from repro.gpu.counters import KernelCounters
 from repro.gpu.memory import (
     DeviceBuffer,
     GlobalMemory,
-    coalesced_transactions_matrix,
+    global_access_counts,
     linear_index_2d,
     linear_index_3d,
 )
@@ -23,8 +23,11 @@ from repro.gpu.shared_memory import SharedMemory, bank_conflict_degree
 # --- coalescing -----------------------------------------------------------
 
 def coalesced_transactions(indices, itemsize):
-    """Sectors touched by one warp access (a one-row access matrix)."""
-    return coalesced_transactions_matrix(np.asarray(indices)[None, :], itemsize)
+    """Sectors touched by one warp access (every lane of it active)."""
+    indices = np.asarray(indices, dtype=np.int64)
+    return int(global_access_counts(indices, None, itemsize, 128,
+                                    max(1, indices.size), store=False,
+                                    cached=False).sectors.sum())
 
 
 def test_contiguous_float32_access_is_one_transaction():
