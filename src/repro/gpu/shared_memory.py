@@ -154,10 +154,8 @@ def shared_access_counts(flat_indices: np.ndarray, mask: Optional[np.ndarray],
     warp-uniform index (a scalar or per-block column), a broadcast by
     construction, so the conflict analysis is skipped.
     """
-    if mask is None:
-        warp_mask = None
-    else:
-        warp_mask = np.ascontiguousarray(mask).reshape(-1, warp_size)
+    warp_mask = (None if mask is None
+                 else np.ascontiguousarray(mask).reshape(-1, warp_size))
     if uniform:
         if warp_mask is None:
             active_counts = np.full(flat_indices.size // warp_size, warp_size,

@@ -273,12 +273,11 @@ def _run_replay(kernel, make_args, arch, precision):
                           precision=precision)
     before = len(fallback_log())
     kernel.launch(config, make_args(), architecture=arch, batch_size="replay")
+    assert fallback_log()[before:] == [], "replay fell back to batched"
     for program in kernel._trace_cache.values():
         program.counter_cache.clear()  # re-derive, don't reuse, the counters
-    result = kernel.launch(config, make_args(), architecture=arch,
-                           batch_size="replay")
-    assert fallback_log()[before:] == [], "replay fell back to batched"
-    return result.counters
+    return kernel.launch(config, make_args(), architecture=arch,
+                         batch_size="replay").counters
 
 
 def _run_static(kernel, make_args, arch, precision):
@@ -325,8 +324,9 @@ def _legs(shared):
     """``(engine, variation)`` pairs an access kind is checked on.
 
     Replay compiles only thread-uniform shared-memory index patterns; a
-    block-varying one falls back to the batched engine (covered by the
-    replay tests), so that pair is not an oracle leg.
+    block-varying one falls back to the batched engine
+    (:func:`test_replay_falls_back_on_block_varying_shared_streams`), so
+    that pair is not an oracle leg.
     """
     return [(engine, variation) for engine in ENGINES
             for variation in VARIATIONS
@@ -487,3 +487,21 @@ def test_memory_paths_match_oracle_counter_for_counter(engine, variation, kind,
     mismatched = {name: (actual[name], expected[name])
                   for name in expected if actual[name] != expected[name]}
     assert not mismatched, f"(engine, oracle) mismatch: {mismatched}"
+
+
+def test_replay_falls_back_on_block_varying_shared_streams():
+    """The excluded leg: replay hands the launch to batched, counters intact."""
+    arch = get_architecture("p100")
+    precision = resolve_precision("float32")
+    streams = _make_streams(0, SMEM_ELEMENTS, patterns=("strided",))
+    kernel = _stream_kernel(streams, "load_shared")
+    config = LaunchConfig(grid_dim=GRID, block_threads=BLOCK_THREADS,
+                          precision=precision)
+    before = len(fallback_log())
+    counters = kernel.launch(config, (None,), architecture=arch,
+                             batch_size="replay").counters
+    assert [event["kernel"] for event in fallback_log()[before:]] == [
+        "oracle_load_shared"]
+    expected = oracle_counters("load_shared", streams, precision.itemsize,
+                               cached=False)
+    assert counters.as_dict() == expected
