@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..trace.ir import Trace
+from ..trace.ir import MEMORY_OPS, Trace, memory_operands
 
 #: address spaces
 GLOBAL = "global"
@@ -51,33 +51,16 @@ def extract_accesses(trace: Trace) -> Tuple[List[Access], int]:
         if node.op == "sync":
             phase += 1
             continue
-        masked = bool(node.params.get("masked"))
-        if node.op == "load_global":
-            accesses.append(Access(
-                node=node.id, phase=phase, space=GLOBAL, is_store=False,
-                index=node.inputs[0],
-                mask=node.inputs[1] if masked else None,
-                value=None, slot=node.params["slot"]))
-        elif node.op == "store_global":
-            accesses.append(Access(
-                node=node.id, phase=phase, space=GLOBAL, is_store=True,
-                index=node.inputs[0],
-                mask=node.inputs[2] if masked else None,
-                value=node.inputs[1], slot=node.params["slot"]))
-        elif node.op == "load_shared":
-            accesses.append(Access(
-                node=node.id, phase=phase, space=SHARED, is_store=False,
-                index=node.inputs[0],
-                mask=node.inputs[1] if masked else None,
-                value=None, alloc=node.params["shared"],
-                uniform=bool(node.params.get("uniform"))))
-        elif node.op == "store_shared":
-            accesses.append(Access(
-                node=node.id, phase=phase, space=SHARED, is_store=True,
-                index=node.inputs[0],
-                mask=node.inputs[2] if masked else None,
-                value=node.inputs[1], alloc=node.params["shared"],
-                uniform=bool(node.params.get("uniform"))))
+        if node.op not in MEMORY_OPS:
+            continue
+        index, value, mask = memory_operands(node)
+        is_global = node.op.endswith("global")
+        accesses.append(Access(
+            node=node.id, phase=phase, space=GLOBAL if is_global else SHARED,
+            is_store=value is not None, index=index, mask=mask, value=value,
+            slot=node.params["slot"] if is_global else None,
+            alloc=None if is_global else node.params["shared"],
+            uniform=bool(node.params.get("uniform"))))
     return accesses, phase + 1
 
 

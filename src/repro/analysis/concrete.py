@@ -22,26 +22,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..gpu import warp as warp_ops
-from ..trace.ir import Trace
-from ..trace.tracer import _astype_fn
-from .ranges import compute_data_free
-
-_AXIS = {"bx": 0, "by": 1, "bz": 2}
-
-
-def _shfl(values: np.ndarray, direction: str, amount: int,
-          num_blocks: int, block_threads: int, warp_size: int) -> np.ndarray:
-    """Apply one shuffle with the exact :mod:`repro.gpu.warp` semantics."""
-    full = np.broadcast_to(np.asarray(values),
-                           (num_blocks, block_threads)).copy()
-    if direction == "up":
-        out = warp_ops.shfl_up(full, amount, warp_size)
-    elif direction == "down":
-        out = warp_ops.shfl_down(full, amount, warp_size)
-    else:
-        out = warp_ops.shfl_idx(full, amount, warp_size)
-    return out
+from ..trace.ir import BLOCK_AXES, Trace, compute_data_free, node_evaluator
 
 
 def evaluate_data_free(trace: Trace, block_indices: np.ndarray
@@ -52,12 +33,12 @@ def evaluate_data_free(trace: Trace, block_indices: np.ndarray
     triples — typically :func:`repro.trace.replay._block_index_matrix` over
     the full grid, so the checks cover blocks the recorded chunk never
     executed.  Nodes that are not data-free (loads, and anything derived
-    from them) are absent from the returned environment.
+    from them) are absent from the returned environment.  Value ops
+    evaluate through :func:`repro.trace.ir.node_evaluator`, the rule the
+    replay engine's launch tier runs.
     """
     block_indices = np.asarray(block_indices, dtype=np.int64)
-    num_blocks = block_indices.shape[0]
-    threads = trace.block_threads
-    dtype = trace.numpy_dtype
+    registers = (block_indices.shape[0], trace.block_threads)
     data_free = compute_data_free(trace)
     env: Dict[int, np.ndarray] = {}
     for node in trace.nodes:
@@ -67,30 +48,15 @@ def evaluate_data_free(trace: Trace, block_indices: np.ndarray
             env[node.id] = np.asarray(node.value)
         elif node.op == "input":
             name = node.params["name"]
-            if name in _AXIS:
-                env[node.id] = block_indices[:, _AXIS[name]:_AXIS[name] + 1]
+            if name in BLOCK_AXES:
+                axis = BLOCK_AXES[name]
+                env[node.id] = block_indices[:, axis:axis + 1]
             else:
                 env[node.id] = np.asarray(node.value)
-        elif node.op == "pure":
-            operands = [env[i] for i in node.inputs]
-            if node.fn is _astype_fn:
-                env[node.id] = _astype_fn(operands[0], **node.kwargs)
-            else:
-                env[node.id] = node.fn(*operands, **node.kwargs)
-        elif node.op == "arith":
-            kind = node.params["kind"]
-            a = np.asarray(env[node.inputs[0]], dtype=dtype)
-            b = np.asarray(env[node.inputs[1]], dtype=dtype)
-            if kind == "mad":
-                env[node.id] = a * b + env[node.inputs[2]]
-            elif kind == "add":
-                env[node.id] = a + b
-            else:
-                env[node.id] = a * b
-        elif node.op == "shfl":
-            env[node.id] = _shfl(env[node.inputs[0]], node.params["dir"],
-                                 node.params["amount"], num_blocks, threads,
-                                 trace.warp_size)
+        else:
+            evaluate = node_evaluator(node, trace.numpy_dtype,
+                                      trace.warp_size)
+            env[node.id] = evaluate([env[i] for i in node.inputs], registers)
     return env
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..gpu.memory import _SENTINEL, global_access_counts, rowwise_unique_counts
 from ..gpu.shared_memory import shared_access_counts
-from ..trace.ir import Trace
+from ..trace.ir import MEMORY_OPS, Trace, instruction_count
 from .accesses import Access, GLOBAL, extract_accesses
 from .concrete import index_matrix, mask_matrix
 from .report import DIVERGENCE, ERROR, PERF, WARNING, Finding
@@ -155,19 +155,11 @@ def predict_counters(trace: Trace, env: Dict[int, np.ndarray],
     accesses, _phases = extract_accesses(trace)
     by_node = {access.node: access for access in accesses}
     for node in trace.nodes:
-        if node.op == "arith":
-            kind = node.params["kind"]
-            field = {"mad": "fma", "add": "add", "mul": "mul"}[kind]
-            prediction.bump(field, issue_warps)
-        elif node.op == "misc":
-            prediction.bump("misc",
-                            float(node.params["instructions"]) * issue_warps)
-        elif node.op == "sync":
-            prediction.bump("sync", issue_warps)
-        elif node.op == "shfl":
-            prediction.bump("shfl", issue_warps)
-        elif node.op in ("load_global", "store_global", "load_shared",
-                         "store_shared"):
+        instructions = instruction_count(node)
+        if instructions is not None:
+            field, per_warp = instructions
+            prediction.bump(field, float(per_warp) * issue_warps)
+        elif node.op in MEMORY_OPS:
             access = by_node[node.id]
             idx = index_matrix(env, access.index, num_blocks, threads)
             mask = mask_matrix(env, access.mask, num_blocks, threads)

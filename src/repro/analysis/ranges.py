@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..trace.ir import KIND_THREAD, Trace
+from ..trace.ir import BLOCK_AXES, KIND_THREAD, Trace, compute_data_free
 from ..trace.tracer import _astype_fn
 
 _INF = math.inf
@@ -384,10 +384,6 @@ _TRANSFERS = {
 _COMPARE_FNS = {np.less: "lt", np.less_equal: "le", np.greater: "gt",
                 np.greater_equal: "ge", np.equal: "eq"}
 
-#: value-producing trace ops whose result depends only on launch geometry
-#: and host constants when all inputs do
-_PURE_OPS = ("pure", "arith", "shfl")
-
 
 def _dtype_interval(dtype) -> Interval:
     if dtype is None:
@@ -418,23 +414,8 @@ def _value_interval(value) -> Interval:
     return Interval(float(arr.min()), float(arr.max()))
 
 
-def compute_data_free(trace: Trace) -> List[bool]:
-    """``data_free[i]`` — node *i*'s value is independent of memory content."""
-    flags: List[bool] = []
-    for node in trace.nodes:
-        if node.op in ("const", "input"):
-            flags.append(True)
-        elif node.op in _PURE_OPS:
-            flags.append(all(flags[i] for i in node.inputs))
-        else:
-            flags.append(False)
-    return flags
-
-
 class RangeAnalysis:
     """Sound whole-grid intervals for every value-producing trace node."""
-
-    _AXIS = {"bx": 0, "by": 1, "bz": 2}
 
     def __init__(self, trace: Trace, grid_dim: Tuple[int, int, int]):
         self.trace = trace
@@ -451,8 +432,8 @@ class RangeAnalysis:
             iv = _value_interval(node.value)
         elif node.op == "input":
             name = node.params["name"]
-            if name in self._AXIS:
-                extent = self.grid_dim[self._AXIS[name]]
+            if name in BLOCK_AXES:
+                extent = self.grid_dim[BLOCK_AXES[name]]
                 iv = Interval(0.0, float(max(extent - 1, 0)))
             elif node.kind <= KIND_THREAD and node.value is not None:
                 iv = _value_interval(node.value)

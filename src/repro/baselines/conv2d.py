@@ -28,7 +28,7 @@ skips execution for paper-scale estimates.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,11 +38,12 @@ from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
-from ..gpu.kernel import Kernel, LaunchConfig, LaunchResult
+from ..gpu.kernel import Kernel, LaunchConfig
 from ..gpu.memory import DeviceBuffer
 from .cpu_reference import convolve2d_fft_reference
 from ..kernels.common import (
     KernelRunResult,
+    analytic_result,
     check_image,
     clamp,
     make_device_pair,
@@ -51,20 +52,6 @@ from ..kernels.common import (
 
 #: ArrayFire's undocumented filter-size ceiling (Section 6.2 (i))
 ARRAYFIRE_MAX_FILTER = 16
-
-
-def _analytic_result(name: str, counters: KernelCounters, config: LaunchConfig,
-                     architecture, parameters: Dict[str, object]) -> KernelRunResult:
-    launch = LaunchResult(
-        kernel_name=name,
-        config=config,
-        architecture=architecture,
-        counters=counters,
-        blocks_executed=0,
-        sampled=True,
-        sample_fraction=0.0,
-    )
-    return KernelRunResult(name=name, output=None, launch=launch, parameters=parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +131,7 @@ def npp_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
         warps_executed=total_warps,
     )
     parameters["analytic"] = True
-    return _analytic_result("npp_like", counters, config, arch, parameters)
+    return analytic_result("npp_like", counters, config, arch, parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +250,7 @@ def _shared_like_convolve2d(label: str, image, spec, architecture, precision,
         warps_executed=total_warps,
     )
     parameters["analytic"] = True
-    return _analytic_result(label, counters, config, arch, parameters)
+    return analytic_result(label, counters, config, arch, parameters)
 
 
 def arrayfire_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
@@ -339,7 +326,7 @@ def cudnn_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
     parameters = {"M": spec.filter_width, "N": spec.filter_height,
                   "architecture": arch.name, "precision": prec.name,
                   "gemm_efficiency": CUDNN_SINGLE_CHANNEL_EFFICIENCY}
-    result = _analytic_result("cudnn_like", counters, config, arch, parameters)
+    result = analytic_result("cudnn_like", counters, config, arch, parameters)
     result.output = output
     return result
 
@@ -391,8 +378,8 @@ def cufft_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
     config = LaunchConfig(grid_dim=(math.ceil(outputs / 256), 1, 1), block_threads=256,
                          registers_per_thread=40, shared_bytes_per_block=0,
                          precision=prec, memory_parallelism=8.0)
-    result = _analytic_result("cufft_like", counters, config, arch,
-                              {"architecture": arch.name, "precision": prec.name})
+    result = analytic_result("cufft_like", counters, config, arch,
+                             {"architecture": arch.name, "precision": prec.name})
     # fold in the measured pipeline constant, scaled to the problem size
     paper_ms = CUFFT_PAPER_MILLISECONDS.get(arch.generation)
     if paper_ms is not None:

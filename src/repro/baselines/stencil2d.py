@@ -32,18 +32,11 @@ from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
-from ..gpu.kernel import Kernel, LaunchConfig, LaunchResult
+from ..gpu.kernel import Kernel, LaunchConfig
 from ..gpu.memory import DeviceBuffer, GlobalMemory
 from ..gpu.register_file import registers_for_cache
-from ..kernels.common import KernelRunResult, check_image, clamp
+from ..kernels.common import KernelRunResult, analytic_result, check_image, clamp
 from ..stencils.spec import StencilSpec
-
-
-def _analytic_result(name, counters, config, architecture, parameters) -> KernelRunResult:
-    launch = LaunchResult(kernel_name=name, config=config, architecture=architecture,
-                          counters=counters, blocks_executed=0, sampled=True,
-                          sample_fraction=0.0)
-    return KernelRunResult(name=name, output=None, launch=launch, parameters=parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +118,7 @@ def original_stencil2d(grid: Optional[np.ndarray], spec: StencilSpec, iterations
         warps_executed=total_warps * iterations,
     )
     parameters["analytic"] = True
-    return _analytic_result("original", counters, config, arch, parameters)
+    return analytic_result("original", counters, config, arch, parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +229,7 @@ def _shared_stencil2d(label: str, grid, spec, iterations, architecture, precisio
         warps_executed=total_warps * iterations,
     )
     parameters["analytic"] = True
-    return _analytic_result(label, counters, config, arch, parameters)
+    return analytic_result(label, counters, config, arch, parameters)
 
 
 def ppcg_like_stencil2d(grid: Optional[np.ndarray], spec: StencilSpec, iterations: int = 1,
@@ -310,7 +303,7 @@ def _register_scheme_stencil2d(label: str, spec: StencilSpec, width: int, height
     parameters = {"stencil": spec.name, "iterations": iterations, "T": t_outputs,
                   "registers_per_thread": registers, "architecture": arch.name,
                   "precision": prec.name, "analytic": True}
-    return _analytic_result(label, counters, config, arch, parameters)
+    return analytic_result(label, counters, config, arch, parameters)
 
 
 def reordered_stencil2d(spec: StencilSpec, width: int, height: int, iterations: int = 1,

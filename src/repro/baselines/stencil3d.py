@@ -18,17 +18,10 @@ from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
-from ..gpu.kernel import Kernel, LaunchConfig, LaunchResult
+from ..gpu.kernel import Kernel, LaunchConfig
 from ..gpu.memory import DeviceBuffer, GlobalMemory
-from ..kernels.common import KernelRunResult, check_grid3d, clamp
+from ..kernels.common import KernelRunResult, analytic_result, check_grid3d, clamp
 from ..stencils.spec import StencilSpec
-
-
-def _analytic_result(name, counters, config, architecture, parameters) -> KernelRunResult:
-    launch = LaunchResult(kernel_name=name, config=config, architecture=architecture,
-                          counters=counters, blocks_executed=0, sampled=True,
-                          sample_fraction=0.0)
-    return KernelRunResult(name=name, output=None, launch=launch, parameters=parameters)
 
 
 def _naive3d_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
@@ -111,7 +104,7 @@ def original_stencil3d(grid: Optional[np.ndarray], spec: StencilSpec, iterations
         warps_executed=total_warps * iterations,
     )
     parameters["analytic"] = True
-    return _analytic_result("original", counters, config, arch, parameters)
+    return analytic_result("original", counters, config, arch, parameters)
 
 
 def shared_stencil3d(spec: StencilSpec, width: int, height: int, depth: int,
@@ -165,4 +158,4 @@ def shared_stencil3d(spec: StencilSpec, width: int, height: int, depth: int,
     )
     parameters = {"stencil": spec.name, "iterations": iterations, "tile_rows": tile_rows,
                   "architecture": arch.name, "precision": prec.name, "analytic": True}
-    return _analytic_result("ppcg", counters, config, arch, parameters)
+    return analytic_result("ppcg", counters, config, arch, parameters)

@@ -22,17 +22,10 @@ from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture
 from ..gpu.counters import KernelCounters
-from ..gpu.kernel import LaunchConfig, LaunchResult
+from ..gpu.kernel import LaunchConfig
 from ..gpu.register_file import registers_for_cache
-from ..kernels.common import KernelRunResult
+from ..kernels.common import KernelRunResult, analytic_result
 from ..stencils.spec import StencilSpec
-
-
-def _analytic_result(name, counters, config, architecture, parameters) -> KernelRunResult:
-    launch = LaunchResult(kernel_name=name, config=config, architecture=architecture,
-                          counters=counters, blocks_executed=0, sampled=True,
-                          sample_fraction=0.0)
-    return KernelRunResult(name=name, output=None, launch=launch, parameters=parameters)
 
 
 #: GCells/s reported in Section 6.4 for systems that are not publicly available
@@ -109,7 +102,7 @@ def stencilgen_like_stencil(spec: StencilSpec, width: int, height: int, depth: i
     parameters = {"stencil": spec.name, "time_steps": time_steps,
                   "temporal_depth": temporal_depth, "architecture": arch.name,
                   "precision": prec.name, "analytic": True}
-    return _analytic_result("stencilgen", counters, config, arch, parameters)
+    return analytic_result("stencilgen", counters, config, arch, parameters)
 
 
 def max_register_temporal_depth(spec: StencilSpec, architecture: object,
@@ -195,4 +188,4 @@ def ssam_temporal_stencil(spec: StencilSpec, width: int, height: int, depth: int
     parameters = {"stencil": spec.name, "time_steps": time_steps,
                   "temporal_depth": temporal_depth, "architecture": arch.name,
                   "precision": prec.name, "analytic": True}
-    return _analytic_result("ssam", counters, config, arch, parameters)
+    return analytic_result("ssam", counters, config, arch, parameters)

@@ -16,7 +16,8 @@ import numpy as np
 from ..dtypes import Precision
 from ..errors import ConfigurationError, SpecificationError
 from ..gpu.batch import BatchedBlockContext
-from ..gpu.kernel import LaunchResult
+from ..gpu.counters import KernelCounters
+from ..gpu.kernel import LaunchConfig, LaunchResult
 from ..gpu.memory import DeviceBuffer, GlobalMemory
 
 
@@ -62,6 +63,20 @@ class KernelRunResult:
         if self.seconds <= 0:
             return float("inf")
         return flops_per_cell * cells * iterations / self.seconds / 1e9
+
+
+def analytic_result(name: str, counters: KernelCounters, config: LaunchConfig,
+                    architecture, parameters: Dict[str, object],
+                    kernel_name: Optional[str] = None) -> KernelRunResult:
+    """A closed-form cost estimate: modelled counters, no block executed.
+
+    ``kernel_name`` names the launch record and defaults to ``name``.
+    """
+    launch = LaunchResult(kernel_name=kernel_name or name, config=config,
+                          architecture=architecture, counters=counters,
+                          blocks_executed=0, sampled=True, sample_fraction=0.0)
+    return KernelRunResult(name=name, output=None, launch=launch,
+                           parameters=parameters)
 
 
 def check_image(image: np.ndarray) -> np.ndarray:

@@ -31,10 +31,11 @@ from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
-from ..gpu.kernel import Kernel, LaunchResult
+from ..gpu.kernel import Kernel
 from ..gpu.memory import DeviceBuffer, GlobalMemory
 from .common import (
     KernelRunResult,
+    analytic_result,
     broadcast_weight,
     check_image,
     clamp,
@@ -341,28 +342,16 @@ def analytic_launch(spec: ConvolutionSpec, width: int, height: int,
                             block_threads, block_rows)
     counters = analytic_counters(spec, width, height, plan)
     config = plan.launch_config(width, height)
-    launch = LaunchResult(
-        kernel_name="ssam_conv2d_analytic",
-        config=config,
-        architecture=arch,
-        counters=counters,
-        blocks_executed=0,
-        sampled=True,
-        sample_fraction=0.0,
-    )
-    return KernelRunResult(
-        name="ssam",
-        output=None,
-        launch=launch,
-        parameters={
-            "M": spec.filter_width,
-            "N": spec.filter_height,
-            "P": plan.outputs_per_thread,
-            "B": plan.block_threads,
-            "width": width,
-            "height": height,
-            "architecture": arch.name,
-            "precision": prec.name,
-            "analytic": True,
-        },
-    )
+    parameters = {
+        "M": spec.filter_width,
+        "N": spec.filter_height,
+        "P": plan.outputs_per_thread,
+        "B": plan.block_threads,
+        "width": width,
+        "height": height,
+        "architecture": arch.name,
+        "precision": prec.name,
+        "analytic": True,
+    }
+    return analytic_result("ssam", counters, config, arch, parameters,
+                           kernel_name="ssam_conv2d_analytic")

@@ -28,7 +28,7 @@ from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchResult
 from ..gpu.memory import DeviceBuffer, GlobalMemory
 from ..stencils.spec import StencilSpec
-from .common import KernelRunResult, check_image, clamp
+from .common import KernelRunResult, analytic_result, check_image, clamp
 
 #: a column group: (x offset, ((row index into the register cache, coefficient), ...))
 ColumnGroups = Tuple[Tuple[int, Tuple[Tuple[int, float], ...]], ...]
@@ -230,26 +230,15 @@ def analytic_launch(spec: StencilSpec, width: int, height: int, iterations: int 
     plan = plan_stencil(spec, arch, prec, outputs_per_thread,
                         block_threads, block_rows)
     counters = analytic_counters(spec, width, height, plan, iterations)
-    launch = LaunchResult(
-        kernel_name="ssam_stencil2d_analytic",
-        config=plan.launch_config(width, height),
-        architecture=arch,
-        counters=counters,
-        blocks_executed=0,
-        sampled=True,
-        sample_fraction=0.0,
-    )
-    return KernelRunResult(
-        name="ssam",
-        output=None,
-        launch=launch,
-        parameters={
-            "stencil": spec.name,
-            "width": width,
-            "height": height,
-            "iterations": iterations,
-            "architecture": arch.name,
-            "precision": prec.name,
-            "analytic": True,
-        },
-    )
+    parameters = {
+        "stencil": spec.name,
+        "width": width,
+        "height": height,
+        "iterations": iterations,
+        "architecture": arch.name,
+        "precision": prec.name,
+        "analytic": True,
+    }
+    return analytic_result("ssam", counters, plan.launch_config(width, height),
+                           arch, parameters,
+                           kernel_name="ssam_stencil2d_analytic")

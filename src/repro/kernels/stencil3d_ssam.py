@@ -31,7 +31,7 @@ from ..gpu.occupancy import validate_block_threads
 from ..gpu.memory import DeviceBuffer, GlobalMemory
 from ..gpu.register_file import registers_for_cache
 from ..stencils.spec import StencilSpec
-from .common import KernelRunResult, check_grid3d, clamp
+from .common import KernelRunResult, analytic_result, check_grid3d, clamp
 from .stencil2d_ssam import ColumnGroups
 
 #: default sliding-window depth for the 3-D kernel — the paper constant
@@ -310,20 +310,8 @@ def analytic_launch(spec: StencilSpec, width: int, height: int, depth: int,
         precision=prec,
         memory_parallelism=float(cache_rows),
     )
-    launch = LaunchResult(
-        kernel_name="ssam_stencil3d_analytic",
-        config=config,
-        architecture=arch,
-        counters=counters,
-        blocks_executed=0,
-        sampled=True,
-        sample_fraction=0.0,
-    )
-    return KernelRunResult(
-        name="ssam",
-        output=None,
-        launch=launch,
-        parameters={"stencil": spec.name, "width": width, "height": height,
-                    "depth": depth, "iterations": iterations,
-                    "architecture": arch.name, "precision": prec.name, "analytic": True},
-    )
+    parameters = {"stencil": spec.name, "width": width, "height": height,
+                  "depth": depth, "iterations": iterations,
+                  "architecture": arch.name, "precision": prec.name, "analytic": True}
+    return analytic_result("ssam", counters, config, arch, parameters,
+                           kernel_name="ssam_stencil3d_analytic")

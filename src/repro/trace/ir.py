@@ -20,22 +20,31 @@ Two classifications drive the compiled replay:
 * **tier** — when a node's value can be computed.  ``COMPILE`` values are
   fixed by the trace key and stored in the compiled program; ``LAUNCH``
   values are computed once per launch (e.g. loads from buffers the trace
-  never stores to); ``CHUNK`` values are recomputed for every chunk.  Tiers
-  are assigned by :func:`repro.trace.replay.compile_trace`.
+  never stores to); ``CHUNK`` values are recomputed for every chunk.  The
+  replay compiler derives tiers in a pass of its own
+  (:func:`repro.trace.replay._assign_tiers`); they are not stored on nodes.
 
 Concrete values are retained only for ``CONST``/``THREAD`` nodes (a scalar
 or one ``(T,)`` row); ``BLOCK`` intermediates are dropped as soon as the
 kernel body releases them, so recording costs no more memory than the eager
 engine does.
+
+The module also holds the facts about the op vocabulary that the replay
+compiler and the static verifier both rely on: which nodes are free of
+loaded data (:func:`compute_data_free`), where a memory op keeps its
+operands (:func:`memory_operands`), which counter an instruction op bumps
+(:func:`instruction_count`) and how a value op evaluates from its operand
+values (:func:`node_evaluator`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import SimulationError
+from ..gpu import warp as warp_ops
 from ..gpu.memory import DeviceBuffer
 
 
@@ -59,13 +68,15 @@ TIER_CHUNK = 2    # recomputed for every batch chunk
 
 #: symbolic leading axis used in ``Node.shape`` for BLOCK-kind values
 B_AXIS = "B"
+#: block-index input name -> column of the ``(B, 3)`` block-index matrix
+BLOCK_AXES = {"bx": 0, "by": 1, "bz": 2}
 
 
 class Node:
     """One recorded operation (or input / constant) in a trace."""
 
     __slots__ = ("id", "op", "fn", "inputs", "kwargs", "params",
-                 "kind", "tier", "shape", "dtype", "value")
+                 "kind", "shape", "dtype", "value")
 
     def __init__(self, node_id: int, op: str, *, fn=None,
                  inputs: Tuple[int, ...] = (), kwargs=None, params=None,
@@ -78,7 +89,6 @@ class Node:
         self.kwargs = kwargs or {}
         self.params = params or {}
         self.kind = kind
-        self.tier = TIER_CHUNK  # assigned properly by compile_trace
         self.shape = shape
         self.dtype = dtype
         self.value = value
@@ -86,6 +96,17 @@ class Node:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Node({self.id}, {self.op!r}, kind={self.kind}, "
                 f"shape={self.shape}, dtype={self.dtype})")
+
+
+#: ops whose value is a function of their operand values alone
+VALUE_OPS = ("pure", "arith", "shfl")
+#: global/shared loads and stores
+MEMORY_OPS = ("load_global", "store_global", "load_shared", "store_shared")
+
+#: counter field of each ``arith`` kind
+_ARITH_FIELDS = {"mad": "fma", "add": "add", "mul": "mul"}
+_SHUFFLES = {"up": warp_ops.shfl_up, "down": warp_ops.shfl_down,
+             "idx": warp_ops.shfl_idx}
 
 
 def _const_key(value) -> Optional[tuple]:
@@ -210,3 +231,75 @@ class Trace:
                     "value classified block-uniform varies across blocks")
             return np.ascontiguousarray(row)
         return concrete
+
+
+# ------------------------------------------------------------ op facts
+
+def compute_data_free(trace: Trace) -> List[bool]:
+    """``data_free[i]`` — node *i*'s value is independent of memory content."""
+    flags: List[bool] = []
+    for node in trace.nodes:
+        if node.op in ("const", "input"):
+            flags.append(True)
+        elif node.op in VALUE_OPS:
+            flags.append(all(flags[i] for i in node.inputs))
+        else:
+            flags.append(False)
+    return flags
+
+
+def memory_operands(node: Node) -> Tuple[int, Optional[int], Optional[int]]:
+    """``(index, value, mask)`` node ids of a memory op: the index first, a
+    store's value second, the guard mask (None when unmasked) last."""
+    value = node.inputs[1] if node.op.startswith("store") else None
+    mask = node.inputs[-1] if node.params["masked"] else None
+    return node.inputs[0], value, mask
+
+
+def instruction_count(node: Node) -> Optional[Tuple[str, float]]:
+    """``(counter field, instructions per warp)`` of an instruction op.
+
+    ``mad`` counts as ``fma``; ``misc`` (``ctx.overhead``) as its recorded
+    instruction count.  None for memory ops, counted by the per-access
+    rules in :mod:`repro.gpu.memory` and :mod:`repro.gpu.shared_memory`.
+    """
+    if node.op == "arith":
+        return _ARITH_FIELDS[node.params["kind"]], 1
+    if node.op in ("shfl", "sync"):
+        return node.op, 1
+    if node.op == "misc":
+        return "misc", node.params["instructions"]
+    return None
+
+
+def node_evaluator(node: Node, dtype, warp_size: int
+                   ) -> Callable[[List[object], Tuple[int, ...]], object]:
+    """``evaluate(operand_values, shape)`` of one ``pure``/``arith``/``shfl``
+    node with the eager context's semantics: ``arith`` operands are cast to
+    the working ``dtype``; a shuffle operand broadcasts to ``shape``."""
+    if node.op == "pure":
+        fn, kwargs = node.fn, node.kwargs
+
+        def evaluate(values, shape):
+            return fn(*values, **kwargs)
+    elif node.op == "arith":
+        kind = node.params["kind"]
+
+        def evaluate(values, shape):
+            a = np.asarray(values[0], dtype=dtype)
+            b = np.asarray(values[1], dtype=dtype)
+            if kind == "mad":
+                return a * b + values[2]
+            if kind == "add":
+                return a + b
+            return a * b
+    elif node.op == "shfl":
+        shuffle = _SHUFFLES[node.params["dir"]]
+        amount = node.params["amount"]
+
+        def evaluate(values, shape):
+            base = np.broadcast_to(np.asarray(values[0]), shape)
+            return shuffle(base, amount, warp_size)
+    else:
+        raise TraceUnsupported(f"op {node.op!r} has no value to evaluate")
+    return evaluate

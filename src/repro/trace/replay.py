@@ -1,15 +1,23 @@
 """Compile a recorded trace into a straight-line vectorized replay program.
 
-``compile_trace`` classifies every IR node into an evaluation **tier** and
-emits three artifacts:
+``compile_trace`` runs four passes — tiers (:func:`_assign_tiers`: when
+each value can be computed), memoizability (:func:`_memoizable`: may a
+repeat launch reuse its counters), the shuffle-into-mad peephole
+(:func:`_fuse_shuffles`) and liveness (:func:`_release_points`: when each
+scratch slot is released) — then lowers each node through
+:data:`LOWERINGS`, one function per op family taking the shared
+:class:`_CompileState`.
+
+The lowerings emit three artifacts:
 
 * a *launch prologue* — closures run once per :class:`ReplaySession` that
   materialise LAUNCH-tier values (e.g. loads from buffers the trace never
   stores to, shared-memory staging of broadcast weights) and precompute the
   per-block **linear counter delta**: the sum of every accounting
-  contribution that is identical for all blocks (instruction counts, and
-  every thread-uniform memory access counted on one block's row by the
-  per-access rule the batched engine and the verifier share,
+  contribution that is identical for all blocks (instruction counts by
+  :func:`~repro.trace.ir.instruction_count`, and every thread-uniform
+  memory access counted on one block's row by the per-access rule the
+  batched engine and the verifier share,
   :func:`~repro.gpu.memory.global_access_counts` and
   :func:`~repro.gpu.shared_memory.shared_access_counts`).  Applying that
   delta once per chunk — scaled by the chunk's block count — replaces
@@ -53,15 +61,20 @@ from ..gpu.memory import (
 )
 from ..gpu.shared_memory import shared_access_counts
 from ..gpu.simt import grouped_warp_counts
-from ..gpu import warp as warp_ops
 from .ir import (
     B_AXIS,
+    BLOCK_AXES,
     KIND_THREAD,
+    MEMORY_OPS,
     TIER_CHUNK,
     TIER_COMPILE,
     TIER_LAUNCH,
     Trace,
     TraceUnsupported,
+    compute_data_free,
+    instruction_count,
+    memory_operands,
+    node_evaluator,
 )
 from .tracer import TracingContext, _astype_fn
 
@@ -204,7 +217,7 @@ def _assign_tiers(trace: Trace, volatile_slots: frozenset
             if op == "const":
                 t = TIER_COMPILE
             elif op == "input":
-                t = (TIER_CHUNK if node.params["name"] in ("bx", "by", "bz")
+                t = (TIER_CHUNK if node.params["name"] in BLOCK_AXES
                      else TIER_COMPILE)
             elif op in ("sync", "misc"):
                 t = TIER_COMPILE
@@ -264,9 +277,7 @@ class ReplayProgram:
 
     __slots__ = ("env_template", "launch_steps", "delta_thunks", "chunk_steps",
                  "pool_slots", "block_inputs", "slot_info", "num_cells",
-                 "line_bytes", "block_threads", "num_warps", "warp_size",
-                 "numpy_dtype", "count_traffic", "node_count", "memoizable",
-                 "counter_cache", "written_slots", "trace")
+                 "memoizable", "counter_cache", "written_slots")
 
     def __init__(self) -> None:
         self.env_template: List[object] = []
@@ -277,13 +288,6 @@ class ReplayProgram:
         self.block_inputs: List[Tuple[int, int]] = []
         self.slot_info: Dict[int, Dict[str, object]] = {}
         self.num_cells = 0
-        self.line_bytes = 128
-        self.block_threads = 0
-        self.num_warps = 0
-        self.warp_size = 32
-        self.numpy_dtype = np.dtype(np.float32)
-        self.count_traffic = True
-        self.node_count = 0
         #: True when every memory index/mask is a pure function of consts,
         #: thread ids and block ids — the counters of a launch are then a
         #: pure function of the block schedule and can be reused verbatim
@@ -294,8 +298,6 @@ class ReplayProgram:
         #: argument positions of global buffers this program writes
         #: (used by stage fusion to mark downstream reads volatile)
         self.written_slots: frozenset = frozenset()
-        #: the source trace (kept for static count derivation / inspection)
-        self.trace = None
 
 
 class ReplaySession:
@@ -353,79 +355,39 @@ class ReplaySession:
             setattr(counters, field, getattr(counters, field) + amount * B)
 
 
-# ------------------------------------------------------------ the compiler
+# ------------------------------------------------------------ compile passes
 
-def compile_trace(trace: Trace, architecture: GPUArchitecture,
-                  count_traffic: bool,
-                  volatile_slots: frozenset = frozenset()) -> ReplayProgram:
-    """Lower a recorded trace to a :class:`ReplayProgram`."""
-    nodes = trace.nodes
-    tiers, content_tiers = _assign_tiers(trace, volatile_slots)
+def _memoizable(trace: Trace) -> bool:
+    """True when every memory index and mask is free of loaded data.
 
-    program = ReplayProgram()
-    program.slot_info = dict(trace.slot_info)
-    program.line_bytes = architecture.cache_line_bytes
-    program.block_threads = trace.block_threads
-    program.num_warps = trace.num_warps
-    program.warp_size = architecture.warp_size
-    program.numpy_dtype = np.dtype(trace.numpy_dtype)
-    program.count_traffic = count_traffic
-    program.written_slots = frozenset(trace.written_slots)
-    program.trace = trace
+    Warp counts, transactions, divergence and traffic are then a pure
+    function of the block schedule, so a repeat launch with the same grid
+    and sampling can reuse the first launch's counters verbatim.
+    """
+    data_free = compute_data_free(trace)
+    for node in trace.nodes:
+        if node.op in MEMORY_OPS:
+            index, _, mask = memory_operands(node)
+            if not data_free[index] or (mask is not None
+                                        and not data_free[mask]):
+                return False
+    return True
 
-    # launch-invariant accounting: when every memory index and mask derives
-    # only from constants, thread ids and block ids — never from loaded
-    # data — warp counts, transactions, divergence and traffic are a pure
-    # function of the block schedule, so a repeat launch with the same grid
-    # and sampling can reuse the first launch's counters verbatim
-    data_free = [False] * len(nodes)
-    for node in nodes:
-        if node.op in ("const", "input"):
-            data_free[node.id] = True
-        elif node.op in ("pure", "arith", "shfl"):
-            data_free[node.id] = all(data_free[i] for i in node.inputs)
-    program.memoizable = True
-    for node in nodes:
-        if node.op in ("load_global", "load_shared"):
-            ok = data_free[node.inputs[0]] and (
-                not node.params["masked"] or data_free[node.inputs[1]])
-        elif node.op == "store_global":
-            ok = data_free[node.inputs[0]] and (
-                not node.params["masked"] or data_free[node.inputs[2]])
-        elif node.op == "store_shared":
-            ok = data_free[node.inputs[0]] and (
-                not node.params["masked"] or data_free[node.inputs[-1]])
-        else:
-            continue
-        if not ok:
-            program.memoizable = False
-            break
-    program.node_count = len(nodes)
-    program.env_template = [None] * len(nodes)
 
-    T = trace.block_threads
-    W = trace.num_warps
-    ws = architecture.warp_size
-    working = program.numpy_dtype
-    line_bytes = architecture.cache_line_bytes
-    banks = architecture.shared_memory_banks
-    bank_bytes = architecture.shared_memory_bank_bytes
+def _fuse_shuffles(nodes, tiers: List[int], working: np.dtype,
+                   warp_size: int) -> Dict[int, int]:
+    """Peephole: ``{mad id: shfl id}`` for every chunk-tier shuffle consumed
+    only by the accumulator operand of one fused multiply-add.
 
-    pool = _Pool()
-    storage: Dict[int, int] = {}
-    delta_static: Dict[str, object] = {
-        "blocks_executed": 1, "warps_executed": W}
-
-    # peephole: a shuffle consumed only by the accumulator operand of one
-    # fused multiply-add collapses into that mad's emission — the shifted
-    # addend is added slice-wise straight out of the previous partial sum,
-    # removing one full register-wide copy per filter tap
+    The shuffle then collapses into that mad's emission: the shifted addend
+    is added slice-wise straight out of the previous partial sum, removing
+    one full register-wide copy per filter tap.
+    """
     uses = [0] * len(nodes)
     for node in nodes:
         for i in node.inputs:
             uses[i] += 1
-    fused_shfl: Dict[int, int] = {}  # mad node id -> its fused shfl node id
-    fused_ids: set = set()
+    fused: Dict[int, int] = {}
     for node in nodes:
         if (node.op != "arith" or node.params["kind"] != "mad"
                 or tiers[node.id] != TIER_CHUNK):
@@ -434,7 +396,7 @@ def compile_trace(trace: Trace, architecture: GPUArchitecture,
         if (acc.op != "shfl" or uses[acc.id] != 1
                 or tiers[acc.id] != TIER_CHUNK
                 or acc.params["dir"] not in ("up", "down")
-                or not 0 < acc.params["amount"] < ws):
+                or not 0 < acc.params["amount"] < warp_size):
             continue
         prev = nodes[acc.inputs[0]]
         shapes_ok = (node.shape == acc.shape == prev.shape
@@ -442,714 +404,780 @@ def compile_trace(trace: Trace, architecture: GPUArchitecture,
         dtypes = [node.dtype, acc.dtype, prev.dtype,
                   nodes[node.inputs[0]].dtype, nodes[node.inputs[1]].dtype]
         if shapes_ok and all(np.dtype(d) == working for d in dtypes):
-            fused_shfl[node.id] = acc.id
-            fused_ids.add(acc.id)
+            fused[node.id] = acc.id
+    return fused
 
-    # liveness: a node's value slot is reclaimed after its last consumer
+
+def _release_points(nodes, fused: Dict[int, int]) -> Dict[int, List[int]]:
+    """Liveness: node id -> the values whose last consumer it is.
+
+    A value's scratch slot is reclaimed once its last consumer is lowered;
+    a fused shuffle's source lives until the mad that absorbed it.
+    """
     last_use = list(range(len(nodes)))
     for node in nodes:
         for i in node.inputs:
             last_use[i] = node.id
         if node.op in ("load_shared", "store_shared"):
             last_use[node.params["shared"]] = node.id
-    for mad_id, shfl_id in fused_shfl.items():
+    for mad_id, shfl_id in fused.items():
         src = nodes[shfl_id].inputs[0]
         last_use[src] = max(last_use[src], mad_id)
     release_at: Dict[int, List[int]] = {}
     for i, at in enumerate(last_use):
         release_at.setdefault(at, []).append(i)
+    return release_at
 
-    def add_delta(field: str, amount) -> None:
-        delta_static[field] = delta_static.get(field, 0) + amount
 
-    def new_cell() -> int:
-        program.num_cells += 1
-        return program.num_cells - 1
+class _CompileState:
+    """What the lowerings of one trace share while it compiles."""
 
-    def pooled(node) -> Optional[int]:
+    def __init__(self, trace: Trace, architecture: GPUArchitecture,
+                 count_traffic: bool, tiers: List[int],
+                 content_tiers: Dict[int, int],
+                 fused: Dict[int, int]) -> None:
+        self.nodes = trace.nodes
+        self.slot_info = trace.slot_info
+        self.tiers = tiers
+        #: alloc_shared node id -> tier of the allocation's content
+        self.content_tiers = content_tiers
+        #: mad node id -> the shuffle node fused into it
+        self.fused = fused
+        self.fused_shuffles = frozenset(fused.values())
+        self.count_traffic = count_traffic
+        self.T = trace.block_threads
+        self.W = trace.num_warps
+        self.ws = architecture.warp_size
+        self.working = np.dtype(trace.numpy_dtype)
+        self.line_bytes = architecture.cache_line_bytes
+        self.banks = architecture.shared_memory_banks
+        self.bank_bytes = architecture.shared_memory_bank_bytes
+        self.program = ReplayProgram()
+        self.program.slot_info = dict(trace.slot_info)
+        self.program.written_slots = frozenset(trace.written_slots)
+        self.program.env_template = [None] * len(trace.nodes)
+        self.pool = _Pool()
+        #: node id -> pooled scratch slot holding its chunk value
+        self.storage: Dict[int, int] = {}
+        #: per-block counter contributions identical for every block
+        self.delta: Dict[str, object] = {
+            "blocks_executed": 1, "warps_executed": self.W}
+
+    def pooled(self, node) -> Optional[int]:
+        """Scratch slot for a block-varying value (None for other kinds)."""
         if node.shape and node.shape[0] == B_AXIS:
-            slot = pool.alloc(tuple(node.shape[1:]), node.dtype)
-            storage[node.id] = slot
+            slot = self.pool.alloc(tuple(node.shape[1:]), node.dtype)
+            self.storage[node.id] = slot
             return slot
         return None
 
-    def static_tier(i: Optional[int]) -> bool:
-        return i is None or tiers[i] <= TIER_LAUNCH
+    def static_tier(self, i: Optional[int]) -> bool:
+        return i is None or self.tiers[i] <= TIER_LAUNCH
 
-    def row_of(env_value, dtype=None) -> np.ndarray:
-        """One block's (T,)-row of a thread-uniform operand."""
-        arr = np.asarray(env_value)
-        if dtype is not None and arr.dtype != dtype:
-            arr = arr.astype(dtype)
-        return np.ascontiguousarray(np.broadcast_to(arr, (T,)))
 
-    # ----------------------------------------------------- generic values
+def _row_of(env_value, threads: int, dtype=None) -> np.ndarray:
+    """One block's (T,)-row of a thread-uniform operand."""
+    arr = np.asarray(env_value)
+    if dtype is not None and arr.dtype != dtype:
+        arr = arr.astype(dtype)
+    return np.ascontiguousarray(np.broadcast_to(arr, (threads,)))
 
-    def emit_value(node, tier):
-        """Emit the value computation for pure/arith/shfl nodes."""
-        nid = node.id
-        if tier == TIER_COMPILE:
-            program.env_template[nid] = node.value
-            return
-        op = node.op
-        ids = node.inputs
-        if op == "pure":
-            fn, kwargs = node.fn, node.kwargs
-            if tier == TIER_LAUNCH:
-                def step(session, fn=fn, ids=ids, kwargs=kwargs, nid=nid):
-                    env = session.env
-                    session.env[nid] = fn(*[env[i] for i in ids], **kwargs)
-                program.launch_steps.append(step)
-                return
-            slot = pooled(node)
-            if slot is None:
-                def step(session, fn=fn, ids=ids, kwargs=kwargs, nid=nid):
-                    env = session.env
-                    env[nid] = fn(*[env[i] for i in ids], **kwargs)
-                program.chunk_steps.append(step)
-                return
-            if fn is _astype_fn:
-                i0 = ids[0]
 
-                def step(session, i0=i0, slot=slot, nid=nid):
-                    buf = session.s(slot)
-                    np.copyto(buf, session.env[i0], casting="unsafe")
-                    session.env[nid] = buf
-            elif fn is np.where:
-                ic, ia, ib = ids
+# ------------------------------------------------------------- lowerings
 
-                def step(session, ic=ic, ia=ia, ib=ib, slot=slot, nid=nid):
-                    env = session.env
-                    buf = session.s(slot)
-                    np.copyto(buf, env[ib], casting="unsafe")
-                    np.copyto(buf, env[ia], where=env[ic], casting="unsafe")
-                    env[nid] = buf
-            elif fn is np.clip:
-                ia, ilo, ihi = ids
+def _lower_leaf(state: _CompileState, node) -> None:
+    """const / input: baked into the program, or the chunk's block ids."""
+    axis = BLOCK_AXES.get(node.params.get("name"))
+    if axis is None:
+        state.program.env_template[node.id] = node.value
+    else:
+        state.program.block_inputs.append((node.id, axis))
 
-                def step(session, ia=ia, ilo=ilo, ihi=ihi, slot=slot, nid=nid):
-                    env = session.env
-                    buf = session.s(slot)
-                    np.clip(env[ia], env[ilo], env[ihi], out=buf)
-                    env[nid] = buf
-            elif isinstance(fn, np.ufunc) and fn.nout == 1 and not kwargs:
-                def step(session, fn=fn, ids=ids, slot=slot, nid=nid):
-                    env = session.env
-                    buf = session.s(slot)
-                    fn(*[env[i] for i in ids], out=buf)
-                    env[nid] = buf
-            else:
-                def step(session, fn=fn, ids=ids, kwargs=kwargs, slot=slot,
-                         nid=nid):
-                    env = session.env
-                    buf = session.s(slot)
-                    buf[...] = fn(*[env[i] for i in ids], **kwargs)
-                    env[nid] = buf
-            program.chunk_steps.append(step)
-            return
-        if op == "arith":
-            kind = node.params["kind"]
 
-            def eager_formula(vals, kind=kind, dt=working):
-                if kind == "mad":
-                    return (np.asarray(vals[0], dtype=dt)
-                            * np.asarray(vals[1], dtype=dt) + vals[2])
-                if kind == "add":
-                    return (np.asarray(vals[0], dtype=dt)
-                            + np.asarray(vals[1], dtype=dt))
-                return (np.asarray(vals[0], dtype=dt)
-                        * np.asarray(vals[1], dtype=dt))
+def _lower_counted(state: _CompileState, node) -> None:
+    """Instruction accounting (sync / misc, and every arith and shfl)."""
+    field, per_warp = instruction_count(node)
+    state.delta[field] = state.delta.get(field, 0) + per_warp * state.W
 
-            if tier == TIER_LAUNCH:
-                def step(session, ids=ids, nid=nid):
-                    env = session.env
-                    env[nid] = eager_formula([env[i] for i in ids])
-                program.launch_steps.append(step)
-                return
-            slot = pooled(node)
-            operand_dtypes = [nodes[i].dtype for i in ids]
-            fast = (slot is not None and node.dtype == working
-                    and all(np.dtype(d) == working for d in operand_dtypes))
-            if fast and kind == "mad":
-                ia, ib_, iacc = ids
 
-                def step(session, ia=ia, ib_=ib_, iacc=iacc, slot=slot,
-                         nid=nid):
-                    env = session.env
-                    buf = session.s(slot)
-                    np.multiply(env[ia], env[ib_], out=buf)
-                    np.add(buf, env[iacc], out=buf)
-                    env[nid] = buf
-            elif fast:
-                ufunc = np.add if kind == "add" else np.multiply
-                ia, ib_ = ids
+def _lower_static_value(state: _CompileState, node) -> bool:
+    """Emit a COMPILE- or LAUNCH-tier value op; False for a chunk-tier one.
 
-                def step(session, ia=ia, ib_=ib_, ufunc=ufunc, slot=slot,
-                         nid=nid):
-                    env = session.env
-                    buf = session.s(slot)
-                    ufunc(env[ia], env[ib_], out=buf)
-                    env[nid] = buf
-            else:
-                def step(session, ids=ids, slot=slot, nid=nid):
-                    env = session.env
-                    value = eager_formula([env[i] for i in ids])
-                    if slot is not None:
-                        buf = session.s(slot)
-                        buf[...] = value
-                        value = buf
-                    env[nid] = value
-            program.chunk_steps.append(step)
-            return
-        if op == "shfl":
-            direction = node.params["dir"]
-            amount = node.params["amount"]
-            i0 = ids[0]
-            if tier == TIER_LAUNCH:
-                shfl_fn = {"up": warp_ops.shfl_up, "down": warp_ops.shfl_down,
-                           "idx": warp_ops.shfl_idx}[direction]
-                expected = tuple(node.shape)
+    LAUNCH-tier values evaluate once per session by the IR's evaluation
+    rule, the one the verifier's concrete evaluator runs.
+    """
+    tier = state.tiers[node.id]
+    if tier == TIER_COMPILE:
+        state.program.env_template[node.id] = node.value
+        return True
+    if tier != TIER_LAUNCH:
+        return False
 
-                def step(session, i0=i0, shfl_fn=shfl_fn, amount=amount,
-                         expected=expected, nid=nid):
-                    base = np.broadcast_to(np.asarray(session.env[i0]),
-                                           expected)
-                    session.env[nid] = shfl_fn(base, amount, ws)
-                program.launch_steps.append(step)
-                return
-            slot = pooled(node)
-            if slot is None:  # pragma: no cover - shfl results are (B, T)
-                raise TraceUnsupported("chunk-tier shuffle of a non-register "
-                                       "value")
+    def step(session, evaluate=node_evaluator(node, state.working, state.ws),
+             ids=node.inputs, shape=tuple(node.shape), nid=node.id):
+        env = session.env
+        env[nid] = evaluate([env[i] for i in ids], shape)
+    state.program.launch_steps.append(step)
+    return True
 
-            def step(session, i0=i0, slot=slot, nid=nid, direction=direction,
-                     amount=amount):
-                env = session.env
-                buf = session.s(slot)
-                src = np.asarray(env[i0])
-                if src.shape != buf.shape:
-                    src = np.broadcast_to(src, buf.shape)
-                g_in = src.reshape(-1, ws)
-                g_out = buf.reshape(-1, ws)
-                if direction == "idx":
-                    g_out[:] = g_in[:, amount:amount + 1]
-                elif amount == 0 or amount >= ws:
-                    g_out[:] = g_in
-                elif direction == "up":
-                    g_out[:, :amount] = g_in[:, :amount]
-                    g_out[:, amount:] = g_in[:, :ws - amount]
-                else:  # down
-                    g_out[:, ws - amount:] = g_in[:, ws - amount:]
-                    g_out[:, :ws - amount] = g_in[:, amount:]
-                env[nid] = buf
-            program.chunk_steps.append(step)
-            return
-        raise TraceUnsupported(f"cannot emit value for op {op!r}")
 
-    def emit_fused_mad(node, shfl_id):
-        """mul into the out slot, then add the lane-shifted previous partial
-        slice-wise — bit-identical to shfl followed by mad (same elementwise
-        additions on the same operands), one register-wide pass cheaper."""
-        acc = nodes[shfl_id]
-        ia, ib_ = node.inputs[0], node.inputs[1]
-        iprev = acc.inputs[0]
-        direction = acc.params["dir"]
-        amount = acc.params["amount"]
-        slot = pooled(node)
+def _lower_pure(state: _CompileState, node) -> None:
+    """Intercepted NumPy calls; common ones write into pooled scratch."""
+    if _lower_static_value(state, node):
+        return
+    nid = node.id
+    ids = node.inputs
+    fn, kwargs = node.fn, node.kwargs
+    slot = state.pooled(node)
+    if slot is None:
+        def step(session, fn=fn, ids=ids, kwargs=kwargs, nid=nid):
+            env = session.env
+            env[nid] = fn(*[env[i] for i in ids], **kwargs)
+    elif fn is _astype_fn:
+        i0 = ids[0]
 
-        def step(session, ia=ia, ib_=ib_, iprev=iprev, slot=slot,
-                 nid=node.id, direction=direction, amount=amount):
+        def step(session, i0=i0, slot=slot, nid=nid):
+            buf = session.s(slot)
+            np.copyto(buf, session.env[i0], casting="unsafe")
+            session.env[nid] = buf
+    elif fn is np.where:
+        ic, ia, ib = ids
+
+        def step(session, ic=ic, ia=ia, ib=ib, slot=slot, nid=nid):
+            env = session.env
+            buf = session.s(slot)
+            np.copyto(buf, env[ib], casting="unsafe")
+            np.copyto(buf, env[ia], where=env[ic], casting="unsafe")
+            env[nid] = buf
+    elif fn is np.clip:
+        ia, ilo, ihi = ids
+
+        def step(session, ia=ia, ilo=ilo, ihi=ihi, slot=slot, nid=nid):
+            env = session.env
+            buf = session.s(slot)
+            np.clip(env[ia], env[ilo], env[ihi], out=buf)
+            env[nid] = buf
+    elif isinstance(fn, np.ufunc) and fn.nout == 1 and not kwargs:
+        def step(session, fn=fn, ids=ids, slot=slot, nid=nid):
+            env = session.env
+            buf = session.s(slot)
+            fn(*[env[i] for i in ids], out=buf)
+            env[nid] = buf
+    else:
+        def step(session, fn=fn, ids=ids, kwargs=kwargs, slot=slot,
+                 nid=nid):
+            env = session.env
+            buf = session.s(slot)
+            buf[...] = fn(*[env[i] for i in ids], **kwargs)
+            env[nid] = buf
+    state.program.chunk_steps.append(step)
+
+
+def _lower_arith(state: _CompileState, node) -> None:
+    """mad / add / mul, in place on pooled registers when dtypes agree."""
+    _lower_counted(state, node)
+    if node.id in state.fused:
+        _lower_fused_mad(state, node)
+        return
+    if _lower_static_value(state, node):
+        return
+    nid = node.id
+    ids = node.inputs
+    kind = node.params["kind"]
+    working = state.working
+    slot = state.pooled(node)
+    fast = (slot is not None and node.dtype == working
+            and all(np.dtype(state.nodes[i].dtype) == working for i in ids))
+    if fast and kind == "mad":
+        ia, ib_, iacc = ids
+
+        def step(session, ia=ia, ib_=ib_, iacc=iacc, slot=slot, nid=nid):
             env = session.env
             buf = session.s(slot)
             np.multiply(env[ia], env[ib_], out=buf)
-            prev = np.asarray(env[iprev])
-            if prev.shape != buf.shape:
-                prev = np.broadcast_to(prev, buf.shape)
-            g_out = buf.reshape(-1, ws)
-            g_prev = prev.reshape(-1, ws)
-            if direction == "up":
-                g_out[:, :amount] += g_prev[:, :amount]
-                g_out[:, amount:] += g_prev[:, :ws - amount]
-            else:
-                g_out[:, :ws - amount] += g_prev[:, amount:]
-                g_out[:, ws - amount:] += g_prev[:, ws - amount:]
+            np.add(buf, env[iacc], out=buf)
             env[nid] = buf
-        program.chunk_steps.append(step)
+    elif fast:
+        ufunc = np.add if kind == "add" else np.multiply
+        ia, ib_ = ids
 
-    # ------------------------------------------------------ global memory
-
-    def emit_global(node, tier, is_store: bool):
-        nid = node.id
-        params = node.params
-        slot = params["slot"]
-        masked = params["masked"]
-        i_idx = node.inputs[0]
-        i_val = node.inputs[1] if is_store else None
-        i_mask = node.inputs[-1] if masked else None
-        info = trace.slot_info[slot]
-        itemsize = int(info["itemsize"])
-        buf_dtype = np.dtype(info["dtype"])
-        cached = bool(info["cached"])
-        static = static_tier(i_idx) and static_tier(i_mask)
-        track = count_traffic and not cached and not is_store
-        idx_cast = np.dtype(nodes[i_idx].dtype) != np.dtype(np.int64)
-        op_word = "store" if is_store else "load"
-
-        if static:
-            # the whole access pattern is thread-uniform: one block's
-            # counter deltas fold into the per-block delta, and a load
-            # records one broadcast traffic row per chunk
-            cell = new_cell() if track else None
-
-            def thunk(session, i_idx=i_idx, i_mask=i_mask, slot=slot,
-                      cell=cell):
-                env = session.env
-                buffer = session.buffers[slot]
-                idx = row_of(env[i_idx], np.int64)
-                if int(idx.min()) < 0 or int(idx.max()) >= buffer.size:
-                    raise SimulationError(
-                        f"out-of-bounds global {op_word} on {buffer.name!r}")
-                mask = None if i_mask is None else row_of(env[i_mask], bool)
-                counts = global_access_counts(idx, mask, itemsize, line_bytes,
-                                              ws, store=is_store,
-                                              cached=cached)
-                if cell is not None and counts.active:
-                    session.cells[cell] = (
-                        np.where(mask, counts.lines, _SENTINEL)
-                        if mask is not None else counts.lines)
-                return counts.counters
-            program.delta_thunks.append(thunk)
-            if cell is not None:
-                def record(session, cell=cell, slot=slot):
-                    row = session.cells[cell]
-                    if row is not None:
-                        session.traffic.setdefault(slot, []).append(
-                            ("mat", np.broadcast_to(row, (session.B, T))))
-                program.chunk_steps.append(record)
-
-        if tier == TIER_LAUNCH:
-            def launch_step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask,
-                            slot=slot, nid=nid):
-                env = session.env
-                buffer = session.buffers[slot]
-                idx = row_of(env[i_idx], np.int64)
-                mask = None if i_mask is None else row_of(env[i_mask], bool)
-                if is_store:
-                    values = np.broadcast_to(np.asarray(env[i_val]), (T,))
-                    if mask is None:
-                        buffer.flat[idx] = values.astype(buffer.dtype,
-                                                         copy=False)
-                    else:
-                        buffer.flat[idx[mask]] = values[mask].astype(
-                            buffer.dtype, copy=False)
-                    return
-                values = np.zeros((T,), dtype=buffer.dtype)
-                if mask is None:
-                    values[:] = buffer.flat[idx]
-                else:
-                    values[mask] = buffer.flat[idx[mask]]
-                env[nid] = values.astype(working, copy=False)
-            program.launch_steps.append(launch_step)
-            return
-
-        # CHUNK-tier value or store (and possibly CHUNK-tier accounting)
-        out_slot = None if is_store else pooled(node)
-        lines_slot = diff_slot = None
-        if not static:
-            lines_slot = pool.alloc((T,), np.int64)
-            if ws > 1:
-                diff_slot = pool.alloc((T - W,), np.int64)
-        shift = _line_shift(itemsize, line_bytes)
-
-        def step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask, slot=slot,
-                 nid=nid, out_slot=out_slot, lines_slot=lines_slot,
-                 diff_slot=diff_slot, dyn_acct=not static, idx_cast=idx_cast,
-                 masked=masked, track=track, buf_dtype=buf_dtype,
-                 itemsize=itemsize, shift=shift):
+        def step(session, ia=ia, ib_=ib_, ufunc=ufunc, slot=slot, nid=nid):
             env = session.env
-            B = session.B
+            buf = session.s(slot)
+            ufunc(env[ia], env[ib_], out=buf)
+            env[nid] = buf
+    else:
+        def step(session, ids=ids, slot=slot, nid=nid,
+                 evaluate=node_evaluator(node, working, state.ws)):
+            env = session.env
+            value = evaluate([env[i] for i in ids], None)
+            if slot is not None:
+                buf = session.s(slot)
+                buf[...] = value
+                value = buf
+            env[nid] = value
+    state.program.chunk_steps.append(step)
+
+
+def _lower_fused_mad(state: _CompileState, node) -> None:
+    """mul into the out slot, then add the lane-shifted previous partial
+    slice-wise — bit-identical to shfl followed by mad (same elementwise
+    additions on the same operands), one register-wide pass cheaper."""
+    acc = state.nodes[state.fused[node.id]]
+    ws = state.ws
+
+    def step(session, ia=node.inputs[0], ib_=node.inputs[1],
+             iprev=acc.inputs[0], slot=state.pooled(node), nid=node.id,
+             direction=acc.params["dir"], amount=acc.params["amount"]):
+        env = session.env
+        buf = session.s(slot)
+        np.multiply(env[ia], env[ib_], out=buf)
+        prev = np.asarray(env[iprev])
+        if prev.shape != buf.shape:
+            prev = np.broadcast_to(prev, buf.shape)
+        g_out = buf.reshape(-1, ws)
+        g_prev = prev.reshape(-1, ws)
+        if direction == "up":
+            g_out[:, :amount] += g_prev[:, :amount]
+            g_out[:, amount:] += g_prev[:, :ws - amount]
+        else:
+            g_out[:, :ws - amount] += g_prev[:, amount:]
+            g_out[:, ws - amount:] += g_prev[:, ws - amount:]
+        env[nid] = buf
+    state.program.chunk_steps.append(step)
+
+
+def _lower_shfl(state: _CompileState, node) -> None:
+    """Warp shuffles as grouped slice copies (fused ones only count)."""
+    _lower_counted(state, node)
+    if node.id in state.fused_shuffles or _lower_static_value(state, node):
+        return
+    ws = state.ws
+    slot = state.pooled(node)
+    if slot is None:
+        # a thread-uniform shuffle recomputed per chunk (its operand was
+        # loaded from a buffer the kernel writes) has no (B, T) register
+        raise TraceUnsupported("chunk-tier shuffle of a non-register value")
+
+    def step(session, i0=node.inputs[0], slot=slot, nid=node.id,
+             direction=node.params["dir"], amount=node.params["amount"]):
+        env = session.env
+        buf = session.s(slot)
+        src = np.asarray(env[i0])
+        if src.shape != buf.shape:
+            src = np.broadcast_to(src, buf.shape)
+        g_in = src.reshape(-1, ws)
+        g_out = buf.reshape(-1, ws)
+        if direction == "idx":
+            g_out[:] = g_in[:, amount:amount + 1]
+        elif amount == 0 or amount >= ws:
+            g_out[:] = g_in
+        elif direction == "up":
+            g_out[:, :amount] = g_in[:, :amount]
+            g_out[:, amount:] = g_in[:, :ws - amount]
+        else:  # down
+            g_out[:, ws - amount:] = g_in[:, ws - amount:]
+            g_out[:, :ws - amount] = g_in[:, amount:]
+        env[nid] = buf
+    state.program.chunk_steps.append(step)
+
+
+# -------------------------------------------------------- global memory
+
+def _lower_global(state: _CompileState, node) -> None:
+    """load_global / store_global: a thread-uniform access pattern folds
+    one block's counters into the per-block delta (a load also records one
+    broadcast traffic row per chunk); a launch-static access runs once per
+    session; anything else runs per chunk."""
+    T, working = state.T, state.working
+    is_store = node.op == "store_global"
+    op_word = "store" if is_store else "load"
+    slot = node.params["slot"]
+    info = state.slot_info[slot]
+    itemsize = int(info["itemsize"])
+    cached = bool(info["cached"])
+    i_idx, i_val, i_mask = memory_operands(node)
+    static = state.static_tier(i_idx) and state.static_tier(i_mask)
+    track = state.count_traffic and not cached and not is_store
+    if static:
+        cell = None
+        if track:
+            cell = state.program.num_cells
+            state.program.num_cells += 1
+
+        ws, line_bytes = state.ws, state.line_bytes
+
+        def thunk(session, i_idx=i_idx, i_mask=i_mask, slot=slot, cell=cell):
+            env = session.env
             buffer = session.buffers[slot]
-            account = session.account
-            idx = np.asarray(env[i_idx])
-            if idx_cast:
-                idx = idx.astype(np.int64)
-            if account and (int(idx.min()) < 0
-                            or int(idx.max()) >= buffer.size):
+            idx = _row_of(env[i_idx], T, np.int64)
+            if int(idx.min()) < 0 or int(idx.max()) >= buffer.size:
                 raise SimulationError(
                     f"out-of-bounds global {op_word} on {buffer.name!r}")
-            shape = (B, T)
-            idxb = idx if idx.shape == shape else np.broadcast_to(idx, shape)
-            mask = None
-            if masked:
-                mask = np.asarray(env[i_mask])
-                if mask.shape != shape:
-                    mask = np.broadcast_to(mask, shape)
-            if dyn_acct and account:
-                # the rule of global_access_counts, on pooled buffers and
-                # with the sorted-row transaction fast path
-                counters = session.counters
-                if mask is None:
-                    warps, active = B * W, B * T
-                else:
-                    warps, div = grouped_warp_counts(mask, ws)
-                    counters.divergent_branches += div
-                    active = int(mask.sum())
-                lines = session.s(lines_slot).reshape(shape)
-                if shift is not None:
-                    np.right_shift(idxb, shift, out=lines)
-                else:
-                    np.multiply(idxb, itemsize, out=lines)
-                    np.floor_divide(lines, line_bytes, out=lines)
-                wm = lines.reshape(-1, ws)
-                mm = (None if mask is None
-                      else np.ascontiguousarray(mask).reshape(-1, ws))
-                dbuf = (session.s(diff_slot).reshape(-1, ws - 1)
-                        if diff_slot is not None else None)
-                trans, d, rows_sorted = _transactions(wm, mm, dbuf)
-                if is_store:
-                    counters.gmem_store += warps
-                    counters.gmem_store_transactions += trans
-                    if not cached:
-                        counters.dram_write_bytes += float(active * itemsize)
-                else:
-                    counters.gmem_load += warps
-                    counters.cache_read_bytes += float(active * itemsize)
-                    counters.gmem_load_transactions += trans
-                if track and active:
-                    if (mask is None and rows_sorted and d is not None
-                            and int(d.max()) <= 1):
-                        # each warp row covers one contiguous line range:
-                        # record just the bounds, unioned at chunk end
-                        session.traffic.setdefault(slot, []).append(
-                            ("iv", wm[:, 0].copy(), wm[:, -1].copy()))
-                    else:
-                        record = (lines.copy() if mask is None
-                                  else np.where(mask, lines, _SENTINEL))
-                        session.traffic.setdefault(slot, []).append(
-                            ("mat", record))
-            if is_store:
-                values = np.broadcast_to(np.asarray(env[i_val]), shape)
-                if mask is None:
-                    buffer.flat[idxb] = values.astype(buffer.dtype,
-                                                      copy=False)
-                else:
-                    buffer.flat[idxb[mask]] = values[mask].astype(
-                        buffer.dtype, copy=False)
-                return
-            # functional gather — mirrors the batched engine expression
-            if out_slot is not None and buf_dtype == working and mask is None:
-                out = session.s(out_slot)
-                np.take(buffer.flat, idxb, out=out)
-                env[nid] = out
-                return
-            if out_slot is not None and buf_dtype == working:
-                out = session.s(out_slot)
-                out.fill(0)
-                out[mask] = buffer.flat[idxb[mask]]
-                env[nid] = out
-                return
-            values = np.zeros(shape, dtype=buf_dtype)
+            mask = None if i_mask is None else _row_of(env[i_mask], T, bool)
+            counts = global_access_counts(idx, mask, itemsize, line_bytes,
+                                          ws, store=is_store, cached=cached)
+            if cell is not None and counts.active:
+                session.cells[cell] = (
+                    np.where(mask, counts.lines, _SENTINEL)
+                    if mask is not None else counts.lines)
+            return counts.counters
+        state.program.delta_thunks.append(thunk)
+        if cell is not None:
+            def record(session, cell=cell, slot=slot):
+                row = session.cells[cell]
+                if row is not None:
+                    session.traffic.setdefault(slot, []).append(
+                        ("mat", np.broadcast_to(row, (session.B, T))))
+            state.program.chunk_steps.append(record)
+    if state.tiers[node.id] != TIER_LAUNCH:
+        _global_chunk_access(state, node, static, track)
+        return
+
+    def launch_step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask,
+                    slot=slot, nid=node.id):
+        env = session.env
+        buffer = session.buffers[slot]
+        idx = _row_of(env[i_idx], T, np.int64)
+        mask = None if i_mask is None else _row_of(env[i_mask], T, bool)
+        if is_store:
+            values = np.broadcast_to(np.asarray(env[i_val]), (T,))
             if mask is None:
-                values[:] = buffer.flat[idxb]
+                buffer.flat[idx] = values.astype(buffer.dtype, copy=False)
             else:
-                values[mask] = buffer.flat[idxb[mask]]
-            env[nid] = values.astype(working, copy=False)
-        program.chunk_steps.append(step)
-
-    # -------------------------------------------------------- shared memory
-
-    def emit_alloc_shared(node, content_tier):
-        nid = node.id
-        size = node.params["size"]
-        dtype = np.dtype(node.params["dtype"])
-        if content_tier <= TIER_LAUNCH:
-            def step(session, nid=nid, size=size, dtype=dtype):
-                session.env[nid] = np.zeros((size,), dtype=dtype)
-            program.launch_steps.append(step)
+                buffer.flat[idx[mask]] = values[mask].astype(buffer.dtype,
+                                                             copy=False)
             return
-        slot = pool.alloc((size,), dtype)
-        storage[nid] = slot
+        values = np.zeros((T,), dtype=buffer.dtype)
+        if mask is None:
+            values[:] = buffer.flat[idx]
+        else:
+            values[mask] = buffer.flat[idx[mask]]
+        env[nid] = values.astype(working, copy=False)
+    state.program.launch_steps.append(launch_step)
 
-        def step(session, nid=nid, slot=slot):
-            buf = session.s(slot)
-            buf.fill(0)
-            session.env[nid] = buf
-        program.chunk_steps.append(step)
 
-    def smem_access_thunk(node, is_load: bool):
-        """Per-block shared-memory accounting (thread-uniform access only)."""
-        params = node.params
-        masked = params["masked"]
-        uniform = params["uniform"]
-        i_idx = node.inputs[0]
-        i_mask = node.inputs[-1] if masked else None
-        if not (static_tier(i_idx) and static_tier(i_mask)):
-            raise TraceUnsupported(
-                "block-varying shared-memory index/mask patterns are not "
-                "supported by the replay engine")
-        alloc = nodes[params["shared"]]
-        itemsize = int(alloc.params["itemsize"])
-        size = int(alloc.params["size"])
-        name = alloc.params["name"]
-        op_word = "load" if is_load else "store"
+def _global_chunk_access(state: _CompileState, node, static: bool,
+                         track: bool) -> None:
+    """A CHUNK-tier global load or store, with the per-chunk accounting of
+    a block-varying access pattern."""
+    T, W, ws, working = state.T, state.W, state.ws, state.working
+    line_bytes = state.line_bytes
+    is_store = node.op == "store_global"
+    op_word = "store" if is_store else "load"
+    slot = node.params["slot"]
+    info = state.slot_info[slot]
+    itemsize = int(info["itemsize"])
+    cached = bool(info["cached"])
+    i_idx, i_val, i_mask = memory_operands(node)
+    out_slot = None if is_store else state.pooled(node)
+    lines_slot = diff_slot = None
+    if not static:
+        lines_slot = state.pool.alloc((T,), np.int64)
+        if ws > 1:
+            diff_slot = state.pool.alloc((T - W,), np.int64)
 
-        def thunk(session, i_idx=i_idx, i_mask=i_mask):
-            env = session.env
-            idx = row_of(env[i_idx], np.int64)
-            if int(idx.min()) < 0 or int(idx.max()) >= size:
-                raise SimulationError(
-                    f"out-of-bounds shared {op_word} on {name!r}")
-            mask = None if i_mask is None else row_of(env[i_mask], bool)
-            return shared_access_counts(idx, mask, itemsize, banks,
-                                        bank_bytes, ws, store=not is_load,
-                                        uniform=uniform).counters
-        program.delta_thunks.append(thunk)
-
-    def emit_load_shared(node, tier):
-        nid = node.id
-        params = node.params
-        shared_id = params["shared"]
-        masked = params["masked"]
-        uniform = params["uniform"]
-        i_idx = node.inputs[0]
-        i_mask = node.inputs[1] if masked else None
-        content_dtype = np.dtype(nodes[shared_id].params["dtype"])
-        smem_access_thunk(node, is_load=True)
-
-        if tier <= TIER_LAUNCH:
-            # content and indices are launch-static: one (T,)-row gather
-            def step(session, i_idx=i_idx, i_mask=i_mask, shared_id=shared_id,
-                     nid=nid, uniform=uniform):
-                env = session.env
-                content = env[shared_id]
-                raw = np.asarray(env[i_idx])
-                if i_mask is None and uniform:
-                    index = int(raw.reshape(-1)[0])
-                    env[nid] = content[index].astype(working)
-                    return
-                idx = row_of(raw, np.int64)
-                if i_mask is None:
-                    env[nid] = content[idx].astype(working, copy=False)
-                    return
-                mask = row_of(env[i_mask], bool)
-                values = np.zeros((T,), dtype=working)
-                values[mask] = content[idx[mask]].astype(working, copy=False)
-                env[nid] = values
-            program.launch_steps.append(step)
+    def step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask, slot=slot,
+             nid=node.id, out_slot=out_slot, lines_slot=lines_slot,
+             diff_slot=diff_slot, dyn_acct=not static,
+             idx_cast=np.dtype(state.nodes[i_idx].dtype) != np.int64,
+             masked=node.params["masked"], track=track,
+             buf_dtype=np.dtype(info["dtype"]), itemsize=itemsize,
+             shift=_line_shift(itemsize, line_bytes)):
+        env = session.env
+        B = session.B
+        buffer = session.buffers[slot]
+        account = session.account
+        idx = np.asarray(env[i_idx])
+        if idx_cast:
+            idx = idx.astype(np.int64)
+        if account and (int(idx.min()) < 0
+                        or int(idx.max()) >= buffer.size):
+            raise SimulationError(
+                f"out-of-bounds global {op_word} on {buffer.name!r}")
+        shape = (B, T)
+        idxb = idx if idx.shape == shape else np.broadcast_to(idx, shape)
+        mask = None
+        if masked:
+            mask = np.asarray(env[i_mask])
+            if mask.shape != shape:
+                mask = np.broadcast_to(mask, shape)
+        if dyn_acct and account:
+            # the rule of global_access_counts, on pooled buffers and
+            # with the sorted-row transaction fast path
+            counters = session.counters
+            if mask is None:
+                warps, active = B * W, B * T
+            else:
+                warps, div = grouped_warp_counts(mask, ws)
+                counters.divergent_branches += div
+                active = int(mask.sum())
+            lines = session.s(lines_slot).reshape(shape)
+            if shift is not None:
+                np.right_shift(idxb, shift, out=lines)
+            else:
+                np.multiply(idxb, itemsize, out=lines)
+                np.floor_divide(lines, line_bytes, out=lines)
+            wm = lines.reshape(-1, ws)
+            mm = (None if mask is None
+                  else np.ascontiguousarray(mask).reshape(-1, ws))
+            dbuf = (session.s(diff_slot).reshape(-1, ws - 1)
+                    if diff_slot is not None else None)
+            trans, d, rows_sorted = _transactions(wm, mm, dbuf)
+            if is_store:
+                counters.gmem_store += warps
+                counters.gmem_store_transactions += trans
+                if not cached:
+                    counters.dram_write_bytes += float(active * itemsize)
+            else:
+                counters.gmem_load += warps
+                counters.cache_read_bytes += float(active * itemsize)
+                counters.gmem_load_transactions += trans
+            if track and active:
+                if (mask is None and rows_sorted and d is not None
+                        and int(d.max()) <= 1):
+                    # each warp row covers one contiguous line range:
+                    # record just the bounds, unioned at chunk end
+                    session.traffic.setdefault(slot, []).append(
+                        ("iv", wm[:, 0].copy(), wm[:, -1].copy()))
+                else:
+                    record = (lines.copy() if mask is None
+                              else np.where(mask, lines, _SENTINEL))
+                    session.traffic.setdefault(slot, []).append(
+                        ("mat", record))
+        if is_store:
+            values = np.broadcast_to(np.asarray(env[i_val]), shape)
+            if mask is None:
+                buffer.flat[idxb] = values.astype(buffer.dtype, copy=False)
+            else:
+                buffer.flat[idxb[mask]] = values[mask].astype(
+                    buffer.dtype, copy=False)
             return
+        # functional gather — mirrors the batched engine expression
+        if out_slot is not None and buf_dtype == working and mask is None:
+            out = session.s(out_slot)
+            np.take(buffer.flat, idxb, out=out)
+            env[nid] = out
+            return
+        if out_slot is not None and buf_dtype == working:
+            out = session.s(out_slot)
+            out.fill(0)
+            out[mask] = buffer.flat[idxb[mask]]
+            env[nid] = out
+            return
+        values = np.zeros(shape, dtype=buf_dtype)
+        if mask is None:
+            values[:] = buffer.flat[idxb]
+        else:
+            values[mask] = buffer.flat[idxb[mask]]
+        env[nid] = values.astype(working, copy=False)
+    state.program.chunk_steps.append(step)
 
-        content_chunk = content_tiers[shared_id] == TIER_CHUNK
-        out_slot = pooled(node)
-        idx_is_block = nodes[i_idx].kind > KIND_THREAD
 
+def _traffic_finalizer(line_bytes: int):
+    """Chunk-end step: DRAM lines of the chunk's uncached loads, unioned
+    per block and per buffer."""
+    def finalize_traffic(session):
+        if not session.account:
+            return
+        total = 0
+        B = session.B
+        for slot, records in session.traffic.items():
+            ivs = [r for r in records if r[0] == "iv"]
+            mats = [r[1] for r in records if r[0] == "mat"]
+            if ivs and mats:
+                # mixed chunk (never hit by the SSAM kernels): expand
+                # intervals so all records share the matrix path
+                for _, lo, hi in ivs:
+                    mats.append(_intervals_to_matrix(lo, hi, B))
+                ivs = []
+            if ivs:
+                los = np.concatenate(
+                    [lo.reshape(B, -1) for _, lo, _ in ivs], axis=1)
+                his = np.concatenate(
+                    [hi.reshape(B, -1) for _, _, hi in ivs], axis=1)
+                total += _interval_union_sum(los, his)
+                continue
+            compacted = []
+            for arr in mats:
+                arr = np.ascontiguousarray(arr)
+                if _SENTINEL not in (arr[0, -1], arr[-1, -1]) and \
+                        _is_rowwise_sorted(arr):
+                    compacted.append(_compact_sorted_rows(arr))
+                else:
+                    compacted.append(arr)
+            concat = compacted[0] if len(compacted) == 1 else \
+                np.concatenate(compacted, axis=1)
+            total += int(rowwise_unique_counts(concat, None).sum())
+        session.counters.dram_read_bytes += float(total * line_bytes)
+    return finalize_traffic
+
+
+# -------------------------------------------------------- shared memory
+
+def _lower_alloc_shared(state: _CompileState, node) -> None:
+    """A zeroed allocation: once per session when its content is
+    launch-static, else a pooled (B, size) slot re-zeroed every chunk."""
+    nid = node.id
+    size = node.params["size"]
+    dtype = np.dtype(node.params["dtype"])
+    if state.content_tiers[nid] <= TIER_LAUNCH:
+        def step(session, nid=nid, size=size, dtype=dtype):
+            session.env[nid] = np.zeros((size,), dtype=dtype)
+        state.program.launch_steps.append(step)
+        return
+    slot = state.pool.alloc((size,), dtype)
+    state.storage[nid] = slot
+
+    def step(session, nid=nid, slot=slot):
+        buf = session.s(slot)
+        buf.fill(0)
+        session.env[nid] = buf
+    state.program.chunk_steps.append(step)
+
+
+def _shared_access_thunk(state: _CompileState, node) -> None:
+    """Per-block shared-memory accounting (thread-uniform access only)."""
+    T = state.T
+    is_load = node.op == "load_shared"
+    i_idx, _, i_mask = memory_operands(node)
+    if not (state.static_tier(i_idx) and state.static_tier(i_mask)):
+        raise TraceUnsupported(
+            "block-varying shared-memory index/mask patterns are not "
+            "supported by the replay engine")
+    alloc = state.nodes[node.params["shared"]]
+    itemsize = int(alloc.params["itemsize"])
+    size = int(alloc.params["size"])
+    name = alloc.params["name"]
+    op_word = "load" if is_load else "store"
+    uniform = node.params["uniform"]
+    banks, bank_bytes, ws = state.banks, state.bank_bytes, state.ws
+
+    def thunk(session, i_idx=i_idx, i_mask=i_mask):
+        env = session.env
+        idx = _row_of(env[i_idx], T, np.int64)
+        if int(idx.min()) < 0 or int(idx.max()) >= size:
+            raise SimulationError(
+                f"out-of-bounds shared {op_word} on {name!r}")
+        mask = None if i_mask is None else _row_of(env[i_mask], T, bool)
+        return shared_access_counts(idx, mask, itemsize, banks,
+                                    bank_bytes, ws, store=not is_load,
+                                    uniform=uniform).counters
+    state.program.delta_thunks.append(thunk)
+
+
+def _lower_load_shared(state: _CompileState, node) -> None:
+    """Shared reads: a launch-static row gather, or a per-chunk gather
+    from launch-static or block-varying content."""
+    T, working = state.T, state.working
+    nid = node.id
+    shared_id = node.params["shared"]
+    masked = node.params["masked"]
+    uniform = node.params["uniform"]
+    i_idx, _, i_mask = memory_operands(node)
+    _shared_access_thunk(state, node)
+
+    if state.tiers[nid] <= TIER_LAUNCH:
+        # content and indices are launch-static: one (T,)-row gather
         def step(session, i_idx=i_idx, i_mask=i_mask, shared_id=shared_id,
-                 nid=nid, uniform=uniform, masked=masked,
-                 content_chunk=content_chunk, out_slot=out_slot,
-                 idx_is_block=idx_is_block, content_dtype=content_dtype):
+                 nid=nid, uniform=uniform):
             env = session.env
-            B = session.B
             content = env[shared_id]
             raw = np.asarray(env[i_idx])
-            if uniform and not masked:
-                out = session.s(out_slot)  # (B, 1)
-                if content_chunk:
-                    if idx_is_block:
-                        out[:, 0] = content[np.arange(B), raw[:, 0]]
-                    else:
-                        out[:, 0] = content[:, int(raw.reshape(-1)[0])]
-                else:
-                    if idx_is_block:
-                        out[:, 0] = content[raw[:, 0]]
-                    else:
-                        out[:, 0] = content[int(raw.reshape(-1)[0])]
-                env[nid] = out
+            if i_mask is None and uniform:
+                index = int(raw.reshape(-1)[0])
+                env[nid] = content[index].astype(working)
                 return
-            shape = (B, T)
-            idxb = raw if raw.shape == shape else np.broadcast_to(raw, shape)
-            if idxb.dtype != np.int64:
-                idxb = idxb.astype(np.int64)
-            mask = None
-            if masked:
-                mask = np.asarray(env[i_mask])
-                if mask.shape != shape:
-                    mask = np.broadcast_to(mask, shape)
-            out = session.s(out_slot) if out_slot is not None else \
-                np.empty(shape, dtype=working)
-            if not content_chunk:
-                if mask is None:
-                    if content.dtype == working:
-                        np.take(content, idxb, out=out)
-                    else:
-                        np.copyto(out, content[idxb], casting="unsafe")
+            idx = _row_of(raw, T, np.int64)
+            if i_mask is None:
+                env[nid] = content[idx].astype(working, copy=False)
+                return
+            mask = _row_of(env[i_mask], T, bool)
+            values = np.zeros((T,), dtype=working)
+            values[mask] = content[idx[mask]].astype(working, copy=False)
+            env[nid] = values
+        state.program.launch_steps.append(step)
+        return
+
+    out_slot = state.pooled(node)
+    if out_slot is None and uniform and not masked:
+        # a warp-uniform read of thread-uniform chunk content is still one
+        # value per block: give it the (B, 1) column the step writes
+        out_slot = state.pool.alloc((1,), node.dtype)
+        state.storage[nid] = out_slot
+
+    def step(session, i_idx=i_idx, i_mask=i_mask, shared_id=shared_id,
+             nid=nid, uniform=uniform, masked=masked,
+             content_chunk=state.content_tiers[shared_id] == TIER_CHUNK,
+             out_slot=out_slot,
+             idx_is_block=state.nodes[i_idx].kind > KIND_THREAD):
+        env = session.env
+        B = session.B
+        content = env[shared_id]
+        raw = np.asarray(env[i_idx])
+        if uniform and not masked:
+            out = session.s(out_slot)  # (B, 1)
+            if content_chunk:
+                if idx_is_block:
+                    out[:, 0] = content[np.arange(B), raw[:, 0]]
                 else:
-                    out.fill(0)
-                    out[mask] = content[idxb[mask]].astype(working,
+                    out[:, 0] = content[:, int(raw.reshape(-1)[0])]
+            else:
+                if idx_is_block:
+                    out[:, 0] = content[raw[:, 0]]
+                else:
+                    out[:, 0] = content[int(raw.reshape(-1)[0])]
+            env[nid] = out
+            return
+        shape = (B, T)
+        idxb = raw if raw.shape == shape else np.broadcast_to(raw, shape)
+        if idxb.dtype != np.int64:
+            idxb = idxb.astype(np.int64)
+        mask = None
+        if masked:
+            mask = np.asarray(env[i_mask])
+            if mask.shape != shape:
+                mask = np.broadcast_to(mask, shape)
+        out = session.s(out_slot) if out_slot is not None else \
+            np.empty(shape, dtype=working)
+        if not content_chunk:
+            if mask is None:
+                if content.dtype == working:
+                    np.take(content, idxb, out=out)
+                else:
+                    np.copyto(out, content[idxb], casting="unsafe")
+            else:
+                out.fill(0)
+                out[mask] = content[idxb[mask]].astype(working, copy=False)
+        else:
+            if mask is None and not idx_is_block:
+                row = np.ascontiguousarray(raw).reshape(-1)
+                if content.dtype == working:
+                    np.take(content, row, axis=1, out=out)
+                else:
+                    np.copyto(out, content[:, row], casting="unsafe")
+            elif mask is None:
+                rows = np.broadcast_to(np.arange(B)[:, None], shape)
+                np.copyto(out, content[rows, idxb], casting="unsafe")
+            else:
+                rows = np.broadcast_to(np.arange(B)[:, None], shape)
+                out.fill(0)
+                out[mask] = content[rows[mask], idxb[mask]].astype(
+                    working, copy=False)
+        env[nid] = out
+    state.program.chunk_steps.append(step)
+
+
+def _lower_store_shared(state: _CompileState, node) -> None:
+    """Shared writes: scattered once per session into launch-static
+    content, else per chunk into each block's row."""
+    T = state.T
+    shared_id = node.params["shared"]
+    masked = node.params["masked"]
+    i_idx, i_val, i_mask = memory_operands(node)
+    _shared_access_thunk(state, node)
+
+    if state.content_tiers[shared_id] != TIER_CHUNK:
+        # launch-static content: scatter one (T,)-row once per session
+        def step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask,
+                 shared_id=shared_id):
+            env = session.env
+            content = env[shared_id]
+            idx = _row_of(env[i_idx], T, np.int64)
+            values = np.broadcast_to(np.asarray(env[i_val]), (T,))
+            if i_mask is None:
+                content[idx] = values.astype(content.dtype, copy=False)
+            else:
+                mask = _row_of(env[i_mask], T, bool)
+                content[idx[mask]] = values[mask].astype(content.dtype,
+                                                         copy=False)
+        state.program.launch_steps.append(step)
+        return
+
+    def step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask,
+             shared_id=shared_id, masked=masked,
+             idx_is_block=state.nodes[i_idx].kind > KIND_THREAD):
+        env = session.env
+        B = session.B
+        content = env[shared_id]
+        shape = (B, T)
+        raw = np.asarray(env[i_idx])
+        values = np.broadcast_to(np.asarray(env[i_val]), shape)
+        if not idx_is_block:
+            row = _row_of(raw, T, np.int64)
+            if masked:
+                mask0 = _row_of(env[i_mask], T, bool)
+                cols = row[mask0]
+                content[:, cols] = values[:, mask0].astype(content.dtype,
                                                            copy=False)
             else:
-                if mask is None and not idx_is_block:
-                    row = np.ascontiguousarray(raw).reshape(-1)
-                    if content.dtype == working:
-                        np.take(content, row, axis=1, out=out)
-                    else:
-                        np.copyto(out, content[:, row], casting="unsafe")
-                elif mask is None:
-                    rows = np.broadcast_to(np.arange(B)[:, None], shape)
-                    np.copyto(out, content[rows, idxb], casting="unsafe")
-                else:
-                    rows = np.broadcast_to(np.arange(B)[:, None], shape)
-                    out.fill(0)
-                    out[mask] = content[rows[mask], idxb[mask]].astype(
-                        working, copy=False)
-            env[nid] = out
-        program.chunk_steps.append(step)
-
-    def emit_store_shared(node, tier):
-        params = node.params
-        shared_id = params["shared"]
-        masked = params["masked"]
-        i_idx = node.inputs[0]
-        i_val = node.inputs[1]
-        i_mask = node.inputs[2] if masked else None
-        smem_access_thunk(node, is_load=False)
-        content_chunk = content_tiers[shared_id] == TIER_CHUNK
-        idx_is_block = nodes[i_idx].kind > KIND_THREAD
-
-        if not content_chunk:
-            # launch-static content: scatter one (T,)-row once per session
-            def step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask,
-                     shared_id=shared_id):
-                env = session.env
-                content = env[shared_id]
-                idx = row_of(env[i_idx], np.int64)
-                values = np.broadcast_to(np.asarray(env[i_val]), (T,))
-                if i_mask is None:
-                    content[idx] = values.astype(content.dtype, copy=False)
-                else:
-                    mask = row_of(env[i_mask], bool)
-                    content[idx[mask]] = values[mask].astype(content.dtype,
-                                                             copy=False)
-            program.launch_steps.append(step)
+                content[:, row] = values.astype(content.dtype, copy=False)
             return
+        idxb = raw if raw.shape == shape else np.broadcast_to(raw, shape)
+        if idxb.dtype != np.int64:
+            idxb = idxb.astype(np.int64)
+        rows = np.broadcast_to(np.arange(B)[:, None], shape)
+        if masked:
+            mask = np.asarray(env[i_mask])
+            if mask.shape != shape:
+                mask = np.broadcast_to(mask, shape)
+            content[rows[mask], idxb[mask]] = values[mask].astype(
+                content.dtype, copy=False)
+        else:
+            content[rows, idxb] = values.astype(content.dtype, copy=False)
+    state.program.chunk_steps.append(step)
 
-        def step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask,
-                 shared_id=shared_id, masked=masked,
-                 idx_is_block=idx_is_block):
-            env = session.env
-            B = session.B
-            content = env[shared_id]
-            shape = (B, T)
-            raw = np.asarray(env[i_idx])
-            values = np.broadcast_to(np.asarray(env[i_val]), shape)
-            if not idx_is_block:
-                row = row_of(raw, np.int64)
-                if masked:
-                    mask0 = row_of(env[i_mask], bool)
-                    cols = row[mask0]
-                    content[:, cols] = values[:, mask0].astype(content.dtype,
-                                                               copy=False)
-                else:
-                    content[:, row] = values.astype(content.dtype, copy=False)
-                return
-            idxb = raw if raw.shape == shape else np.broadcast_to(raw, shape)
-            if idxb.dtype != np.int64:
-                idxb = idxb.astype(np.int64)
-            rows = np.broadcast_to(np.arange(B)[:, None], shape)
-            if masked:
-                mask = np.asarray(env[i_mask])
-                if mask.shape != shape:
-                    mask = np.broadcast_to(mask, shape)
-                content[rows[mask], idxb[mask]] = values[mask].astype(
-                    content.dtype, copy=False)
-            else:
-                content[rows, idxb] = values.astype(content.dtype, copy=False)
-        program.chunk_steps.append(step)
 
-    # -------------------------------------------------------- emission walk
+#: op -> lowering; every op the tracer records has exactly one entry
+LOWERINGS = {
+    "const": _lower_leaf,
+    "input": _lower_leaf,
+    "pure": _lower_pure,
+    "arith": _lower_arith,
+    "shfl": _lower_shfl,
+    "sync": _lower_counted,
+    "misc": _lower_counted,
+    "load_global": _lower_global,
+    "store_global": _lower_global,
+    "alloc_shared": _lower_alloc_shared,
+    "load_shared": _lower_load_shared,
+    "store_shared": _lower_store_shared,
+}
 
-    for node in nodes:
-        tier = tiers[node.id]
-        op = node.op
-        if op == "const":
-            program.env_template[node.id] = node.value
-        elif op == "input":
-            name = node.params["name"]
-            if name in ("bx", "by", "bz"):
-                program.block_inputs.append(
-                    (node.id, {"bx": 0, "by": 1, "bz": 2}[name]))
-            else:
-                program.env_template[node.id] = node.value
-        elif op == "pure":
-            emit_value(node, tier)
-        elif op == "arith":
-            add_delta({"mad": "fma", "add": "add", "mul": "mul"}
-                      [node.params["kind"]], W)
-            if node.id in fused_shfl:
-                emit_fused_mad(node, fused_shfl[node.id])
-            else:
-                emit_value(node, tier)
-        elif op == "shfl":
-            add_delta("shfl", W)
-            if node.id not in fused_ids:
-                emit_value(node, tier)
-        elif op == "sync":
-            add_delta("sync", W)
-        elif op == "misc":
-            add_delta("misc", node.params["instructions"] * W)
-        elif op in ("load_global", "store_global"):
-            emit_global(node, tier, is_store=op == "store_global")
-        elif op == "alloc_shared":
-            emit_alloc_shared(node, content_tiers[node.id])
-        elif op == "load_shared":
-            emit_load_shared(node, tier)
-        elif op == "store_shared":
-            emit_store_shared(node, tier)
-        else:  # pragma: no cover - exhaustive over recorded ops
-            raise TraceUnsupported(f"unknown trace op {op!r}")
-        # reclaim scratch slots whose values are now dead
+
+# ------------------------------------------------------------ the compiler
+
+def compile_trace(trace: Trace, architecture: GPUArchitecture,
+                  count_traffic: bool,
+                  volatile_slots: frozenset = frozenset()) -> ReplayProgram:
+    """Lower a recorded trace to a :class:`ReplayProgram`.
+
+    Runs the passes — tiers, memoizability, the shuffle-into-mad peephole
+    and liveness — then walks the nodes through :data:`LOWERINGS`,
+    reclaiming each scratch slot after its value's last consumer.
+    """
+    tiers, content_tiers = _assign_tiers(trace, volatile_slots)
+    fused = _fuse_shuffles(trace.nodes, tiers, np.dtype(trace.numpy_dtype),
+                           architecture.warp_size)
+    release_at = _release_points(trace.nodes, fused)
+    state = _CompileState(trace, architecture, count_traffic, tiers,
+                          content_tiers, fused)
+    program = state.program
+    program.memoizable = _memoizable(trace)
+    for node in trace.nodes:
+        lower = LOWERINGS.get(node.op)
+        if lower is None:  # pragma: no cover - exhaustive over recorded ops
+            raise TraceUnsupported(f"unknown trace op {node.op!r}")
+        lower(state, node)
         for i in release_at.get(node.id, ()):
-            if i in storage:
-                pool.release(storage.pop(i))
-
+            if i in state.storage:
+                state.pool.release(state.storage.pop(i))
     if count_traffic:
-        def finalize_traffic(session):
-            if not session.account:
-                return
-            total = 0
-            B = session.B
-            for slot, records in session.traffic.items():
-                ivs = [r for r in records if r[0] == "iv"]
-                mats = [r[1] for r in records if r[0] == "mat"]
-                if ivs and mats:
-                    # mixed chunk (never hit by the SSAM kernels): expand
-                    # intervals so all records share the matrix path
-                    for _, lo, hi in ivs:
-                        mats.append(_intervals_to_matrix(lo, hi, B))
-                    ivs = []
-                if ivs:
-                    los = np.concatenate(
-                        [lo.reshape(B, -1) for _, lo, _ in ivs], axis=1)
-                    his = np.concatenate(
-                        [hi.reshape(B, -1) for _, _, hi in ivs], axis=1)
-                    total += _interval_union_sum(los, his)
-                    continue
-                compacted = []
-                for arr in mats:
-                    arr = np.ascontiguousarray(arr)
-                    if _SENTINEL not in (arr[0, -1], arr[-1, -1]) and \
-                            _is_rowwise_sorted(arr):
-                        compacted.append(_compact_sorted_rows(arr))
-                    else:
-                        compacted.append(arr)
-                concat = compacted[0] if len(compacted) == 1 else \
-                    np.concatenate(compacted, axis=1)
-                total += int(rowwise_unique_counts(concat, None).sum())
-            session.counters.dram_read_bytes += float(total * line_bytes)
-        program.chunk_steps.append(finalize_traffic)
-
-    for field, amount in delta_static.items():
+        program.chunk_steps.append(_traffic_finalizer(state.line_bytes))
+    for field, amount in state.delta.items():
         program.delta_thunks.append(
             lambda session, field=field, amount=amount: {field: amount})
-    program.pool_slots = list(pool.slots)
+    program.pool_slots = list(state.pool.slots)
     return program
 
 

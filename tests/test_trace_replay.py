@@ -6,7 +6,9 @@ against their exact reference implementations and the engine-level
 contracts the fast paths must preserve: transaction counting against the
 segmented-sort primitive, interval-union traffic finalization against a
 brute-force set union, counter memoization, and the untraceable-kernel
-fallback.
+fallback.  Each entry of the compiler's lowering table is driven by a
+minimal kernel at every tier it emits, and the memoizability and
+shuffle-into-mad peephole passes are pinned on their own.
 """
 
 from __future__ import annotations
@@ -15,15 +17,26 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.gpu.architecture import get_architecture
+from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.gpu.memory import GlobalMemory, rowwise_unique_counts
 from repro.kernels.conv2d_ssam import CONV2D_SSAM_KERNEL, ssam_convolve2d
 from repro.convolution.spec import ConvolutionSpec
+from repro.trace import replay as replay_module
+from repro.trace.ir import TIER_CHUNK, TIER_COMPILE, TIER_LAUNCH
 from repro.trace.replay import (
+    LOWERINGS,
+    _assign_tiers,
     _block_index_matrix,
+    _fuse_shuffles,
     _interval_union_sum,
     _line_shift,
+    _memoizable,
     _transactions,
+    capture_traces,
+    fallback_log,
+    record_trace,
 )
 
 
@@ -191,3 +204,341 @@ def test_replay_bounds_error_matches_eager():
     config = LaunchConfig(grid_dim=(1, 1, 1), block_threads=128)
     with pytest.raises(SimulationError, match="out-of-bounds global load"):
         kernel.launch(config, (src, dst, 128), batch_size="replay")
+
+
+# ------------------------------------------------------- lowering table
+#
+# Every kernel below takes the same arguments: ``src`` (read-only float32,
+# one block's worth longer than the grid), ``wide`` (read-only float64, so
+# loads leave the working dtype), ``taps`` (read-only, cached: no DRAM
+# traffic), ``scratch`` (cached, written) and ``dst`` (written; the grid
+# region is the output, the next block's worth is read but never written,
+# and the one after it takes launch-static stores).  Reads and writes never
+# overlap across blocks, so any chunking gives the same bytes.
+
+GRID = (6, 1, 1)
+THREADS = 64
+CELLS = GRID[0] * THREADS
+
+
+def _make_args():
+    memory = GlobalMemory()
+    rng = np.random.default_rng(11)
+    src = memory.to_device(
+        rng.standard_normal(CELLS + THREADS).astype(np.float32), name="src")
+    wide = memory.to_device(rng.standard_normal(CELLS), name="wide")
+    taps = memory.to_device(rng.standard_normal(THREADS).astype(np.float32),
+                            name="taps", cached=True)
+    scratch = memory.to_device(np.zeros(THREADS, dtype=np.float32),
+                               name="scratch", cached=True)
+    dst = memory.to_device(
+        rng.standard_normal(CELLS + 2 * THREADS).astype(np.float32),
+        name="dst")
+    return src, wide, taps, scratch, dst, CELLS
+
+
+def _launch(kernel, batch_size):
+    args = _make_args()
+    config = LaunchConfig(grid_dim=GRID, block_threads=THREADS)
+    result = kernel.launch(config, args, batch_size=batch_size)
+    return [args[3].to_host(), args[4].to_host()], result.counters.as_dict()
+
+
+def _assert_replay_matches_batched(kernel):
+    """Cold, warm (accounting re-derived) and memoized replay launches are
+    bit-identical to the batched engine, without a fallback."""
+    outputs, counters = _launch(kernel, "auto")
+    kernel._trace_cache.clear()
+    before = len(fallback_log())
+    runs = [_launch(kernel, "replay")]
+    for program in kernel._trace_cache.values():
+        program.counter_cache.clear()
+    runs.append(_launch(kernel, "replay"))
+    runs.append(_launch(kernel, "replay"))
+    assert fallback_log()[before:] == []
+    for got_outputs, got_counters in runs:
+        for got, want in zip(got_outputs, outputs):
+            np.testing.assert_array_equal(got, want)
+        assert got_counters == counters
+
+
+def _record(kernel):
+    arch = get_architecture("p100")
+    config = LaunchConfig(grid_dim=GRID, block_threads=THREADS)
+    return record_trace(kernel, config, _make_args(), arch, KernelCounters(),
+                        True, _block_index_matrix(GRID)[:3])
+
+
+def _reached(kernel):
+    """``{(op, tier)}`` of every node of the kernel's trace."""
+    trace = _record(kernel)
+    tiers, _ = _assign_tiers(trace, frozenset())
+    return {(node.op, tiers[node.id]) for node in trace.nodes}
+
+
+def _ids(ctx):
+    tid = ctx.thread_idx_x
+    return tid, ctx.block_idx_x * ctx.block_threads + tid
+
+
+def _leaf_kernel(ctx, src, wide, taps, scratch, dst, n):
+    _, gidx = _ids(ctx)
+    ctx.store_global(dst, gidx, ctx.full(1.5))
+
+
+def _pure_kernel(ctx, src, wide, taps, scratch, dst, n):
+    tid, gidx = _ids(ctx)
+    odd = (tid % 2).astype(bool)
+    launch = np.maximum(ctx.load_global(src, tid), 0.0)
+    x = ctx.load_global(src, gidx)
+    picked = np.clip(np.where(odd, x, launch), -1.0, 1.0)
+    rounded = (picked * 4).astype(np.int32).astype(np.float32)
+    widened = np.add(rounded, 1.0, dtype=np.float64)
+    unpooled = ctx.load_global(dst, n + tid) * 2.0
+    ctx.store_global(dst, gidx, widened + unpooled)
+
+
+def _arith_kernel(ctx, src, wide, taps, scratch, dst, n):
+    tid, gidx = _ids(ctx)
+    k = ctx.mad((tid % 5).astype(np.float32), ctx.full(0.5), ctx.full(1.0))
+    launch = ctx.mul(ctx.add(ctx.load_global(src, tid), k), ctx.full(3.0))
+    x = ctx.load_global(src, gidx)
+    acc = ctx.mul(ctx.add(ctx.mad(x, launch, k), x), ctx.full(0.25))
+    acc = ctx.mad(x, launch, ctx.shfl_up(acc, 1))
+    acc = ctx.mad(x, launch, ctx.shfl_down(acc, 2))
+    ctx.store_global(dst, gidx, ctx.add(acc, tid))
+
+
+def _shfl_kernel(ctx, src, wide, taps, scratch, dst, n):
+    tid, gidx = _ids(ctx)
+    const = ctx.shfl_down(tid.astype(np.float32), 3)
+    base = ctx.load_global(src, tid)
+    launch = ctx.add(ctx.shfl_up(base, 2), ctx.shfl_idx(base, 7))
+    x = ctx.load_global(src, gidx)
+    total = ctx.add(const, launch)
+    for shuffled in (ctx.shfl_up(x, 1), ctx.shfl_down(x, 4),
+                     ctx.shfl_idx(x, 31), ctx.shfl_up(x, 0),
+                     ctx.shfl_down(x, 32)):
+        total = ctx.add(total, shuffled)
+    ctx.store_global(dst, gidx, total)
+
+
+def _counted_kernel(ctx, src, wide, taps, scratch, dst, n):
+    _, gidx = _ids(ctx)
+    x = ctx.load_global(src, gidx)
+    ctx.overhead(3.0)
+    ctx.syncthreads()
+    ctx.overhead()
+    ctx.store_global(dst, gidx, x)
+
+
+def _global_kernel(ctx, src, wide, taps, scratch, dst, n):
+    tid, gidx = _ids(ctx)
+    half = tid < ctx.block_threads // 2
+    launch = ctx.add(ctx.load_global(src, tid),
+                     ctx.load_global(src, tid + 3, mask=half))
+    launch = ctx.add(launch, ctx.load_global(taps, tid))
+    static = ctx.load_global(dst, n + tid, mask=half)
+    values = [ctx.load_global(src, gidx),
+              ctx.load_global(src, (gidx * 7) % n),
+              ctx.load_global(src, gidx, mask=gidx % 3 != 0),
+              ctx.load_global(wide, gidx),
+              ctx.load_global(wide, gidx, mask=half)]
+    total = ctx.add(launch, static)
+    for value in values:
+        total = ctx.add(total, value)
+    values.append(ctx.load_global(src, gidx.astype(np.int32)))
+    ctx.store_global(dst, n + ctx.block_threads + tid, launch)
+    ctx.store_global(dst, n + ctx.block_threads + tid,
+                     ctx.mul(launch, ctx.full(2.0)), mask=half)
+    ctx.store_global(dst, n + ctx.block_threads + tid, static, mask=half)
+    ctx.store_global(scratch, tid, launch)
+    ctx.store_global(dst, gidx, total)
+    ctx.store_global(dst, gidx, ctx.mul(total, ctx.full(2.0)),
+                     mask=gidx % 2 == 0)
+
+
+def _alloc_shared_kernel(ctx, src, wide, taps, scratch, dst, n):
+    tid, gidx = _ids(ctx)
+    threads = ctx.block_threads
+    stage = ctx.alloc_shared("stage", (threads,))
+    ctx.store_shared(stage, tid, ctx.load_global(src, tid))
+    tile = ctx.alloc_shared("tile", (threads,))
+    ctx.store_shared(tile, tid, ctx.load_global(src, gidx))
+    ctx.syncthreads()
+    ctx.store_global(dst, gidx,
+                     ctx.add(ctx.load_shared(stage, (tid + 1) % threads),
+                             ctx.load_shared(tile, (tid + 1) % threads)))
+
+
+def _load_shared_kernel(ctx, src, wide, taps, scratch, dst, n):
+    tid, gidx = _ids(ctx)
+    threads = ctx.block_threads
+    stage = ctx.alloc_shared("stage", (threads,))
+    ctx.store_shared(stage, tid, ctx.load_global(src, tid))
+    tile = ctx.alloc_shared("tile", (threads,))
+    ctx.store_shared(tile, tid, ctx.load_global(src, gidx))
+    wide_tile = ctx.alloc_shared("wide_tile", (threads,), "float64")
+    ctx.store_shared(wide_tile, tid, ctx.load_global(wide, gidx))
+    ctx.syncthreads()
+    values = [ctx.load_shared(stage, np.int64(3)),
+              ctx.load_shared(stage, (tid * 3) % threads),
+              ctx.load_shared(stage, tid, mask=tid % 4 != 0),
+              ctx.load_shared(tile, np.int64(5)),
+              ctx.load_shared(tile, ((tid + 7) % threads).astype(np.int32)),
+              ctx.load_shared(tile, (tid + 2) % threads, mask=tid >= 2),
+              ctx.load_shared(wide_tile, (tid + 9) % threads)]
+    total = values[0]
+    for value in values[1:]:
+        total = ctx.add(total, value)
+    ctx.store_global(dst, gidx, total)
+
+
+def _store_shared_kernel(ctx, src, wide, taps, scratch, dst, n):
+    tid, gidx = _ids(ctx)
+    threads = ctx.block_threads
+    stage = ctx.alloc_shared("stage", (threads,))
+    base = ctx.load_global(src, tid)
+    ctx.store_shared(stage, tid, base)
+    ctx.store_shared(stage, tid, ctx.mul(base, ctx.full(2.0)),
+                     mask=tid % 3 == 0)
+    tile = ctx.alloc_shared("tile", (threads,))
+    x = ctx.load_global(src, gidx)
+    ctx.store_shared(tile, tid, x)
+    ctx.store_shared(tile, (tid + 1) % threads, ctx.add(x, base),
+                     mask=tid % 2 == 0)
+    ctx.syncthreads()
+    ctx.store_global(dst, gidx,
+                     ctx.add(ctx.load_shared(stage, (tid + 5) % threads),
+                             ctx.load_shared(tile, (tid + 3) % threads)))
+
+
+C, L, K = TIER_COMPILE, TIER_LAUNCH, TIER_CHUNK
+
+#: lowering -> (minimal kernel, the (op, tier) pairs it must reach)
+LOWERING_CASES = {
+    "leaf": (_leaf_kernel, {("const", C), ("input", C), ("input", K)}),
+    "pure": (_pure_kernel, {("pure", C), ("pure", L), ("pure", K)}),
+    "arith": (_arith_kernel, {("arith", C), ("arith", L), ("arith", K)}),
+    "shfl": (_shfl_kernel, {("shfl", C), ("shfl", L), ("shfl", K)}),
+    "counted": (_counted_kernel, {("sync", C), ("misc", C)}),
+    "global": (_global_kernel, {("load_global", L), ("load_global", K),
+                                ("store_global", L), ("store_global", K)}),
+    "alloc_shared": (_alloc_shared_kernel,
+                     {("alloc_shared", L), ("alloc_shared", K)}),
+    "load_shared": (_load_shared_kernel,
+                    {("load_shared", L), ("load_shared", K)}),
+    "store_shared": (_store_shared_kernel,
+                     {("store_shared", L), ("store_shared", K)}),
+}
+
+
+def test_every_lowering_has_a_case():
+    covered = {LOWERINGS[op] for _, reach in LOWERING_CASES.values()
+               for op, _ in reach}
+    assert covered == set(LOWERINGS.values())
+
+
+@pytest.mark.parametrize("lowering", sorted(LOWERING_CASES))
+def test_lowering_matches_batched(lowering):
+    body, reach = LOWERING_CASES[lowering]
+    kernel = Kernel(body, name=f"lowering_{lowering}")
+    assert reach <= _reached(kernel)
+    _assert_replay_matches_batched(kernel)
+
+
+def test_mixed_interval_and_matrix_traffic_matches_batched(monkeypatch):
+    """One chunk gives ``src`` an interval record (block-varying unmasked
+    contiguous load) and a matrix record (block-varying masked load)."""
+    def mixed(ctx, src, wide, taps, scratch, dst, n):
+        _, gidx = _ids(ctx)
+        contiguous = ctx.load_global(src, gidx)
+        masked = ctx.load_global(src, gidx + 40, mask=gidx % 3 != 0)
+        ctx.store_global(dst, gidx, ctx.add(contiguous, masked))
+
+    expanded = []
+    original = replay_module._intervals_to_matrix
+
+    def spy(lo, hi, rows):
+        expanded.append(rows)
+        return original(lo, hi, rows)
+
+    monkeypatch.setattr(replay_module, "_intervals_to_matrix", spy)
+    kernel = Kernel(mixed, name="mixed_traffic")
+    _, batched = _launch(kernel, "auto")
+    _, replayed = _launch(kernel, "replay")
+    assert expanded, "replay never took the mixed-traffic path"
+    assert replayed["dram_read_bytes"] == batched["dram_read_bytes"]
+    _assert_replay_matches_batched(kernel)
+
+
+def test_uniform_shared_load_of_thread_uniform_chunk_content():
+    """Regression: a warp-uniform shared read of content that is the same
+    for every block but recomputed per chunk (staged from a buffer the
+    kernel also writes) had no (B, 1) scratch column and crashed replay
+    with a TypeError."""
+    def staged(ctx, src, wide, taps, scratch, dst, n):
+        tid, gidx = _ids(ctx)
+        tile = ctx.alloc_shared("tile", (ctx.block_threads,))
+        ctx.store_shared(tile, tid, ctx.load_global(dst, n + tid))
+        ctx.syncthreads()
+        ctx.store_global(dst, gidx,
+                         ctx.add(ctx.load_shared(tile, np.int64(3)),
+                                 ctx.load_shared(tile, (tid + 1) % 64)))
+
+    kernel = Kernel(staged, name="uniform_thread_content")
+    assert ("load_shared", TIER_CHUNK) in _reached(kernel)
+    _assert_replay_matches_batched(kernel)
+
+
+# ----------------------------------------------------------- compile passes
+
+def test_peephole_fuses_shuffles_on_conv2d_ssam():
+    image = np.random.default_rng(6).random((64, 96), dtype=np.float32)
+    CONV2D_SSAM_KERNEL._trace_cache.clear()
+    with capture_traces() as capture:
+        ssam_convolve2d(image, ConvolutionSpec.gaussian(5),
+                        batch_size="replay")
+    trace = capture.records[0].trace
+    tiers, _ = _assign_tiers(trace, frozenset())
+    fused = _fuse_shuffles(trace.nodes, tiers, np.dtype(trace.numpy_dtype),
+                           32)
+    assert fused
+    for mad_id, shfl_id in fused.items():
+        mad, shfl = trace.nodes[mad_id], trace.nodes[shfl_id]
+        assert mad.params["kind"] == "mad" and shfl.op == "shfl"
+        assert mad.inputs[2] == shfl_id
+
+
+def test_peephole_keeps_a_shuffle_with_a_second_consumer():
+    def shared_shuffle(ctx, src, wide, taps, scratch, dst, n):
+        _, gidx = _ids(ctx)
+        x = ctx.load_global(src, gidx)
+        shifted = ctx.shfl_up(ctx.mul(x, ctx.full(2.0)), 1)
+        acc = ctx.mad(x, x, shifted)
+        ctx.store_global(dst, gidx, ctx.add(acc, ctx.add(shifted, x)))
+
+    kernel = Kernel(shared_shuffle, name="shared_shuffle")
+    trace = _record(kernel)
+    tiers, _ = _assign_tiers(trace, frozenset())
+    assert _fuse_shuffles(trace.nodes, tiers, np.dtype(trace.numpy_dtype),
+                          32) == {}
+    _assert_replay_matches_batched(kernel)
+
+
+def test_memoizable_when_indices_are_data_free():
+    assert _memoizable(_record(Kernel(_global_kernel, name="data_free")))
+
+
+def test_not_memoizable_when_an_index_is_loaded():
+    def gather(ctx, src, wide, taps, scratch, dst, n):
+        _, gidx = _ids(ctx)
+        raw = ctx.load_global(src, gidx)
+        idx = (np.absolute(raw) * 10).astype(np.int64) % n
+        ctx.store_global(dst, gidx, ctx.load_global(src, idx))
+
+    kernel = Kernel(gather, name="loaded_index")
+    assert not _memoizable(_record(kernel))
+    _assert_replay_matches_batched(kernel)
+    program = next(iter(kernel._trace_cache.values()))
+    assert not program.memoizable and not program.counter_cache
