@@ -114,6 +114,18 @@ class GPUArchitecture:
         return self.memory_bandwidth_bytes * self.dram_efficiency
 
     @property
+    def memory_geometry(self) -> Tuple[int, int, int, int]:
+        """The only fields the memory counter rules read:
+        ``(warp_size, cache_line_bytes, shared_memory_banks,
+        shared_memory_bank_bytes)``.
+
+        Two parts with the same geometry produce the same counters for the
+        same kernel body, so one compiled replay program serves both.
+        """
+        return (self.warp_size, self.cache_line_bytes,
+                self.shared_memory_banks, self.shared_memory_bank_bytes)
+
+    @property
     def supports_async_copy(self) -> bool:
         """True when the part has a direct global→shared copy path."""
         return self.latencies.supports_async_copy

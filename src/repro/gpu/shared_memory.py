@@ -11,7 +11,7 @@ filter weights (Section 4.6), which is why the distinction is modelled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,6 +184,23 @@ def shared_access_counts(flat_indices: np.ndarray, mask: Optional[np.ndarray],
     return SharedAccessCounts(counters, paid)
 
 
+def check_shared_capacity(allocations: Sequence[int],
+                          capacity_bytes: int) -> None:
+    """Raise the error of the first of ``allocations`` (per-block bytes, in
+    allocation order) that overflows ``capacity_bytes``.
+
+    :meth:`SharedMemory.allocate` checks each allocation with it, and a
+    replay program reused on another part checks its recorded allocations.
+    """
+    used = 0
+    for per_block in allocations:
+        used += int(per_block)
+        if used > capacity_bytes:
+            raise ResourceExhaustedError(
+                f"shared memory exhausted: {used} bytes requested, "
+                f"{capacity_bytes} available per block")
+
+
 class SharedMemory:
     """Shared-memory arenas for a batch of thread blocks.
 
@@ -213,11 +230,8 @@ class SharedMemory:
             raise SimulationError(f"shared array {name!r} already allocated")
         prec = resolve_precision(precision)
         per_block = int(np.prod(shape, dtype=np.int64)) * prec.itemsize
-        if self._used_bytes + per_block > self.capacity_bytes:
-            raise ResourceExhaustedError(
-                f"shared memory exhausted: {self._used_bytes + per_block} bytes "
-                f"requested, {self.capacity_bytes} available per block"
-            )
+        check_shared_capacity((self._used_bytes, per_block),
+                              self.capacity_bytes)
         array = np.zeros((self.num_blocks,) + tuple(shape), dtype=prec.numpy_dtype)
         shared = SharedArray(name=name, array=array, offset_bytes=self._used_bytes)
         self._arrays[name] = shared

@@ -44,6 +44,9 @@ Endpoints (all JSON)::
                                      report: served from the store under
                                      the current code version, else
                                      computed in-process and persisted
+
+A request body larger than :data:`MAX_BODY_BYTES` is refused with 413
+before anything is parsed or queued.
 """
 
 from __future__ import annotations
@@ -499,6 +502,18 @@ class SweepService:
 # HTTP layer
 # ---------------------------------------------------------------------------
 
+#: largest request body the daemon reads; a sweep or tune submission is a
+#: few KB of JSON
+MAX_BODY_BYTES = 1 << 20
+#: an oversized body up to this size is read and dropped before the 413 is
+#: sent, so the client is not reset mid-request; a larger one is not read
+_DISCARD_LIMIT = 8 * MAX_BODY_BYTES
+
+
+class RequestTooLarge(ConfigurationError):
+    """A request body over :data:`MAX_BODY_BYTES` (answered with 413)."""
+
+
 _ROUTES = {
     "health": re.compile(r"^/health/?$"),
     "scenarios": re.compile(r"^/scenarios/?$"),
@@ -543,7 +558,19 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ConfigurationError("invalid Content-Length header")
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._discard(length)
+            raise RequestTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit")
         if length == 0:
             return {}
         try:
@@ -553,6 +580,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if not isinstance(parsed, dict):
             raise ConfigurationError("request body must be a JSON object")
         return parsed
+
+    def _discard(self, length: int) -> None:
+        """Drop an unread body in bounded chunks (none past the limit)."""
+        left = length if length <= _DISCARD_LIMIT else 0
+        while left > 0:
+            chunk = self.rfile.read(min(left, 1 << 16))
+            if not chunk:
+                break
+            left -= len(chunk)
 
     def _match(self, path: str) -> Tuple[Optional[str], Dict[str, str]]:
         path = path.split("?", 1)[0]
@@ -565,6 +601,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _guarded(self, fn) -> None:
         try:
             fn()
+        except RequestTooLarge as exc:
+            self._send_json({"error": str(exc)}, status=413)
         except ConfigurationError as exc:
             self._send_json({"error": str(exc)}, status=400)
         except SimulationError as exc:

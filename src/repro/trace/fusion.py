@@ -29,6 +29,7 @@ from ..gpu.architecture import get_architecture
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchConfig, LaunchResult, auto_batch_size
 from ..gpu.memory import DeviceBuffer
+from ..gpu.shared_memory import check_shared_capacity
 from .ir import TraceUnsupported
 from .replay import (ReplaySession, _block_index_matrix, compile_trace,
                      get_program, record_trace)
@@ -165,6 +166,8 @@ def _fused_replay(stages: List[FusedStage], arch, count_traffic: bool,
                 state.program = program
                 state.pos = end  # the recording chunk executed eagerly
                 return
+            check_shared_capacity(program.shared_allocations,
+                                  arch.shared_memory_per_block)
             state.program = program
         if state.session is None:
             state.session = ReplaySession(state.program, state.args, counters,

@@ -59,7 +59,7 @@ from ..gpu.memory import (
     global_access_counts,
     rowwise_unique_counts,
 )
-from ..gpu.shared_memory import shared_access_counts
+from ..gpu.shared_memory import check_shared_capacity, shared_access_counts
 from ..gpu.simt import grouped_warp_counts
 from .ir import (
     B_AXIS,
@@ -277,7 +277,8 @@ class ReplayProgram:
 
     __slots__ = ("env_template", "launch_steps", "delta_thunks", "chunk_steps",
                  "pool_slots", "block_inputs", "slot_info", "num_cells",
-                 "memoizable", "counter_cache", "written_slots")
+                 "memoizable", "counter_cache", "written_slots",
+                 "shared_allocations")
 
     def __init__(self) -> None:
         self.env_template: List[object] = []
@@ -298,6 +299,10 @@ class ReplayProgram:
         #: argument positions of global buffers this program writes
         #: (used by stage fusion to mark downstream reads volatile)
         self.written_slots: frozenset = frozenset()
+        #: per-block bytes of each shared allocation, in allocation order:
+        #: a program serves every part of its memory geometry, so a launch
+        #: that reuses it checks them against that part's capacity
+        self.shared_allocations: Tuple[int, ...] = ()
 
 
 class ReplaySession:
@@ -432,7 +437,7 @@ def _release_points(nodes, fused: Dict[int, int]) -> Dict[int, List[int]]:
 class _CompileState:
     """What the lowerings of one trace share while it compiles."""
 
-    def __init__(self, trace: Trace, architecture: GPUArchitecture,
+    def __init__(self, trace: Trace, geometry: Tuple[int, int, int, int],
                  count_traffic: bool, tiers: List[int],
                  content_tiers: Dict[int, int],
                  fused: Dict[int, int]) -> None:
@@ -447,11 +452,10 @@ class _CompileState:
         self.count_traffic = count_traffic
         self.T = trace.block_threads
         self.W = trace.num_warps
-        self.ws = architecture.warp_size
+        #: the program's cache key holds the geometry, not the part, so the
+        #: lowerings read no other architecture field
+        self.ws, self.line_bytes, self.banks, self.bank_bytes = geometry
         self.working = np.dtype(trace.numpy_dtype)
-        self.line_bytes = architecture.cache_line_bytes
-        self.banks = architecture.shared_memory_banks
-        self.bank_bytes = architecture.shared_memory_bank_bytes
         self.program = ReplayProgram()
         self.program.slot_info = dict(trace.slot_info)
         self.program.written_slots = frozenset(trace.written_slots)
@@ -921,6 +925,7 @@ def _lower_alloc_shared(state: _CompileState, node) -> None:
     nid = node.id
     size = node.params["size"]
     dtype = np.dtype(node.params["dtype"])
+    state.program.shared_allocations += (size * dtype.itemsize,)
     if state.content_tiers[nid] <= TIER_LAUNCH:
         def step(session, nid=nid, size=size, dtype=dtype):
             session.env[nid] = np.zeros((size,), dtype=dtype)
@@ -1156,11 +1161,12 @@ def compile_trace(trace: Trace, architecture: GPUArchitecture,
     and liveness — then walks the nodes through :data:`LOWERINGS`,
     reclaiming each scratch slot after its value's last consumer.
     """
+    geometry = architecture.memory_geometry
     tiers, content_tiers = _assign_tiers(trace, volatile_slots)
     fused = _fuse_shuffles(trace.nodes, tiers, np.dtype(trace.numpy_dtype),
-                           architecture.warp_size)
+                           geometry[0])
     release_at = _release_points(trace.nodes, fused)
-    state = _CompileState(trace, architecture, count_traffic, tiers,
+    state = _CompileState(trace, geometry, count_traffic, tiers,
                           content_tiers, fused)
     program = state.program
     program.memoizable = _memoizable(trace)
@@ -1275,12 +1281,20 @@ def trace_key(config, architecture: GPUArchitecture, count_traffic: bool,
               volatile_slots: frozenset = frozenset()) -> tuple:
     """Cache key of one compiled program.
 
-    Deliberately grid-independent: kernel bodies never read ``grid_dim``, so
-    one trace serves every launch of the same plan — including the stencil
-    ping-pong, whose rebinding of ``src``/``dst`` preserves the positional
-    buffer signature.
+    Grid-independent: kernel bodies never read ``grid_dim``, so one trace
+    serves every launch of the same plan — including the stencil ping-pong,
+    whose rebinding of ``src``/``dst`` preserves the positional buffer
+    signature.
+
+    Independent of the part's name too: the key holds only its
+    :attr:`~repro.gpu.architecture.GPUArchitecture.memory_geometry`, the
+    four fields the counter rules read, so P100, V100, A100 and H100 share
+    one program and its ``counter_cache``.  A kernel body cannot bake in
+    anything else — the tracer refuses a body that reads the architecture —
+    and the one other field a launch depends on, the per-block shared
+    capacity, is checked against ``program.shared_allocations`` on reuse.
     """
-    parts: List[object] = [architecture.name, config.precision.name,
+    parts: List[object] = [architecture.memory_geometry, config.precision.name,
                            int(config.block_threads), bool(count_traffic),
                            tuple(sorted(volatile_slots))]
     for arg in args:
@@ -1322,7 +1336,8 @@ def record_trace(kernel, config, args, architecture: GPUArchitecture,
 def get_program(kernel, config, args, architecture: GPUArchitecture,
                 count_traffic: bool,
                 volatile_slots: frozenset = frozenset()):
-    """Cached compiled program for this (kernel, plan, precision, args) key.
+    """Cached compiled program for this (kernel, plan, precision, memory
+    geometry, args) key.
 
     Returns ``(program, None)`` on a cache hit.  On a miss the recording
     chunk must be simulated by the caller: returns ``(None, key)`` so the
@@ -1380,6 +1395,9 @@ def replay_launch(kernel, config, args, architecture: object = "p100",
     counters = KernelCounters()
     capture = _active_capture()
     program, key = get_program(kernel, config, args, arch, count_traffic)
+    if program is not None:
+        check_shared_capacity(program.shared_allocations,
+                              arch.shared_memory_per_block)
     start = 0
     executed = 0
     if (capture is None and program is None and key is not None

@@ -15,7 +15,9 @@ Host-side control flow (``for``/``if`` over plain Python values) simply
 unrolls into the trace.  Anything data-dependent — branching on a traced
 value, indexing NumPy with a traced shape — raises
 :class:`~repro.trace.ir.TraceUnsupported`, and the launch falls back to the
-batched engine.
+batched engine.  So does reading ``ctx.architecture``: one trace serves
+every part that shares a memory geometry, so a body may not depend on
+which part recorded it.
 """
 
 from __future__ import annotations
@@ -218,7 +220,9 @@ class TracingContext:
 
     @property
     def architecture(self):
-        return self._eager.architecture
+        # one program serves every part of a memory geometry, so a body
+        # must not depend on which part recorded it
+        raise TraceUnsupported("kernel body reads the architecture")
 
     @property
     def precision(self):

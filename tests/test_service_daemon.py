@@ -15,6 +15,7 @@ with nothing queued and nothing executed.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import pathlib
@@ -27,7 +28,7 @@ from repro.experiments.cache import SimulationCache, code_version
 from repro.experiments.results import ExperimentResult
 from repro.scenarios.sweep import MATRICES
 from repro.service.client import ServiceClient
-from repro.service.daemon import serve, write_endpoint_file
+from repro.service.daemon import MAX_BODY_BYTES, serve, write_endpoint_file
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden" / "service"
 
@@ -162,6 +163,32 @@ def test_error_responses_are_json(service):
         client._request("GET", "/not-a-thing")
     with pytest.raises(SimulationError, match="unknown sweep matrix"):
         client.submit_sweep("no-such-matrix")
+
+
+def test_oversized_submission_is_a_413_and_queues_nothing(service):
+    client, core, _, _ = service
+    runs, pending = len(client.runs()), core.pool.pending()
+    body = {"matrix": "tier1", "padding": "x" * MAX_BODY_BYTES}
+    with pytest.raises(SimulationError, match=r"\(413\).*exceeds"):
+        client._request("POST", "/sweeps", body)
+    assert len(client.runs()) == runs
+    assert core.pool.pending() == pending
+    assert client.health()["status"] == "ok"
+
+
+def test_negative_content_length_is_a_400(service):
+    """``rfile.read(-1)`` would read to end of stream, past any cap."""
+    _, _, _, server = service
+    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
+    try:
+        conn.putrequest("POST", "/sweeps")
+        conn.putheader("Content-Length", "-1")
+        conn.endheaders()
+        response = conn.getresponse()
+        assert response.status == 400
+        assert "Content-Length" in json.loads(response.read())["error"]
+    finally:
+        conn.close()
 
 
 def test_submit_with_unknown_architecture_is_a_400_listing_names(service):

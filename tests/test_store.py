@@ -10,6 +10,7 @@ multi-process behaviour is exercised separately in
 
 from __future__ import annotations
 
+import json
 import sqlite3
 import threading
 
@@ -374,6 +375,128 @@ def test_v2_store_migrates_to_v3_space_keyed(store, tmp_path):
                                 "float32")["plan_kwargs"] == {
                                     "block_threads": 128}
     upgraded.close()
+
+
+# ------------------------------------------------ the whole migration chain
+
+#: tables every schema version has, as the v1 build created them
+_V1_DDL = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE results (
+    digest TEXT PRIMARY KEY, job_key TEXT, code_version TEXT NOT NULL,
+    key_json TEXT NOT NULL, payload_json TEXT NOT NULL,
+    writer TEXT NOT NULL, created_at REAL NOT NULL);
+CREATE INDEX results_job_key ON results(job_key);
+CREATE INDEX results_code_version ON results(code_version);
+CREATE TABLE claims (
+    digest TEXT PRIMARY KEY, owner TEXT NOT NULL, acquired_at REAL NOT NULL);
+CREATE TABLE runs (
+    run_id TEXT PRIMARY KEY, kind TEXT NOT NULL, name TEXT,
+    matrix_json TEXT NOT NULL, priority INTEGER NOT NULL DEFAULT 0,
+    status TEXT NOT NULL, code_version TEXT NOT NULL,
+    total INTEGER NOT NULL, submitted_at REAL NOT NULL);
+CREATE TABLE run_cells (
+    run_id TEXT NOT NULL, cell TEXT NOT NULL, digest TEXT NOT NULL,
+    status TEXT NOT NULL, detail TEXT, PRIMARY KEY (run_id, cell));
+"""
+
+#: ``tuned_configs`` of v2, keyed without the explored design space
+_V2_TUNED_DDL = """
+CREATE TABLE tuned_configs (
+    scenario TEXT NOT NULL, architecture TEXT NOT NULL,
+    precision TEXT NOT NULL, size_class TEXT NOT NULL,
+    code_version TEXT NOT NULL, plan_kwargs TEXT NOT NULL, model_ms REAL,
+    default_model_ms REAL, speedup REAL, search TEXT, confirmed INTEGER,
+    tune_digest TEXT, created_at REAL NOT NULL,
+    PRIMARY KEY (scenario, architecture, precision, size_class,
+                 code_version));
+"""
+
+#: ``tuned_configs`` of v3: the space-keyed shape (v4 adds no column)
+_V3_TUNED_DDL = """
+CREATE TABLE tuned_configs (
+    scenario TEXT NOT NULL, architecture TEXT NOT NULL,
+    precision TEXT NOT NULL, size_class TEXT NOT NULL,
+    code_version TEXT NOT NULL, space_digest TEXT NOT NULL DEFAULT '',
+    space TEXT, space_size INTEGER NOT NULL DEFAULT 0,
+    plan_kwargs TEXT NOT NULL, model_ms REAL, default_model_ms REAL,
+    speedup REAL, search TEXT, confirmed INTEGER, tune_digest TEXT,
+    created_at REAL NOT NULL,
+    PRIMARY KEY (scenario, architecture, precision, size_class,
+                 code_version, space_digest));
+"""
+
+FIXTURE_DDL = {1: _V1_DDL, 2: _V1_DDL + _V2_TUNED_DDL,
+               3: _V1_DDL + _V3_TUNED_DDL}
+
+
+def _write_fixture_store(path: str, version: int) -> None:
+    """A store as the build of schema ``version`` left it, with one row in
+    every table that version has."""
+    digest = ResultStore(path, code_version=lambda: "cv0").digest_for(KEY_A)
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.executescript(FIXTURE_DDL[version])
+        conn.execute("INSERT INTO meta VALUES('schema_version', ?)",
+                     (str(version),))
+        conn.execute(
+            "INSERT INTO results VALUES(?, 'job-a', 'cv0', ?, '{\"v\":1}',"
+            " 'old-build', 1.0)", (digest, json.dumps(KEY_A)))
+        conn.execute("INSERT INTO claims VALUES('other', 'old-build', 1.0)")
+        conn.execute(
+            "INSERT INTO runs VALUES('run-1', 'sweep', 'nightly',"
+            " '{\"name\":\"tier1\"}', 5, 'done', 'cv0', 1, 1.0)")
+        conn.execute("INSERT INTO run_cells VALUES('run-1', 'cell:a', ?,"
+                     " 'done', NULL)", (digest,))
+        if version == 2:
+            conn.execute(
+                "INSERT INTO tuned_configs VALUES('conv2d', 'p100', 'float32',"
+                " 'paper', 'cv0', '{\"block_threads\": 64}', 2.0, NULL,"
+                " NULL, 'exhaustive', NULL, NULL, 1.0)")
+        elif version == 3:
+            conn.execute(
+                "INSERT INTO tuned_configs VALUES('conv2d', 'p100', 'float32',"
+                " 'paper', 'cv0', 'space-a', '{\"block_threads\": [64, 128]}',"
+                " 2, '{\"block_threads\": 64}', 2.0, NULL, NULL, 'guided',"
+                " NULL, NULL, 1.0)")
+    conn.close()
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_old_store_migrates_through_the_whole_chain(tmp_path, version):
+    """Every older on-disk version reaches the current one in a single
+    open, and the rows of every table survive the chain."""
+    path = str(tmp_path / f"v{version}.sqlite")
+    _write_fixture_store(path, version)
+    store = ResultStore(path, code_version=lambda: "cv0")
+    assert store.schema_version() == STORE_SCHEMA_VERSION == 4
+    assert store.get(KEY_A) == {"v": 1}
+    assert store.job_key_versions("job-a") == ["cv0"]
+    assert store.claim_count() == 1
+    record = store.run_record("run-1")
+    assert (record["matrix"], record["priority"], record["status"]) == (
+        {"name": "tier1"}, 5, "done")
+    assert [(c["cell"], c["status"]) for c in store.run_cells("run-1")] == [
+        ("cell:a", "done")]
+    tuned = store.list_tuned_configs()
+    if version == 1:
+        assert tuned == []
+    else:
+        assert [(r["plan_kwargs"], r["search"]) for r in tuned] == [
+            ({"block_threads": 64},
+             "exhaustive" if version == 2 else "guided")]
+        assert tuned[0]["space_digest"] == ("" if version == 2 else "space-a")
+    assert store.list_analysis_reports() == []
+    store.put_tuned_config(plan_kwargs={"block_threads": 128}, model_ms=1.0,
+                           space={"block_threads": [128]}, **TUNED_KEY)
+    assert store.best_config("conv2d", "p100", "float32")["plan_kwargs"] == {
+        "block_threads": 128}
+    store.close()
+    reopened = ResultStore(path, code_version=lambda: "cv0")
+    assert reopened.schema_version() == STORE_SCHEMA_VERSION
+    assert reopened.get(KEY_A) == {"v": 1}
+    assert reopened.tuned_config_count() == (1 if version == 1 else 2)
+    reopened.close()
 
 
 def test_tuned_configs_are_code_version_scoped(tmp_path):

@@ -5,19 +5,24 @@ bit-identity; this file pins the replay engine's *internal* fast paths
 against their exact reference implementations and the engine-level
 contracts the fast paths must preserve: transaction counting against the
 segmented-sort primitive, interval-union traffic finalization against a
-brute-force set union, counter memoization, and the untraceable-kernel
-fallback.  Each entry of the compiler's lowering table is driven by a
-minimal kernel at every tier it emits, and the memoizability and
-shuffle-into-mad peephole passes are pinned on their own.
+brute-force set union, counter memoization, the untraceable-kernel
+fallback, and one program per memory geometry shared across parts (with
+each part's shared-memory capacity still checked).  Each entry of the
+compiler's lowering table is driven by a minimal kernel at every tier it
+emits, and the memoizability and shuffle-into-mad peephole passes are
+pinned on their own.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
-from repro.gpu.architecture import get_architecture
+from repro.errors import ResourceExhaustedError, SimulationError
+from repro.gpu.architecture import TESLA_P100, get_architecture
 from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.gpu.memory import GlobalMemory, rowwise_unique_counts
@@ -37,7 +42,9 @@ from repro.trace.replay import (
     capture_traces,
     fallback_log,
     record_trace,
+    replay_launch,
 )
+from repro.trace.fusion import FusedStage, fused_launch
 
 
 # --------------------------------------------------------------- _transactions
@@ -204,6 +211,132 @@ def test_replay_bounds_error_matches_eager():
     config = LaunchConfig(grid_dim=(1, 1, 1), block_threads=128)
     with pytest.raises(SimulationError, match="out-of-bounds global load"):
         kernel.launch(config, (src, dst, 128), batch_size="replay")
+
+
+# ------------------------------------------------- one program per geometry
+
+def _arch_reading_kernel(ctx, src, dst, size):
+    idx = np.minimum(ctx.thread_idx_x, size - 1)
+    scale = 2.0 if ctx.architecture.name == "Tesla P100" else 3.0
+    values = ctx.load_global(src, idx, mask=ctx.thread_idx_x < size)
+    ctx.store_global(dst, idx, values * scale, mask=ctx.thread_idx_x < size)
+
+
+def test_kernel_reading_the_architecture_falls_back():
+    kernel = Kernel(_arch_reading_kernel, name="reads_architecture")
+    memory = GlobalMemory()
+    data = np.random.default_rng(8).random(100).astype(np.float32)
+    src = memory.to_device(data, name="src")
+    dst_replay = memory.allocate((128,), "float32", name="dst_replay")
+    dst_batched = memory.allocate((128,), "float32", name="dst_batched")
+    config = LaunchConfig(grid_dim=(1, 1, 1), block_threads=128)
+    before = len(fallback_log())
+    replay = kernel.launch(config, (src, dst_replay, 100),
+                           batch_size="replay")
+    assert fallback_log()[before:] == [
+        {"kernel": "reads_architecture",
+         "reason": "kernel body reads the architecture"}]
+    batched = kernel.launch(config, (src, dst_batched, 100),
+                            batch_size="auto")
+    np.testing.assert_array_equal(dst_replay.to_host(), dst_batched.to_host())
+    np.testing.assert_array_equal(dst_batched.to_host()[:100], data * 2.0)
+    assert replay.counters.as_dict() == batched.counters.as_dict()
+
+
+def test_conv2d_compiles_once_across_architectures():
+    spec = ConvolutionSpec.gaussian(5)
+    image = np.random.default_rng(9).random((64, 96), dtype=np.float32)
+    CONV2D_SSAM_KERNEL._trace_cache.clear()
+    for name in ("p100", "v100", "a100", "h100"):
+        replay = ssam_convolve2d(image, spec, architecture=name,
+                                 batch_size="replay")
+        batched = ssam_convolve2d(image, spec, architecture=name,
+                                  batch_size="auto")
+        assert replay.launch.architecture is get_architecture(name)
+        np.testing.assert_array_equal(replay.output, batched.output)
+        assert (replay.launch.counters.as_dict()
+                == batched.launch.counters.as_dict())
+    assert len(CONV2D_SSAM_KERNEL._trace_cache) == 1
+
+
+def test_another_memory_geometry_gets_its_own_program():
+    narrow = dataclasses.replace(TESLA_P100, name="Narrow-line P100",
+                                 cache_line_bytes=32)
+    spec = ConvolutionSpec.gaussian(5)
+    image = np.random.default_rng(10).random((64, 96), dtype=np.float32)
+    CONV2D_SSAM_KERNEL._trace_cache.clear()
+    ssam_convolve2d(image, spec, architecture="p100", batch_size="replay")
+    replay = ssam_convolve2d(image, spec, architecture=narrow,
+                             batch_size="replay")
+    assert len(CONV2D_SSAM_KERNEL._trace_cache) == 2
+    batched = ssam_convolve2d(image, spec, architecture=narrow,
+                              batch_size="auto")
+    np.testing.assert_array_equal(replay.output, batched.output)
+    assert (replay.launch.counters.as_dict()
+            == batched.launch.counters.as_dict())
+
+
+#: 64 KB of float32: fits H100's per-block shared memory, not P100's 48 KB
+BIG_SHARED = 16 * 1024
+
+
+def _big_shared_kernel(ctx, src, dst, n):
+    tid = ctx.thread_idx_x
+    gidx = ctx.block_idx_x * ctx.block_threads + tid
+    tile = ctx.alloc_shared("tile", (BIG_SHARED,))
+    ctx.store_shared(tile, tid, ctx.load_global(src, gidx))
+    ctx.syncthreads()
+    ctx.store_global(dst, gidx, ctx.load_shared(tile, tid))
+
+
+def _copy_kernel(ctx, src, dst, n):
+    gidx = ctx.block_idx_x * ctx.block_threads + ctx.thread_idx_x
+    ctx.store_global(dst, gidx, ctx.load_global(src, gidx))
+
+
+def _big_shared_args():
+    memory = GlobalMemory()
+    data = np.random.default_rng(12).random(4 * 64).astype(np.float32)
+    return (memory.to_device(data, name="src"),
+            memory.allocate((4 * 64,), "float32", name="mid"),
+            memory.allocate((4 * 64,), "float32", name="dst"))
+
+
+def _batched_capacity_error(kernel, config, args):
+    with pytest.raises(ResourceExhaustedError) as excinfo:
+        kernel.launch(config, args, architecture="p100", batch_size="auto")
+    return str(excinfo.value)
+
+
+def test_reused_program_checks_shared_capacity_on_replay():
+    kernel = Kernel(_big_shared_kernel, name="big_shared_replay")
+    config = LaunchConfig(grid_dim=(4, 1, 1), block_threads=64)
+    src, mid, _ = _big_shared_args()
+    args = (src, mid, 4 * 64)
+    before = len(fallback_log())
+    replay_launch(kernel, config, args, architecture="h100")
+    assert fallback_log()[before:] == []
+    np.testing.assert_array_equal(mid.to_host(), src.to_host())
+    assert len(kernel._trace_cache) == 1
+    message = _batched_capacity_error(kernel, config, args)
+    with pytest.raises(ResourceExhaustedError, match=re.escape(message)):
+        replay_launch(kernel, config, args, architecture="p100")
+
+
+def test_reused_program_checks_shared_capacity_on_fused_launch():
+    producer = Kernel(_big_shared_kernel, name="big_shared_fused")
+    consumer = Kernel(_copy_kernel, name="copy_fused")
+    config = LaunchConfig(grid_dim=(4, 1, 1), block_threads=64)
+    src, mid, dst = _big_shared_args()
+    stages = [FusedStage(producer, config, (src, mid, 4 * 64)),
+              FusedStage(consumer, config, (mid, dst, 4 * 64))]
+    fused_launch(stages, architecture="h100")
+    np.testing.assert_array_equal(dst.to_host(), src.to_host())
+    (program,) = producer._trace_cache.values()
+    assert program is not None
+    message = _batched_capacity_error(producer, config, stages[0].args)
+    with pytest.raises(ResourceExhaustedError, match=re.escape(message)):
+        fused_launch(stages, architecture="p100")
 
 
 # ------------------------------------------------------- lowering table
