@@ -162,7 +162,6 @@ def verify_capture_record(record) -> TraceReport:
         record.trace, record.config.grid_dim, record.architecture,
         chunk_blocks=record.chunk_blocks,
         dynamic_counters=record.chunk_counters,
-        count_traffic=record.count_traffic,
         kernel_name=record.kernel_name)
 
 

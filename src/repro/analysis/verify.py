@@ -51,7 +51,6 @@ def verify_trace(trace: Trace, grid_dim: Tuple[int, int, int],
                  architecture: object = "p100", *,
                  chunk_blocks: Optional[np.ndarray] = None,
                  dynamic_counters: Optional[Dict[str, float]] = None,
-                 count_traffic: bool = True,
                  kernel_name: str = "",
                  max_concrete_blocks: int = MAX_CONCRETE_BLOCKS
                  ) -> TraceReport:
@@ -100,8 +99,7 @@ def verify_trace(trace: Trace, grid_dim: Tuple[int, int, int],
         chunk_blocks = np.asarray(chunk_blocks, dtype=np.int64)
         chunk_env = evaluate_data_free(trace, chunk_blocks)
         prediction = predict_counters(trace, chunk_env,
-                                      int(chunk_blocks.shape[0]), arch,
-                                      count_traffic=count_traffic)
+                                      int(chunk_blocks.shape[0]), arch)
         predicted = dict(prediction.counters)
         unpredicted = sorted(prediction.unpredicted)
         findings.extend(prediction.findings)

@@ -30,6 +30,7 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
+from ..errors import ConfigurationError
 from . import figure4, figure5, figure6, model_validation, table1, table2, table3
 from .cache import SimulationCache, default_cache_dir
 from .parallel import execute_jobs, resolve_workers
@@ -322,12 +323,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          "--no-cache")
         return _serve(args, workers)
     cache = None if args.no_cache else SimulationCache(args.cache_dir)
-    results = run_experiment_results(args.experiment, quick=args.quick,
-                                     jobs=workers, cache=cache,
-                                     matrix=args.matrix,
-                                     tune_stage=args.tune_stage,
-                                     confirm_engine=args.confirm_engine,
-                                     search=args.search)
+    try:
+        results = run_experiment_results(args.experiment, quick=args.quick,
+                                         jobs=workers, cache=cache,
+                                         matrix=args.matrix,
+                                         tune_stage=args.tune_stage,
+                                         confirm_engine=args.confirm_engine,
+                                         search=args.search)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print("\n\n".join(render_result(key, result)
                       for key, result in results.items()))
     if args.output_dir:

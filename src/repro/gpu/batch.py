@@ -24,8 +24,9 @@ All accounting is vectorized, and is independent of how the grid is split
 into batches (the differential tests assert bit-identical outputs and
 counters between a batch of one block and larger batches):
 
-* each memory access is counted by the one per-access rule that replay
-  and the static verifier share:
+* each memory access is counted by the one per-access rule that the
+  static count (:func:`repro.analysis.lint.predict_counters`, which also
+  counts replay launches) shares:
   :func:`repro.gpu.memory.global_access_counts` (active and divergent
   warps, per-warp line transactions, bytes) and
   :func:`repro.gpu.shared_memory.shared_access_counts` (broadcasts versus
@@ -169,7 +170,6 @@ class BatchedBlockContext:
         architecture: GPUArchitecture,
         counters: KernelCounters,
         precision: Precision,
-        count_traffic: bool = True,
     ) -> None:
         block_indices = np.asarray(block_indices, dtype=np.int64)
         if block_indices.ndim != 2 or block_indices.shape[1] != 3:
@@ -191,9 +191,8 @@ class BatchedBlockContext:
                                    self.num_blocks,
                                    architecture.shared_memory_banks,
                                    architecture.shared_memory_bank_bytes)
-        self._traffic = (BatchedTrafficTracker(self.num_blocks,
-                                               architecture.cache_line_bytes)
-                         if count_traffic else None)
+        self._traffic = BatchedTrafficTracker(self.num_blocks,
+                                              architecture.cache_line_bytes)
         self._thread_idx = np.arange(self.block_threads, dtype=np.int64)
         self._register_shape = (self.num_blocks, self.block_threads)
         self._issue_warps = self.num_blocks * self.num_warps
@@ -321,7 +320,7 @@ class BatchedBlockContext:
             self.architecture.cache_line_bytes, self.warp_size,
             store=False, cached=buffer.cached)
         self.counters.accumulate(access.counters)
-        if self._traffic is not None and access.active:
+        if access.active:
             self._traffic.record_read(buffer, access.lines, mask)
         values = np.zeros(self._register_shape, dtype=buffer.dtype)
         if mask is None:
@@ -435,5 +434,4 @@ class BatchedBlockContext:
     # ------------------------------------------------------------- finalize
     def finalize(self) -> None:
         """Fold the batch's unique-line DRAM reads into the launch counters."""
-        if self._traffic is not None:
-            self.counters.dram_read_bytes += self._traffic.finalize()
+        self.counters.dram_read_bytes += self._traffic.finalize()

@@ -59,9 +59,11 @@ class KernelCounters:
         return self
 
     def accumulate(self, deltas: Mapping[str, float]) -> None:
-        """Add a ``{field: amount}`` mapping of counter deltas (in place)."""
+        """Add a ``{field: amount}`` mapping of counter deltas (in place);
+        each field keeps its type (the block and warp tallies stay ints)."""
         for name, amount in deltas.items():
-            setattr(self, name, getattr(self, name) + amount)
+            current = getattr(self, name)
+            setattr(self, name, current + type(current)(amount))
 
     def scaled(self, factor: float) -> "KernelCounters":
         """Return a copy with every count multiplied by ``factor``.

@@ -218,7 +218,6 @@ class Kernel:
         args: Sequence[object],
         architecture: object = "p100",
         max_blocks: Optional[int] = None,
-        count_traffic: bool = True,
         batch_size: Union[int, str, None] = "auto",
     ) -> LaunchResult:
         """Execute the kernel over the launch grid.
@@ -236,9 +235,6 @@ class Kernel:
             If given and smaller than the grid, only a uniformly spaced
             sample of blocks is executed and the counters are scaled to the
             full grid (outputs are then incomplete).
-        count_traffic:
-            Disable per-block unique-line DRAM accounting (faster) when the
-            caller supplies traffic analytically.
         batch_size:
             Blocks executed per vectorized batch.  ``"auto"`` (default)
             bounds the batch by a memory budget (:func:`auto_batch_size`);
@@ -252,8 +248,7 @@ class Kernel:
             from ..trace.replay import replay_launch
 
             return replay_launch(self, config, args, architecture=architecture,
-                                 max_blocks=max_blocks,
-                                 count_traffic=count_traffic)
+                                 max_blocks=max_blocks)
         arch = get_architecture(architecture)
         if config.block_threads % arch.warp_size != 0:
             raise LaunchError(
@@ -280,7 +275,6 @@ class Kernel:
                 architecture=arch,
                 counters=counters,
                 precision=config.precision,
-                count_traffic=count_traffic,
             )
             self.func(ctx, *args)
             ctx.finalize()

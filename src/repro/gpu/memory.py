@@ -152,12 +152,15 @@ def rowwise_sorted_firsts(values: np.ndarray,
     distinct non-sentinel value — so ``firsts.sum(axis=1)`` is the per-row
     unique count and ``work[firsts]`` are the unique values themselves.
     Sentinel entries already present in ``values`` are treated as padding.
+    Rows that already ascend (the common register-cache pattern) skip the
+    sort.
     """
     values = np.asarray(values, dtype=np.int64)
     if values.ndim != 2:
         raise SimulationError("rowwise_sorted_firsts expects a 2-D matrix")
     work = np.where(mask, values, _SENTINEL) if mask is not None else np.array(values)
-    work.sort(axis=1)
+    if not np.all(work[:, 1:] >= work[:, :-1]):
+        work.sort(axis=1)
     valid = work != _SENTINEL
     firsts = np.empty(work.shape, dtype=bool)
     if work.shape[1]:
@@ -201,12 +204,51 @@ def rowwise_unique_pad(values: np.ndarray,
     rows = work.shape[0]
     if rows == 0 or work.shape[1] == 0:
         return np.full((rows, 1), _SENTINEL, dtype=np.int64)
-    padded_width = max(1, int(firsts.sum(axis=1).max()))
-    out = np.full((rows, padded_width), _SENTINEL, dtype=np.int64)
-    positions = np.cumsum(firsts, axis=1) - 1
-    row_ids = np.broadcast_to(np.arange(rows)[:, None], work.shape)
-    out[row_ids[firsts], positions[firsts]] = work[firsts]
+    counts = firsts.sum(axis=1)
+    out = np.full((rows, max(1, int(counts.max()))), _SENTINEL,
+                  dtype=np.int64)
+    row_ids, columns = np.nonzero(firsts)
+    # position of each unique value within its row: its rank in the flat
+    # list minus the number of uniques in earlier rows
+    row_starts = np.repeat(np.cumsum(counts) - counts, counts)
+    out[row_ids, np.arange(row_ids.size) - row_starts] = work[row_ids,
+                                                              columns]
     return out
+
+
+def ascending_unique_counts(values: np.ndarray,
+                            mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`rowwise_unique_counts` with a sort-free path for ascending rows.
+
+    When every row ascends (the register-cache access patterns are
+    monotone in the lane index) a fully active row's distinct count is one
+    plus its strict increases: a subtraction and a reduction instead of a
+    segmented sort.  When every row's active lanes form one contiguous run
+    (grid-edge tail and anchor masks) only the increases inside the run
+    count.  Other partially active rows, and any matrix with a descending
+    step, take the sorting primitive, so the result is always exact.
+    """
+    rows, width = values.shape
+    if rows == 0 or width <= 1:
+        return rowwise_unique_counts(values, mask)
+    steps = values[:, 1:] - values[:, :-1]
+    if int(steps.min()) < 0:
+        return rowwise_unique_counts(values, mask)
+    rises = steps != 0
+    if mask is None:
+        return 1 + np.count_nonzero(rises, axis=1)
+    run_starts = mask[:, 1:] & ~mask[:, :-1]
+    if int((run_starts.sum(axis=1) + mask[:, 0]).max()) <= 1:
+        active = mask.sum(axis=1)
+        first = np.argmax(mask, axis=1)
+        step = np.arange(width - 1)
+        inside = (rises & (step >= first[:, None])
+                  & (step < (first + active - 1)[:, None]))
+        return inside.sum(axis=1) + (active > 0)
+    counts = 1 + np.count_nonzero(rises, axis=1)
+    partial = ~mask.all(axis=1)
+    counts[partial] = rowwise_unique_counts(values[partial], mask[partial])
+    return counts
 
 
 class GlobalAccessCounts(NamedTuple):
@@ -237,7 +279,12 @@ def global_access_counts(flat_indices: np.ndarray, mask: Optional[np.ndarray],
     buffer is ``cached``.  Unique-line DRAM *read* traffic spans many
     accesses, so it is left to the caller (from ``lines``).
     """
-    lines = (flat_indices * itemsize) // line_bytes
+    ratio, remainder = divmod(line_bytes, itemsize)
+    if remainder == 0 and ratio & (ratio - 1) == 0:
+        # floor division by a power of two is an arithmetic right shift
+        lines = flat_indices >> (ratio.bit_length() - 1)
+    else:
+        lines = (flat_indices * itemsize) // line_bytes
     if mask is None:
         warps, divergent, active = lines.size // warp_size, 0, lines.size
         warp_mask = None
@@ -245,7 +292,7 @@ def global_access_counts(flat_indices: np.ndarray, mask: Optional[np.ndarray],
         warp_mask = np.ascontiguousarray(mask).reshape(-1, warp_size)
         warps, divergent = grouped_warp_counts(warp_mask, warp_size)
         active = int(np.count_nonzero(warp_mask))
-    sectors = rowwise_unique_counts(
+    sectors = ascending_unique_counts(
         np.ascontiguousarray(lines).reshape(-1, warp_size), warp_mask)
     nbytes = float(active * itemsize)
     if store:

@@ -256,16 +256,28 @@ class ResultStore:
         return conn
 
     def _conn(self) -> sqlite3.Connection:
-        """The calling thread's connection (sqlite handles are not shared)."""
+        """The calling thread's connection (sqlite handles are not shared).
+
+        A file that is not a sqlite database, or a truncated one, raises a
+        :class:`ConfigurationError` naming the path.
+        """
         conn = getattr(self._local, "conn", None)
         if conn is None:
             os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-            conn = self._connect()
+            try:
+                conn = self._connect()
+                with self._init_lock:
+                    if not self._initialised:
+                        self._ensure_schema(conn)
+                        self._initialised = True
+            except sqlite3.DatabaseError as exc:
+                if type(exc) is not sqlite3.DatabaseError:
+                    raise  # locked, busy or a constraint: not damage
+                raise ConfigurationError(
+                    f"result store {self.path!r} is not a usable sqlite "
+                    f"database ({exc}); move it aside to start a new "
+                    f"store") from None
             self._local.conn = conn
-            with self._init_lock:
-                if not self._initialised:
-                    self._ensure_schema(conn)
-                    self._initialised = True
         return conn
 
     def _ensure_schema(self, conn: sqlite3.Connection) -> None:

@@ -78,7 +78,6 @@ def _volatile_slots(state: _StageState, states: List[_StageState]
 
 
 def fused_launch(stages: Sequence[FusedStage], architecture: object = "p100",
-                 count_traffic: bool = True,
                  lead_blocks: Optional[int] = None) -> LaunchResult:
     """Run ``stages`` as one fused launch with a shared counter set.
 
@@ -119,11 +118,10 @@ def fused_launch(stages: Sequence[FusedStage], architecture: object = "p100",
                 f"block size {config.block_threads} is not a multiple of "
                 f"warp size {arch.warp_size}")
     try:
-        return _fused_replay(stages, arch, count_traffic, lead_blocks)
+        return _fused_replay(stages, arch, lead_blocks)
     except TraceUnsupported:
         results = [stage.kernel.launch(stage.config, stage.args,
                                        architecture=arch,
-                                       count_traffic=count_traffic,
                                        batch_size="auto")
                    for stage in stages]
         merged = results[0]
@@ -132,7 +130,7 @@ def fused_launch(stages: Sequence[FusedStage], architecture: object = "p100",
         return merged
 
 
-def _fused_replay(stages: List[FusedStage], arch, count_traffic: bool,
+def _fused_replay(stages: List[FusedStage], arch,
                   lead_blocks: Optional[int]) -> LaunchResult:
     base = stages[0].config
     index_matrix = _block_index_matrix(base.grid_dim)
@@ -148,17 +146,15 @@ def _fused_replay(stages: List[FusedStage], arch, count_traffic: bool,
         if state.program is None:
             volatile = _volatile_slots(state, states)
             program, key = get_program(state.kernel, state.config, state.args,
-                                       arch, count_traffic, volatile)
+                                       arch, volatile)
             if program is None:
                 if key in state.kernel._trace_cache:
                     raise TraceUnsupported(
                         f"kernel {state.kernel.name!r} is untraceable")
                 try:
                     trace = record_trace(state.kernel, state.config,
-                                         state.args, arch, counters,
-                                         count_traffic, batch)
-                    program = compile_trace(trace, arch, count_traffic,
-                                            volatile)
+                                         state.args, arch, counters, batch)
+                    program = compile_trace(trace, volatile)
                 except TraceUnsupported:
                     state.kernel._trace_cache[key] = None
                     raise
@@ -170,8 +166,8 @@ def _fused_replay(stages: List[FusedStage], arch, count_traffic: bool,
                                   arch.shared_memory_per_block)
             state.program = program
         if state.session is None:
-            state.session = ReplaySession(state.program, state.args, counters,
-                                          max_chunk_blocks=chunk)
+            state.session = ReplaySession(state.program, state.args, arch,
+                                          counters, max_chunk_blocks=chunk)
         state.session.run_chunk(batch)
         state.pos = end
 

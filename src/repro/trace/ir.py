@@ -191,6 +191,26 @@ class Trace:
         self._inputs[name] = node.id
         return node
 
+    def count_plan(self) -> "Trace":
+        """A copy with the node structure and only const and input values.
+
+        What a compiled program keeps to count its launches: evaluating
+        the data-free slice needs the leaves alone, so the values recorded
+        for every other node are dropped.
+        """
+        plan = Trace((), batch_blocks=self.batch_blocks,
+                     block_threads=self.block_threads,
+                     warp_size=self.warp_size, num_warps=self.num_warps,
+                     numpy_dtype=self.numpy_dtype)
+        plan.slot_info = dict(self.slot_info)
+        plan.written_slots = set(self.written_slots)
+        plan.nodes = [
+            Node(n.id, n.op, fn=n.fn, inputs=n.inputs, kwargs=n.kwargs,
+                 params=n.params, kind=n.kind, shape=n.shape, dtype=n.dtype,
+                 value=n.value if n.op in ("const", "input") else None)
+            for n in self.nodes]
+        return plan
+
     def slot_for(self, buffer: DeviceBuffer) -> int:
         slot = self.slot_of.get(buffer.buffer_id)
         if slot is None:

@@ -1,39 +1,33 @@
 """Compile a recorded trace into a straight-line vectorized replay program.
 
 ``compile_trace`` runs four passes — tiers (:func:`_assign_tiers`: when
-each value can be computed), memoizability (:func:`_memoizable`: may a
-repeat launch reuse its counters), the shuffle-into-mad peephole
+each value can be computed), the operands the counters read from loaded
+data (:func:`_loaded_operands`: none makes a program memoizable, so a
+repeat launch may reuse its counters), the shuffle-into-mad peephole
 (:func:`_fuse_shuffles`) and liveness (:func:`_release_points`: when each
 scratch slot is released) — then lowers each node through
 :data:`LOWERINGS`, one function per op family taking the shared
 :class:`_CompileState`.
 
-The lowerings emit three artifacts:
+Replay computes values only.  The lowerings emit two step lists:
 
 * a *launch prologue* — closures run once per :class:`ReplaySession` that
   materialise LAUNCH-tier values (e.g. loads from buffers the trace never
-  stores to, shared-memory staging of broadcast weights) and precompute the
-  per-block **linear counter delta**: the sum of every accounting
-  contribution that is identical for all blocks (instruction counts by
-  :func:`~repro.trace.ir.instruction_count`, and every thread-uniform
-  memory access counted on one block's row by the per-access rule the
-  batched engine and the verifier share,
-  :func:`~repro.gpu.memory.global_access_counts` and
-  :func:`~repro.gpu.shared_memory.shared_access_counts`).  Applying that
-  delta once per chunk — scaled by the chunk's block count — replaces
-  hundreds of per-op counter updates and per-warp sort/unique reductions.
+  stores to, shared-memory staging of broadcast weights);
 * a *chunk program* — closures run per batch chunk that compute only the
   genuinely block-varying values (CHUNK tier), writing into a pooled
   scratch arena (liveness-scanned slots, allocated once at the maximum
   chunk size) so the steady state performs no large allocations.
-* exact-accounting *fast paths* for the block-varying global accesses
-  (one step serves loads and stores): the same rule as
-  :func:`~repro.gpu.memory.global_access_counts` on pooled buffers, with
-  bounds via min/max reductions and coalescing via a
-  sorted-adjacent-difference count with a verified masked variant, falling
-  back to :func:`~repro.gpu.memory.rowwise_unique_counts` whenever its
-  soundness precondition does not hold — every counter and every output
-  byte stays bit-identical to the batched engine by construction.
+
+Counters come from :func:`repro.analysis.lint.predict_counters`, the one
+function that turns a trace's index and mask matrices into counters (the
+static verifier's prediction is the same call).  A program keeps a *count
+plan* — the trace's node structure with only its const and input values —
+and each counted chunk hands it the data-free environment of the chunk's
+blocks plus replay's own values of any index or mask operand computed
+from loaded data (kept live to the end of the chunk).  The count checks
+every access's bounds too.  A repeat launch of a memoizable program reuses
+the first launch's counters and runs the value steps alone.
 
 The replay of a chunk therefore touches NumPy kernels only — no Python
 kernel-body dispatch, no per-op method calls, no redundant index
@@ -48,19 +42,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.concrete import evaluate_data_free
+from ..analysis.lint import predict_counters
 from ..errors import LaunchError, SimulationError
 from ..gpu.architecture import GPUArchitecture, get_architecture
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import LaunchResult, auto_batch_size
-from ..gpu.memory import (
-    _SENTINEL,
-    DeviceBuffer,
-    global_access_counts,
-    rowwise_unique_counts,
-)
-from ..gpu.shared_memory import check_shared_capacity, shared_access_counts
-from ..gpu.simt import grouped_warp_counts
+from ..gpu.memory import DeviceBuffer
+from ..gpu.shared_memory import check_shared_capacity
 from .ir import (
     B_AXIS,
     BLOCK_AXES,
@@ -72,132 +62,10 @@ from .ir import (
     Trace,
     TraceUnsupported,
     compute_data_free,
-    instruction_count,
     memory_operands,
     node_evaluator,
 )
 from .tracer import TracingContext, _astype_fn
-
-
-# ------------------------------------------------------------------ helpers
-
-def _transactions(wm: np.ndarray, mm: Optional[np.ndarray],
-                  diff_buf: Optional[np.ndarray] = None
-                  ) -> Tuple[int, Optional[np.ndarray], bool]:
-    """Sum of per-warp-row unique counts over active lanes, exact.
-
-    Returns ``(transactions, diff_matrix_or_None, rows_sorted)``.
-
-    Fast path: when every row is ascending (the register-cache access
-    patterns are monotone in the lane index) a fully-active row's unique
-    count is ``1 + count(strict increases)`` — one subtraction and a couple
-    of reductions instead of a segmented sort.  Partially-active rows (grid
-    boundary warps, typically a small minority) are extracted and counted
-    with the batched engine's primitive; unsorted inputs fall back to it
-    entirely, so the result is always exact.
-    """
-    rows, width = wm.shape
-    if width <= 1:
-        trans = rows * width if mm is None else int(np.count_nonzero(mm))
-        return trans, None, True
-    if diff_buf is None:
-        d = wm[:, 1:] - wm[:, :-1]
-    else:
-        d = diff_buf
-        np.subtract(wm[:, 1:], wm[:, :-1], out=d)
-    if int(d.min()) < 0:
-        return int(rowwise_unique_counts(wm, mm).sum()), None, False
-    if mm is None:
-        return rows + int(np.count_nonzero(d)), d, True
-    rises = ~mm[:, :-1] & mm[:, 1:]
-    if int((rises.sum(axis=1) + mm[:, 0]).max()) <= 1:
-        # every row's active lanes form one contiguous run (the SSAM
-        # valid_x tail masks and left-edge anchor masks): uniques over the
-        # run are one plus the strict increases strictly inside it
-        k = mm.sum(axis=1)
-        s = np.argmax(mm, axis=1)
-        jj = np.arange(width - 1)
-        inc = (d != 0) & (jj >= s[:, None]) & (jj < (s + k - 1)[:, None])
-        return int(inc.sum()) + int(np.count_nonzero(k)), d, True
-    full = mm.all(axis=1)
-    if full.all():
-        return rows + int(np.count_nonzero(d)), d, True
-    per_row = (d != 0).sum(axis=1)
-    partial = ~full
-    trans = int(per_row[full].sum()) + int(np.count_nonzero(full)) + int(
-        rowwise_unique_counts(wm[partial], mm[partial]).sum())
-    return trans, d, True
-
-
-def _compact_sorted_rows(arr: np.ndarray) -> np.ndarray:
-    """Sentinel-padded per-row uniques of an ascending, sentinel-free matrix.
-
-    The sort-free analogue of :func:`~repro.gpu.memory.rowwise_unique_pad`
-    used to pre-compact each traffic record before the per-chunk union.
-    """
-    rows, width = arr.shape
-    firsts = np.empty(arr.shape, dtype=bool)
-    firsts[:, 0] = True
-    np.not_equal(arr[:, 1:], arr[:, :-1], out=firsts[:, 1:])
-    counts = firsts.sum(axis=1)
-    padded = max(1, int(counts.max()))
-    out = np.full((rows, padded), _SENTINEL, dtype=np.int64)
-    positions = np.cumsum(firsts, axis=1) - 1
-    row_ids = np.broadcast_to(np.arange(rows)[:, None], arr.shape)
-    out[row_ids[firsts], positions[firsts]] = arr[firsts]
-    return out
-
-
-def _is_rowwise_sorted(arr: np.ndarray) -> bool:
-    return arr.shape[1] <= 1 or bool(np.all(arr[:, 1:] >= arr[:, :-1]))
-
-
-def _line_shift(itemsize: int, line_bytes: int) -> Optional[int]:
-    """Right-shift equivalent of ``(idx * itemsize) // line_bytes``.
-
-    Valid because indices are bounds-checked non-negative; None when the
-    line/item ratio is not a power of two.
-    """
-    if line_bytes % itemsize != 0:
-        return None
-    ratio = line_bytes // itemsize
-    if ratio & (ratio - 1):
-        return None
-    return ratio.bit_length() - 1
-
-
-def _interval_union_sum(los: np.ndarray, his: np.ndarray) -> int:
-    """Total length of the per-row union of closed integer intervals.
-
-    ``los``/``his`` are ``(rows, K)`` interval bounds; the result is
-    ``sum_r |union_k [los[r,k], his[r,k]]|``.  Used by the per-chunk DRAM
-    traffic finalize: each verified-contiguous warp access contributes one
-    interval of cache lines, so the per-block unique-line count reduces to
-    a tiny sort over K intervals instead of a segmented sort over all lanes.
-    """
-    order = np.argsort(los, axis=1, kind="stable")
-    los_s = np.take_along_axis(los, order, axis=1)
-    his_s = np.take_along_axis(his, order, axis=1)
-    running = np.maximum.accumulate(his_s, axis=1)
-    prev = np.empty_like(running)
-    prev[:, 0] = los_s[:, 0] - 1
-    prev[:, 1:] = running[:, :-1]
-    contrib = his_s - np.maximum(los_s - 1, prev)
-    return int(np.maximum(contrib, 0, out=contrib).sum())
-
-
-def _intervals_to_matrix(lo: np.ndarray, hi: np.ndarray, rows: int
-                         ) -> np.ndarray:
-    """Expand interval records to a per-block line matrix (mixed-mode path).
-
-    Entries past an interval's end repeat ``hi`` — duplicates are harmless
-    for unique counting.  Only used when one chunk mixes interval and raw
-    matrix records for the same buffer, which the SSAM kernels never do.
-    """
-    width = int((hi - lo).max()) + 1
-    mat = lo[:, None] + np.arange(width, dtype=np.int64)
-    np.minimum(mat, hi[:, None], out=mat)
-    return mat.reshape(rows, -1)
 
 
 # ---------------------------------------------------------- tier assignment
@@ -275,26 +143,25 @@ class _Pool:
 class ReplayProgram:
     """Everything needed to replay one trace against fresh launch arguments."""
 
-    __slots__ = ("env_template", "launch_steps", "delta_thunks", "chunk_steps",
-                 "pool_slots", "block_inputs", "slot_info", "num_cells",
-                 "memoizable", "counter_cache", "written_slots",
-                 "shared_allocations")
+    __slots__ = ("env_template", "launch_steps", "chunk_steps", "pool_slots",
+                 "block_inputs", "slot_info", "plan", "loaded_operands",
+                 "counter_cache", "written_slots", "shared_allocations")
 
     def __init__(self) -> None:
         self.env_template: List[object] = []
         self.launch_steps: List = []
-        self.delta_thunks: List = []
         self.chunk_steps: List = []
         self.pool_slots: List[Tuple[Tuple[int, ...], np.dtype]] = []
         self.block_inputs: List[Tuple[int, int]] = []
         self.slot_info: Dict[int, Dict[str, object]] = {}
-        self.num_cells = 0
-        #: True when every memory index/mask is a pure function of consts,
-        #: thread ids and block ids — the counters of a launch are then a
-        #: pure function of the block schedule and can be reused verbatim
-        self.memoizable = False
-        #: (grid_dim, max_blocks, count_traffic) -> counter dict of a
-        #: completed launch, replayed without re-deriving the accounting
+        #: the count plan: the trace's node structure, const and input
+        #: values only (:meth:`~repro.trace.ir.Trace.count_plan`)
+        self.plan: Optional[Trace] = None
+        #: index and mask operands computed from loaded data: the count
+        #: reads replay's own values of these
+        self.loaded_operands: Tuple[int, ...] = ()
+        #: (grid_dim, max_blocks) -> counter dict of a completed launch,
+        #: replayed without counting again
         self.counter_cache: Dict[tuple, Dict[str, float]] = {}
         #: argument positions of global buffers this program writes
         #: (used by stage fusion to mark downstream reads volatile)
@@ -304,20 +171,28 @@ class ReplayProgram:
         #: that reuses it checks them against that part's capacity
         self.shared_allocations: Tuple[int, ...] = ()
 
+    @property
+    def memoizable(self) -> bool:
+        """True when no index or mask reads loaded data: the counters of a
+        launch are then a pure function of the block schedule and can be
+        reused verbatim."""
+        return not self.loaded_operands
+
 
 class ReplaySession:
     """One launch of a compiled program: buffer bindings + scratch arena."""
 
     def __init__(self, program: ReplayProgram, args: Sequence[object],
-                 counters: KernelCounters, max_chunk_blocks: int,
-                 account: bool = True) -> None:
+                 architecture: GPUArchitecture,
+                 counters: Optional[KernelCounters],
+                 max_chunk_blocks: int) -> None:
         self.program = program
+        self.architecture = architecture
+        #: None when the launch's counters come from the program's counter
+        #: cache: the count (bounds checks included — they are
+        #: deterministic and passed on the cached launch) is skipped and
+        #: only the value steps run
         self.counters = counters
-        #: False when the launch's counters come from the program's
-        #: counter cache: the accounting work (bounds checks included —
-        #: they are deterministic and passed on the cached launch) is
-        #: skipped and only the value steps run
-        self.account = account
         self.buffers: Dict[int, DeviceBuffer] = {}
         for slot, info in program.slot_info.items():
             buffer = args[slot]
@@ -328,55 +203,61 @@ class ReplaySession:
         self.env: List[object] = list(program.env_template)
         self.scratch = [np.empty((max_chunk_blocks,) + tail, dtype)
                         for tail, dtype in program.pool_slots]
-        self.cells: List[object] = [None] * program.num_cells
         self.B = 0
-        self.traffic: Dict[int, List[np.ndarray]] = {}
         for step in program.launch_steps:
             step(self)
-        self.delta_items: List = []
-        if account:
-            delta: Dict[str, object] = {}
-            for thunk in program.delta_thunks:
-                for field, amount in thunk(self).items():
-                    delta[field] = delta.get(field, 0) + amount
-            self.delta_items = list(delta.items())
 
     def s(self, slot: int) -> np.ndarray:
         """Current chunk's view of one pooled scratch slot."""
         return self.scratch[slot][:self.B]
 
     def run_chunk(self, block_indices: np.ndarray) -> None:
-        """Replay the program for one contiguous chunk of blocks."""
-        B = int(block_indices.shape[0])
-        self.B = B
+        """Replay the program for one contiguous chunk of blocks, then
+        count it."""
+        self.B = int(block_indices.shape[0])
         env = self.env
         for node_id, axis in self.program.block_inputs:
             env[node_id] = block_indices[:, axis:axis + 1]
-        self.traffic = {}
-        for step in self.program.chunk_steps:
-            step(self)
-        counters = self.counters
-        for field, amount in self.delta_items:
-            setattr(counters, field, getattr(counters, field) + amount * B)
+        try:
+            for step in self.program.chunk_steps:
+                step(self)
+        except IndexError:
+            # a value step indexed past a buffer: the count raises the
+            # engines' bounds error for the first such access
+            self.count(block_indices)
+            raise
+        self.count(block_indices)
+
+    def count(self, block_indices: np.ndarray) -> None:
+        """Add the chunk's counters, predicted from the program's plan."""
+        if self.counters is None:
+            return
+        program = self.program
+        env = evaluate_data_free(program.plan, block_indices)
+        for node_id in program.loaded_operands:
+            env[node_id] = self.env[node_id]
+        self.counters.accumulate(predict_counters(
+            program.plan, env, self.B, self.architecture).counters)
 
 
 # ------------------------------------------------------------ compile passes
 
-def _memoizable(trace: Trace) -> bool:
-    """True when every memory index and mask is free of loaded data.
+def _loaded_operands(trace: Trace) -> Tuple[int, ...]:
+    """Index and mask operands whose values depend on loaded data.
 
-    Warp counts, transactions, divergence and traffic are then a pure
+    With none, warp counts, transactions, divergence and traffic are a pure
     function of the block schedule, so a repeat launch with the same grid
-    and sampling can reuse the first launch's counters verbatim.
+    and sampling can reuse the first launch's counters verbatim
+    (:attr:`ReplayProgram.memoizable`).
     """
     data_free = compute_data_free(trace)
+    loaded = set()
     for node in trace.nodes:
         if node.op in MEMORY_OPS:
             index, _, mask = memory_operands(node)
-            if not data_free[index] or (mask is not None
-                                        and not data_free[mask]):
-                return False
-    return True
+            loaded.update(i for i in (index, mask)
+                          if i is not None and not data_free[i])
+    return tuple(sorted(loaded))
 
 
 def _fuse_shuffles(nodes, tiers: List[int], working: np.dtype,
@@ -413,11 +294,14 @@ def _fuse_shuffles(nodes, tiers: List[int], working: np.dtype,
     return fused
 
 
-def _release_points(nodes, fused: Dict[int, int]) -> Dict[int, List[int]]:
+def _release_points(nodes, fused: Dict[int, int],
+                    keep: Tuple[int, ...] = ()) -> Dict[int, List[int]]:
     """Liveness: node id -> the values whose last consumer it is.
 
     A value's scratch slot is reclaimed once its last consumer is lowered;
-    a fused shuffle's source lives until the mad that absorbed it.
+    a fused shuffle's source lives until the mad that absorbed it, and the
+    values in ``keep`` (the operands the count reads) to the end of the
+    chunk.
     """
     last_use = list(range(len(nodes)))
     for node in nodes:
@@ -428,6 +312,8 @@ def _release_points(nodes, fused: Dict[int, int]) -> Dict[int, List[int]]:
     for mad_id, shfl_id in fused.items():
         src = nodes[shfl_id].inputs[0]
         last_use[src] = max(last_use[src], mad_id)
+    for i in keep:
+        last_use[i] = len(nodes)  # past the last node: never released
     release_at: Dict[int, List[int]] = {}
     for i, at in enumerate(last_use):
         release_at.setdefault(at, []).append(i)
@@ -437,8 +323,7 @@ def _release_points(nodes, fused: Dict[int, int]) -> Dict[int, List[int]]:
 class _CompileState:
     """What the lowerings of one trace share while it compiles."""
 
-    def __init__(self, trace: Trace, geometry: Tuple[int, int, int, int],
-                 count_traffic: bool, tiers: List[int],
+    def __init__(self, trace: Trace, tiers: List[int],
                  content_tiers: Dict[int, int],
                  fused: Dict[int, int]) -> None:
         self.nodes = trace.nodes
@@ -449,12 +334,8 @@ class _CompileState:
         #: mad node id -> the shuffle node fused into it
         self.fused = fused
         self.fused_shuffles = frozenset(fused.values())
-        self.count_traffic = count_traffic
         self.T = trace.block_threads
-        self.W = trace.num_warps
-        #: the program's cache key holds the geometry, not the part, so the
-        #: lowerings read no other architecture field
-        self.ws, self.line_bytes, self.banks, self.bank_bytes = geometry
+        self.ws = trace.warp_size
         self.working = np.dtype(trace.numpy_dtype)
         self.program = ReplayProgram()
         self.program.slot_info = dict(trace.slot_info)
@@ -463,9 +344,6 @@ class _CompileState:
         self.pool = _Pool()
         #: node id -> pooled scratch slot holding its chunk value
         self.storage: Dict[int, int] = {}
-        #: per-block counter contributions identical for every block
-        self.delta: Dict[str, object] = {
-            "blocks_executed": 1, "warps_executed": self.W}
 
     def pooled(self, node) -> Optional[int]:
         """Scratch slot for a block-varying value (None for other kinds)."""
@@ -474,9 +352,6 @@ class _CompileState:
             self.storage[node.id] = slot
             return slot
         return None
-
-    def static_tier(self, i: Optional[int]) -> bool:
-        return i is None or self.tiers[i] <= TIER_LAUNCH
 
 
 def _row_of(env_value, threads: int, dtype=None) -> np.ndarray:
@@ -498,10 +373,8 @@ def _lower_leaf(state: _CompileState, node) -> None:
         state.program.block_inputs.append((node.id, axis))
 
 
-def _lower_counted(state: _CompileState, node) -> None:
-    """Instruction accounting (sync / misc, and every arith and shfl)."""
-    field, per_warp = instruction_count(node)
-    state.delta[field] = state.delta.get(field, 0) + per_warp * state.W
+def _lower_nothing(state: _CompileState, node) -> None:
+    """sync / misc: counted by the plan, no value to compute."""
 
 
 def _lower_static_value(state: _CompileState, node) -> bool:
@@ -579,7 +452,6 @@ def _lower_pure(state: _CompileState, node) -> None:
 
 def _lower_arith(state: _CompileState, node) -> None:
     """mad / add / mul, in place on pooled registers when dtypes agree."""
-    _lower_counted(state, node)
     if node.id in state.fused:
         _lower_fused_mad(state, node)
         return
@@ -652,16 +524,24 @@ def _lower_fused_mad(state: _CompileState, node) -> None:
 
 
 def _lower_shfl(state: _CompileState, node) -> None:
-    """Warp shuffles as grouped slice copies (fused ones only count)."""
-    _lower_counted(state, node)
+    """Warp shuffles as grouped slice copies (fused ones have no step)."""
     if node.id in state.fused_shuffles or _lower_static_value(state, node):
         return
     ws = state.ws
     slot = state.pooled(node)
     if slot is None:
         # a thread-uniform shuffle recomputed per chunk (its operand was
-        # loaded from a buffer the kernel writes) has no (B, T) register
-        raise TraceUnsupported("chunk-tier shuffle of a non-register value")
+        # loaded from a buffer the kernel writes) has no pooled register:
+        # shuffle the operand as it comes (the identity on a warp-uniform
+        # one)
+        def step(session, evaluate=node_evaluator(node, state.working, ws),
+                 i0=node.inputs[0], shape=tuple(node.shape), nid=node.id):
+            env = session.env
+            value = env[i0]
+            env[nid] = evaluate(
+                [value], np.broadcast_shapes(np.shape(value), shape))
+        state.program.chunk_steps.append(step)
+        return
 
     def step(session, i0=node.inputs[0], slot=slot, nid=node.id,
              direction=node.params["dir"], amount=node.params["amount"]):
@@ -689,57 +569,17 @@ def _lower_shfl(state: _CompileState, node) -> None:
 # -------------------------------------------------------- global memory
 
 def _lower_global(state: _CompileState, node) -> None:
-    """load_global / store_global: a thread-uniform access pattern folds
-    one block's counters into the per-block delta (a load also records one
-    broadcast traffic row per chunk); a launch-static access runs once per
-    session; anything else runs per chunk."""
+    """load_global / store_global: a launch-static access runs once per
+    session, anything else per chunk."""
+    if state.tiers[node.id] != TIER_LAUNCH:
+        _global_chunk_access(state, node)
+        return
     T, working = state.T, state.working
     is_store = node.op == "store_global"
-    op_word = "store" if is_store else "load"
-    slot = node.params["slot"]
-    info = state.slot_info[slot]
-    itemsize = int(info["itemsize"])
-    cached = bool(info["cached"])
     i_idx, i_val, i_mask = memory_operands(node)
-    static = state.static_tier(i_idx) and state.static_tier(i_mask)
-    track = state.count_traffic and not cached and not is_store
-    if static:
-        cell = None
-        if track:
-            cell = state.program.num_cells
-            state.program.num_cells += 1
-
-        ws, line_bytes = state.ws, state.line_bytes
-
-        def thunk(session, i_idx=i_idx, i_mask=i_mask, slot=slot, cell=cell):
-            env = session.env
-            buffer = session.buffers[slot]
-            idx = _row_of(env[i_idx], T, np.int64)
-            if int(idx.min()) < 0 or int(idx.max()) >= buffer.size:
-                raise SimulationError(
-                    f"out-of-bounds global {op_word} on {buffer.name!r}")
-            mask = None if i_mask is None else _row_of(env[i_mask], T, bool)
-            counts = global_access_counts(idx, mask, itemsize, line_bytes,
-                                          ws, store=is_store, cached=cached)
-            if cell is not None and counts.active:
-                session.cells[cell] = (
-                    np.where(mask, counts.lines, _SENTINEL)
-                    if mask is not None else counts.lines)
-            return counts.counters
-        state.program.delta_thunks.append(thunk)
-        if cell is not None:
-            def record(session, cell=cell, slot=slot):
-                row = session.cells[cell]
-                if row is not None:
-                    session.traffic.setdefault(slot, []).append(
-                        ("mat", np.broadcast_to(row, (session.B, T))))
-            state.program.chunk_steps.append(record)
-    if state.tiers[node.id] != TIER_LAUNCH:
-        _global_chunk_access(state, node, static, track)
-        return
 
     def launch_step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask,
-                    slot=slot, nid=node.id):
+                    slot=node.params["slot"], nid=node.id):
         env = session.env
         buffer = session.buffers[slot]
         idx = _row_of(env[i_idx], T, np.int64)
@@ -761,94 +601,27 @@ def _lower_global(state: _CompileState, node) -> None:
     state.program.launch_steps.append(launch_step)
 
 
-def _global_chunk_access(state: _CompileState, node, static: bool,
-                         track: bool) -> None:
-    """A CHUNK-tier global load or store, with the per-chunk accounting of
-    a block-varying access pattern."""
-    T, W, ws, working = state.T, state.W, state.ws, state.working
-    line_bytes = state.line_bytes
+def _global_chunk_access(state: _CompileState, node) -> None:
+    """A CHUNK-tier global load or store."""
+    T, working = state.T, state.working
     is_store = node.op == "store_global"
-    op_word = "store" if is_store else "load"
-    slot = node.params["slot"]
-    info = state.slot_info[slot]
-    itemsize = int(info["itemsize"])
-    cached = bool(info["cached"])
+    info = state.slot_info[node.params["slot"]]
     i_idx, i_val, i_mask = memory_operands(node)
     out_slot = None if is_store else state.pooled(node)
-    lines_slot = diff_slot = None
-    if not static:
-        lines_slot = state.pool.alloc((T,), np.int64)
-        if ws > 1:
-            diff_slot = state.pool.alloc((T - W,), np.int64)
 
-    def step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask, slot=slot,
-             nid=node.id, out_slot=out_slot, lines_slot=lines_slot,
-             diff_slot=diff_slot, dyn_acct=not static,
-             idx_cast=np.dtype(state.nodes[i_idx].dtype) != np.int64,
-             masked=node.params["masked"], track=track,
-             buf_dtype=np.dtype(info["dtype"]), itemsize=itemsize,
-             shift=_line_shift(itemsize, line_bytes)):
+    def step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask,
+             slot=node.params["slot"], nid=node.id, out_slot=out_slot,
+             masked=node.params["masked"], buf_dtype=np.dtype(info["dtype"])):
         env = session.env
-        B = session.B
+        shape = (session.B, T)
         buffer = session.buffers[slot]
-        account = session.account
         idx = np.asarray(env[i_idx])
-        if idx_cast:
-            idx = idx.astype(np.int64)
-        if account and (int(idx.min()) < 0
-                        or int(idx.max()) >= buffer.size):
-            raise SimulationError(
-                f"out-of-bounds global {op_word} on {buffer.name!r}")
-        shape = (B, T)
         idxb = idx if idx.shape == shape else np.broadcast_to(idx, shape)
         mask = None
         if masked:
             mask = np.asarray(env[i_mask])
             if mask.shape != shape:
                 mask = np.broadcast_to(mask, shape)
-        if dyn_acct and account:
-            # the rule of global_access_counts, on pooled buffers and
-            # with the sorted-row transaction fast path
-            counters = session.counters
-            if mask is None:
-                warps, active = B * W, B * T
-            else:
-                warps, div = grouped_warp_counts(mask, ws)
-                counters.divergent_branches += div
-                active = int(mask.sum())
-            lines = session.s(lines_slot).reshape(shape)
-            if shift is not None:
-                np.right_shift(idxb, shift, out=lines)
-            else:
-                np.multiply(idxb, itemsize, out=lines)
-                np.floor_divide(lines, line_bytes, out=lines)
-            wm = lines.reshape(-1, ws)
-            mm = (None if mask is None
-                  else np.ascontiguousarray(mask).reshape(-1, ws))
-            dbuf = (session.s(diff_slot).reshape(-1, ws - 1)
-                    if diff_slot is not None else None)
-            trans, d, rows_sorted = _transactions(wm, mm, dbuf)
-            if is_store:
-                counters.gmem_store += warps
-                counters.gmem_store_transactions += trans
-                if not cached:
-                    counters.dram_write_bytes += float(active * itemsize)
-            else:
-                counters.gmem_load += warps
-                counters.cache_read_bytes += float(active * itemsize)
-                counters.gmem_load_transactions += trans
-            if track and active:
-                if (mask is None and rows_sorted and d is not None
-                        and int(d.max()) <= 1):
-                    # each warp row covers one contiguous line range:
-                    # record just the bounds, unioned at chunk end
-                    session.traffic.setdefault(slot, []).append(
-                        ("iv", wm[:, 0].copy(), wm[:, -1].copy()))
-                else:
-                    record = (lines.copy() if mask is None
-                              else np.where(mask, lines, _SENTINEL))
-                    session.traffic.setdefault(slot, []).append(
-                        ("mat", record))
         if is_store:
             values = np.broadcast_to(np.asarray(env[i_val]), shape)
             if mask is None:
@@ -878,45 +651,6 @@ def _global_chunk_access(state: _CompileState, node, static: bool,
     state.program.chunk_steps.append(step)
 
 
-def _traffic_finalizer(line_bytes: int):
-    """Chunk-end step: DRAM lines of the chunk's uncached loads, unioned
-    per block and per buffer."""
-    def finalize_traffic(session):
-        if not session.account:
-            return
-        total = 0
-        B = session.B
-        for slot, records in session.traffic.items():
-            ivs = [r for r in records if r[0] == "iv"]
-            mats = [r[1] for r in records if r[0] == "mat"]
-            if ivs and mats:
-                # mixed chunk (never hit by the SSAM kernels): expand
-                # intervals so all records share the matrix path
-                for _, lo, hi in ivs:
-                    mats.append(_intervals_to_matrix(lo, hi, B))
-                ivs = []
-            if ivs:
-                los = np.concatenate(
-                    [lo.reshape(B, -1) for _, lo, _ in ivs], axis=1)
-                his = np.concatenate(
-                    [hi.reshape(B, -1) for _, _, hi in ivs], axis=1)
-                total += _interval_union_sum(los, his)
-                continue
-            compacted = []
-            for arr in mats:
-                arr = np.ascontiguousarray(arr)
-                if _SENTINEL not in (arr[0, -1], arr[-1, -1]) and \
-                        _is_rowwise_sorted(arr):
-                    compacted.append(_compact_sorted_rows(arr))
-                else:
-                    compacted.append(arr)
-            concat = compacted[0] if len(compacted) == 1 else \
-                np.concatenate(compacted, axis=1)
-            total += int(rowwise_unique_counts(concat, None).sum())
-        session.counters.dram_read_bytes += float(total * line_bytes)
-    return finalize_traffic
-
-
 # -------------------------------------------------------- shared memory
 
 def _lower_alloc_shared(state: _CompileState, node) -> None:
@@ -941,36 +675,6 @@ def _lower_alloc_shared(state: _CompileState, node) -> None:
     state.program.chunk_steps.append(step)
 
 
-def _shared_access_thunk(state: _CompileState, node) -> None:
-    """Per-block shared-memory accounting (thread-uniform access only)."""
-    T = state.T
-    is_load = node.op == "load_shared"
-    i_idx, _, i_mask = memory_operands(node)
-    if not (state.static_tier(i_idx) and state.static_tier(i_mask)):
-        raise TraceUnsupported(
-            "block-varying shared-memory index/mask patterns are not "
-            "supported by the replay engine")
-    alloc = state.nodes[node.params["shared"]]
-    itemsize = int(alloc.params["itemsize"])
-    size = int(alloc.params["size"])
-    name = alloc.params["name"]
-    op_word = "load" if is_load else "store"
-    uniform = node.params["uniform"]
-    banks, bank_bytes, ws = state.banks, state.bank_bytes, state.ws
-
-    def thunk(session, i_idx=i_idx, i_mask=i_mask):
-        env = session.env
-        idx = _row_of(env[i_idx], T, np.int64)
-        if int(idx.min()) < 0 or int(idx.max()) >= size:
-            raise SimulationError(
-                f"out-of-bounds shared {op_word} on {name!r}")
-        mask = None if i_mask is None else _row_of(env[i_mask], T, bool)
-        return shared_access_counts(idx, mask, itemsize, banks,
-                                    bank_bytes, ws, store=not is_load,
-                                    uniform=uniform).counters
-    state.program.delta_thunks.append(thunk)
-
-
 def _lower_load_shared(state: _CompileState, node) -> None:
     """Shared reads: a launch-static row gather, or a per-chunk gather
     from launch-static or block-varying content."""
@@ -980,7 +684,6 @@ def _lower_load_shared(state: _CompileState, node) -> None:
     masked = node.params["masked"]
     uniform = node.params["uniform"]
     i_idx, _, i_mask = memory_operands(node)
-    _shared_access_thunk(state, node)
 
     if state.tiers[nid] <= TIER_LAUNCH:
         # content and indices are launch-static: one (T,)-row gather
@@ -1080,7 +783,6 @@ def _lower_store_shared(state: _CompileState, node) -> None:
     shared_id = node.params["shared"]
     masked = node.params["masked"]
     i_idx, i_val, i_mask = memory_operands(node)
-    _shared_access_thunk(state, node)
 
     if state.content_tiers[shared_id] != TIER_CHUNK:
         # launch-static content: scatter one (T,)-row once per session
@@ -1101,14 +803,16 @@ def _lower_store_shared(state: _CompileState, node) -> None:
 
     def step(session, i_idx=i_idx, i_val=i_val, i_mask=i_mask,
              shared_id=shared_id, masked=masked,
-             idx_is_block=state.nodes[i_idx].kind > KIND_THREAD):
+             row_access=all(state.nodes[i].kind <= KIND_THREAD
+                            for i in (i_idx, i_mask) if i is not None)):
         env = session.env
         B = session.B
         content = env[shared_id]
         shape = (B, T)
         raw = np.asarray(env[i_idx])
         values = np.broadcast_to(np.asarray(env[i_val]), shape)
-        if not idx_is_block:
+        if row_access:
+            # index and mask are the same for every block: one row
             row = _row_of(raw, T, np.int64)
             if masked:
                 mask0 = _row_of(env[i_mask], T, bool)
@@ -1140,8 +844,8 @@ LOWERINGS = {
     "pure": _lower_pure,
     "arith": _lower_arith,
     "shfl": _lower_shfl,
-    "sync": _lower_counted,
-    "misc": _lower_counted,
+    "sync": _lower_nothing,
+    "misc": _lower_nothing,
     "load_global": _lower_global,
     "store_global": _lower_global,
     "alloc_shared": _lower_alloc_shared,
@@ -1152,24 +856,25 @@ LOWERINGS = {
 
 # ------------------------------------------------------------ the compiler
 
-def compile_trace(trace: Trace, architecture: GPUArchitecture,
-                  count_traffic: bool,
+def compile_trace(trace: Trace,
                   volatile_slots: frozenset = frozenset()) -> ReplayProgram:
     """Lower a recorded trace to a :class:`ReplayProgram`.
 
-    Runs the passes — tiers, memoizability, the shuffle-into-mad peephole
-    and liveness — then walks the nodes through :data:`LOWERINGS`,
-    reclaiming each scratch slot after its value's last consumer.
+    Runs the passes — tiers, loaded operands, the shuffle-into-mad
+    peephole and liveness — then walks the nodes through
+    :data:`LOWERINGS`, reclaiming each scratch slot after its value's last
+    consumer.  The lowerings read the warp size alone from the part that
+    recorded the trace.
     """
-    geometry = architecture.memory_geometry
     tiers, content_tiers = _assign_tiers(trace, volatile_slots)
     fused = _fuse_shuffles(trace.nodes, tiers, np.dtype(trace.numpy_dtype),
-                           geometry[0])
-    release_at = _release_points(trace.nodes, fused)
-    state = _CompileState(trace, geometry, count_traffic, tiers,
-                          content_tiers, fused)
+                           trace.warp_size)
+    loaded = _loaded_operands(trace)
+    release_at = _release_points(trace.nodes, fused, keep=loaded)
+    state = _CompileState(trace, tiers, content_tiers, fused)
     program = state.program
-    program.memoizable = _memoizable(trace)
+    program.plan = trace.count_plan()
+    program.loaded_operands = loaded
     for node in trace.nodes:
         lower = LOWERINGS.get(node.op)
         if lower is None:  # pragma: no cover - exhaustive over recorded ops
@@ -1178,11 +883,6 @@ def compile_trace(trace: Trace, architecture: GPUArchitecture,
         for i in release_at.get(node.id, ()):
             if i in state.storage:
                 state.pool.release(state.storage.pop(i))
-    if count_traffic:
-        program.chunk_steps.append(_traffic_finalizer(state.line_bytes))
-    for field, amount in state.delta.items():
-        program.delta_thunks.append(
-            lambda session, field=field, amount=amount: {field: amount})
     program.pool_slots = list(state.pool.slots)
     return program
 
@@ -1197,7 +897,6 @@ class TraceCaptureRecord:
     trace: Trace
     config: object
     architecture: GPUArchitecture
-    count_traffic: bool
     #: block-index matrix of the recorded chunk
     chunk_blocks: np.ndarray
     #: counter delta the eager engine accumulated while recording the chunk
@@ -1276,8 +975,7 @@ def fallback_log() -> List[Dict[str, str]]:
 
 # ---------------------------------------------------------------- the glue
 
-def trace_key(config, architecture: GPUArchitecture, count_traffic: bool,
-              args: Sequence[object],
+def trace_key(config, architecture: GPUArchitecture, args: Sequence[object],
               volatile_slots: frozenset = frozenset()) -> tuple:
     """Cache key of one compiled program.
 
@@ -1295,7 +993,7 @@ def trace_key(config, architecture: GPUArchitecture, count_traffic: bool,
     capacity, is checked against ``program.shared_allocations`` on reuse.
     """
     parts: List[object] = [architecture.memory_geometry, config.precision.name,
-                           int(config.block_threads), bool(count_traffic),
+                           int(config.block_threads),
                            tuple(sorted(volatile_slots))]
     for arg in args:
         if isinstance(arg, DeviceBuffer):
@@ -1307,7 +1005,7 @@ def trace_key(config, architecture: GPUArchitecture, count_traffic: bool,
 
 
 def record_trace(kernel, config, args, architecture: GPUArchitecture,
-                 counters: KernelCounters, count_traffic: bool,
+                 counters: KernelCounters,
                  block_indices: np.ndarray) -> Trace:
     """Run one chunk eagerly under the tracer and return the recorded trace.
 
@@ -1321,7 +1019,6 @@ def record_trace(kernel, config, args, architecture: GPUArchitecture,
         architecture=architecture,
         counters=counters,
         precision=config.precision,
-        count_traffic=count_traffic,
     )
     trace = Trace(tuple(args), batch_blocks=int(block_indices.shape[0]),
                   block_threads=eager.block_threads,
@@ -1334,7 +1031,6 @@ def record_trace(kernel, config, args, architecture: GPUArchitecture,
 
 
 def get_program(kernel, config, args, architecture: GPUArchitecture,
-                count_traffic: bool,
                 volatile_slots: frozenset = frozenset()):
     """Cached compiled program for this (kernel, plan, precision, memory
     geometry, args) key.
@@ -1346,7 +1042,7 @@ def get_program(kernel, config, args, architecture: GPUArchitecture,
     cache = getattr(kernel, "_trace_cache", None)
     if cache is None:
         cache = kernel._trace_cache = {}
-    key = trace_key(config, architecture, count_traffic, args, volatile_slots)
+    key = trace_key(config, architecture, args, volatile_slots)
     return cache.get(key, None), key
 
 
@@ -1362,15 +1058,17 @@ def _block_index_matrix(grid_dim) -> np.ndarray:
 
 
 def replay_launch(kernel, config, args, architecture: object = "p100",
-                  max_blocks: Optional[int] = None,
-                  count_traffic: bool = True) -> LaunchResult:
+                  max_blocks: Optional[int] = None) -> LaunchResult:
     """Execute a launch through the compiled replay engine.
 
     First launch of a ``(kernel, plan, precision)``: chunk 0 runs eagerly
     under the tracer (so its counters and writes are the batched engine's),
-    the trace is compiled, and the remaining chunks replay the program.
-    Subsequent launches replay every chunk.  Kernels the tracer cannot
-    record fall back to the batched engine transparently.
+    the trace is compiled, and the remaining chunks replay the program,
+    each counted by :func:`~repro.analysis.lint.predict_counters` over the
+    program's plan.  Subsequent launches replay every chunk; a memoizable
+    program's repeat launch takes its counters from ``counter_cache``.
+    Kernels the tracer cannot record fall back to the batched engine
+    transparently.
     """
     arch = get_architecture(architecture)
     if config.block_threads % arch.warp_size != 0:
@@ -1394,7 +1092,7 @@ def replay_launch(kernel, config, args, architecture: object = "p100",
 
     counters = KernelCounters()
     capture = _active_capture()
-    program, key = get_program(kernel, config, args, arch, count_traffic)
+    program, key = get_program(kernel, config, args, arch)
     if program is not None:
         check_shared_capacity(program.shared_allocations,
                               arch.shared_memory_per_block)
@@ -1406,8 +1104,7 @@ def replay_launch(kernel, config, args, architecture: object = "p100",
         # capture context retries the recording to report the reason)
         record_fallback(kernel.name, "known untraceable (cached)")
         return kernel.launch(config, args, architecture=arch,
-                             max_blocks=max_blocks,
-                             count_traffic=count_traffic, batch_size="auto")
+                             max_blocks=max_blocks, batch_size="auto")
     if program is None or capture is not None:
         # chunk 0 runs eagerly under the tracer; under a capture context
         # this happens even on a warm cache so the chunk's counter delta
@@ -1415,36 +1112,34 @@ def replay_launch(kernel, config, args, architecture: object = "p100",
         before = counters.as_dict()
         try:
             trace = record_trace(kernel, config, args, arch, counters,
-                                 count_traffic, index_matrix[:chunk])
+                                 index_matrix[:chunk])
             if program is None:
-                program = compile_trace(trace, arch, count_traffic)
+                program = compile_trace(trace)
                 kernel._trace_cache[key] = program
         except TraceUnsupported as exc:
             kernel._trace_cache[key] = None
             record_fallback(kernel.name, str(exc))
             return kernel.launch(config, args, architecture=arch,
-                                 max_blocks=max_blocks,
-                                 count_traffic=count_traffic,
-                                 batch_size="auto")
+                                 max_blocks=max_blocks, batch_size="auto")
         if capture is not None:
             after = counters.as_dict()
             delta = {name: after[name] - before.get(name, 0)
                      for name in after}
             capture.records.append(TraceCaptureRecord(
                 kernel_name=kernel.name, trace=trace, config=config,
-                architecture=arch, count_traffic=count_traffic,
+                architecture=arch,
                 chunk_blocks=np.ascontiguousarray(index_matrix[:chunk]),
                 chunk_counters=delta))
         start = chunk
         executed = int(index_matrix[:chunk].shape[0])
     memo_key = cached = None
     if program.memoizable:
-        memo_key = (config.grid_dim, max_blocks, bool(count_traffic))
+        memo_key = (config.grid_dim, max_blocks)
         if start == 0:  # fully-replayed launch: eligible for reuse
             cached = program.counter_cache.get(memo_key)
-    session = ReplaySession(program, args, counters,
-                            max_chunk_blocks=min(chunk, max(1, n)),
-                            account=cached is None)
+    session = ReplaySession(program, args, arch,
+                            counters if cached is None else None,
+                            max_chunk_blocks=min(chunk, max(1, n)))
     for s in range(start, n, chunk):
         batch = index_matrix[s:s + chunk]
         session.run_chunk(batch)

@@ -149,7 +149,7 @@ def build_strided_scan(num_blocks: int = 2, block_threads: int = 64,
 # ------------------------------------------------------------------ helpers
 
 def record_fixture_trace(kernel, config, args, architecture="p100",
-                         blocks: int = 1, count_traffic: bool = True):
+                         blocks: int = 1):
     """Record the leading ``blocks`` blocks eagerly, like the replay engine.
 
     Returns ``(trace, chunk_blocks, chunk_counters)`` — exactly the context
@@ -159,6 +159,5 @@ def record_fixture_trace(kernel, config, args, architecture="p100",
     arch = get_architecture(architecture)
     counters = KernelCounters()
     chunk_blocks = _block_index_matrix(config.grid_dim)[:blocks]
-    trace = record_trace(kernel, config, args, arch, counters,
-                         count_traffic, chunk_blocks)
+    trace = record_trace(kernel, config, args, arch, counters, chunk_blocks)
     return trace, chunk_blocks, counters.as_dict()

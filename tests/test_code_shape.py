@@ -1,14 +1,20 @@
-"""Code-shape guard: no function or method in ``src/repro`` is too long.
+"""Code-shape guards over ``src/repro``.
 
-The replay compiler used to be one ~800-line function; it is now a table
-of per-op lowerings plus separate passes.  This guard keeps any single
-top-level function or method from growing back past the limit.
+* No function or method is too long.  The replay compiler used to be one
+  ~800-line function; it is now a table of per-op lowerings plus separate
+  passes, and no single top-level function or method may grow back past
+  the limit.
+* The replay engine and stage fusion compute values only: counters come
+  from :func:`repro.analysis.lint.predict_counters`, so neither module may
+  use a per-access counter rule itself.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+
+import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCE_ROOT = REPO_ROOT / "src" / "repro"
@@ -49,3 +55,34 @@ def test_guard_sees_source_functions():
     # the scan must actually reach the package (an empty scan passes
     # vacuously): at a limit of one line every function is reported
     assert len(_long_functions(1)) > 100
+
+
+#: the per-access counter rules; only the counting code may apply them
+COUNTER_RULES = {"global_access_counts", "shared_access_counts",
+                 "rowwise_unique_counts", "grouped_warp_counts"}
+
+
+def _names_used(path: pathlib.Path) -> set:
+    """Every imported name and every identifier or attribute referenced."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("module", ["replay.py", "fusion.py"])
+def test_value_engines_use_no_counter_rule(module):
+    used = _names_used(SOURCE_ROOT / "trace" / module)
+    assert not used & COUNTER_RULES
+
+
+def test_counter_rule_guard_sees_the_rules():
+    # the scan must recognise the rules where the engines use them
+    used = set().union(*(_names_used(path)
+                         for path in (SOURCE_ROOT / "gpu").glob("*.py")))
+    assert COUNTER_RULES <= used

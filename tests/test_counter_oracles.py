@@ -268,16 +268,18 @@ def _run_batched(kernel, make_args, arch, precision):
 
 
 def _run_replay(kernel, make_args, arch, precision):
-    """A warm replay launch: every chunk runs the compiled program."""
+    """A warm replay launch: every chunk runs the compiled program, and
+    neither launch falls back to the batched engine."""
     config = LaunchConfig(grid_dim=GRID, block_threads=BLOCK_THREADS,
                           precision=precision)
     before = len(fallback_log())
     kernel.launch(config, make_args(), architecture=arch, batch_size="replay")
-    assert fallback_log()[before:] == [], "replay fell back to batched"
     for program in kernel._trace_cache.values():
         program.counter_cache.clear()  # re-derive, don't reuse, the counters
-    return kernel.launch(config, make_args(), architecture=arch,
-                         batch_size="replay").counters
+    counters = kernel.launch(config, make_args(), architecture=arch,
+                             batch_size="replay").counters
+    assert fallback_log()[before:] == [], "replay fell back to batched"
+    return counters
 
 
 def _run_static(kernel, make_args, arch, precision):
@@ -285,7 +287,7 @@ def _run_static(kernel, make_args, arch, precision):
     config = LaunchConfig(grid_dim=GRID, block_threads=BLOCK_THREADS,
                           precision=precision)
     trace = record_trace(kernel, config, make_args(), arch, KernelCounters(),
-                         True, BLOCKS)
+                         BLOCKS)
     prediction = predict_counters(trace, evaluate_data_free(trace, BLOCKS),
                                   NUM_BLOCKS, arch)
     assert not prediction.unpredicted
@@ -315,36 +317,18 @@ CONTEXTS = {"batched": _run_batched, "replay": _run_replay,
             "static": _run_static}
 ENGINES = tuple(CONTEXTS)
 SEEDS = (0, 1, 2)
-#: block-varying streams reach replay's chunk-tier accounting, block-uniform
-#: ones its launch-static thunks
+#: block-varying streams reach replay's chunk-tier value steps and are
+#: counted on every block's row; block-uniform ones run launch-static and
+#: are counted on one row, scaled to the blocks
 VARIATIONS = ("varying", "uniform")
-
-
-def _legs(shared):
-    """``(engine, variation)`` pairs an access kind is checked on.
-
-    Replay compiles only thread-uniform shared-memory index patterns; a
-    block-varying one falls back to the batched engine
-    (:func:`test_replay_falls_back_on_block_varying_shared_streams`), so
-    that pair is not an oracle leg.
-    """
-    return [(engine, variation) for engine in ENGINES
-            for variation in VARIATIONS
-            if not (shared and engine == "replay" and variation == "varying")]
-
-
-def _leg_ids(legs):
-    return [f"{engine}-{variation}" for engine, variation in legs]
-
-
-GLOBAL_LEGS = _legs(shared=False)
-SHARED_LEGS = _legs(shared=True)
+#: ``(engine, variation)`` pairs every access kind is checked on
+LEGS = [(engine, variation) for engine in ENGINES for variation in VARIATIONS]
+LEG_IDS = [f"{engine}-{variation}" for engine, variation in LEGS]
 
 
 # ------------------------------------------------------------------- tests
 
-@pytest.mark.parametrize("engine, variation", GLOBAL_LEGS,
-                         ids=_leg_ids(GLOBAL_LEGS))
+@pytest.mark.parametrize("engine, variation", LEGS, ids=LEG_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("precision_name", ["float32", "float64"])
 def test_coalescing_sectors_match_oracle(engine, variation, seed,
@@ -372,8 +356,7 @@ def test_coalescing_sectors_match_oracle(engine, variation, seed,
         assert solo.gmem_load_transactions == BLOCK_THREADS // WARP_SIZE
 
 
-@pytest.mark.parametrize("engine, variation", GLOBAL_LEGS,
-                         ids=_leg_ids(GLOBAL_LEGS))
+@pytest.mark.parametrize("engine, variation", LEGS, ids=LEG_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_store_sectors_match_oracle(engine, variation, seed):
     arch = get_architecture("v100")
@@ -392,8 +375,7 @@ def test_store_sectors_match_oracle(engine, variation, seed):
     assert counters.dram_write_bytes == active * precision.itemsize
 
 
-@pytest.mark.parametrize("engine, variation", GLOBAL_LEGS,
-                         ids=_leg_ids(GLOBAL_LEGS))
+@pytest.mark.parametrize("engine, variation", LEGS, ids=LEG_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("precision_name", ["float32", "float64"])
 def test_unique_line_dram_traffic_matches_oracle(engine, variation, seed,
@@ -411,8 +393,7 @@ def test_unique_line_dram_traffic_matches_oracle(engine, variation, seed,
     assert counters.dram_read_bytes == expected
 
 
-@pytest.mark.parametrize("engine, variation", SHARED_LEGS,
-                         ids=_leg_ids(SHARED_LEGS))
+@pytest.mark.parametrize("engine, variation", LEGS, ids=LEG_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("precision_name", ["float32", "float64"])
 def test_bank_conflicts_match_oracle(engine, variation, seed, precision_name):
@@ -431,8 +412,7 @@ def test_bank_conflicts_match_oracle(engine, variation, seed, precision_name):
     assert counters.smem_bank_conflicts == conflicts
 
 
-@pytest.mark.parametrize("engine, variation", SHARED_LEGS,
-                         ids=_leg_ids(SHARED_LEGS))
+@pytest.mark.parametrize("engine, variation", LEGS, ids=LEG_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_bank_conflicts_on_stores_match_oracle(engine, variation, seed):
     arch = get_architecture("v100")
@@ -453,8 +433,7 @@ ACCESSES = (("load_global", False), ("load_global", True),
             ("load_shared", False), ("store_shared", False))
 #: every (engine, variation, kind, cached) case of the counter-for-counter test
 PATH_CASES = [(engine, variation, kind, cached)
-              for kind, cached in ACCESSES
-              for engine, variation in _legs(kind.endswith("shared"))]
+              for kind, cached in ACCESSES for engine, variation in LEGS]
 
 
 @pytest.mark.parametrize(
@@ -487,21 +466,3 @@ def test_memory_paths_match_oracle_counter_for_counter(engine, variation, kind,
     mismatched = {name: (actual[name], expected[name])
                   for name in expected if actual[name] != expected[name]}
     assert not mismatched, f"(engine, oracle) mismatch: {mismatched}"
-
-
-def test_replay_falls_back_on_block_varying_shared_streams():
-    """The excluded leg: replay hands the launch to batched, counters intact."""
-    arch = get_architecture("p100")
-    precision = resolve_precision("float32")
-    streams = _make_streams(0, SMEM_ELEMENTS, patterns=("strided",))
-    kernel = _stream_kernel(streams, "load_shared")
-    config = LaunchConfig(grid_dim=GRID, block_threads=BLOCK_THREADS,
-                          precision=precision)
-    before = len(fallback_log())
-    counters = kernel.launch(config, (None,), architecture=arch,
-                             batch_size="replay").counters
-    assert [event["kernel"] for event in fallback_log()[before:]] == [
-        "oracle_load_shared"]
-    expected = oracle_counters("load_shared", streams, precision.itemsize,
-                               cached=False)
-    assert counters.as_dict() == expected

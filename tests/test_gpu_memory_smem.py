@@ -13,9 +13,12 @@ from repro.gpu.counters import KernelCounters
 from repro.gpu.memory import (
     DeviceBuffer,
     GlobalMemory,
+    ascending_unique_counts,
     global_access_counts,
     linear_index_2d,
     linear_index_3d,
+    rowwise_unique_counts,
+    rowwise_unique_pad,
 )
 from repro.gpu.shared_memory import SharedMemory, bank_conflict_degree
 
@@ -58,6 +61,79 @@ def test_empty_access_has_no_transactions():
 def test_aligned_warp_load_never_exceeds_two_sectors(start):
     indices = np.arange(start, start + 32)
     assert 1 <= coalesced_transactions(indices, 4) <= 2
+
+
+# --- sort-free paths of the counter rule ------------------------------------
+
+def _reference_unique_counts(values, mask):
+    return np.array([np.unique(row if m is None else row[m]).size
+                     for row, m in zip(values, mask if mask is not None
+                                       else [None] * len(values))])
+
+
+def _assert_unique_counts(values, mask):
+    expected = _reference_unique_counts(values, mask)
+    np.testing.assert_array_equal(ascending_unique_counts(values, mask),
+                                  expected)
+    np.testing.assert_array_equal(rowwise_unique_counts(values, mask),
+                                  expected)
+    padded = rowwise_unique_pad(values, mask)
+    for row, want in zip(padded, expected):
+        kept = row[row != np.iinfo(np.int64).max]
+        assert kept.size == want and np.all(np.diff(kept) > 0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ascending_rows_unmasked(seed):
+    rng = np.random.default_rng(seed)
+    _assert_unique_counts(np.sort(rng.integers(0, 40, size=(23, 32)), axis=1),
+                          None)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ascending_rows_with_contiguous_run_masks(seed):
+    """The SSAM mask shape: each row's active lanes form one run 0*1*0*."""
+    rng = np.random.default_rng(100 + seed)
+    rows, width = 17, 32
+    values = np.sort(rng.integers(0, 60, size=(rows, width)), axis=1)
+    mask = np.zeros((rows, width), dtype=bool)
+    for r in range(rows):
+        start = int(rng.integers(0, width))
+        mask[r, start:int(rng.integers(start, width + 1))] = True
+    _assert_unique_counts(values, mask)
+
+
+def test_ascending_rows_with_scattered_masks():
+    rng = np.random.default_rng(7)
+    values = np.sort(rng.integers(0, 25, size=(31, 32)), axis=1)
+    _assert_unique_counts(values, rng.random((31, 32)) < 0.6)
+
+
+def test_unsorted_rows_take_the_sorting_primitive():
+    rng = np.random.default_rng(8)
+    values = rng.integers(0, 25, size=(19, 32))
+    assert np.any(values[:, 1:] < values[:, :-1])  # genuinely unsorted
+    _assert_unique_counts(values, rng.random((19, 32)) < 0.5)
+
+
+def test_single_lane_rows():
+    values = np.arange(6).reshape(6, 1)
+    mask = np.array([[True], [False], [True], [False], [True], [False]])
+    _assert_unique_counts(values, None)
+    _assert_unique_counts(values, mask)
+
+
+@pytest.mark.parametrize("itemsize, line_bytes",
+                         [(4, 128), (8, 128), (2, 128), (4, 96), (8, 32),
+                          (4, 100)])
+def test_cache_lines_match_the_byte_division(itemsize, line_bytes):
+    """Power-of-two line/item ratios shift instead of dividing; every
+    ratio gives the line of ``index * itemsize // line_bytes``."""
+    indices = np.arange(-64, 1000, dtype=np.int64)
+    counts = global_access_counts(indices[:1024], None, itemsize, line_bytes,
+                                  32, store=False, cached=False)
+    np.testing.assert_array_equal(counts.lines,
+                                  (indices[:1024] * itemsize) // line_bytes)
 
 
 # --- global memory ---------------------------------------------------------

@@ -95,7 +95,7 @@ def _record_expression(expression, num_blocks):
     arch = get_architecture("p100")
     blocks = _block_index_matrix(config.grid_dim)
     trace = record_trace(Kernel(body, name="interval_probe"), config, (dst,),
-                         arch, KernelCounters(), True, blocks)
+                         arch, KernelCounters(), blocks)
     return trace, config, blocks
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import load_result, runner
+from repro.experiments.cache import STORE_FILENAME
 from repro.experiments.parallel import resolve_workers
 from repro.errors import ConfigurationError
+from repro.service.store import ResultStore
 
 
 def _main(args, capsys):
@@ -126,6 +128,31 @@ def test_cache_dir_controls(capsys, tmp_path):
     _main(["--experiment", "table2", "--quick", "--no-cache",
            "--cache-dir", str(no_cache_dir)], capsys)
     assert not no_cache_dir.exists()
+
+
+@pytest.mark.parametrize("damage", ["garbage", "truncated"])
+def test_sweep_on_a_damaged_store_prints_one_error_line(capsys, tmp_path,
+                                                        damage):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    path = cache_dir / STORE_FILENAME
+    if damage == "garbage":
+        path.write_bytes(b"not a database " * 256)
+    else:
+        real = ResultStore(str(tmp_path / "real.sqlite"))
+        for x in range(200):
+            real.upsert({"func": "worker", "params": {"x": x}},
+                        {"v": "p" * 1000})
+        real.close()
+        data = (tmp_path / "real.sqlite").read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+    code, out, err = _main(["--experiment", "sweep", "--matrix", "smoke",
+                            "--cache-dir", str(cache_dir)], capsys)
+    assert code != 0
+    assert out == ""
+    (line,) = err.strip().splitlines()
+    assert line.startswith(f"error: result store {str(path)!r} is not a "
+                           f"usable sqlite database")
 
 
 def test_tune_experiment_cli_path(capsys, tmp_path):

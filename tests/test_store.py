@@ -64,6 +64,34 @@ def test_unknown_older_schema_version_fails_loudly(store, tmp_path):
         older.entry_count()
 
 
+# ---------------------------------------------------------- damaged files
+
+def _damaged_copy(store, tmp_path, damage):
+    """A garbage file, or the first half of a populated store's file."""
+    damaged = tmp_path / f"{damage}.sqlite"
+    if damage == "garbage":
+        damaged.write_bytes(b"not a database " * 256)
+        return damaged
+    for x in range(200):
+        store.upsert({"func": "worker", "params": {"x": x}},
+                     {"v": "p" * 1000})
+    store.close()  # the last close checkpoints the WAL into the file
+    data = (tmp_path / "results.sqlite").read_bytes()
+    damaged.write_bytes(data[:len(data) // 2])
+    return damaged
+
+
+@pytest.mark.parametrize("damage", ["garbage", "truncated"])
+def test_damaged_store_file_is_a_configuration_error(store, tmp_path,
+                                                     damage):
+    path = _damaged_copy(store, tmp_path, damage)
+    damaged = ResultStore(str(path))
+    with pytest.raises(ConfigurationError) as excinfo:
+        damaged.entry_count()
+    assert repr(str(path)) in str(excinfo.value)
+    assert "not a usable sqlite database" in str(excinfo.value)
+
+
 # ------------------------------------------------------ first-writer-wins
 
 def test_upsert_is_first_writer_wins(store):

@@ -1,22 +1,23 @@
 """Unit tests for the compiled replay engine's internals.
 
 The differential matrix (``test_scenario_matrix.py``) proves whole-launch
-bit-identity; this file pins the replay engine's *internal* fast paths
-against their exact reference implementations and the engine-level
-contracts the fast paths must preserve: transaction counting against the
-segmented-sort primitive, interval-union traffic finalization against a
-brute-force set union, counter memoization, the untraceable-kernel
+bit-identity; this file pins the engine-level contracts of replay: counter
+memoization, bounds errors raised by the count of a warm launch, a
+compiled program that keeps no recorded registers, the untraceable-kernel
 fallback, and one program per memory geometry shared across parts (with
 each part's shared-memory capacity still checked).  Each entry of the
 compiler's lowering table is driven by a minimal kernel at every tier it
-emits, and the memoizability and shuffle-into-mad peephole passes are
-pinned on their own.
+emits, and the loaded-operand and shuffle-into-mad peephole passes are
+pinned on their own.  The sort-free paths of the counter rule are tested
+in ``test_gpu_memory_smem.py``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import re
+import types
 
 import numpy as np
 import pytest
@@ -25,108 +26,22 @@ from repro.errors import ResourceExhaustedError, SimulationError
 from repro.gpu.architecture import TESLA_P100, get_architecture
 from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import Kernel, LaunchConfig
-from repro.gpu.memory import GlobalMemory, rowwise_unique_counts
+from repro.gpu.memory import GlobalMemory
 from repro.kernels.conv2d_ssam import CONV2D_SSAM_KERNEL, ssam_convolve2d
 from repro.convolution.spec import ConvolutionSpec
-from repro.trace import replay as replay_module
-from repro.trace.ir import TIER_CHUNK, TIER_COMPILE, TIER_LAUNCH
+from repro.trace.ir import B_AXIS, TIER_CHUNK, TIER_COMPILE, TIER_LAUNCH
 from repro.trace.replay import (
     LOWERINGS,
     _assign_tiers,
     _block_index_matrix,
     _fuse_shuffles,
-    _interval_union_sum,
-    _line_shift,
-    _memoizable,
-    _transactions,
+    _loaded_operands,
     capture_traces,
     fallback_log,
     record_trace,
     replay_launch,
 )
 from repro.trace.fusion import FusedStage, fused_launch
-
-
-# --------------------------------------------------------------- _transactions
-
-def _reference_transactions(wm, mm):
-    return int(rowwise_unique_counts(wm, mm).sum())
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_transactions_sorted_unmasked(seed):
-    rng = np.random.default_rng(seed)
-    wm = np.sort(rng.integers(0, 40, size=(23, 32)), axis=1)
-    trans, d, ok = _transactions(wm, None)
-    assert ok and d is not None
-    assert trans == _reference_transactions(wm, None)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_transactions_contiguous_run_masks(seed):
-    """The SSAM mask shape: each row's active lanes form one run 0*1*0*."""
-    rng = np.random.default_rng(100 + seed)
-    rows, width = 17, 32
-    wm = np.sort(rng.integers(0, 60, size=(rows, width)), axis=1)
-    mm = np.zeros((rows, width), dtype=bool)
-    for r in range(rows):
-        start = int(rng.integers(0, width))
-        stop = int(rng.integers(start, width + 1))
-        mm[r, start:stop] = True
-    trans, _, ok = _transactions(wm, mm)
-    assert ok
-    assert trans == _reference_transactions(wm, mm)
-
-
-def test_transactions_arbitrary_masks_match_reference():
-    rng = np.random.default_rng(7)
-    wm = np.sort(rng.integers(0, 25, size=(31, 32)), axis=1)
-    mm = rng.random((31, 32)) < 0.6  # scattered runs: not contiguous
-    trans, _, ok = _transactions(wm, mm)
-    assert ok
-    assert trans == _reference_transactions(wm, mm)
-
-
-def test_transactions_unsorted_falls_back_exactly():
-    rng = np.random.default_rng(8)
-    wm = rng.integers(0, 25, size=(19, 32))
-    assert np.any(wm[:, 1:] < wm[:, :-1])  # genuinely unsorted
-    mm = rng.random((19, 32)) < 0.5
-    trans, d, ok = _transactions(wm, mm)
-    assert not ok and d is None
-    assert trans == _reference_transactions(wm, mm)
-
-
-def test_transactions_single_lane():
-    wm = np.arange(6).reshape(6, 1)
-    assert _transactions(wm, None)[0] == 6
-    mm = np.array([[True], [False], [True], [False], [True], [False]])
-    assert _transactions(wm, mm)[0] == 3
-
-
-# --------------------------------------------------------- _interval_union_sum
-
-@pytest.mark.parametrize("seed", range(5))
-def test_interval_union_sum_matches_set_union(seed):
-    rng = np.random.default_rng(seed)
-    rows, k = 13, 7
-    los = rng.integers(0, 50, size=(rows, k))
-    his = los + rng.integers(0, 20, size=(rows, k))
-    expected = sum(
-        len(set().union(*(range(lo, hi + 1) for lo, hi in zip(lr, hr))))
-        for lr, hr in zip(los, his))
-    assert _interval_union_sum(los, his) == expected
-
-
-# ----------------------------------------------------------------- _line_shift
-
-def test_line_shift_powers_of_two():
-    assert _line_shift(4, 128) == 5   # 32 items per line
-    assert _line_shift(8, 128) == 4
-    assert _line_shift(2, 128) == 6
-    assert _line_shift(4, 96) is None   # not divisible into a power of two
-    idx = np.arange(1000, dtype=np.int64)
-    assert np.array_equal(idx >> _line_shift(4, 128), (idx * 4) // 128)
 
 
 # --------------------------------------------------------- _block_index_matrix
@@ -157,6 +72,60 @@ def test_counter_memoization_is_exact():
     warm = ssam_convolve2d(image, spec, batch_size="replay")
     np.testing.assert_array_equal(warm.output, cold.output)
     assert warm.launch.counters.as_dict() == cold.launch.counters.as_dict()
+
+
+def _ndarray_bytes(root) -> int:
+    """Bytes of the distinct ndarrays reachable from ``root`` through
+    containers, attributes, slots, closures and defaults (modules, classes
+    and function globals are not followed)."""
+    seen, buffers, stack = set(), {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (types.ModuleType, type, str, bytes, int, float)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            base = obj
+            while isinstance(base.base, np.ndarray):
+                base = base.base
+            buffers[id(base)] = base.nbytes
+        elif isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(obj.__defaults__ or ())
+            stack.extend((obj.__kwdefaults__ or {}).values())
+            for cell in obj.__closure__ or ():
+                with contextlib.suppress(ValueError):  # empty cell
+                    stack.append(cell.cell_contents)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for name in getattr(type(obj), "__slots__", ()):
+                stack.append(getattr(obj, name, None))
+    return sum(buffers.values())
+
+
+def test_compiled_program_keeps_no_recorded_registers():
+    """A program keeps a count plan, not the trace: its arrays stay small
+    although the recording chunk's registers do not."""
+    image = np.random.default_rng(13).random((512, 512), dtype=np.float32)
+    CONV2D_SSAM_KERNEL._trace_cache.clear()
+    with capture_traces() as capture:
+        ssam_convolve2d(image, ConvolutionSpec.gaussian(5),
+                        batch_size="replay")
+    (record,) = capture.records
+    blocks = record.chunk_blocks.shape[0]
+    eager = sum(blocks * int(np.prod(node.shape[1:], dtype=np.int64))
+                * np.dtype(node.dtype).itemsize
+                for node in record.trace.nodes
+                if node.shape and node.shape[0] == B_AXIS)
+    assert eager > 10 * 2**20
+    (program,) = CONV2D_SSAM_KERNEL._trace_cache.values()
+    assert program.counter_cache  # the launch completed and was counted
+    assert _ndarray_bytes(program) < 2**20
 
 
 def test_memoized_counters_match_batched():
@@ -211,6 +180,37 @@ def test_replay_bounds_error_matches_eager():
     config = LaunchConfig(grid_dim=(1, 1, 1), block_threads=128)
     with pytest.raises(SimulationError, match="out-of-bounds global load"):
         kernel.launch(config, (src, dst, 128), batch_size="replay")
+
+
+def _gather_kernel(ctx, src, where, dst, n):
+    gidx = ctx.block_idx_x * ctx.block_threads + ctx.thread_idx_x
+    idx = ctx.load_global(where, gidx).astype(np.int64)
+    ctx.store_global(dst, gidx, ctx.load_global(src, idx))
+
+
+@pytest.mark.parametrize("case", ["data-free", "loaded"])
+def test_warm_replay_raises_the_bounds_error_of_a_counted_chunk(case):
+    """The count checks every access of a counted launch: a grid past the
+    buffers (data-free index) or a loaded index below zero raises the
+    batched engine's error, not NumPy's."""
+    memory = GlobalMemory()
+    src = memory.to_device(np.arange(256, dtype=np.float32), name="src")
+    where = memory.to_device(np.arange(256, dtype=np.float32), name="where")
+    dst = memory.allocate((256,), "float32", name="dst")
+    kernel = Kernel(_gather_kernel, name=f"bounds_{case}")
+    config = LaunchConfig(grid_dim=(4, 1, 1), block_threads=64)
+    kernel.launch(config, (src, where, dst, 256), batch_size="replay")
+    if case == "data-free":
+        config = LaunchConfig(grid_dim=(8, 1, 1), block_threads=64)
+        buffer = "where"
+    else:
+        where.array[200] = -1.0
+        buffer = "src"
+    message = f"out-of-bounds global load on {buffer!r}"
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        kernel.launch(config, (src, where, dst, 256), batch_size="auto")
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        kernel.launch(config, (src, where, dst, 256), batch_size="replay")
 
 
 # ------------------------------------------------- one program per geometry
@@ -399,7 +399,7 @@ def _record(kernel):
     arch = get_architecture("p100")
     config = LaunchConfig(grid_dim=GRID, block_threads=THREADS)
     return record_trace(kernel, config, _make_args(), arch, KernelCounters(),
-                        True, _block_index_matrix(GRID)[:3])
+                        _block_index_matrix(GRID)[:3])
 
 
 def _reached(kernel):
@@ -448,10 +448,15 @@ def _shfl_kernel(ctx, src, wide, taps, scratch, dst, n):
     base = ctx.load_global(src, tid)
     launch = ctx.add(ctx.shfl_up(base, 2), ctx.shfl_idx(base, 7))
     x = ctx.load_global(src, gidx)
+    # dst is written, so these rows are recomputed per chunk although every
+    # block sees the same one: lane-varying, then warp-uniform
+    row = ctx.load_global(dst, n + tid)
+    warp_row = ctx.load_global(dst, n + ctx.warp_id)
     total = ctx.add(const, launch)
     for shuffled in (ctx.shfl_up(x, 1), ctx.shfl_down(x, 4),
                      ctx.shfl_idx(x, 31), ctx.shfl_up(x, 0),
-                     ctx.shfl_down(x, 32)):
+                     ctx.shfl_down(x, 32), ctx.shfl_up(row, 3),
+                     ctx.shfl_idx(warp_row, 5)):
         total = ctx.add(total, shuffled)
     ctx.store_global(dst, gidx, total)
 
@@ -580,31 +585,6 @@ def test_lowering_matches_batched(lowering):
     _assert_replay_matches_batched(kernel)
 
 
-def test_mixed_interval_and_matrix_traffic_matches_batched(monkeypatch):
-    """One chunk gives ``src`` an interval record (block-varying unmasked
-    contiguous load) and a matrix record (block-varying masked load)."""
-    def mixed(ctx, src, wide, taps, scratch, dst, n):
-        _, gidx = _ids(ctx)
-        contiguous = ctx.load_global(src, gidx)
-        masked = ctx.load_global(src, gidx + 40, mask=gidx % 3 != 0)
-        ctx.store_global(dst, gidx, ctx.add(contiguous, masked))
-
-    expanded = []
-    original = replay_module._intervals_to_matrix
-
-    def spy(lo, hi, rows):
-        expanded.append(rows)
-        return original(lo, hi, rows)
-
-    monkeypatch.setattr(replay_module, "_intervals_to_matrix", spy)
-    kernel = Kernel(mixed, name="mixed_traffic")
-    _, batched = _launch(kernel, "auto")
-    _, replayed = _launch(kernel, "replay")
-    assert expanded, "replay never took the mixed-traffic path"
-    assert replayed["dram_read_bytes"] == batched["dram_read_bytes"]
-    _assert_replay_matches_batched(kernel)
-
-
 def test_uniform_shared_load_of_thread_uniform_chunk_content():
     """Regression: a warp-uniform shared read of content that is the same
     for every block but recomputed per chunk (staged from a buffer the
@@ -660,7 +640,8 @@ def test_peephole_keeps_a_shuffle_with_a_second_consumer():
 
 
 def test_memoizable_when_indices_are_data_free():
-    assert _memoizable(_record(Kernel(_global_kernel, name="data_free")))
+    assert _loaded_operands(_record(Kernel(_global_kernel,
+                                           name="data_free"))) == ()
 
 
 def test_not_memoizable_when_an_index_is_loaded():
@@ -671,7 +652,7 @@ def test_not_memoizable_when_an_index_is_loaded():
         ctx.store_global(dst, gidx, ctx.load_global(src, idx))
 
     kernel = Kernel(gather, name="loaded_index")
-    assert not _memoizable(_record(kernel))
+    assert _loaded_operands(_record(kernel))
     _assert_replay_matches_batched(kernel)
     program = next(iter(kernel._trace_cache.values()))
     assert not program.memoizable and not program.counter_cache
