@@ -109,7 +109,7 @@ def npp_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
             args=(src, dst, tuple(spec.weights.reshape(-1).tolist()), width, height,
                   m_extent, n_extent, anchor_x, anchor_y),
             architecture=arch, max_blocks=max_blocks, batch_size=batch_size)
-        output = None if max_blocks is not None else dst.to_host()
+        output = None if max_blocks is not None else dst.array
         return KernelRunResult(name="npp_like", output=output, launch=launch,
                                parameters=parameters)
     blocks = grid[0] * grid[1]
@@ -224,7 +224,7 @@ def _shared_like_convolve2d(label: str, image, spec, architecture, precision,
             args=(src, dst, tuple(spec.weights.reshape(-1).tolist()), width, height,
                   m_extent, n_extent, anchor_x, anchor_y, tile_rows, overhead_per_tap),
             architecture=arch, max_blocks=max_blocks, batch_size=batch_size)
-        output = None if max_blocks is not None else dst.to_host()
+        output = None if max_blocks is not None else dst.array
         return KernelRunResult(name=label, output=output, launch=launch,
                                parameters=parameters)
     blocks = grid[0] * grid[1]

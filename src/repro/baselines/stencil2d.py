@@ -86,7 +86,7 @@ def original_stencil2d(grid: Optional[np.ndarray], spec: StencilSpec, iterations
     points = tuple((p.dx, p.dy, float(p.coefficient)) for p in spec.points)
     if functional:
         memory = GlobalMemory()
-        buffers = [memory.to_device(grid.astype(prec.numpy_dtype, copy=True), name="a"),
+        buffers = [memory.to_device(grid, name="a", dtype=prec.numpy_dtype),
                    memory.allocate(grid.shape, prec, name="b")]
         merged = None
         for step in range(iterations):
@@ -95,7 +95,7 @@ def original_stencil2d(grid: Optional[np.ndarray], spec: StencilSpec, iterations
                 config, args=(src, dst, points, width, height), architecture=arch,
                 max_blocks=max_blocks, batch_size=batch_size)
             merged = launch if merged is None else merged.merged_with(launch)
-        output = None if max_blocks is not None else buffers[iterations % 2].to_host()
+        output = None if max_blocks is not None else buffers[iterations % 2].array
         return KernelRunResult(name="original", output=output, launch=merged,
                                parameters=parameters)
     blocks = launch_grid[0] * launch_grid[1]
@@ -193,7 +193,7 @@ def _shared_stencil2d(label: str, grid, spec, iterations, architecture, precisio
     points = tuple((p.dx, p.dy, float(p.coefficient)) for p in spec.points)
     if functional:
         memory = GlobalMemory()
-        buffers = [memory.to_device(grid.astype(prec.numpy_dtype, copy=True), name="a"),
+        buffers = [memory.to_device(grid, name="a", dtype=prec.numpy_dtype),
                    memory.allocate(grid.shape, prec, name="b")]
         merged = None
         for step in range(iterations):
@@ -203,7 +203,7 @@ def _shared_stencil2d(label: str, grid, spec, iterations, architecture, precisio
                               x_min, y_min, overhead_per_tap),
                 architecture=arch, max_blocks=max_blocks, batch_size=batch_size)
             merged = launch if merged is None else merged.merged_with(launch)
-        output = None if max_blocks is not None else buffers[iterations % 2].to_host()
+        output = None if max_blocks is not None else buffers[iterations % 2].array
         return KernelRunResult(name=label, output=output, launch=merged, parameters=parameters)
     blocks = launch_grid[0] * launch_grid[1]
     warps_per_block = block_threads // arch.warp_size

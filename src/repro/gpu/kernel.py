@@ -49,6 +49,10 @@ DEFAULT_BATCH_MEMORY_BYTES = 128 * 1024 * 1024
 #: hard cap on blocks per batch (keeps peak temporaries bounded even for
 #: tiny block sizes)
 MAX_AUTO_BATCH_BLOCKS = 4096
+#: cache budget of one replay chunk's scratch arena: a compiled program
+#: knows its exact per-block working set, so replay sizes its chunks to
+#: keep that set cache-resident instead of using the batched estimate
+REPLAY_CACHE_BYTES = 2 * 1024 * 1024
 
 
 def auto_batch_size(config: "LaunchConfig",

@@ -107,18 +107,24 @@ class GlobalMemory:
         return sum(buf.nbytes for buf in self._buffers.values())
 
     def allocate(self, shape: Tuple[int, ...], precision: object = "float32",
-                 name: str = "", fill: Optional[float] = None) -> DeviceBuffer:
+                 name: str = "", fill: Optional[float] = None,
+                 cached: bool = False) -> DeviceBuffer:
         """Allocate a zero-initialised device buffer."""
         prec = resolve_precision(precision)
         array = np.zeros(shape, dtype=prec.numpy_dtype)
         if fill is not None:
             array.fill(fill)
-        return self._register(DeviceBuffer(array=array, name=name))
+        return self._register(DeviceBuffer(array=array, name=name, cached=cached))
 
     def to_device(self, host_array: np.ndarray, name: str = "",
-                  cached: bool = False) -> DeviceBuffer:
-        """Copy a host array into a new device buffer."""
-        array = np.array(host_array, copy=True)
+                  cached: bool = False, dtype=None) -> DeviceBuffer:
+        """Copy a host array into a new device buffer.
+
+        The one host-to-device copy also converts to ``dtype`` (the array's
+        own dtype when None) and lays the buffer out C-contiguous, so its
+        flat view writes through.  The caller's array is never aliased.
+        """
+        array = np.array(host_array, dtype=dtype, order="C", copy=True)
         return self._register(DeviceBuffer(array=array, name=name, cached=cached))
 
     def free(self, buffer: DeviceBuffer) -> None:

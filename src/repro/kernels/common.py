@@ -135,7 +135,7 @@ def make_device_pair(image: np.ndarray, precision: Precision,
                      memory: Optional[GlobalMemory] = None):
     """Upload an input array and allocate a same-shaped output buffer."""
     memory = memory or GlobalMemory()
-    src = memory.to_device(image.astype(precision.numpy_dtype, copy=True), name="src")
+    src = memory.to_device(image, name="src", dtype=precision.numpy_dtype)
     dst = memory.allocate(image.shape, precision, name="dst")
     return memory, src, dst
 

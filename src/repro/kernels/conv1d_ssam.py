@@ -87,7 +87,7 @@ def ssam_convolve1d(sequence: np.ndarray, taps: np.ndarray, anchor: Optional[int
         raise ConfigurationError("anchor must lie inside the filter")
     length = int(sequence.size)
     memory = GlobalMemory()
-    src = memory.to_device(sequence.astype(prec.numpy_dtype), name="sequence")
+    src = memory.to_device(sequence, name="sequence", dtype=prec.numpy_dtype)
     dst = memory.allocate((length,), prec, name="convolved")
     valid_per_warp = arch.warp_size - taps.size + 1
     per_block = (block_threads // arch.warp_size) * valid_per_warp
@@ -104,7 +104,7 @@ def ssam_convolve1d(sequence: np.ndarray, taps: np.ndarray, anchor: Optional[int
         architecture=arch, max_blocks=max_blocks, batch_size=batch_size)
     return KernelRunResult(
         name="ssam",
-        output=dst.to_host() if (max_blocks is None or keep_output) else None,
+        output=dst.array if (max_blocks is None or keep_output) else None,
         launch=launch,
         parameters={"taps": taps.size, "anchor": anchor, "architecture": arch.name,
                     "precision": prec.name},

@@ -146,8 +146,8 @@ def ssam_convolve2d(image: np.ndarray, spec: ConvolutionSpec,
                                 block_threads, block_rows)
     height, width = image.shape
     memory, src, dst = make_device_pair(image, prec)
-    weights = memory.to_device(spec.weights.astype(prec.numpy_dtype), name="weights",
-                               cached=True)
+    weights = memory.to_device(spec.weights, name="weights", cached=True,
+                               dtype=prec.numpy_dtype)
     config = plan.launch_config(width, height)
     anchor_x, anchor_y = spec.anchor
     launch = CONV2D_SSAM_KERNEL.launch(
@@ -158,7 +158,7 @@ def ssam_convolve2d(image: np.ndarray, spec: ConvolutionSpec,
         max_blocks=max_blocks,
         batch_size=batch_size,
     )
-    output = dst.to_host() if (max_blocks is None or keep_output) else None
+    output = dst.array if (max_blocks is None or keep_output) else None
     return KernelRunResult(
         name="ssam",
         output=output,
@@ -208,16 +208,14 @@ def ssam_convolve2d_chain(image: np.ndarray, spec: ConvolutionSpec,
     anchor_x, anchor_y = spec.anchor
 
     memory = GlobalMemory()
-    src = memory.to_device(image.astype(prec.numpy_dtype, copy=True),
-                           name="src")
-    weights = memory.to_device(spec.weights.astype(prec.numpy_dtype),
-                               name="weights", cached=True)
+    src = memory.to_device(image, name="src", dtype=prec.numpy_dtype)
+    weights = memory.to_device(spec.weights, name="weights", cached=True,
+                               dtype=prec.numpy_dtype)
     # intermediates of the fused pipeline never leave the cache hierarchy
     bufs = [src]
     for i in range(passes - 1):
-        bufs.append(memory.to_device(
-            np.zeros((height, width), dtype=prec.numpy_dtype),
-            name=f"tmp{i}", cached=fused))
+        bufs.append(memory.allocate((height, width), prec, name=f"tmp{i}",
+                                    cached=fused))
     bufs.append(memory.allocate((height, width), prec, name="dst"))
 
     def stage_args(i: int):
@@ -252,7 +250,7 @@ def ssam_convolve2d_chain(image: np.ndarray, spec: ConvolutionSpec,
                                           batch_size=batch_size))
     return KernelRunResult(
         name="ssam_chain_fused" if fused else "ssam_chain",
-        output=bufs[-1].to_host(),
+        output=bufs[-1].array,
         launch=launch,
         parameters={
             "M": spec.filter_width,

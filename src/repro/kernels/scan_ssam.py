@@ -99,7 +99,7 @@ def ssam_scan(sequence: np.ndarray, architecture: object = "p100",
     validate_block_threads(arch, block_threads)
     length = int(sequence.size)
     memory = GlobalMemory()
-    src = memory.to_device(sequence.astype(prec.numpy_dtype), name="sequence")
+    src = memory.to_device(sequence, name="sequence", dtype=prec.numpy_dtype)
     dst = memory.allocate((length,), prec, name="scanned")
     grid = grid_1d(length, block_threads)
     block_sums = memory.allocate((grid[0],), prec, name="block_sums")
@@ -118,14 +118,8 @@ def ssam_scan(sequence: np.ndarray, architecture: object = "p100",
     if max_blocks is None or keep_output:
         # host-side carry propagation across blocks (the "scan of block
         # sums" pass); skipped entirely when the output is discarded
-        partial = dst.to_host()
-        carries = np.cumsum(block_sums.to_host(), dtype=np.float64)
-        result = partial.astype(np.float64)
-        for block in range(1, grid[0]):
-            start = block * block_threads
-            stop = min(length, start + block_threads)
-            result[start:stop] += carries[block - 1]
-        output = result.astype(prec.numpy_dtype)
+        output = dst.array
+        carry_blocks(output, block_sums.array, block_threads)
     return KernelRunResult(
         name="ssam",
         output=output,
@@ -133,6 +127,25 @@ def ssam_scan(sequence: np.ndarray, architecture: object = "p100",
         parameters={"length": length, "B": block_threads, "architecture": arch.name,
                     "precision": prec.name},
     )
+
+
+def carry_blocks(scanned: np.ndarray, block_sums: np.ndarray,
+                 block_threads: int) -> None:
+    """Add every block's carry, the float64 sum of the block totals before
+    it, to that block's per-block scan, in place.
+
+    One add over the full blocks and one for the tail: each element gets
+    exactly one float64 add of its block's carry, rounded once to the
+    scan's dtype.
+    """
+    carries = np.cumsum(block_sums, dtype=np.float64)
+    full = scanned.size // block_threads
+    if full > 1:
+        body = scanned[:full * block_threads].reshape(full, block_threads)
+        body[1:] += carries[:full - 1, None]
+    if full and scanned.size > full * block_threads:
+        # a one-element array keeps the add in float64 for any scan dtype
+        scanned[full * block_threads:] += carries[full - 1:full]
 
 
 def reference_scan(sequence: np.ndarray) -> np.ndarray:

@@ -131,7 +131,7 @@ def ssam_stencil2d_masked(grid: np.ndarray, spec: StencilSpec,
     height, width = grid.shape
     memory = GlobalMemory()
     buffers = [
-        memory.to_device(grid.astype(prec.numpy_dtype, copy=True), name="grid_a"),
+        memory.to_device(grid, name="grid_a", dtype=prec.numpy_dtype),
         memory.allocate(grid.shape, prec, name="grid_b"),
     ]
     columns = build_column_groups(spec)
@@ -152,7 +152,7 @@ def ssam_stencil2d_masked(grid: np.ndarray, spec: StencilSpec,
         )
         merged = launch if merged is None else merged.merged_with(launch)
     final = buffers[iterations % 2]
-    output = final.to_host() if (max_blocks is None or keep_output) else None
+    output = final.array if (max_blocks is None or keep_output) else None
     return KernelRunResult(
         name="ssam_masked",
         output=output,

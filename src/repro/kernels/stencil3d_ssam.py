@@ -207,7 +207,7 @@ def ssam_stencil3d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
     )
     memory = GlobalMemory()
     buffers = [
-        memory.to_device(grid.astype(prec.numpy_dtype, copy=True), name="grid_a"),
+        memory.to_device(grid, name="grid_a", dtype=prec.numpy_dtype),
         memory.allocate(grid.shape, prec, name="grid_b"),
     ]
     merged: Optional[LaunchResult] = None
@@ -224,7 +224,7 @@ def ssam_stencil3d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
         )
         merged = launch if merged is None else merged.merged_with(launch)
     final = buffers[iterations % 2]
-    output = final.to_host() if (max_blocks is None or keep_output) else None
+    output = final.array if (max_blocks is None or keep_output) else None
     return KernelRunResult(
         name="ssam",
         output=output,

@@ -58,6 +58,9 @@ from ..serialization import canonical_json, jsonify, stable_digest
 
 #: current on-disk schema version (``meta`` table, key ``schema_version``)
 STORE_SCHEMA_VERSION = 4
+#: seconds a statement waits for another connection's lock before the
+#: store reports itself locked
+BUSY_TIMEOUT_S = 30.0
 
 #: length of the hex job-key digest (matches the legacy directory cache)
 DIGEST_LENGTH = 40
@@ -221,6 +224,37 @@ def _default_code_version() -> str:
     return cache_mod.code_version()
 
 
+def _lock_checked(name: str):
+    """``sqlite3.Connection.<name>`` turning a lock held past the busy
+    timeout into a :class:`ConfigurationError` naming the store and the
+    wait."""
+    method = getattr(sqlite3.Connection, name)
+
+    def checked(conn: "_StoreConnection", *args):
+        try:
+            return method(conn, *args)
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc):
+                raise
+            raise ConfigurationError(
+                f"result store {conn.path!r} stayed locked by another "
+                f"connection for {conn.busy_timeout_s:g} s ({exc}); retry "
+                f"once the other writer finishes") from None
+    return checked
+
+
+class _StoreConnection(sqlite3.Connection):
+    """A store connection: every statement's lock timeout is one
+    :class:`ConfigurationError`."""
+
+    path: str
+    busy_timeout_s: float
+    execute = _lock_checked("execute")
+    executemany = _lock_checked("executemany")
+    executescript = _lock_checked("executescript")
+    commit = _lock_checked("commit")
+
+
 class ResultStore:
     """Job-key-addressed typed results in one sqlite/WAL database.
 
@@ -248,11 +282,14 @@ class ResultStore:
 
     # -- connections ---------------------------------------------------------
     def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, timeout=30.0)
+        conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_S,
+                               factory=_StoreConnection)
+        conn.path = self.path
+        conn.busy_timeout_s = BUSY_TIMEOUT_S
         conn.row_factory = sqlite3.Row
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute("PRAGMA busy_timeout=30000")
+        conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT_S * 1000)}")
         return conn
 
     def _conn(self) -> sqlite3.Connection:

@@ -16,8 +16,10 @@ Replay computes values only.  The lowerings emit two step lists:
   stores to, shared-memory staging of broadcast weights);
 * a *chunk program* — closures run per batch chunk that compute only the
   genuinely block-varying values (CHUNK tier), writing into a pooled
-  scratch arena (liveness-scanned slots, allocated once at the maximum
-  chunk size) so the steady state performs no large allocations.
+  scratch arena (liveness-scanned slots, allocated once per session) so
+  the steady state performs no large allocations.  The program knows the
+  arena's exact bytes per block, so replay sizes its chunks to keep the
+  arena within :data:`~repro.gpu.kernel.REPLAY_CACHE_BYTES`.
 
 Counters come from :func:`repro.analysis.lint.predict_counters`, the one
 function that turns a trace's index and mask matrices into counters (the
@@ -48,7 +50,12 @@ from ..errors import LaunchError, SimulationError
 from ..gpu.architecture import GPUArchitecture, get_architecture
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
-from ..gpu.kernel import LaunchResult, auto_batch_size
+from ..gpu.kernel import (
+    MAX_AUTO_BATCH_BLOCKS,
+    REPLAY_CACHE_BYTES,
+    LaunchResult,
+    auto_batch_size,
+)
 from ..gpu.memory import DeviceBuffer
 from ..gpu.shared_memory import check_shared_capacity
 from .ir import (
@@ -172,6 +179,22 @@ class ReplayProgram:
         self.shared_allocations: Tuple[int, ...] = ()
 
     @property
+    def arena_bytes_per_block(self) -> int:
+        """Bytes of the scratch arena per block of a chunk: the program's
+        exact working set, summed over its pooled slots."""
+        return sum(int(np.prod(tail)) * dtype.itemsize
+                   for tail, dtype in self.pool_slots)
+
+    def chunk_blocks(self, num_blocks: int) -> int:
+        """Blocks per replay chunk: as many as keep the scratch arena within
+        :data:`~repro.gpu.kernel.REPLAY_CACHE_BYTES`, and at least two chunks
+        per launch so the compiled path runs even on tiny grids."""
+        if num_blocks <= 1:
+            return 1
+        fit = REPLAY_CACHE_BYTES // max(1, self.arena_bytes_per_block)
+        return max(1, min(fit, MAX_AUTO_BATCH_BLOCKS, (num_blocks + 1) // 2))
+
+    @property
     def memoizable(self) -> bool:
         """True when no index or mask reads loaded data: the counters of a
         launch are then a pure function of the block schedule and can be
@@ -211,9 +234,9 @@ class ReplaySession:
         """Current chunk's view of one pooled scratch slot."""
         return self.scratch[slot][:self.B]
 
-    def run_chunk(self, block_indices: np.ndarray) -> None:
+    def run_chunk(self, block_indices: np.ndarray, count: bool = True) -> None:
         """Replay the program for one contiguous chunk of blocks, then
-        count it."""
+        count it (unless the caller counts these blocks itself)."""
         self.B = int(block_indices.shape[0])
         env = self.env
         for node_id, axis in self.program.block_inputs:
@@ -226,10 +249,15 @@ class ReplaySession:
             # engines' bounds error for the first such access
             self.count(block_indices)
             raise
-        self.count(block_indices)
+        if count:
+            self.count(block_indices)
 
     def count(self, block_indices: np.ndarray) -> None:
-        """Add the chunk's counters, predicted from the program's plan."""
+        """Add the blocks' counters, predicted from the program's plan.
+
+        Loaded operands are read from the values of the chunk just
+        replayed, so a program with any counts each chunk right after
+        replaying it; a data-free program may count any blocks."""
         if self.counters is None:
             return
         program = self.program
@@ -237,7 +265,8 @@ class ReplaySession:
         for node_id in program.loaded_operands:
             env[node_id] = self.env[node_id]
         self.counters.accumulate(predict_counters(
-            program.plan, env, self.B, self.architecture).counters)
+            program.plan, env, int(block_indices.shape[0]),
+            self.architecture).counters)
 
 
 # ------------------------------------------------------------ compile passes
@@ -1084,11 +1113,11 @@ def replay_launch(kernel, config, args, architecture: object = "p100",
             index_matrix[::stride][:max_blocks])
         sampled = True
     n = index_matrix.shape[0]
-    # force at least two chunks so the compiled path is exercised (and
-    # covered by the differential tests) even on tiny grids; chunk 0 of a
-    # cold launch runs eagerly under the tracer
-    chunk = min(auto_batch_size(config), max(1, (n + 1) // 2)) if n > 1 \
-        else 1
+    # chunk 0 of a cold launch runs eagerly under the tracer, sized like a
+    # batched chunk; at least two chunks run so the compiled path is
+    # exercised (and covered by the differential tests) even on tiny grids
+    record_chunk = min(auto_batch_size(config), max(1, (n + 1) // 2)) \
+        if n > 1 else 1
 
     counters = KernelCounters()
     capture = _active_capture()
@@ -1112,7 +1141,7 @@ def replay_launch(kernel, config, args, architecture: object = "p100",
         before = counters.as_dict()
         try:
             trace = record_trace(kernel, config, args, arch, counters,
-                                 index_matrix[:chunk])
+                                 index_matrix[:record_chunk])
             if program is None:
                 program = compile_trace(trace)
                 kernel._trace_cache[key] = program
@@ -1128,22 +1157,29 @@ def replay_launch(kernel, config, args, architecture: object = "p100",
             capture.records.append(TraceCaptureRecord(
                 kernel_name=kernel.name, trace=trace, config=config,
                 architecture=arch,
-                chunk_blocks=np.ascontiguousarray(index_matrix[:chunk]),
+                chunk_blocks=np.ascontiguousarray(index_matrix[:record_chunk]),
                 chunk_counters=delta))
-        start = chunk
-        executed = int(index_matrix[:chunk].shape[0])
+        start = record_chunk
+        executed = start
     memo_key = cached = None
     if program.memoizable:
         memo_key = (config.grid_dim, max_blocks)
         if start == 0:  # fully-replayed launch: eligible for reuse
             cached = program.counter_cache.get(memo_key)
+    chunk = program.chunk_blocks(n)
+    # a data-free count reads nothing but the block ids and costs mostly
+    # per call, so it runs over the larger recording-size chunks
+    count_chunk = record_chunk if program.memoizable else chunk
     session = ReplaySession(program, args, arch,
                             counters if cached is None else None,
-                            max_chunk_blocks=min(chunk, max(1, n)))
+                            max_chunk_blocks=chunk)
     for s in range(start, n, chunk):
         batch = index_matrix[s:s + chunk]
-        session.run_chunk(batch)
+        session.run_chunk(batch, count=count_chunk == chunk)
         executed += int(batch.shape[0])
+    if count_chunk != chunk:
+        for s in range(start, n, count_chunk):
+            session.count(index_matrix[s:s + count_chunk])
     sample_fraction = executed / total_blocks if total_blocks else 1.0
     if cached is not None:
         counters = KernelCounters.from_dict(cached)

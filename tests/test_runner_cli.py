@@ -7,12 +7,15 @@ whole pipeline through the same argument surface CI uses.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.experiments import load_result, runner
 from repro.experiments.cache import STORE_FILENAME
 from repro.experiments.parallel import resolve_workers
 from repro.errors import ConfigurationError
+from repro.service import store as store_mod
 from repro.service.store import ResultStore
 
 
@@ -153,6 +156,28 @@ def test_sweep_on_a_damaged_store_prints_one_error_line(capsys, tmp_path,
     (line,) = err.strip().splitlines()
     assert line.startswith(f"error: result store {str(path)!r} is not a "
                            f"usable sqlite database")
+
+
+def test_sweep_on_a_locked_store_prints_one_error_line(capsys, tmp_path,
+                                                       monkeypatch):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    path = cache_dir / STORE_FILENAME
+    ResultStore(str(path)).close()
+    monkeypatch.setattr(store_mod, "BUSY_TIMEOUT_S", 0.2)
+    holder = sqlite3.connect(str(path), isolation_level=None)
+    holder.execute("BEGIN EXCLUSIVE")
+    try:
+        code, out, err = _main(["--experiment", "sweep", "--matrix", "smoke",
+                                "--cache-dir", str(cache_dir)], capsys)
+    finally:
+        holder.execute("ROLLBACK")
+        holder.close()
+    assert code == 1
+    assert out == ""
+    (line,) = err.strip().splitlines()
+    assert line.startswith(f"error: result store {str(path)!r} stayed "
+                           f"locked by another connection for 0.2 s")
 
 
 def test_tune_experiment_cli_path(capsys, tmp_path):

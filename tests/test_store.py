@@ -18,6 +18,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.cache import SimulationCache
+from repro.service import store as store_mod
 from repro.service.store import (
     DEFAULT_CLAIM_TTL,
     STORE_SCHEMA_VERSION,
@@ -90,6 +91,35 @@ def test_damaged_store_file_is_a_configuration_error(store, tmp_path,
         damaged.entry_count()
     assert repr(str(path)) in str(excinfo.value)
     assert "not a usable sqlite database" in str(excinfo.value)
+
+
+# ----------------------------------------------------------- locked files
+
+def test_locked_store_is_a_configuration_error(store, monkeypatch):
+    """A write that waits out the busy timeout on another connection's
+    exclusive lock fails with one message naming the store and the wait;
+    reads go on (WAL readers are not blocked) and writes resume once the
+    lock is gone."""
+    store.upsert(KEY_A, {"v": 1})
+    store.close()
+    monkeypatch.setattr(store_mod, "BUSY_TIMEOUT_S", 0.2)
+    holder = sqlite3.connect(store.path, isolation_level=None)
+    holder.execute("BEGIN EXCLUSIVE")
+    locked = ResultStore(store.path, code_version=lambda: "cv0")
+    try:
+        assert locked.get(KEY_A) == {"v": 1}
+        for write in (lambda: locked.upsert(KEY_B, {"v": 2}),
+                      lambda: locked.claim(KEY_B)):
+            with pytest.raises(ConfigurationError) as excinfo:
+                write()
+            message = str(excinfo.value)
+            assert repr(store.path) in message
+            assert "locked by another connection for 0.2 s" in message
+    finally:
+        holder.execute("ROLLBACK")
+        holder.close()
+    assert locked.upsert(KEY_B, {"v": 2}) is True
+    locked.close()
 
 
 # ------------------------------------------------------ first-writer-wins

@@ -8,7 +8,7 @@ fallback, and one program per memory geometry shared across parts (with
 each part's shared-memory capacity still checked).  Each entry of the
 compiler's lowering table is driven by a minimal kernel at every tier it
 emits, and the loaded-operand and shuffle-into-mad peephole passes are
-pinned on their own.  The sort-free paths of the counter rule are tested
+pinned on their own, as are the cache-sized replay chunks.  The sort-free paths of the counter rule are tested
 in ``test_gpu_memory_smem.py``.
 """
 
@@ -25,13 +25,31 @@ import pytest
 from repro.errors import ResourceExhaustedError, SimulationError
 from repro.gpu.architecture import TESLA_P100, get_architecture
 from repro.gpu.counters import KernelCounters
-from repro.gpu.kernel import Kernel, LaunchConfig
+from repro.gpu.kernel import (
+    REPLAY_CACHE_BYTES,
+    Kernel,
+    LaunchConfig,
+    auto_batch_size,
+)
 from repro.gpu.memory import GlobalMemory
-from repro.kernels.conv2d_ssam import CONV2D_SSAM_KERNEL, ssam_convolve2d
+from repro.kernels import conv2d_ssam as conv2d_mod
+from repro.kernels.conv2d_ssam import (
+    CONV2D_SSAM_KERNEL,
+    ssam_convolve2d,
+    ssam_convolve2d_chain,
+)
 from repro.convolution.spec import ConvolutionSpec
-from repro.trace.ir import B_AXIS, TIER_CHUNK, TIER_COMPILE, TIER_LAUNCH
+from repro.trace import replay as replay_mod
+from repro.trace.ir import (
+    B_AXIS,
+    KIND_THREAD,
+    TIER_CHUNK,
+    TIER_COMPILE,
+    TIER_LAUNCH,
+)
 from repro.trace.replay import (
     LOWERINGS,
+    ReplaySession,
     _assign_tiers,
     _block_index_matrix,
     _fuse_shuffles,
@@ -602,6 +620,128 @@ def test_uniform_shared_load_of_thread_uniform_chunk_content():
     kernel = Kernel(staged, name="uniform_thread_content")
     assert ("load_shared", TIER_CHUNK) in _reached(kernel)
     _assert_replay_matches_batched(kernel)
+
+
+@pytest.mark.parametrize("content", ["launch", "chunk"])
+def test_warp_uniform_block_varying_shared_index(content):
+    """The (B, 1) branch of the chunk-tier shared load: every thread of a
+    block reads one slot, chosen by the block index, of launch-static
+    content (staged from the read-only ``src``) or of chunk-tier content
+    (staged from each block's own tile)."""
+    def picked(ctx, src, wide, taps, scratch, dst, n):
+        tid, gidx = _ids(ctx)
+        threads = ctx.block_threads
+        tile = ctx.alloc_shared("tile", (threads,))
+        ctx.store_shared(tile, tid, ctx.load_global(
+            src, tid if content == "launch" else gidx))
+        ctx.syncthreads()
+        pick = (ctx.block_idx_x * 5 + 3) % threads
+        ctx.store_global(dst, gidx, ctx.add(ctx.load_shared(tile, pick),
+                                            ctx.load_global(src, gidx)))
+
+    kernel = Kernel(picked, name=f"block_picked_{content}")
+    trace = _record(kernel)
+    tiers, content_tiers = _assign_tiers(trace, frozenset())
+    (load,) = [node for node in trace.nodes if node.op == "load_shared"]
+    assert load.params["uniform"] and not load.params["masked"]
+    assert trace.nodes[load.inputs[0]].kind > KIND_THREAD
+    assert tiers[load.id] == TIER_CHUNK
+    want = TIER_CHUNK if content == "chunk" else TIER_LAUNCH
+    assert content_tiers[load.params["shared"]] == want
+    _assert_replay_matches_batched(kernel)
+
+
+# ------------------------------------------------------------ replay chunks
+
+def _spy_chunks(monkeypatch):
+    """Record the recording chunk's size, each replayed chunk's
+    ``(blocks, arena bytes, program)`` and the blocks of each count."""
+    seen = {"recorded": [], "replayed": [], "counted": []}
+    record, run_chunk = replay_mod.record_trace, ReplaySession.run_chunk
+    count = ReplaySession.count
+
+    def spy_record(kernel, config, args, arch, counters, chunk):
+        seen["recorded"].append((config, chunk.shape[0]))
+        return record(kernel, config, args, arch, counters, chunk)
+
+    def spy_run(session, block_indices, *args, **kwargs):
+        blocks = block_indices.shape[0]
+        program = session.program
+        seen["replayed"].append(
+            (blocks, blocks * program.arena_bytes_per_block, program))
+        return run_chunk(session, block_indices, *args, **kwargs)
+
+    def spy_count(session, block_indices):
+        if session.counters is not None:
+            seen["counted"].append(block_indices.shape[0])
+        return count(session, block_indices)
+
+    monkeypatch.setattr(replay_mod, "record_trace", spy_record)
+    monkeypatch.setattr(ReplaySession, "run_chunk", spy_run)
+    monkeypatch.setattr(ReplaySession, "count", spy_count)
+    return seen
+
+
+def test_replay_chunks_fit_the_cache_budget(monkeypatch):
+    """A cold launch, a warm one and a warm one that counts again each
+    replay at least three cache-sized chunks, bit-identical to batched."""
+    image = np.random.default_rng(8).random((768, 1024), dtype=np.float32)
+    spec = ConvolutionSpec.gaussian(5)
+    monkeypatch.setattr(conv2d_mod, "CONV2D_SSAM_KERNEL",
+                        Kernel(CONV2D_SSAM_KERNEL.func, name="conv2d_chunks"))
+    batched = ssam_convolve2d(image, spec, batch_size="auto")
+    n = batched.launch.blocks_executed
+    seen = _spy_chunks(monkeypatch)
+    before = len(fallback_log())
+    runs, chunks_per_run = [], []
+    for clear_counters in (False, False, True):
+        if clear_counters:
+            program.counter_cache.clear()
+        replayed = len(seen["replayed"])
+        runs.append(ssam_convolve2d(image, spec, batch_size="replay"))
+        chunks_per_run.append(len(seen["replayed"]) - replayed)
+        (program,) = conv2d_mod.CONV2D_SSAM_KERNEL._trace_cache.values()
+    assert fallback_log()[before:] == []
+    assert min(chunks_per_run) >= 3
+    for run in runs:
+        np.testing.assert_array_equal(run.output, batched.output)
+        assert run.launch.counters.as_dict() == \
+            batched.launch.counters.as_dict()
+
+    # chunk 0 of the cold launch keeps the batched engine's size
+    ((config, recorded),) = seen["recorded"]
+    assert recorded == min(auto_batch_size(config), (n + 1) // 2)
+    # every replayed chunk's scratch arena fits the cache budget
+    chunk = program.chunk_blocks(n)
+    assert chunk * program.arena_bytes_per_block <= REPLAY_CACHE_BYTES
+    assert all(arena <= REPLAY_CACHE_BYTES for _, arena, _ in seen["replayed"])
+    blocks = [b for b, _, _ in seen["replayed"]]
+    assert sum(blocks) == 3 * n - recorded
+    assert set(blocks) <= {chunk, (n - recorded) % chunk, n % chunk}
+    # the data-free count keeps the recording-size chunks: the cold launch
+    # and the launch with its memo cleared count, the memo hit does not
+    assert program.memoizable
+    counted = seen["counted"]
+    assert sum(counted) == 2 * n - recorded
+    assert set(counted) <= {recorded, (n - recorded) % recorded,
+                            n % recorded}
+
+
+def test_fused_chunks_keep_the_batched_size(monkeypatch):
+    """Stage fusion couples its stages' chunks through the halo lead, so
+    it keeps the batched engine's chunk size."""
+    image = np.random.default_rng(9).random((768, 1024), dtype=np.float32)
+    spec = ConvolutionSpec.gaussian(5)
+    seen = _spy_chunks(monkeypatch)
+    result = ssam_convolve2d_chain(image, spec, fused=True)
+    config = result.launch.config
+    n = int(np.prod(config.grid_dim))
+    chunk = min(auto_batch_size(config), (n + 1) // 2)
+    blocks = [b for b, _, _ in seen["replayed"]]
+    assert blocks and set(blocks) <= {chunk, n % chunk}
+    # the cache-sized chunks would differ, so this pins the fused size
+    assert all(program.chunk_blocks(n) != chunk
+               for _, _, program in seen["replayed"])
 
 
 # ----------------------------------------------------------- compile passes
