@@ -30,7 +30,7 @@ def evaluate_data_free(trace: Trace, block_indices: np.ndarray
     """Concrete values of every data-free node for the given blocks.
 
     ``block_indices`` is a ``(B, 3)`` int64 matrix of ``(bx, by, bz)``
-    triples — typically :func:`repro.trace.replay._block_index_matrix` over
+    triples — typically :func:`repro.gpu.kernel.block_schedule` over
     the full grid, so the checks cover blocks the recorded chunk never
     executed.  Nodes that are not data-free (loads, and anything derived
     from them) are absent from the returned environment.  Value ops

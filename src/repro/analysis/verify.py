@@ -18,6 +18,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..gpu.architecture import get_architecture
+from ..gpu.kernel import block_schedule
 from ..trace.ir import Trace
 from .accesses import extract_accesses
 from .bounds import check_bounds
@@ -34,9 +35,7 @@ MAX_CONCRETE_BLOCKS = 4096
 def _grid_blocks(grid_dim: Tuple[int, int, int],
                  max_blocks: int) -> Tuple[np.ndarray, bool]:
     """Block-index matrix for concrete checks + full-coverage flag."""
-    from ..trace.replay import _block_index_matrix
-
-    matrix = _block_index_matrix(grid_dim)
+    matrix = block_schedule(grid_dim)
     total = matrix.shape[0]
     if total <= max_blocks:
         return matrix, True

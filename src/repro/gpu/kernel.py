@@ -1,38 +1,39 @@
-"""Kernel objects, launch configuration and grid execution.
+"""Kernel objects, launch configuration and the one launch loop.
 
 A :class:`Kernel` wraps a Python function with the signature
 ``func(ctx: BatchedBlockContext, *args)`` and executes it over the thread
 blocks of the launch grid, accumulating
 :class:`~repro.gpu.counters.KernelCounters`.
 
-Two execution modes are supported:
+Every launch — batched, replayed or fused — is one call of
+:func:`launch_stages`, the only place a launch walks its blocks:
 
-* **full** — every block runs; the output buffers hold the complete result
-  (used by correctness tests and the examples);
-* **sampled** — only a representative subset of blocks runs and the counters
-  are scaled up; outputs are partial, but the cost estimate is cheap even
-  for paper-scale grids (used by the benchmark harness when a closed-form
-  traffic profile is not available).
-
-Either mode runs on one of two engines:
-
-* **batched** (the default, ``batch_size="auto"`` or a block count) —
-  chunks of the grid execute as one vectorized pass through
-  :class:`~repro.gpu.batch.BatchedBlockContext`, with all coalescing /
-  unique-line / bank-conflict accounting computed by segmented NumPy
-  reductions; ``batch_size=1`` runs a batch of one block at a time;
-* **replay** (``batch_size="replay"``) — the kernel body is recorded once
-  as a dataflow trace and replayed by :mod:`repro.trace.replay`.
+* one **block schedule** (:func:`block_schedule`): every block in launch
+  order (**full** mode), or with ``max_blocks`` a uniformly strided sample
+  whose counters are scaled to the full grid (**sampled** mode: partial
+  outputs, cheap cost estimates at paper scale);
+* **stages** over that schedule: a single launch is one stage, a fused
+  pipeline (:mod:`repro.trace.fusion`) several, each producer kept a
+  halo's lead ahead of its consumer;
+* an **engine** per launch: **batched** (:class:`BatchedStage`,
+  ``batch_size="auto"`` or a block count) runs chunks as vectorized
+  passes through :class:`~repro.gpu.batch.BatchedBlockContext`;
+  **replay** (``batch_size="replay"``, :mod:`repro.trace.replay`) records
+  the body once as a dataflow trace and replays the compiled program;
+* one **fallback**: a stage the tracer cannot record raises
+  :class:`StageFallback` and the launch reruns with every stage batched.
 
 Every batch size and both engines produce bit-identical outputs and
-identical counters.
+identical counters.  :mod:`repro.trace` is imported only when a launch
+replays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from ..dtypes import Precision, resolve_precision
 from ..errors import ConfigurationError, LaunchError
 from .architecture import GPUArchitecture, get_architecture
 from .batch import BatchedBlockContext
-from .counters import KernelCounters
+from .counters import KernelCounters, merge_counters
 from .occupancy import OccupancyResult, compute_occupancy
 from .profiler import TimingBreakdown, estimate_time
 
@@ -248,61 +249,149 @@ class Kernel:
             subsequent chunks through the compiled replay engine
             (:mod:`repro.trace.replay`), bit-identical to ``"auto"``.
         """
-        if batch_size == "replay":
-            from ..trace.replay import replay_launch
-
-            return replay_launch(self, config, args, architecture=architecture,
-                                 max_blocks=max_blocks)
-        arch = get_architecture(architecture)
-        if config.block_threads % arch.warp_size != 0:
-            raise LaunchError(
-                f"block size {config.block_threads} is not a multiple of warp size "
-                f"{arch.warp_size}"
-            )
-        counters = KernelCounters()
-        block_indices = list(_iter_blocks(config.grid_dim))
-        total_blocks = len(block_indices)
-        sampled = False
-        if max_blocks is not None and max_blocks < total_blocks:
-            stride = max(1, total_blocks // max_blocks)
-            block_indices = block_indices[::stride][:max_blocks]
-            sampled = True
-        chunk = _resolve_batch_size(batch_size, config, len(block_indices))
-        executed = 0
-        index_matrix = np.asarray(block_indices, dtype=np.int64).reshape(-1, 3)
-        for start in range(0, index_matrix.shape[0], chunk):
-            batch = index_matrix[start:start + chunk]
-            ctx = BatchedBlockContext(
-                block_indices=batch,
-                grid_dim=config.grid_dim,
-                block_threads=config.block_threads,
-                architecture=arch,
-                counters=counters,
-                precision=config.precision,
-            )
-            self.func(ctx, *args)
-            ctx.finalize()
-            executed += int(batch.shape[0])
-        sample_fraction = executed / total_blocks if total_blocks else 1.0
-        if sampled and sample_fraction > 0:
-            counters = counters.scaled(1.0 / sample_fraction)
-        return LaunchResult(
-            kernel_name=self.name,
-            config=config,
-            architecture=arch,
-            counters=counters,
-            blocks_executed=executed,
-            sampled=sampled,
-            sample_fraction=sample_fraction,
-        )
+        return launch_stages([(self, config, args)], architecture,
+                             max_blocks=max_blocks, batch_size=batch_size)
 
 
-def _iter_blocks(grid_dim: Tuple[int, int, int]) -> Iterable[Tuple[int, int, int]]:
+def block_schedule(grid_dim: Tuple[int, int, int],
+                   max_blocks: Optional[int] = None) -> np.ndarray:
+    """The blocks a launch runs: an ``(n, 3)`` int64 matrix of
+    ``(bx, by, bz)`` in bx-fastest launch order, uniformly strided down to
+    at most ``max_blocks`` rows when that is below the grid size."""
     gx, gy, gz = grid_dim
-    for bz in range(gz):
-        for by in range(gy):
-            for bx in range(gx):
-                yield (bx, by, bz)
+    order = np.arange(gx * gy * gz, dtype=np.int64)
+    if max_blocks is not None and max_blocks < order.shape[0]:
+        stride = max(1, order.shape[0] // max_blocks)
+        order = order[::stride][:max_blocks]
+    out = np.empty((order.shape[0], 3), dtype=np.int64)
+    out[:, 0] = order % gx
+    out[:, 1] = (order // gx) % gy
+    out[:, 2] = order // (gx * gy)
+    return out
+
+
+def block_context(config: LaunchConfig, architecture: GPUArchitecture,
+                  counters: KernelCounters,
+                  block_indices: np.ndarray) -> BatchedBlockContext:
+    """The batched execution context of one chunk of a launch."""
+    return BatchedBlockContext(block_indices, config.grid_dim,
+                               config.block_threads, architecture, counters,
+                               config.precision)
+
+
+class StageFallback(Exception):
+    """A replayed stage's kernel is untraceable (the fallback is already
+    logged): :func:`launch_stages` reruns the launch with every stage
+    batched, which overwrites what the abandoned run wrote because stages
+    are out-of-place."""
+
+
+class BatchedStage:
+    """One kernel of a launch, run as :class:`BatchedBlockContext` chunks."""
+
+    def __init__(self, kernel: Kernel, config: LaunchConfig,
+                 args: Sequence[object], architecture: GPUArchitecture,
+                 chunk: int) -> None:
+        self.kernel = kernel
+        self.config = config
+        self.args = tuple(args)
+        self.architecture = architecture
+        self.chunk = chunk
+        self.counters = KernelCounters()
+
+    def run(self, schedule: np.ndarray, start: int) -> int:
+        """Run the chunk of ``schedule`` at ``start``; return its end."""
+        end = min(schedule.shape[0], start + self.chunk)
+        ctx = block_context(self.config, self.architecture, self.counters,
+                            schedule[start:end])
+        self.kernel.func(ctx, *self.args)
+        ctx.finalize()
+        return end
+
+    def finish(self) -> KernelCounters:
+        return self.counters
+
+
+def launch_stages(stages: Sequence[Tuple[Kernel, LaunchConfig, Sequence[object]]],
+                  architecture: object = "p100",
+                  max_blocks: Optional[int] = None,
+                  batch_size: Union[int, str, None] = "auto",
+                  lead_blocks: Optional[int] = None,
+                  volatile_slots: Optional[Callable] = None) -> LaunchResult:
+    """Run one launch of ``(kernel, config, args)`` stages that share the
+    first stage's grid, on the engine ``batch_size`` names.
+
+    ``lead_blocks`` is how far each producer stays ahead of its consumer
+    (``None``: producers run to completion first); ``volatile_slots(index,
+    stages)`` names the arguments of a replayed stage that earlier stages
+    write (:mod:`repro.trace.fusion`).
+    """
+    arch = get_architecture(architecture)
+    config = stages[0][1]
+    for _, stage_config, _ in stages:
+        if stage_config.block_threads % arch.warp_size != 0:
+            raise LaunchError(
+                f"block size {stage_config.block_threads} is not a multiple "
+                f"of warp size {arch.warp_size}")
+    schedule = block_schedule(config.grid_dim, max_blocks)
+    n = schedule.shape[0]
+    if batch_size == "replay":
+        from ..trace.replay import ReplayStage
+
+        # chunk 0 of a stage is recorded eagerly at a batched chunk's size,
+        # at most half the launch so the compiled path runs (and is covered
+        # by the differential tests) even on tiny grids
+        step = min(auto_batch_size(config), (n + 1) // 2) if n > 1 else 1
+        runners: list = []
+        for index, (kernel, stage_config, args) in enumerate(stages):
+            runners.append(ReplayStage(
+                kernel, stage_config, args, arch, max_blocks, step,
+                pipelined=len(stages) > 1,
+                volatile=(partial(volatile_slots, index, runners)
+                          if volatile_slots else None)))
+        try:
+            return _run(runners, schedule, config, arch, step, lead_blocks)
+        except StageFallback:
+            batch_size = "auto"
+    step = _resolve_batch_size(batch_size, config, n)
+    runners = [BatchedStage(kernel, stage_config, args, arch, step)
+               for kernel, stage_config, args in stages]
+    return _run(runners, schedule, config, arch, step, lead_blocks)
+
+
+def _run(stages: Sequence, schedule: np.ndarray, config: LaunchConfig,
+         arch: GPUArchitecture, step: int,
+         lead_blocks: Optional[int]) -> LaunchResult:
+    """The chunk loop: walk ``schedule`` through every stage, the final
+    stage ``step`` blocks at a time, then merge the stages' counters (scaled
+    to the full grid for a sampled schedule) into one result."""
+    n = schedule.shape[0]
+    lead = n if lead_blocks is None else max(step, int(lead_blocks))
+    pos = [0] * len(stages)
+    last = len(stages) - 1
+    while pos[last] < n:
+        target = min(n, pos[last] + step)
+        # producers first, far enough ahead to cover the halo of every
+        # downstream consumer; then the final stage up to the target
+        for s, stage in enumerate(stages):
+            need = min(n, target + (last - s) * lead)
+            while pos[s] < need:
+                pos[s] = stage.run(schedule, pos[s])
+    parts = [stage.finish() for stage in stages]
+    counters = parts[0] if len(parts) == 1 else merge_counters(parts)
+    sample_fraction = n / config.total_blocks
+    sampled = n < config.total_blocks
+    if sampled and sample_fraction > 0:
+        counters = counters.scaled(1.0 / sample_fraction)
+    return LaunchResult(
+        kernel_name="+".join(stage.kernel.name for stage in stages),
+        config=config,
+        architecture=arch,
+        counters=counters,
+        blocks_executed=n * len(stages),
+        sampled=sampled,
+        sample_fraction=sample_fraction,
+    )
 
 
 def kernel(func: Callable[..., None]) -> Kernel:

@@ -39,7 +39,8 @@ class DeviceBuffer:
     accounting happens on the flattened view.  ``cached=True`` marks small
     constant-like buffers (filter weights, coefficients) whose reads are
     assumed to hit in L2/constant cache and therefore generate no DRAM
-    traffic after the first block.
+    traffic after the first block.  The array must be C-contiguous, so
+    that :attr:`flat` is a view and stores through it land in the buffer.
     """
 
     array: np.ndarray
@@ -50,6 +51,9 @@ class DeviceBuffer:
     def __post_init__(self) -> None:
         if not isinstance(self.array, np.ndarray):
             raise LaunchError("DeviceBuffer requires a NumPy array")
+        if not self.array.flags.c_contiguous:
+            raise LaunchError("DeviceBuffer requires a C-contiguous array "
+                              "(stage host data with GlobalMemory.to_device)")
         if not self.name:
             self.name = f"buffer{self.buffer_id}"
 

@@ -9,34 +9,32 @@ intermediate buffer is marked ``cached`` — its writes and reads stay in
 L2/registers and generate no DRAM traffic — so the fused launch's traffic
 is strictly below the unfused chain's.
 
+This module only declares the pipeline.  The chunk loop, the program
+acquisition (with its trace capture and counter memo) and the fallback
+are the ones every launch runs
+(:func:`repro.gpu.kernel.launch_stages`), with one stage per kernel; what
+fusion adds is the check that the stages share one blocking plan and the
+*volatile slots*: a consumer's reads of a buffer an earlier stage writes
+are forced to chunk tier through the replay compiler's ``volatile_slots``
+mechanism, so they observe the producer's freshest writes.
+
 Results are bit-identical to running the stages back to back: fusion only
 reorders whole blocks across stages, and a consumer chunk never runs
 before every producer block it reads from.  Stages must be out-of-place
-(no stage may read a buffer it also writes); consumer reads of the
-intermediate are forced to chunk tier through the replay compiler's
-``volatile_slots`` mechanism so they observe the producer's freshest
-writes.
+(no stage may read a buffer it also writes), so an untraceable stage can
+send the whole launch back to the batched engine from the start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import LaunchError
-from ..gpu.architecture import get_architecture
-from ..gpu.counters import KernelCounters
-from ..gpu.kernel import Kernel, LaunchConfig, LaunchResult, auto_batch_size
+from ..gpu.kernel import Kernel, LaunchConfig, LaunchResult, launch_stages
 from ..gpu.memory import DeviceBuffer
-from ..gpu.shared_memory import check_shared_capacity
-from .ir import TraceUnsupported
-from .replay import (ReplaySession, _block_index_matrix, compile_trace,
-                     get_program, record_trace)
 
 
-@dataclass(frozen=True)
-class FusedStage:
+class FusedStage(NamedTuple):
     """One stage of a fused pipeline: a kernel plus its launch binding."""
 
     kernel: Kernel
@@ -44,36 +42,22 @@ class FusedStage:
     args: Tuple[object, ...]
 
 
-class _StageState:
-    """Execution cursor of one stage inside a fused launch."""
-
-    def __init__(self, index: int, stage: FusedStage) -> None:
-        self.index = index
-        self.kernel = stage.kernel
-        self.config = stage.config
-        self.args = tuple(stage.args)
-        self.program = None
-        self.session: Optional[ReplaySession] = None
-        self.pos = 0  # blocks completed, in launch order
-
-
-def _volatile_slots(state: _StageState, states: List[_StageState]
-                    ) -> frozenset:
-    """Argument positions of ``state`` written by an earlier stage.
+def _volatile_slots(index: int, stages: Sequence) -> frozenset:
+    """Argument positions of stage ``index`` written by an earlier stage.
 
     Earlier stages always compile before a later stage's first chunk runs
-    (the driver keeps producers ahead of consumers), so their write-sets
-    are known here on both the cold and the warm path.
+    (the chunk loop keeps producers ahead of consumers), so their
+    write-sets are known here on both the cold and the warm path.
     """
     written_ids = set()
-    for earlier in states[:state.index]:
+    for earlier in stages[:index]:
         program = earlier.program
-        if program is None:  # pragma: no cover - driver ordering invariant
+        if program is None:  # pragma: no cover - chunk loop ordering invariant
             raise LaunchError("fused stage compiled before its producer")
         for slot in program.written_slots:
             written_ids.add(earlier.args[slot].buffer_id)
     return frozenset(
-        i for i, arg in enumerate(state.args)
+        i for i, arg in enumerate(stages[index].args)
         if isinstance(arg, DeviceBuffer) and arg.buffer_id in written_ids)
 
 
@@ -94,102 +78,22 @@ def fused_launch(stages: Sequence[FusedStage], architecture: object = "p100",
         halo.  ``None`` runs each stage to completion before the next
         starts (always safe).
 
-    Any untraceable stage falls back to running every stage sequentially
-    through the batched engine (stages must therefore be out-of-place, so
-    a partially-run pipeline can be re-executed deterministically); the
-    returned :class:`LaunchResult` then merges the per-stage launches.
+    Any untraceable stage is logged in
+    :func:`~repro.trace.replay.fallback_log` and the launch runs again from
+    the start with every stage on the batched engine, in the same pipeline
+    order; the result is named after every stage either way.
     """
-    stages = [stage if isinstance(stage, FusedStage) else FusedStage(*stage)
-              for stage in stages]
+    stages = [FusedStage(*stage) for stage in stages]
     if len(stages) < 2:
         raise LaunchError("fused_launch needs at least two stages")
-    arch = get_architecture(architecture)
     base = stages[0].config
-    for stage in stages:
-        config = stage.config
+    for _, config, _ in stages:
         if (config.grid_dim != base.grid_dim
                 or config.block_threads != base.block_threads):
             raise LaunchError(
                 "fused stages must share one blocking plan: got grid "
                 f"{config.grid_dim} x {config.block_threads} threads vs "
                 f"{base.grid_dim} x {base.block_threads}")
-        if config.block_threads % arch.warp_size != 0:
-            raise LaunchError(
-                f"block size {config.block_threads} is not a multiple of "
-                f"warp size {arch.warp_size}")
-    try:
-        return _fused_replay(stages, arch, lead_blocks)
-    except TraceUnsupported:
-        results = [stage.kernel.launch(stage.config, stage.args,
-                                       architecture=arch,
-                                       batch_size="auto")
-                   for stage in stages]
-        merged = results[0]
-        for result in results[1:]:
-            merged = merged.merged_with(result)
-        return merged
-
-
-def _fused_replay(stages: List[FusedStage], arch,
-                  lead_blocks: Optional[int]) -> LaunchResult:
-    base = stages[0].config
-    index_matrix = _block_index_matrix(base.grid_dim)
-    n = index_matrix.shape[0]
-    chunk = min(auto_batch_size(base), max(1, (n + 1) // 2)) if n > 1 else 1
-    counters = KernelCounters()
-    states = [_StageState(i, stage) for i, stage in enumerate(stages)]
-
-    def run_one_chunk(state: _StageState) -> None:
-        start = state.pos
-        end = min(n, start + chunk)
-        batch = index_matrix[start:end]
-        if state.program is None:
-            volatile = _volatile_slots(state, states)
-            program, key = get_program(state.kernel, state.config, state.args,
-                                       arch, volatile)
-            if program is None:
-                if key in state.kernel._trace_cache:
-                    raise TraceUnsupported(
-                        f"kernel {state.kernel.name!r} is untraceable")
-                try:
-                    trace = record_trace(state.kernel, state.config,
-                                         state.args, arch, counters, batch)
-                    program = compile_trace(trace, volatile)
-                except TraceUnsupported:
-                    state.kernel._trace_cache[key] = None
-                    raise
-                state.kernel._trace_cache[key] = program
-                state.program = program
-                state.pos = end  # the recording chunk executed eagerly
-                return
-            check_shared_capacity(program.shared_allocations,
-                                  arch.shared_memory_per_block)
-            state.program = program
-        if state.session is None:
-            state.session = ReplaySession(state.program, state.args, arch,
-                                          counters, max_chunk_blocks=chunk)
-        state.session.run_chunk(batch)
-        state.pos = end
-
-    num_stages = len(states)
-    lead = n if lead_blocks is None else max(chunk, int(lead_blocks))
-    while states[-1].pos < n:
-        target = min(n, states[-1].pos + chunk)
-        # pull every producer far enough ahead to cover the halo of all
-        # its downstream consumers, then advance the final stage one chunk
-        for s in range(num_stages - 1):
-            need = min(n, target + (num_stages - 1 - s) * lead)
-            while states[s].pos < need:
-                run_one_chunk(states[s])
-        while states[-1].pos < target:
-            run_one_chunk(states[-1])
-
-    return LaunchResult(
-        kernel_name="+".join(stage.kernel.name for stage in stages),
-        config=base,
-        architecture=arch,
-        counters=counters,
-        blocks_executed=sum(state.pos for state in states),
-        sampled=False,
-        sample_fraction=1.0,
-    )
+    return launch_stages(stages, architecture, batch_size="replay",
+                         lead_blocks=lead_blocks,
+                         volatile_slots=_volatile_slots)

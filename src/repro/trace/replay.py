@@ -34,27 +34,30 @@ the first launch's counters and runs the value steps alone.
 The replay of a chunk therefore touches NumPy kernels only — no Python
 kernel-body dispatch, no per-op method calls, no redundant index
 re-derivation.
+A launch drives a program through :class:`ReplayStage`, one stage of the
+chunk loop every launch runs (:func:`repro.gpu.kernel.launch_stages`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.concrete import evaluate_data_free
 from ..analysis.lint import predict_counters
-from ..errors import LaunchError, SimulationError
-from ..gpu.architecture import GPUArchitecture, get_architecture
-from ..gpu.batch import BatchedBlockContext
+from ..errors import SimulationError
+from ..gpu.architecture import GPUArchitecture
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import (
     MAX_AUTO_BATCH_BLOCKS,
     REPLAY_CACHE_BYTES,
     LaunchResult,
-    auto_batch_size,
+    StageFallback,
+    block_context,
+    launch_stages,
 )
 from ..gpu.memory import DeviceBuffer
 from ..gpu.shared_memory import check_shared_capacity
@@ -167,8 +170,8 @@ class ReplayProgram:
         #: index and mask operands computed from loaded data: the count
         #: reads replay's own values of these
         self.loaded_operands: Tuple[int, ...] = ()
-        #: (grid_dim, max_blocks) -> counter dict of a completed launch,
-        #: replayed without counting again
+        #: (grid_dim, max_blocks) -> unscaled counter dict of a completed
+        #: launch, replayed without counting again
         self.counter_cache: Dict[tuple, Dict[str, float]] = {}
         #: argument positions of global buffers this program writes
         #: (used by stage fusion to mark downstream reads volatile)
@@ -1041,14 +1044,7 @@ def record_trace(kernel, config, args, architecture: GPUArchitecture,
     The chunk is fully simulated (counters, traffic, buffer writes) with the
     batched engine's semantics while the trace is captured.
     """
-    eager = BatchedBlockContext(
-        block_indices=block_indices,
-        grid_dim=config.grid_dim,
-        block_threads=config.block_threads,
-        architecture=architecture,
-        counters=counters,
-        precision=config.precision,
-    )
+    eager = block_context(config, architecture, counters, block_indices)
     trace = Trace(tuple(args), batch_blocks=int(block_indices.shape[0]),
                   block_threads=eager.block_threads,
                   warp_size=eager.warp_size, num_warps=eager.num_warps,
@@ -1059,141 +1055,138 @@ def record_trace(kernel, config, args, architecture: GPUArchitecture,
     return trace
 
 
-def get_program(kernel, config, args, architecture: GPUArchitecture,
-                volatile_slots: frozenset = frozenset()):
-    """Cached compiled program for this (kernel, plan, precision, memory
-    geometry, args) key.
+class ReplayStage:
+    """One kernel of a launch on the replay engine, a stage of the chunk
+    loop in :func:`repro.gpu.kernel.launch_stages`.
 
-    Returns ``(program, None)`` on a cache hit.  On a miss the recording
-    chunk must be simulated by the caller: returns ``(None, key)`` so the
-    caller can record, compile and :func:`store_program`.
+    Its first chunk acquires the program (:meth:`_acquire`); the others
+    replay it at the program's cache-sized chunk or, in a fused pipeline
+    whose halo lead couples the stages' chunks, at the recording chunk.
     """
-    cache = getattr(kernel, "_trace_cache", None)
-    if cache is None:
-        cache = kernel._trace_cache = {}
-    key = trace_key(config, architecture, args, volatile_slots)
-    return cache.get(key, None), key
 
+    def __init__(self, kernel, config, args: Sequence[object],
+                 architecture: GPUArchitecture, max_blocks: Optional[int],
+                 record_chunk: int, pipelined: bool = False,
+                 volatile: Optional[Callable[[], frozenset]] = None) -> None:
+        self.kernel = kernel
+        self.config = config
+        self.args = tuple(args)
+        self.architecture = architecture
+        self.memo_key = (config.grid_dim, max_blocks)
+        self.record_chunk = self.chunk = record_chunk
+        self.pipelined = pipelined
+        #: this stage's argument positions that earlier stages write
+        self.volatile = volatile
+        self.counters = KernelCounters()
+        self.program: Optional[ReplayProgram] = None
+        self.session: Optional[ReplaySession] = None
+        self.recorded = False
+        #: the launch's counters when ``counter_cache`` already holds them
+        self.cached: Optional[Dict[str, float]] = None
+        #: blocks per count when it runs apart from the replay chunks, and
+        #: the replayed blocks not counted yet
+        self.count_chunk: Optional[int] = None
+        self.uncounted = np.empty((0, 3), dtype=np.int64)
 
-def _block_index_matrix(grid_dim) -> np.ndarray:
-    """(total_blocks, 3) matrix of (bx, by, bz) in bx-fastest launch order."""
-    gx, gy, gz = grid_dim
-    ar = np.arange(gx * gy * gz, dtype=np.int64)
-    out = np.empty((ar.shape[0], 3), dtype=np.int64)
-    out[:, 0] = ar % gx
-    out[:, 1] = (ar // gx) % gy
-    out[:, 2] = ar // (gx * gy)
-    return out
+    def run(self, schedule: np.ndarray, start: int) -> int:
+        """Run the chunk of ``schedule`` at ``start``; return its end."""
+        if self.session is None:
+            end = self._acquire(schedule, start)
+            self._open(schedule.shape[0])
+            if end > start:
+                return end
+        end = min(schedule.shape[0], start + self.chunk)
+        blocks = schedule[start:end]
+        self.session.run_chunk(blocks, count=self.count_chunk is None)
+        if self.count_chunk is not None and self.session.counters is not None:
+            # count in whole recording-size steps; the rest waits
+            pending = np.concatenate([self.uncounted, blocks])
+            whole = pending.shape[0] - pending.shape[0] % self.count_chunk
+            for s in range(0, whole, self.count_chunk):
+                self.session.count(pending[s:s + self.count_chunk])
+            self.uncounted = pending[whole:]
+        return end
+
+    def _acquire(self, schedule: np.ndarray, start: int) -> int:
+        """Find or build this stage's program; return the end of the chunk
+        it recorded (``start`` when it recorded none).
+
+        A cached program is checked against the part's shared capacity.
+        Without one, and always under :func:`capture_traces`, the chunk
+        runs eagerly under the tracer (so its counters and writes are the
+        batched engine's), is compiled and cached, and the capture gets its
+        record.  An untraceable kernel is cached as such and falls back.
+        """
+        volatile = frozenset() if self.volatile is None else self.volatile()
+        key = trace_key(self.config, self.architecture, self.args, volatile)
+        cache = self.kernel._trace_cache
+        capture = _active_capture()
+        program = cache.get(key)
+        if program is not None:
+            check_shared_capacity(program.shared_allocations,
+                                  self.architecture.shared_memory_per_block)
+            self.program = program
+            if capture is None:
+                return start
+        elif key in cache and capture is None:
+            # known untraceable (a capture records again to report why)
+            record_fallback(self.kernel.name, "known untraceable (cached)")
+            raise StageFallback(self.kernel.name)
+        end = min(schedule.shape[0], start + self.record_chunk)
+        blocks = schedule[start:end]
+        try:
+            trace = record_trace(self.kernel, self.config, self.args,
+                                 self.architecture, self.counters, blocks)
+            if program is None:
+                program = compile_trace(trace, volatile)
+        except TraceUnsupported as exc:
+            cache[key] = None
+            record_fallback(self.kernel.name, str(exc))
+            raise StageFallback(self.kernel.name) from exc
+        cache[key] = self.program = program
+        self.recorded = True
+        if capture is not None:
+            capture.records.append(TraceCaptureRecord(
+                kernel_name=self.kernel.name, trace=trace, config=self.config,
+                architecture=self.architecture,
+                chunk_blocks=np.ascontiguousarray(blocks),
+                chunk_counters=self.counters.as_dict()))
+        return end
+
+    def _open(self, num_blocks: int) -> None:
+        """Start the session; a launch that recorded nothing may take its
+        counters from ``counter_cache`` and then counts nothing."""
+        program = self.program
+        if not self.pipelined:
+            self.chunk = program.chunk_blocks(num_blocks)
+        if program.memoizable:
+            if not self.recorded:
+                self.cached = program.counter_cache.get(self.memo_key)
+            # a data-free count reads nothing but the block ids and costs
+            # mostly per call, so it runs over recording-size chunks
+            if self.chunk != self.record_chunk:
+                self.count_chunk = self.record_chunk
+        self.session = ReplaySession(
+            program, self.args, self.architecture,
+            self.counters if self.cached is None else None,
+            max_chunk_blocks=self.chunk)
+
+    def finish(self) -> KernelCounters:
+        """Counters of every block this stage ran (unscaled); a memoizable
+        program keeps them for its repeat launches."""
+        if self.uncounted.shape[0]:
+            self.session.count(self.uncounted)
+        if self.cached is not None:
+            return KernelCounters.from_dict(self.cached)
+        if self.program.memoizable:
+            self.program.counter_cache[self.memo_key] = self.counters.as_dict()
+        return self.counters
 
 
 def replay_launch(kernel, config, args, architecture: object = "p100",
                   max_blocks: Optional[int] = None) -> LaunchResult:
-    """Execute a launch through the compiled replay engine.
-
-    First launch of a ``(kernel, plan, precision)``: chunk 0 runs eagerly
-    under the tracer (so its counters and writes are the batched engine's),
-    the trace is compiled, and the remaining chunks replay the program,
-    each counted by :func:`~repro.analysis.lint.predict_counters` over the
-    program's plan.  Subsequent launches replay every chunk; a memoizable
-    program's repeat launch takes its counters from ``counter_cache``.
-    Kernels the tracer cannot record fall back to the batched engine
-    transparently.
-    """
-    arch = get_architecture(architecture)
-    if config.block_threads % arch.warp_size != 0:
-        raise LaunchError(
-            f"block size {config.block_threads} is not a multiple of warp "
-            f"size {arch.warp_size}")
-    index_matrix = _block_index_matrix(config.grid_dim)
-    total_blocks = index_matrix.shape[0]
-    sampled = False
-    if max_blocks is not None and max_blocks < total_blocks:
-        stride = max(1, total_blocks // max_blocks)
-        index_matrix = np.ascontiguousarray(
-            index_matrix[::stride][:max_blocks])
-        sampled = True
-    n = index_matrix.shape[0]
-    # chunk 0 of a cold launch runs eagerly under the tracer, sized like a
-    # batched chunk; at least two chunks run so the compiled path is
-    # exercised (and covered by the differential tests) even on tiny grids
-    record_chunk = min(auto_batch_size(config), max(1, (n + 1) // 2)) \
-        if n > 1 else 1
-
-    counters = KernelCounters()
-    capture = _active_capture()
-    program, key = get_program(kernel, config, args, arch)
-    if program is not None:
-        check_shared_capacity(program.shared_allocations,
-                              arch.shared_memory_per_block)
-    start = 0
-    executed = 0
-    if (capture is None and program is None and key is not None
-            and key in kernel._trace_cache):
-        # known-untraceable kernel: delegate to the batched engine (a
-        # capture context retries the recording to report the reason)
-        record_fallback(kernel.name, "known untraceable (cached)")
-        return kernel.launch(config, args, architecture=arch,
-                             max_blocks=max_blocks, batch_size="auto")
-    if program is None or capture is not None:
-        # chunk 0 runs eagerly under the tracer; under a capture context
-        # this happens even on a warm cache so the chunk's counter delta
-        # is observable (recording is bit-identical to replaying)
-        before = counters.as_dict()
-        try:
-            trace = record_trace(kernel, config, args, arch, counters,
-                                 index_matrix[:record_chunk])
-            if program is None:
-                program = compile_trace(trace)
-                kernel._trace_cache[key] = program
-        except TraceUnsupported as exc:
-            kernel._trace_cache[key] = None
-            record_fallback(kernel.name, str(exc))
-            return kernel.launch(config, args, architecture=arch,
-                                 max_blocks=max_blocks, batch_size="auto")
-        if capture is not None:
-            after = counters.as_dict()
-            delta = {name: after[name] - before.get(name, 0)
-                     for name in after}
-            capture.records.append(TraceCaptureRecord(
-                kernel_name=kernel.name, trace=trace, config=config,
-                architecture=arch,
-                chunk_blocks=np.ascontiguousarray(index_matrix[:record_chunk]),
-                chunk_counters=delta))
-        start = record_chunk
-        executed = start
-    memo_key = cached = None
-    if program.memoizable:
-        memo_key = (config.grid_dim, max_blocks)
-        if start == 0:  # fully-replayed launch: eligible for reuse
-            cached = program.counter_cache.get(memo_key)
-    chunk = program.chunk_blocks(n)
-    # a data-free count reads nothing but the block ids and costs mostly
-    # per call, so it runs over the larger recording-size chunks
-    count_chunk = record_chunk if program.memoizable else chunk
-    session = ReplaySession(program, args, arch,
-                            counters if cached is None else None,
-                            max_chunk_blocks=chunk)
-    for s in range(start, n, chunk):
-        batch = index_matrix[s:s + chunk]
-        session.run_chunk(batch, count=count_chunk == chunk)
-        executed += int(batch.shape[0])
-    if count_chunk != chunk:
-        for s in range(start, n, count_chunk):
-            session.count(index_matrix[s:s + count_chunk])
-    sample_fraction = executed / total_blocks if total_blocks else 1.0
-    if cached is not None:
-        counters = KernelCounters.from_dict(cached)
-    else:
-        if sampled and sample_fraction > 0:
-            counters = counters.scaled(1.0 / sample_fraction)
-        if memo_key is not None:
-            program.counter_cache[memo_key] = counters.as_dict()
-    return LaunchResult(
-        kernel_name=kernel.name,
-        config=config,
-        architecture=arch,
-        counters=counters,
-        blocks_executed=executed,
-        sampled=sampled,
-        sample_fraction=sample_fraction,
-    )
+    """Execute a launch through the compiled replay engine: one
+    :class:`ReplayStage` in the launch loop, falling back to the batched
+    engine transparently when the tracer cannot record the kernel."""
+    return launch_stages([(kernel, config, args)], architecture,
+                         max_blocks=max_blocks, batch_size="replay")

@@ -29,9 +29,9 @@ import numpy as np
 from repro.dtypes import resolve_precision
 from repro.gpu.architecture import get_architecture
 from repro.gpu.counters import KernelCounters
-from repro.gpu.kernel import Kernel, LaunchConfig
+from repro.gpu.kernel import Kernel, LaunchConfig, block_schedule
 from repro.gpu.memory import GlobalMemory
-from repro.trace.replay import _block_index_matrix, record_trace
+from repro.trace.replay import record_trace
 
 
 def _linear_setup(num_blocks: int, block_threads: int, precision: str,
@@ -158,6 +158,6 @@ def record_fixture_trace(kernel, config, args, architecture="p100",
     """
     arch = get_architecture(architecture)
     counters = KernelCounters()
-    chunk_blocks = _block_index_matrix(config.grid_dim)[:blocks]
+    chunk_blocks = block_schedule(config.grid_dim)[:blocks]
     trace = record_trace(kernel, config, args, arch, counters, chunk_blocks)
     return trace, chunk_blocks, counters.as_dict()

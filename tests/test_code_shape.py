@@ -7,6 +7,10 @@
 * The replay engine and stage fusion compute values only: counters come
   from :func:`repro.analysis.lint.predict_counters`, so neither module may
   use a per-access counter rule itself.
+* One launch loop: a program is recorded and compiled in one function
+  (the replay stage's acquisition), and no trace module re-enters
+  ``Kernel.launch`` — batched, replay and fused launches, fallbacks
+  included, all run the chunk loop of ``repro.gpu.kernel.launch_stages``.
 """
 
 from __future__ import annotations
@@ -86,3 +90,40 @@ def test_counter_rule_guard_sees_the_rules():
     used = set().union(*(_names_used(path)
                          for path in (SOURCE_ROOT / "gpu").glob("*.py")))
     assert COUNTER_RULES <= used
+
+
+def _callers(names: set) -> set:
+    """``(module, function)`` of every function in ``src/repro`` that calls
+    one of ``names``; calls in a nested function count for its top-level
+    function or method."""
+    found = set()
+    for path in sorted(SOURCE_ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, func in _functions(tree):
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                target = node.func
+                called = (target.id if isinstance(target, ast.Name)
+                          else getattr(target, "attr", None))
+                if called in names:
+                    found.add((str(path.relative_to(SOURCE_ROOT)), name))
+    return found
+
+
+def test_programs_are_acquired_in_one_function():
+    assert _callers({"record_trace", "compile_trace"}) == {
+        ("trace/replay.py", "ReplayStage._acquire")}
+
+
+def test_no_trace_module_calls_launch():
+    launches = {(module, name) for module, name in _callers({"launch"})
+                if module.startswith("trace/")}
+    assert not launches
+
+
+def test_launch_guard_sees_launch_calls():
+    # the scan must find the kernels' own launches (an empty scan passes
+    # vacuously)
+    assert any(module.startswith("kernels/")
+               for module, _ in _callers({"launch"}))

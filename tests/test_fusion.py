@@ -1,10 +1,13 @@
 """Stage fusion: the two-pass blur chain as one software-pipelined launch.
 
-The ISSUE-level acceptance criterion lives here: the fused blur pipeline
-runs as a *single* launch (zero ``Kernel.launch`` dispatches — the fused
-driver interleaves replay chunks itself) and moves strictly less DRAM
-traffic than the two-pass chain, while producing bit-identical output and
-identical instruction counts.
+The fused blur pipeline runs as a *single* launch (zero ``Kernel.launch``
+dispatches — the launch loop interleaves the stages' replay chunks itself)
+and moves strictly less DRAM traffic than the two-pass chain, while
+producing bit-identical output and identical instruction counts.  A fused
+launch shares the single launch's machinery: an untraceable stage is
+logged and sends the whole pipeline to the batched engine, fused programs
+reach the trace capture (and so the static verifier), and a warm fused
+launch takes its counters from the programs' counter memo.
 """
 
 from __future__ import annotations
@@ -12,11 +15,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.scenario import analyze_scenario
 from repro.convolution.spec import ConvolutionSpec
 from repro.errors import LaunchError
-from repro.gpu.kernel import Kernel
+from repro.gpu.counters import merge_counters
+from repro.gpu.kernel import Kernel, LaunchConfig
+from repro.gpu.memory import GlobalMemory
 from repro.kernels.conv2d_ssam import CONV2D_SSAM_KERNEL, ssam_convolve2d_chain
+from repro.trace import replay as replay_mod
 from repro.trace.fusion import FusedStage, fused_launch
+from repro.trace.replay import capture_traces, fallback_log
 
 
 @pytest.fixture
@@ -130,3 +138,92 @@ def test_fused_launch_needs_two_stages(image, spec):
         fused_launch([])
     with pytest.raises(Exception):
         ssam_convolve2d_chain(image, spec, passes=1)
+
+
+# ------------------------------------------------------- one launch loop
+
+def _scale_stage(ctx, src, dst, n):
+    gidx = ctx.block_idx_x * ctx.block_threads + ctx.thread_idx_x
+    ctx.store_global(dst, gidx, ctx.mul(ctx.load_global(src, gidx),
+                                        ctx.full(2.0)))
+
+
+def _arch_stage(ctx, src, dst, n):
+    gidx = ctx.block_idx_x * ctx.block_threads + ctx.thread_idx_x
+    # reading the architecture makes the body untraceable
+    offset = 1.0 if ctx.architecture.warp_size == 32 else 0.0
+    ctx.store_global(dst, gidx, ctx.add(ctx.load_global(src, gidx),
+                                        ctx.full(offset)))
+
+
+def _pipeline_buffers():
+    memory = GlobalMemory()
+    data = np.random.default_rng(21).random(8 * 64).astype(np.float32)
+    return (memory.to_device(data, name="src"),
+            memory.allocate((8 * 64,), "float32", name="mid", cached=True),
+            memory.allocate((8 * 64,), "float32", name="dst"))
+
+
+def test_untraceable_fused_stage_falls_back_once_with_the_pipeline_name():
+    producer = Kernel(_scale_stage, name="a")
+    consumer = Kernel(_arch_stage, name="b")
+    config = LaunchConfig(grid_dim=(8, 1, 1), block_threads=64)
+    src, mid, dst = _pipeline_buffers()
+    stages = [FusedStage(producer, config, (src, mid, 8 * 64)),
+              FusedStage(consumer, config, (mid, dst, 8 * 64))]
+    before = len(fallback_log())
+    fused = fused_launch(stages, architecture="p100", lead_blocks=2)
+    assert fallback_log()[before:] == [
+        {"kernel": "b", "reason": "kernel body reads the architecture"}]
+    assert fused.kernel_name == "a+b"
+
+    b_src, b_mid, b_dst = _pipeline_buffers()
+    first = producer.launch(config, (b_src, b_mid, 8 * 64), batch_size="auto")
+    second = consumer.launch(config, (b_mid, b_dst, 8 * 64), batch_size="auto")
+    np.testing.assert_array_equal(mid.to_host(), b_mid.to_host())
+    np.testing.assert_array_equal(dst.to_host(), b_dst.to_host())
+    assert fused.counters.as_dict() == \
+        merge_counters([first.counters, second.counters]).as_dict()
+    assert fused.blocks_executed == first.blocks_executed \
+        + second.blocks_executed
+
+    # the untraceable key is cached: a repeat launch records nothing
+    before = len(fallback_log())
+    again = fused_launch(stages, architecture="p100", lead_blocks=2)
+    assert fallback_log()[before:] == [
+        {"kernel": "b", "reason": "known untraceable (cached)"}]
+    assert again.counters.as_dict() == fused.counters.as_dict()
+
+
+def test_fused_programs_reach_the_trace_capture(image, spec):
+    with capture_traces() as capture:
+        ssam_convolve2d_chain(image, spec, fused=True)
+    assert [r.kernel_name for r in capture.records] == ["ssam_conv2d"] * 2
+    assert capture.fallbacks == []
+
+
+def test_fused_pipeline_scenario_verifies_clean():
+    analysis = analyze_scenario("conv2d-pipeline", size="fused")
+    assert analysis.reports
+    assert all(report.ok for report in analysis.reports)
+    assert analysis.fallbacks == []
+    assert analysis.ok
+
+
+def test_warm_fused_launch_takes_its_counters_from_the_memo(monkeypatch):
+    image = np.random.default_rng(49).random((37, 49), dtype=np.float32)
+    spec = ConvolutionSpec.gaussian(3)
+    CONV2D_SSAM_KERNEL._trace_cache.clear()
+    cold = ssam_convolve2d_chain(image, spec, fused=True)
+    calls = []
+    predict = replay_mod.predict_counters
+
+    def counting_predict(*args, **kwargs):
+        calls.append(1)
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(replay_mod, "predict_counters", counting_predict)
+    warm = ssam_convolve2d_chain(image, spec, fused=True)
+    assert calls == []
+    np.testing.assert_array_equal(warm.output, cold.output)
+    assert warm.launch.counters.as_dict() == cold.launch.counters.as_dict()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dtypes import resolve_precision
-from repro.errors import ResourceExhaustedError, SimulationError
+from repro.errors import LaunchError, ResourceExhaustedError, SimulationError
 from repro.gpu.architecture import TESLA_P100
 from repro.gpu.batch import BatchedBlockContext, BatchedTrafficTracker
 from repro.gpu.counters import KernelCounters
@@ -154,6 +154,21 @@ def test_to_device_copies_data():
     host[0] = 99.0
     assert buf.to_host()[0] == 0.0
     memory.free(buf)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_device_buffer_rejects_a_non_c_contiguous_array(layout):
+    base = np.zeros((4, 8), dtype=np.float32)
+    array = np.asfortranarray(base) if layout == "fortran" else base[:, ::2]
+    with pytest.raises(LaunchError, match="C-contiguous"):
+        DeviceBuffer(array=array)
+
+
+def test_device_buffer_flat_view_shares_the_array():
+    buf = DeviceBuffer(array=np.zeros((4, 8), dtype=np.float32))
+    assert np.shares_memory(buf.flat, buf.array)
+    buf.flat[3] = 1.0
+    assert buf.array[0, 3] == 1.0
 
 
 def _record_read(tracker, buf, indices):

@@ -21,9 +21,9 @@ from repro.analysis.ranges import RangeAnalysis
 from repro.dtypes import resolve_precision
 from repro.gpu.architecture import get_architecture
 from repro.gpu.counters import KernelCounters
-from repro.gpu.kernel import Kernel, LaunchConfig
+from repro.gpu.kernel import Kernel, LaunchConfig, block_schedule
 from repro.gpu.memory import GlobalMemory
-from repro.trace.replay import _block_index_matrix, record_trace
+from repro.trace.replay import record_trace
 
 #: kept tiny so int64 arithmetic cannot overflow even for pure-mul trees
 MAX_CONST = 10
@@ -93,7 +93,7 @@ def _record_expression(expression, num_blocks):
     config = LaunchConfig(grid_dim=(num_blocks, 1, 1),
                           block_threads=BLOCK_THREADS, precision=prec)
     arch = get_architecture("p100")
-    blocks = _block_index_matrix(config.grid_dim)
+    blocks = block_schedule(config.grid_dim)
     trace = record_trace(Kernel(body, name="interval_probe"), config, (dst,),
                          arch, KernelCounters(), blocks)
     return trace, config, blocks

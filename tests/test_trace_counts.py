@@ -40,13 +40,14 @@ from repro.core.performance_model import (
     model_stencil3d,
 )
 from repro.gpu.counters import KernelCounters
+from repro.gpu.kernel import block_schedule
 from repro.kernels.conv1d_ssam import ssam_convolve1d
 from repro.kernels.conv2d_ssam import ssam_convolve2d
 from repro.kernels.scan_ssam import ssam_scan
 from repro.kernels.stencil2d_ssam import ssam_stencil2d
 from repro.kernels.stencil3d_ssam import ssam_stencil3d
 from repro.stencils.catalog import get_stencil
-from repro.trace.replay import _block_index_matrix, capture_traces
+from repro.trace.replay import capture_traces
 
 #: warp-instruction fields the model must count exactly
 EXACT_FIELDS = ("fma", "add", "mul", "shfl", "sync", "gmem_load",
@@ -88,7 +89,7 @@ def exact_counts(run):
     with capture_traces() as capture:
         run()
     (record,) = capture.unique_records()
-    blocks = _block_index_matrix(record.config.grid_dim)
+    blocks = block_schedule(record.config.grid_dim)
     prediction = predict_counters(record.trace,
                                   evaluate_data_free(record.trace, blocks),
                                   blocks.shape[0], record.architecture)

@@ -30,6 +30,7 @@ from repro.gpu.kernel import (
     Kernel,
     LaunchConfig,
     auto_batch_size,
+    block_schedule,
 )
 from repro.gpu.memory import GlobalMemory
 from repro.kernels import conv2d_ssam as conv2d_mod
@@ -51,7 +52,6 @@ from repro.trace.replay import (
     LOWERINGS,
     ReplaySession,
     _assign_tiers,
-    _block_index_matrix,
     _fuse_shuffles,
     _loaded_operands,
     capture_traces,
@@ -62,17 +62,27 @@ from repro.trace.replay import (
 from repro.trace.fusion import FusedStage, fused_launch
 
 
-# --------------------------------------------------------- _block_index_matrix
+# -------------------------------------------------------------- block_schedule
 
 def test_block_index_matrix_matches_launch_order():
     grid = (3, 4, 2)
-    out = _block_index_matrix(grid)
+    out = block_schedule(grid)
     expected = [(bx, by, bz)
                 for bz in range(grid[2])
                 for by in range(grid[1])
                 for bx in range(grid[0])]
     assert out.shape == (24, 3)
     assert [tuple(row) for row in out] == expected
+
+
+@pytest.mark.parametrize("max_blocks", [1, 5, 7, 23, 24, 100])
+def test_block_schedule_samples_a_uniform_stride(max_blocks):
+    grid = (3, 4, 2)
+    full = [tuple(row) for row in block_schedule(grid)]
+    stride = max(1, len(full) // max_blocks)
+    out = block_schedule(grid, max_blocks)
+    assert out.flags.c_contiguous and out.dtype == np.int64
+    assert [tuple(row) for row in out] == full[::stride][:max_blocks]
 
 
 # ----------------------------------------------------------------- memoization
@@ -417,7 +427,7 @@ def _record(kernel):
     arch = get_architecture("p100")
     config = LaunchConfig(grid_dim=GRID, block_threads=THREADS)
     return record_trace(kernel, config, _make_args(), arch, KernelCounters(),
-                        _block_index_matrix(GRID)[:3])
+                        block_schedule(GRID)[:3])
 
 
 def _reached(kernel):
