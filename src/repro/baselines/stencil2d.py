@@ -86,7 +86,8 @@ def original_stencil2d(grid: Optional[np.ndarray], spec: StencilSpec, iterations
     points = tuple((p.dx, p.dy, float(p.coefficient)) for p in spec.points)
     if functional:
         memory = GlobalMemory()
-        buffers = [memory.to_device(grid, name="a", dtype=prec.numpy_dtype),
+        buffers = [memory.to_device(grid, name="a", dtype=prec.numpy_dtype,
+                                    read_only=iterations == 1),
                    memory.allocate(grid.shape, prec, name="b")]
         merged = None
         for step in range(iterations):
@@ -193,7 +194,8 @@ def _shared_stencil2d(label: str, grid, spec, iterations, architecture, precisio
     points = tuple((p.dx, p.dy, float(p.coefficient)) for p in spec.points)
     if functional:
         memory = GlobalMemory()
-        buffers = [memory.to_device(grid, name="a", dtype=prec.numpy_dtype),
+        buffers = [memory.to_device(grid, name="a", dtype=prec.numpy_dtype,
+                                    read_only=iterations == 1),
                    memory.allocate(grid.shape, prec, name="b")]
         merged = None
         for step in range(iterations):

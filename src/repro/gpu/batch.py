@@ -55,6 +55,7 @@ from .memory import (
     DeviceBuffer,
     global_access_counts,
     rowwise_unique_pad,
+    scatter_global,
 )
 from .shared_memory import SharedArray, SharedMemory, shared_access_counts
 from . import warp as warp_ops
@@ -344,12 +345,7 @@ class BatchedBlockContext:
             flat_indices, mask, buffer.itemsize,
             self.architecture.cache_line_bytes, self.warp_size,
             store=True, cached=buffer.cached).counters)
-        values = np.broadcast_to(np.asarray(values), self._register_shape)
-        if mask is None:
-            buffer.flat[flat_indices] = values.astype(buffer.dtype, copy=False)
-        else:
-            buffer.flat[flat_indices[mask]] = values[mask].astype(buffer.dtype,
-                                                                  copy=False)
+        scatter_global(buffer, flat_indices, values, mask)
 
     # ----------------------------------------------------------- shared mem
     def alloc_shared(self, name: str, shape: Tuple[int, ...],

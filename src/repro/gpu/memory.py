@@ -121,14 +121,26 @@ class GlobalMemory:
         return self._register(DeviceBuffer(array=array, name=name, cached=cached))
 
     def to_device(self, host_array: np.ndarray, name: str = "",
-                  cached: bool = False, dtype=None) -> DeviceBuffer:
-        """Copy a host array into a new device buffer.
+                  cached: bool = False, dtype=None,
+                  read_only: bool = False) -> DeviceBuffer:
+        """Stage a host array as a new device buffer of ``dtype`` (the
+        array's own dtype when None), laid out C-contiguous so its flat
+        view writes through.
 
-        The one host-to-device copy also converts to ``dtype`` (the array's
-        own dtype when None) and lays the buffer out C-contiguous, so its
-        flat view writes through.  The caller's array is never aliased.
+        By default the buffer is a copy: the one host-to-device copy, which
+        also converts, and the caller's array is never aliased.  With
+        ``read_only=True`` (an input the kernel never writes) an array
+        already of ``dtype`` and C-contiguous is staged as a non-writeable
+        view of the caller's array, with no copy; any other array gets the
+        one converting copy, marked non-writeable too.  Either way the
+        caller's array is never written: a kernel store into the buffer
+        raises :class:`SimulationError` (:func:`scatter_global`).
         """
-        array = np.array(host_array, dtype=dtype, order="C", copy=True)
+        if read_only:
+            array = np.asarray(host_array, dtype=dtype, order="C").view()
+            array.flags.writeable = False
+        else:
+            array = np.array(host_array, dtype=dtype, order="C", copy=True)
         return self._register(DeviceBuffer(array=array, name=name, cached=cached))
 
     def free(self, buffer: DeviceBuffer) -> None:
@@ -144,6 +156,31 @@ class GlobalMemory:
             )
         self._buffers[buffer.buffer_id] = buffer
         return buffer
+
+
+def scatter_global(buffer: DeviceBuffer, flat_indices: np.ndarray,
+                   values: object, mask: Optional[np.ndarray] = None) -> None:
+    """Store ``values`` at ``flat_indices`` of ``buffer``: the global
+    scatter of every engine.
+
+    ``flat_indices`` holds one in-bounds index per lane (a ``(T,)`` row or
+    a ``(blocks, T)`` matrix), ``values`` broadcasts to it and ``mask``
+    (None: every lane) selects the storing lanes.  Duplicate destinations
+    resolve in lane order, later lanes (a later block's) winning.  A mask
+    with every lane set takes the plain scatter.  A store into a
+    read-only buffer (an input staged with ``to_device(...,
+    read_only=True)``) raises :class:`SimulationError` naming it.
+    """
+    if not buffer.array.flags.writeable:
+        raise SimulationError(
+            f"global store into read-only buffer {buffer.name!r}: the "
+            f"kernel writes an input staged as read-only")
+    values = np.broadcast_to(np.asarray(values), flat_indices.shape)
+    if mask is None or mask.all():
+        buffer.flat[flat_indices] = values.astype(buffer.dtype, copy=False)
+    else:
+        buffer.flat[flat_indices[mask]] = values[mask].astype(buffer.dtype,
+                                                              copy=False)
 
 
 _SENTINEL = np.iinfo(np.int64).max

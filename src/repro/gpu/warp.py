@@ -39,18 +39,60 @@ def _grouped(values: np.ndarray, width: int) -> np.ndarray:
     return values.reshape(values.shape[:-1] + (-1, width))
 
 
+def lane_shift(source: np.ndarray, amount: int, direction: str, width: int,
+               out: np.ndarray, add: bool = False) -> np.ndarray:
+    """The lane-shift rule of ``shfl_up``/``shfl_down``, written into ``out``.
+
+    Lane ``i`` of every ``width``-lane group receives lane ``i - amount``
+    (``direction="up"``) or lane ``i + amount`` (``"down"``) of
+    ``source``; a lane whose source lies outside its group keeps its own
+    value, so an ``amount`` of 0 or at least ``width`` is the identity.
+    ``add=True`` adds the received values to ``out`` instead of writing
+    them: a shuffle fused into the accumulator of a multiply-add, with the
+    same one rounding per element as the shuffle followed by the add.
+
+    Lanes are the last axis; ``out`` is C-contiguous and shares no memory
+    with ``source``, which broadcasts to its shape.  The shift runs as one
+    contiguous pass over the flattened arrays; it carries the last
+    ``amount`` lanes of each group into the next, so those ``amount``
+    lanes of every group are then rewritten from ``source``.
+    """
+    source = np.asarray(source)
+    if source.shape != out.shape:
+        source = np.broadcast_to(source, out.shape)
+    flat_out = out.reshape(-1)
+    flat_src = source.reshape(-1)
+    if amount == 0 or amount >= width:
+        if add:
+            np.add(flat_out, flat_src, out=flat_out)
+        else:
+            np.copyto(flat_out, flat_src)
+        return out
+    if direction == "up":
+        edge = slice(None, amount)
+        dst, src = flat_out[amount:], flat_src[:flat_src.size - amount]
+    else:
+        edge = slice(width - amount, None)
+        dst, src = flat_out[:flat_out.size - amount], flat_src[amount:]
+    own = flat_src.reshape(-1, width)[:, edge]
+    wrapped = flat_out.reshape(-1, width)[:, edge]
+    if add:
+        kept = wrapped.copy()
+        np.add(dst, src, out=dst)
+        np.add(kept, own, out=wrapped)
+    else:
+        np.copyto(dst, src)
+        np.copyto(wrapped, own)
+    return out
+
+
 def shfl_up(values: np.ndarray, delta: int, width: int = 32) -> np.ndarray:
     """``__shfl_up_sync``: shift values towards higher lanes by ``delta``."""
     _check_width(values, width)
     if delta < 0:
         raise SimulationError("shfl_up delta must be non-negative")
-    if delta == 0:
-        return values.copy()
-    grouped = _grouped(values, width)
-    result = grouped.copy()
-    if delta < width:
-        result[..., delta:] = grouped[..., : width - delta]
-    return result.reshape(values.shape)
+    return lane_shift(values, delta, "up", width,
+                      np.empty(values.shape, values.dtype))
 
 
 def shfl_down(values: np.ndarray, delta: int, width: int = 32) -> np.ndarray:
@@ -58,13 +100,8 @@ def shfl_down(values: np.ndarray, delta: int, width: int = 32) -> np.ndarray:
     _check_width(values, width)
     if delta < 0:
         raise SimulationError("shfl_down delta must be non-negative")
-    if delta == 0:
-        return values.copy()
-    grouped = _grouped(values, width)
-    result = grouped.copy()
-    if delta < width:
-        result[..., : width - delta] = grouped[..., delta:]
-    return result.reshape(values.shape)
+    return lane_shift(values, delta, "down", width,
+                      np.empty(values.shape, values.dtype))
 
 
 def shfl_idx(values: np.ndarray, source_lane: int, width: int = 32) -> np.ndarray:

@@ -135,7 +135,8 @@ def make_device_pair(image: np.ndarray, precision: Precision,
                      memory: Optional[GlobalMemory] = None):
     """Upload an input array and allocate a same-shaped output buffer."""
     memory = memory or GlobalMemory()
-    src = memory.to_device(image, name="src", dtype=precision.numpy_dtype)
+    src = memory.to_device(image, name="src", dtype=precision.numpy_dtype,
+                           read_only=True)
     dst = memory.allocate(image.shape, precision, name="dst")
     return memory, src, dst
 

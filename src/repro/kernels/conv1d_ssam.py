@@ -87,7 +87,8 @@ def ssam_convolve1d(sequence: np.ndarray, taps: np.ndarray, anchor: Optional[int
         raise ConfigurationError("anchor must lie inside the filter")
     length = int(sequence.size)
     memory = GlobalMemory()
-    src = memory.to_device(sequence, name="sequence", dtype=prec.numpy_dtype)
+    src = memory.to_device(sequence, name="sequence", dtype=prec.numpy_dtype,
+                           read_only=True)
     dst = memory.allocate((length,), prec, name="convolved")
     valid_per_warp = arch.warp_size - taps.size + 1
     per_block = (block_threads // arch.warp_size) * valid_per_warp

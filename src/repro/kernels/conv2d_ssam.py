@@ -208,7 +208,8 @@ def ssam_convolve2d_chain(image: np.ndarray, spec: ConvolutionSpec,
     anchor_x, anchor_y = spec.anchor
 
     memory = GlobalMemory()
-    src = memory.to_device(image, name="src", dtype=prec.numpy_dtype)
+    src = memory.to_device(image, name="src", dtype=prec.numpy_dtype,
+                           read_only=True)
     weights = memory.to_device(spec.weights, name="weights", cached=True,
                                dtype=prec.numpy_dtype)
     # intermediates of the fused pipeline never leave the cache hierarchy

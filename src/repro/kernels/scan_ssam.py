@@ -99,7 +99,8 @@ def ssam_scan(sequence: np.ndarray, architecture: object = "p100",
     validate_block_threads(arch, block_threads)
     length = int(sequence.size)
     memory = GlobalMemory()
-    src = memory.to_device(sequence, name="sequence", dtype=prec.numpy_dtype)
+    src = memory.to_device(sequence, name="sequence", dtype=prec.numpy_dtype,
+                           read_only=True)
     dst = memory.allocate((length,), prec, name="scanned")
     grid = grid_1d(length, block_threads)
     block_sums = memory.allocate((grid[0],), prec, name="block_sums")

@@ -142,7 +142,9 @@ def ssam_stencil2d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
     height, width = grid.shape
     memory = GlobalMemory()
     buffers = [
-        memory.to_device(grid, name="grid_a", dtype=prec.numpy_dtype),
+        # a single step only reads its input; later steps write it
+        memory.to_device(grid, name="grid_a", dtype=prec.numpy_dtype,
+                         read_only=iterations == 1),
         memory.allocate(grid.shape, prec, name="grid_b"),
     ]
     columns = build_column_groups(spec)

@@ -207,7 +207,9 @@ def ssam_stencil3d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
     )
     memory = GlobalMemory()
     buffers = [
-        memory.to_device(grid, name="grid_a", dtype=prec.numpy_dtype),
+        # a single step only reads its input; later steps write it
+        memory.to_device(grid, name="grid_a", dtype=prec.numpy_dtype,
+                         read_only=iterations == 1),
         memory.allocate(grid.shape, prec, name="grid_b"),
     ]
     merged: Optional[LaunchResult] = None

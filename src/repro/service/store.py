@@ -224,22 +224,40 @@ def _default_code_version() -> str:
     return cache_mod.code_version()
 
 
-def _lock_checked(name: str):
-    """``sqlite3.Connection.<name>`` turning a lock held past the busy
+def _lock_checked(name: str, retry: bool = False):
+    """``sqlite3.Connection.<name>`` turning a lock that outlasts the busy
     timeout into a :class:`ConfigurationError` naming the store and the
-    wait."""
+    measured wait.
+
+    sqlite waits out another connection's lock in its busy handler, except
+    where a statement that already reads must then write: it reports the
+    lock at once.  Switching a new file to WAL is such a statement.  With
+    ``retry``, a statement outside any transaction that failed that way
+    rolled back whole, so it runs again until the busy timeout is spent.
+    """
     method = getattr(sqlite3.Connection, name)
 
     def checked(conn: "_StoreConnection", *args):
-        try:
-            return method(conn, *args)
-        except sqlite3.OperationalError as exc:
-            if "locked" not in str(exc):
-                raise
-            raise ConfigurationError(
-                f"result store {conn.path!r} stayed locked by another "
-                f"connection for {conn.busy_timeout_s:g} s ({exc}); retry "
-                f"once the other writer finishes") from None
+        start = time.monotonic()
+        delay = 0.001
+        while True:
+            outside = not conn.in_transaction
+            try:
+                return method(conn, *args)
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc):
+                    raise
+                waited = time.monotonic() - start
+                if (retry and outside and not conn.in_transaction
+                        and waited + delay < conn.busy_timeout_s):
+                    time.sleep(delay)
+                    delay = min(2 * delay, 0.1)
+                    continue
+                raise ConfigurationError(
+                    f"result store {conn.path!r} stayed locked by another "
+                    f"connection for {waited:.1f} s (busy timeout "
+                    f"{conn.busy_timeout_s:g} s; {exc}); retry once the "
+                    f"other writer finishes") from None
     return checked
 
 
@@ -249,7 +267,7 @@ class _StoreConnection(sqlite3.Connection):
 
     path: str
     busy_timeout_s: float
-    execute = _lock_checked("execute")
+    execute = _lock_checked("execute", retry=True)
     executemany = _lock_checked("executemany")
     executescript = _lock_checked("executescript")
     commit = _lock_checked("commit")

@@ -59,8 +59,9 @@ from ..gpu.kernel import (
     block_context,
     launch_stages,
 )
-from ..gpu.memory import DeviceBuffer
+from ..gpu.memory import DeviceBuffer, scatter_global
 from ..gpu.shared_memory import check_shared_capacity
+from ..gpu.warp import lane_shift
 from .ir import (
     B_AXIS,
     BLOCK_AXES,
@@ -298,8 +299,9 @@ def _fuse_shuffles(nodes, tiers: List[int], working: np.dtype,
     only by the accumulator operand of one fused multiply-add.
 
     The shuffle then collapses into that mad's emission: the shifted addend
-    is added slice-wise straight out of the previous partial sum, removing
-    one full register-wide copy per filter tap.
+    is added straight out of the previous partial sum by the add form of
+    :func:`~repro.gpu.warp.lane_shift`, removing one full register-wide
+    copy per filter tap.
     """
     uses = [0] * len(nodes)
     for node in nodes:
@@ -529,34 +531,25 @@ def _lower_arith(state: _CompileState, node) -> None:
 
 def _lower_fused_mad(state: _CompileState, node) -> None:
     """mul into the out slot, then add the lane-shifted previous partial
-    slice-wise — bit-identical to shfl followed by mad (same elementwise
-    additions on the same operands), one register-wide pass cheaper."""
+    (:func:`~repro.gpu.warp.lane_shift`'s add form) — bit-identical to
+    shfl followed by mad (same elementwise additions on the same
+    operands), one register-wide pass cheaper."""
     acc = state.nodes[state.fused[node.id]]
-    ws = state.ws
 
     def step(session, ia=node.inputs[0], ib_=node.inputs[1],
              iprev=acc.inputs[0], slot=state.pooled(node), nid=node.id,
-             direction=acc.params["dir"], amount=acc.params["amount"]):
+             direction=acc.params["dir"], amount=acc.params["amount"],
+             ws=state.ws):
         env = session.env
         buf = session.s(slot)
         np.multiply(env[ia], env[ib_], out=buf)
-        prev = np.asarray(env[iprev])
-        if prev.shape != buf.shape:
-            prev = np.broadcast_to(prev, buf.shape)
-        g_out = buf.reshape(-1, ws)
-        g_prev = prev.reshape(-1, ws)
-        if direction == "up":
-            g_out[:, :amount] += g_prev[:, :amount]
-            g_out[:, amount:] += g_prev[:, :ws - amount]
-        else:
-            g_out[:, :ws - amount] += g_prev[:, amount:]
-            g_out[:, ws - amount:] += g_prev[:, ws - amount:]
-        env[nid] = buf
+        env[nid] = lane_shift(env[iprev], amount, direction, ws, buf, add=True)
     state.program.chunk_steps.append(step)
 
 
 def _lower_shfl(state: _CompileState, node) -> None:
-    """Warp shuffles as grouped slice copies (fused ones have no step)."""
+    """Warp shuffles: up/down through :func:`~repro.gpu.warp.lane_shift`,
+    idx as a grouped broadcast (fused ones have no step)."""
     if node.id in state.fused_shuffles or _lower_static_value(state, node):
         return
     ws = state.ws
@@ -579,21 +572,11 @@ def _lower_shfl(state: _CompileState, node) -> None:
              direction=node.params["dir"], amount=node.params["amount"]):
         env = session.env
         buf = session.s(slot)
-        src = np.asarray(env[i0])
-        if src.shape != buf.shape:
-            src = np.broadcast_to(src, buf.shape)
-        g_in = src.reshape(-1, ws)
-        g_out = buf.reshape(-1, ws)
         if direction == "idx":
-            g_out[:] = g_in[:, amount:amount + 1]
-        elif amount == 0 or amount >= ws:
-            g_out[:] = g_in
-        elif direction == "up":
-            g_out[:, :amount] = g_in[:, :amount]
-            g_out[:, amount:] = g_in[:, :ws - amount]
-        else:  # down
-            g_out[:, ws - amount:] = g_in[:, ws - amount:]
-            g_out[:, :ws - amount] = g_in[:, amount:]
+            src = np.broadcast_to(env[i0], buf.shape).reshape(-1, ws)
+            buf.reshape(-1, ws)[:] = src[:, amount:amount + 1]
+        else:
+            lane_shift(env[i0], amount, direction, ws, buf)
         env[nid] = buf
     state.program.chunk_steps.append(step)
 
@@ -602,7 +585,9 @@ def _lower_shfl(state: _CompileState, node) -> None:
 
 def _lower_global(state: _CompileState, node) -> None:
     """load_global / store_global: a launch-static access runs once per
-    session, anything else per chunk."""
+    session, anything else per chunk.  Stores of either tier go through
+    :func:`~repro.gpu.memory.scatter_global`, the batched engine's
+    scatter."""
     if state.tiers[node.id] != TIER_LAUNCH:
         _global_chunk_access(state, node)
         return
@@ -617,12 +602,7 @@ def _lower_global(state: _CompileState, node) -> None:
         idx = _row_of(env[i_idx], T, np.int64)
         mask = None if i_mask is None else _row_of(env[i_mask], T, bool)
         if is_store:
-            values = np.broadcast_to(np.asarray(env[i_val]), (T,))
-            if mask is None:
-                buffer.flat[idx] = values.astype(buffer.dtype, copy=False)
-            else:
-                buffer.flat[idx[mask]] = values[mask].astype(buffer.dtype,
-                                                             copy=False)
+            scatter_global(buffer, idx, env[i_val], mask)
             return
         values = np.zeros((T,), dtype=buffer.dtype)
         if mask is None:
@@ -655,12 +635,7 @@ def _global_chunk_access(state: _CompileState, node) -> None:
             if mask.shape != shape:
                 mask = np.broadcast_to(mask, shape)
         if is_store:
-            values = np.broadcast_to(np.asarray(env[i_val]), shape)
-            if mask is None:
-                buffer.flat[idxb] = values.astype(buffer.dtype, copy=False)
-            else:
-                buffer.flat[idxb[mask]] = values[mask].astype(
-                    buffer.dtype, copy=False)
+            scatter_global(buffer, idxb, env[i_val], mask)
             return
         # functional gather — mirrors the batched engine expression
         if out_slot is not None and buf_dtype == working and mask is None:

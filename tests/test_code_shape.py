@@ -11,6 +11,10 @@
   (the replay stage's acquisition), and no trace module re-enters
   ``Kernel.launch`` — batched, replay and fused launches, fallbacks
   included, all run the chunk loop of ``repro.gpu.kernel.launch_stages``.
+* One lane-shift rule and one global scatter: shuffles shift lanes only
+  in ``repro.gpu.warp.lane_shift`` (no ``[..., :ws - amount]`` slices in
+  the engines) and global stores write buffers only in
+  ``repro.gpu.memory.scatter_global``.
 """
 
 from __future__ import annotations
@@ -127,3 +131,80 @@ def test_launch_guard_sees_launch_calls():
     # vacuously)
     assert any(module.startswith("kernels/")
                for module, _ in _callers({"launch"}))
+
+
+def _shift_slices(path: pathlib.Path) -> list:
+    """Line numbers of slices bounded by a difference — the lane-shift
+    rule's ``[..., amount:]`` / ``[..., :ws - amount]`` kind."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Slice) and any(
+                isinstance(bound, ast.BinOp) and isinstance(bound.op, ast.Sub)
+                for bound in (node.lower, node.upper)):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("module", ["trace/replay.py", "gpu/batch.py"])
+def test_engines_shift_no_lanes_themselves(module):
+    assert not _shift_slices(SOURCE_ROOT / module)
+
+
+def test_shift_guard_sees_the_lane_shift():
+    # the helper's own flat shift is the pattern the guard looks for
+    assert _shift_slices(SOURCE_ROOT / "gpu" / "warp.py")
+
+
+def test_shuffles_shift_lanes_in_one_function():
+    assert _callers({"lane_shift"}) == {
+        ("gpu/warp.py", "shfl_up"), ("gpu/warp.py", "shfl_down"),
+        ("trace/replay.py", "_lower_shfl"),
+        ("trace/replay.py", "_lower_fused_mad")}
+
+
+def _flat_stores_in(tree: ast.Module) -> set:
+    """Functions of ``tree`` that assign into ``<array>.flat[...]``."""
+    found = set()
+    for name, func in _functions(tree):
+        for node in ast.walk(func):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target]
+                       if isinstance(node, ast.AugAssign) else [])
+            if any(isinstance(t, ast.Subscript)
+                   and isinstance(t.value, ast.Attribute)
+                   and t.value.attr == "flat" for t in targets):
+                found.add(name)
+    return found
+
+
+def _flat_stores() -> set:
+    """``(module, function)`` of every assignment into ``<array>.flat[...]``
+    in ``src/repro``."""
+    found = set()
+    for path in sorted(SOURCE_ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        module = str(path.relative_to(SOURCE_ROOT))
+        found.update((module, name) for name in _flat_stores_in(tree))
+    return found
+
+
+def test_global_stores_scatter_in_one_function():
+    # the other ``.flat`` store is the shared-memory scatter
+    assert _flat_stores() == {
+        ("gpu/memory.py", "scatter_global"),
+        ("gpu/batch.py", "BatchedBlockContext.store_shared")}
+    assert _callers({"scatter_global"}) == {
+        ("gpu/batch.py", "BatchedBlockContext.store_global"),
+        ("trace/replay.py", "_lower_global"),
+        ("trace/replay.py", "_global_chunk_access")}
+
+
+def test_flat_store_guard_sees_a_buffer_store():
+    # stores written the way the engines used to write them are reported
+    tree = ast.parse(
+        "def plain(buffer, idx, values):\n"
+        "    buffer.flat[idx] = values.astype(buffer.dtype, copy=False)\n"
+        "class Step:\n"
+        "    def masked(self, buffer, idx, values, mask):\n"
+        "        buffer.flat[idx[mask]] = values[mask]\n")
+    assert _flat_stores_in(tree) == {"plain", "Step.masked"}

@@ -10,6 +10,7 @@ from repro.gpu.warp import (
     Warp,
     ballot,
     lane_ids,
+    lane_shift,
     shfl_down,
     shfl_idx,
     shfl_up,
@@ -117,3 +118,66 @@ def test_shfl_up_preserves_multiset_except_tail(delta):
     values = np.arange(32, dtype=np.float32)
     result = shfl_up(values, delta)
     assert set(result).issubset(set(values))
+
+
+# ------------------------------------------------------------ lane shift
+
+WS = 32
+#: source layouts: C-contiguous; one row broadcast to every block (stride 0
+#: along the blocks); one value per block, a ``(B, 1)`` column the helper
+#: broadcasts itself (stride 0 along the lanes)
+LAYOUTS = ("contiguous", "row-broadcast", "column")
+UINT = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
+
+
+def _source(rng, blocks, threads, dtype, layout):
+    """Values spread over many binades (signed zeros included), so adds
+    round and any change of operand or order shows in the bits."""
+    def draw(shape):
+        values = rng.standard_normal(shape) * 2.0 ** rng.integers(-30, 30,
+                                                                  shape)
+        values[rng.random(shape) < 0.05] = -0.0
+        return values.astype(dtype)
+    if layout == "contiguous":
+        return draw((blocks, threads))
+    if layout == "row-broadcast":
+        return np.broadcast_to(draw((1, threads)), (blocks, threads))
+    return draw((blocks, 1))
+
+
+def _lane_loop(source, amount, direction, out, add):
+    """Reference: every lane of every warp, one at a time."""
+    grouped = np.broadcast_to(source, out.shape).reshape(-1, WS)
+    base = out.reshape(-1, WS)
+    want = base.copy()
+    for lane in range(WS):
+        other = lane - amount if direction == "up" else lane + amount
+        from_lane = other if 0 <= other < WS else lane
+        received = grouped[:, from_lane]
+        want[:, lane] = base[:, lane] + received if add else received
+    return want.reshape(out.shape)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("blocks", [1, 3, 196])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("add", [False, True], ids=["copy", "add"])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_lane_shift_matches_a_per_lane_loop(add, dtype, blocks, layout,
+                                            seed):
+    """Property: for every amount in 0..2*WS and both directions, the flat
+    shift with its wrapped-lane fix-up is bit-identical to moving each
+    lane on its own."""
+    rng = np.random.default_rng(seed)
+    threads = 4 * WS
+    source = _source(rng, blocks, threads, dtype, layout)
+    start = _source(rng, blocks, threads, dtype, "contiguous")
+    view = UINT[np.dtype(dtype)]
+    for direction in ("up", "down"):
+        for amount in range(2 * WS + 1):
+            out = start.copy()
+            got = lane_shift(source, amount, direction, WS, out, add=add)
+            assert got is out
+            want = _lane_loop(source, amount, direction, start, add)
+            np.testing.assert_array_equal(got.view(view), want.view(view))

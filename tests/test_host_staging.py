@@ -1,11 +1,17 @@
-"""Host staging of the kernel wrappers: one copy in, none out.
+"""Host staging of the kernel wrappers: no copy in for an input the
+kernel only reads, one for an input it writes, none out.
 
-Every wrapper hands the caller's array to :meth:`GlobalMemory.to_device`,
-which makes the one converting copy, and returns its own output buffer's
-array instead of copying it back.  The caller's array is never written or
-aliased, whatever its dtype or memory order.  The scan's host carry pass
-is one vectorized add per element, in place, bit-identical to the
-per-block loop it replaced (kept here as the reference).
+Every wrapper hands the caller's array to :meth:`GlobalMemory.to_device`.
+An input the kernel never writes (a convolution or scan source, the grid
+of a single stencil step) is staged ``read_only``: a non-writeable view of
+the caller's array when its dtype and C layout already match, otherwise
+the one converting copy, and a kernel store into it is an error.  An input
+the kernel writes (the first ping-pong buffer of a multi-step stencil) is
+the one converting copy.  Wrappers return their own output buffer's array
+instead of copying it back.  The caller's array is never written, whatever
+its dtype or memory order.  The scan's host carry pass is one vectorized
+add per element, in place, bit-identical to the per-block loop it
+replaced (kept here as the reference).
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from repro.baselines.stencil2d import (
 )
 from repro.baselines.stencil3d import original_stencil3d
 from repro.convolution.spec import ConvolutionSpec
-from repro.gpu.kernel import REPLAY_CACHE_BYTES
+from repro.errors import SimulationError
+from repro.gpu.kernel import REPLAY_CACHE_BYTES, Kernel, LaunchConfig
 from repro.gpu.memory import GlobalMemory
 from repro.kernels import scan_ssam
 from repro.kernels.conv1d_ssam import ssam_convolve1d
@@ -37,6 +44,7 @@ from repro.kernels.stencil2d_masked import ssam_stencil2d_masked
 from repro.kernels.stencil2d_ssam import ssam_stencil2d
 from repro.kernels.stencil3d_ssam import ssam_stencil3d
 from repro.stencils.catalog import get_stencil
+from repro.trace.fusion import FusedStage, fused_launch
 
 GAUSS = ConvolutionSpec.gaussian(3)
 S2D = get_stencil("2d5pt")
@@ -73,7 +81,24 @@ WRAPPERS = {
         (40, 48), lambda x: arrayfire_like_convolve2d(x, GAUSS)),
     "halide_like_convolve2d": ((40, 48), lambda x: halide_like_convolve2d(
         x, GAUSS)),
+    "ssam_stencil2d_step": ((40, 48), lambda x: ssam_stencil2d(x, S2D)),
+    "ssam_stencil2d_masked_step": ((40, 48), lambda x: ssam_stencil2d_masked(
+        x, S2D)),
+    "ssam_stencil3d_step": ((6, 20, 40), lambda x: ssam_stencil3d(x, S3D)),
+    "original_stencil2d_step": ((40, 48), lambda x: original_stencil2d(
+        x, S2D)),
+    "ppcg_like_stencil2d_step": ((40, 48), lambda x: ppcg_like_stencil2d(
+        x, S2D)),
+    "halide_like_stencil2d_step": ((40, 48), lambda x: halide_like_stencil2d(
+        x, S2D)),
+    "original_stencil3d_step": ((6, 20, 40), lambda x: original_stencil3d(
+        x, S3D)),
 }
+
+#: wrappers whose kernels only read the staged input: every one but the
+#: two-step stencils, whose second step writes the first buffer
+READ_ONLY = sorted(name for name in WRAPPERS
+                   if "stencil" not in name or name.endswith("_step"))
 
 
 def _input(shape, dtype):
@@ -117,6 +142,146 @@ def test_fortran_ordered_input_gives_the_c_ordered_output(name):
     want = call(data).output
     got = call(np.asfortranarray(data)).output
     np.testing.assert_array_equal(got, want)
+
+
+def _staged_input(monkeypatch, data):
+    """Spy on ``to_device``: the buffers staged from ``data`` itself and the
+    bytes each staging call allocated."""
+    staged = []
+    to_device = GlobalMemory.to_device
+
+    def spy(memory, host_array, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            buffer = to_device(memory, host_array, *args, **kwargs)
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if host_array is data:
+            staged.append((buffer, allocated))
+        return buffer
+
+    monkeypatch.setattr(GlobalMemory, "to_device", spy)
+    return staged
+
+
+def _staging_shape(name):
+    """The wrapper's input shape, 1-D ones lengthened so that a copy stands
+    out from the staging call's own small allocations."""
+    shape, _ = WRAPPERS[name]
+    return shape if len(shape) > 1 else (20 * shape[0],)
+
+
+@pytest.mark.parametrize("name", READ_ONLY)
+def test_read_only_input_is_staged_without_a_copy(name, monkeypatch):
+    _, call = WRAPPERS[name]
+    data = _input(_staging_shape(name), "float32")
+    before = data.copy()
+    staged = _staged_input(monkeypatch, data)
+    call(data)
+    (buffer, allocated), = staged
+    assert np.shares_memory(buffer.array, data)
+    assert not buffer.array.flags.writeable
+    assert data.flags.writeable  # the caller's own array is untouched
+    assert allocated < data.nbytes / 2
+    np.testing.assert_array_equal(data, before)
+
+
+@pytest.mark.parametrize("layout", ["converting", "not-c-ordered"])
+@pytest.mark.parametrize("name", READ_ONLY)
+def test_read_only_input_needing_a_copy_gets_exactly_one(name, layout,
+                                                         monkeypatch):
+    _, call = WRAPPERS[name]
+    shape = _staging_shape(name)
+    if layout == "converting":
+        data = _input(shape, "float64")
+    elif len(shape) > 1:
+        data = np.asfortranarray(_input(shape, "float32"))
+    else:  # a 1-D array is Fortran-ordered too: take a strided view
+        data = _input((2 * shape[0],), "float32")[::2]
+    before = data.copy()
+    staged = _staged_input(monkeypatch, data)
+    call(data)
+    (buffer, allocated), = staged
+    assert not np.shares_memory(buffer.array, data)
+    assert not buffer.array.flags.writeable
+    assert buffer.array.flags.c_contiguous
+    # the staging allocated the buffer and nothing of its size besides
+    assert buffer.nbytes <= allocated < 1.5 * buffer.nbytes
+    np.testing.assert_array_equal(data, before)
+
+
+@pytest.mark.parametrize("name", sorted(set(WRAPPERS) - set(READ_ONLY)))
+def test_written_input_is_staged_as_one_writeable_copy(name, monkeypatch):
+    _, call = WRAPPERS[name]
+    data = _input(_staging_shape(name), "float32")
+    staged = _staged_input(monkeypatch, data)
+    call(data)
+    (buffer, allocated), = staged
+    assert not np.shares_memory(buffer.array, data)
+    assert buffer.array.flags.writeable
+    assert buffer.nbytes <= allocated < 1.5 * buffer.nbytes
+
+
+# ------------------------------------------------- stores into a read-only input
+
+SCALE_THREADS = 64
+SCALE_GRID = (4, 1, 1)
+
+
+def _scale_in_place(ctx, data, n):
+    """A kernel that writes its own input: ``data *= 2``."""
+    gidx = ctx.block_idx_x * ctx.block_threads + ctx.thread_idx_x
+    ctx.store_global(data, gidx, ctx.mul(ctx.load_global(data, gidx),
+                                         ctx.full(2.0)), mask=gidx < n)
+
+
+def _copy(ctx, src, dst, n):
+    gidx = ctx.block_idx_x * ctx.block_threads + ctx.thread_idx_x
+    ctx.store_global(dst, gidx, ctx.load_global(src, gidx))
+
+
+def _scale_launch(kernel, host, read_only, batch_size):
+    memory = GlobalMemory()
+    data = memory.to_device(host, name="caller_input", read_only=read_only)
+    config = LaunchConfig(grid_dim=SCALE_GRID, block_threads=SCALE_THREADS)
+    return kernel.launch(config, (data, host.size), batch_size=batch_size)
+
+
+def _fused_scale_launch(stages_kernels, host, read_only):
+    memory = GlobalMemory()
+    data = memory.to_device(host, name="caller_input", read_only=read_only)
+    copy = memory.allocate(host.shape, "float32", name="copy")
+    config = LaunchConfig(grid_dim=SCALE_GRID, block_threads=SCALE_THREADS)
+    copier, scaler = stages_kernels
+    return fused_launch([FusedStage(copier, config, (data, copy, host.size)),
+                         FusedStage(scaler, config, (data, host.size))])
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("engine", ["auto", "replay", "fused"])
+def test_store_into_a_read_only_input_is_an_error(engine, warm):
+    """A kernel that writes an input staged read-only fails with the
+    engines' error naming the buffer, on every engine, and the caller's
+    array keeps its values.  Warm: the program was compiled on a writeable
+    staging first, so the replayed store step itself refuses."""
+    host = _input((SCALE_GRID[0] * SCALE_THREADS,), "float32")
+    before = host.copy()
+    scaler = Kernel(_scale_in_place, name=f"scale_{engine}_{warm}")
+    copier = Kernel(_copy, name=f"copy_{engine}_{warm}")
+    if engine == "fused":
+        def launch(read_only):
+            return _fused_scale_launch((copier, scaler), host, read_only)
+    else:
+        def launch(read_only):
+            return _scale_launch(scaler, host, read_only, engine)
+    if warm:
+        launch(False)  # a copy: the caller's array stays as it was
+        np.testing.assert_array_equal(host, before)
+    with pytest.raises(SimulationError, match="'caller_input'"):
+        launch(True)
+    np.testing.assert_array_equal(host, before)
+    assert host.flags.writeable
 
 
 # ------------------------------------------------------------ memory peaks

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+import time
 
 import pytest
 
@@ -120,6 +121,53 @@ def test_locked_store_is_a_configuration_error(store, monkeypatch):
         holder.close()
     assert locked.upsert(KEY_B, {"v": 2}) is True
     locked.close()
+
+
+def test_new_store_switches_to_wal_while_another_connection_writes(
+        tmp_path):
+    """Regression: switching a new file to WAL reads its header and then
+    writes it within one statement, and sqlite reports a writer that holds
+    the file meanwhile at once instead of waiting.  Two processes opening
+    one new store hit this; the open now waits within the busy timeout."""
+    path = str(tmp_path / "results.sqlite")
+    holder = sqlite3.connect(path, isolation_level=None,
+                             check_same_thread=False)
+    holder.execute("CREATE TABLE other(x)")  # a rollback-journal file
+    holder.execute("BEGIN IMMEDIATE")
+    holder.execute("INSERT INTO other VALUES(1)")
+    release = threading.Timer(0.3, lambda: holder.execute("COMMIT"))
+    release.start()
+    opened = ResultStore(path, code_version=lambda: "cv0")
+    try:
+        start = time.monotonic()
+        assert opened.schema_version() == STORE_SCHEMA_VERSION
+        assert time.monotonic() - start >= 0.25  # it waited for the writer
+    finally:
+        release.join()
+        holder.close()
+        opened.close()
+
+
+def test_stale_snapshot_lock_reports_the_wait_that_happened(store):
+    """A transaction that read an older WAL snapshot cannot write: sqlite
+    reports the lock at once, without waiting.  The error gives the wait
+    that actually happened, not the busy timeout."""
+    store.upsert(KEY_A, {"v": 1})
+    conn = store._conn()
+    conn.execute("BEGIN")
+    conn.execute("SELECT COUNT(*) FROM results").fetchone()
+    other = ResultStore(store.path, code_version=lambda: "cv0")
+    assert other.upsert(KEY_B, {"v": 2}) is True  # past the snapshot
+    other.close()
+    start = time.monotonic()
+    with pytest.raises(ConfigurationError) as excinfo:
+        conn.execute("INSERT INTO meta(key, value) VALUES('stale', '1')")
+    assert time.monotonic() - start < 1.0
+    conn.execute("ROLLBACK")
+    message = str(excinfo.value)
+    assert repr(store.path) in message
+    assert "locked by another connection for 0.0 s" in message
+    assert f"busy timeout {store_mod.BUSY_TIMEOUT_S:g} s" in message
 
 
 # ------------------------------------------------------ first-writer-wins

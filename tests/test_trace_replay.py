@@ -21,6 +21,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ResourceExhaustedError, SimulationError
 from repro.gpu.architecture import TESLA_P100, get_architecture
@@ -610,6 +612,43 @@ def test_lowering_matches_batched(lowering):
     body, reach = LOWERING_CASES[lowering]
     kernel = Kernel(body, name=f"lowering_{lowering}")
     assert reach <= _reached(kernel)
+    _assert_replay_matches_batched(kernel)
+
+
+def _shuffle_kernel(direction, amount, fused):
+    """A chunk-tier shuffle by ``amount`` lanes consumed only by a mad's
+    accumulator (the peephole fuses it) or by an add (its own step), plus
+    a shuffle of one value per block (a source of stride 0 along the
+    lanes)."""
+    def body(ctx, src, wide, taps, scratch, dst, n):
+        tid, gidx = _ids(ctx)
+        shift = ctx.shfl_up if direction == "up" else ctx.shfl_down
+        x = ctx.load_global(src, gidx)
+        w = ctx.load_global(src, tid)
+        if fused:
+            acc = ctx.mad(x, w, shift(ctx.mul(x, x), amount))
+        else:
+            acc = ctx.add(shift(ctx.mul(x, x), amount), w)
+        column = shift((ctx.block_idx_x * 0.5).astype(np.float32), amount)
+        ctx.store_global(dst, gidx, ctx.add(acc, column))
+    name = f"shuffle_{direction}_{amount}_{'fused' if fused else 'own'}"
+    return Kernel(body, name=name)
+
+
+@settings(max_examples=25, deadline=None)
+@given(direction=st.sampled_from(["up", "down"]),
+       amount=st.integers(min_value=0, max_value=64),
+       fused=st.booleans())
+def test_shuffle_lowerings_match_batched(direction, amount, fused):
+    """Property: replay's fused and unfused shuffle lowerings (both
+    through the one lane-shift helper) are bit-identical to the batched
+    engine for any amount, inside the warp or past it."""
+    kernel = _shuffle_kernel(direction, amount, fused)
+    trace = _record(kernel)
+    tiers, _ = _assign_tiers(trace, frozenset())
+    peephole = _fuse_shuffles(trace.nodes, tiers,
+                              np.dtype(trace.numpy_dtype), trace.warp_size)
+    assert bool(peephole) == (fused and 0 < amount < trace.warp_size)
     _assert_replay_matches_batched(kernel)
 
 
