@@ -19,10 +19,12 @@ the real library hits:
 * :func:`cufft_like_convolve2d` — FFT-based convolution (cuFFT): a large,
   filter-size-independent cost.
 
-Every function returns a :class:`~repro.kernels.common.KernelRunResult`;
-functional outputs are produced for the kernels that execute on the
-substrate, and an ``analytic_launch``-style path (``functional=False``)
-skips execution for paper-scale estimates.
+Every function returns a :class:`~repro.kernels.common.KernelRunResult`.
+Each baseline has two entries: the array entry takes the image and
+produces its output, and the closed-form entry (``..._analytic``) takes
+``(spec, width, height)`` and costs a paper-scale domain without
+executing anything.  Both build their launch configuration through one
+helper, so they cannot disagree.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from ..convolution.spec import ConvolutionSpec
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import get_architecture
+from ..gpu.architecture import get_architecture, warp_sectors
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchConfig
@@ -79,44 +81,56 @@ def _npp_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
 NPP_KERNEL = Kernel(_npp_block, name="npp_like_conv2d")
 
 
-def npp_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
+def _npp_launch(spec: ConvolutionSpec, width: int, height: int, arch, prec,
+                block_threads: int):
+    """Launch configuration and parameters of the NPP-like kernel."""
+    config = LaunchConfig(grid_dim=(math.ceil(width / block_threads), height, 1),
+                          block_threads=block_threads, registers_per_thread=32,
+                          shared_bytes_per_block=0, precision=prec,
+                          memory_parallelism=2.0)
+    parameters = {"M": spec.filter_width, "N": spec.filter_height,
+                  "B": block_threads, "architecture": arch.name,
+                  "precision": prec.name}
+    return config, parameters
+
+
+def npp_like_convolve2d(image: np.ndarray, spec: ConvolutionSpec,
                         architecture: object = "p100", precision: object = "float32",
-                        block_threads: int = 128, functional: bool = True,
-                        width: Optional[int] = None, height: Optional[int] = None,
-                        max_blocks: Optional[int] = None,
+                        block_threads: int = 128, max_blocks: Optional[int] = None,
                         batch_size: object = "auto") -> KernelRunResult:
     """NPP-like 2-D convolution (no scratchpad, one output per thread)."""
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    if functional:
-        image = check_image(image)
-        require_edge_boundary(spec.boundary, "the NPP-like kernel")
-        height, width = image.shape
-    if width is None or height is None:
-        raise ConfigurationError("width/height are required when functional=False")
+    image = check_image(image)
+    require_edge_boundary(spec.boundary, "the NPP-like kernel")
+    height, width = image.shape
+    config, parameters = _npp_launch(spec, width, height, arch, prec, block_threads)
+    _, src, dst = make_device_pair(image, prec)
+    anchor_x, anchor_y = spec.anchor
+    launch = NPP_KERNEL.launch(
+        config,
+        args=(src, dst, tuple(spec.weights.reshape(-1).tolist()), width, height,
+              spec.filter_width, spec.filter_height, anchor_x, anchor_y),
+        architecture=arch, max_blocks=max_blocks, batch_size=batch_size)
+    output = None if max_blocks is not None else dst.array
+    return KernelRunResult(name="npp_like", output=output, launch=launch,
+                           parameters=parameters)
+
+
+def npp_like_convolve2d_analytic(spec: ConvolutionSpec, width: int, height: int,
+                                 architecture: object = "p100",
+                                 precision: object = "float32",
+                                 block_threads: int = 128) -> KernelRunResult:
+    """Closed-form cost of :func:`npp_like_convolve2d` on a ``width x height`` image."""
+    arch = get_architecture(architecture)
+    prec = resolve_precision(precision)
+    config, parameters = _npp_launch(spec, width, height, arch, prec, block_threads)
     m_extent, n_extent = spec.filter_width, spec.filter_height
-    grid = (math.ceil(width / block_threads), height, 1)
-    config = LaunchConfig(grid_dim=grid, block_threads=block_threads,
-                         registers_per_thread=32, shared_bytes_per_block=0,
-                         precision=prec, memory_parallelism=2.0)
-    parameters = {"M": m_extent, "N": n_extent, "B": block_threads,
-                  "architecture": arch.name, "precision": prec.name}
-    if functional:
-        _, src, dst = make_device_pair(image, prec)
-        anchor_x, anchor_y = spec.anchor
-        launch = NPP_KERNEL.launch(
-            config,
-            args=(src, dst, tuple(spec.weights.reshape(-1).tolist()), width, height,
-                  m_extent, n_extent, anchor_x, anchor_y),
-            architecture=arch, max_blocks=max_blocks, batch_size=batch_size)
-        output = None if max_blocks is not None else dst.array
-        return KernelRunResult(name="npp_like", output=output, launch=launch,
-                               parameters=parameters)
-    blocks = grid[0] * grid[1]
+    blocks = config.grid_dim[0] * config.grid_dim[1]
     warps_per_block = block_threads // arch.warp_size
     total_warps = blocks * warps_per_block
     taps = m_extent * n_extent
-    sectors = math.ceil(32 * prec.itemsize / 128)
+    sectors = warp_sectors(arch, prec.itemsize)
     counters = KernelCounters(
         fma=taps * total_warps,
         misc=2.0 * taps * total_warps,
@@ -188,52 +202,63 @@ def _shared_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer
 SHARED_KERNEL = Kernel(_shared_block, name="shared_conv2d")
 
 
-def _shared_like_convolve2d(label: str, image, spec, architecture, precision,
-                            tile_rows, overhead_per_tap, functional, width, height,
-                            max_blocks, enforce_limit: bool,
-                            batch_size: object = "auto"):
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
+def _shared_launch(label: str, spec: ConvolutionSpec, width: int, height: int,
+                   arch, prec, tile_rows: int, enforce_limit: bool):
+    """Launch configuration and parameters of a shared-memory tiled kernel."""
     if enforce_limit and max(spec.filter_width, spec.filter_height) > ARRAYFIRE_MAX_FILTER:
         raise ConfigurationError(
             f"{label} supports filters up to {ARRAYFIRE_MAX_FILTER}x{ARRAYFIRE_MAX_FILTER} "
             f"(got {spec.filter_width}x{spec.filter_height})"
         )
-    if functional:
-        image = check_image(image)
-        require_edge_boundary(spec.boundary, f"the {label} kernel")
-        height, width = image.shape
-    if width is None or height is None:
-        raise ConfigurationError("width/height are required when functional=False")
-    m_extent, n_extent = spec.filter_width, spec.filter_height
-    block_threads = 32 * tile_rows
-    smem_rows = tile_rows + n_extent - 1
-    smem_cols = 32 + m_extent - 1
-    smem_bytes = smem_rows * smem_cols * prec.itemsize
-    grid = (math.ceil(width / 32), math.ceil(height / tile_rows), 1)
-    config = LaunchConfig(grid_dim=grid, block_threads=block_threads,
-                         registers_per_thread=40, shared_bytes_per_block=smem_bytes,
-                         precision=prec, memory_parallelism=3.0)
-    parameters = {"M": m_extent, "N": n_extent, "tile_rows": tile_rows,
-                  "architecture": arch.name, "precision": prec.name}
-    if functional:
-        _, src, dst = make_device_pair(image, prec)
-        anchor_x, anchor_y = spec.anchor
-        launch = SHARED_KERNEL.launch(
-            config,
-            args=(src, dst, tuple(spec.weights.reshape(-1).tolist()), width, height,
-                  m_extent, n_extent, anchor_x, anchor_y, tile_rows, overhead_per_tap),
-            architecture=arch, max_blocks=max_blocks, batch_size=batch_size)
-        output = None if max_blocks is not None else dst.array
-        return KernelRunResult(name=label, output=output, launch=launch,
-                               parameters=parameters)
-    blocks = grid[0] * grid[1]
+    smem_rows = tile_rows + spec.filter_height - 1
+    smem_cols = 32 + spec.filter_width - 1
+    config = LaunchConfig(grid_dim=(math.ceil(width / 32), math.ceil(height / tile_rows), 1),
+                          block_threads=32 * tile_rows, registers_per_thread=40,
+                          shared_bytes_per_block=smem_rows * smem_cols * prec.itemsize,
+                          precision=prec, memory_parallelism=3.0)
+    parameters = {"M": spec.filter_width, "N": spec.filter_height,
+                  "tile_rows": tile_rows, "architecture": arch.name,
+                  "precision": prec.name}
+    return config, parameters
+
+
+def _shared_like_convolve2d(label: str, image, spec, architecture, precision,
+                            tile_rows, overhead_per_tap, max_blocks,
+                            enforce_limit: bool, batch_size: object = "auto"):
+    arch = get_architecture(architecture)
+    prec = resolve_precision(precision)
+    image = check_image(image)
+    height, width = image.shape
+    config, parameters = _shared_launch(label, spec, width, height, arch, prec,
+                                        tile_rows, enforce_limit)
+    require_edge_boundary(spec.boundary, f"the {label} kernel")
+    _, src, dst = make_device_pair(image, prec)
+    anchor_x, anchor_y = spec.anchor
+    launch = SHARED_KERNEL.launch(
+        config,
+        args=(src, dst, tuple(spec.weights.reshape(-1).tolist()), width, height,
+              spec.filter_width, spec.filter_height, anchor_x, anchor_y, tile_rows,
+              overhead_per_tap),
+        architecture=arch, max_blocks=max_blocks, batch_size=batch_size)
+    output = None if max_blocks is not None else dst.array
+    return KernelRunResult(name=label, output=output, launch=launch,
+                           parameters=parameters)
+
+
+def _shared_like_analytic(label: str, spec, width, height, architecture, precision,
+                          tile_rows, overhead_per_tap, enforce_limit: bool):
+    arch = get_architecture(architecture)
+    prec = resolve_precision(precision)
+    config, parameters = _shared_launch(label, spec, width, height, arch, prec,
+                                        tile_rows, enforce_limit)
+    block_threads = config.block_threads
+    blocks = config.grid_dim[0] * config.grid_dim[1]
     warps_per_block = block_threads // arch.warp_size
     total_warps = blocks * warps_per_block
-    taps = m_extent * n_extent
-    staged = smem_rows * smem_cols
+    taps = spec.filter_width * spec.filter_height
+    staged = (tile_rows + spec.filter_height - 1) * (32 + spec.filter_width - 1)
     staging_iters = math.ceil(staged / block_threads)
-    sectors = math.ceil(32 * prec.itemsize / 128)
+    sectors = warp_sectors(arch, prec.itemsize)
     counters = KernelCounters(
         fma=taps * total_warps,
         misc=overhead_per_tap * taps * total_warps,
@@ -253,28 +278,42 @@ def _shared_like_convolve2d(label: str, image, spec, architecture, precision,
     return analytic_result(label, counters, config, arch, parameters)
 
 
-def arrayfire_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
+def arrayfire_like_convolve2d(image: np.ndarray, spec: ConvolutionSpec,
                               architecture: object = "p100", precision: object = "float32",
-                              tile_rows: int = 8, functional: bool = True,
-                              width: Optional[int] = None, height: Optional[int] = None,
-                              max_blocks: Optional[int] = None,
+                              tile_rows: int = 8, max_blocks: Optional[int] = None,
                               batch_size: object = "auto") -> KernelRunResult:
     """ArrayFire-like shared-memory tiled convolution (16x16 filter ceiling)."""
     return _shared_like_convolve2d("arrayfire_like", image, spec, architecture, precision,
-                                   tile_rows, 0.0, functional, width, height, max_blocks,
-                                   enforce_limit=True, batch_size=batch_size)
+                                   tile_rows, 0.0, max_blocks, enforce_limit=True,
+                                   batch_size=batch_size)
 
 
-def halide_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
+def arrayfire_like_convolve2d_analytic(spec: ConvolutionSpec, width: int, height: int,
+                                       architecture: object = "p100",
+                                       precision: object = "float32",
+                                       tile_rows: int = 8) -> KernelRunResult:
+    """Closed-form cost of :func:`arrayfire_like_convolve2d`."""
+    return _shared_like_analytic("arrayfire_like", spec, width, height, architecture,
+                                 precision, tile_rows, 0.0, enforce_limit=True)
+
+
+def halide_like_convolve2d(image: np.ndarray, spec: ConvolutionSpec,
                            architecture: object = "p100", precision: object = "float32",
-                           tile_rows: int = 4, functional: bool = True,
-                           width: Optional[int] = None, height: Optional[int] = None,
-                           max_blocks: Optional[int] = None,
+                           tile_rows: int = 4, max_blocks: Optional[int] = None,
                            batch_size: object = "auto") -> KernelRunResult:
     """Halide-auto-schedule-like tiled convolution (smaller tile, generic indexing)."""
     return _shared_like_convolve2d("halide_like", image, spec, architecture, precision,
-                                   tile_rows, 2.0, functional, width, height, max_blocks,
-                                   enforce_limit=False, batch_size=batch_size)
+                                   tile_rows, 2.0, max_blocks, enforce_limit=False,
+                                   batch_size=batch_size)
+
+
+def halide_like_convolve2d_analytic(spec: ConvolutionSpec, width: int, height: int,
+                                    architecture: object = "p100",
+                                    precision: object = "float32",
+                                    tile_rows: int = 4) -> KernelRunResult:
+    """Closed-form cost of :func:`halide_like_convolve2d`."""
+    return _shared_like_analytic("halide_like", spec, width, height, architecture,
+                                 precision, tile_rows, 2.0, enforce_limit=False)
 
 
 # ---------------------------------------------------------------------------
@@ -286,26 +325,32 @@ def halide_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
 CUDNN_SINGLE_CHANNEL_EFFICIENCY = 0.18
 
 
-def cudnn_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
-                          architecture: object = "p100", precision: object = "float32",
-                          functional: bool = True, width: Optional[int] = None,
-                          height: Optional[int] = None) -> KernelRunResult:
+def cudnn_like_convolve2d(image: np.ndarray, spec: ConvolutionSpec,
+                          architecture: object = "p100",
+                          precision: object = "float32") -> KernelRunResult:
     """cuDNN-like implicit-GEMM convolution for a single channel and filter.
 
     Functional output is computed on the host with the im2col x GEMM
-    formulation (numerically identical to the direct form); the cost model
-    charges the GEMM FLOPs at the low efficiency such a skinny GEMM achieves
-    plus the im2col-style gather traffic.
+    formulation (numerically identical to the direct form); the cost is
+    that of :func:`cudnn_like_convolve2d_analytic`.
+    """
+    image = check_image(image)
+    height, width = image.shape
+    result = cudnn_like_convolve2d_analytic(spec, width, height, architecture, precision)
+    result.output = spec.reference(image, precision=resolve_precision(precision))
+    return result
+
+
+def cudnn_like_convolve2d_analytic(spec: ConvolutionSpec, width: int, height: int,
+                                   architecture: object = "p100",
+                                   precision: object = "float32") -> KernelRunResult:
+    """Closed-form cost of the cuDNN-like convolution.
+
+    The GEMM FLOPs are charged at the low efficiency such a skinny GEMM
+    achieves, plus the im2col-style gather traffic.
     """
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    output = None
-    if functional:
-        image = check_image(image)
-        height, width = image.shape
-        output = spec.reference(image, precision=prec)
-    if width is None or height is None:
-        raise ConfigurationError("width/height are required when functional=False")
     taps = spec.taps
     outputs = width * height
     warp_fma = outputs * taps / 32.0 / CUDNN_SINGLE_CHANNEL_EFFICIENCY
@@ -326,9 +371,7 @@ def cudnn_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
     parameters = {"M": spec.filter_width, "N": spec.filter_height,
                   "architecture": arch.name, "precision": prec.name,
                   "gemm_efficiency": CUDNN_SINGLE_CHANNEL_EFFICIENCY}
-    result = analytic_result("cudnn_like", counters, config, arch, parameters)
-    result.output = output
-    return result
+    return analytic_result("cudnn_like", counters, config, arch, parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +382,25 @@ def cudnn_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
 CUFFT_PAPER_MILLISECONDS = {"pascal": 353.0, "volta": 349.0}
 
 
-def cufft_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
-                          architecture: object = "p100", precision: object = "float32",
-                          functional: bool = True, width: Optional[int] = None,
-                          height: Optional[int] = None) -> KernelRunResult:
+def cufft_like_convolve2d(image: np.ndarray, spec: ConvolutionSpec,
+                          architecture: object = "p100",
+                          precision: object = "float32") -> KernelRunResult:
     """cuFFT-like convolution: forward FFTs, pointwise multiply, inverse FFT.
+
+    The output is the host FFT convolution; the cost is that of
+    :func:`cufft_like_convolve2d_analytic`.
+    """
+    image = check_image(image)
+    height, width = image.shape
+    result = cufft_like_convolve2d_analytic(spec, width, height, architecture, precision)
+    result.output = convolve2d_fft_reference(image, spec)
+    return result
+
+
+def cufft_like_convolve2d_analytic(spec: ConvolutionSpec, width: int, height: int,
+                                   architecture: object = "p100",
+                                   precision: object = "float32") -> KernelRunResult:
+    """Closed-form cost of the cuFFT-like convolution.
 
     The cost model combines the FFT FLOP count and pass traffic with the
     pipeline constant the paper reports (353 ms / 349 ms for 8192^2 on
@@ -352,13 +409,6 @@ def cufft_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
     """
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    output = None
-    if functional:
-        image = check_image(image)
-        height, width = image.shape
-        output = convolve2d_fft_reference(image, spec)
-    if width is None or height is None:
-        raise ConfigurationError("width/height are required when functional=False")
     outputs = width * height
     log_term = max(1.0, math.log2(max(outputs, 2)))
     # three 2-D transforms (two forward, one inverse) + pointwise multiply
@@ -391,5 +441,4 @@ def cufft_like_convolve2d(image: Optional[np.ndarray], spec: ConvolutionSpec,
         if modelled.total_seconds < floor_seconds:
             result.launch._timing = dataclasses.replace(
                 modelled, total_seconds=floor_seconds, bottleneck="fft_pipeline")
-    result.output = output
     return result

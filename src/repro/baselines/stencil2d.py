@@ -29,13 +29,19 @@ import numpy as np
 
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import get_architecture
+from ..gpu.architecture import get_architecture, warp_sectors
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchConfig
-from ..gpu.memory import DeviceBuffer, GlobalMemory
+from ..gpu.memory import DeviceBuffer
 from ..gpu.register_file import registers_for_cache
-from ..kernels.common import KernelRunResult, analytic_result, check_image, clamp
+from ..kernels.common import (
+    KernelRunResult,
+    analytic_result,
+    check_image,
+    clamp,
+    run_jacobi,
+)
 from ..stencils.spec import StencilSpec
 
 
@@ -61,49 +67,52 @@ def _naive_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
 NAIVE_STENCIL2D_KERNEL = Kernel(_naive_block, name="original_stencil2d")
 
 
-def original_stencil2d(grid: Optional[np.ndarray], spec: StencilSpec, iterations: int = 1,
+def _naive_launch(spec: StencilSpec, width: int, height: int, iterations: int,
+                  arch, prec, block_threads: int):
+    """Launch configuration and parameters of the "original" kernel."""
+    if spec.dims != 2:
+        raise ConfigurationError("original_stencil2d expects a 2-D stencil")
+    config = LaunchConfig(grid_dim=(math.ceil(width / block_threads), height, 1),
+                          block_threads=block_threads,
+                          registers_per_thread=28 + 2 * spec.num_points // 4,
+                          shared_bytes_per_block=0, precision=prec,
+                          memory_parallelism=3.0)
+    parameters = {"stencil": spec.name, "iterations": iterations,
+                  "architecture": arch.name, "precision": prec.name}
+    return config, parameters
+
+
+def original_stencil2d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
                        architecture: object = "p100", precision: object = "float32",
-                       block_threads: int = 128, functional: bool = True,
-                       width: Optional[int] = None, height: Optional[int] = None,
-                       max_blocks: Optional[int] = None,
+                       block_threads: int = 128, max_blocks: Optional[int] = None,
                        batch_size: object = "auto") -> KernelRunResult:
     """The naive "original" 2-D stencil implementation."""
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    if spec.dims != 2:
-        raise ConfigurationError("original_stencil2d expects a 2-D stencil")
-    if functional:
-        grid = check_image(grid)
-        height, width = grid.shape
-    if width is None or height is None:
-        raise ConfigurationError("width/height are required when functional=False")
-    launch_grid = (math.ceil(width / block_threads), height, 1)
-    config = LaunchConfig(grid_dim=launch_grid, block_threads=block_threads,
-                         registers_per_thread=28 + 2 * spec.num_points // 4,
-                         shared_bytes_per_block=0, precision=prec, memory_parallelism=3.0)
-    parameters = {"stencil": spec.name, "iterations": iterations,
-                  "architecture": arch.name, "precision": prec.name}
+    grid = check_image(grid)
+    height, width = grid.shape
+    config, parameters = _naive_launch(spec, width, height, iterations, arch, prec,
+                                       block_threads)
     points = tuple((p.dx, p.dy, float(p.coefficient)) for p in spec.points)
-    if functional:
-        memory = GlobalMemory()
-        buffers = [memory.to_device(grid, name="a", dtype=prec.numpy_dtype,
-                                    read_only=iterations == 1),
-                   memory.allocate(grid.shape, prec, name="b")]
-        merged = None
-        for step in range(iterations):
-            src, dst = buffers[step % 2], buffers[(step + 1) % 2]
-            launch = NAIVE_STENCIL2D_KERNEL.launch(
-                config, args=(src, dst, points, width, height), architecture=arch,
-                max_blocks=max_blocks, batch_size=batch_size)
-            merged = launch if merged is None else merged.merged_with(launch)
-        output = None if max_blocks is not None else buffers[iterations % 2].array
-        return KernelRunResult(name="original", output=output, launch=merged,
-                               parameters=parameters)
-    blocks = launch_grid[0] * launch_grid[1]
+    return run_jacobi(NAIVE_STENCIL2D_KERNEL, grid, config, (points, width, height),
+                      iterations, arch, "original", parameters,
+                      max_blocks=max_blocks, batch_size=batch_size)
+
+
+def original_stencil2d_analytic(spec: StencilSpec, width: int, height: int,
+                                iterations: int = 1, architecture: object = "p100",
+                                precision: object = "float32",
+                                block_threads: int = 128) -> KernelRunResult:
+    """Closed-form cost of :func:`original_stencil2d` on a ``width x height`` grid."""
+    arch = get_architecture(architecture)
+    prec = resolve_precision(precision)
+    config, parameters = _naive_launch(spec, width, height, iterations, arch, prec,
+                                       block_threads)
+    blocks = config.grid_dim[0] * config.grid_dim[1]
     warps_per_block = block_threads // arch.warp_size
     total_warps = blocks * warps_per_block
     taps = spec.num_points
-    sectors = math.ceil(32 * prec.itemsize / 128)
+    sectors = warp_sectors(arch, prec.itemsize)
     counters = KernelCounters(
         fma=taps * total_warps * iterations,
         misc=taps * total_warps * iterations,
@@ -168,52 +177,57 @@ def _shared_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer
 SHARED_STENCIL2D_KERNEL = Kernel(_shared_block, name="shared_stencil2d")
 
 
+def _shared_launch(label: str, spec: StencilSpec, width: int, height: int,
+                   iterations: int, arch, prec, tile_rows: int):
+    """Launch configuration and parameters of a shared-memory tiled kernel."""
+    if spec.dims != 2:
+        raise ConfigurationError(f"{label} expects a 2-D stencil")
+    halo_x = spec.footprint_width - 1
+    halo_y = spec.footprint_height - 1
+    config = LaunchConfig(grid_dim=(math.ceil(width / 32), math.ceil(height / tile_rows), 1),
+                          block_threads=32 * tile_rows, registers_per_thread=36,
+                          shared_bytes_per_block=(tile_rows + halo_y) * (32 + halo_x)
+                          * prec.itemsize,
+                          precision=prec, memory_parallelism=3.0)
+    parameters = {"stencil": spec.name, "iterations": iterations, "tile_rows": tile_rows,
+                  "architecture": arch.name, "precision": prec.name}
+    return config, parameters
+
+
 def _shared_stencil2d(label: str, grid, spec, iterations, architecture, precision,
-                      tile_rows, overhead_per_tap, functional, width, height, max_blocks,
+                      tile_rows, overhead_per_tap, max_blocks,
                       batch_size: object = "auto"):
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    if spec.dims != 2:
-        raise ConfigurationError(f"{label} expects a 2-D stencil")
-    if functional:
-        grid = check_image(grid)
-        height, width = grid.shape
-    if width is None or height is None:
-        raise ConfigurationError("width/height are required when functional=False")
-    x_min, x_max = spec.x_range
-    y_min, y_max = spec.y_range
-    halo_x, halo_y = x_max - x_min, y_max - y_min
-    block_threads = 32 * tile_rows
-    smem_bytes = (tile_rows + halo_y) * (32 + halo_x) * prec.itemsize
-    launch_grid = (math.ceil(width / 32), math.ceil(height / tile_rows), 1)
-    config = LaunchConfig(grid_dim=launch_grid, block_threads=block_threads,
-                         registers_per_thread=36, shared_bytes_per_block=smem_bytes,
-                         precision=prec, memory_parallelism=3.0)
-    parameters = {"stencil": spec.name, "iterations": iterations, "tile_rows": tile_rows,
-                  "architecture": arch.name, "precision": prec.name}
+    grid = check_image(grid)
+    height, width = grid.shape
+    config, parameters = _shared_launch(label, spec, width, height, iterations,
+                                        arch, prec, tile_rows)
+    x_min, _ = spec.x_range
+    y_min, _ = spec.y_range
     points = tuple((p.dx, p.dy, float(p.coefficient)) for p in spec.points)
-    if functional:
-        memory = GlobalMemory()
-        buffers = [memory.to_device(grid, name="a", dtype=prec.numpy_dtype,
-                                    read_only=iterations == 1),
-                   memory.allocate(grid.shape, prec, name="b")]
-        merged = None
-        for step in range(iterations):
-            src, dst = buffers[step % 2], buffers[(step + 1) % 2]
-            launch = SHARED_STENCIL2D_KERNEL.launch(
-                config, args=(src, dst, points, width, height, tile_rows, halo_x, halo_y,
-                              x_min, y_min, overhead_per_tap),
-                architecture=arch, max_blocks=max_blocks, batch_size=batch_size)
-            merged = launch if merged is None else merged.merged_with(launch)
-        output = None if max_blocks is not None else buffers[iterations % 2].array
-        return KernelRunResult(name=label, output=output, launch=merged, parameters=parameters)
-    blocks = launch_grid[0] * launch_grid[1]
+    return run_jacobi(
+        SHARED_STENCIL2D_KERNEL, grid, config,
+        (points, width, height, tile_rows, spec.footprint_width - 1,
+         spec.footprint_height - 1, x_min, y_min, overhead_per_tap),
+        iterations, arch, label, parameters,
+        max_blocks=max_blocks, batch_size=batch_size)
+
+
+def _shared_stencil2d_analytic(label: str, spec, width, height, iterations,
+                               architecture, precision, tile_rows, overhead_per_tap):
+    arch = get_architecture(architecture)
+    prec = resolve_precision(precision)
+    config, parameters = _shared_launch(label, spec, width, height, iterations,
+                                        arch, prec, tile_rows)
+    block_threads = config.block_threads
+    blocks = config.grid_dim[0] * config.grid_dim[1]
     warps_per_block = block_threads // arch.warp_size
     total_warps = blocks * warps_per_block
     taps = spec.num_points
-    staged = (tile_rows + halo_y) * (32 + halo_x)
+    staged = (tile_rows + spec.footprint_height - 1) * (32 + spec.footprint_width - 1)
     staging_iters = math.ceil(staged / block_threads)
-    sectors = math.ceil(32 * prec.itemsize / 128)
+    sectors = warp_sectors(arch, prec.itemsize)
     counters = KernelCounters(
         fma=taps * total_warps * iterations,
         misc=overhead_per_tap * taps * total_warps * iterations,
@@ -234,28 +248,40 @@ def _shared_stencil2d(label: str, grid, spec, iterations, architecture, precisio
     return analytic_result(label, counters, config, arch, parameters)
 
 
-def ppcg_like_stencil2d(grid: Optional[np.ndarray], spec: StencilSpec, iterations: int = 1,
+def ppcg_like_stencil2d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
                         architecture: object = "p100", precision: object = "float32",
-                        tile_rows: int = 8, functional: bool = True,
-                        width: Optional[int] = None, height: Optional[int] = None,
-                        max_blocks: Optional[int] = None,
+                        tile_rows: int = 8, max_blocks: Optional[int] = None,
                         batch_size: object = "auto") -> KernelRunResult:
     """ppcg-generated-style shared-memory tiled stencil."""
     return _shared_stencil2d("ppcg", grid, spec, iterations, architecture, precision,
-                             tile_rows, 0.0, functional, width, height, max_blocks,
-                             batch_size=batch_size)
+                             tile_rows, 0.0, max_blocks, batch_size=batch_size)
 
 
-def halide_like_stencil2d(grid: Optional[np.ndarray], spec: StencilSpec, iterations: int = 1,
+def ppcg_like_stencil2d_analytic(spec: StencilSpec, width: int, height: int,
+                                 iterations: int = 1, architecture: object = "p100",
+                                 precision: object = "float32",
+                                 tile_rows: int = 8) -> KernelRunResult:
+    """Closed-form cost of :func:`ppcg_like_stencil2d`."""
+    return _shared_stencil2d_analytic("ppcg", spec, width, height, iterations,
+                                      architecture, precision, tile_rows, 0.0)
+
+
+def halide_like_stencil2d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
                           architecture: object = "p100", precision: object = "float32",
-                          tile_rows: int = 4, functional: bool = True,
-                          width: Optional[int] = None, height: Optional[int] = None,
-                          max_blocks: Optional[int] = None,
+                          tile_rows: int = 4, max_blocks: Optional[int] = None,
                           batch_size: object = "auto") -> KernelRunResult:
     """Halide-auto-schedule-style shared-memory tiled stencil."""
     return _shared_stencil2d("halide", grid, spec, iterations, architecture, precision,
-                             tile_rows, 2.0, functional, width, height, max_blocks,
-                             batch_size=batch_size)
+                             tile_rows, 2.0, max_blocks, batch_size=batch_size)
+
+
+def halide_like_stencil2d_analytic(spec: StencilSpec, width: int, height: int,
+                                   iterations: int = 1, architecture: object = "p100",
+                                   precision: object = "float32",
+                                   tile_rows: int = 4) -> KernelRunResult:
+    """Closed-form cost of :func:`halide_like_stencil2d`."""
+    return _shared_stencil2d_analytic("halide", spec, width, height, iterations,
+                                      architecture, precision, tile_rows, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +312,7 @@ def _register_scheme_stencil2d(label: str, spec: StencilSpec, width: int, height
                          precision=prec, memory_parallelism=2.0)
     # vertical reuse in registers; horizontal neighbours re-read through L1
     loads_per_output = fw * cached_rows / t_outputs / 32.0
-    sectors = math.ceil(32 * prec.itemsize / 128)
+    sectors = warp_sectors(arch, prec.itemsize)
     outputs_per_warp = 32 * t_outputs
     counters = KernelCounters(
         fma=taps * t_outputs * total_warps * iterations,

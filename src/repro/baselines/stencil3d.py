@@ -15,12 +15,18 @@ import numpy as np
 
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import get_architecture
+from ..gpu.architecture import get_architecture, warp_sectors
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchConfig
-from ..gpu.memory import DeviceBuffer, GlobalMemory
-from ..kernels.common import KernelRunResult, analytic_result, check_grid3d, clamp
+from ..gpu.memory import DeviceBuffer
+from ..kernels.common import (
+    KernelRunResult,
+    analytic_result,
+    check_grid3d,
+    clamp,
+    run_jacobi,
+)
 from ..stencils.spec import StencilSpec
 
 
@@ -46,50 +52,53 @@ def _naive3d_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffe
 NAIVE_STENCIL3D_KERNEL = Kernel(_naive3d_block, name="original_stencil3d")
 
 
-def original_stencil3d(grid: Optional[np.ndarray], spec: StencilSpec, iterations: int = 1,
+def _naive3d_launch(spec: StencilSpec, width: int, height: int, depth: int,
+                    iterations: int, arch, prec, block_threads: int):
+    """Launch configuration and parameters of the naive 3-D kernel."""
+    if spec.dims != 3:
+        raise ConfigurationError("original_stencil3d expects a 3-D stencil")
+    config = LaunchConfig(grid_dim=(math.ceil(width / block_threads), height, depth),
+                          block_threads=block_threads,
+                          registers_per_thread=32 + spec.num_points // 4,
+                          shared_bytes_per_block=0, precision=prec,
+                          memory_parallelism=3.0)
+    parameters = {"stencil": spec.name, "iterations": iterations,
+                  "architecture": arch.name, "precision": prec.name}
+    return config, parameters
+
+
+def original_stencil3d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
                        architecture: object = "p100", precision: object = "float32",
-                       block_threads: int = 128, functional: bool = True,
-                       width: Optional[int] = None, height: Optional[int] = None,
-                       depth: Optional[int] = None,
-                       max_blocks: Optional[int] = None,
+                       block_threads: int = 128, max_blocks: Optional[int] = None,
                        batch_size: object = "auto") -> KernelRunResult:
     """Naive one-output-per-thread 3-D stencil baseline."""
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    if spec.dims != 3:
-        raise ConfigurationError("original_stencil3d expects a 3-D stencil")
-    if functional:
-        grid = check_grid3d(grid)
-        depth, height, width = grid.shape
-    if width is None or height is None or depth is None:
-        raise ConfigurationError("width/height/depth are required when functional=False")
-    launch_grid = (math.ceil(width / block_threads), height, depth)
-    config = LaunchConfig(grid_dim=launch_grid, block_threads=block_threads,
-                         registers_per_thread=32 + spec.num_points // 4,
-                         shared_bytes_per_block=0, precision=prec, memory_parallelism=3.0)
-    parameters = {"stencil": spec.name, "iterations": iterations,
-                  "architecture": arch.name, "precision": prec.name}
+    grid = check_grid3d(grid)
+    depth, height, width = grid.shape
+    config, parameters = _naive3d_launch(spec, width, height, depth, iterations,
+                                         arch, prec, block_threads)
     points = tuple((p.dx, p.dy, p.dz, float(p.coefficient)) for p in spec.points)
-    if functional:
-        memory = GlobalMemory()
-        buffers = [memory.to_device(grid, name="a", dtype=prec.numpy_dtype,
-                                    read_only=iterations == 1),
-                   memory.allocate(grid.shape, prec, name="b")]
-        merged = None
-        for step in range(iterations):
-            src, dst = buffers[step % 2], buffers[(step + 1) % 2]
-            launch = NAIVE_STENCIL3D_KERNEL.launch(
-                config, args=(src, dst, points, width, height, depth), architecture=arch,
-                max_blocks=max_blocks, batch_size=batch_size)
-            merged = launch if merged is None else merged.merged_with(launch)
-        output = None if max_blocks is not None else buffers[iterations % 2].array
-        return KernelRunResult(name="original", output=output, launch=merged,
-                               parameters=parameters)
+    return run_jacobi(NAIVE_STENCIL3D_KERNEL, grid, config,
+                      (points, width, height, depth), iterations, arch, "original",
+                      parameters, max_blocks=max_blocks, batch_size=batch_size)
+
+
+def original_stencil3d_analytic(spec: StencilSpec, width: int, height: int, depth: int,
+                                iterations: int = 1, architecture: object = "p100",
+                                precision: object = "float32",
+                                block_threads: int = 128) -> KernelRunResult:
+    """Closed-form cost of :func:`original_stencil3d`."""
+    arch = get_architecture(architecture)
+    prec = resolve_precision(precision)
+    config, parameters = _naive3d_launch(spec, width, height, depth, iterations,
+                                         arch, prec, block_threads)
+    launch_grid = config.grid_dim
     blocks = launch_grid[0] * launch_grid[1] * launch_grid[2]
     warps_per_block = block_threads // arch.warp_size
     total_warps = blocks * warps_per_block
     taps = spec.num_points
-    sectors = math.ceil(32 * prec.itemsize / 128)
+    sectors = warp_sectors(arch, prec.itemsize)
     counters = KernelCounters(
         fma=taps * total_warps * iterations,
         misc=taps * total_warps * iterations,
@@ -133,7 +142,7 @@ def shared_stencil3d(spec: StencilSpec, width: int, height: int, depth: int,
     total_warps = blocks * warps_per_block * depth  # one pass of the z stream per slice
     taps = spec.num_points
     staging_iters = math.ceil(staged_per_slice / block_threads)
-    sectors = math.ceil(32 * prec.itemsize / 128)
+    sectors = warp_sectors(arch, prec.itemsize)
     config = LaunchConfig(grid_dim=launch_grid, block_threads=block_threads,
                          registers_per_thread=40,
                          shared_bytes_per_block=min(smem_bytes, arch.shared_memory_per_block),

@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import get_architecture
+from ..gpu.architecture import get_architecture, warp_sectors
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import LaunchConfig
 from ..gpu.register_file import registers_for_cache
@@ -80,7 +80,7 @@ def stencilgen_like_stencil(spec: StencilSpec, width: int, height: int, depth: i
     rounds = math.ceil(time_steps / temporal_depth)
     # redundant compute on the shrinking halo region
     redundancy = ((tile_rows + halo) * (tile_cols + halo)) / float(tile_rows * tile_cols)
-    sectors = math.ceil(32 * prec.itemsize / 128)
+    sectors = warp_sectors(arch, prec.itemsize)
     counters = KernelCounters(
         fma=taps * temporal_depth * redundancy * total_warps * rounds,
         smem_load=taps * temporal_depth * redundancy * total_warps * rounds,
@@ -161,7 +161,7 @@ def ssam_temporal_stencil(spec: StencilSpec, width: int, height: int, depth: int
     rounds = math.ceil(time_steps / temporal_depth)
     lane_redundancy = arch.warp_size / float(valid_x)
     columns = len(spec.columns())
-    sectors = math.ceil(32 * prec.itemsize / 128)
+    sectors = warp_sectors(arch, prec.itemsize)
     registers = registers_for_cache(cache_rows, outputs_per_thread * temporal_depth, prec)
     registers = min(registers, arch.max_registers_per_thread)
     counters = KernelCounters(

@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import GPUArchitecture, get_architecture
+from ..gpu.architecture import GPUArchitecture, get_architecture, warp_sectors
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import LaunchConfig, LaunchResult
 from ..gpu.occupancy import compute_occupancy, validate_block_threads
@@ -330,11 +330,6 @@ def predict_launch(architecture: object, config: LaunchConfig, *, scheme: str,
     )
 
 
-def _warp_sectors(arch: GPUArchitecture, itemsize: int) -> int:
-    """Memory sectors (cache lines) one coalesced warp access touches."""
-    return math.ceil(arch.warp_size * itemsize / arch.cache_line_bytes)
-
-
 def _coalesced_fill_cycles(arch: GPUArchitecture, rows: int) -> float:
     """Latency of ``rows`` back-to-back coalesced global loads (pipelined)."""
     return arch.latencies.gmem_load + max(0, rows - 1) * SECTOR_SERVICE_CYCLES
@@ -553,14 +548,14 @@ def model_stencil3d(spec, width: int, height: int, depth: int,
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
     lat = arch.latencies
-    p_extent = (stencil3d_ssam.DEFAULT_OUTPUTS_PER_THREAD_3D
-                if outputs_per_thread is None else outputs_per_thread)
-    b_extent = (paper_default("block_threads") if block_threads is None
-                else block_threads)
-    base = stencil3d_ssam.analytic_launch(spec, width, height, depth,
-                                          iterations, arch, prec,
-                                          p_extent, b_extent)
-    config = base.launch.config
+    geometry = stencil3d_ssam.launch_geometry(spec, width, height, depth, arch,
+                                              prec, outputs_per_thread,
+                                              block_threads)
+    p_extent = geometry.outputs_per_thread
+    config = geometry.config
+    counters = stencil3d_ssam.analytic_counters(
+        spec, width, height, depth, arch, prec, p_extent,
+        geometry.block_threads, iterations)
     columns = spec.columns()
     axial, general = stencil3d_ssam.split_out_of_plane(spec)
     out_of_plane = len(axial) + len(general)
@@ -569,20 +564,18 @@ def model_stencil3d(spec, width: int, height: int, depth: int,
         + max(0, len(columns) - 1) * lat.shfl
         + len(axial) * lat.smem_load
     )
-    cache_rows = spec.footprint_height + p_extent - 1
-    memory = _coalesced_fill_cycles(arch, cache_rows)
+    memory = _coalesced_fill_cycles(arch, geometry.cache_rows)
     if out_of_plane:
         memory += (lat.l1_load
                    + (p_extent * out_of_plane - 1) * SECTOR_SERVICE_CYCLES)
-    warps_per_block = config.block_threads // arch.warp_size
     prediction = predict_launch(
         arch, config, scheme="register_cache",
         outputs=width * height * depth * iterations,
-        warp_passes=config.total_blocks * warps_per_block * iterations,
+        warp_passes=config.total_blocks * geometry.warps_per_block * iterations,
         compute_cycles_per_pass=compute, memory_cycles_per_pass=memory,
-        dram_bytes=base.launch.counters.dram_bytes)
+        dram_bytes=counters.dram_bytes)
     return _model_result("ssam_stencil3d_model", "model", arch, config,
-                         base.launch.counters, prediction,
+                         counters, prediction,
                          {"stencil": spec.name, "iterations": iterations,
                           "P": p_extent, "architecture": arch.name,
                           "precision": prec.name})
@@ -618,7 +611,7 @@ def model_convolution1d(taps: int, length: int, architecture: object = "p100",
     # taps are immediates; one coalesced load fills the lane cache
     compute = stencil_register_cache_latency(arch, taps, taps)
     memory = _coalesced_fill_cycles(arch, 1)
-    sectors = _warp_sectors(arch, prec.itemsize)
+    sectors = warp_sectors(arch, prec.itemsize)
     counters = KernelCounters()
     counters.blocks_executed = blocks
     counters.warps_executed = warp_passes
@@ -672,7 +665,7 @@ def model_scan(length: int, architecture: object = "p100",
     compute = (stages * (lat.shfl + lat.add)
                + warps_per_block * (lat.smem_broadcast + lat.add))
     memory = _coalesced_fill_cycles(arch, 1) + lat.smem_store + lat.sync
-    sectors = _warp_sectors(arch, prec.itemsize)
+    sectors = warp_sectors(arch, prec.itemsize)
     counters = KernelCounters()
     counters.blocks_executed = blocks
     counters.warps_executed = warp_passes
@@ -743,7 +736,7 @@ def model_shared_memory_2d(taps: int, halo_x: int, halo_y: int, width: int,
         memory = (_coalesced_fill_cycles(arch, loads_per_thread)
                   + lat.smem_store + lat.sync)
     warp_passes = blocks * warps_per_block * iterations
-    sectors = _warp_sectors(arch, prec.itemsize)
+    sectors = warp_sectors(arch, prec.itemsize)
     counters = KernelCounters()
     counters.blocks_executed = blocks * iterations
     counters.warps_executed = warp_passes
@@ -798,7 +791,7 @@ def model_naive_3d(taps: int, width: int, height: int, depth: int,
         shared_bytes_per_block=0, precision=prec, memory_parallelism=4.0)
     compute = taps * (lat.fma + 2.0 * lat.register)
     memory = lat.gmem_load + (taps - 1) * lat.l1_load / config.memory_parallelism
-    sectors = _warp_sectors(arch, prec.itemsize)
+    sectors = warp_sectors(arch, prec.itemsize)
     counters = KernelCounters()
     counters.blocks_executed = blocks * iterations
     counters.warps_executed = warp_passes

@@ -12,13 +12,13 @@ from typing import Dict, List, Optional, Sequence
 from ..analysis.metrics import gcells_per_second
 from ..analysis.tables import format_series
 from ..baselines.stencil2d import (
-    halide_like_stencil2d,
-    original_stencil2d,
-    ppcg_like_stencil2d,
+    halide_like_stencil2d_analytic,
+    original_stencil2d_analytic,
+    ppcg_like_stencil2d_analytic,
     reordered_stencil2d,
     unrolled_stencil2d,
 )
-from ..baselines.stencil3d import original_stencil3d, shared_stencil3d
+from ..baselines.stencil3d import original_stencil3d_analytic, shared_stencil3d
 from ..kernels.stencil2d_ssam import analytic_launch as ssam_stencil2d_analytic
 from ..kernels.stencil3d_ssam import analytic_launch as ssam_stencil3d_analytic
 from ..stencils.catalog import CATALOG, FIGURE5_BENCHMARKS, StencilBenchmark
@@ -56,8 +56,8 @@ def run_benchmark(benchmark: StencilBenchmark, architecture: str, precision: str
             ssam_stencil2d_analytic(spec, width, height, iterations, architecture, precision),
             benchmark, iterations)
         results["original"] = _throughput(
-            original_stencil2d(None, spec, iterations, architecture, precision,
-                               functional=False, width=width, height=height),
+            original_stencil2d_analytic(spec, width, height, iterations, architecture,
+                                        precision),
             benchmark, iterations)
         results["reordered"] = _throughput(
             reordered_stencil2d(spec, width, height, iterations, architecture, precision),
@@ -66,12 +66,12 @@ def run_benchmark(benchmark: StencilBenchmark, architecture: str, precision: str
             unrolled_stencil2d(spec, width, height, iterations, architecture, precision),
             benchmark, iterations)
         results["ppcg"] = _throughput(
-            ppcg_like_stencil2d(None, spec, iterations, architecture, precision,
-                                functional=False, width=width, height=height),
+            ppcg_like_stencil2d_analytic(spec, width, height, iterations, architecture,
+                                         precision),
             benchmark, iterations)
         results["halide"] = _throughput(
-            halide_like_stencil2d(None, spec, iterations, architecture, precision,
-                                  functional=False, width=width, height=height),
+            halide_like_stencil2d_analytic(spec, width, height, iterations,
+                                           architecture, precision),
             benchmark, iterations)
     else:
         width, height, depth = benchmark.domain
@@ -80,8 +80,8 @@ def run_benchmark(benchmark: StencilBenchmark, architecture: str, precision: str
                                     precision),
             benchmark, iterations)
         results["original"] = _throughput(
-            original_stencil3d(None, spec, iterations, architecture, precision,
-                               functional=False, width=width, height=height, depth=depth),
+            original_stencil3d_analytic(spec, width, height, depth, iterations,
+                                        architecture, precision),
             benchmark, iterations)
         shared = _throughput(
             shared_stencil3d(spec, width, height, depth, iterations, architecture, precision),

@@ -25,6 +25,7 @@ L1/L2, HBM2e/HBM3 bandwidth, and an asynchronous global→shared copy path
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -381,6 +382,11 @@ def get_architecture(name: object) -> GPUArchitecture:
     if not isinstance(name, str):
         raise ConfigurationError(f"cannot interpret {name!r} as a GPU architecture")
     return _lookup_architecture(name)
+
+
+def warp_sectors(arch: GPUArchitecture, itemsize: int) -> int:
+    """Memory sectors (cache lines) one coalesced warp access touches."""
+    return math.ceil(arch.warp_size * itemsize / arch.cache_line_bytes)
 
 
 @lru_cache(maxsize=None)

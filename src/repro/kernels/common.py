@@ -17,7 +17,7 @@ from ..dtypes import Precision
 from ..errors import ConfigurationError, SpecificationError
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
-from ..gpu.kernel import LaunchConfig, LaunchResult
+from ..gpu.kernel import Kernel, LaunchConfig, LaunchResult
 from ..gpu.memory import DeviceBuffer, GlobalMemory
 
 
@@ -139,6 +139,43 @@ def make_device_pair(image: np.ndarray, precision: Precision,
                            read_only=True)
     dst = memory.allocate(image.shape, precision, name="dst")
     return memory, src, dst
+
+
+def run_jacobi(kernel: Kernel, grid: np.ndarray, config: LaunchConfig, args: tuple,
+               iterations: int, architecture, name: str,
+               parameters: Dict[str, object], max_blocks: Optional[int] = None,
+               batch_size: object = "auto",
+               keep_output: bool = False) -> KernelRunResult:
+    """Apply ``kernel`` for ``iterations`` Jacobi steps (Section 4.9).
+
+    Each step launches ``kernel(src, dst, *args)`` and the two device
+    buffers swap roles between steps; the returned launch merges every
+    step.  A single step only reads its input, so the grid is staged
+    read-only (no copy when it already has the working dtype); later steps
+    write it.  A sampled run (``max_blocks``) returns no output unless
+    ``keep_output`` asks for the partial one; with ``iterations=1`` the
+    executed blocks' outputs match a full run exactly.
+    """
+    if iterations < 1:
+        raise ConfigurationError("iterations must be >= 1")
+    prec = config.precision
+    memory = GlobalMemory()
+    buffers = [
+        memory.to_device(grid, name="grid_a", dtype=prec.numpy_dtype,
+                         read_only=iterations == 1),
+        memory.allocate(grid.shape, prec, name="grid_b"),
+    ]
+    merged: Optional[LaunchResult] = None
+    for step in range(iterations):
+        src, dst = buffers[step % 2], buffers[(step + 1) % 2]
+        launch = kernel.launch(config, args=(src, dst) + tuple(args),
+                               architecture=architecture,
+                               max_blocks=max_blocks, batch_size=batch_size)
+        merged = launch if merged is None else merged.merged_with(launch)
+    keep = max_blocks is None or keep_output
+    return KernelRunResult(name=name,
+                           output=buffers[iterations % 2].array if keep else None,
+                           launch=merged, parameters=parameters)
 
 
 def require_edge_boundary(boundary: str, implementation: str) -> None:

@@ -28,7 +28,7 @@ from ..convolution.spec import ConvolutionSpec
 from ..core.plan import SSAMPlan, plan_convolution
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import get_architecture
+from ..gpu.architecture import get_architecture, warp_sectors
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel
@@ -299,7 +299,7 @@ def analytic_counters(spec: ConvolutionSpec, width: int, height: int,
 
     # register-cache fill: C coalesced row loads per warp
     counters.gmem_load += cache_rows * total_warps
-    sectors_per_row = math.ceil(32 * prec.itemsize / 128)
+    sectors_per_row = warp_sectors(plan.architecture, prec.itemsize)
     counters.gmem_load_transactions += (cache_rows * total_warps) * sectors_per_row
     counters.gmem_load_transactions += staging_warp_ops * blocks
 

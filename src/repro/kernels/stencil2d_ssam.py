@@ -14,7 +14,6 @@ the returned counters aggregate all iterations.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -22,22 +21,27 @@ import numpy as np
 from ..core.plan import SSAMPlan, plan_stencil
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import get_architecture
+from ..gpu.architecture import get_architecture, warp_sectors
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
-from ..gpu.kernel import Kernel, LaunchResult
-from ..gpu.memory import DeviceBuffer, GlobalMemory
+from ..gpu.kernel import Kernel
+from ..gpu.memory import DeviceBuffer
 from ..stencils.spec import StencilSpec
-from .common import KernelRunResult, analytic_result, check_image, clamp
+from .common import (
+    KernelRunResult,
+    analytic_result,
+    check_image,
+    clamp,
+    run_jacobi,
+)
 
 #: a column group: (x offset, ((row index into the register cache, coefficient), ...))
 ColumnGroups = Tuple[Tuple[int, Tuple[Tuple[int, float], ...]], ...]
 
 
 def build_column_groups(spec: StencilSpec) -> ColumnGroups:
-    """Group a 2-D stencil's taps by x offset for the systolic schedule."""
-    if spec.dims != 2:
-        raise ConfigurationError("build_column_groups expects a 2-D stencil")
+    """Group a stencil's in-plane (dz == 0) taps by x offset for the
+    systolic schedule; the 3-D kernel uses the same schedule in-plane."""
     y_lo, _ = spec.y_range
     groups: List[Tuple[int, Tuple[Tuple[int, float], ...]]] = []
     for dx, points in spec.columns().items():
@@ -51,12 +55,14 @@ def _stencil2d_ssam_block(ctx: BatchedBlockContext,
                           width: int, height: int, columns: ColumnGroups,
                           footprint_width: int, footprint_height: int,
                           outputs_per_thread: int, x_min: int, y_min: int,
-                          block_rows: int = 1) -> None:
+                          block_rows: int = 1, margin: Optional[int] = None) -> None:
     """Listing 2 (generalised), executed for one thread block.
 
     ``block_rows`` splits the block's warps into R bands of consecutive
     P-row strips, exactly as in the convolution kernel; R=1 keeps the
-    paper's 1-D block shape with unchanged arithmetic.
+    paper's 1-D block shape with unchanged arithmetic.  A ``margin`` makes
+    the store the interior select of the masked kernel
+    (:mod:`repro.kernels.stencil2d_masked`).
     """
     m_extent = footprint_width
     p_extent = outputs_per_thread
@@ -91,6 +97,8 @@ def _stencil2d_ssam_block(ctx: BatchedBlockContext,
     out_x = warp_out_base + lane - (x_max - x_min)
     x_mask = (lane >= (m_extent - 1)) & (out_x < width) & (out_x >= 0)
     safe_x = clamp(out_x, 0, width - 1)
+    if margin is not None:
+        x_interior = (out_x >= margin) & (out_x < width - margin)
 
     for i in range(p_extent):
         partial = ctx.zeros()
@@ -108,6 +116,11 @@ def _stencil2d_ssam_block(ctx: BatchedBlockContext,
         out_y = block_row * p_extent + i
         mask = x_mask & (out_y < height)
         safe_y = np.minimum(out_y, height - 1)
+        if margin is not None:
+            # exterior cells pass the previous iterate through unchanged
+            passthrough = ctx.load_global(src, safe_y * width + safe_x, mask=mask)
+            interior = x_interior & (out_y >= margin) & (out_y < height - margin)
+            partial = np.where(interior, partial, passthrough)
         ctx.store_global(dst, safe_y * width + safe_x, partial, mask=mask)
 
 
@@ -126,59 +139,29 @@ def ssam_stencil2d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
     """Apply a 2-D stencil for ``iterations`` Jacobi steps with the SSAM kernel.
 
     ``keep_output=True`` returns the (partial) output even for sampled
-    runs; with ``iterations=1`` the executed blocks' outputs match a full
-    run exactly.
+    runs (see :func:`~repro.kernels.common.run_jacobi`).
     """
     grid = check_image(grid)
     if spec.dims != 2:
         raise ConfigurationError(f"stencil {spec.name!r} is not 2-D")
-    if iterations < 1:
-        raise ConfigurationError("iterations must be >= 1")
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
     if plan is None:
         plan = plan_stencil(spec, arch, prec, outputs_per_thread,
                             block_threads, block_rows)
     height, width = grid.shape
-    memory = GlobalMemory()
-    buffers = [
-        # a single step only reads its input; later steps write it
-        memory.to_device(grid, name="grid_a", dtype=prec.numpy_dtype,
-                         read_only=iterations == 1),
-        memory.allocate(grid.shape, prec, name="grid_b"),
-    ]
-    columns = build_column_groups(spec)
     x_min, _ = spec.x_range
     y_min, _ = spec.y_range
-    config = plan.launch_config(width, height)
-    merged: Optional[LaunchResult] = None
-    for step in range(iterations):
-        src, dst = buffers[step % 2], buffers[(step + 1) % 2]
-        launch = STENCIL2D_SSAM_KERNEL.launch(
-            config,
-            args=(src, dst, width, height, columns, spec.footprint_width,
-                  spec.footprint_height, plan.outputs_per_thread, x_min, y_min,
-                  plan.block_rows),
-            architecture=arch,
-            max_blocks=max_blocks,
-            batch_size=batch_size,
-        )
-        merged = launch if merged is None else merged.merged_with(launch)
-    final = buffers[iterations % 2]
-    output = final.array if (max_blocks is None or keep_output) else None
-    return KernelRunResult(
-        name="ssam",
-        output=output,
-        launch=merged,
-        parameters={
-            "stencil": spec.name,
-            "iterations": iterations,
-            "P": plan.outputs_per_thread,
-            "B": plan.block_threads,
-            "architecture": arch.name,
-            "precision": prec.name,
-        },
-    )
+    return run_jacobi(
+        STENCIL2D_SSAM_KERNEL, grid, plan.launch_config(width, height),
+        (width, height, build_column_groups(spec), spec.footprint_width,
+         spec.footprint_height, plan.outputs_per_thread, x_min, y_min,
+         plan.block_rows),
+        iterations, arch, "ssam",
+        {"stencil": spec.name, "iterations": iterations,
+         "P": plan.outputs_per_thread, "B": plan.block_threads,
+         "architecture": arch.name, "precision": prec.name},
+        max_blocks=max_blocks, batch_size=batch_size, keep_output=keep_output)
 
 
 def analytic_counters(spec: StencilSpec, width: int, height: int, plan: SSAMPlan,
@@ -202,7 +185,7 @@ def analytic_counters(spec: StencilSpec, width: int, height: int, plan: SSAMPlan
     counters.blocks_executed = blocks * iterations
     counters.warps_executed = total_warps * iterations
     counters.gmem_load += cache_rows * total_warps * iterations
-    sectors_per_row = math.ceil(32 * prec.itemsize / 128)
+    sectors_per_row = warp_sectors(plan.architecture, prec.itemsize)
     counters.gmem_load_transactions += cache_rows * total_warps * sectors_per_row * iterations
     counters.fma += p_extent * taps * total_warps * iterations
     counters.shfl += p_extent * (column_count - 1 + trailing) * total_warps * iterations

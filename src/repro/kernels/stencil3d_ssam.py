@@ -16,37 +16,33 @@ of the Figure 6 benchmarks — use the shared-memory exchange.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ..core.launch_defaults import paper_default
-from ..dtypes import resolve_precision
+from ..dtypes import Precision, resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import get_architecture
+from ..gpu.architecture import GPUArchitecture, get_architecture, warp_sectors
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
-from ..gpu.kernel import Kernel, LaunchConfig, LaunchResult
+from ..gpu.kernel import Kernel, LaunchConfig
 from ..gpu.occupancy import validate_block_threads
-from ..gpu.memory import DeviceBuffer, GlobalMemory
+from ..gpu.memory import DeviceBuffer
 from ..gpu.register_file import registers_for_cache
 from ..stencils.spec import StencilSpec
-from .common import KernelRunResult, analytic_result, check_grid3d, clamp
-from .stencil2d_ssam import ColumnGroups
+from .common import (
+    KernelRunResult,
+    analytic_result,
+    check_grid3d,
+    clamp,
+    run_jacobi,
+)
+from .stencil2d_ssam import ColumnGroups, build_column_groups
 
 #: default sliding-window depth for the 3-D kernel — the paper constant
 #: from the central resolver (kept as a named alias for existing callers)
 DEFAULT_OUTPUTS_PER_THREAD_3D = paper_default("outputs_per_thread")
-
-
-def _build_inplane_columns(spec: StencilSpec) -> ColumnGroups:
-    """Group the dz == 0 taps by x offset (same schedule as the 2-D kernel)."""
-    y_lo, _ = spec.y_range
-    groups: List[Tuple[int, Tuple[Tuple[int, float], ...]]] = []
-    for dx, points in spec.columns().items():
-        rows = tuple((p.dy - y_lo, float(p.coefficient)) for p in points)
-        groups.append((dx, rows))
-    return tuple(groups)
 
 
 def split_out_of_plane(spec: StencilSpec):
@@ -152,15 +148,47 @@ def _stencil3d_ssam_block(ctx: BatchedBlockContext,
 STENCIL3D_SSAM_KERNEL = Kernel(_stencil3d_ssam_block, name="ssam_stencil3d")
 
 
-def _grid_for(spec: StencilSpec, width: int, height: int, depth: int,
-              outputs_per_thread: int, warps_per_block: int,
-              warp_size: int = 32) -> Tuple[int, int, int]:
-    valid_x = warp_size - spec.footprint_width + 1
-    return (
-        math.ceil(width / valid_x),
-        math.ceil(height / outputs_per_thread),
-        math.ceil(depth / warps_per_block),
+class Stencil3DGeometry(NamedTuple):
+    """The resolved launch geometry of one SSAM 3-D stencil launch."""
+
+    outputs_per_thread: int
+    block_threads: int
+    warps_per_block: int
+    cache_rows: int
+    config: LaunchConfig
+
+
+def launch_geometry(spec: StencilSpec, width: int, height: int, depth: int,
+                    arch: GPUArchitecture, prec: Precision,
+                    outputs_per_thread: Optional[int] = None,
+                    block_threads: Optional[int] = None) -> Stencil3DGeometry:
+    """P and B (the paper defaults when unset), the grid, the registers, the
+    shared bytes and the memory parallelism of the 3-D kernel.
+
+    The kernel wrapper, the closed-form profile and the Section 5 model all
+    take their launch from here, so they cannot disagree.
+    """
+    if outputs_per_thread is None:
+        outputs_per_thread = DEFAULT_OUTPUTS_PER_THREAD_3D
+    if block_threads is None:
+        block_threads = paper_default("block_threads")
+    validate_block_threads(arch, block_threads)
+    warps_per_block = block_threads // arch.warp_size
+    cache_rows = spec.footprint_height + outputs_per_thread - 1
+    valid_x = arch.warp_size - spec.footprint_width + 1
+    config = LaunchConfig(
+        grid_dim=(math.ceil(width / valid_x),
+                  math.ceil(height / outputs_per_thread),
+                  math.ceil(depth / warps_per_block)),
+        block_threads=block_threads,
+        registers_per_thread=registers_for_cache(cache_rows, outputs_per_thread, prec) + 8,
+        shared_bytes_per_block=warps_per_block * outputs_per_thread * arch.warp_size
+        * prec.itemsize,
+        precision=prec,
+        memory_parallelism=float(cache_rows),
     )
+    return Stencil3DGeometry(outputs_per_thread, block_threads, warps_per_block,
+                             cache_rows, config)
 
 
 def ssam_stencil3d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
@@ -173,68 +201,29 @@ def ssam_stencil3d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
     """Apply a 3-D stencil for ``iterations`` Jacobi steps with the SSAM kernel.
 
     ``keep_output=True`` returns the (partial) output even for sampled
-    runs; with ``iterations=1`` the executed blocks' outputs match a full
-    run exactly.
+    runs (see :func:`~repro.kernels.common.run_jacobi`).
     """
     grid = check_grid3d(grid)
     if spec.dims != 3:
         raise ConfigurationError(f"stencil {spec.name!r} is not 3-D")
-    if iterations < 1:
-        raise ConfigurationError("iterations must be >= 1")
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    if outputs_per_thread is None:
-        outputs_per_thread = DEFAULT_OUTPUTS_PER_THREAD_3D
-    if block_threads is None:
-        block_threads = paper_default("block_threads")
-    validate_block_threads(arch, block_threads)
     depth, height, width = grid.shape
-    warps_per_block = block_threads // arch.warp_size
-    columns = _build_inplane_columns(spec)
+    geometry = launch_geometry(spec, width, height, depth, arch, prec,
+                               outputs_per_thread, block_threads)
     axial, general = split_out_of_plane(spec)
     x_min, x_max = spec.x_range
     y_min, _ = spec.y_range
-    cache_rows = spec.footprint_height + outputs_per_thread - 1
-    config = LaunchConfig(
-        grid_dim=_grid_for(spec, width, height, depth, outputs_per_thread,
-                           warps_per_block, arch.warp_size),
-        block_threads=block_threads,
-        registers_per_thread=registers_for_cache(cache_rows, outputs_per_thread, prec) + 8,
-        shared_bytes_per_block=warps_per_block * outputs_per_thread * arch.warp_size
-        * prec.itemsize,
-        precision=prec,
-        memory_parallelism=float(cache_rows),
-    )
-    memory = GlobalMemory()
-    buffers = [
-        # a single step only reads its input; later steps write it
-        memory.to_device(grid, name="grid_a", dtype=prec.numpy_dtype,
-                         read_only=iterations == 1),
-        memory.allocate(grid.shape, prec, name="grid_b"),
-    ]
-    merged: Optional[LaunchResult] = None
-    for step in range(iterations):
-        src, dst = buffers[step % 2], buffers[(step + 1) % 2]
-        launch = STENCIL3D_SSAM_KERNEL.launch(
-            config,
-            args=(src, dst, width, height, depth, columns, axial, general,
-                  spec.footprint_width, spec.footprint_height, outputs_per_thread,
-                  x_min, x_max, y_min),
-            architecture=arch,
-            max_blocks=max_blocks,
-            batch_size=batch_size,
-        )
-        merged = launch if merged is None else merged.merged_with(launch)
-    final = buffers[iterations % 2]
-    output = final.array if (max_blocks is None or keep_output) else None
-    return KernelRunResult(
-        name="ssam",
-        output=output,
-        launch=merged,
-        parameters={"stencil": spec.name, "iterations": iterations,
-                    "P": outputs_per_thread, "B": block_threads,
-                    "architecture": arch.name, "precision": prec.name},
-    )
+    return run_jacobi(
+        STENCIL3D_SSAM_KERNEL, grid, geometry.config,
+        (width, height, depth, build_column_groups(spec), axial, general,
+         spec.footprint_width, spec.footprint_height,
+         geometry.outputs_per_thread, x_min, x_max, y_min),
+        iterations, arch, "ssam",
+        {"stencil": spec.name, "iterations": iterations,
+         "P": geometry.outputs_per_thread, "B": geometry.block_threads,
+         "architecture": arch.name, "precision": prec.name},
+        max_blocks=max_blocks, batch_size=batch_size, keep_output=keep_output)
 
 
 def analytic_counters(spec: StencilSpec, width: int, height: int, depth: int,
@@ -245,14 +234,12 @@ def analytic_counters(spec: StencilSpec, width: int, height: int, depth: int,
     """Closed-form instruction/traffic profile of the SSAM 3-D stencil."""
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    if outputs_per_thread is None:
-        outputs_per_thread = DEFAULT_OUTPUTS_PER_THREAD_3D
-    if block_threads is None:
-        block_threads = paper_default("block_threads")
-    warps_per_block = block_threads // arch.warp_size
-    p_extent = outputs_per_thread
-    cache_rows = spec.footprint_height + p_extent - 1
-    grid = _grid_for(spec, width, height, depth, p_extent, warps_per_block, arch.warp_size)
+    geometry = launch_geometry(spec, width, height, depth, arch, prec,
+                               outputs_per_thread, block_threads)
+    p_extent = geometry.outputs_per_thread
+    cache_rows = geometry.cache_rows
+    warps_per_block = geometry.warps_per_block
+    grid = geometry.config.grid_dim
     blocks = grid[0] * grid[1] * grid[2]
     total_warps = blocks * warps_per_block
     columns = spec.columns()
@@ -263,7 +250,7 @@ def analytic_counters(spec: StencilSpec, width: int, height: int, depth: int,
     counters = KernelCounters()
     counters.blocks_executed = blocks * iterations
     counters.warps_executed = total_warps * iterations
-    sectors_per_row = math.ceil(32 * prec.itemsize / 128)
+    sectors_per_row = warp_sectors(arch, prec.itemsize)
 
     counters.gmem_load += cache_rows * total_warps * iterations
     counters.gmem_load_transactions += cache_rows * total_warps * sectors_per_row * iterations
@@ -293,27 +280,13 @@ def analytic_launch(spec: StencilSpec, width: int, height: int, depth: int,
     """Paper-scale cost estimate of the SSAM 3-D stencil without execution."""
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    if outputs_per_thread is None:
-        outputs_per_thread = DEFAULT_OUTPUTS_PER_THREAD_3D
-    if block_threads is None:
-        block_threads = paper_default("block_threads")
-    validate_block_threads(arch, block_threads)
-    warps_per_block = block_threads // arch.warp_size
-    cache_rows = spec.footprint_height + outputs_per_thread - 1
+    geometry = launch_geometry(spec, width, height, depth, arch, prec,
+                               outputs_per_thread, block_threads)
     counters = analytic_counters(spec, width, height, depth, arch, prec,
-                                 outputs_per_thread, block_threads, iterations)
-    config = LaunchConfig(
-        grid_dim=_grid_for(spec, width, height, depth, outputs_per_thread,
-                           warps_per_block, arch.warp_size),
-        block_threads=block_threads,
-        registers_per_thread=registers_for_cache(cache_rows, outputs_per_thread, prec) + 8,
-        shared_bytes_per_block=warps_per_block * outputs_per_thread * arch.warp_size
-        * prec.itemsize,
-        precision=prec,
-        memory_parallelism=float(cache_rows),
-    )
+                                 geometry.outputs_per_thread, geometry.block_threads,
+                                 iterations)
     parameters = {"stencil": spec.name, "width": width, "height": height,
                   "depth": depth, "iterations": iterations,
                   "architecture": arch.name, "precision": prec.name, "analytic": True}
-    return analytic_result("ssam", counters, config, arch, parameters,
+    return analytic_result("ssam", counters, geometry.config, arch, parameters,
                            kernel_name="ssam_stencil3d_analytic")

@@ -3,9 +3,10 @@
 Importing this module (which :mod:`repro.scenarios` does on package import)
 populates the registry with every implementation the paper evaluates.  Each
 registration is the single place a kernel is wired up — spec builder,
-workload builder, planner, runner, CPU oracle and supported envelope — and
-is everything needed for the kernel to appear in sweeps and in the
-auto-generated differential test matrix.
+workload builder, planner, one evaluator per engine (the ``runner`` that
+executes it, its closed-form ``analytic`` entry, its ``model``), CPU oracle
+and supported envelope — and is everything needed for the kernel to appear
+in sweeps and in the auto-generated differential test matrix.
 
 The named problem sizes deliberately produce partial blocks on every grid
 edge (domains indivisible by the tile extents) so functional runs exercise
@@ -25,17 +26,25 @@ import numpy as np
 
 from ..baselines.conv2d import (
     arrayfire_like_convolve2d,
+    arrayfire_like_convolve2d_analytic,
     cudnn_like_convolve2d,
+    cudnn_like_convolve2d_analytic,
     cufft_like_convolve2d,
+    cufft_like_convolve2d_analytic,
     halide_like_convolve2d,
+    halide_like_convolve2d_analytic,
     npp_like_convolve2d,
+    npp_like_convolve2d_analytic,
 )
 from ..baselines.stencil2d import (
     halide_like_stencil2d,
+    halide_like_stencil2d_analytic,
     original_stencil2d,
+    original_stencil2d_analytic,
     ppcg_like_stencil2d,
+    ppcg_like_stencil2d_analytic,
 )
-from ..baselines.stencil3d import original_stencil3d
+from ..baselines.stencil3d import original_stencil3d, original_stencil3d_analytic
 from ..convolution.spec import ConvolutionSpec
 from ..core.performance_model import (
     model_convolution1d,
@@ -207,12 +216,9 @@ register(Scenario(
 
 
 def _run_conv2d(spec, workload, params, architecture, precision, engine):
-    overrides = _plan_overrides(params)
-    if engine == "analytic":
-        return conv2d_analytic_launch(spec, params["width"], params["height"],
-                                      architecture, precision, **overrides)
     return ssam_convolve2d(workload, spec, architecture, precision,
-                           batch_size=ENGINE_BATCH_SIZE[engine], **overrides)
+                           batch_size=ENGINE_BATCH_SIZE[engine],
+                           **_plan_overrides(params))
 
 
 register(Scenario(
@@ -227,6 +233,9 @@ register(Scenario(
     planner=lambda spec, params, architecture, precision: plan_convolution(
         spec, architecture, precision, **_plan_args(params)),
     oracle=lambda spec, workload, params: spec.reference(workload),
+    analytic=lambda spec, params, architecture, precision: conv2d_analytic_launch(
+        spec, params["width"], params["height"], architecture, precision,
+        **_plan_overrides(params)),
     model=lambda spec, params, architecture, precision: model_convolution2d(
         spec, params["width"], params["height"], architecture, precision,
         **_plan_overrides(params)),
@@ -240,62 +249,65 @@ register(Scenario(
 
 
 def _run_stencil2d(spec, workload, params, architecture, precision, engine):
-    iterations = params.get("iterations", 1)
-    overrides = _plan_overrides(params)
-    if engine == "analytic":
-        return stencil2d_analytic_launch(spec, params["width"], params["height"],
-                                         iterations, architecture, precision,
-                                         **overrides)
-    return ssam_stencil2d(workload, spec, iterations, architecture, precision,
-                          batch_size=ENGINE_BATCH_SIZE[engine], **overrides)
+    return ssam_stencil2d(workload, spec, params.get("iterations", 1),
+                          architecture, precision,
+                          batch_size=ENGINE_BATCH_SIZE[engine],
+                          **_plan_overrides(params))
 
 
-register(Scenario(
-    name="stencil2d",
-    family="stencil",
-    dims=2,
-    role="ssam",
-    runner=_run_stencil2d,
-    spec_builder=lambda params: get_stencil(params["stencil"]),
-    workload_builder=lambda params, precision: random_image(
-        params["width"], params["height"], precision, seed=params["height"]),
-    planner=lambda spec, params, architecture, precision: plan_stencil(
-        spec, architecture, precision, **_plan_args(params)),
-    oracle=lambda spec, workload, params: spec.reference(
-        workload, iterations=params.get("iterations", 1)),
-    model=lambda spec, params, architecture, precision: model_stencil2d(
-        spec, params["width"], params["height"],
-        params.get("iterations", 1), architecture, precision,
-        **_plan_overrides(params)),
-    tunables=TUNABLES_2D,
-    sizes=_STENCIL2D_SIZES,
-    architectures=ALL_ARCHITECTURES,
-    precisions=BOTH_PRECISIONS,
-    engines=SSAM_ALL_ENGINES,
-    description="SSAM 2-D stencil (Listing 2, generalised)",
-))
-
-
-def _run_stencil3d(spec, workload, params, architecture, precision, engine):
-    iterations = params.get("iterations", 1)
-    overrides = _plan_overrides(params)
-    if engine == "analytic":
-        return stencil3d_analytic_launch(spec, params["width"], params["height"],
-                                         params["depth"], iterations,
-                                         architecture, precision, **overrides)
-    return ssam_stencil3d(workload, spec, iterations, architecture, precision,
-                          batch_size=ENGINE_BATCH_SIZE[engine], **overrides)
-
-
-def _plan_stencil3d(spec, params, architecture, precision):
-    """In-plane register-cache plan of the 3-D kernel.
+def _plan_stencil(spec, params, architecture, precision):
+    """Register-cache plan of a stencil kernel.
 
     The 3-D kernel keeps a few extra bookkeeping registers on top of the
     in-plane C = N + P - 1 cache, but its sliding window and blocking follow
     the same arithmetic, so the in-plane plan is the identity the tuner and
-    the cache key reason about.
+    the cache key reason about for it too.
     """
     return plan_stencil(spec, architecture, precision, **_plan_args(params))
+
+
+def _model_stencil2d(spec, params, architecture, precision):
+    return model_stencil2d(spec, params["width"], params["height"],
+                           params.get("iterations", 1), architecture, precision,
+                           **_plan_overrides(params))
+
+
+def _register_stencil2d(name: str, sizes, description: str) -> None:
+    """One SSAM 2-D stencil scenario (the paper kernel and its variants)."""
+    register(Scenario(
+        name=name,
+        family="stencil",
+        dims=2,
+        role="ssam",
+        runner=_run_stencil2d,
+        spec_builder=lambda params: get_stencil(params["stencil"]),
+        workload_builder=lambda params, precision: random_image(
+            params["width"], params["height"], precision, seed=params["height"]),
+        planner=_plan_stencil,
+        oracle=lambda spec, workload, params: spec.reference(
+            workload, iterations=params.get("iterations", 1)),
+        analytic=lambda spec, params, architecture, precision: stencil2d_analytic_launch(
+            spec, params["width"], params["height"], params.get("iterations", 1),
+            architecture, precision, **_plan_overrides(params)),
+        model=_model_stencil2d,
+        tunables=TUNABLES_2D,
+        sizes=sizes,
+        architectures=ALL_ARCHITECTURES,
+        precisions=BOTH_PRECISIONS,
+        engines=SSAM_ALL_ENGINES,
+        description=description,
+    ))
+
+
+_register_stencil2d("stencil2d", _STENCIL2D_SIZES,
+                    "SSAM 2-D stencil (Listing 2, generalised)")
+
+
+def _run_stencil3d(spec, workload, params, architecture, precision, engine):
+    return ssam_stencil3d(workload, spec, params.get("iterations", 1),
+                          architecture, precision,
+                          batch_size=ENGINE_BATCH_SIZE[engine],
+                          **_plan_overrides(params))
 
 
 register(Scenario(
@@ -308,9 +320,13 @@ register(Scenario(
     workload_builder=lambda params, precision: random_grid_3d(
         params["width"], params["height"], params["depth"], precision,
         seed=params["depth"]),
-    planner=_plan_stencil3d,
+    planner=_plan_stencil,
     oracle=lambda spec, workload, params: spec.reference(
         workload, iterations=params.get("iterations", 1)),
+    analytic=lambda spec, params, architecture, precision: stencil3d_analytic_launch(
+        spec, params["width"], params["height"], params["depth"],
+        params.get("iterations", 1), architecture, precision,
+        **_plan_overrides(params)),
     model=lambda spec, params, architecture, precision: model_stencil3d(
         spec, params["width"], params["height"], params["depth"],
         params.get("iterations", 1), architecture, precision,
@@ -381,30 +397,7 @@ for _name, _stencil, _description in (
     ("stencil2d-varcoef", "2dv9pt",
      "SSAM variable-coefficient 9-point stencil (no foldable symmetric taps)"),
 ):
-    register(Scenario(
-        name=_name,
-        family="stencil",
-        dims=2,
-        role="ssam",
-        runner=_run_stencil2d,
-        spec_builder=lambda params: get_stencil(params["stencil"]),
-        workload_builder=lambda params, precision: random_image(
-            params["width"], params["height"], precision, seed=params["height"]),
-        planner=lambda spec, params, architecture, precision: plan_stencil(
-            spec, architecture, precision, **_plan_args(params)),
-        oracle=lambda spec, workload, params: spec.reference(
-            workload, iterations=params.get("iterations", 1)),
-        model=lambda spec, params, architecture, precision: model_stencil2d(
-            spec, params["width"], params["height"],
-            params.get("iterations", 1), architecture, precision,
-            **_plan_overrides(params)),
-        tunables=TUNABLES_2D,
-        sizes=_stencil2d_variant_sizes(_stencil),
-        architectures=ALL_ARCHITECTURES,
-        precisions=BOTH_PRECISIONS,
-        engines=SSAM_ALL_ENGINES,
-        description=_description,
-    ))
+    _register_stencil2d(_name, _stencil2d_variant_sizes(_stencil), _description)
 
 
 def _run_stencil2d_masked(spec, workload, params, architecture, precision, engine):
@@ -424,18 +417,14 @@ register(Scenario(
     spec_builder=lambda params: get_stencil(params["stencil"]),
     workload_builder=lambda params, precision: random_image(
         params["width"], params["height"], precision, seed=params["height"]),
-    planner=lambda spec, params, architecture, precision: plan_stencil(
-        spec, architecture, precision, **_plan_args(params)),
+    planner=_plan_stencil,
     oracle=lambda spec, workload, params: masked_reference(
         workload, spec, iterations=params.get("iterations", 1),
         margin=params.get("margin", 2)),
     # the interior-select adds a passthrough load per output row but keeps
     # the register-cache schedule, so the plain stencil model is the
     # closed-form prediction (no analytic counter profile is registered)
-    model=lambda spec, params, architecture, precision: model_stencil2d(
-        spec, params["width"], params["height"],
-        params.get("iterations", 1), architecture, precision,
-        **_plan_overrides(params)),
+    model=_model_stencil2d,
     tunables=TUNABLES_2D,
     sizes={
         "tiny": {"stencil": "2d5pt", "width": 49, "height": 37,
@@ -508,49 +497,28 @@ register(Scenario(
 # convolution baselines (the Figure 4 competitors)
 # ---------------------------------------------------------------------------
 
-def _conv2d_baseline_runner(fn):
-    def run(spec, workload, params, architecture, precision, engine):
-        if engine == "analytic":
-            return fn(None, spec, architecture, precision, functional=False,
-                      width=params["width"], height=params["height"])
-        return fn(workload, spec, architecture, precision,
-                  batch_size=ENGINE_BATCH_SIZE[engine])
-    return run
-
-
-def _conv2d_analytic_only_runner(fn):
-    def run(spec, workload, params, architecture, precision, engine):
-        return fn(None, spec, architecture, precision, functional=False,
-                  width=params["width"], height=params["height"])
-    return run
-
-
-def _model_conv2d_shared(label: str):
-    """Section 5 shared-memory-scheme model of a convolution baseline."""
-    def model(spec, params, architecture, precision):
-        return model_shared_memory_2d(
-            spec.taps, spec.filter_width - 1, spec.filter_height - 1,
-            params["width"], params["height"], 1, architecture, precision,
-            weights_in_shared=True, kernel_name=f"{label}_conv2d_model",
-            extra_parameters={"baseline": label})
-    return model
-
-
-def _register_conv2d_baseline(label: str, fn, engines) -> None:
+def _register_conv2d_baseline(label: str, fn, analytic, engines) -> None:
     functional = "batched" in engines
     register(Scenario(
         name=f"conv2d-{label}",
         family="convolution",
         dims=2,
         role="baseline",
-        runner=(_conv2d_baseline_runner(fn) if functional
-                else _conv2d_analytic_only_runner(fn)),
+        runner=(lambda spec, workload, params, architecture, precision, engine: fn(
+            workload, spec, architecture, precision,
+            batch_size=ENGINE_BATCH_SIZE[engine])) if functional else None,
         spec_builder=lambda params: ConvolutionSpec.gaussian(params["filter"]),
         workload_builder=lambda params, precision: random_image(
             params["width"], params["height"], precision, seed=params["width"]),
         oracle=(lambda spec, workload, params: spec.reference(workload))
         if functional else None,
-        model=_model_conv2d_shared(label),
+        analytic=lambda spec, params, architecture, precision: analytic(
+            spec, params["width"], params["height"], architecture, precision),
+        model=lambda spec, params, architecture, precision: model_shared_memory_2d(
+            spec.taps, spec.filter_width - 1, spec.filter_height - 1,
+            params["width"], params["height"], 1, architecture, precision,
+            weights_in_shared=True, kernel_name=f"{label}_conv2d_model",
+            extra_parameters={"baseline": label}),
         sizes=_CONV2D_SIZES,
         architectures=BASELINE_ARCHITECTURES,
         precisions=BOTH_PRECISIONS,
@@ -559,72 +527,59 @@ def _register_conv2d_baseline(label: str, fn, engines) -> None:
     ))
 
 
-_register_conv2d_baseline("npp", npp_like_convolve2d, ALL_ENGINES)
-_register_conv2d_baseline("arrayfire", arrayfire_like_convolve2d, ALL_ENGINES)
-_register_conv2d_baseline("halide", halide_like_convolve2d, ALL_ENGINES)
-_register_conv2d_baseline("cudnn", cudnn_like_convolve2d, ("analytic", "model"))
-_register_conv2d_baseline("cufft", cufft_like_convolve2d, ("analytic", "model"))
+_register_conv2d_baseline("npp", npp_like_convolve2d,
+                          npp_like_convolve2d_analytic, ALL_ENGINES)
+_register_conv2d_baseline("arrayfire", arrayfire_like_convolve2d,
+                          arrayfire_like_convolve2d_analytic, ALL_ENGINES)
+_register_conv2d_baseline("halide", halide_like_convolve2d,
+                          halide_like_convolve2d_analytic, ALL_ENGINES)
+_register_conv2d_baseline("cudnn", cudnn_like_convolve2d,
+                          cudnn_like_convolve2d_analytic, ("analytic", "model"))
+_register_conv2d_baseline("cufft", cufft_like_convolve2d,
+                          cufft_like_convolve2d_analytic, ("analytic", "model"))
 
 
 # ---------------------------------------------------------------------------
 # stencil baselines (the Figure 5 competitors with functional kernels)
 # ---------------------------------------------------------------------------
 
-def _stencil2d_baseline_runner(fn):
-    def run(spec, workload, params, architecture, precision, engine):
-        iterations = params.get("iterations", 1)
-        if engine == "analytic":
-            return fn(None, spec, iterations, architecture, precision,
-                      functional=False, width=params["width"],
-                      height=params["height"])
-        return fn(workload, spec, iterations, architecture, precision,
-                  batch_size=ENGINE_BATCH_SIZE[engine])
-    return run
-
-
-def _model_stencil2d_shared(label: str):
-    """Section 5 shared-memory-scheme model of a 2-D stencil baseline."""
-    def model(spec, params, architecture, precision):
-        return model_shared_memory_2d(
-            spec.num_points, spec.footprint_width - 1, spec.footprint_height - 1,
-            params["width"], params["height"], params.get("iterations", 1),
-            architecture, precision, weights_in_shared=False,
-            kernel_name=f"{label}_stencil2d_model",
-            extra_parameters={"baseline": label})
-    return model
-
-
-for _label, _fn in (("original", original_stencil2d),
-                    ("ppcg", ppcg_like_stencil2d),
-                    ("halide", halide_like_stencil2d)):
+def _register_stencil2d_baseline(label: str, fn, analytic) -> None:
     register(Scenario(
-        name=f"stencil2d-{_label}",
+        name=f"stencil2d-{label}",
         family="stencil",
         dims=2,
         role="baseline",
-        runner=_stencil2d_baseline_runner(_fn),
+        runner=lambda spec, workload, params, architecture, precision, engine: fn(
+            workload, spec, params.get("iterations", 1), architecture, precision,
+            batch_size=ENGINE_BATCH_SIZE[engine]),
         spec_builder=lambda params: get_stencil(params["stencil"]),
         workload_builder=lambda params, precision: random_image(
             params["width"], params["height"], precision, seed=params["height"]),
         oracle=lambda spec, workload, params: spec.reference(
             workload, iterations=params.get("iterations", 1)),
-        model=_model_stencil2d_shared(_label),
+        analytic=lambda spec, params, architecture, precision: analytic(
+            spec, params["width"], params["height"], params.get("iterations", 1),
+            architecture, precision),
+        model=lambda spec, params, architecture, precision: model_shared_memory_2d(
+            spec.num_points, spec.footprint_width - 1, spec.footprint_height - 1,
+            params["width"], params["height"], params.get("iterations", 1),
+            architecture, precision, weights_in_shared=False,
+            kernel_name=f"{label}_stencil2d_model",
+            extra_parameters={"baseline": label}),
         sizes=_STENCIL2D_SIZES,
         architectures=BASELINE_ARCHITECTURES,
         precisions=BOTH_PRECISIONS,
         engines=ALL_ENGINES,
-        description=f"{_label} 2-D stencil baseline",
+        description=f"{label} 2-D stencil baseline",
     ))
 
 
-def _run_stencil3d_original(spec, workload, params, architecture, precision, engine):
-    iterations = params.get("iterations", 1)
-    if engine == "analytic":
-        return original_stencil3d(None, spec, iterations, architecture, precision,
-                                  functional=False, width=params["width"],
-                                  height=params["height"], depth=params["depth"])
-    return original_stencil3d(workload, spec, iterations, architecture, precision,
-                              batch_size=ENGINE_BATCH_SIZE[engine])
+_register_stencil2d_baseline("original", original_stencil2d,
+                             original_stencil2d_analytic)
+_register_stencil2d_baseline("ppcg", ppcg_like_stencil2d,
+                             ppcg_like_stencil2d_analytic)
+_register_stencil2d_baseline("halide", halide_like_stencil2d,
+                             halide_like_stencil2d_analytic)
 
 
 register(Scenario(
@@ -632,13 +587,19 @@ register(Scenario(
     family="stencil",
     dims=3,
     role="baseline",
-    runner=_run_stencil3d_original,
+    runner=lambda spec, workload, params, architecture, precision, engine: (
+        original_stencil3d(workload, spec, params.get("iterations", 1),
+                           architecture, precision,
+                           batch_size=ENGINE_BATCH_SIZE[engine])),
     spec_builder=lambda params: get_stencil(params["stencil"]),
     workload_builder=lambda params, precision: random_grid_3d(
         params["width"], params["height"], params["depth"], precision,
         seed=params["depth"]),
     oracle=lambda spec, workload, params: spec.reference(
         workload, iterations=params.get("iterations", 1)),
+    analytic=lambda spec, params, architecture, precision: original_stencil3d_analytic(
+        spec, params["width"], params["height"], params["depth"],
+        params.get("iterations", 1), architecture, precision),
     model=lambda spec, params, architecture, precision: model_naive_3d(
         spec.num_points, params["width"], params["height"], params["depth"],
         params.get("iterations", 1), architecture, precision,

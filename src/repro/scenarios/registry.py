@@ -2,9 +2,10 @@
 
 A :class:`Scenario` bundles everything the rest of the repository needs to
 exercise one implementation — a spec builder, a workload builder, a planner,
-a runner entry point, a CPU oracle and the supported
-(architecture x precision x engine) envelope.  Registering a scenario makes
-it visible to three consumers at once:
+one evaluator per engine (a runner that executes the kernel, its
+closed-form ``analytic`` entry, its Section 5 ``model``), a CPU oracle and
+the supported (architecture x precision x engine) envelope.  Registering a
+scenario makes it visible to three consumers at once:
 
 * the sweep engine (:mod:`repro.scenarios.sweep`), which expands declarative
   Cartesian matrices over the registry into cached simulation jobs;
@@ -41,6 +42,10 @@ NON_EXECUTING_ENGINES: Tuple[str, ...] = ("analytic", "model")
 
 #: how each functional engine maps onto the kernels' ``batch_size`` parameter
 ENGINE_BATCH_SIZE: Dict[str, object] = {"batched": "auto", "replay": "replay"}
+
+#: the :class:`Scenario` field that evaluates each engine
+ENGINE_EVALUATOR: Dict[str, str] = {"batched": "runner", "replay": "runner",
+                                    "analytic": "analytic", "model": "model"}
 
 #: the launch parameters a scenario may declare tunable: the sliding-window
 #: depth P and the CUDA block size B of Section 7.1's design-space study,
@@ -140,7 +145,9 @@ class Scenario:
         Dimensionality of the problem domain (1, 2 or 3).
     runner:
         ``runner(spec, workload, params, architecture, precision, engine)``
-        returning a :class:`~repro.kernels.KernelRunResult`.
+        executing the kernel on ``workload`` and returning a
+        :class:`~repro.kernels.KernelRunResult`; required when
+        ``"batched"`` or ``"replay"`` appears in ``engines``.
     sizes:
         Named problem sizes; each value is the parameter mapping handed to
         the builders and the runner.  A size may restrict the engines it is
@@ -163,6 +170,11 @@ class Scenario:
         Optional ``oracle(spec, workload, params)`` returning the ground-truth
         output on the host; scenarios without one (analytic-only baselines)
         are excluded from functional validation.
+    analytic:
+        Optional ``analytic(spec, params, architecture, precision)``
+        returning the kernel's closed-form instruction/traffic profile (its
+        ``..._analytic`` or ``analytic_launch`` entry); required when
+        ``"analytic"`` appears in ``engines``.
     model:
         Optional ``model(spec, params, architecture, precision)`` returning a
         :class:`~repro.kernels.KernelRunResult` predicted by the Section 5
@@ -170,7 +182,7 @@ class Scenario:
         required when ``"model"`` appears in ``engines``.
     tunables:
         The launch parameters this scenario accepts as overrides (subset of
-        :data:`TUNABLE_PARAMETERS`).  A tunable scenario's runner, model and
+        :data:`TUNABLE_PARAMETERS`).  A tunable scenario's evaluators and
         planner all read the overrides from the parameter mapping they are
         handed (the registry merges a case's ``plan_kwargs`` into the size
         parameters), so the whole Section 7.1 design space flows through one
@@ -180,16 +192,17 @@ class Scenario:
     name: str
     family: str
     dims: int
-    runner: Callable[..., object]
     sizes: Mapping[str, Mapping[str, object]]
     architectures: Tuple[str, ...]
     precisions: Tuple[str, ...]
     engines: Tuple[str, ...]
     role: str = "ssam"
+    runner: Optional[Callable[..., object]] = None
     spec_builder: Optional[Callable[..., object]] = None
     workload_builder: Optional[Callable[..., np.ndarray]] = None
     planner: Optional[Callable[..., object]] = None
     oracle: Optional[Callable[..., np.ndarray]] = None
+    analytic: Optional[Callable[..., object]] = None
     model: Optional[Callable[..., object]] = None
     tunables: Tuple[str, ...] = ()
     description: str = ""
@@ -204,10 +217,11 @@ class Scenario:
                 raise ConfigurationError(
                     f"scenario {self.name!r} declares unknown engine {engine!r}; "
                     f"expected one of {ENGINES}")
-        if "model" in self.engines and self.model is None:
-            raise ConfigurationError(
-                f"scenario {self.name!r} declares the 'model' engine but "
-                f"provides no model evaluator")
+            evaluator = ENGINE_EVALUATOR[engine]
+            if getattr(self, evaluator) is None:
+                raise ConfigurationError(
+                    f"scenario {self.name!r} declares the {engine!r} engine but "
+                    f"provides no {evaluator} evaluator")
         for tunable in self.tunables:
             if tunable not in TUNABLE_PARAMETERS:
                 raise ConfigurationError(
@@ -365,8 +379,8 @@ class Scenario:
         """Low-level entry point: run with explicit spec/workload/params.
 
         ``plan_kwargs`` (validated against the tunable envelope) is merged
-        into the parameter mapping handed to the runner or model, which
-        thread the overrides into the kernel entry points.
+        into the parameter mapping handed to the engine's evaluator, which
+        threads the overrides into the kernel entry points.
         """
         if engine not in self.engines:
             raise ConfigurationError(
@@ -377,6 +391,8 @@ class Scenario:
         params = self.resolve_tunable_defaults(params, architecture, precision)
         if engine == "model":
             return self.model(spec, params, architecture, precision)
+        if engine == "analytic":
+            return self.analytic(spec, params, architecture, precision)
         return self.runner(spec, workload, params, architecture,
                            precision, engine)
 

@@ -6,12 +6,18 @@ import pytest
 from repro.baselines import (
     ARRAYFIRE_MAX_FILTER,
     arrayfire_like_convolve2d,
+    arrayfire_like_convolve2d_analytic,
     cudnn_like_convolve2d,
+    cudnn_like_convolve2d_analytic,
     cufft_like_convolve2d,
+    cufft_like_convolve2d_analytic,
     halide_like_convolve2d,
+    halide_like_convolve2d_analytic,
     halide_like_stencil2d,
     npp_like_convolve2d,
+    npp_like_convolve2d_analytic,
     original_stencil2d,
+    original_stencil2d_analytic,
     original_stencil3d,
     ppcg_like_stencil2d,
     published_reference,
@@ -67,31 +73,25 @@ def test_arrayfire_filter_size_limit_enforced():
     assert ARRAYFIRE_MAX_FILTER == 16
 
 
-def test_analytic_paths_require_dimensions():
-    spec = ConvolutionSpec.gaussian(5)
-    with pytest.raises(ConfigurationError):
-        npp_like_convolve2d(None, spec, functional=False)
-
-
 # --- convolution baselines: paper-scale cost shape (Figure 4 claims) ------------------
 
 def _fig4_times(architecture, size):
     spec = ConvolutionSpec.gaussian(size)
-    kwargs = dict(functional=False, width=8192, height=8192)
     from repro.kernels.conv2d_ssam import analytic_launch
 
     times = {
         "ssam": analytic_launch(spec, 8192, 8192, architecture).milliseconds,
-        "npp": npp_like_convolve2d(None, spec, architecture, **kwargs).milliseconds,
-        "halide": halide_like_convolve2d(None, spec, architecture, **kwargs).milliseconds,
-        "cudnn": cudnn_like_convolve2d(None, spec, architecture, functional=False,
-                                       width=8192, height=8192).milliseconds,
-        "cufft": cufft_like_convolve2d(None, spec, architecture, functional=False,
-                                       width=8192, height=8192).milliseconds,
+        "npp": npp_like_convolve2d_analytic(spec, 8192, 8192, architecture).milliseconds,
+        "halide": halide_like_convolve2d_analytic(spec, 8192, 8192,
+                                                  architecture).milliseconds,
+        "cudnn": cudnn_like_convolve2d_analytic(spec, 8192, 8192,
+                                                architecture).milliseconds,
+        "cufft": cufft_like_convolve2d_analytic(spec, 8192, 8192,
+                                                architecture).milliseconds,
     }
     if size <= ARRAYFIRE_MAX_FILTER:
-        times["arrayfire"] = arrayfire_like_convolve2d(None, spec, architecture,
-                                                       **kwargs).milliseconds
+        times["arrayfire"] = arrayfire_like_convolve2d_analytic(
+            spec, 8192, 8192, architecture).milliseconds
     return times
 
 
@@ -162,6 +162,16 @@ def test_stencil_baselines_reject_wrong_dimensionality():
         original_stencil3d(random_grid_3d(8, 8, 8), get_stencil("2d5pt"))
 
 
+@pytest.mark.parametrize("impl", [original_stencil2d, ppcg_like_stencil2d,
+                                  halide_like_stencil2d, original_stencil3d])
+def test_stencil_baselines_reject_zero_iterations(impl):
+    # no step would run, so there would be no launch to report
+    grid, stencil = ((random_grid_3d(8, 8, 8), "3d7pt") if impl is original_stencil3d
+                     else (random_image(16, 16), "2d5pt"))
+    with pytest.raises(ConfigurationError, match="iterations"):
+        impl(grid, get_stencil(stencil), iterations=0)
+
+
 @pytest.mark.parametrize("architecture", ["p100", "v100"])
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 @pytest.mark.parametrize("name", ["2d5pt", "2d9pt"])
@@ -170,8 +180,8 @@ def test_ssam_beats_naive_stencil_at_paper_scale(architecture, precision, name):
 
     spec = get_stencil(name)
     ssam = analytic_launch(spec, 8192, 8192, 1, architecture, precision).seconds
-    naive = original_stencil2d(None, spec, 1, architecture, precision, functional=False,
-                               width=8192, height=8192).seconds
+    naive = original_stencil2d_analytic(spec, 8192, 8192, 1, architecture,
+                                        precision).seconds
     assert naive / ssam > 1.3
 
 

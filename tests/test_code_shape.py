@@ -15,6 +15,10 @@
   in ``repro.gpu.warp.lane_shift`` (no ``[..., :ws - amount]`` slices in
   the engines) and global stores write buffers only in
   ``repro.gpu.memory.scatter_global``.
+* One Jacobi driver: iterated stencils ping-pong and merge their launches
+  only in ``repro.kernels.common.run_jacobi`` (the convolution chain merges
+  its passes itself), and no kernel or baseline entry takes a
+  ``functional`` knob — a closed-form cost has its own entry.
 """
 
 from __future__ import annotations
@@ -96,22 +100,30 @@ def test_counter_rule_guard_sees_the_rules():
     assert COUNTER_RULES <= used
 
 
+def _callers_in(tree: ast.Module, names: set) -> set:
+    """Functions of ``tree`` that call one of ``names``; calls in a nested
+    function count for its top-level function or method."""
+    found = set()
+    for name, func in _functions(tree):
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            target = node.func
+            called = (target.id if isinstance(target, ast.Name)
+                      else getattr(target, "attr", None))
+            if called in names:
+                found.add(name)
+    return found
+
+
 def _callers(names: set) -> set:
     """``(module, function)`` of every function in ``src/repro`` that calls
-    one of ``names``; calls in a nested function count for its top-level
-    function or method."""
+    one of ``names``."""
     found = set()
     for path in sorted(SOURCE_ROOT.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        for name, func in _functions(tree):
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                target = node.func
-                called = (target.id if isinstance(target, ast.Name)
-                          else getattr(target, "attr", None))
-                if called in names:
-                    found.add((str(path.relative_to(SOURCE_ROOT)), name))
+        module = str(path.relative_to(SOURCE_ROOT))
+        found.update((module, name) for name in _callers_in(tree, names))
     return found
 
 
@@ -208,3 +220,52 @@ def test_flat_store_guard_sees_a_buffer_store():
         "    def masked(self, buffer, idx, values, mask):\n"
         "        buffer.flat[idx[mask]] = values[mask]\n")
     assert _flat_stores_in(tree) == {"plain", "Step.masked"}
+
+
+def test_jacobi_steps_merge_in_one_driver():
+    assert _callers({"merged_with"}) == {
+        ("kernels/common.py", "run_jacobi"),
+        ("kernels/conv2d_ssam.py", "ssam_convolve2d_chain")}
+
+
+def test_merge_guard_sees_a_ping_pong_loop():
+    # a wrapper that runs its own ping-pong loop is reported
+    tree = ast.parse(
+        "def wrapper(kernel, buffers, iterations):\n"
+        "    merged = None\n"
+        "    for step in range(iterations):\n"
+        "        launch = kernel.launch(buffers[step % 2])\n"
+        "        merged = launch if merged is None else merged.merged_with(launch)\n")
+    assert _callers_in(tree, {"merged_with"}) == {"wrapper"}
+
+
+def _takes_parameter(tree: ast.Module, parameter: str) -> set:
+    """Functions of ``tree``, nested ones included, with a parameter named
+    ``parameter``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            if any(arg.arg == parameter
+                   for arg in args.posonlyargs + args.args + args.kwonlyargs):
+                found.add(node.name)
+    return found
+
+
+def test_no_kernel_entry_takes_a_functional_knob():
+    found = set()
+    for package in ("kernels", "baselines"):
+        for path in sorted((SOURCE_ROOT / package).glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            found.update((f"{package}/{path.name}", name)
+                         for name in _takes_parameter(tree, "functional"))
+    assert not found
+
+
+def test_functional_guard_sees_a_knob():
+    tree = ast.parse(
+        "def npp_like(image, spec, functional=True, width=None):\n"
+        "    pass\n"
+        "def _shared_like(label, image, *, functional):\n"
+        "    pass\n")
+    assert _takes_parameter(tree, "functional") == {"npp_like", "_shared_like"}

@@ -1,5 +1,7 @@
 """Tests for the GPU architecture presets and Table 1 data."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -14,6 +16,7 @@ from repro.gpu.architecture import (
     TESLA_V100,
     get_architecture,
     table1_rows,
+    warp_sectors,
 )
 
 
@@ -160,3 +163,54 @@ def test_occupancy_rejects_invalid_granularities(field, bad):
     # the pristine preset still computes
     result = compute_occupancy(TESLA_P100, 128, 32, 1024)
     assert result.active_blocks_per_sm > 0
+
+
+def _closed_form_entries():
+    """Every closed-form cost entry, as ``entry(arch) -> KernelRunResult``."""
+    from repro import baselines
+    from repro.convolution.spec import ConvolutionSpec
+    from repro.core import performance_model as pm
+    from repro.kernels import conv2d_ssam, stencil2d_ssam, stencil3d_ssam
+    from repro.stencils.catalog import get_stencil
+
+    conv, st2, st3 = ConvolutionSpec.gaussian(5), get_stencil("2d9pt"), get_stencil("3d7pt")
+    return {
+        "ssam_conv2d": lambda a: conv2d_ssam.analytic_launch(conv, 512, 256, a),
+        "ssam_stencil2d": lambda a: stencil2d_ssam.analytic_launch(st2, 512, 256, 1, a),
+        "ssam_stencil3d": lambda a: stencil3d_ssam.analytic_launch(st3, 64, 64, 64, 1, a),
+        "npp": lambda a: baselines.npp_like_convolve2d_analytic(conv, 512, 256, a),
+        "arrayfire": lambda a: baselines.arrayfire_like_convolve2d_analytic(
+            conv, 512, 256, a),
+        "original2d": lambda a: baselines.original_stencil2d_analytic(st2, 512, 256, 1, a),
+        "ppcg2d": lambda a: baselines.ppcg_like_stencil2d_analytic(st2, 512, 256, 1, a),
+        "reordered": lambda a: baselines.reordered_stencil2d(st2, 512, 256, 1, a),
+        "original3d": lambda a: baselines.original_stencil3d_analytic(
+            st3, 64, 64, 64, 1, a),
+        "shared3d": lambda a: baselines.shared_stencil3d(st3, 64, 64, 64, 1, a),
+        "stencilgen": lambda a: baselines.stencilgen_like_stencil(st2, 512, 256, architecture=a),
+        "ssam_temporal": lambda a: baselines.ssam_temporal_stencil(
+            st2, 512, 256, architecture=a),
+        "model_stencil2d": lambda a: pm.model_stencil2d(st2, 512, 256, 1, a),
+        "model_stencil3d": lambda a: pm.model_stencil3d(st3, 64, 64, 64, 1, a),
+    }
+
+
+def test_warp_sectors_follow_the_part():
+    assert warp_sectors(TESLA_P100, 4) == 1
+    assert warp_sectors(TESLA_P100, 8) == 2
+    narrow = replace(TESLA_P100, name="64-byte line test part", cache_line_bytes=64)
+    assert warp_sectors(narrow, 4) == 2
+    # every shipped part has the same (warp, line) geometry
+    assert {(a.warp_size, a.cache_line_bytes) for a in ARCHITECTURES.values()} == {(32, 128)}
+
+
+@pytest.mark.parametrize("entry", sorted(_closed_form_entries()))
+def test_closed_form_transactions_follow_the_cache_line(entry):
+    evaluate = _closed_form_entries()[entry]
+    narrow = replace(TESLA_P100, name="64-byte line test part", cache_line_bytes=64)
+    wide = evaluate(TESLA_P100).launch.counters
+    halved = evaluate(narrow).launch.counters
+    # a float32 warp access spans two 64-byte lines instead of one 128-byte line
+    assert wide.gmem_store_transactions > 0
+    assert halved.gmem_store_transactions == 2 * wide.gmem_store_transactions
+    assert halved.gmem_load_transactions > wide.gmem_load_transactions

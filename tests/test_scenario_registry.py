@@ -151,11 +151,10 @@ def test_scenario_plan_respects_register_budget():
 
 def test_run_analytic_matches_direct_baseline_call():
     """The registry path the experiments use is the direct call, verbatim."""
-    from repro.baselines.conv2d import npp_like_convolve2d
+    from repro.baselines.conv2d import npp_like_convolve2d_analytic
 
     spec = ConvolutionSpec.gaussian(7)
-    direct = npp_like_convolve2d(None, spec, "v100", "float32",
-                                 functional=False, width=512, height=256)
+    direct = npp_like_convolve2d_analytic(spec, 512, 256, "v100", "float32")
     routed = get_scenario("conv2d-npp").run_analytic(
         spec, {"width": 512, "height": 256}, "v100", "float32")
     assert routed.launch.counters.as_dict() == direct.launch.counters.as_dict()
@@ -211,12 +210,13 @@ def test_every_executable_scenario_has_a_cpu_oracle():
                 f"{scenario.name} runs {executable} but has no oracle"
 
 
-def test_model_engine_requires_an_evaluator():
+@pytest.mark.parametrize("engine", ["model", "analytic"])
+def test_model_engine_requires_an_evaluator(engine):
     donor = get_scenario("scan")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=f"no {engine} evaluator"):
         Scenario(name="bad", family="scan", dims=1, runner=donor.runner,
                  sizes={"tiny": {}}, architectures=("p100",),
-                 precisions=("float32",), engines=("batched", "model"))
+                 precisions=("float32",), engines=("batched", engine))
 
 
 # ------------------------------------------------- launch-parameter overrides
