@@ -155,12 +155,14 @@ def _cross_jobs(quick: bool) -> List[SimulationJob]:
 
     jobs: List[SimulationJob] = []
     for pair in cross_validation_cases(quick):
+        # the two cells of a pair differ only in the engine
+        fields = case_cache_fields(pair[0])
         for case in pair:
             jobs.append(SimulationJob(
                 key=case_job_key(case),
                 func="repro.scenarios.sweep:_measure_case",
                 params=case.to_dict(),
-                cache_fields=case_cache_fields(case),
+                cache_fields=dict(fields, engine=case.engine),
             ))
     return jobs
 

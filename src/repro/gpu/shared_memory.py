@@ -10,6 +10,8 @@ filter weights (Section 4.6), which is why the distinction is modelled.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -184,6 +186,33 @@ def shared_access_counts(flat_indices: np.ndarray, mask: Optional[np.ndarray],
     return SharedAccessCounts(counters, paid)
 
 
+#: this thread's :func:`record_shared_checks` sink (absent: not recording)
+_CHECKS = threading.local()
+
+
+@contextmanager
+def record_shared_checks():
+    """Collect every allocation sequence :func:`check_shared_capacity` is
+    asked about on this thread inside the block.
+
+    Yields a dict whose keys are the distinct ``allocations`` tuples in
+    first-seen order.  Checking them again, in that order, against another
+    capacity raises exactly the error a run on that capacity raises first:
+    up to its first overflow such a run checks the same cumulative bytes in
+    the same order, and a repeated tuple overflows only where its first
+    occurrence already did.
+    """
+    seen: Dict[Tuple[int, ...], None] = {}
+    outer = getattr(_CHECKS, "sink", None)
+    _CHECKS.sink = seen
+    try:
+        yield seen
+    finally:
+        _CHECKS.sink = outer
+        if outer is not None:
+            outer.update(seen)
+
+
 def check_shared_capacity(allocations: Sequence[int],
                           capacity_bytes: int) -> None:
     """Raise the error of the first of ``allocations`` (per-block bytes, in
@@ -192,6 +221,9 @@ def check_shared_capacity(allocations: Sequence[int],
     :meth:`SharedMemory.allocate` checks each allocation with it, and a
     replay program reused on another part checks its recorded allocations.
     """
+    sink = getattr(_CHECKS, "sink", None)
+    if sink is not None:
+        sink.setdefault(tuple(int(a) for a in allocations), None)
     used = 0
     for per_block in allocations:
         used += int(per_block)

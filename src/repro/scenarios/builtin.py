@@ -83,6 +83,7 @@ from .registry import (
     ENGINE_BATCH_SIZE,
     LAUNCH_DEFAULTS_SOURCE_KEY,
     Scenario,
+    all_scenarios,
     register,
 )
 
@@ -610,3 +611,11 @@ register(Scenario(
     engines=ALL_ENGINES,
     description="naive one-output-per-thread 3-D stencil baseline",
 ))
+
+
+#: every scenario registered above, by name.  What their runners produce
+#: depends on a part only through its memory geometry and its shared
+#: capacity (``tests/test_sweep_sharing.py`` checks it on every part), so a
+#: sweep simulates each of their cells once per geometry; a scenario
+#: registered at run time is not in here and always runs fresh.
+BUILTIN: Dict[str, Scenario] = {s.name: s for s in all_scenarios()}

@@ -29,7 +29,7 @@ from ..core.launch_defaults import resolve_launch_defaults
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
 from ..gpu.architecture import architecture_names
-from ..serialization import stable_digest
+from ..serialization import array_digest, stable_digest
 
 #: execution engines a scenario may support: the vectorised multi-block
 #: engine, the compiled trace-replay engine, the closed-form
@@ -232,6 +232,7 @@ class Scenario:
         object.__setattr__(self, "engines", tuple(self.engines))
         object.__setattr__(self, "tunables", tuple(self.tunables))
         object.__setattr__(self, "sizes", dict(self.sizes))
+        object.__setattr__(self, "_spec_fingerprints", {})
 
     # -- envelope -----------------------------------------------------------
     def resolve_size(self, size: str) -> Dict[str, object]:
@@ -349,6 +350,18 @@ class Scenario:
             return None
         return self.spec_builder(self.resolve_size(size))
 
+    def spec_fingerprint(self, size: str) -> Optional[str]:
+        """Content digest of a named size's spec (``None`` for spec-less
+        scenarios), built once per size: a size's parameters are fixed."""
+        fingerprints = self._spec_fingerprints
+        if size not in fingerprints:
+            spec = self.build_spec(size)
+            fingerprints[size] = (
+                None if spec is None
+                else array_digest(spec) if isinstance(spec, np.ndarray)
+                else spec.fingerprint())
+        return fingerprints[size]
+
     def build_workload(self, size: str, precision: str) -> Optional[np.ndarray]:
         """The input array of a named size (``None`` when not applicable)."""
         if self.workload_builder is None:
@@ -365,12 +378,21 @@ class Scenario:
         """
         if self.planner is None:
             return None
+        params = self.case_parameters(size, architecture, precision,
+                                      plan_kwargs)
+        return self.planner(self.build_spec(size), params,
+                            architecture, precision)
+
+    def case_parameters(self, size: str, architecture: str, precision: str,
+                        plan_kwargs: Optional[Mapping[str, object]] = None,
+                        ) -> Dict[str, object]:
+        """The parameter mapping a case's evaluators see: the named size's,
+        with the validated overrides merged in and the tunables resolved
+        through the default chain (provenance included)."""
         params = self.resolve_size(size)
         if plan_kwargs:
             params.update(self.validate_plan_kwargs(plan_kwargs))
-        params = self.resolve_tunable_defaults(params, architecture, precision)
-        return self.planner(self.build_spec(size), params,
-                            architecture, precision)
+        return self.resolve_tunable_defaults(params, architecture, precision)
 
     # -- execution -----------------------------------------------------------
     def run(self, spec, workload, params: Mapping[str, object],

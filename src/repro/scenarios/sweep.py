@@ -14,22 +14,52 @@ artifacts, ``--jobs`` parallelism and warm-cache reruns for free::
 
 Named matrices live in :data:`MATRICES`; arbitrary matrices load from JSON
 files with the same axes.
+
+A process simulates each built-in cell once per memory geometry.  What a
+cell's run produces (counters, launch configuration, output digest, oracle
+error, replay fallbacks) depends on the part only through
+:attr:`~repro.gpu.architecture.GPUArchitecture.memory_geometry`: the
+tracer refuses a kernel body that reads the architecture, and
+``tests/test_sweep_sharing.py`` checks every built-in runner on every part
+against a fresh run.  So :func:`_measure_case` keeps a bounded in-process
+map keyed on the cell, its resolved parameters, its plan (minus the part's
+name) and the geometry; every shipped part shares one geometry, and the
+other parts of a group reuse the first part's run.  A hit recomputes what
+is the part's own: it checks the part's per-block shared capacity against
+the allocations the run made (raising the engines'
+:class:`~repro.errors.ResourceExhaustedError`), models the time on the part,
+and writes the part's case and name, so every payload is byte-identical to
+a fresh run's.  Closed-form engines and scenarios registered at run time
+always run fresh.
 """
 
 from __future__ import annotations
 
 import copy
 import os
-from typing import Dict, List, Mapping, Optional
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..experiments.jobs import SimulationJob
 from ..experiments.results import ExperimentResult, Measurement
-from ..serialization import array_digest, load_json, stable_digest
+from ..gpu.architecture import get_architecture
+from ..gpu.kernel import LaunchResult
+from ..gpu.shared_memory import check_shared_capacity, record_shared_checks
+from ..serialization import (
+    array_digest,
+    canonical_json,
+    jsonify,
+    load_json,
+    stable_digest,
+)
 from .registry import (
     LAUNCH_DEFAULTS_SOURCE_KEY,
+    NON_EXECUTING_ENGINES,
     ScenarioCase,
     expand_matrix,
     get_scenario,
@@ -101,14 +131,6 @@ def load_matrix(spec: "str | Mapping[str, object] | None") -> Dict[str, object]:
         f"or pass a path to an existing JSON matrix file")
 
 
-def _spec_fingerprint(spec) -> Optional[str]:
-    if spec is None:
-        return None
-    if isinstance(spec, np.ndarray):
-        return array_digest(spec)
-    return spec.fingerprint()
-
-
 def case_cache_fields(case: ScenarioCase) -> Dict[str, object]:
     """Cache-key fields of one cell: spec + plan fingerprints, envelope axes.
 
@@ -120,7 +142,7 @@ def case_cache_fields(case: ScenarioCase) -> Dict[str, object]:
     scenario = get_scenario(case.scenario)
     fields: Dict[str, object] = {
         "kernel": case.scenario,
-        "spec": _spec_fingerprint(scenario.build_spec(case.size)),
+        "spec": scenario.spec_fingerprint(case.size),
         "architecture": case.architecture,
         "precision": case.precision,
         "engine": case.engine,
@@ -135,22 +157,59 @@ def case_cache_fields(case: ScenarioCase) -> Dict[str, object]:
     return fields
 
 
-def _measure_case(scenario: str, architecture: str, precision: str,
-                  engine: str, size: str,
-                  plan_kwargs: Optional[Mapping[str, object]] = None,
-                  ) -> Dict[str, object]:
-    """Worker: simulate one expanded scenario cell and describe the outcome.
+#: most (cell, memory geometry) simulations kept for the parts sharing them
+SHARED_RUNS_MAX = 128
 
-    The payload carries the modelled time, the full counter set, the launch
-    configuration, a content digest of the functional output and — when the
-    scenario has a CPU oracle — the max absolute error against it, so sweep
-    artifacts double as validation records.
-    """
-    case = ScenarioCase(scenario, architecture, precision, engine, size,
-                        plan_kwargs or {})
-    entry = get_scenario(scenario)
+
+@dataclass(frozen=True)
+class _SharedRun:
+    """One cell's simulation, as every part of its memory geometry sees it."""
+
+    #: the payload of the part that ran it (JSON types only, so
+    #: :func:`jsonify` copies it)
+    payload: Dict[str, object]
+    launch: LaunchResult
+    #: the shared-memory allocation sequences the run checked, in order
+    shared_checks: Tuple[Tuple[int, ...], ...]
+
+
+_SHARED_RUNS: "OrderedDict[str, _SharedRun]" = OrderedDict()
+_SHARED_RUNS_LOCK = threading.Lock()
+
+
+def _clear_shared_runs() -> None:
+    """Forget every shared simulation (tests compare against fresh runs)."""
+    with _SHARED_RUNS_LOCK:
+        _SHARED_RUNS.clear()
+
+
+def _shared_run_key(entry, case: ScenarioCase) -> Optional[str]:
+    """Identity of a cell's simulation across the parts of one memory
+    geometry, or ``None`` when the cell runs fresh (a closed-form engine,
+    a scenario registered at run time, or a cell outside the envelope,
+    which fails as it always did)."""
+    if (case.engine in NON_EXECUTING_ENGINES
+            or _builtin.BUILTIN.get(case.scenario) is not entry
+            or not entry.supports(case.architecture, case.precision,
+                                  case.engine, case.size)):
+        return None
+    plan = entry.build_plan(case.size, case.architecture, case.precision,
+                            plan_kwargs=case.plan_overrides)
+    return canonical_json([
+        case.scenario, case.size, case.precision, case.engine,
+        case.plan_kwargs,
+        entry.case_parameters(case.size, case.architecture, case.precision,
+                              case.plan_overrides),
+        None if plan is None else {k: v for k, v in plan.to_dict().items()
+                                   if k != "architecture"},
+        get_architecture(case.architecture).memory_geometry])
+
+
+def _simulate_case(entry, case: ScenarioCase,
+                   ) -> Tuple[Dict[str, object], LaunchResult]:
+    """Run one cell; return its payload and launch record."""
     fallbacks_before = 0
-    if engine == "replay":
+    if case.engine == "replay":
         from ..trace.replay import fallback_log
 
         fallbacks_before = len(fallback_log())
@@ -165,7 +224,7 @@ def _measure_case(scenario: str, architecture: str, precision: str,
         "output_digest": (None if result.output is None
                           else array_digest(result.output)),
     }
-    if engine == "replay":
+    if case.engine == "replay":
         # untraceable kernels silently run on the batched engine; surface
         # the fallback (and its reason) in the cell's sweep row
         payload["replay_fallback"] = fallback_log()[fallbacks_before:]
@@ -174,6 +233,60 @@ def _measure_case(scenario: str, architecture: str, precision: str,
         error = np.max(np.abs(np.asarray(result.output, dtype=np.float64)
                               - np.asarray(oracle, dtype=np.float64)))
         payload["oracle_max_abs_error"] = float(error)
+    return payload, result.launch
+
+
+def _share(run: _SharedRun, case: ScenarioCase) -> Dict[str, object]:
+    """The payload of ``case`` from a run on another part of its geometry:
+    the part's shared capacity is checked against what the run allocated,
+    and its modelled time, case and name are its own."""
+    arch = get_architecture(case.architecture)
+    for allocations in run.shared_checks:
+        check_shared_capacity(allocations, arch.shared_memory_per_block)
+    launch = replace(run.launch, architecture=arch, _timing=None,
+                     _occupancy=None)
+    payload = jsonify(run.payload)
+    payload["case"] = case.to_dict()
+    payload["milliseconds"] = launch.milliseconds
+    # the kernels echo the part as ``arch.name``
+    if "architecture" in payload["parameters"]:
+        payload["parameters"]["architecture"] = arch.name
+    return payload
+
+
+def _measure_case(scenario: str, architecture: str, precision: str,
+                  engine: str, size: str,
+                  plan_kwargs: Optional[Mapping[str, object]] = None,
+                  ) -> Dict[str, object]:
+    """Worker: simulate one expanded scenario cell and describe the outcome.
+
+    The payload carries the modelled time, the full counter set, the launch
+    configuration, a content digest of the functional output and — when the
+    scenario has a CPU oracle — the max absolute error against it, so sweep
+    artifacts double as validation records.  A built-in cell on an
+    executing engine is simulated once per memory geometry: the other parts
+    of the geometry reuse that run and recompute only what is their own.
+    """
+    case = ScenarioCase(scenario, architecture, precision, engine, size,
+                        plan_kwargs or {})
+    entry = get_scenario(scenario)
+    key = _shared_run_key(entry, case)
+    if key is None:
+        return _simulate_case(entry, case)[0]
+    with _SHARED_RUNS_LOCK:
+        run = _SHARED_RUNS.get(key)
+        if run is not None:
+            _SHARED_RUNS.move_to_end(key)
+    if run is not None:
+        return _share(run, case)
+    with record_shared_checks() as checks:
+        payload, launch = _simulate_case(entry, case)
+    with _SHARED_RUNS_LOCK:
+        _SHARED_RUNS[key] = _SharedRun(jsonify(payload), launch,
+                                       tuple(checks))
+        _SHARED_RUNS.move_to_end(key)
+        while len(_SHARED_RUNS) > SHARED_RUNS_MAX:
+            _SHARED_RUNS.popitem(last=False)
     return payload
 
 

@@ -28,6 +28,11 @@ from typing import Any
 import numpy as np
 
 
+#: exact types :func:`jsonify` passes through unchanged (its hot path:
+#: counters, job keys and payloads are mostly these)
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def jsonify(value: Any) -> Any:
     """Normalise ``value`` into plain JSON-compatible Python types.
 
@@ -37,6 +42,15 @@ def jsonify(value: Any) -> Any:
     unchanged; anything else raises ``TypeError`` so non-serialisable
     objects are caught at the call site rather than deep inside ``json``.
     """
+    kind = type(value)
+    if kind in _JSON_SCALARS:
+        return value
+    if kind is dict:
+        return {str(key): item if type(item) in _JSON_SCALARS else jsonify(item)
+                for key, item in value.items()}
+    if kind is list or kind is tuple:
+        return [item if type(item) in _JSON_SCALARS else jsonify(item)
+                for item in value]
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):

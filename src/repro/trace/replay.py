@@ -40,6 +40,7 @@ chunk loop every launch runs (:func:`repro.gpu.kernel.launch_stages`).
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -937,16 +938,27 @@ class TraceCapture:
         return unique
 
 
-_CAPTURE_STACK: List[TraceCapture] = []
+class _ThreadState(threading.local):
+    """This thread's open captures and fallback log: a capture or a
+    fallback belongs to the thread whose launch made it, so a worker thread
+    never sees another's (the daemon runs cells on several threads)."""
+
+    def __init__(self) -> None:
+        self.captures: List[TraceCapture] = []
+        self.fallbacks: List[Dict[str, str]] = []
+
+
+_THREAD = _ThreadState()
 
 
 def _active_capture() -> Optional[TraceCapture]:
-    return _CAPTURE_STACK[-1] if _CAPTURE_STACK else None
+    return _THREAD.captures[-1] if _THREAD.captures else None
 
 
 @contextmanager
 def capture_traces():
-    """Capture the recorded trace of every replay launch in the block.
+    """Capture the recorded trace of every replay launch this thread makes
+    in the block.
 
     Forces re-recording of chunk 0 even on warm trace caches, so the
     capture always carries the eager chunk's counter delta for the
@@ -954,30 +966,27 @@ def capture_traces():
     engine land in ``capture.fallbacks`` instead of silently vanishing.
     """
     capture = TraceCapture()
-    _CAPTURE_STACK.append(capture)
+    _THREAD.captures.append(capture)
     try:
         yield capture
     finally:
-        _CAPTURE_STACK.pop()
-
-
-#: per-process log of replay-to-batched fallbacks (kernel name -> reason);
-#: the sweep reads deltas of this to surface unanalyzable kernels
-_FALLBACK_LOG: List[Dict[str, str]] = []
+        _THREAD.captures.pop()
 
 
 def record_fallback(kernel_name: str, reason: str) -> None:
-    """Log one replay-engine fallback (also mirrored into active captures)."""
+    """Log one replay-engine fallback in this thread's log (also mirrored
+    into its active captures); the sweep reads deltas of the log to surface
+    unanalyzable kernels."""
     event = {"kernel": kernel_name, "reason": reason}
-    _FALLBACK_LOG.append(event)
+    _THREAD.fallbacks.append(event)
     capture = _active_capture()
     if capture is not None:
         capture.fallbacks.append(dict(event))
 
 
 def fallback_log() -> List[Dict[str, str]]:
-    """Snapshot of every fallback recorded by this process so far."""
-    return [dict(event) for event in _FALLBACK_LOG]
+    """Snapshot of every fallback recorded by this thread so far."""
+    return [dict(event) for event in _THREAD.fallbacks]
 
 
 # ---------------------------------------------------------------- the glue
@@ -998,6 +1007,9 @@ def trace_key(config, architecture: GPUArchitecture, args: Sequence[object],
     anything else — the tracer refuses a body that reads the architecture —
     and the one other field a launch depends on, the per-block shared
     capacity, is checked against ``program.shared_allocations`` on reuse.
+    A sweep goes one step further on the same ground: it runs each built-in
+    cell once per geometry and only re-models the time for the other parts
+    (see :mod:`repro.scenarios.sweep`).
     """
     parts: List[object] = [architecture.memory_geometry, config.precision.name,
                            int(config.block_threads),

@@ -117,6 +117,17 @@ def test_sigkill_mid_sweep_resumes_only_the_missing_cells(tmp_path):
     finally:
         del os.environ["CRASH_LOG"]
     assert len(payloads) == TOTAL_KEYS
+    # a row's digest hashes the code version with the job key, so one key
+    # stored twice means the victim hashed another source tree than this
+    # process (``code_version`` is cached per process)
+    version = survivor.result_store().code_version()
+    rows = survivor.result_store().dump()
+    foreign = sorted({row["code_version"] for row in rows} - {version})
+    assert not foreign, (
+        f"rows stored under code versions {foreign}, not this process's "
+        f"{version}: a source file under src/repro was edited while the "
+        f"test ran, so the victim and the survivor hashed different trees")
+    assert sum(row["code_version"] == version for row in rows) == TOTAL_KEYS
     assert survivor.entry_count() == TOTAL_KEYS
 
     with open(log_path, "rb") as handle:
