@@ -35,13 +35,6 @@ class Access:
     alloc: Optional[int] = None   #: alloc_shared node id (shared accesses)
     uniform: bool = False         #: warp-uniform shared access
 
-    @property
-    def extent_key(self) -> Tuple[str, int]:
-        """Grouping key: which address range this access touches."""
-        if self.space == GLOBAL:
-            return (GLOBAL, self.slot)
-        return (SHARED, self.alloc)
-
 
 def extract_accesses(trace: Trace) -> Tuple[List[Access], int]:
     """``(accesses, num_phases)`` of a recorded trace, in program order."""

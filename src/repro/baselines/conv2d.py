@@ -19,6 +19,10 @@ the real library hits:
 * :func:`cufft_like_convolve2d` — FFT-based convolution (cuFFT): a large,
   filter-size-independent cost.
 
+NPP, ArrayFire and Halide are direct kernels: a convolution is one step
+whose taps are its M x N filter, and they run the naive and shared schemes
+of :mod:`.direct`; this module supplies only their constants.
+
 Every function returns a :class:`~repro.kernels.common.KernelRunResult`.
 Each baseline has two entries: the array entry takes the image and
 produces its output, and the closed-form entry (``..._analytic``) takes
@@ -30,64 +34,46 @@ helper, so they cannot disagree.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..convolution.spec import ConvolutionSpec
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import get_architecture, warp_sectors
-from ..gpu.batch import BatchedBlockContext
+from ..gpu.architecture import get_architecture
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchConfig
-from ..gpu.memory import DeviceBuffer
+from . import direct
 from .cpu_reference import convolve2d_fft_reference
 from ..kernels.common import (
     KernelRunResult,
     analytic_result,
     check_image,
-    clamp,
-    make_device_pair,
     require_edge_boundary,
+    run_jacobi,
 )
 
 #: ArrayFire's undocumented filter-size ceiling (Section 6.2 (i))
 ARRAYFIRE_MAX_FILTER = 16
+
+NPP_KERNEL = Kernel(direct.naive_block, name="npp_like_conv2d")
+SHARED_KERNEL = Kernel(direct.shared_block, name="shared_conv2d")
 
 
 # ---------------------------------------------------------------------------
 # NPP-like: naive per-output kernel, no staging
 # ---------------------------------------------------------------------------
 
-def _npp_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
-               weights: Tuple[float, ...], width: int, height: int,
-               filter_width: int, filter_height: int, anchor_x: int, anchor_y: int) -> None:
-    gx = ctx.block_idx_x * ctx.block_threads + ctx.thread_idx_x
-    gy = ctx.block_idx_y
-    mask = gx < width
-    safe_x_out = clamp(gx, 0, width - 1)
-    total = ctx.zeros()
-    for n in range(filter_height):
-        row = clamp(gy + n - anchor_y, 0, height - 1)
-        for m in range(filter_width):
-            col = clamp(gx + m - anchor_x, 0, width - 1)
-            value = ctx.load_global(src, row * width + col, mask=mask)
-            ctx.overhead(2.0)  # per-tap address arithmetic and border predicate
-            total = ctx.mad(value, ctx.full(weights[n * filter_width + m]), total)
-    ctx.store_global(dst, gy * width + safe_x_out, total, mask=mask)
-
-
-NPP_KERNEL = Kernel(_npp_block, name="npp_like_conv2d")
+#: per-tap address arithmetic and border predicate of NPP's general filter
+NPP_TAP_OVERHEAD = 2.0
 
 
 def _npp_launch(spec: ConvolutionSpec, width: int, height: int, arch, prec,
                 block_threads: int):
     """Launch configuration and parameters of the NPP-like kernel."""
-    config = LaunchConfig(grid_dim=(math.ceil(width / block_threads), height, 1),
-                          block_threads=block_threads, registers_per_thread=32,
-                          shared_bytes_per_block=0, precision=prec,
-                          memory_parallelism=2.0)
+    config = direct.naive_launch(width, height, 1, prec, block_threads, registers=32,
+                                 memory_parallelism=2.0)
     parameters = {"M": spec.filter_width, "N": spec.filter_height,
                   "B": block_threads, "architecture": arch.name,
                   "precision": prec.name}
@@ -105,16 +91,9 @@ def npp_like_convolve2d(image: np.ndarray, spec: ConvolutionSpec,
     require_edge_boundary(spec.boundary, "the NPP-like kernel")
     height, width = image.shape
     config, parameters = _npp_launch(spec, width, height, arch, prec, block_threads)
-    _, src, dst = make_device_pair(image, prec)
-    anchor_x, anchor_y = spec.anchor
-    launch = NPP_KERNEL.launch(
-        config,
-        args=(src, dst, tuple(spec.weights.reshape(-1).tolist()), width, height,
-              spec.filter_width, spec.filter_height, anchor_x, anchor_y),
-        architecture=arch, max_blocks=max_blocks, batch_size=batch_size)
-    output = None if max_blocks is not None else dst.array
-    return KernelRunResult(name="npp_like", output=output, launch=launch,
-                           parameters=parameters)
+    args = (direct.convolution_taps(spec), width, height, 1, NPP_TAP_OVERHEAD)
+    return run_jacobi(NPP_KERNEL, image, config, args, 1, arch, "npp_like", parameters,
+                      max_blocks=max_blocks, batch_size=batch_size)
 
 
 def npp_like_convolve2d_analytic(spec: ConvolutionSpec, width: int, height: int,
@@ -125,82 +104,15 @@ def npp_like_convolve2d_analytic(spec: ConvolutionSpec, width: int, height: int,
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
     config, parameters = _npp_launch(spec, width, height, arch, prec, block_threads)
-    m_extent, n_extent = spec.filter_width, spec.filter_height
-    blocks = config.grid_dim[0] * config.grid_dim[1]
-    warps_per_block = block_threads // arch.warp_size
-    total_warps = blocks * warps_per_block
-    taps = m_extent * n_extent
-    sectors = warp_sectors(arch, prec.itemsize)
-    counters = KernelCounters(
-        fma=taps * total_warps,
-        misc=2.0 * taps * total_warps,
-        gmem_load=taps * total_warps,
-        gmem_load_transactions=taps * total_warps * (sectors + 1),
-        gmem_store=total_warps,
-        gmem_store_transactions=total_warps * sectors,
-        dram_read_bytes=float(blocks * n_extent * (block_threads + m_extent - 1)
-                              * prec.itemsize),
-        dram_write_bytes=float(width * height * prec.itemsize),
-        blocks_executed=blocks,
-        warps_executed=total_warps,
-    )
+    counters = direct.naive_counters(config, direct.convolution_taps(spec), arch,
+                                     width, height, 1, 1, NPP_TAP_OVERHEAD)
     parameters["analytic"] = True
     return analytic_result("npp_like", counters, config, arch, parameters)
 
 
 # ---------------------------------------------------------------------------
-# ArrayFire-like: shared-memory tile + halo, one output per thread
+# ArrayFire-like and Halide-like: shared-memory tile + halo, one output per thread
 # ---------------------------------------------------------------------------
-
-def _shared_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
-                  weights: Tuple[float, ...], width: int, height: int,
-                  filter_width: int, filter_height: int, anchor_x: int, anchor_y: int,
-                  tile_rows: int, overhead_per_tap: float) -> None:
-    tile_cols = ctx.warp_size
-    threads_per_tile_row = ctx.block_threads // tile_rows
-    assert threads_per_tile_row == tile_cols, "shared baseline expects 32-wide tiles"
-    tx = ctx.thread_idx_x % tile_cols
-    ty = ctx.thread_idx_x // tile_cols
-    smem_cols = tile_cols + filter_width - 1
-    smem_rows = tile_rows + filter_height - 1
-    tile = ctx.alloc_shared("tile", (smem_rows, smem_cols))
-
-    base_x = ctx.block_idx_x * tile_cols - anchor_x
-    base_y = ctx.block_idx_y * tile_rows - anchor_y
-
-    # cooperative staging of the tile + halo
-    total = smem_rows * smem_cols
-    tid = ctx.thread_idx_x
-    for offset in range(0, total, ctx.block_threads):
-        idx = offset + tid
-        mask = idx < total
-        safe = np.minimum(idx, total - 1)
-        sy = safe // smem_cols
-        sx = safe % smem_cols
-        gy = clamp(base_y + sy, 0, height - 1)
-        gx = clamp(base_x + sx, 0, width - 1)
-        values = ctx.load_global(src, gy * width + gx, mask=mask)
-        ctx.store_shared(tile, safe, values, mask=mask)
-    ctx.syncthreads()
-
-    out_x = ctx.block_idx_x * tile_cols + tx
-    out_y = ctx.block_idx_y * tile_rows + ty
-    mask = (out_x < width) & (out_y < height)
-    total_value = ctx.zeros()
-    for n in range(filter_height):
-        for m in range(filter_width):
-            smem_index = (ty + n) * smem_cols + (tx + m)
-            value = ctx.load_shared(tile, smem_index)
-            if overhead_per_tap:
-                ctx.overhead(overhead_per_tap)
-            total_value = ctx.mad(value, ctx.full(weights[n * filter_width + m]), total_value)
-    ctx.syncthreads()
-    safe_idx = clamp(out_y, 0, height - 1) * width + clamp(out_x, 0, width - 1)
-    ctx.store_global(dst, safe_idx, total_value, mask=mask)
-
-
-SHARED_KERNEL = Kernel(_shared_block, name="shared_conv2d")
-
 
 def _shared_launch(label: str, spec: ConvolutionSpec, width: int, height: int,
                    arch, prec, tile_rows: int, enforce_limit: bool):
@@ -210,12 +122,8 @@ def _shared_launch(label: str, spec: ConvolutionSpec, width: int, height: int,
             f"{label} supports filters up to {ARRAYFIRE_MAX_FILTER}x{ARRAYFIRE_MAX_FILTER} "
             f"(got {spec.filter_width}x{spec.filter_height})"
         )
-    smem_rows = tile_rows + spec.filter_height - 1
-    smem_cols = 32 + spec.filter_width - 1
-    config = LaunchConfig(grid_dim=(math.ceil(width / 32), math.ceil(height / tile_rows), 1),
-                          block_threads=32 * tile_rows, registers_per_thread=40,
-                          shared_bytes_per_block=smem_rows * smem_cols * prec.itemsize,
-                          precision=prec, memory_parallelism=3.0)
+    config = direct.shared_launch(direct.convolution_taps(spec), width, height, prec,
+                                  tile_rows, registers=40)
     parameters = {"M": spec.filter_width, "N": spec.filter_height,
                   "tile_rows": tile_rows, "architecture": arch.name,
                   "precision": prec.name}
@@ -232,17 +140,9 @@ def _shared_like_convolve2d(label: str, image, spec, architecture, precision,
     config, parameters = _shared_launch(label, spec, width, height, arch, prec,
                                         tile_rows, enforce_limit)
     require_edge_boundary(spec.boundary, f"the {label} kernel")
-    _, src, dst = make_device_pair(image, prec)
-    anchor_x, anchor_y = spec.anchor
-    launch = SHARED_KERNEL.launch(
-        config,
-        args=(src, dst, tuple(spec.weights.reshape(-1).tolist()), width, height,
-              spec.filter_width, spec.filter_height, anchor_x, anchor_y, tile_rows,
-              overhead_per_tap),
-        architecture=arch, max_blocks=max_blocks, batch_size=batch_size)
-    output = None if max_blocks is not None else dst.array
-    return KernelRunResult(name=label, output=output, launch=launch,
-                           parameters=parameters)
+    args = (direct.convolution_taps(spec), width, height, tile_rows, overhead_per_tap)
+    return run_jacobi(SHARED_KERNEL, image, config, args, 1, arch, label, parameters,
+                      max_blocks=max_blocks, batch_size=batch_size)
 
 
 def _shared_like_analytic(label: str, spec, width, height, architecture, precision,
@@ -251,29 +151,8 @@ def _shared_like_analytic(label: str, spec, width, height, architecture, precisi
     prec = resolve_precision(precision)
     config, parameters = _shared_launch(label, spec, width, height, arch, prec,
                                         tile_rows, enforce_limit)
-    block_threads = config.block_threads
-    blocks = config.grid_dim[0] * config.grid_dim[1]
-    warps_per_block = block_threads // arch.warp_size
-    total_warps = blocks * warps_per_block
-    taps = spec.filter_width * spec.filter_height
-    staged = (tile_rows + spec.filter_height - 1) * (32 + spec.filter_width - 1)
-    staging_iters = math.ceil(staged / block_threads)
-    sectors = warp_sectors(arch, prec.itemsize)
-    counters = KernelCounters(
-        fma=taps * total_warps,
-        misc=overhead_per_tap * taps * total_warps,
-        smem_load=taps * total_warps,
-        smem_store=staging_iters * warps_per_block * blocks,
-        gmem_load=staging_iters * warps_per_block * blocks,
-        gmem_load_transactions=staging_iters * warps_per_block * blocks * (sectors + 1),
-        gmem_store=total_warps,
-        gmem_store_transactions=total_warps * sectors,
-        sync=2.0 * warps_per_block * blocks,
-        dram_read_bytes=float(blocks * staged * prec.itemsize),
-        dram_write_bytes=float(width * height * prec.itemsize),
-        blocks_executed=blocks,
-        warps_executed=total_warps,
-    )
+    counters = direct.shared_counters(config, direct.convolution_taps(spec), arch,
+                                      width, height, tile_rows, 1, overhead_per_tap)
     parameters["analytic"] = True
     return analytic_result(label, counters, config, arch, parameters)
 

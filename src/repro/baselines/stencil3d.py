@@ -1,55 +1,36 @@
 """3-D stencil baselines ("original" and shared-memory tiling) for Figure 5.
 
 The naive kernel assigns one output point per thread with no staging
-(functional + analytic); the shared-memory variant models the classic
-2.5-D tiling in which each block stages a z-slab tile and streams through z
-(analytic — its traffic/scratchpad profile is what matters for the figure).
+(functional + analytic): it is the naive scheme of :mod:`.direct` over the
+stencil's taps, and this module supplies only its constants.  The
+shared-memory variant models the classic 2.5-D tiling in which each block
+stages a z-slab tile and streams through z (analytic — its
+traffic/scratchpad profile is what matters for the figure).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture, warp_sectors
-from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchConfig
-from ..gpu.memory import DeviceBuffer
 from ..kernels.common import (
     KernelRunResult,
     analytic_result,
     check_grid3d,
-    clamp,
     run_jacobi,
 )
 from ..stencils.spec import StencilSpec
+from . import direct
+from .stencil2d import ORIGINAL_TAP_OVERHEAD
 
-
-def _naive3d_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
-                   points: Tuple[Tuple[int, int, int, float], ...],
-                   width: int, height: int, depth: int) -> None:
-    gx = ctx.block_idx_x * ctx.block_threads + ctx.thread_idx_x
-    gy = ctx.block_idx_y
-    gz = ctx.block_idx_z
-    mask = gx < width
-    plane = width * height
-    total = ctx.zeros()
-    for dx, dy, dz, coefficient in points:
-        row = clamp(gy + dy, 0, height - 1)
-        slab = clamp(gz + dz, 0, depth - 1)
-        col = clamp(gx + dx, 0, width - 1)
-        value = ctx.load_global(src, slab * plane + row * width + col, mask=mask)
-        ctx.overhead(1.0)
-        total = ctx.mad(value, ctx.full(coefficient), total)
-    ctx.store_global(dst, gz * plane + gy * width + clamp(gx, 0, width - 1), total, mask=mask)
-
-
-NAIVE_STENCIL3D_KERNEL = Kernel(_naive3d_block, name="original_stencil3d")
+NAIVE_STENCIL3D_KERNEL = Kernel(direct.naive_block, name="original_stencil3d")
 
 
 def _naive3d_launch(spec: StencilSpec, width: int, height: int, depth: int,
@@ -57,11 +38,9 @@ def _naive3d_launch(spec: StencilSpec, width: int, height: int, depth: int,
     """Launch configuration and parameters of the naive 3-D kernel."""
     if spec.dims != 3:
         raise ConfigurationError("original_stencil3d expects a 3-D stencil")
-    config = LaunchConfig(grid_dim=(math.ceil(width / block_threads), height, depth),
-                          block_threads=block_threads,
-                          registers_per_thread=32 + spec.num_points // 4,
-                          shared_bytes_per_block=0, precision=prec,
-                          memory_parallelism=3.0)
+    config = direct.naive_launch(width, height, depth, prec, block_threads,
+                                 registers=32 + spec.num_points // 4,
+                                 memory_parallelism=3.0)
     parameters = {"stencil": spec.name, "iterations": iterations,
                   "architecture": arch.name, "precision": prec.name}
     return config, parameters
@@ -78,10 +57,10 @@ def original_stencil3d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
     depth, height, width = grid.shape
     config, parameters = _naive3d_launch(spec, width, height, depth, iterations,
                                          arch, prec, block_threads)
-    points = tuple((p.dx, p.dy, p.dz, float(p.coefficient)) for p in spec.points)
-    return run_jacobi(NAIVE_STENCIL3D_KERNEL, grid, config,
-                      (points, width, height, depth), iterations, arch, "original",
-                      parameters, max_blocks=max_blocks, batch_size=batch_size)
+    args = (direct.stencil_taps(spec), width, height, depth, ORIGINAL_TAP_OVERHEAD)
+    return run_jacobi(NAIVE_STENCIL3D_KERNEL, grid, config, args, iterations, arch,
+                      "original", parameters, max_blocks=max_blocks,
+                      batch_size=batch_size)
 
 
 def original_stencil3d_analytic(spec: StencilSpec, width: int, height: int, depth: int,
@@ -93,26 +72,8 @@ def original_stencil3d_analytic(spec: StencilSpec, width: int, height: int, dept
     prec = resolve_precision(precision)
     config, parameters = _naive3d_launch(spec, width, height, depth, iterations,
                                          arch, prec, block_threads)
-    launch_grid = config.grid_dim
-    blocks = launch_grid[0] * launch_grid[1] * launch_grid[2]
-    warps_per_block = block_threads // arch.warp_size
-    total_warps = blocks * warps_per_block
-    taps = spec.num_points
-    sectors = warp_sectors(arch, prec.itemsize)
-    counters = KernelCounters(
-        fma=taps * total_warps * iterations,
-        misc=taps * total_warps * iterations,
-        gmem_load=taps * total_warps * iterations,
-        gmem_load_transactions=taps * total_warps * (sectors + 1) * iterations,
-        gmem_store=total_warps * iterations,
-        gmem_store_transactions=total_warps * sectors * iterations,
-        dram_read_bytes=float(blocks * spec.footprint_depth * spec.footprint_height
-                              * (block_threads + spec.footprint_width - 1)
-                              * prec.itemsize * iterations),
-        dram_write_bytes=float(width * height * depth * prec.itemsize * iterations),
-        blocks_executed=blocks * iterations,
-        warps_executed=total_warps * iterations,
-    )
+    counters = direct.naive_counters(config, direct.stencil_taps(spec), arch, width,
+                                     height, depth, iterations, ORIGINAL_TAP_OVERHEAD)
     parameters["analytic"] = True
     return analytic_result("original", counters, config, arch, parameters)
 

@@ -266,10 +266,6 @@ class ModelPrediction:
     seconds: float
 
     @property
-    def cycles_per_pass(self) -> float:
-        return self.compute_cycles_per_pass + self.memory_cycles_per_pass
-
-    @property
     def bandwidth_bound(self) -> bool:
         """True when the DRAM-traffic floor dominates the latency estimate."""
         return self.bandwidth_seconds > self.latency_seconds

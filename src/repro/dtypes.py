@@ -57,11 +57,6 @@ class Precision:
         return np.dtype(self.name)
 
     @property
-    def is_double(self) -> bool:
-        """True for 64-bit floating point."""
-        return self.itemsize == 8
-
-    @property
     def registers_per_value(self) -> int:
         """Number of 32-bit hardware registers needed to hold one value."""
         return self.itemsize // 4

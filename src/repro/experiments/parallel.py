@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from .cache import SimulationCache
@@ -46,8 +46,6 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 
 def _iter_miss_results(misses: List[SimulationJob], workers: int,
-                       runner: Optional[Callable[[List[SimulationJob]],
-                                                 Iterable[Tuple[str, Dict[str, object]]]]],
                        ) -> Iterable[Tuple[str, Dict[str, object]]]:
     """Yield ``(key, payload)`` per miss as each execution completes.
 
@@ -56,9 +54,6 @@ def _iter_miss_results(misses: List[SimulationJob], workers: int,
     it exists, so a crash mid-batch loses only the in-flight job, and
     concurrent processes waiting on our claims see results as they land.
     """
-    if runner is not None:
-        yield from runner(misses)
-        return
     # one execution contract for both built-in paths:
     # execute_job(SimulationJob).  A single miss skips the pool on purpose
     # (spawning workers costs more than the job), but it runs through the
@@ -120,8 +115,6 @@ def _await_claimed(waits: List[SimulationJob], cache: SimulationCache,
 
 def execute_jobs(jobs: List[SimulationJob], workers: int = 1,
                  cache: Optional[SimulationCache] = None,
-                 runner: Optional[Callable[[List[SimulationJob]],
-                                           Iterable[Tuple[str, Dict[str, object]]]]] = None,
                  ) -> Dict[str, Dict[str, object]]:
     """Run every job once and return payloads keyed by job key.
 
@@ -141,11 +134,6 @@ def execute_jobs(jobs: List[SimulationJob], workers: int = 1,
         additionally guarantees exactly-once execution across concurrent
         processes: unclaimed misses wait for the claimant's result instead
         of recomputing it.
-    runner:
-        Optional override executing the claimed misses, as
-        ``runner(jobs) -> iterable of (key, payload)``.  The service daemon
-        injects its sharded worker pool here so queued cells and CLI runs
-        share one execution path.
     """
     workers = resolve_workers(workers)
     unique = dedupe_jobs(list(jobs))
@@ -167,7 +155,7 @@ def execute_jobs(jobs: List[SimulationJob], workers: int = 1,
         by_key = {job.key: job for job in misses}
         fresh: Dict[str, Dict[str, object]] = {}
         try:
-            for key, payload in _iter_miss_results(misses, workers, runner):
+            for key, payload in _iter_miss_results(misses, workers):
                 fresh[key] = payload
                 if cache is not None:
                     cache.store(by_key[key].cache_key(), payload,

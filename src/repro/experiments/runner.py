@@ -239,8 +239,7 @@ def _serve(args, workers: int) -> int:
     from ..service.daemon import run_daemon
 
     cache = SimulationCache(args.cache_dir)
-    return run_daemon(cache, host=args.host, port=args.port,
-                      threads=workers, processes=args.serve_processes)
+    return run_daemon(cache, host=args.host, port=args.port, threads=workers)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -301,9 +300,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--port", type=int, default=8037, metavar="PORT",
                         help="bind port, 0 for ephemeral (only with "
                              "--experiment serve)")
-    parser.add_argument("--serve-processes", action="store_true",
-                        help="shard service cells across a process pool "
-                             "(only with --experiment serve)")
     args = parser.parse_args(argv)
     try:
         workers = resolve_workers(args.jobs)

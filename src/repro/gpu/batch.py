@@ -205,11 +205,6 @@ class BatchedBlockContext:
 
     # ------------------------------------------------------------------ ids
     @property
-    def register_shape(self) -> Tuple[int, int]:
-        """Shape of a per-thread register vector: ``(num_blocks, threads)``."""
-        return self._register_shape
-
-    @property
     def thread_idx_x(self) -> np.ndarray:
         """``threadIdx.x`` of every thread (shape ``(B,)``, same per block)."""
         return self._thread_idx

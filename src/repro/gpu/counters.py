@@ -114,22 +114,6 @@ class KernelCounters:
         """
         return (2.0 * self.fma + self.add + self.mul) * 32.0
 
-    def instruction_counts(self) -> Dict[str, float]:
-        """Warp-instruction counts by class, for reports and tests."""
-        return {
-            "fma": self.fma,
-            "add": self.add,
-            "mul": self.mul,
-            "misc": self.misc,
-            "shfl": self.shfl,
-            "smem_load": self.smem_load,
-            "smem_store": self.smem_store,
-            "smem_broadcast": self.smem_broadcast,
-            "gmem_load": self.gmem_load,
-            "gmem_store": self.gmem_store,
-            "sync": self.sync,
-        }
-
     def as_dict(self) -> Dict[str, float]:
         """Every counter as a plain dictionary."""
         return {name: getattr(self, name) for name in self.__dataclass_fields__}

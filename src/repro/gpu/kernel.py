@@ -31,7 +31,7 @@ replays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -112,14 +112,6 @@ class LaunchConfig:
     def total_blocks(self) -> int:
         gx, gy, gz = self.grid_dim
         return gx * gy * gz
-
-    @property
-    def total_threads(self) -> int:
-        return self.total_blocks * self.block_threads
-
-    def with_precision(self, precision: object) -> "LaunchConfig":
-        """Copy of this configuration at a different precision."""
-        return replace(self, precision=resolve_precision(precision))
 
     def to_dict(self) -> dict:
         """JSON-serialisable description (cache keys, result artifacts)."""

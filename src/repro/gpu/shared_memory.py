@@ -249,11 +249,6 @@ class SharedMemory:
         self._arrays: Dict[str, SharedArray] = {}
         self._used_bytes = 0
 
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently allocated in each block's scratchpad."""
-        return self._used_bytes
-
     def allocate(self, name: str, shape: Tuple[int, ...],
                  precision: object = "float32") -> SharedArray:
         """Allocate a named shared array (like ``__shared__ T name[...]``)

@@ -92,12 +92,10 @@ class SweepService:
     class, and tests drive it directly.
     """
 
-    def __init__(self, cache: SimulationCache, threads: int = 2,
-                 processes: bool = False) -> None:
+    def __init__(self, cache: SimulationCache, threads: int = 2) -> None:
         self.cache = cache
         self.store = cache.result_store()
-        self.pool = WorkerPool(cache, threads=threads, processes=processes,
-                               on_cell=self._cell_finished)
+        self.pool = WorkerPool(cache, threads=threads, on_cell=self._cell_finished)
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)
 
@@ -720,8 +718,7 @@ class ServiceServer(ThreadingHTTPServer):
 
 
 def serve(cache: SimulationCache, host: str = "127.0.0.1", port: int = 0,
-          threads: int = 2, processes: bool = False,
-          resume: bool = True, verbose: bool = False
+          threads: int = 2, resume: bool = True, verbose: bool = False
           ) -> Tuple[ServiceServer, SweepService]:
     """Bind the service (without entering the serve loop) and resume runs.
 
@@ -729,7 +726,7 @@ def serve(cache: SimulationCache, host: str = "127.0.0.1", port: int = 0,
     when ``port=0``) and the service core; the caller drives
     ``serve_forever`` — the CLI blocks on it, tests run it in a thread.
     """
-    service = SweepService(cache, threads=threads, processes=processes)
+    service = SweepService(cache, threads=threads)
     server = ServiceServer((host, port), service, verbose=verbose)
     if resume:
         service.resume_pending()
@@ -754,11 +751,11 @@ def write_endpoint_file(cache: SimulationCache,
 
 
 def run_daemon(cache: SimulationCache, host: str = "127.0.0.1",
-               port: int = 8037, threads: int = 2, processes: bool = False,
+               port: int = 8037, threads: int = 2,
                verbose: bool = False) -> int:
     """Blocking entry point behind ``ssam-repro --experiment serve``."""
     server, service = serve(cache, host=host, port=port, threads=threads,
-                            processes=processes, verbose=verbose)
+                            verbose=verbose)
     endpoint = write_endpoint_file(cache, server)
     bound = server.server_address
     print(f"ssam-repro service listening on http://{bound[0]}:{bound[1]} "

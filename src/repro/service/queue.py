@@ -8,11 +8,6 @@ run first, ties run in submission order — and each worker drains the queue
 through :func:`repro.experiments.parallel.execute_jobs` with the shared
 store-backed cache, so queued cells get the same claim/dedup/exactly-once
 guarantees as any concurrent CLI sweep.
-
-Worker threads optionally shard execution across a ``ProcessPoolExecutor``
-(``processes=True``): the thread keeps the claim/store-back bookkeeping in
-the daemon process while the simulation itself runs in a worker process,
-which is how the daemon saturates multiple cores under heavy traffic.
 """
 
 from __future__ import annotations
@@ -20,12 +15,11 @@ from __future__ import annotations
 import itertools
 import queue
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..experiments.cache import SimulationCache
-from ..experiments.jobs import SimulationJob, execute_job
+from ..experiments.jobs import SimulationJob
 from ..experiments.parallel import execute_jobs
 
 #: cell completion callback: (run_id, cell, status, detail)
@@ -50,11 +44,6 @@ class WorkerPool:
         The shared store-backed cache every execution goes through.
     threads:
         Worker thread count (the queue's degree of parallelism).
-    processes:
-        When true, each cell's simulation runs in a shared
-        ``ProcessPoolExecutor`` (one slot per worker thread) instead of
-        inline in the thread — full multi-core sharding for CPU-bound
-        kernels at the cost of pickling the job across the boundary.
     on_cell:
         Completion callback invoked from the worker thread with
         ``(run_id, cell, status, detail)``; status is ``"done"`` or
@@ -62,14 +51,11 @@ class WorkerPool:
     """
 
     def __init__(self, cache: SimulationCache, threads: int = 2,
-                 processes: bool = False,
                  on_cell: Optional[CellCallback] = None) -> None:
         self.cache = cache
         self.on_cell = on_cell
         self._queue: "queue.PriorityQueue[_Item]" = queue.PriorityQueue()
         self._sequence = itertools.count()
-        self._pool = (ProcessPoolExecutor(max_workers=max(1, threads))
-                      if processes else None)
         self._stopping = False
         self._inflight = 0
         self._lock = threading.Lock()
@@ -94,13 +80,7 @@ class WorkerPool:
 
     # -- execution ------------------------------------------------------------
     def _run_one(self, job: SimulationJob) -> None:
-        if self._pool is not None:
-            def runner(jobs):
-                return [self._pool.submit(execute_job, j).result()
-                        for j in jobs]
-        else:
-            runner = None
-        execute_jobs([job], workers=1, cache=self.cache, runner=runner)
+        execute_jobs([job], workers=1, cache=self.cache)
 
     def _worker(self) -> None:
         while True:
@@ -123,10 +103,6 @@ class WorkerPool:
                 self.on_cell(item.run_id, item.cell, status, detail)
 
     # -- lifecycle ------------------------------------------------------------
-    def drain(self) -> None:
-        """Block until every queued cell has been executed."""
-        self._queue.join()
-
     def shutdown(self, wait: bool = True) -> None:
         """Stop the workers (queued-but-unstarted cells stay in the store's
         run ledger as pending, so a restarted daemon resumes them)."""
@@ -138,5 +114,3 @@ class WorkerPool:
         if wait:
             for thread in self._threads:
                 thread.join(timeout=30.0)
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait)

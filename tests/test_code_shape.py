@@ -19,6 +19,9 @@
   only in ``repro.kernels.common.run_jacobi`` (the convolution chain merges
   its passes itself), and no kernel or baseline entry takes a
   ``functional`` knob — a closed-form cost has its own entry.
+* Two direct schemes: every functional convolution and stencil baseline
+  kernel wraps ``repro.baselines.direct.naive_block`` or ``shared_block``,
+  and their launch shapes and closed-form counts come from ``direct`` too.
 """
 
 from __future__ import annotations
@@ -269,3 +272,69 @@ def test_functional_guard_sees_a_knob():
         "def _shared_like(label, image, *, functional):\n"
         "    pass\n")
     assert _takes_parameter(tree, "functional") == {"npp_like", "_shared_like"}
+
+
+#: kernel name -> block body of every functional direct baseline
+DIRECT_KERNELS = {
+    "npp_like_conv2d": "direct.naive_block",
+    "shared_conv2d": "direct.shared_block",
+    "original_stencil2d": "direct.naive_block",
+    "shared_stencil2d": "direct.shared_block",
+    "original_stencil3d": "direct.naive_block",
+}
+
+
+def _kernel_bodies(tree: ast.Module) -> dict:
+    """``{kernel name: block body}`` of every ``Kernel(body, name=...)``
+    call in ``tree``."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Kernel":
+            name = next(kw.value.value for kw in node.keywords if kw.arg == "name")
+            found[name] = ast.unparse(node.args[0])
+    return found
+
+
+def _block_bodies(tree: ast.Module) -> set:
+    """Functions of ``tree`` whose first parameter is the block context."""
+    return {name for name, func in _functions(tree)
+            if func.args.args and func.args.args[0].arg == "ctx"}
+
+
+def test_direct_baselines_wrap_the_two_schemes():
+    kernels, bodies = {}, set()
+    for path in sorted((SOURCE_ROOT / "baselines").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        kernels.update(_kernel_bodies(tree))
+        bodies.update((path.name, name) for name in _block_bodies(tree))
+    assert kernels == DIRECT_KERNELS
+    assert bodies == {("direct.py", "naive_block"), ("direct.py", "shared_block")}
+
+
+def test_direct_baselines_count_in_the_two_schemes():
+    # closed forms and launch shapes outside ``direct`` belong to the
+    # analytic-only models, which run no kernel
+    builders = {(module, name)
+                for module, name in _callers({"KernelCounters", "LaunchConfig"})
+                if module.startswith("baselines/")}
+    assert builders == {
+        ("baselines/direct.py", "naive_launch"),
+        ("baselines/direct.py", "naive_counters"),
+        ("baselines/direct.py", "shared_launch"),
+        ("baselines/direct.py", "shared_counters"),
+        ("baselines/conv2d.py", "cudnn_like_convolve2d_analytic"),
+        ("baselines/conv2d.py", "cufft_like_convolve2d_analytic"),
+        ("baselines/stencil2d.py", "_register_scheme_stencil2d"),
+        ("baselines/stencil3d.py", "shared_stencil3d"),
+        ("baselines/temporal.py", "ssam_temporal_stencil"),
+        ("baselines/temporal.py", "stencilgen_like_stencil")}
+
+
+def test_scheme_guard_sees_a_private_block_body():
+    # a baseline that writes its own block body is reported
+    tree = ast.parse(
+        "def _npp_block(ctx, src, dst, weights):\n"
+        "    pass\n"
+        "NPP_KERNEL = Kernel(_npp_block, name='npp_like_conv2d')\n")
+    assert _kernel_bodies(tree) == {"npp_like_conv2d": "_npp_block"}
+    assert _block_bodies(tree) == {"_npp_block"}
