@@ -50,7 +50,11 @@ class ConvolutionSpec:
     name: str = "conv2d"
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=np.float64)
+        # always the spec's own read-only copy: a view of the caller's array
+        # would change under the cached fingerprint when the caller writes
+        # to it (the caller's array and its flags stay as they were)
+        weights = np.array(self.weights, dtype=np.float64)
+        weights.flags.writeable = False
         if weights.ndim != 2:
             raise SpecificationError("convolution weights must be a 2-D array")
         if weights.size == 0:

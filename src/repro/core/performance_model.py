@@ -403,24 +403,26 @@ def model_convolution2d(spec, width: int, height: int,
                         precision: object = "float32",
                         outputs_per_thread: "int | None" = None,
                         block_threads: "int | None" = None,
-                        block_rows: "int | None" = None) -> "object":
+                        block_rows: "int | None" = None,
+                        plan: "object | None" = None) -> "object":
     """Section 5 prediction of the SSAM 2-D convolution (register cache).
 
     ``outputs_per_thread``/``block_threads``/``block_rows`` override the
     resolved launch defaults so the tuner can cost the whole Section 7.1
     design space closed-form; ``None`` values resolve through the default
-    chain of :mod:`repro.core.launch_defaults`.
+    chain of :mod:`repro.core.launch_defaults`.  A given ``plan`` (the
+    scenario registry hands in the cell's) replaces all three.
     """
     from ..kernels import conv2d_ssam
     from .plan import plan_convolution
 
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    plan = plan_convolution(spec, arch, prec, outputs_per_thread,
-                            block_threads, block_rows)
+    if plan is None:
+        plan = plan_convolution(spec, arch, prec, outputs_per_thread,
+                                block_threads, block_rows)
     base = conv2d_ssam.analytic_launch(spec, width, height, arch, prec,
-                                       plan.outputs_per_thread,
-                                       plan.block_threads, plan.block_rows)
+                                       plan=plan)
     blocking = plan.blocking
     compute = plan.outputs_per_thread * register_cache_latency(
         arch, spec.filter_width, spec.filter_height)
@@ -445,14 +447,17 @@ def model_convolution2d_chain(spec, width: int, height: int, passes: int = 2,
                               precision: object = "float32",
                               outputs_per_thread: "int | None" = None,
                               block_threads: "int | None" = None,
-                              block_rows: "int | None" = None) -> "object":
+                              block_rows: "int | None" = None,
+                              plan: "object | None" = None) -> "object":
     """Section 5 prediction of the multi-stage SSAM convolution chain.
 
     The unfused chain is ``passes`` back-to-back launches of the Section 5.2
     kernel; the fused chain (PR 6's trace fusion) keeps the intermediate
     images resident between stages, so only the first stage reads DRAM and
     only the last one writes it — the compute and staging latencies are
-    unchanged, but the Section 5.3 traffic floor shrinks accordingly.
+    unchanged, but the Section 5.3 traffic floor shrinks accordingly.  A
+    given ``plan`` replaces the launch parameters, as in
+    :func:`model_convolution2d`.
     """
     from ..kernels import conv2d_ssam
     from .plan import plan_convolution
@@ -461,11 +466,11 @@ def model_convolution2d_chain(spec, width: int, height: int, passes: int = 2,
         raise ConfigurationError("a convolution chain needs at least one pass")
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    plan = plan_convolution(spec, arch, prec, outputs_per_thread,
-                            block_threads, block_rows)
+    if plan is None:
+        plan = plan_convolution(spec, arch, prec, outputs_per_thread,
+                                block_threads, block_rows)
     base = conv2d_ssam.analytic_launch(spec, width, height, arch, prec,
-                                       plan.outputs_per_thread,
-                                       plan.block_threads, plan.block_rows)
+                                       plan=plan)
     blocking = plan.blocking
     compute = plan.outputs_per_thread * register_cache_latency(
         arch, spec.filter_width, spec.filter_height)
@@ -498,18 +503,23 @@ def model_stencil2d(spec, width: int, height: int, iterations: int = 1,
                     precision: object = "float32",
                     outputs_per_thread: "int | None" = None,
                     block_threads: "int | None" = None,
-                    block_rows: "int | None" = None) -> "object":
-    """Section 5 prediction of the SSAM 2-D stencil (immediate coefficients)."""
+                    block_rows: "int | None" = None,
+                    plan: "object | None" = None) -> "object":
+    """Section 5 prediction of the SSAM 2-D stencil (immediate coefficients).
+
+    A given ``plan`` replaces the launch parameters, as in
+    :func:`model_convolution2d`.
+    """
     from ..kernels import stencil2d_ssam
     from .plan import plan_stencil
 
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    plan = plan_stencil(spec, arch, prec, outputs_per_thread,
-                        block_threads, block_rows)
+    if plan is None:
+        plan = plan_stencil(spec, arch, prec, outputs_per_thread,
+                            block_threads, block_rows)
     base = stencil2d_ssam.analytic_launch(spec, width, height, iterations,
-                                          arch, prec, plan.outputs_per_thread,
-                                          plan.block_threads, plan.block_rows)
+                                          arch, prec, plan=plan)
     blocking = plan.blocking
     compute = plan.outputs_per_thread * stencil_register_cache_latency(
         arch, spec.num_points, spec.footprint_width)

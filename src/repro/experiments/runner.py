@@ -117,8 +117,8 @@ def run_experiment_results(name: str = "all", quick: bool = False,
         sweep = _sweep_module()
         resolved = sweep.load_matrix(
             matrix if matrix is not None else ("smoke" if quick else "default"))
-        payloads = execute_jobs(sweep.jobs(resolved), workers=jobs, cache=cache)
-        return {"sweep": sweep.assemble(payloads, resolved, quick=quick)}
+        return {"sweep": sweep.run_sweep(resolved, quick=quick, workers=jobs,
+                                         cache=cache)}
     if name == "tune":
         tuning = _tuning_module()
         return {"tune": tuning.run_tuning(quick=quick, workers=jobs,

@@ -184,7 +184,8 @@ def ssam_convolve2d_chain(image: np.ndarray, spec: ConvolutionSpec,
                           block_rows: Optional[int] = None,
                           fused: bool = False,
                           lead_blocks: Optional[int] = None,
-                          batch_size: object = "auto") -> KernelRunResult:
+                          batch_size: object = "auto",
+                          plan: Optional[SSAMPlan] = None) -> KernelRunResult:
     """Apply ``spec`` ``passes`` times (e.g. a two-pass Gaussian blur).
 
     ``fused=False`` runs the chain the conventional way: one launch per
@@ -193,7 +194,9 @@ def ssam_convolve2d_chain(image: np.ndarray, spec: ConvolutionSpec,
     (:func:`repro.trace.fusion.fused_launch`): producer blocks stay a
     halo's worth of rows ahead of consumer blocks, the intermediates are
     held on chip, and their DRAM writes and re-reads disappear from the
-    traffic counters.  Outputs are bit-identical either way.
+    traffic counters.  Outputs are bit-identical either way.  A given
+    ``plan`` is used for every pass instead of planning the launch
+    parameters.
     """
     if passes < 2:
         raise ConfigurationError("a convolution chain needs at least 2 passes")
@@ -201,8 +204,9 @@ def ssam_convolve2d_chain(image: np.ndarray, spec: ConvolutionSpec,
     require_edge_boundary(spec.boundary, "the SSAM convolution kernel")
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    plan = plan_convolution(spec, arch, prec, outputs_per_thread,
-                            block_threads, block_rows)
+    if plan is None:
+        plan = plan_convolution(spec, arch, prec, outputs_per_thread,
+                                block_threads, block_rows)
     height, width = image.shape
     config = plan.launch_config(width, height)
     anchor_x, anchor_y = spec.anchor
@@ -333,12 +337,18 @@ def analytic_launch(spec: ConvolutionSpec, width: int, height: int,
                     architecture: object = "p100", precision: object = "float32",
                     outputs_per_thread: Optional[int] = None,
                     block_threads: Optional[int] = None,
-                    block_rows: Optional[int] = None) -> KernelRunResult:
-    """Paper-scale cost estimate of the SSAM convolution without execution."""
+                    block_rows: Optional[int] = None,
+                    plan: Optional[SSAMPlan] = None) -> KernelRunResult:
+    """Paper-scale cost estimate of the SSAM convolution without execution.
+
+    A given ``plan`` is used as is; otherwise the launch parameters are
+    planned like :func:`ssam_convolve2d` does.
+    """
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    plan = plan_convolution(spec, arch, prec, outputs_per_thread,
-                            block_threads, block_rows)
+    if plan is None:
+        plan = plan_convolution(spec, arch, prec, outputs_per_thread,
+                                block_threads, block_rows)
     counters = analytic_counters(spec, width, height, plan)
     config = plan.launch_config(width, height)
     parameters = {

@@ -208,12 +208,18 @@ def analytic_launch(spec: StencilSpec, width: int, height: int, iterations: int 
                     architecture: object = "p100", precision: object = "float32",
                     outputs_per_thread: Optional[int] = None,
                     block_threads: Optional[int] = None,
-                    block_rows: Optional[int] = None) -> KernelRunResult:
-    """Paper-scale cost estimate of the SSAM 2-D stencil without execution."""
+                    block_rows: Optional[int] = None,
+                    plan: Optional[SSAMPlan] = None) -> KernelRunResult:
+    """Paper-scale cost estimate of the SSAM 2-D stencil without execution.
+
+    A given ``plan`` is used as is; otherwise the launch parameters are
+    planned like :func:`ssam_stencil2d` does.
+    """
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    plan = plan_stencil(spec, arch, prec, outputs_per_thread,
-                        block_threads, block_rows)
+    if plan is None:
+        plan = plan_stencil(spec, arch, prec, outputs_per_thread,
+                            block_threads, block_rows)
     counters = analytic_counters(spec, width, height, plan, iterations)
     parameters = {
         "stencil": spec.name,

@@ -216,9 +216,10 @@ register(Scenario(
 ))
 
 
-def _run_conv2d(spec, workload, params, architecture, precision, engine):
+def _run_conv2d(spec, workload, params, architecture, precision, engine,
+                plan=None):
     return ssam_convolve2d(workload, spec, architecture, precision,
-                           batch_size=ENGINE_BATCH_SIZE[engine],
+                           batch_size=ENGINE_BATCH_SIZE[engine], plan=plan,
                            **_plan_overrides(params))
 
 
@@ -234,12 +235,13 @@ register(Scenario(
     planner=lambda spec, params, architecture, precision: plan_convolution(
         spec, architecture, precision, **_plan_args(params)),
     oracle=lambda spec, workload, params: spec.reference(workload),
-    analytic=lambda spec, params, architecture, precision: conv2d_analytic_launch(
+    analytic=lambda spec, params, architecture, precision, plan=None: (
+        conv2d_analytic_launch(
+            spec, params["width"], params["height"], architecture, precision,
+            plan=plan, **_plan_overrides(params))),
+    model=lambda spec, params, architecture, precision, plan=None: model_convolution2d(
         spec, params["width"], params["height"], architecture, precision,
-        **_plan_overrides(params)),
-    model=lambda spec, params, architecture, precision: model_convolution2d(
-        spec, params["width"], params["height"], architecture, precision,
-        **_plan_overrides(params)),
+        plan=plan, **_plan_overrides(params)),
     tunables=TUNABLES_2D,
     sizes=_CONV2D_SIZES,
     architectures=ALL_ARCHITECTURES,
@@ -249,10 +251,11 @@ register(Scenario(
 ))
 
 
-def _run_stencil2d(spec, workload, params, architecture, precision, engine):
+def _run_stencil2d(spec, workload, params, architecture, precision, engine,
+                   plan=None):
     return ssam_stencil2d(workload, spec, params.get("iterations", 1),
                           architecture, precision,
-                          batch_size=ENGINE_BATCH_SIZE[engine],
+                          batch_size=ENGINE_BATCH_SIZE[engine], plan=plan,
                           **_plan_overrides(params))
 
 
@@ -267,10 +270,10 @@ def _plan_stencil(spec, params, architecture, precision):
     return plan_stencil(spec, architecture, precision, **_plan_args(params))
 
 
-def _model_stencil2d(spec, params, architecture, precision):
+def _model_stencil2d(spec, params, architecture, precision, plan=None):
     return model_stencil2d(spec, params["width"], params["height"],
                            params.get("iterations", 1), architecture, precision,
-                           **_plan_overrides(params))
+                           plan=plan, **_plan_overrides(params))
 
 
 def _register_stencil2d(name: str, sizes, description: str) -> None:
@@ -287,9 +290,11 @@ def _register_stencil2d(name: str, sizes, description: str) -> None:
         planner=_plan_stencil,
         oracle=lambda spec, workload, params: spec.reference(
             workload, iterations=params.get("iterations", 1)),
-        analytic=lambda spec, params, architecture, precision: stencil2d_analytic_launch(
-            spec, params["width"], params["height"], params.get("iterations", 1),
-            architecture, precision, **_plan_overrides(params)),
+        analytic=lambda spec, params, architecture, precision, plan=None: (
+            stencil2d_analytic_launch(
+                spec, params["width"], params["height"],
+                params.get("iterations", 1), architecture, precision,
+                plan=plan, **_plan_overrides(params))),
         model=_model_stencil2d,
         tunables=TUNABLES_2D,
         sizes=sizes,
@@ -304,7 +309,9 @@ _register_stencil2d("stencil2d", _STENCIL2D_SIZES,
                     "SSAM 2-D stencil (Listing 2, generalised)")
 
 
-def _run_stencil3d(spec, workload, params, architecture, precision, engine):
+def _run_stencil3d(spec, workload, params, architecture, precision, engine,
+                   plan=None):
+    # the 3-D kernel launches from its own geometry, not the in-plane plan
     return ssam_stencil3d(workload, spec, params.get("iterations", 1),
                           architecture, precision,
                           batch_size=ENGINE_BATCH_SIZE[engine],
@@ -324,11 +331,11 @@ register(Scenario(
     planner=_plan_stencil,
     oracle=lambda spec, workload, params: spec.reference(
         workload, iterations=params.get("iterations", 1)),
-    analytic=lambda spec, params, architecture, precision: stencil3d_analytic_launch(
+    analytic=lambda spec, params, architecture, precision, plan=None: stencil3d_analytic_launch(
         spec, params["width"], params["height"], params["depth"],
         params.get("iterations", 1), architecture, precision,
         **_plan_overrides(params)),
-    model=lambda spec, params, architecture, precision: model_stencil3d(
+    model=lambda spec, params, architecture, precision, plan=None: model_stencil3d(
         spec, params["width"], params["height"], params["depth"],
         params.get("iterations", 1), architecture, precision,
         **_plan_overrides(params)),
@@ -401,12 +408,13 @@ for _name, _stencil, _description in (
     _register_stencil2d(_name, _stencil2d_variant_sizes(_stencil), _description)
 
 
-def _run_stencil2d_masked(spec, workload, params, architecture, precision, engine):
+def _run_stencil2d_masked(spec, workload, params, architecture, precision,
+                          engine, plan=None):
     return ssam_stencil2d_masked(workload, spec, params.get("iterations", 1),
                                  margin=params.get("margin", 2),
                                  architecture=architecture, precision=precision,
                                  batch_size=ENGINE_BATCH_SIZE[engine],
-                                 **_plan_overrides(params))
+                                 plan=plan, **_plan_overrides(params))
 
 
 register(Scenario(
@@ -442,12 +450,13 @@ register(Scenario(
 ))
 
 
-def _run_conv2d_pipeline(spec, workload, params, architecture, precision, engine):
+def _run_conv2d_pipeline(spec, workload, params, architecture, precision,
+                         engine, plan=None):
     return ssam_convolve2d_chain(workload, spec, params.get("passes", 2),
                                  architecture, precision,
                                  fused=bool(params.get("fused", False)),
                                  batch_size=ENGINE_BATCH_SIZE[engine],
-                                 **_plan_overrides(params))
+                                 plan=plan, **_plan_overrides(params))
 
 
 def _chain_oracle(spec, workload, params):
@@ -469,12 +478,13 @@ register(Scenario(
     planner=lambda spec, params, architecture, precision: plan_convolution(
         spec, architecture, precision, **_plan_args(params)),
     oracle=_chain_oracle,
-    model=lambda spec, params, architecture, precision: model_convolution2d_chain(
-        spec, params["width"], params["height"],
-        passes=int(params.get("passes", 2)),
-        fused=bool(params.get("fused", False)),
-        architecture=architecture, precision=precision,
-        **_plan_overrides(params)),
+    model=lambda spec, params, architecture, precision, plan=None: (
+        model_convolution2d_chain(
+            spec, params["width"], params["height"],
+            passes=int(params.get("passes", 2)),
+            fused=bool(params.get("fused", False)),
+            architecture=architecture, precision=precision, plan=plan,
+            **_plan_overrides(params))),
     tunables=TUNABLES_2D,
     sizes={
         "tiny": {"width": 49, "height": 37, "filter": 3, "passes": 2},

@@ -20,6 +20,8 @@ its correctness suite exist immediately.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -130,6 +132,48 @@ class ScenarioCase:
 
 
 @dataclass(frozen=True)
+class CellResolution:
+    """One cell (scenario, size, part, precision, overrides) resolved once.
+
+    ``params`` is the named size's parameter mapping with the validated
+    overrides merged in and the tunables resolved through the default chain
+    (provenance under :data:`LAUNCH_DEFAULTS_SOURCE_KEY`); ``plan`` is what
+    the scenario's planner builds from ``spec`` and ``params`` (``None``
+    without a planner).  The validity check, the job key and the
+    evaluators all read the cell from here instead of rebuilding it.
+    """
+
+    spec: object
+    params: Mapping[str, object]
+    plan: object = None
+
+
+#: the resolutions of the current run (see :func:`resolving`)
+_RESOLUTIONS: "ContextVar[Optional[Dict[tuple, tuple]]]" = ContextVar(
+    "cell_resolutions", default=None)
+
+
+@contextmanager
+def resolving():
+    """Resolve each cell at most once inside the block (one run).
+
+    :meth:`Scenario.resolve` memoises on the cell while a block is open.
+    The memo belongs to the calling thread's context and is dropped on
+    exit, so nothing keyed by a design point outlives the run, and a
+    tuned-database row written after the block is seen by the next run.
+    A nested block shares the outermost memo.
+    """
+    if _RESOLUTIONS.get() is not None:
+        yield
+        return
+    token = _RESOLUTIONS.set({})
+    try:
+        yield
+    finally:
+        _RESOLUTIONS.reset(token)
+
+
+@dataclass(frozen=True)
 class Scenario:
     """One registered implementation and its declarative envelope.
 
@@ -165,7 +209,12 @@ class Scenario:
     planner:
         Optional ``planner(spec, params, architecture, precision)`` returning
         the :class:`~repro.core.plan.SSAMPlan` used by the kernel, exposed so
-        tests and cache keys can reason about register budgets.
+        tests and cache keys can reason about register budgets.  A scenario
+        with a planner hands every evaluator (runner, ``analytic``,
+        ``model``) a ``plan=`` keyword: the plan of the resolved cell
+        (:meth:`Scenario.resolve`), or ``None`` when the caller passed its
+        own spec and parameters (:meth:`Scenario.run`), in which case the
+        evaluator plans for itself.
     oracle:
         Optional ``oracle(spec, workload, params)`` returning the ground-truth
         output on the host; scenarios without one (analytic-only baselines)
@@ -232,6 +281,7 @@ class Scenario:
         object.__setattr__(self, "engines", tuple(self.engines))
         object.__setattr__(self, "tunables", tuple(self.tunables))
         object.__setattr__(self, "sizes", dict(self.sizes))
+        object.__setattr__(self, "_specs", {})
         object.__setattr__(self, "_spec_fingerprints", {})
 
     # -- envelope -----------------------------------------------------------
@@ -345,10 +395,18 @@ class Scenario:
 
     # -- building blocks ----------------------------------------------------
     def build_spec(self, size: str):
-        """The problem spec of a named size (``None`` for spec-less scenarios)."""
-        if self.spec_builder is None:
-            return None
-        return self.spec_builder(self.resolve_size(size))
+        """The problem spec of a named size (``None`` for spec-less
+        scenarios), built once per size: a size's parameters are fixed and
+        specs are immutable (an array spec is handed out read-only)."""
+        specs = self._specs
+        if size not in specs:
+            spec = (None if self.spec_builder is None
+                    else self.spec_builder(self.resolve_size(size)))
+            if isinstance(spec, np.ndarray):
+                spec = spec.view()
+                spec.flags.writeable = False
+            specs[size] = spec
+        return specs[size]
 
     def spec_fingerprint(self, size: str) -> Optional[str]:
         """Content digest of a named size's spec (``None`` for spec-less
@@ -378,10 +436,7 @@ class Scenario:
         """
         if self.planner is None:
             return None
-        params = self.case_parameters(size, architecture, precision,
-                                      plan_kwargs)
-        return self.planner(self.build_spec(size), params,
-                            architecture, precision)
+        return self.resolve(size, architecture, precision, plan_kwargs).plan
 
     def case_parameters(self, size: str, architecture: str, precision: str,
                         plan_kwargs: Optional[Mapping[str, object]] = None,
@@ -393,6 +448,32 @@ class Scenario:
         if plan_kwargs:
             params.update(self.validate_plan_kwargs(plan_kwargs))
         return self.resolve_tunable_defaults(params, architecture, precision)
+
+    def resolve(self, size: str, architecture: str, precision: str,
+                plan_kwargs: Optional[Mapping[str, object]] = None,
+                ) -> CellResolution:
+        """The cell's spec, resolved parameters and plan, built together.
+
+        Inside a :func:`resolving` block each cell is resolved once and the
+        result is shared; outside one it is built afresh.
+        """
+        memo = _RESOLUTIONS.get()
+        if memo is not None:
+            key = (self.name, size, architecture, precision,
+                   _normalise_plan_kwargs(plan_kwargs))
+            hit = memo.get(key)
+            # the name may be re-registered mid-run: only this object's entry
+            if hit is not None and hit[0] is self:
+                return hit[1]
+        spec = self.build_spec(size)
+        params = self.case_parameters(size, architecture, precision,
+                                      plan_kwargs)
+        cell = CellResolution(spec, params, None if self.planner is None
+                              else self.planner(spec, params, architecture,
+                                                precision))
+        if memo is not None:
+            memo[key] = (self, cell)
+        return cell
 
     # -- execution -----------------------------------------------------------
     def run(self, spec, workload, params: Mapping[str, object],
@@ -411,15 +492,11 @@ class Scenario:
         if plan_kwargs:
             params.update(self.validate_plan_kwargs(plan_kwargs))
         params = self.resolve_tunable_defaults(params, architecture, precision)
-        if engine == "model":
-            return self.model(spec, params, architecture, precision)
-        if engine == "analytic":
-            return self.analytic(spec, params, architecture, precision)
-        return self.runner(spec, workload, params, architecture,
-                           precision, engine)
+        return self._evaluate(engine, spec, workload, params, architecture,
+                              precision, None)
 
     def run_case(self, case: ScenarioCase):
-        """Run one expanded case end to end (builds spec + workload)."""
+        """Run one expanded case end to end on its resolved cell."""
         if case.scenario != self.name:
             raise ConfigurationError(
                 f"case {case.case_id!r} does not belong to scenario {self.name!r}")
@@ -427,13 +504,26 @@ class Scenario:
                              case.size):
             raise ConfigurationError(
                 f"case {case.case_id!r} lies outside the scenario envelope")
-        params = self.resolve_size(case.size)
-        spec = self.build_spec(case.size)
+        cell = self.resolve(case.size, case.architecture, case.precision,
+                            case.plan_overrides)
         workload = (None if case.engine in NON_EXECUTING_ENGINES
                     else self.build_workload(case.size, case.precision))
-        return self.run(spec, workload, params, case.architecture,
-                        case.precision, case.engine,
-                        plan_kwargs=case.plan_overrides)
+        return self._evaluate(case.engine, cell.spec, workload,
+                              dict(cell.params), case.architecture,
+                              case.precision, cell.plan)
+
+    def _evaluate(self, engine: str, spec, workload, params, architecture,
+                  precision, plan):
+        """Call the engine's evaluator (with ``plan=`` when there is a
+        planner, see the class docstring)."""
+        extra = {} if self.planner is None else {"plan": plan}
+        if engine == "model":
+            return self.model(spec, params, architecture, precision, **extra)
+        if engine == "analytic":
+            return self.analytic(spec, params, architecture, precision,
+                                 **extra)
+        return self.runner(spec, workload, params, architecture,
+                           precision, engine, **extra)
 
     def run_analytic(self, spec, params: Mapping[str, object],
                      architecture: str, precision: str):

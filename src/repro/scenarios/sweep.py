@@ -63,6 +63,7 @@ from .registry import (
     ScenarioCase,
     expand_matrix,
     get_scenario,
+    resolving,
 )
 
 # make sure the built-in scenarios are registered even when this module is
@@ -193,15 +194,14 @@ def _shared_run_key(entry, case: ScenarioCase) -> Optional[str]:
             or not entry.supports(case.architecture, case.precision,
                                   case.engine, case.size)):
         return None
-    plan = entry.build_plan(case.size, case.architecture, case.precision,
-                            plan_kwargs=case.plan_overrides)
+    cell = entry.resolve(case.size, case.architecture, case.precision,
+                         case.plan_overrides)
     return canonical_json([
         case.scenario, case.size, case.precision, case.engine,
-        case.plan_kwargs,
-        entry.case_parameters(case.size, case.architecture, case.precision,
-                              case.plan_overrides),
-        None if plan is None else {k: v for k, v in plan.to_dict().items()
-                                   if k != "architecture"},
+        case.plan_kwargs, cell.params,
+        None if cell.plan is None else {
+            k: v for k, v in cell.plan.to_dict().items()
+            if k != "architecture"},
         get_architecture(case.architecture).memory_geometry])
 
 
@@ -266,28 +266,31 @@ def _measure_case(scenario: str, architecture: str, precision: str,
     artifacts double as validation records.  A built-in cell on an
     executing engine is simulated once per memory geometry: the other parts
     of the geometry reuse that run and recompute only what is their own.
+    The cell is resolved once: its sharing key and its run read the same
+    spec, parameters and plan.
     """
     case = ScenarioCase(scenario, architecture, precision, engine, size,
                         plan_kwargs or {})
     entry = get_scenario(scenario)
-    key = _shared_run_key(entry, case)
-    if key is None:
-        return _simulate_case(entry, case)[0]
-    with _SHARED_RUNS_LOCK:
-        run = _SHARED_RUNS.get(key)
+    with resolving():
+        key = _shared_run_key(entry, case)
+        if key is None:
+            return _simulate_case(entry, case)[0]
+        with _SHARED_RUNS_LOCK:
+            run = _SHARED_RUNS.get(key)
+            if run is not None:
+                _SHARED_RUNS.move_to_end(key)
         if run is not None:
+            return _share(run, case)
+        with record_shared_checks() as checks:
+            payload, launch = _simulate_case(entry, case)
+        with _SHARED_RUNS_LOCK:
+            _SHARED_RUNS[key] = _SharedRun(jsonify(payload), launch,
+                                           tuple(checks))
             _SHARED_RUNS.move_to_end(key)
-    if run is not None:
-        return _share(run, case)
-    with record_shared_checks() as checks:
-        payload, launch = _simulate_case(entry, case)
-    with _SHARED_RUNS_LOCK:
-        _SHARED_RUNS[key] = _SharedRun(jsonify(payload), launch,
-                                       tuple(checks))
-        _SHARED_RUNS.move_to_end(key)
-        while len(_SHARED_RUNS) > SHARED_RUNS_MAX:
-            _SHARED_RUNS.popitem(last=False)
-    return payload
+            while len(_SHARED_RUNS) > SHARED_RUNS_MAX:
+                _SHARED_RUNS.popitem(last=False)
+        return payload
 
 
 # --------------------------------------------------------------- pipeline
@@ -436,8 +439,10 @@ def run_sweep(matrix: "str | Mapping[str, object] | None" = None,
     from ..experiments.parallel import execute_jobs
 
     resolved = load_matrix(matrix)
-    payloads = execute_jobs(jobs(resolved), workers=workers, cache=cache)
-    return assemble(payloads, resolved, quick=quick)
+    # the job keys and the in-process cells share one resolution per cell
+    with resolving():
+        payloads = execute_jobs(jobs(resolved), workers=workers, cache=cache)
+        return assemble(payloads, resolved, quick=quick)
 
 
 def report(matrix: "str | Mapping[str, object] | None" = None,

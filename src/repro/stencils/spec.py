@@ -102,31 +102,37 @@ class StencilSpec:
     @property
     def order(self) -> int:
         """Stencil order k: the maximum absolute offset along any axis."""
-        return max(max(abs(p.dx), abs(p.dy), abs(p.dz)) for p in self.points)
+        return max(self.reach)
+
+    def _ranges(self) -> Tuple[Tuple[int, int], ...]:
+        """(min, max) offset along x, y and z: one scan of the taps,
+        computed once per instance (specs are immutable)."""
+        cached = self.__dict__.get("_tap_ranges")
+        if cached is None:
+            cached = tuple((min(axis), max(axis))
+                           for axis in zip(*(p.offset for p in self.points)))
+            object.__setattr__(self, "_tap_ranges", cached)
+        return cached
 
     @property
     def reach(self) -> Tuple[int, int, int]:
         """Maximum absolute reach along (x, y, z)."""
-        return (
-            max(abs(p.dx) for p in self.points),
-            max(abs(p.dy) for p in self.points),
-            max(abs(p.dz) for p in self.points),
-        )
+        return tuple(max(-lo, hi) for lo, hi in self._ranges())
 
     @property
     def x_range(self) -> Tuple[int, int]:
         """(min dx, max dx) — the lane-direction footprint."""
-        return (min(p.dx for p in self.points), max(p.dx for p in self.points))
+        return self._ranges()[0]
 
     @property
     def y_range(self) -> Tuple[int, int]:
         """(min dy, max dy) — the register-cache-direction footprint."""
-        return (min(p.dy for p in self.points), max(p.dy for p in self.points))
+        return self._ranges()[1]
 
     @property
     def z_range(self) -> Tuple[int, int]:
         """(min dz, max dz)."""
-        return (min(p.dz for p in self.points), max(p.dz for p in self.points))
+        return self._ranges()[2]
 
     @property
     def footprint_width(self) -> int:

@@ -39,7 +39,13 @@ from ..errors import ConfigurationError
 from ..experiments.jobs import SimulationJob
 from ..experiments.results import ExperimentResult, Measurement
 from ..serialization import stable_digest
-from ..scenarios.registry import Scenario, ScenarioCase, all_scenarios, get_scenario
+from ..scenarios.registry import (
+    Scenario,
+    ScenarioCase,
+    all_scenarios,
+    get_scenario,
+    resolving,
+)
 from ..scenarios.sweep import case_cache_fields, case_job_key
 from .search import SearchStrategy, get_strategy, point_key
 from .space import (
@@ -310,37 +316,40 @@ def run_tuning(quick: bool = False, workers: int = 1, cache=None,
     resolved_confirm = confirm_size if confirm_size is not None else (
         QUICK_CONFIRM_SIZE if quick else CONFIRM_SIZE)
     cells = tune_cells(scenarios, architectures, precisions, model_size)
-    points_by_cell = explore_points(cells, resolved_space, model_size)
-    sessions, model_payloads = explore_stage(
-        cells, points_by_cell, strategy, executor, workers, cache,
-        model_size)
-    rankings = {cell.cell_id: _ranked_points(
-                    cell, sessions[cell.cell_id].evaluated_points(),
-                    model_size, model_payloads)
+    # every consumer of a design point (validity, job key, model) shares
+    # one resolution of it; the tuned rows are written after the block
+    with resolving():
+        points_by_cell = explore_points(cells, resolved_space, model_size)
+        sessions, model_payloads = explore_stage(
+            cells, points_by_cell, strategy, executor, workers, cache,
+            model_size)
+        rankings = {cell.cell_id: _ranked_points(
+                        cell, sessions[cell.cell_id].evaluated_points(),
+                        model_size, model_payloads)
+                    for cell in cells}
+        evaluations = {cell.cell_id: {
+                           "evaluated": sessions[cell.cell_id].evaluations,
+                           "space": len(points_by_cell[cell.cell_id])}
+                       for cell in cells}
+        candidates_by_cell: Dict[str, List[Dict[str, int]]] = {}
+        confirm_payloads: Dict[str, Mapping[str, object]] = {}
+        if confirm:
+            candidates_by_cell = {
+                cell.cell_id: _confirm_points(cell, get_scenario(cell.scenario),
+                                              rankings[cell.cell_id],
+                                              resolved_top_k, resolved_confirm,
+                                              confirm_engine)
                 for cell in cells}
-    evaluations = {cell.cell_id: {
-                       "evaluated": sessions[cell.cell_id].evaluations,
-                       "space": len(points_by_cell[cell.cell_id])}
-                   for cell in cells}
-    candidates_by_cell: Dict[str, List[Dict[str, int]]] = {}
-    confirm_payloads: Dict[str, Mapping[str, object]] = {}
-    if confirm:
-        candidates_by_cell = {
-            cell.cell_id: _confirm_points(cell, get_scenario(cell.scenario),
-                                          rankings[cell.cell_id],
-                                          resolved_top_k, resolved_confirm,
-                                          confirm_engine)
-            for cell in cells}
-        confirm_payloads = executor(
-            confirm_jobs(cells, candidates_by_cell, resolved_confirm,
-                         confirm_engine),
-            workers=workers, cache=cache)
-    result = assemble(cells, resolved_space, rankings, candidates_by_cell,
-                      confirm_payloads, quick=quick, top_k=resolved_top_k,
-                      model_size=model_size,
-                      confirm_size=resolved_confirm if confirm else None,
-                      confirm_engine=confirm_engine,
-                      search=strategy.name, evaluations=evaluations)
+            confirm_payloads = executor(
+                confirm_jobs(cells, candidates_by_cell, resolved_confirm,
+                             confirm_engine),
+                workers=workers, cache=cache)
+        result = assemble(cells, resolved_space, rankings, candidates_by_cell,
+                          confirm_payloads, quick=quick, top_k=resolved_top_k,
+                          model_size=model_size,
+                          confirm_size=resolved_confirm if confirm else None,
+                          confirm_engine=confirm_engine,
+                          search=strategy.name, evaluations=evaluations)
     if cache is not None and getattr(cache, "enabled", True):
         store_tuned_configs(result, cache.result_store())
     return result

@@ -115,6 +115,22 @@ def test_non_square_filters_supported():
     assert spec.reference(image).shape == image.shape
 
 
+def test_convolution_spec_keeps_its_own_weights():
+    """A spec's fingerprint keys the plan cache and the result store, so a
+    write to the caller's array must not reach the spec behind it."""
+    weights = np.ones((3, 3))
+    spec = ConvolutionSpec(weights)
+    fingerprint = spec.fingerprint()
+    weights[1, 1] = 7.0
+    assert spec.weights[1, 1] == 1.0
+    assert spec.fingerprint() == fingerprint == ConvolutionSpec(
+        np.ones((3, 3))).fingerprint()
+    # the caller's array and its flags are untouched; the spec's is read-only
+    assert weights.flags.writeable and weights[1, 1] == 7.0
+    with pytest.raises(ValueError):
+        spec.weights[0, 0] = 2.0
+
+
 # --- stencil specs ------------------------------------------------------------------
 
 def test_stencil_spec_geometry_2d5pt():
@@ -125,6 +141,23 @@ def test_stencil_spec_geometry_2d5pt():
     assert spec.is_star
     assert sorted(spec.columns().keys()) == [-1, 0, 1]
     assert len(spec.columns()[0]) == 3
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_stencil_extents_match_a_scan_of_the_taps(name):
+    spec = get_stencil(name)
+    for _ in range(2):  # computed once, served again unchanged
+        for axis, (lo, hi) in zip("xyz", (spec.x_range, spec.y_range,
+                                          spec.z_range)):
+            offsets = [getattr(p, f"d{axis}") for p in spec.points]
+            assert (lo, hi) == (min(offsets), max(offsets))
+        assert spec.reach == tuple(max(abs(getattr(p, f"d{axis}"))
+                                       for p in spec.points)
+                                   for axis in "xyz")
+        assert spec.order == max(spec.reach)
+        assert spec.footprint_width == spec.x_range[1] - spec.x_range[0] + 1
+        assert spec.footprint_height == spec.y_range[1] - spec.y_range[0] + 1
+        assert spec.footprint_depth == spec.z_range[1] - spec.z_range[0] + 1
 
 
 def test_stencil_duplicate_offsets_rejected():
