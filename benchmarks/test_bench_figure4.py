@@ -9,22 +9,25 @@ import pytest
 
 from repro.analysis.tables import format_series
 from repro.experiments import figure4
+from repro.experiments.runner import run_experiment_results
 
-#: reduced sweep keeps the benchmark harness quick; pass the full range to
-#: ``figure4.run`` (or use ``ssam-repro -e figure4``) for every size 2..20
+#: the sizes the assertions read from the full figure (every size 2..20 is
+#: in ``ssam-repro -e figure4``)
 BENCH_FILTER_SIZES = (2, 3, 5, 7, 9, 11, 13, 15, 17, 20)
 
 
 @pytest.mark.parametrize("architecture", ["p100", "v100"])
 def test_bench_figure4_panel(benchmark, architecture):
-    panel = benchmark(figure4.run, architecture, "float32", BENCH_FILTER_SIZES)
-    labels = [f"{s}x{s}" for s in panel["filter_sizes"]]
+    result = benchmark(run_experiment_results, "figure4")["figure4"]
+    labels = [f"{s}x{s}" for s in BENCH_FILTER_SIZES]
+    series = result.series(figure4.IMPLEMENTATIONS, architecture, labels)
+    summary = figure4.summarize(series)
     print("\n" + format_series(
         f"Figure 4 ({architecture.upper()}, float32, 8192x8192) — runtime",
-        "filter", labels, panel["milliseconds"], unit="ms"))
-    print(f"summary: {panel['summary']}")
-    assert panel["summary"]["ssam_vs_npp_geomean_speedup"] > 1.5
-    assert panel["summary"]["ssam_fastest_fraction"] >= 0.6
+        "filter", labels, series, unit="ms"))
+    print(f"summary: {summary}")
+    assert summary["ssam_vs_npp_geomean_speedup"] > 1.5
+    assert summary["ssam_fastest_fraction"] >= 0.6
 
 
 def test_bench_figure4_functional_small_image(benchmark):

@@ -4,17 +4,21 @@ import pytest
 
 from repro.analysis.tables import format_series
 from repro.experiments import figure6
+from repro.experiments.runner import run_experiment_results
+from repro.stencils.catalog import FIGURE6_BENCHMARKS
 
 
 @pytest.mark.parametrize("architecture, precision", [
     ("p100", "float32"), ("p100", "float64"), ("v100", "float32"), ("v100", "float64"),
 ])
 def test_bench_figure6_panel(benchmark, architecture, precision):
-    panel = benchmark(figure6.run, architecture, precision)
+    result = benchmark(run_experiment_results, "figure6")["figure6"]
+    series = result.series(figure6.IMPLEMENTATIONS, f"{architecture}:{precision}",
+                           FIGURE6_BENCHMARKS)
     print("\n" + format_series(
         f"Figure 6 ({architecture.upper()}, {precision}) — temporal blocking",
-        "benchmark", panel["benchmarks"], panel["gcells_per_second"], unit="GCells/s"))
-    ssam = [v for v in panel["gcells_per_second"]["ssam"] if v]
+        "benchmark", list(FIGURE6_BENCHMARKS), series, unit="GCells/s"))
+    ssam = [v for v in series["ssam"] if v]
     single_pass_roofline = 120.0 if precision == "float32" else 60.0
     # temporal blocking should push most benchmarks past the single-pass roofline
     assert max(ssam) > single_pass_roofline

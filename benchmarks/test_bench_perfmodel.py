@@ -8,7 +8,7 @@ block-execution throughput of the simulator.
 import numpy as np
 
 from repro.core.performance_model import advantage_table
-from repro.experiments import model_validation
+from repro.experiments.runner import run_experiment
 from repro.gpu.architecture import TESLA_P100
 from repro.gpu.microbench import run_table2
 from repro.gpu.occupancy import compute_occupancy
@@ -18,7 +18,7 @@ from repro.gpu.warp import shfl_up
 def test_bench_section5_model_sweep(benchmark):
     rows = benchmark(advantage_table, "p100", range(2, 21), 4)
     assert all(row["dif_cycles"] > 0 for row in rows)
-    print("\n" + model_validation.report())
+    print("\n" + run_experiment("model"))
 
 
 def test_bench_occupancy_calculator(benchmark):

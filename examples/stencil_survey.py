@@ -8,24 +8,26 @@ so the two can be compared — the experiment behind EXPERIMENTS.md.
 
 from repro.analysis.tables import format_series, format_table
 from repro.core.performance_model import compare_latencies
-from repro.experiments import figure5
+from repro.experiments import figure5, run_experiment_results
 from repro.stencils.catalog import CATALOG
 
 BENCHMARKS = ("2d5pt", "2d9pt", "2d25pt", "2d81pt", "3d7pt", "poisson")
 
 
 def main() -> None:
-    panel = figure5.run("p100", "float32", benchmarks=BENCHMARKS)
+    result = run_experiment_results("figure5")["figure5"]
+    series = result.series(figure5.IMPLEMENTATIONS, "p100:float32", BENCHMARKS)
     print(format_series("Figure 5 subset — Tesla P100, float32", "benchmark",
-                        panel["benchmarks"], panel["gcells_per_second"], unit="GCells/s"))
-    print(f"\nSSAM fastest or tied on {panel['ssam_wins']}/{panel['total']} benchmarks\n")
+                        list(BENCHMARKS), series, unit="GCells/s"))
+    print(f"\nSSAM fastest or tied on {figure5.ssam_wins(series)}/{len(BENCHMARKS)} "
+          "benchmarks\n")
 
     rows = []
-    for name in BENCHMARKS:
+    for i, name in enumerate(BENCHMARKS):
         spec = CATALOG[name].spec
         comparison = compare_latencies("p100", spec.footprint_width, spec.footprint_height)
-        ssam = panel["gcells_per_second"]["ssam"][list(BENCHMARKS).index(name)]
-        smem = panel["gcells_per_second"]["ppcg"][list(BENCHMARKS).index(name)]
+        ssam = series["ssam"][i]
+        smem = series["ppcg"][i]
         rows.append({
             "benchmark": name,
             "latency_model_speedup": round(comparison.speedup, 2),

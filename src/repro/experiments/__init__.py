@@ -9,8 +9,7 @@ Layered as data → execution → presentation:
 * :mod:`~repro.experiments.cache` — persistent on-disk memoisation of
   simulation payloads keyed by spec/config fingerprints + code version;
 * the per-experiment modules (``table1`` ... ``model_validation``) each
-  provide ``jobs``/``assemble``/``render`` plus their legacy ``run``/
-  ``report`` surface;
+  provide exactly ``jobs``/``assemble``/``render``;
 * :mod:`~repro.experiments.runner` — the CLI
   (``python -m repro.experiments.runner``).
 """

@@ -9,18 +9,18 @@ Structure (shared by every experiment module):
 
 * ``_measure_cell`` — the simulation worker: one (implementation,
   filter size, architecture) point, returning a JSON payload;
-* ``jobs``/``assemble``/``render`` — the pipeline surface used by the
-  runner: independent jobs, deterministic folding of their payloads into a
-  typed :class:`~repro.experiments.results.ExperimentResult`, and the pure
-  text view over that result;
-* ``run``/``run_both``/``report`` — the legacy in-process API, now thin
-  wrappers over the same worker.
+* ``jobs``/``assemble``/``render`` — the only surface, the one the
+  runner calls: independent jobs, deterministic folding of their payloads
+  into a typed :class:`~repro.experiments.results.ExperimentResult`, and
+  the pure text view over that result.  Callers that want a subset of the
+  figure select its points from the result (``series``) and apply
+  :func:`summarize` to them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.metrics import geometric_mean, speedup
 from ..analysis.tables import format_series
@@ -40,34 +40,26 @@ IMPLEMENTATIONS = ("ssam", "arrayfire", "npp", "halide", "cudnn", "cufft")
 #: the two panels of the figure
 PANELS = (("figure4a", "p100"), ("figure4b", "v100"))
 
+
 def _scenario_name(implementation: str) -> str:
     """Map a figure series name onto its registered conv2d scenario."""
     return "conv2d" if implementation == "ssam" else f"conv2d-{implementation}"
 
 
-def _measure_impl(implementation: str, filter_size: int, architecture: str,
-                  precision: str, width: int, height: int):
-    """Simulate one implementation at one filter size (or ``None`` if the
-    implementation does not support the size, like ArrayFire above 16).
-
-    Implementations are looked up in the scenario registry and evaluated
-    through their registered analytic engine.
-    """
-    if implementation == "arrayfire" and filter_size > ARRAYFIRE_MAX_FILTER:
-        return None
-    spec = ConvolutionSpec.gaussian(filter_size)
-    scenario = get_scenario(_scenario_name(implementation))
-    return scenario.run_analytic(spec, {"width": width, "height": height},
-                                 architecture, precision)
-
-
 def _measure_cell(implementation: str, filter_size: int, architecture: str,
                   precision: str, width: int, height: int) -> Dict[str, object]:
-    """Worker: payload of one Figure 4 cell (time + counters + config)."""
-    result = _measure_impl(implementation, filter_size, architecture,
-                           precision, width, height)
-    if result is None:
+    """Worker: payload of one Figure 4 cell (time + counters + config).
+
+    Implementations are looked up in the scenario registry and evaluated
+    through their registered analytic engine; ArrayFire has no kernel above
+    its largest filter, so its cell there carries no time.
+    """
+    if implementation == "arrayfire" and filter_size > ARRAYFIRE_MAX_FILTER:
         return {"milliseconds": None}
+    scenario = get_scenario(_scenario_name(implementation))
+    result = scenario.run_analytic(ConvolutionSpec.gaussian(filter_size),
+                                   {"width": width, "height": height},
+                                   architecture, precision)
     return {
         "milliseconds": result.milliseconds,
         "counters": result.launch.counters.as_dict(),
@@ -84,36 +76,40 @@ def _spec_fingerprint(filter_size: int) -> str:
     return ConvolutionSpec.gaussian(filter_size).fingerprint()
 
 
-def jobs(quick: bool = False, filter_sizes: Optional[Sequence[int]] = None,
-         width: int = IMAGE_WIDTH, height: int = IMAGE_HEIGHT) -> List[SimulationJob]:
+def _filter_sizes(quick: bool) -> Tuple[int, ...]:
+    return QUICK_FILTER_SIZES if quick else FILTER_SIZES
+
+
+def _job_key(architecture: str, implementation: str, filter_size: int) -> str:
+    return (f"figure4:{architecture}:float32:{implementation}:{filter_size}:"
+            f"{IMAGE_WIDTH}x{IMAGE_HEIGHT}")
+
+
+def jobs(quick: bool = False) -> List[SimulationJob]:
     """One independent job per (panel, implementation, filter size)."""
-    sizes = tuple(filter_sizes if filter_sizes is not None
-                  else (QUICK_FILTER_SIZES if quick else FILTER_SIZES))
-    out: List[SimulationJob] = []
-    for _, arch in PANELS:
-        for impl in IMPLEMENTATIONS:
-            for size in sizes:
-                out.append(SimulationJob(
-                    key=f"figure4:{arch}:float32:{impl}:{size}:{width}x{height}",
-                    func="repro.experiments.figure4:_measure_cell",
-                    params={"implementation": impl, "filter_size": size,
-                            "architecture": arch, "precision": "float32",
-                            "width": width, "height": height},
-                    cache_fields={"kernel": f"conv2d:{impl}",
-                                  "spec": _spec_fingerprint(size),
-                                  "architecture": arch, "precision": "float32",
-                                  "engine": "analytic",
-                                  "domain": [height, width]},
-                ))
-    return out
+    return [
+        SimulationJob(
+            key=_job_key(arch, impl, size),
+            func="repro.experiments.figure4:_measure_cell",
+            params={"implementation": impl, "filter_size": size,
+                    "architecture": arch, "precision": "float32",
+                    "width": IMAGE_WIDTH, "height": IMAGE_HEIGHT},
+            cache_fields={"kernel": f"conv2d:{impl}",
+                          "spec": _spec_fingerprint(size),
+                          "architecture": arch, "precision": "float32",
+                          "engine": "analytic",
+                          "domain": [IMAGE_HEIGHT, IMAGE_WIDTH]},
+        )
+        for _, arch in PANELS
+        for impl in IMPLEMENTATIONS
+        for size in _filter_sizes(quick)
+    ]
 
 
-def assemble(payloads: Dict[str, Dict[str, object]], quick: bool = False,
-             filter_sizes: Optional[Sequence[int]] = None,
-             width: int = IMAGE_WIDTH, height: int = IMAGE_HEIGHT) -> ExperimentResult:
+def assemble(payloads: Dict[str, Dict[str, object]],
+             quick: bool = False) -> ExperimentResult:
     """Fold cell payloads into the typed two-panel result (fixed order)."""
-    sizes = tuple(filter_sizes if filter_sizes is not None
-                  else (QUICK_FILTER_SIZES if quick else FILTER_SIZES))
+    sizes = _filter_sizes(quick)
     measurements: List[Measurement] = []
     panels: Dict[str, Dict[str, object]] = {}
     for panel_key, arch in PANELS:
@@ -121,8 +117,7 @@ def assemble(payloads: Dict[str, Dict[str, object]], quick: bool = False,
         for impl in IMPLEMENTATIONS:
             values: List[Optional[float]] = []
             for size in sizes:
-                payload = payloads[
-                    f"figure4:{arch}:float32:{impl}:{size}:{width}x{height}"]
+                payload = payloads[_job_key(arch, impl, size)]
                 ms = payload.get("milliseconds")
                 values.append(ms)
                 measurements.append(Measurement(
@@ -142,50 +137,9 @@ def assemble(payloads: Dict[str, Dict[str, object]], quick: bool = False,
         title="Figure 4 — 2D convolution runtime vs. filter size",
         quick=quick,
         measurements=measurements,
-        metadata={"panels": panels, "width": width, "height": height,
+        metadata={"panels": panels, "width": IMAGE_WIDTH, "height": IMAGE_HEIGHT,
                   "implementations": list(IMPLEMENTATIONS)},
     )
-
-
-def render(result: ExperimentResult) -> str:
-    """Format the two-panel report from the typed result (pure view)."""
-    width = result.metadata["width"]
-    height = result.metadata["height"]
-    chunks = []
-    for panel_key, panel in result.metadata["panels"].items():
-        arch = panel["architecture"]
-        sizes = panel["filter_sizes"]
-        labels = [f"{s}x{s}" for s in sizes]
-        series = {
-            impl: [result.series_value(impl, arch, f"{s}x{s}") for s in sizes]
-            for impl in result.metadata["implementations"]
-        }
-        chunks.append(format_series(
-            f"Figure {panel_key[-2:]} — 2D convolution runtime, {arch.upper()} "
-            f"({panel['precision']}, {width}x{height})",
-            "filter", labels, series, unit="ms"))
-        chunks.append(f"summary: {panel['summary']}")
-    return "\n\n".join(chunks)
-
-
-# --------------------------------------------------------- legacy surface
-
-def run(architecture: str = "p100", precision: str = "float32",
-        filter_sizes: Sequence[int] = FILTER_SIZES,
-        width: int = IMAGE_WIDTH, height: int = IMAGE_HEIGHT) -> Dict[str, object]:
-    """One Figure 4 panel: runtime (ms) per implementation per filter size."""
-    series: Dict[str, List[Optional[float]]] = {name: [] for name in IMPLEMENTATIONS}
-    for size in filter_sizes:
-        for impl in IMPLEMENTATIONS:
-            result = _measure_impl(impl, size, architecture, precision, width, height)
-            series[impl].append(None if result is None else result.milliseconds)
-    return {
-        "architecture": architecture,
-        "precision": precision,
-        "filter_sizes": list(filter_sizes),
-        "milliseconds": series,
-        "summary": summarize(series),
-    }
 
 
 def summarize(series: Dict[str, List[Optional[float]]]) -> Dict[str, object]:
@@ -210,21 +164,19 @@ def summarize(series: Dict[str, List[Optional[float]]]) -> Dict[str, object]:
     }
 
 
-def run_both(filter_sizes: Sequence[int] = FILTER_SIZES,
-             width: int = IMAGE_WIDTH, height: int = IMAGE_HEIGHT) -> Dict[str, object]:
-    """Both panels (Figure 4a on P100, Figure 4b on V100)."""
-    return {
-        panel_key: run(arch, "float32", filter_sizes, width, height)
-        for panel_key, arch in PANELS
-    }
-
-
-def report(filter_sizes: Sequence[int] = FILTER_SIZES,
-           width: int = IMAGE_WIDTH, height: int = IMAGE_HEIGHT) -> str:
-    """Formatted two-panel Figure 4 report (serial, in-process)."""
-    from .parallel import execute_jobs
-
-    job_list = jobs(filter_sizes=filter_sizes, width=width, height=height)
-    payloads = execute_jobs(job_list)
-    return render(assemble(payloads, filter_sizes=filter_sizes,
-                           width=width, height=height))
+def render(result: ExperimentResult) -> str:
+    """Format the two-panel report from the typed result (pure view)."""
+    width = result.metadata["width"]
+    height = result.metadata["height"]
+    chunks = []
+    for panel_key, panel in result.metadata["panels"].items():
+        arch = panel["architecture"]
+        sizes = panel["filter_sizes"]
+        labels = [f"{s}x{s}" for s in sizes]
+        series = result.series(result.metadata["implementations"], arch, labels)
+        chunks.append(format_series(
+            f"Figure {panel_key[-2:]} — 2D convolution runtime, {arch.upper()} "
+            f"({panel['precision']}, {width}x{height})",
+            "filter", labels, series, unit="ms"))
+        chunks.append(f"summary: {panel['summary']}")
+    return "\n\n".join(chunks)

@@ -7,9 +7,8 @@ the 8192^2 / 512^3 domains.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
-from ..analysis.metrics import gcells_per_second
 from ..analysis.tables import format_series
 from ..baselines.stencil2d import (
     halide_like_stencil2d_analytic,
@@ -28,6 +27,8 @@ from .results import ExperimentResult, Measurement
 IMPLEMENTATIONS = ("original", "reordered", "unrolled", "ppcg", "halide", "ssam")
 #: benchmark subset used by ``--quick`` runs
 QUICK_BENCHMARKS = ("2d5pt", "2d9pt", "2d25pt", "3d7pt", "poisson")
+#: time steps of every throughput measurement
+ITERATIONS = 1
 #: the four panels of the figure
 PANELS = (("figure5a", "p100", "float32"), ("figure5b", "v100", "float32"),
           ("figure5c", "p100", "float64"), ("figure5d", "v100", "float64"))
@@ -104,61 +105,66 @@ def _measure_benchmark(benchmark: str, architecture: str, precision: str,
 
 # --------------------------------------------------------------- pipeline
 
-def jobs(quick: bool = False, benchmarks: Optional[Sequence[str]] = None,
-         iterations: int = 1) -> List[SimulationJob]:
+def _benchmarks(quick: bool) -> Tuple[str, ...]:
+    return QUICK_BENCHMARKS if quick else FIGURE5_BENCHMARKS
+
+
+def _job_key(architecture: str, precision: str, benchmark: str) -> str:
+    return f"figure5:{architecture}:{precision}:{benchmark}:i{ITERATIONS}"
+
+
+def jobs(quick: bool = False) -> List[SimulationJob]:
     """One independent job per (panel, benchmark)."""
-    names = tuple(benchmarks if benchmarks is not None
-                  else (QUICK_BENCHMARKS if quick else FIGURE5_BENCHMARKS))
-    out: List[SimulationJob] = []
-    for _, arch, precision in PANELS:
-        for name in names:
-            spec = CATALOG[name].spec
-            out.append(SimulationJob(
-                key=f"figure5:{arch}:{precision}:{name}:i{iterations}",
-                func="repro.experiments.figure5:_measure_benchmark",
-                params={"benchmark": name, "architecture": arch,
-                        "precision": precision, "iterations": iterations},
-                cache_fields={"kernel": "stencil_suite",
-                              "spec": spec.fingerprint(),
-                              "architecture": arch, "precision": precision,
-                              "engine": "analytic",
-                              "domain": list(CATALOG[name].domain)},
-            ))
-    return out
+    return [
+        SimulationJob(
+            key=_job_key(arch, precision, name),
+            func="repro.experiments.figure5:_measure_benchmark",
+            params={"benchmark": name, "architecture": arch,
+                    "precision": precision, "iterations": ITERATIONS},
+            cache_fields={"kernel": "stencil_suite",
+                          "spec": CATALOG[name].spec.fingerprint(),
+                          "architecture": arch, "precision": precision,
+                          "engine": "analytic",
+                          "domain": list(CATALOG[name].domain)},
+        )
+        for _, arch, precision in PANELS
+        for name in _benchmarks(quick)
+    ]
 
 
-def assemble(payloads: Dict[str, Dict[str, object]], quick: bool = False,
-             benchmarks: Optional[Sequence[str]] = None,
-             iterations: int = 1) -> ExperimentResult:
+def ssam_wins(series: Dict[str, List[Optional[float]]]) -> int:
+    """Benchmarks on which SSAM is at least as fast as every other series."""
+    return sum(
+        1 for i, value in enumerate(series["ssam"])
+        if value >= max(values[i] for impl, values in series.items()
+                        if impl != "ssam" and values[i] is not None)
+    )
+
+
+def assemble(payloads: Dict[str, Dict[str, object]],
+             quick: bool = False) -> ExperimentResult:
     """Fold per-benchmark payloads into the typed four-panel result."""
-    names = tuple(benchmarks if benchmarks is not None
-                  else (QUICK_BENCHMARKS if quick else FIGURE5_BENCHMARKS))
+    names = _benchmarks(quick)
     measurements: List[Measurement] = []
     panels: Dict[str, Dict[str, object]] = {}
     for panel_key, arch, precision in PANELS:
         series: Dict[str, List[Optional[float]]] = {impl: [] for impl in IMPLEMENTATIONS}
         for name in names:
-            key = f"figure5:{arch}:{precision}:{name}:i{iterations}"
-            row = payloads[key]["gcells_per_second"]
+            row = payloads[_job_key(arch, precision, name)]["gcells_per_second"]
             for impl in IMPLEMENTATIONS:
                 value = row.get(impl)
                 series[impl].append(value)
                 measurements.append(Measurement(
                     kernel=impl, architecture=f"{arch}:{precision}",
                     workload=name,
-                    config={"iterations": iterations,
+                    config={"iterations": ITERATIONS,
                             "domain": list(CATALOG[name].domain)},
                     value=value, unit="GCells/s"))
-        ssam_wins = sum(
-            1 for i in range(len(names))
-            if series["ssam"][i] >= max(series[impl][i] for impl in IMPLEMENTATIONS
-                                        if impl != "ssam" and series[impl][i] is not None)
-        )
         panels[panel_key] = {
             "architecture": arch,
             "precision": precision,
             "benchmarks": list(names),
-            "ssam_wins": ssam_wins,
+            "ssam_wins": ssam_wins(series),
             "total": len(names),
         }
     return ExperimentResult(
@@ -166,7 +172,7 @@ def assemble(payloads: Dict[str, Dict[str, object]], quick: bool = False,
         title="Figure 5 — stencil throughput across the Table 3 suite",
         quick=quick,
         measurements=measurements,
-        metadata={"panels": panels, "iterations": iterations,
+        metadata={"panels": panels, "iterations": ITERATIONS,
                   "implementations": list(IMPLEMENTATIONS)},
     )
 
@@ -176,59 +182,11 @@ def render(result: ExperimentResult) -> str:
     chunks = []
     for panel_key, panel in result.metadata["panels"].items():
         arch, precision = panel["architecture"], panel["precision"]
-        series = {
-            impl: [result.series_value(impl, f"{arch}:{precision}", name)
-                   for name in panel["benchmarks"]]
-            for impl in result.metadata["implementations"]
-        }
+        series = result.series(result.metadata["implementations"],
+                               f"{arch}:{precision}", panel["benchmarks"])
         chunks.append(format_series(
             f"Figure {panel_key[-2:]} — stencil throughput, {arch.upper()} "
             f"{precision}",
             "benchmark", panel["benchmarks"], series, unit="GCells/s"))
         chunks.append(f"SSAM fastest or tied on {panel['ssam_wins']}/{panel['total']} benchmarks")
     return "\n\n".join(chunks)
-
-
-# --------------------------------------------------------- legacy surface
-
-def run(architecture: str = "p100", precision: str = "float32",
-        benchmarks: Sequence[str] = FIGURE5_BENCHMARKS,
-        iterations: int = 1) -> Dict[str, object]:
-    """One Figure 5 panel."""
-    series: Dict[str, List[float]] = {name: [] for name in IMPLEMENTATIONS}
-    for name in benchmarks:
-        benchmark = CATALOG[name]
-        row = run_benchmark(benchmark, architecture, precision, iterations)
-        for impl in IMPLEMENTATIONS:
-            series[impl].append(row.get(impl))
-    ssam_wins = sum(
-        1 for i in range(len(benchmarks))
-        if series["ssam"][i] >= max(series[impl][i] for impl in IMPLEMENTATIONS
-                                    if impl != "ssam" and series[impl][i] is not None)
-    )
-    return {
-        "architecture": architecture,
-        "precision": precision,
-        "benchmarks": list(benchmarks),
-        "gcells_per_second": series,
-        "ssam_wins": ssam_wins,
-        "total": len(benchmarks),
-    }
-
-
-def run_all(benchmarks: Sequence[str] = FIGURE5_BENCHMARKS,
-            iterations: int = 1) -> Dict[str, object]:
-    """All four panels of Figure 5."""
-    return {
-        panel_key: run(arch, precision, benchmarks, iterations)
-        for panel_key, arch, precision in PANELS
-    }
-
-
-def report(benchmarks: Sequence[str] = FIGURE5_BENCHMARKS, iterations: int = 1) -> str:
-    """Formatted four-panel Figure 5 report (serial, in-process)."""
-    from .parallel import execute_jobs
-
-    job_list = jobs(benchmarks=benchmarks, iterations=iterations)
-    payloads = execute_jobs(job_list)
-    return render(assemble(payloads, benchmarks=benchmarks, iterations=iterations))

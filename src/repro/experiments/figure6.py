@@ -8,7 +8,7 @@ published Diffusion / Bricks numbers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from ..analysis.tables import format_series
 from ..baselines.temporal import (
@@ -62,60 +62,59 @@ def _measure_benchmark(benchmark: str, architecture: str, precision: str,
 
 # --------------------------------------------------------------- pipeline
 
-def jobs(quick: bool = False, benchmarks: Optional[Sequence[str]] = None,
-         time_steps: int = TIME_STEPS) -> List[SimulationJob]:
+def _job_key(architecture: str, precision: str, benchmark: str) -> str:
+    return f"figure6:{architecture}:{precision}:{benchmark}:t{TIME_STEPS}"
+
+
+def jobs(quick: bool = False) -> List[SimulationJob]:
     """One independent job per (panel, benchmark).
 
     Figure 6's benchmark list is already small (5 entries), so ``--quick``
-    keeps the full sweep and only the shared time-step count applies.
+    keeps the full sweep.
     """
-    names = tuple(benchmarks if benchmarks is not None else FIGURE6_BENCHMARKS)
-    out: List[SimulationJob] = []
-    for _, arch, precision in PANELS:
-        for name in names:
-            out.append(SimulationJob(
-                key=f"figure6:{arch}:{precision}:{name}:t{time_steps}",
-                func="repro.experiments.figure6:_measure_benchmark",
-                params={"benchmark": name, "architecture": arch,
-                        "precision": precision, "time_steps": time_steps},
-                cache_fields={"kernel": "temporal_blocking",
-                              "spec": CATALOG[name].spec.fingerprint(),
-                              "architecture": arch, "precision": precision,
-                              "engine": "analytic",
-                              "domain": list(CATALOG[name].domain)},
-            ))
-    return out
+    return [
+        SimulationJob(
+            key=_job_key(arch, precision, name),
+            func="repro.experiments.figure6:_measure_benchmark",
+            params={"benchmark": name, "architecture": arch,
+                    "precision": precision, "time_steps": TIME_STEPS},
+            cache_fields={"kernel": "temporal_blocking",
+                          "spec": CATALOG[name].spec.fingerprint(),
+                          "architecture": arch, "precision": precision,
+                          "engine": "analytic",
+                          "domain": list(CATALOG[name].domain)},
+        )
+        for _, arch, precision in PANELS
+        for name in FIGURE6_BENCHMARKS
+    ]
 
 
-def assemble(payloads: Dict[str, Dict[str, object]], quick: bool = False,
-             benchmarks: Optional[Sequence[str]] = None,
-             time_steps: int = TIME_STEPS) -> ExperimentResult:
+def assemble(payloads: Dict[str, Dict[str, object]],
+             quick: bool = False) -> ExperimentResult:
     """Fold per-benchmark payloads into the typed four-panel result."""
-    names = tuple(benchmarks if benchmarks is not None else FIGURE6_BENCHMARKS)
     measurements: List[Measurement] = []
     panels: Dict[str, Dict[str, object]] = {}
     for panel_key, arch, precision in PANELS:
-        for name in names:
-            key = f"figure6:{arch}:{precision}:{name}:t{time_steps}"
-            row = payloads[key]["gcells_per_second"]
+        for name in FIGURE6_BENCHMARKS:
+            row = payloads[_job_key(arch, precision, name)]["gcells_per_second"]
             for impl in IMPLEMENTATIONS:
                 measurements.append(Measurement(
                     kernel=impl, architecture=f"{arch}:{precision}",
                     workload=name,
-                    config={"time_steps": time_steps,
+                    config={"time_steps": TIME_STEPS,
                             "domain": list(CATALOG[name].domain)},
                     value=row.get(impl), unit="GCells/s"))
         panels[panel_key] = {
             "architecture": arch,
             "precision": precision,
-            "benchmarks": list(names),
+            "benchmarks": list(FIGURE6_BENCHMARKS),
         }
     return ExperimentResult(
         experiment="figure6",
         title="Figure 6 — temporal blocking comparison",
         quick=quick,
         measurements=measurements,
-        metadata={"panels": panels, "time_steps": time_steps,
+        metadata={"panels": panels, "time_steps": TIME_STEPS,
                   "implementations": list(IMPLEMENTATIONS)},
     )
 
@@ -125,52 +124,10 @@ def render(result: ExperimentResult) -> str:
     chunks = []
     for panel_key, panel in result.metadata["panels"].items():
         arch, precision = panel["architecture"], panel["precision"]
-        series = {
-            impl: [result.series_value(impl, f"{arch}:{precision}", name)
-                   for name in panel["benchmarks"]]
-            for impl in result.metadata["implementations"]
-        }
+        series = result.series(result.metadata["implementations"],
+                               f"{arch}:{precision}", panel["benchmarks"])
         chunks.append(format_series(
             f"Figure {panel_key[-2:]} — temporal blocking, {arch.upper()} "
             f"{precision}",
             "benchmark", panel["benchmarks"], series, unit="GCells/s"))
     return "\n\n".join(chunks)
-
-
-# --------------------------------------------------------- legacy surface
-
-def run(architecture: str = "p100", precision: str = "float32",
-        benchmarks: Sequence[str] = FIGURE6_BENCHMARKS,
-        time_steps: int = TIME_STEPS) -> Dict[str, object]:
-    """One Figure 6 panel (GCells/s per implementation per benchmark)."""
-    series: Dict[str, List[Optional[float]]] = {name: [] for name in IMPLEMENTATIONS}
-    for name in benchmarks:
-        row = _measure_benchmark(name, architecture, precision, time_steps)
-        for impl in IMPLEMENTATIONS:
-            series[impl].append(row["gcells_per_second"].get(impl))
-    return {
-        "architecture": architecture,
-        "precision": precision,
-        "benchmarks": list(benchmarks),
-        "gcells_per_second": series,
-        "time_steps": time_steps,
-    }
-
-
-def run_all(benchmarks: Sequence[str] = FIGURE6_BENCHMARKS,
-            time_steps: int = TIME_STEPS) -> Dict[str, object]:
-    """All four panels of Figure 6."""
-    return {
-        panel_key: run(arch, precision, benchmarks, time_steps)
-        for panel_key, arch, precision in PANELS
-    }
-
-
-def report(benchmarks: Sequence[str] = FIGURE6_BENCHMARKS,
-           time_steps: int = TIME_STEPS) -> str:
-    """Formatted four-panel Figure 6 report (serial, in-process)."""
-    from .parallel import execute_jobs
-
-    job_list = jobs(benchmarks=benchmarks, time_steps=time_steps)
-    payloads = execute_jobs(job_list)
-    return render(assemble(payloads, benchmarks=benchmarks, time_steps=time_steps))

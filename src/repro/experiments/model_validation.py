@@ -56,17 +56,6 @@ CROSS_SIZE = "small"
 QUICK_CROSS_SIZE = "tiny"
 
 
-def run(architectures: Sequence[str] = ARCHITECTURES,
-        filter_sizes: Sequence[int] = FILTER_SIZES,
-        outputs_per_thread: int = 4) -> List[Dict[str, object]]:
-    """Evaluate the Section 5 quantities over a sweep of filter sizes."""
-    rows: List[Dict[str, object]] = []
-    for arch in architectures:
-        rows.extend(_measure_advantage(arch, list(filter_sizes),
-                                       outputs_per_thread)["rows"])
-    return rows
-
-
 def claims(architectures: Sequence[str] = CLAIM_ARCHITECTURES,
            max_extent: int = CLAIM_MAX_EXTENT) -> Dict[str, bool]:
     """The boolean claims the paper makes about the model.
@@ -169,15 +158,29 @@ def _cross_jobs(quick: bool) -> List[SimulationJob]:
 
 # --------------------------------------------------------------- pipeline
 
+def _filter_sizes(quick: bool) -> List[int]:
+    return list(QUICK_FILTER_SIZES if quick else FILTER_SIZES)
+
+
+def _claim_max_extent(quick: bool) -> int:
+    return QUICK_CLAIM_MAX_EXTENT if quick else CLAIM_MAX_EXTENT
+
+
+def _advantage_key(architecture: str, quick: bool) -> str:
+    return f"model:advantage:{architecture}:{'-'.join(map(str, _filter_sizes(quick)))}"
+
+
+def _claims_key(quick: bool) -> str:
+    return f"model:claims:m{_claim_max_extent(quick)}"
+
+
 def jobs(quick: bool = False) -> List[SimulationJob]:
     """Advantage sweeps + claim checks + the cross-engine cell matrix."""
-    sizes = list(QUICK_FILTER_SIZES if quick else FILTER_SIZES)
-    max_extent = QUICK_CLAIM_MAX_EXTENT if quick else CLAIM_MAX_EXTENT
     out = [
         SimulationJob(
-            key=f"model:advantage:{arch}:{'-'.join(map(str, sizes))}",
+            key=_advantage_key(arch, quick),
             func="repro.experiments.model_validation:_measure_advantage",
-            params={"architecture": arch, "filter_sizes": sizes,
+            params={"architecture": arch, "filter_sizes": _filter_sizes(quick),
                     "outputs_per_thread": 4},
             cache_fields={"kernel": "performance_model:advantage",
                           "architecture": arch, "engine": "closed_form"},
@@ -185,10 +188,10 @@ def jobs(quick: bool = False) -> List[SimulationJob]:
         for arch in ARCHITECTURES
     ]
     out.append(SimulationJob(
-        key=f"model:claims:m{max_extent}",
+        key=_claims_key(quick),
         func="repro.experiments.model_validation:_measure_claims",
         params={"architectures": list(CLAIM_ARCHITECTURES),
-                "max_extent": max_extent},
+                "max_extent": _claim_max_extent(quick)},
         cache_fields={"kernel": "performance_model:claims",
                       "engine": "closed_form"},
     ))
@@ -200,18 +203,15 @@ def assemble(payloads: Dict[str, Dict[str, object]],
              quick: bool = False) -> ExperimentResult:
     from ..scenarios.sweep import case_job_key
 
-    sizes = list(QUICK_FILTER_SIZES if quick else FILTER_SIZES)
-    max_extent = QUICK_CLAIM_MAX_EXTENT if quick else CLAIM_MAX_EXTENT
     measurements = []
     for arch in ARCHITECTURES:
-        key = f"model:advantage:{arch}:{'-'.join(map(str, sizes))}"
-        for row in payloads[key]["rows"]:
+        for row in payloads[_advantage_key(arch, quick)]["rows"]:
             measurements.append(Measurement(
                 kernel="register_cache_advantage", architecture=arch,
                 workload=str(row.get("filter", row.get("M", ""))),
                 config={"outputs_per_thread": 4},
                 value=row.get("dif_cycles"), unit="cycles", extra=row))
-    claims_payload = payloads[f"model:claims:m{max_extent}"]["claims"]
+    claims_payload = payloads[_claims_key(quick)]["claims"]
 
     # cross-engine validation: one measurement per (simulated, model) pair
     ratios_by_kernel: Dict[str, List[float]] = {}
@@ -241,7 +241,8 @@ def assemble(payloads: Dict[str, Dict[str, object]],
     return ExperimentResult(
         experiment="model", title=TITLE, quick=quick,
         measurements=measurements,
-        metadata={"claims": claims_payload, "claim_max_extent": max_extent,
+        metadata={"claims": claims_payload,
+                  "claim_max_extent": _claim_max_extent(quick),
                   "cross_engine": {
                       "reference_engine": REFERENCE_ENGINE,
                       "size": QUICK_CROSS_SIZE if quick else CROSS_SIZE,
@@ -269,10 +270,3 @@ def render(result: ExperimentResult) -> str:
                  f"{cross.get('size')!r} (ratio = model/simulated, 1.0 = exact)\n")
         text += format_table(rows)
     return text
-
-
-def report(quick: bool = False) -> str:
-    """Formatted model-validation report."""
-    from .parallel import execute_jobs
-
-    return render(assemble(execute_jobs(jobs(quick)), quick))

@@ -7,13 +7,12 @@ back as a ``{job key: payload}`` mapping, so downstream assembly never
 depends on completion order — the rendered reports are byte-identical for
 any worker count.
 
-When the cache is backed by the shared result store
-(:mod:`repro.service.store`), misses are additionally *claimed* before they
-run: exactly one process across the whole machine executes each missing
-key, and everyone else waits for that process to publish the payload.  The
-pre-PR-7 behaviour — every process that missed a key recomputed it, then
-raced the store-back — is thereby gone; concurrent sweeps over overlapping
-matrices do each simulation once, total.
+The cache is backed by the shared result store
+(:mod:`repro.service.store`), so misses are additionally *claimed* before
+they run: exactly one process across the whole machine executes each
+missing key, and everyone else waits for that process to publish the
+payload.  Concurrent sweeps over overlapping matrices therefore do each
+simulation once, total.
 """
 
 from __future__ import annotations
@@ -83,13 +82,11 @@ def _await_claimed(waits: List[SimulationJob], cache: SimulationCache,
     payloads: Dict[str, Dict[str, object]] = {}
     pending = list(waits)
     store = cache.result_store()
-    ttl = getattr(store, "claim_ttl", 300.0)
-    deadline = time.monotonic() + ttl + WAIT_GRACE_SECONDS
+    deadline = time.monotonic() + store.claim_ttl + WAIT_GRACE_SECONDS
     while pending:
         # leases of SIGKILLed local processes are released eagerly, so a
         # crash elsewhere costs one poll interval, not the whole TTL
-        if hasattr(store, "reap_dead_claims"):
-            store.reap_dead_claims()
+        store.reap_dead_claims()
         still_pending: List[SimulationJob] = []
         for job in pending:
             payload = cache.peek(job.cache_key())
@@ -129,19 +126,18 @@ def execute_jobs(jobs: List[SimulationJob], workers: int = 1,
         ``ProcessPoolExecutor``.
     cache:
         Optional persistent cache consulted before execution; fresh
-        payloads are stored back after execution.  A claim-capable cache
-        (the store-backed :class:`~repro.experiments.cache.SimulationCache`)
-        additionally guarantees exactly-once execution across concurrent
-        processes: unclaimed misses wait for the claimant's result instead
-        of recomputing it.
+        payloads are stored back after execution.  An enabled cache also
+        guarantees exactly-once execution across concurrent processes:
+        each miss is claimed in the shared store first, and misses another
+        process holds wait for that claimant's result instead of
+        recomputing it.
     """
     workers = resolve_workers(workers)
     unique = dedupe_jobs(list(jobs))
     payloads: Dict[str, Dict[str, object]] = {}
     misses: List[SimulationJob] = []
     waits: List[SimulationJob] = []
-    claiming = (cache is not None and cache.enabled
-                and hasattr(cache, "claim"))
+    claiming = cache is not None and cache.enabled
     for job in unique:
         cached = cache.lookup(job.cache_key()) if cache is not None else None
         if cached is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..serialization import atomic_write_json, jsonify
@@ -165,6 +165,12 @@ class ExperimentResult:
                 index.setdefault((m.kernel, m.architecture, m.workload), m.value)
             object.__setattr__(self, "_series_index", index)
         return index.get((kernel, architecture, workload))
+
+    def series(self, kernels: Sequence[str], architecture: str,
+               workloads: Sequence[str]) -> Dict[str, List[Optional[float]]]:
+        """``{kernel: [value per workload]}``: one panel's series, in order."""
+        return {kernel: [self.series_value(kernel, architecture, w) for w in workloads]
+                for kernel in kernels}
 
     def rows(self, kernel: Optional[str] = None) -> List[Dict[str, object]]:
         """The ``extra`` payload of every measurement, in order.

@@ -20,18 +20,13 @@ PAPER_TABLE1 = {
 }
 
 
-def run() -> List[Dict[str, object]]:
-    """Regenerate Table 1 from the architecture presets."""
+def _measure_rows() -> Dict[str, object]:
+    """Worker: the Table 1 rows (architecture presets vs. paper values)."""
     rows = []
     for row in table1_rows():
         paper = PAPER_TABLE1[row["gpu"]]
         rows.append({**row, "matches_paper": all(row[k] == v for k, v in paper.items())})
-    return rows
-
-
-def _measure_rows() -> Dict[str, object]:
-    """Worker: the Table 1 rows (architecture presets vs. paper values)."""
-    return {"rows": run()}
+    return {"rows": rows}
 
 
 # --------------------------------------------------------------- pipeline
@@ -60,10 +55,3 @@ def assemble(payloads: Dict[str, Dict[str, object]],
 
 def render(result: ExperimentResult) -> str:
     return f"{TITLE}\n" + format_table(result.rows())
-
-
-def report(quick: bool = False) -> str:
-    """Formatted Table 1 report."""
-    from .parallel import execute_jobs
-
-    return render(assemble(execute_jobs(jobs(quick)), quick))

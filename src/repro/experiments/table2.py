@@ -43,43 +43,39 @@ def _compare_row(gpu: str, label: str, latency: float) -> Dict[str, object]:
             "paper_cycles": paper, "matches_paper": abs(latency - paper) < 1e-6}
 
 
-def run(chain_length: int = CHAIN_LENGTH) -> List[Dict[str, object]]:
-    """Regenerate Table 2 with the dependent-chain micro-benchmarks."""
-    rows = []
-    for arch in ARCHITECTURES:
-        for label, op in TABLE2_OPERATIONS:
-            payload = _measure_latency(arch, op, chain_length)
-            rows.append(_compare_row(payload["gpu"], label,
-                                     payload["latency_cycles"]))
-    return rows
-
-
 # --------------------------------------------------------------- pipeline
+
+def _chain_length(quick: bool) -> int:
+    return QUICK_CHAIN_LENGTH if quick else CHAIN_LENGTH
+
+
+def _job_key(architecture: str, operation: str, quick: bool) -> str:
+    return f"table2:{architecture}:{operation}:n{_chain_length(quick)}"
+
 
 def jobs(quick: bool = False) -> List[SimulationJob]:
     """One job per (GPU, operation) chain measurement."""
-    chain_length = QUICK_CHAIN_LENGTH if quick else CHAIN_LENGTH
-    out: List[SimulationJob] = []
-    for arch in ARCHITECTURES:
-        for label, op in TABLE2_OPERATIONS:
-            out.append(SimulationJob(
-                key=f"table2:{arch}:{op}:n{chain_length}",
-                func="repro.experiments.table2:_measure_latency",
-                params={"architecture": arch, "operation": op,
-                        "chain_length": chain_length},
-                cache_fields={"kernel": f"microbench:{op}",
-                              "architecture": arch, "engine": "dependent_chain"},
-            ))
-    return out
+    return [
+        SimulationJob(
+            key=_job_key(arch, op, quick),
+            func="repro.experiments.table2:_measure_latency",
+            params={"architecture": arch, "operation": op,
+                    "chain_length": _chain_length(quick)},
+            cache_fields={"kernel": f"microbench:{op}",
+                          "architecture": arch, "engine": "dependent_chain"},
+        )
+        for arch in ARCHITECTURES
+        for _, op in TABLE2_OPERATIONS
+    ]
 
 
 def assemble(payloads: Dict[str, Dict[str, object]],
              quick: bool = False) -> ExperimentResult:
-    chain_length = QUICK_CHAIN_LENGTH if quick else CHAIN_LENGTH
+    chain_length = _chain_length(quick)
     measurements = []
     for arch in ARCHITECTURES:
         for label, op in TABLE2_OPERATIONS:
-            payload = payloads[f"table2:{arch}:{op}:n{chain_length}"]
+            payload = payloads[_job_key(arch, op, quick)]
             row = _compare_row(payload["gpu"], label, payload["latency_cycles"])
             measurements.append(Measurement(
                 kernel=label, architecture=row["gpu"], workload=op,
@@ -92,10 +88,3 @@ def assemble(payloads: Dict[str, Dict[str, object]],
 
 def render(result: ExperimentResult) -> str:
     return f"{TITLE}\n" + format_table(result.rows())
-
-
-def report(quick: bool = False) -> str:
-    """Formatted Table 2 report."""
-    from .parallel import execute_jobs
-
-    return render(assemble(execute_jobs(jobs(quick)), quick))

@@ -21,8 +21,8 @@ PAPER_TABLE3 = {
 }
 
 
-def run() -> List[Dict[str, object]]:
-    """Regenerate Table 3 from the stencil catalog."""
+def _measure_rows() -> Dict[str, object]:
+    """Worker: the Table 3 rows (stencil catalog vs. paper values)."""
     rows = []
     for row in table3_rows():
         name = row["benchmark"]
@@ -36,12 +36,7 @@ def run() -> List[Dict[str, object]]:
             "paper_fpp": paper_fpp,
             "matches_paper": (row["k"] == paper_k and row["fpp"] == paper_fpp),
         })
-    return rows
-
-
-def _measure_rows() -> Dict[str, object]:
-    """Worker: the Table 3 rows (stencil catalog vs. paper values)."""
-    return {"rows": run()}
+    return {"rows": rows}
 
 
 # --------------------------------------------------------------- pipeline
@@ -71,10 +66,3 @@ def assemble(payloads: Dict[str, Dict[str, object]],
 
 def render(result: ExperimentResult) -> str:
     return f"{TITLE}\n" + format_table(result.rows())
-
-
-def report(quick: bool = False) -> str:
-    """Formatted Table 3 report."""
-    from .parallel import execute_jobs
-
-    return render(assemble(execute_jobs(jobs(quick)), quick))

@@ -22,6 +22,10 @@
 * Two direct schemes: every functional convolution and stencil baseline
   kernel wraps ``repro.baselines.direct.naive_block`` or ``shared_block``,
   and their launch shapes and closed-form counts come from ``direct`` too.
+* One experiment surface: every module of the runner's registry has
+  exactly ``jobs(quick)``, ``assemble(payloads, quick)`` and ``render`` —
+  no in-process ``run``/``report`` fork and no sweep-override parameter
+  beside ``quick``.
 """
 
 from __future__ import annotations
@@ -338,3 +342,67 @@ def test_scheme_guard_sees_a_private_block_body():
         "NPP_KERNEL = Kernel(_npp_block, name='npp_like_conv2d')\n")
     assert _kernel_bodies(tree) == {"npp_like_conv2d": "_npp_block"}
     assert _block_bodies(tree) == {"_npp_block"}
+
+
+#: in-process forks an experiment module may not define beside its pipeline
+EXPERIMENT_FORKS = {"run", "run_all", "run_both", "report"}
+#: the only parameters of an experiment's pipeline functions
+PIPELINE_PARAMETERS = {"jobs": {"quick"}, "assemble": {"payloads", "quick"}}
+
+
+def _module_names(tree: ast.Module) -> set:
+    """Names a module binds at top level with a ``def`` or an assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _surface_faults(tree: ast.Module) -> set:
+    """The forks a module defines, and every parameter of its ``jobs`` or
+    ``assemble`` beyond the pipeline's own, as ``"jobs(name)"``."""
+    faults = _module_names(tree) & EXPERIMENT_FORKS
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name in PIPELINE_PARAMETERS):
+            args = node.args
+            params = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+            params.update(arg.arg for arg in (args.vararg, args.kwarg) if arg)
+            faults.update(f"{node.name}({param})"
+                          for param in params - PIPELINE_PARAMETERS[node.name])
+    return faults
+
+
+def test_experiments_have_one_surface():
+    from repro.experiments.runner import EXPERIMENTS
+
+    faults = {}
+    for name, module in EXPERIMENTS.items():
+        path = pathlib.Path(module.__file__)
+        tree = ast.parse(path.read_text(), str(path))
+        # the scan must find the pipeline it guards
+        assert {"jobs", "assemble", "render"} <= _module_names(tree), name
+        if _surface_faults(tree):
+            faults[name] = sorted(_surface_faults(tree))
+    assert not faults
+
+
+def test_surface_guard_sees_a_fork():
+    # a second in-process path and its sweep overrides are reported
+    tree = ast.parse(
+        "def jobs(quick=False, filter_sizes=None):\n"
+        "    pass\n"
+        "def assemble(payloads, quick=False, *, width=8192, **overrides):\n"
+        "    pass\n"
+        "def run(architecture='p100', precision='float32'):\n"
+        "    pass\n"
+        "run_all = run\n"
+        "def report(quick=False):\n"
+        "    pass\n")
+    assert _surface_faults(tree) == {
+        "jobs(filter_sizes)", "assemble(width)", "assemble(overrides)",
+        "run", "run_all", "report"}

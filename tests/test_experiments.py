@@ -13,9 +13,9 @@ from repro.analysis import (
     winner,
 )
 from repro.errors import ConfigurationError
-from repro.experiments import figure4, figure5, figure6, model_validation, table1, table2, table3
+from repro.experiments import figure4, figure5, figure6, model_validation, table1, table3
 from repro.experiments.runner import main as runner_main
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import run_experiment, run_experiment_results
 
 
 # --- analysis helpers ----------------------------------------------------------------
@@ -50,69 +50,86 @@ def test_table_formatting():
 
 # --- tables ---------------------------------------------------------------------------
 
+def _result(name):
+    """One experiment's full (non-quick) result, read through the pipeline."""
+    return run_experiment_results(name)[name]
+
+
 def test_table1_matches_paper():
-    rows = table1.run()
+    result = _result("table1")
+    rows = result.rows()
     assert len(rows) == 4
     assert all(row["matches_paper"] for row in rows)
-    assert "Table 1" in table1.report()
+    assert "Table 1" in table1.render(result)
 
 
 def test_table2_matches_paper():
-    rows = table2.run()
+    rows = _result("table2").rows()
     assert len(rows) == 6
     assert all(row["matches_paper"] for row in rows)
 
 
 def test_table3_matches_paper():
-    rows = table3.run()
+    result = _result("table3")
+    rows = result.rows()
     assert len(rows) == 15
     assert all(row["matches_paper"] for row in rows)
-    assert "8192" in table3.report()
+    assert "8192" in table3.render(result)
 
 
-# --- figures (reduced sweeps keep the tests fast) ----------------------------------------
+# --- figures (assertions select their points from the full results) --------------------
+
+def _figure4_series(architecture, sizes):
+    return _result("figure4").series(figure4.IMPLEMENTATIONS, architecture,
+                                     [f"{s}x{s}" for s in sizes])
+
+
+def _figure5_series(panel, benchmarks):
+    return _result("figure5").series(figure5.IMPLEMENTATIONS, panel, benchmarks)
+
 
 def test_figure4_panel_structure_and_claims():
-    panel = figure4.run("p100", "float32", filter_sizes=(3, 7, 11, 15), )
-    assert set(panel["milliseconds"]) == set(figure4.IMPLEMENTATIONS)
-    assert len(panel["milliseconds"]["ssam"]) == 4
-    summary = panel["summary"]
+    series = _figure4_series("p100", (3, 7, 11, 15))
+    assert set(series) == set(figure4.IMPLEMENTATIONS)
+    assert len(series["ssam"]) == 4
+    summary = figure4.summarize(series)
     assert summary["ssam_vs_npp_geomean_speedup"] > 1.5
     assert summary["ssam_fastest_fraction"] >= 0.75
 
 
 def test_figure4_arrayfire_series_has_gaps_above_16():
-    panel = figure4.run("v100", "float32", filter_sizes=(15, 16, 17, 20))
-    assert panel["milliseconds"]["arrayfire"][2] is None
-    assert panel["milliseconds"]["arrayfire"][0] is not None
+    series = _figure4_series("v100", (15, 16, 17, 20))
+    assert series["arrayfire"][2] is None
+    assert series["arrayfire"][0] is not None
 
 
 def test_figure5_ssam_wins_most_benchmarks():
-    panel = figure5.run("p100", "float32",
-                        benchmarks=("2d5pt", "2d9pt", "2d25pt", "3d7pt", "poisson"))
-    assert panel["ssam_wins"] >= 4
-    throughput = panel["gcells_per_second"]["ssam"][0]
+    series = _figure5_series("p100:float32",
+                             ("2d5pt", "2d9pt", "2d25pt", "3d7pt", "poisson"))
+    assert figure5.ssam_wins(series) >= 4
+    throughput = series["ssam"][0]
     assert 30.0 < throughput < 95.0   # paper: ~60 GCells/s for 2d5pt on P100
 
 
 def test_figure5_double_precision_roughly_halves_throughput():
-    single = figure5.run("p100", "float32", benchmarks=("2d5pt",))
-    double = figure5.run("p100", "float64", benchmarks=("2d5pt",))
-    ratio = single["gcells_per_second"]["ssam"][0] / double["gcells_per_second"]["ssam"][0]
+    single = _figure5_series("p100:float32", ("2d5pt",))
+    double = _figure5_series("p100:float64", ("2d5pt",))
+    ratio = single["ssam"][0] / double["ssam"][0]
     assert 1.5 < ratio < 2.6
 
 
 def test_figure5_v100_faster_than_p100():
-    p100 = figure5.run("p100", "float32", benchmarks=("2d5pt",))
-    v100 = figure5.run("v100", "float32", benchmarks=("2d5pt",))
-    assert v100["gcells_per_second"]["ssam"][0] > p100["gcells_per_second"]["ssam"][0]
+    p100 = _figure5_series("p100:float32", ("2d5pt",))
+    v100 = _figure5_series("v100:float32", ("2d5pt",))
+    assert v100["ssam"][0] > p100["ssam"][0]
 
 
 def test_figure6_panel_contains_published_references():
-    panel = figure6.run("p100", "float32", benchmarks=("2d5pt", "3d7pt"), time_steps=32)
-    assert panel["gcells_per_second"]["diffusion"][1] == pytest.approx(92.7)
-    assert panel["gcells_per_second"]["bricks"][1] == pytest.approx(41.4)
-    assert panel["gcells_per_second"]["ssam"][0] > 0
+    series = _result("figure6").series(figure6.IMPLEMENTATIONS, "p100:float32",
+                                       ("2d5pt", "3d7pt"))
+    assert series["diffusion"][1] == pytest.approx(92.7)
+    assert series["bricks"][1] == pytest.approx(41.4)
+    assert series["ssam"][0] > 0
 
 
 def test_model_validation_claims_hold():
@@ -122,7 +139,7 @@ def test_model_validation_claims_hold():
     assert claims["halo_adjusted_advantage_positive_for_M_ge_5"]
     assert claims["halo_adjusted_advantage_positive_for_M_ge_6_on_modern"]
     # the advantage sweep covers the paper parts plus ampere/hopper
-    assert len(model_validation.run()) == 32
+    assert len(_result("model").rows(kernel="register_cache_advantage")) == 32
 
 
 def test_paper_positivity_claim_does_not_extrapolate_to_hopper():
