@@ -1,8 +1,9 @@
 """Benchmarks for the Section 5 performance model and the simulator itself.
 
-These are the ablation-style benches called out in DESIGN.md: the analytic
-model sweep (Eq. 4/5 + halo analysis), the occupancy calculator, and the raw
-block-execution throughput of the simulator.
+These are the ablation-style benches of the README section "The model
+engine and the `paper` sweep": the analytic model sweep (Eq. 4/5 + halo
+analysis), the occupancy calculator, and the raw block-execution
+throughput of the simulator.
 """
 
 import numpy as np

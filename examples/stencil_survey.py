@@ -3,7 +3,8 @@
 
 Regenerates a compact version of Figure 5 (P100, single precision) and
 prints the Section 5 latency-model prediction next to the measured speedup
-so the two can be compared — the experiment behind EXPERIMENTS.md.
+so the two can be compared — the experiment behind Figure 5 (README,
+"Experiment pipeline"; its quick report is ``tests/golden/figure5.txt``).
 """
 
 from repro.analysis.tables import format_series, format_table

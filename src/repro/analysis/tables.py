@@ -1,4 +1,5 @@
-"""Plain-text table rendering for experiment reports and EXPERIMENTS.md."""
+"""Plain-text table rendering for the experiment reports (README,
+"Experiment pipeline"; the goldens under ``tests/golden/``)."""
 
 from __future__ import annotations
 

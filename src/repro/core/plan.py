@@ -219,8 +219,13 @@ def _resolve_plan_parameters(arch, prec, outputs_per_thread, block_threads,
     when a database is active and a scenario identity is known, paper
     constants otherwise).  An explicit ``defaults_source`` — the scenario
     registry resolves once and hands planners already-concrete values —
-    overrides the locally computed provenance.
+    overrides the locally computed provenance; with all three values
+    concrete as well there is nothing left to resolve.
     """
+    if (defaults_source is not None and outputs_per_thread is not None
+            and block_threads is not None and block_rows is not None):
+        return (int(outputs_per_thread), int(block_threads), int(block_rows),
+                defaults_source)
     resolved = resolve_launch_defaults(
         ("outputs_per_thread", "block_threads", "block_rows"),
         architecture=arch.name, precision=prec.name, scenario=scenario,

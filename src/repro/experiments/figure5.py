@@ -34,7 +34,8 @@ PANELS = (("figure5a", "p100", "float32"), ("figure5b", "v100", "float32"),
           ("figure5c", "p100", "float64"), ("figure5d", "v100", "float64"))
 
 #: approximate values read off the paper's Figure 5 for the SSAM series
-#: (GCells/s), used by EXPERIMENTS.md for paper-vs-measured comparison
+#: (GCells/s); no report reads them yet (the measured series is pinned by
+#: ``tests/golden/figure5.txt``)
 PAPER_SSAM_GCELLS = {
     ("p100", "float32", "2d5pt"): 60.0, ("p100", "float32", "3d7pt"): 48.0,
     ("v100", "float32", "2d5pt"): 90.0, ("v100", "float32", "3d7pt"): 70.0,

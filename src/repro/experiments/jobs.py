@@ -14,6 +14,7 @@ or cache state.
 from __future__ import annotations
 
 import importlib
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Tuple
 
@@ -60,7 +61,8 @@ def resolve_worker(path: str) -> Callable[..., Mapping[str, object]]:
     module_name, _, func_name = path.partition(":")
     if not module_name or not func_name:
         raise ConfigurationError(f"malformed worker path {path!r}")
-    module = importlib.import_module(module_name)
+    module = (sys.modules.get(module_name)
+              or importlib.import_module(module_name))
     try:
         return getattr(module, func_name)
     except AttributeError as exc:

@@ -116,7 +116,8 @@ class KernelCounters:
 
     def as_dict(self) -> Dict[str, float]:
         """Every counter as a plain dictionary."""
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+        values = self.__dict__
+        return {name: values[name] for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, values: Mapping[str, float]) -> "KernelCounters":

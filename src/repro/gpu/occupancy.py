@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 from ..errors import ConfigurationError
 from .architecture import GPUArchitecture
@@ -26,7 +27,7 @@ LIMIT_PRIORITY: Tuple[str, ...] = (
     "registers", "shared_memory", "warps", "threads", "blocks")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OccupancyResult:
     """Resident blocks/warps per SM for one kernel configuration.
 
@@ -40,7 +41,8 @@ class OccupancyResult:
     active_threads_per_sm: int
     occupancy: float
     limiting_factor: str
-    limits: Dict[str, int]
+    #: blocks per SM each limit allows (read-only: results are shared)
+    limits: Mapping[str, int]
 
     @property
     def is_register_limited(self) -> bool:
@@ -102,6 +104,15 @@ def validate_block_threads(architecture: GPUArchitecture, block_threads: int,
     return block_threads
 
 
+#: most launch shapes whose occupancy is remembered
+_OCCUPANCY_MAX = 2048
+
+#: (part id, B, registers, shared bytes) -> (part, result); the entry holds
+#: its part, so the id cannot be reused while the entry lives
+_OCCUPANCY: Dict[Tuple[int, int, int, int],
+                 Tuple[GPUArchitecture, OccupancyResult]] = {}
+
+
 def compute_occupancy(architecture: GPUArchitecture, block_threads: int,
                       registers_per_thread: int,
                       shared_bytes_per_block: int) -> OccupancyResult:
@@ -112,7 +123,34 @@ def compute_occupancy(architecture: GPUArchitecture, block_threads: int,
     slots, block slots, the register file and the shared-memory carve-out.
     When several limits tie, ``limiting_factor`` reports the highest-priority
     one according to :data:`LIMIT_PRIORITY`.
+
+    The result is a pure function of the inputs, so each launch shape is
+    computed once and shared (a bounded memo; the part enters its key by
+    identity, like the plan cache's).  Invalid shapes raise every time.
     """
+    if not (type(block_threads) is int and type(registers_per_thread) is int
+            and type(shared_bytes_per_block) is int):
+        # bools and floats compare equal to ints but validate or compute
+        # differently: only exact ints share results
+        return _compute_occupancy(architecture, block_threads,
+                                  registers_per_thread, shared_bytes_per_block)
+    key = (id(architecture), block_threads, registers_per_thread,
+           shared_bytes_per_block)
+    hit = _OCCUPANCY.get(key)
+    if hit is not None and hit[0] is architecture:
+        return hit[1]
+    result = _compute_occupancy(architecture, block_threads,
+                                registers_per_thread, shared_bytes_per_block)
+    if len(_OCCUPANCY) >= _OCCUPANCY_MAX:
+        _OCCUPANCY.clear()
+    _OCCUPANCY[key] = (architecture, result)
+    return result
+
+
+def _compute_occupancy(architecture: GPUArchitecture, block_threads: int,
+                       registers_per_thread: int,
+                       shared_bytes_per_block: int) -> OccupancyResult:
+    """The occupancy calculation itself (see :func:`compute_occupancy`)."""
     _check_granularities(architecture)
     validate_block_threads(architecture, block_threads, warp_multiple=False)
     warp_size = architecture.warp_size
@@ -162,5 +200,5 @@ def compute_occupancy(architecture: GPUArchitecture, block_threads: int,
         active_threads_per_sm=active_threads,
         occupancy=occupancy,
         limiting_factor=limiting_factor,
-        limits=dict(limits),
+        limits=MappingProxyType(limits),
     )

@@ -62,10 +62,31 @@ TUNABLE_PARAMETERS: Tuple[str, ...] = ("outputs_per_thread", "block_threads",
 LAUNCH_DEFAULTS_SOURCE_KEY = "launch_defaults_source"
 
 
+def _is_canonical(plan_kwargs: tuple) -> bool:
+    """True for a tuple of ``(str, int)`` pairs in strictly ascending key
+    order: the form :func:`_normalise_plan_kwargs` returns."""
+    previous = None
+    for pair in plan_kwargs:
+        if type(pair) is not tuple or len(pair) != 2:
+            return False
+        key, value = pair
+        if (type(key) is not str or type(value) is not int
+                or (previous is not None and key <= previous)):
+            return False
+        previous = key
+    return True
+
+
 def _normalise_plan_kwargs(plan_kwargs: object) -> Tuple[Tuple[str, int], ...]:
-    """Canonical (hashable, sorted) form of a launch-parameter override set."""
+    """Canonical (hashable, sorted) form of a launch-parameter override set.
+
+    An override set already in canonical form (a case's ``plan_kwargs``)
+    is returned unchanged.
+    """
     if not plan_kwargs:
         return ()
+    if type(plan_kwargs) is tuple and _is_canonical(plan_kwargs):
+        return plan_kwargs
     items = dict(plan_kwargs).items()
     try:
         return tuple(sorted((str(k), int(v)) for k, v in items))
@@ -454,8 +475,10 @@ class Scenario:
                 ) -> CellResolution:
         """The cell's spec, resolved parameters and plan, built together.
 
-        Inside a :func:`resolving` block each cell is resolved once and the
-        result is shared; outside one it is built afresh.
+        ``plan_kwargs`` is an override mapping or a case's canonical
+        ``plan_kwargs`` tuple.  Inside a :func:`resolving` block each cell
+        is resolved once and the result is shared; outside one it is built
+        afresh.
         """
         memo = _RESOLUTIONS.get()
         if memo is not None:
@@ -505,7 +528,7 @@ class Scenario:
             raise ConfigurationError(
                 f"case {case.case_id!r} lies outside the scenario envelope")
         cell = self.resolve(case.size, case.architecture, case.precision,
-                            case.plan_overrides)
+                            case.plan_kwargs)
         workload = (None if case.engine in NON_EXECUTING_ENGINES
                     else self.build_workload(case.size, case.precision))
         return self._evaluate(case.engine, cell.spec, workload,

@@ -152,7 +152,7 @@ def case_cache_fields(case: ScenarioCase) -> Dict[str, object]:
     if case.plan_kwargs:
         fields["plan_kwargs"] = case.plan_overrides
     plan = scenario.build_plan(case.size, case.architecture, case.precision,
-                               plan_kwargs=case.plan_overrides)
+                               plan_kwargs=case.plan_kwargs)
     if plan is not None:
         fields["plan"] = plan.fingerprint()
     return fields
@@ -195,7 +195,7 @@ def _shared_run_key(entry, case: ScenarioCase) -> Optional[str]:
                                   case.engine, case.size)):
         return None
     cell = entry.resolve(case.size, case.architecture, case.precision,
-                         case.plan_overrides)
+                         case.plan_kwargs)
     return canonical_json([
         case.scenario, case.size, case.precision, case.engine,
         case.plan_kwargs, cell.params,

@@ -23,7 +23,7 @@ import hashlib
 import json
 import os
 from collections.abc import Mapping
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -74,14 +74,19 @@ def jsonify(value: Any) -> Any:
     raise TypeError(f"cannot serialise {type(value).__name__!r} value {value!r}")
 
 
+#: the canonical encoder, built once (``json.dumps`` with options builds
+#: one per call); it holds no state between calls
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                      allow_nan=True)
+
+
 def canonical_json(value: Any) -> str:
     """Deterministic JSON encoding: sorted keys, no whitespace drift.
 
     Two values that :func:`jsonify` to the same structure always produce the
     same text, regardless of dict insertion order.
     """
-    return json.dumps(jsonify(value), sort_keys=True, separators=(",", ":"),
-                      allow_nan=True)
+    return _CANONICAL_ENCODER.encode(jsonify(value))
 
 
 def stable_digest(value: Any, length: int = 16) -> str:
@@ -90,20 +95,55 @@ def stable_digest(value: Any, length: int = 16) -> str:
     return digest[:length] if length else digest
 
 
+#: containers nested less deep than this are laid out one entry per line
+_LINE_DEPTH = 3
+
+
+def _line_chunks(value: Any, pad: str, depth: int = 0) -> Iterator[str]:
+    """Text chunks of the line layout of :func:`atomic_write_json`.
+
+    An object or array nested less than :data:`_LINE_DEPTH` deep puts
+    each entry on its own line; an array's items, and everything deeper,
+    are written whole by one one-shot ``json.dumps`` each, which runs the
+    C encoder (``json.dump(..., indent=...)`` would run the pure-Python
+    one over the whole document).  No chunk holds more than one such
+    entry, so the text is never built in memory at once.
+    """
+    kind = type(value)
+    if depth >= _LINE_DEPTH or kind not in (dict, list) or not value:
+        yield json.dumps(value)
+        return
+    inner = "\n" + pad * (depth + 1)
+    yield "{" if kind is dict else "["
+    for index, item in enumerate(value.items() if kind is dict else value):
+        yield inner if index == 0 else "," + inner
+        if kind is dict:
+            key, item = item
+            yield json.dumps(str(key)) + ": "
+            yield from _line_chunks(item, pad, depth + 1)
+        else:
+            yield json.dumps(item)
+    yield "\n" + pad * depth + ("}" if kind is dict else "]")
+
+
 def atomic_write_json(path: str, value: Any, indent: "int | None" = None) -> str:
     """Write ``value`` as JSON via a temp file + ``os.replace``.
 
-    Concurrent writers/readers (parallel experiment runs sharing a cache
-    or artifact directory) never observe a partially written file; the
-    last writer wins.  Returns ``path``.
+    Without ``indent`` the text is compact.  With it, the outer levels go
+    one entry per line (an artifact's measurement rows one per line, see
+    :func:`_line_chunks`), followed by a trailing newline.  Concurrent
+    writers/readers (parallel experiment runs sharing a cache or artifact
+    directory) never observe a partially written file; the last writer
+    wins.  Returns ``path``.
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(value, handle, indent=indent,
-                  separators=None if indent else (",", ":"))
         if indent:
+            handle.writelines(_line_chunks(value, " " * indent))
             handle.write("\n")
+        else:
+            handle.write(json.dumps(value, separators=(",", ":")))
     os.replace(tmp, path)
     return path
 

@@ -14,7 +14,8 @@ in-domain cell ("edge"/replicate).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -159,18 +160,24 @@ class StencilSpec:
             (p.dx != 0) + (p.dy != 0) + (p.dz != 0) <= 1 for p in self.points
         )
 
-    def columns(self) -> Dict[int, List[StencilPoint]]:
+    def columns(self) -> Mapping[int, Tuple[StencilPoint, ...]]:
         """Taps grouped by their x offset, sorted (Listing 2's coefficient groups).
 
         For 3-D stencils only the in-plane (dz == 0) taps are grouped; the
         out-of-plane taps are handled by the inter-warp path (Section 4.9).
+        Computed once per instance and read-only (specs are immutable).
         """
-        groups: Dict[int, List[StencilPoint]] = {}
-        for point in self.points:
-            if point.dz != 0:
-                continue
-            groups.setdefault(point.dx, []).append(point)
-        return {dx: sorted(pts, key=lambda p: p.dy) for dx, pts in sorted(groups.items())}
+        cached = self.__dict__.get("_columns")
+        if cached is None:
+            groups: Dict[int, List[StencilPoint]] = {}
+            for point in self.points:
+                if point.dz != 0:
+                    continue
+                groups.setdefault(point.dx, []).append(point)
+            cached = {dx: tuple(sorted(pts, key=lambda p: p.dy))
+                      for dx, pts in sorted(groups.items())}
+            object.__setattr__(self, "_columns", cached)
+        return MappingProxyType(cached)
 
     def out_of_plane_points(self) -> List[StencilPoint]:
         """Taps with dz != 0 (require inter-warp communication in SSAM)."""

@@ -78,8 +78,9 @@ class SearchSession:
     def __init__(self, points: Sequence[Mapping[str, int]],
                  seed: Optional[Mapping[str, int]] = None) -> None:
         self.points: List[Dict[str, int]] = [dict(p) for p in points]
+        # one copy of each point: callers only ever receive copies of it
         self._by_key: Dict[PointKey, Dict[str, int]] = {
-            point_key(p): dict(p) for p in self.points}
+            point_key(p): p for p in self.points}
         self.seed: Optional[Dict[str, int]] = (
             dict(seed) if seed is not None and point_key(seed) in self._by_key
             else (dict(self.points[0]) if self.points else None))

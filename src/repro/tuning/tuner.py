@@ -47,7 +47,7 @@ from ..scenarios.registry import (
     resolving,
 )
 from ..scenarios.sweep import case_cache_fields, case_job_key
-from .search import SearchStrategy, get_strategy, point_key
+from .search import PointKey, SearchStrategy, get_strategy, point_key
 from .space import (
     FULL_SPACE,
     QUICK_SPACE,
@@ -131,8 +131,15 @@ def tune_cells(scenarios: Optional[Sequence[str]] = None,
     return cells
 
 
-def _case_job(case: ScenarioCase) -> SimulationJob:
-    """A sweep-pipeline job for one scenario case (shared keys and cache)."""
+def _case_job(cell: TuneCell, engine: str, size: str,
+              point: Mapping[str, int]) -> SimulationJob:
+    """The sweep-pipeline job of one design point (shared keys and cache).
+
+    Each point's case and job are built once; every later reader finds the
+    payload through the job's key.
+    """
+    case = ScenarioCase(cell.scenario, cell.architecture, cell.precision,
+                        engine, size, point)
     return SimulationJob(
         key=case_job_key(case),
         func="repro.scenarios.sweep:_measure_case",
@@ -166,8 +173,9 @@ def explore_stage(cells: Sequence[TuneCell],
     exhaustive strategy — whose single round proposes every point — builds
     the byte-identical job list the pre-strategy tuner did, and a guided
     strategy still shards across ``--jobs`` workers round by round.
-    Returns ``(sessions, payloads)``: the finished per-cell sessions and
-    every model payload by job key.
+    Returns ``(sessions, payloads)``: the finished per-cell sessions and,
+    per cell, the model payload of every evaluated point by its
+    :func:`~repro.tuning.search.point_key`.
     """
     sessions = {}
     for cell in cells:
@@ -176,49 +184,45 @@ def explore_stage(cells: Sequence[TuneCell],
                                  cell.precision)
         sessions[cell.cell_id] = strategy.session(
             points_by_cell[cell.cell_id], seed=seed)
-    payloads: Dict[str, Mapping[str, object]] = {}
+    payloads: Dict[str, Dict[PointKey, Mapping[str, object]]] = {
+        cell.cell_id: {} for cell in cells}
     while True:
-        proposals = [(cell, sessions[cell.cell_id].propose())
-                     for cell in cells]
+        proposals = []
         round_jobs: List[SimulationJob] = []
-        for cell, points in proposals:
-            for point in points:
-                round_jobs.append(_case_job(ScenarioCase(
-                    cell.scenario, cell.architecture, cell.precision,
-                    "model", model_size, point)))
+        for cell in cells:
+            keyed = []
+            for point in sessions[cell.cell_id].propose():
+                job = _case_job(cell, "model", model_size, point)
+                keyed.append((point_key(point), job.key))
+                round_jobs.append(job)
+            proposals.append((cell, keyed))
         if not round_jobs:
             break
         round_payloads = executor(round_jobs, workers=workers, cache=cache)
-        payloads.update(round_payloads)
-        for cell, points in proposals:
-            if not points:
+        for cell, keyed in proposals:
+            if not keyed:
                 continue
-            times = {}
-            for point in points:
-                case = ScenarioCase(cell.scenario, cell.architecture,
-                                    cell.precision, "model", model_size,
-                                    point)
-                times[point_key(point)] = float(
-                    round_payloads[case_job_key(case)]["milliseconds"])
-            sessions[cell.cell_id].observe(times)
+            evaluated = payloads[cell.cell_id]
+            for key, job_key in keyed:
+                evaluated[key] = round_payloads[job_key]
+            sessions[cell.cell_id].observe(
+                {key: float(evaluated[key]["milliseconds"])
+                 for key, _ in keyed})
     return sessions, payloads
 
 
-def _ranked_points(cell: TuneCell, points: Sequence[Mapping[str, int]],
-                   model_size: str,
-                   payloads: Mapping[str, Mapping[str, object]],
+def _ranked_points(points: Sequence[Mapping[str, int]],
+                   payloads: Mapping[PointKey, Mapping[str, object]],
                    ) -> List[Dict[str, object]]:
     """Stage-1 outcome of one cell: points sorted by predicted time.
 
-    Ties break on the (sorted) parameter values, so the ranking — and with
-    it the stage-2 job list — is identical for any worker count and cache
-    state.
+    ``payloads`` holds the cell's model payloads by point key.  Ties break
+    on the (sorted) parameter values, so the ranking — and with it the
+    stage-2 job list — is identical for any worker count and cache state.
     """
     rows: List[Dict[str, object]] = []
     for point in points:
-        case = ScenarioCase(cell.scenario, cell.architecture, cell.precision,
-                            "model", model_size, point)
-        payload = payloads[case_job_key(case)]
+        payload = payloads[point_key(point)]
         rows.append({
             "plan_kwargs": dict(point),
             "label": config_label(point),
@@ -252,23 +256,22 @@ def _confirm_points(cell: TuneCell, scenario: Scenario,
 def confirm_jobs(cells: Sequence[TuneCell],
                  candidates_by_cell: Mapping[str, Sequence[Mapping[str, int]]],
                  confirm_size: str = CONFIRM_SIZE,
-                 confirm_engine: str = "batched") -> List[SimulationJob]:
-    """Stage 2: simulator jobs for each cell's confirm candidates.
+                 confirm_engine: str = "batched",
+                 ) -> Dict[str, List[Tuple[Mapping[str, int], SimulationJob]]]:
+    """Stage 2: a simulator job for each cell's confirm candidates.
 
     ``confirm_engine`` selects the executing engine: ``"batched"`` (the
     default) or ``"replay"`` — the compiled trace-replay engine produces
     bit-identical counters, so the confirmation verdicts are the same, only
-    faster.  Cells with no candidates (the scenario cannot run the engine
-    at the confirmation size) contribute no jobs; the report then shows the
-    model stage only for them.
+    faster.  Returns each cell's ``(candidate, job)`` pairs in candidate
+    order; cells with no candidates (the scenario cannot run the engine at
+    the confirmation size) have none, and the report then shows the model
+    stage only for them.
     """
-    jobs: List[SimulationJob] = []
-    for cell in cells:
-        for point in candidates_by_cell.get(cell.cell_id, ()):
-            jobs.append(_case_job(ScenarioCase(
-                cell.scenario, cell.architecture, cell.precision,
-                confirm_engine, confirm_size, point)))
-    return jobs
+    return {cell.cell_id: [(point, _case_job(cell, confirm_engine,
+                                             confirm_size, point))
+                           for point in candidates_by_cell.get(cell.cell_id, ())]
+            for cell in cells}
 
 
 # ------------------------------------------------------------------ pipeline
@@ -324,25 +327,28 @@ def run_tuning(quick: bool = False, workers: int = 1, cache=None,
             cells, points_by_cell, strategy, executor, workers, cache,
             model_size)
         rankings = {cell.cell_id: _ranked_points(
-                        cell, sessions[cell.cell_id].evaluated_points(),
-                        model_size, model_payloads)
+                        sessions[cell.cell_id].evaluated_points(),
+                        model_payloads[cell.cell_id])
                     for cell in cells}
         evaluations = {cell.cell_id: {
                            "evaluated": sessions[cell.cell_id].evaluations,
                            "space": len(points_by_cell[cell.cell_id])}
                        for cell in cells}
-        candidates_by_cell: Dict[str, List[Dict[str, int]]] = {}
+        candidates_by_cell: Dict[str, List[Tuple[Mapping[str, int], str]]] = {}
         confirm_payloads: Dict[str, Mapping[str, object]] = {}
         if confirm:
+            jobs_by_cell = confirm_jobs(
+                cells,
+                {cell.cell_id: _confirm_points(
+                    cell, get_scenario(cell.scenario), rankings[cell.cell_id],
+                    resolved_top_k, resolved_confirm, confirm_engine)
+                 for cell in cells},
+                resolved_confirm, confirm_engine)
             candidates_by_cell = {
-                cell.cell_id: _confirm_points(cell, get_scenario(cell.scenario),
-                                              rankings[cell.cell_id],
-                                              resolved_top_k, resolved_confirm,
-                                              confirm_engine)
-                for cell in cells}
+                cell_id: [(point, job.key) for point, job in pairs]
+                for cell_id, pairs in jobs_by_cell.items()}
             confirm_payloads = executor(
-                confirm_jobs(cells, candidates_by_cell, resolved_confirm,
-                             confirm_engine),
+                [job for pairs in jobs_by_cell.values() for _, job in pairs],
                 workers=workers, cache=cache)
         result = assemble(cells, resolved_space, rankings, candidates_by_cell,
                           confirm_payloads, quick=quick, top_k=resolved_top_k,
@@ -393,7 +399,8 @@ def store_tuned_configs(result: ExperimentResult, store) -> int:
 
 def assemble(cells: Sequence[TuneCell], space: DesignSpace,
              rankings: Mapping[str, Sequence[Mapping[str, object]]],
-             candidates_by_cell: Mapping[str, Sequence[Mapping[str, int]]],
+             candidates_by_cell: Mapping[
+                 str, Sequence[Tuple[Mapping[str, int], str]]],
              confirm_payloads: Mapping[str, Mapping[str, object]],
              quick: bool = False, top_k: int = TOP_K,
              model_size: str = MODEL_SIZE,
@@ -402,7 +409,11 @@ def assemble(cells: Sequence[TuneCell], space: DesignSpace,
              search: str = "exhaustive",
              evaluations: Optional[Mapping[str, Mapping[str, int]]] = None,
              ) -> ExperimentResult:
-    """Fold both stages into the typed tuning result (cell order)."""
+    """Fold both stages into the typed tuning result (cell order).
+
+    ``candidates_by_cell`` holds each cell's confirm candidates as
+    ``(point, job key)`` pairs; ``confirm_payloads`` is read by those keys.
+    """
     measurements: List[Measurement] = []
     cell_records: List[Dict[str, object]] = []
     evaluations = dict(evaluations or {})
@@ -427,11 +438,8 @@ def assemble(cells: Sequence[TuneCell], space: DesignSpace,
         confirmed: List[Dict[str, object]] = []
         confirm_candidates = ([] if confirm_size is None else
                               candidates_by_cell.get(cell.cell_id, ()))
-        for point in confirm_candidates:
-            case = ScenarioCase(cell.scenario, cell.architecture,
-                                cell.precision, confirm_engine, confirm_size,
-                                point)
-            payload = confirm_payloads.get(case_job_key(case))
+        for point, job_key in confirm_candidates:
+            payload = confirm_payloads.get(job_key)
             if payload is None:
                 continue
             confirmed.append({

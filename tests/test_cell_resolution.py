@@ -204,3 +204,43 @@ def test_a_run_sees_a_tuned_row_written_before_it(tmp_path, monkeypatch):
     assert after.params[LAUNCH_DEFAULTS_SOURCE_KEY] == "tuned+paper"
     assert after.plan.outputs_per_thread == 2
     assert after.plan.block_threads == 64
+
+
+def test_a_tuning_run_keeps_one_record_per_point(monkeypatch, probes):
+    import repro.gpu.occupancy as occupancy_module
+    import repro.tuning.tuner as tuner_module
+    from repro.core.launch_defaults import resolve_launch_defaults
+
+    monkeypatch.delenv("SSAM_TUNED_DB", raising=False)
+    counts = collections.Counter()
+    for name in ("ScenarioCase", "SimulationJob"):
+        monkeypatch.setattr(tuner_module, name, _counting(
+            getattr(tuner_module, name), counts, name))
+    _replace_everywhere(monkeypatch, resolve_launch_defaults, _counting(
+        resolve_launch_defaults, counts, "defaults"))
+    shapes = collections.Counter()
+    original_body = occupancy_module._compute_occupancy
+
+    def computing(architecture, *shape):
+        shapes[architecture.name, shape] += 1
+        return original_body(architecture, *shape)
+
+    monkeypatch.setattr(occupancy_module, "_OCCUPANCY", {})
+    monkeypatch.setattr(occupancy_module, "_compute_occupancy", computing)
+    result = run_tuning(scenarios=list(PROBES), architectures=["p100"],
+                        precisions=["float32"], confirm=False, cache=None)
+    evaluated = result.metadata["evaluations"]["evaluated"]
+    assert evaluated == 64
+    # the tuner builds each point's case and job once; observing, ranking
+    # and assembling the result build none
+    assert counts["ScenarioCase"] == counts["SimulationJob"] == evaluated
+    # the registry resolves each point's launch defaults; the planner
+    # receives them concrete and resolves nothing again
+    assert counts["defaults"] == evaluated, counts
+    # the validity check and the model share each launch shape's occupancy
+    assert shapes and max(shapes.values()) == 1, shapes
+
+    occupancy = get_scenario("conv2d").build_plan(
+        "tiny", "p100", "float32").occupancy()
+    with pytest.raises(TypeError):
+        occupancy.limits["blocks"] = 0

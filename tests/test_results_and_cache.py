@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,12 @@ from repro.experiments.results import (
     Measurement,
     load_result,
 )
-from repro.serialization import canonical_json, jsonify, stable_digest
+from repro.serialization import (
+    atomic_write_json,
+    canonical_json,
+    jsonify,
+    stable_digest,
+)
 from repro.stencils.catalog import CATALOG
 
 
@@ -88,6 +95,77 @@ def test_result_round_trips_through_json(tmp_path):
     assert loaded.measurements[0].config["grid_dim"] == [4, 4, 1]
     assert loaded.series_value("ssam", "p100", "3x3") == 1.25
     assert loaded.rows()[0] == {"matches_paper": True}
+
+
+@pytest.fixture(scope="module")
+def artifact_results():
+    """A sweep, a tune and a figure result, as the runner saves them."""
+    from repro.experiments.runner import run_experiment_results
+    from repro.scenarios.sweep import run_sweep
+    from repro.tuning.tuner import run_tuning
+
+    return {
+        "sweep": run_sweep({"scenarios": ["conv2d", "scan"],
+                            "architectures": ["p100"],
+                            "precisions": ["float32"],
+                            "engines": ["model", "batched"],
+                            "sizes": ["tiny"]}),
+        "tune": run_tuning(quick=True, scenarios=["conv2d"],
+                           architectures=["p100"], precisions=["float32"],
+                           confirm=False),
+        "figure4": run_experiment_results("figure4", quick=True)["figure4"],
+    }
+
+
+@pytest.mark.parametrize("name", ["sweep", "tune", "figure4"])
+def test_artifacts_round_trip_one_measurement_per_line(tmp_path, name,
+                                                       artifact_results):
+    result = artifact_results[name]
+    path = result.save(str(tmp_path / f"{name}.json"))
+    assert load_result(path).to_dict() == result.to_dict()
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    assert text.endswith("}\n")
+    lines = text.splitlines()
+    rows = [json.loads(line.strip().rstrip(","))
+            for line in lines[lines.index('  "measurements": [') + 1:]
+            if line.startswith("    {")]
+    assert rows == [m.to_dict() for m in result.measurements]
+
+
+def test_artifact_round_trips_non_finite_and_non_ascii_values(tmp_path):
+    measurements = [
+        Measurement(kernel="ssam", value=float("nan"), milliseconds=float("inf"),
+                    extra={"low": float("-inf"), "label": "\u00b5s \u2014 Gr\u00f6\u00dfe"}),
+        Measurement(kernel="npp", workload="\u03c3=1"),
+    ]
+    result = ExperimentResult(experiment="demo", title="Caf\u00e9", quick=False,
+                              measurements=measurements,
+                              metadata={"nested": {"deep": {"deeper": [float("nan")]}},
+                                        "empty": [], "none": {}})
+    path = result.save(str(tmp_path / "demo.json"))
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    raw.decode("ascii")  # non-ASCII text stays \uXXXX-escaped
+    assert b"\\u00e9" in raw and b"NaN" in raw and b"-Infinity" in raw
+    # NaN never equals itself, so compare the canonical texts
+    assert canonical_json(load_result(path).to_dict()) == canonical_json(
+        result.to_dict())
+
+    empty = ExperimentResult(experiment="empty", title="", quick=True)
+    path = empty.save(str(tmp_path / "empty.json"))
+    assert load_result(path).to_dict() == empty.to_dict()
+    with open(path, "r", encoding="utf-8") as handle:
+        assert '  "measurements": [],\n' in handle.read()
+
+
+def test_compact_json_bytes_are_unchanged(tmp_path):
+    value = {"pid": 12, "url": "http://127.0.0.1:8037", "t": 1.5,
+             "nested": {"a": [1, 2.0, None, True]}, "s": "\u00e9"}
+    path = atomic_write_json(str(tmp_path / "endpoint.json"), value)
+    with open(path, "rb") as handle:
+        assert handle.read() == json.dumps(
+            value, separators=(",", ":")).encode("ascii")
 
 
 def test_result_rejects_unknown_schema_version(tmp_path):
