@@ -177,7 +177,7 @@ class SSAMPlan:
 #: specs.  Keys are the *resolved* plan identity — the clamped P, not the
 #: requested one — so equivalent plans share an entry; eviction is LRU.
 _PLAN_CACHE: "OrderedDict[object, SSAMPlan]" = OrderedDict()
-_PLAN_CACHE_MAX = 512
+_PLAN_CACHE_MAX = 4096
 
 
 def _spec_token(spec: Union[ConvolutionSpec, StencilSpec]) -> object:

@@ -203,7 +203,9 @@ class Kernel:
     def __init__(self, func: Callable[..., None], name: Optional[str] = None) -> None:
         self.func = func
         self.name = name or getattr(func, "__name__", "kernel")
-        #: compiled replay programs keyed by (arch, plan, precision, args)
+        #: compiled replay programs keyed by ``repro.trace.replay.trace_key``:
+        #: memory geometry, precision, block size, volatile slots and the
+        #: argument signature (None: known untraceable)
         self._trace_cache: dict = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

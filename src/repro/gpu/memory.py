@@ -159,7 +159,8 @@ class GlobalMemory:
 
 
 def scatter_global(buffer: DeviceBuffer, flat_indices: np.ndarray,
-                   values: object, mask: Optional[np.ndarray] = None) -> None:
+                   values: object, mask: Optional[np.ndarray] = None,
+                   width: Optional[int] = None) -> None:
     """Store ``values`` at ``flat_indices`` of ``buffer``: the global
     scatter of every engine.
 
@@ -170,11 +171,28 @@ def scatter_global(buffer: DeviceBuffer, flat_indices: np.ndarray,
     with every lane set takes the plain scatter.  A store into a
     read-only buffer (an input staged with ``to_device(...,
     read_only=True)``) raises :class:`SimulationError` naming it.
+
+    In *row form* (``width`` given) ``flat_indices`` holds one base per
+    warp row instead, ``values`` broadcasts to one ``width``-lane row per
+    base, lane ``l`` of a row stores at ``base + l`` and ``mask`` selects
+    whole rows.  Each row is one contiguous copy through a strided view of
+    the buffer; rows resolve in order like lanes do.  The caller keeps
+    every row inside the buffer (``0 <= base <= size - width``).
     """
     if not buffer.array.flags.writeable:
         raise SimulationError(
             f"global store into read-only buffer {buffer.name!r}: the "
             f"kernel writes an input staged as read-only")
+    if width is not None:
+        flat = buffer.flat
+        rows = np.lib.stride_tricks.as_strided(
+            flat, (flat.shape[0] - width + 1, width), flat.strides * 2)
+        values = np.broadcast_to(np.asarray(values),
+                                 flat_indices.shape + (width,))
+        if mask is not None and not mask.all():
+            flat_indices, values = flat_indices[mask], values[mask]
+        rows[flat_indices] = values.astype(buffer.dtype, copy=False)
+        return
     values = np.broadcast_to(np.asarray(values), flat_indices.shape)
     if mask is None or mask.all():
         buffer.flat[flat_indices] = values.astype(buffer.dtype, copy=False)

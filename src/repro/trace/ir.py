@@ -51,8 +51,10 @@ from ..gpu.memory import DeviceBuffer
 class TraceUnsupported(SimulationError):
     """The kernel body used an operation the tracer cannot record.
 
-    ``replay_launch`` treats this as a signal to fall back to the batched
-    engine for that kernel rather than failing the launch.
+    The replay engine treats this as a signal to fall back to the batched
+    engine rather than failing the launch: ``ReplayStage._acquire`` logs
+    the fallback and raises ``StageFallback``, and
+    :func:`~repro.gpu.kernel.launch_stages` reruns the launch batched.
     """
 
 

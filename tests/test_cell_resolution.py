@@ -244,3 +244,29 @@ def test_a_tuning_run_keeps_one_record_per_point(monkeypatch, probes):
         "tiny", "p100", "float32").occupancy()
     with pytest.raises(TypeError):
         occupancy.limits["blocks"] = 0
+
+
+def test_a_second_model_stage_tune_builds_no_plan(monkeypatch):
+    """The plan cache holds a whole tune: a full model-stage run plans more
+    points than the old 512-entry bound, and a second run in the same
+    process finds every plan in the cache and builds none."""
+    builds = collections.Counter()
+    cached_plan = plan_module._cached_plan
+
+    def counting(*args):
+        *key, build = args
+
+        def counted_build():
+            builds["plans"] += 1
+            return build()
+
+        return cached_plan(*key, counted_build)
+
+    monkeypatch.setattr(plan_module, "_PLAN_CACHE", collections.OrderedDict())
+    monkeypatch.setattr(plan_module, "_cached_plan", counting)
+    first = run_tuning(confirm=False, cache=None)
+    assert first.metadata["evaluations"]["evaluated"] == 2112
+    assert builds["plans"] > 512
+    builds.clear()
+    run_tuning(confirm=False, cache=None)
+    assert builds["plans"] == 0

@@ -9,7 +9,10 @@ each part's shared-memory capacity still checked).  Each entry of the
 compiler's lowering table is driven by a minimal kernel at every tier it
 emits, and the loaded-operand and shuffle-into-mad peephole passes are
 pinned on their own, as are the cache-sized replay chunks.  The sort-free paths of the counter rule are tested
-in ``test_gpu_memory_smem.py``.
+in ``test_gpu_memory_smem.py``.  Row-form global accesses are pinned by a
+lowering case, by a guard that every chunk-tier access of the five
+engine-large kernels takes the row form, and by a property test against
+the batched engine on those kernels.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ResourceExhaustedError, SimulationError
@@ -42,6 +45,11 @@ from repro.kernels.conv2d_ssam import (
     ssam_convolve2d_chain,
 )
 from repro.convolution.spec import ConvolutionSpec
+from repro.kernels.conv1d_ssam import CONV1D_SSAM_KERNEL, ssam_convolve1d
+from repro.kernels.scan_ssam import SCAN_SSAM_KERNEL, ssam_scan
+from repro.kernels.stencil2d_ssam import STENCIL2D_SSAM_KERNEL, ssam_stencil2d
+from repro.kernels.stencil3d_ssam import STENCIL3D_SSAM_KERNEL, ssam_stencil3d
+from repro.stencils.catalog import get_stencil
 from repro.trace import replay as replay_mod
 from repro.trace.ir import (
     B_AXIS,
@@ -198,18 +206,55 @@ def test_untraceable_kernel_falls_back_to_batched():
     assert any(p is None for p in BRANCHY._trace_cache.values())
 
 
-def test_replay_bounds_error_matches_eager():
-    def oob(ctx, src, dst, size):
-        idx = ctx.thread_idx_x + 1  # last thread runs off the end
-        ctx.store_global(dst, idx, ctx.load_global(src, idx))
+def _thread_past_the_end(ctx, src, dst, size):
+    idx = ctx.thread_idx_x + 1  # last thread runs off the end
+    ctx.store_global(dst, idx, ctx.load_global(src, idx))
 
-    kernel = Kernel(oob, name="oob")
+
+def _row_past_the_end(ctx, src, dst, size):
+    # block 1, replayed, has a warp row whose base leaves the buffer
+    idx = ctx.block_idx_x * ctx.block_threads + ctx.thread_idx_x + 1
+    ctx.store_global(dst, idx, ctx.load_global(src, idx))
+
+
+def _row_below_zero(ctx, src, dst, size):
+    # block 1, replayed, starts its first warp row at -1 (NumPy would wrap)
+    idx = (1 - ctx.block_idx_x) * ctx.block_threads + ctx.thread_idx_x - 1
+    ctx.store_global(dst, np.maximum(idx, 0), ctx.load_global(src, idx))
+
+
+@pytest.mark.parametrize("body, grid", [
+    (_thread_past_the_end, 1), (_row_past_the_end, 2), (_row_below_zero, 2)])
+def test_replay_bounds_error_matches_eager(body, grid):
+    """Out-of-bounds accesses raise the engines' error on replay too,
+    also where a row-form access's row base leaves the buffer (its block
+    takes the per-lane path, whose error the count reports)."""
+    kernel = Kernel(body, name=body.__name__)
     memory = GlobalMemory()
-    src = memory.to_device(np.zeros(128, dtype=np.float32), name="input")
-    dst = memory.allocate((128,), "float32", name="output")
-    config = LaunchConfig(grid_dim=(1, 1, 1), block_threads=128)
-    with pytest.raises(SimulationError, match="out-of-bounds global load"):
-        kernel.launch(config, (src, dst, 128), batch_size="replay")
+    size = 128 * grid
+    src = memory.to_device(np.zeros(size, dtype=np.float32), name="input")
+    dst = memory.allocate((size,), "float32", name="output")
+    config = LaunchConfig(grid_dim=(grid, 1, 1), block_threads=128)
+    for batch_size in ("auto", "replay"):
+        with pytest.raises(SimulationError, match="out-of-bounds global load"):
+            kernel.launch(config, (src, dst, size), batch_size=batch_size)
+        with _rows_on_every_chunk(), pytest.raises(
+                SimulationError, match="out-of-bounds global load"):
+            kernel.launch(config, (src, dst, size), batch_size=batch_size)
+    if grid > 1:
+        # the replayed block's rows leave the buffer: it takes the
+        # per-lane steps, as every block did before the row form
+        (program,) = kernel._trace_cache.values()
+        assert program.row_accesses
+        session = ReplaySession(program, (src, dst, size), TESLA_P100,
+                                None, max_chunk_blocks=1)
+        blocks = block_schedule((grid, 1, 1))[1:]
+        session.B = 1
+        for node_id, axis in program.block_inputs:
+            session.env[node_id] = blocks[:, axis:axis + 1]
+        with _rows_on_every_chunk():
+            program.chunk_steps[0](session)
+        assert session.exact_blocks.tolist() == [0]
 
 
 def _gather_kernel(ctx, src, where, dst, n):
@@ -526,6 +571,32 @@ def _global_kernel(ctx, src, wide, taps, scratch, dst, n):
                      mask=gidx % 2 == 0)
 
 
+def _row_global_kernel(ctx, src, wide, taps, scratch, dst, n):
+    """Chunk-tier global accesses in row form: a clip that binds on the
+    last block's rows (under a guard-free lane and block mask), a float64
+    buffer read into float32 registers under a lane mask and a block-only
+    mask, a read whose only guard is its mask's ordering, a warp-uniform
+    (stride-0) read, a store whose ordering mask cuts the last rows short,
+    one whose rows overlap across blocks, and stride-0 stores of one and
+    of several lanes a row."""
+    tid, gidx = _ids(ctx)
+    lane, block = ctx.lane_id, ctx.block_idx_x
+    x = ctx.load_global(src, np.clip(gidx + 7, 0, n - 1),
+                        mask=(lane >= 1) & (block > 0))
+    low = ctx.load_global(wide, np.minimum(gidx, n - 1),
+                          mask=(lane >= 3) & (block < 4))
+    head = ctx.load_global(src, gidx, mask=gidx < n - 37)
+    per_warp = ctx.load_global(src, block * ctx.num_warps + ctx.warp_id)
+    total = ctx.add(ctx.add(ctx.add(x, low), head), per_warp)
+    ctx.store_global(dst, np.minimum(gidx + 5, n - 1), total,
+                     mask=(gidx + 5 < n) & (lane >= 2))
+    ctx.store_global(dst, np.minimum(n + tid + 20 * block, n + 2 * THREADS - 1),
+                     ctx.mul(total, ctx.full(3.0)))
+    ctx.store_global(scratch, block, total,
+                     mask=tid == ctx.block_threads - 1)
+    ctx.store_global(scratch, block + 8, total, mask=lane >= 30)
+
+
 def _alloc_shared_kernel(ctx, src, wide, taps, scratch, dst, n):
     tid, gidx = _ids(ctx)
     threads = ctx.block_threads
@@ -592,6 +663,8 @@ LOWERING_CASES = {
     "counted": (_counted_kernel, {("sync", C), ("misc", C)}),
     "global": (_global_kernel, {("load_global", L), ("load_global", K),
                                 ("store_global", L), ("store_global", K)}),
+    "global_rows": (_row_global_kernel, {("load_global", K),
+                                         ("store_global", K)}),
     "alloc_shared": (_alloc_shared_kernel,
                      {("alloc_shared", L), ("alloc_shared", K)}),
     "load_shared": (_load_shared_kernel,
@@ -607,12 +680,28 @@ def test_every_lowering_has_a_case():
     assert covered == set(LOWERINGS.values())
 
 
+@contextlib.contextmanager
+def _rows_on_every_chunk():
+    """Run the row form on chunks of any size (a chunk of fewer lanes than
+    ``_ROW_MIN_LANES`` otherwise runs its accesses per lane), so the small
+    test grids reach its window loads, row stores and splits."""
+    saved = replay_mod._ROW_MIN_LANES
+    replay_mod._ROW_MIN_LANES = 0
+    try:
+        yield
+    finally:
+        replay_mod._ROW_MIN_LANES = saved
+
+
 @pytest.mark.parametrize("lowering", sorted(LOWERING_CASES))
 def test_lowering_matches_batched(lowering):
     body, reach = LOWERING_CASES[lowering]
     kernel = Kernel(body, name=f"lowering_{lowering}")
     assert reach <= _reached(kernel)
     _assert_replay_matches_batched(kernel)
+    with _rows_on_every_chunk():
+        kernel._trace_cache.clear()
+        _assert_replay_matches_batched(kernel)
 
 
 def _shuffle_kernel(direction, amount, fused):
@@ -845,3 +934,122 @@ def test_not_memoizable_when_an_index_is_loaded():
     _assert_replay_matches_batched(kernel)
     program = next(iter(kernel._trace_cache.values()))
     assert not program.memoizable and not program.counter_cache
+
+
+# ------------------------------------------------- row-form global accesses
+
+def _conv2d_mixed(image, batch_size, max_blocks=None):
+    """The SSAM conv2d with a float32 input buffer under float64 registers
+    (the wrappers stage their input in the working precision)."""
+    spec = ConvolutionSpec.gaussian(5)
+    plan = conv2d_mod.plan_convolution(spec, "p100", "float64")
+    height, width = image.shape
+    memory = GlobalMemory()
+    src = memory.to_device(image.astype(np.float32), name="src",
+                           read_only=True)
+    dst = memory.allocate((height, width), "float64", name="dst")
+    weights = memory.to_device(spec.weights, name="weights", cached=True,
+                               dtype=np.float64)
+    anchor_x, anchor_y = spec.anchor
+    launch = CONV2D_SSAM_KERNEL.launch(
+        plan.launch_config(width, height),
+        (src, dst, weights, width, height, spec.filter_width,
+         spec.filter_height, plan.outputs_per_thread, anchor_x, anchor_y,
+         plan.block_rows),
+        architecture="p100", max_blocks=max_blocks, batch_size=batch_size)
+    return dst.array, launch
+
+
+def _engine_kernel(name, shape, batch_size, max_blocks=None):
+    """One of the five engine-large kernels (``perfbench/inputs.py``'s
+    filters and stencils) on a seeded input of ``shape``: its output and
+    launch."""
+    data = np.random.default_rng(sum(shape)).random(shape, dtype=np.float32)
+    kwargs = dict(batch_size=batch_size, max_blocks=max_blocks,
+                  keep_output=True)
+    if name == "conv2d-mixed":
+        return _conv2d_mixed(data, batch_size, max_blocks)
+    if name == "conv2d":
+        result = ssam_convolve2d(data, ConvolutionSpec.gaussian(9), **kwargs)
+    elif name == "stencil2d":
+        result = ssam_stencil2d(data, get_stencil("2d9pt"), **kwargs)
+    elif name == "stencil3d":
+        result = ssam_stencil3d(data, get_stencil("3d7pt"), **kwargs)
+    elif name == "conv1d":
+        result = ssam_convolve1d(data, np.linspace(0.1, 0.7, 7), **kwargs)
+    else:
+        result = ssam_scan(data, **kwargs)
+    return result.output, result.launch
+
+
+#: the five engine-large kernels at reduced sizes of the same rank
+ENGINE_SHAPES = {"conv2d": (192, 256), "stencil2d": (192, 256),
+                 "stencil3d": (16, 64, 64), "conv1d": (1 << 14,),
+                 "scan": (1 << 14,)}
+ENGINE_KERNELS = {"conv2d": CONV2D_SSAM_KERNEL,
+                  "stencil2d": STENCIL2D_SSAM_KERNEL,
+                  "stencil3d": STENCIL3D_SSAM_KERNEL,
+                  "conv1d": CONV1D_SSAM_KERNEL, "scan": SCAN_SSAM_KERNEL}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_SHAPES))
+def test_engine_kernels_address_every_chunk_access_by_rows(name):
+    """Every chunk-tier global load and store of the five engine-large
+    kernels takes the row form: a tracer change that sent one back to
+    per-lane addressing fails here, not only in the benchmark."""
+    kernel = ENGINE_KERNELS[name]
+    kernel._trace_cache.clear()
+    with capture_traces() as capture:
+        _engine_kernel(name, ENGINE_SHAPES[name], "replay")
+    (record,) = capture.unique_records()
+    tiers, _ = _assign_tiers(record.trace, frozenset())
+    accesses = {node.id for node in record.trace.nodes
+                if node.op in ("load_global", "store_global")
+                and tiers[node.id] == TIER_CHUNK}
+    (program,) = [p for p in kernel._trace_cache.values() if p is not None]
+    assert accesses and accesses <= program.row_accesses
+    # and the replayed chunks ran them: every access read or wrote rows of
+    # some chunk in row form, the blocks at the domain's edges per lane
+    def rows_ran(chunk, nid):
+        fits = chunk.addresses[nid][2]
+        return fits is None or (
+            np.ndim(fits) == 2
+            and chunk.exact_blocks.shape[0] < fits.shape[0])
+
+    chunks = program.chunk_steps[0].memo.values()
+    assert all(any(rows_ran(chunk, nid) for chunk in chunks)
+               for nid in accesses)
+
+
+def _shape_for(name, sizes):
+    if name == "stencil3d":
+        return sizes[:3]
+    if name in ("conv1d", "scan"):
+        return (sizes[0] * sizes[1],)
+    return sizes[:2]
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(ENGINE_SHAPES) + ["conv2d-mixed"]),
+       sizes=st.tuples(st.integers(1, 40), st.integers(1, 140),
+                       st.integers(1, 90)),
+       max_blocks=st.one_of(st.none(), st.integers(2, 24)))
+@example(name="conv2d", sizes=(9, 20, 1), max_blocks=None)  # all edges
+@example(name="scan", sizes=(4, 128, 1), max_blocks=None)   # no edge
+@example(name="conv2d-mixed", sizes=(40, 100, 1), max_blocks=7)
+def test_row_form_replay_matches_batched(name, sizes, max_blocks):
+    """Property: replay, whose global accesses run in row form with
+    per-lane blocks at domain edges, equals the batched engine bit for bit
+    — outputs and every counter field — on the engine-large kernels, for
+    any domain size and block sampling, also with a float32 buffer read
+    into float64 registers; both with small chunks run per lane and with
+    the row form forced onto them."""
+    shape = _shape_for(name, sizes)
+    want, batched = _engine_kernel(name, shape, "auto", max_blocks)
+    for forced in (False, True):
+        with _rows_on_every_chunk() if forced else contextlib.nullcontext():
+            for _ in range(2):  # cold (records and compiles), then warm
+                got, replay = _engine_kernel(name, shape, "replay", max_blocks)
+                np.testing.assert_array_equal(got, want)
+                assert (replay.counters.as_dict()
+                        == batched.counters.as_dict())
