@@ -94,7 +94,7 @@ def _names_used(path: pathlib.Path) -> set:
     return names
 
 
-@pytest.mark.parametrize("module", ["replay.py", "fusion.py"])
+@pytest.mark.parametrize("module", ["replay.py", "rows.py", "fusion.py"])
 def test_value_engines_use_no_counter_rule(module):
     used = _names_used(SOURCE_ROOT / "trace" / module)
     assert not used & COUNTER_RULES
@@ -164,7 +164,8 @@ def _shift_slices(path: pathlib.Path) -> list:
     return found
 
 
-@pytest.mark.parametrize("module", ["trace/replay.py", "gpu/batch.py"])
+@pytest.mark.parametrize("module", ["trace/replay.py", "trace/rows.py",
+                                    "gpu/batch.py"])
 def test_engines_shift_no_lanes_themselves(module):
     assert not _shift_slices(SOURCE_ROOT / module)
 

@@ -578,7 +578,8 @@ def _row_global_kernel(ctx, src, wide, taps, scratch, dst, n):
     mask, a read whose only guard is its mask's ordering, a warp-uniform
     (stride-0) read, a store whose ordering mask cuts the last rows short,
     one whose rows overlap across blocks, and stride-0 stores of one and
-    of several lanes a row."""
+    of several lanes a row, the latter under an ordering that cuts the
+    last rows short, so its chunk also scatters rebuilt stride-0 rows."""
     tid, gidx = _ids(ctx)
     lane, block = ctx.lane_id, ctx.block_idx_x
     x = ctx.load_global(src, np.clip(gidx + 7, 0, n - 1),
@@ -594,7 +595,8 @@ def _row_global_kernel(ctx, src, wide, taps, scratch, dst, n):
                      ctx.mul(total, ctx.full(3.0)))
     ctx.store_global(scratch, block, total,
                      mask=tid == ctx.block_threads - 1)
-    ctx.store_global(scratch, block + 8, total, mask=lane >= 30)
+    ctx.store_global(scratch, block + 8, total,
+                     mask=(lane >= 30) & (gidx < n - 37))
 
 
 def _alloc_shared_kernel(ctx, src, wide, taps, scratch, dst, n):
@@ -684,7 +686,7 @@ def test_every_lowering_has_a_case():
 def _rows_on_every_chunk():
     """Run the row form on chunks of any size (a chunk of fewer lanes than
     ``_ROW_MIN_LANES`` otherwise runs its accesses per lane), so the small
-    test grids reach its window loads, row stores and splits."""
+    test grids reach its window loads and row stores."""
     saved = replay_mod._ROW_MIN_LANES
     replay_mod._ROW_MIN_LANES = 0
     try:
@@ -982,25 +984,31 @@ def _engine_kernel(name, shape, batch_size, max_blocks=None):
     return result.output, result.launch
 
 
-#: the five engine-large kernels at reduced sizes of the same rank
+#: the five engine-large kernels at reduced sizes of the same rank, and
+#: the conv2d with a float32 buffer under float64 registers
 ENGINE_SHAPES = {"conv2d": (192, 256), "stencil2d": (192, 256),
                  "stencil3d": (16, 64, 64), "conv1d": (1 << 14,),
-                 "scan": (1 << 14,)}
+                 "scan": (1 << 14,), "conv2d-mixed": (192, 256)}
 ENGINE_KERNELS = {"conv2d": CONV2D_SSAM_KERNEL,
                   "stencil2d": STENCIL2D_SSAM_KERNEL,
                   "stencil3d": STENCIL3D_SSAM_KERNEL,
-                  "conv1d": CONV1D_SSAM_KERNEL, "scan": SCAN_SSAM_KERNEL}
+                  "conv1d": CONV1D_SSAM_KERNEL, "scan": SCAN_SSAM_KERNEL,
+                  "conv2d-mixed": CONV2D_SSAM_KERNEL}
 
 
 @pytest.mark.parametrize("name", sorted(ENGINE_SHAPES))
 def test_engine_kernels_address_every_chunk_access_by_rows(name):
     """Every chunk-tier global load and store of the five engine-large
     kernels takes the row form: a tracer change that sent one back to
-    per-lane addressing fails here, not only in the benchmark."""
+    per-lane addressing fails here, not only in the benchmark.  Replay
+    still equals the batched engine."""
     kernel = ENGINE_KERNELS[name]
+    want, batched = _engine_kernel(name, ENGINE_SHAPES[name], "auto")
     kernel._trace_cache.clear()
     with capture_traces() as capture:
-        _engine_kernel(name, ENGINE_SHAPES[name], "replay")
+        got, replay = _engine_kernel(name, ENGINE_SHAPES[name], "replay")
+    np.testing.assert_array_equal(got, want)
+    assert replay.counters.as_dict() == batched.counters.as_dict()
     (record,) = capture.unique_records()
     tiers, _ = _assign_tiers(record.trace, frozenset())
     accesses = {node.id for node in record.trace.nodes
@@ -1021,22 +1029,43 @@ def test_engine_kernels_address_every_chunk_access_by_rows(name):
                for nid in accesses)
 
 
+def test_row_pass_waits_for_a_launch_whose_chunks_can_take_it():
+    """A launch whose chunks hold fewer than ``_ROW_MIN_LANES`` lanes
+    compiles without the row pass and runs every access per lane; the
+    first launch of the same program whose chunks can take the row form
+    compiles it again, once, with the pass."""
+    kernel = CONV2D_SSAM_KERNEL
+    shape = ENGINE_SHAPES["conv2d"]
+    kernel._trace_cache.clear()
+    for max_blocks, row_pass in ((4, False), (None, True), (4, True)):
+        want, batched = _engine_kernel("conv2d", shape, "auto", max_blocks)
+        got, replay = _engine_kernel("conv2d", shape, "replay", max_blocks)
+        np.testing.assert_array_equal(got, want)
+        assert replay.counters.as_dict() == batched.counters.as_dict()
+        (program,) = kernel._trace_cache.values()
+        assert program.row_pass is row_pass
+        assert bool(program.row_accesses) is row_pass
+        if max_blocks is None:
+            compiled = program
+    assert program is compiled
+
+
 def _shape_for(name, sizes):
     if name == "stencil3d":
-        return sizes[:3]
+        return sizes[0] // 4 + 1, sizes[2] // 2 + 1, sizes[1]
     if name in ("conv1d", "scan"):
         return (sizes[0] * sizes[1],)
     return sizes[:2]
 
 
 @settings(max_examples=20, deadline=None)
-@given(name=st.sampled_from(sorted(ENGINE_SHAPES) + ["conv2d-mixed"]),
-       sizes=st.tuples(st.integers(1, 40), st.integers(1, 140),
+@given(name=st.sampled_from(sorted(ENGINE_SHAPES)),
+       sizes=st.tuples(st.integers(1, 40), st.integers(1, 400),
                        st.integers(1, 90)),
        max_blocks=st.one_of(st.none(), st.integers(2, 24)))
 @example(name="conv2d", sizes=(9, 20, 1), max_blocks=None)  # all edges
 @example(name="scan", sizes=(4, 128, 1), max_blocks=None)   # no edge
-@example(name="conv2d-mixed", sizes=(40, 100, 1), max_blocks=7)
+@example(name="conv2d-mixed", sizes=(40, 400, 1), max_blocks=None)
 def test_row_form_replay_matches_batched(name, sizes, max_blocks):
     """Property: replay, whose global accesses run in row form with
     per-lane blocks at domain edges, equals the batched engine bit for bit
@@ -1046,10 +1075,23 @@ def test_row_form_replay_matches_batched(name, sizes, max_blocks):
     the row form forced onto them."""
     shape = _shape_for(name, sizes)
     want, batched = _engine_kernel(name, shape, "auto", max_blocks)
+    kernel = ENGINE_KERNELS[name]
     for forced in (False, True):
         with _rows_on_every_chunk() if forced else contextlib.nullcontext():
+            if forced:
+                # a new program: the cached one's chunk memo holds the
+                # unforced pass's all-per-lane chunks under the same keys
+                kernel._trace_cache.clear()
             for _ in range(2):  # cold (records and compiles), then warm
                 got, replay = _engine_kernel(name, shape, "replay", max_blocks)
                 np.testing.assert_array_equal(got, want)
                 assert (replay.counters.as_dict()
                         == batched.counters.as_dict())
+    # every forced chunk ran the row prologue (rows that hold their form
+    # as rows, the others per lane from the row bases), unless no access
+    # has a row form (a domain narrower than a warp row clips every row)
+    (program,) = [p for p in kernel._trace_cache.values() if p is not None]
+    if program.row_accesses:
+        chunks = list(program.chunk_steps[0].memo.values())
+        assert chunks and all(base is not None for chunk in chunks
+                              for base, _, _ in chunk.addresses.values())
