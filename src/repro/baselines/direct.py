@@ -97,15 +97,17 @@ def naive_counters(config: LaunchConfig, taps: Taps, arch, width: int, height: i
     prec = config.precision
     blocks = config.total_blocks
     total_warps = blocks * (config.block_threads // arch.warp_size)
+    # a warp past the row's end has no active lane and issues no access
+    active_warps = math.ceil(width / arch.warp_size) * height * depth
     count = len(taps)
     _, _, fp_width, fp_height, fp_depth = footprint(taps)
     sectors = warp_sectors(arch, prec.itemsize)
     return KernelCounters(
         fma=count * total_warps * iterations,
         misc=overhead_per_tap * count * total_warps * iterations,
-        gmem_load=count * total_warps * iterations,
+        gmem_load=count * active_warps * iterations,
         gmem_load_transactions=count * total_warps * (sectors + 1) * iterations,
-        gmem_store=total_warps * iterations,
+        gmem_store=active_warps * iterations,
         gmem_store_transactions=total_warps * sectors * iterations,
         dram_read_bytes=float(blocks * fp_depth * fp_height
                               * (config.block_threads + fp_width - 1)
@@ -184,20 +186,30 @@ def shared_counters(config: LaunchConfig, taps: Taps, arch, width: int, height: 
     """Closed-form counts of ``iterations`` launches of :func:`shared_block`."""
     prec = config.precision
     blocks = config.total_blocks
-    warps_per_block = config.block_threads // arch.warp_size
+    ws = arch.warp_size
+    warps_per_block = config.block_threads // ws
     total_warps = blocks * warps_per_block
     count = len(taps)
     staged = _staged_elements(taps, tile_rows)
     staging_warps = math.ceil(staged / config.block_threads) * warps_per_block * blocks
     sectors = warp_sectors(arch, prec.itemsize)
+    # a shared access of ``lanes`` contiguous elements takes one wavefront
+    # per bank-row width it spans (two for a full float64 warp)
+    bank_row = arch.shared_memory_banks * arch.shared_memory_bank_bytes
+
+    def wavefronts(lanes: int) -> int:
+        return math.ceil(lanes * prec.itemsize / bank_row)
+
+    # only the staging loop's warps with an active lane issue an access
+    staging_stores = staged // ws * wavefronts(ws) + wavefronts(staged % ws)
     return KernelCounters(
         fma=count * total_warps * iterations,
         misc=overhead_per_tap * count * total_warps * iterations,
-        smem_load=count * total_warps * iterations,
-        smem_store=staging_warps * iterations,
-        gmem_load=staging_warps * iterations,
+        smem_load=count * total_warps * wavefronts(ws) * iterations,
+        smem_store=staging_stores * blocks * iterations,
+        gmem_load=math.ceil(staged / ws) * blocks * iterations,
         gmem_load_transactions=staging_warps * (sectors + 1) * iterations,
-        gmem_store=total_warps * iterations,
+        gmem_store=math.ceil(width / ws) * height * iterations,
         gmem_store_transactions=total_warps * sectors * iterations,
         sync=2.0 * warps_per_block * blocks * iterations,
         dram_read_bytes=float(blocks * staged * prec.itemsize * iterations),

@@ -188,9 +188,9 @@ class OverlappedBlocking:
 class SharedMemoryBlocking:
     """Tile geometry of a conventional shared-memory (scratchpad) kernel.
 
-    Used by the baselines and by the Section 5.3 comparison: the scratchpad
-    tile is shared by the whole block (not just one warp), so its halo ratio
-    ``HR_smc`` is much smaller than ``HR_rc`` — the paper's point is that the
+    Used by the Section 5.3 comparison: the scratchpad tile is shared by
+    the whole block (not just one warp), so its halo ratio ``HR_smc`` is
+    much smaller than ``HR_rc`` — the paper's point is that the
     register-cache method wins despite the larger halo.
     """
 
@@ -229,7 +229,3 @@ class SharedMemoryBlocking:
         """Shared-memory bytes needed per block for the staged tile."""
         prec = resolve_precision(precision)
         return self.cached_elements * prec.itemsize
-
-    def grid_dim(self, width: int, height: int) -> Tuple[int, int, int]:
-        """Grid dimensions covering a ``width x height`` domain."""
-        return (math.ceil(width / self.tile_width), math.ceil(height / self.tile_height), 1)

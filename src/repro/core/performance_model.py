@@ -39,7 +39,7 @@ from ..gpu.profiler import (
     SECTOR_SERVICE_CYCLES,
     TimingBreakdown,
 )
-from .blocking import OverlappedBlocking, SharedMemoryBlocking
+from .blocking import OverlappedBlocking
 from .launch_defaults import paper_default
 
 
@@ -240,13 +240,6 @@ def _default_shared_tile(filter_width: int, filter_height: int,
 # is deliberately a *latency* model — the point of promoting it to an engine
 # is that it evaluates in microseconds at paper scale, and the cross-engine
 # validation experiment reports how far it sits from the counted simulation.
-
-#: geometry of the conventional scratchpad baseline (Section 5.3): a 32x32
-#: output tile staged by a 256-thread block
-MODEL_BASELINE_TILE = 32
-MODEL_BASELINE_BLOCK_THREADS = 256
-MODEL_BASELINE_REGISTERS = 32
-
 
 @dataclass(frozen=True)
 class ModelPrediction:
@@ -697,124 +690,39 @@ def model_scan(length: int, architecture: object = "p100",
                           "architecture": arch.name, "precision": prec.name})
 
 
-def model_shared_memory_2d(taps: int, halo_x: int, halo_y: int, width: int,
-                           height: int, iterations: int = 1,
-                           architecture: object = "p100",
-                           precision: object = "float32",
-                           weights_in_shared: bool = True,
-                           kernel_name: str = "shared_tile_model",
-                           extra_parameters: "Dict[str, object] | None" = None,
-                           ) -> "object":
-    """Section 5 prediction of the conventional scratchpad scheme (Eq. 3).
+def model_direct(base, outputs: int) -> "object":
+    """Section 5 prediction of a direct baseline from its closed-form counts.
 
-    Models the shared-memory baselines: a 32x32 output tile plus halo is
-    staged by a 256-thread block, then every tap of every output is read
-    back from the scratchpad (``2*T_smem_read`` per MAC when the weights
-    also live there, one read otherwise).
+    ``base`` is the baseline's ``analytic`` result; its launch configuration
+    and counters are kept as they are, so the model prices exactly the
+    kernel the baseline runs.  One warp pays its counted MACs, scratchpad
+    reads and per-tap overhead at the Table 2 latencies (Eq. 3).  A kernel
+    that stages a tile (it counts shared stores) waits for the tile fill
+    and the barrier; a naive one pays one global load, and its remaining
+    per-tap loads stream through L1 ``memory_parallelism`` at a time.
     """
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
+    launch = base.launch
+    arch, config, counters = launch.architecture, launch.config, launch.counters
     lat = arch.latencies
-    if taps < 1:
-        raise ConfigurationError("taps must be >= 1")
-    tile = MODEL_BASELINE_TILE
-    block_threads = MODEL_BASELINE_BLOCK_THREADS
-    blocking = SharedMemoryBlocking(tile_width=tile, tile_height=tile,
-                                    halo_x=halo_x, halo_y=halo_y)
-    grid = blocking.grid_dim(width, height)
-    blocks = grid[0] * grid[1] * grid[2]
-    warps_per_block = block_threads // arch.warp_size
-    outputs_per_thread = blocking.valid_outputs // block_threads
-    loads_per_thread = math.ceil(blocking.cached_elements / block_threads)
-    config = LaunchConfig(
-        grid_dim=grid, block_threads=block_threads,
-        registers_per_thread=MODEL_BASELINE_REGISTERS,
-        shared_bytes_per_block=blocking.shared_bytes(prec), precision=prec,
-        memory_parallelism=float(loads_per_thread))
-    smem_reads = 2.0 if weights_in_shared else 1.0
-    per_output = taps * (lat.fma + smem_reads * lat.smem_load + 2.0 * lat.register)
-    compute = outputs_per_thread * per_output
-    if lat.supports_async_copy:
-        memory = (lat.gmem_to_smem
-                  + max(0, loads_per_thread - 1) * SECTOR_SERVICE_CYCLES
-                  + lat.sync)
+    warps = counters.warps_executed
+    loads = counters.gmem_load / warps
+    compute = (counters.fma * (lat.fma + 2.0 * lat.register)
+               + counters.smem_load * lat.smem_load
+               + counters.misc * lat.misc) / warps
+    if counters.smem_store:
+        scheme = "shared_memory"
+        if lat.supports_async_copy:
+            memory = lat.gmem_to_smem + max(0.0, loads - 1) * SECTOR_SERVICE_CYCLES
+        else:
+            memory = _coalesced_fill_cycles(arch, loads) + lat.smem_store
+        memory += lat.sync
     else:
-        memory = (_coalesced_fill_cycles(arch, loads_per_thread)
-                  + lat.smem_store + lat.sync)
-    warp_passes = blocks * warps_per_block * iterations
-    sectors = warp_sectors(arch, prec.itemsize)
-    counters = KernelCounters()
-    counters.blocks_executed = blocks * iterations
-    counters.warps_executed = warp_passes
-    counters.gmem_load = loads_per_thread * warp_passes
-    counters.gmem_load_transactions = loads_per_thread * warp_passes * sectors
-    counters.smem_store = loads_per_thread * warp_passes
-    counters.sync = warp_passes
-    counters.fma = outputs_per_thread * taps * warp_passes
-    counters.smem_load = outputs_per_thread * taps * smem_reads * warp_passes
-    counters.gmem_store = outputs_per_thread * warp_passes
-    counters.gmem_store_transactions = outputs_per_thread * warp_passes * sectors
-    counters.dram_read_bytes = float(blocking.cached_elements * blocks
-                                     * prec.itemsize * iterations)
-    counters.dram_write_bytes = float(width * height * prec.itemsize * iterations)
-    counters.smem_read_bytes = float(counters.smem_load * arch.warp_size
-                                     * prec.itemsize)
-    counters.smem_write_bytes = float(blocking.cached_elements * blocks
-                                      * prec.itemsize * iterations)
+        scheme = "naive"
+        memory = lat.gmem_load + (loads - 1) * lat.l1_load / config.memory_parallelism
     prediction = predict_launch(
-        arch, config, scheme="shared_memory",
-        outputs=width * height * iterations, warp_passes=warp_passes,
+        arch, config, scheme=scheme, outputs=outputs, warp_passes=warps,
         compute_cycles_per_pass=compute, memory_cycles_per_pass=memory,
         dram_bytes=counters.dram_bytes)
-    parameters = {"taps": taps, "tile": tile, "halo_x": halo_x,
-                  "halo_y": halo_y, "iterations": iterations,
-                  "architecture": arch.name, "precision": prec.name}
-    parameters.update(extra_parameters or {})
-    return _model_result(kernel_name, "model", arch, config, counters,
-                         prediction, parameters)
-
-
-def model_naive_3d(taps: int, width: int, height: int, depth: int,
-                   iterations: int = 1, architecture: object = "p100",
-                   precision: object = "float32",
-                   kernel_name: str = "naive3d_model") -> "object":
-    """Section 5 prediction of the naive one-output-per-thread 3-D baseline.
-
-    Every tap is an individual cache-hierarchy load: the first one pays the
-    full global-memory latency, the rest stream through the L1/L2 path.
-    """
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    lat = arch.latencies
-    block_threads = MODEL_BASELINE_BLOCK_THREADS
-    cells = width * height * depth
-    blocks = math.ceil(cells / block_threads)
-    warps_per_block = block_threads // arch.warp_size
-    warp_passes = blocks * warps_per_block * iterations
-    config = LaunchConfig(
-        grid_dim=(blocks, 1, 1), block_threads=block_threads,
-        registers_per_thread=MODEL_BASELINE_REGISTERS,
-        shared_bytes_per_block=0, precision=prec, memory_parallelism=4.0)
-    compute = taps * (lat.fma + 2.0 * lat.register)
-    memory = lat.gmem_load + (taps - 1) * lat.l1_load / config.memory_parallelism
-    sectors = warp_sectors(arch, prec.itemsize)
-    counters = KernelCounters()
-    counters.blocks_executed = blocks * iterations
-    counters.warps_executed = warp_passes
-    counters.gmem_load = taps * warp_passes
-    counters.gmem_load_transactions = taps * warp_passes * sectors
-    counters.fma = taps * warp_passes
-    counters.gmem_store = warp_passes
-    counters.gmem_store_transactions = warp_passes * sectors
-    counters.dram_read_bytes = float(cells * prec.itemsize * iterations)
-    counters.dram_write_bytes = float(cells * prec.itemsize * iterations)
-    counters.cache_read_bytes = float(taps * warp_passes * arch.warp_size
-                                      * prec.itemsize)
-    prediction = predict_launch(
-        arch, config, scheme="naive", outputs=cells * iterations,
-        warp_passes=warp_passes, compute_cycles_per_pass=compute,
-        memory_cycles_per_pass=memory, dram_bytes=counters.dram_bytes)
-    return _model_result(kernel_name, "model", arch, config, counters,
-                         prediction,
-                         {"taps": taps, "iterations": iterations,
-                          "architecture": arch.name, "precision": prec.name})
+    parameters = {k: v for k, v in base.parameters.items() if k != "analytic"}
+    return _model_result(f"{launch.kernel_name}_model", "model", arch, config,
+                         counters, prediction, parameters)

@@ -13,8 +13,11 @@ edge (domains indivisible by the tile extents) so functional runs exercise
 the masked boundary paths; ``"paper"`` sizes are the evaluation-scale
 domains of Section 6 and run only on the closed-form engines (the
 ``analytic`` instruction/traffic profile and the Section 5 ``model``).
-Every scenario carries a ``model`` entry, so any registered kernel or
-baseline can be predicted at arbitrary scale without simulating it.
+Every SSAM kernel and direct baseline carries a ``model`` entry, so it can
+be predicted at arbitrary scale without simulating it; a direct baseline's
+model prices the counts of its own closed form
+(:func:`~repro.core.performance_model.model_direct`).  cuDNN and cuFFT are
+``analytic`` only: no Section 5 scheme describes an implicit GEMM or an FFT.
 """
 
 from __future__ import annotations
@@ -50,9 +53,8 @@ from ..core.performance_model import (
     model_convolution1d,
     model_convolution2d,
     model_convolution2d_chain,
-    model_naive_3d,
+    model_direct,
     model_scan,
-    model_shared_memory_2d,
     model_stencil2d,
     model_stencil3d,
 )
@@ -93,8 +95,9 @@ ALL_ARCHITECTURES = architecture_names()
 #: the two parts the paper evaluates — the baselines' cost models target these
 EVALUATED = tuple(arch.name.split()[-1].lower() for arch in EVALUATED_ARCHITECTURES)
 #: post-paper parts (Ampere/Hopper) the baselines are also projected onto:
-#: their shared-memory cost models are architecture-generic, so the new
-#: generations are a pure envelope extension
+#: the direct baselines' closed forms and models read every latency and
+#: memory geometry from the architecture, so the new generations are a
+#: pure envelope extension
 MODERN = tuple(arch.name.lower() for arch in MODERN_ARCHITECTURES)
 BASELINE_ARCHITECTURES = EVALUATED + MODERN
 BOTH_PRECISIONS = ("float32", "float64")
@@ -508,8 +511,25 @@ register(Scenario(
 # convolution baselines (the Figure 4 competitors)
 # ---------------------------------------------------------------------------
 
+def _direct_model(closed_form):
+    """A direct baseline's ``model`` entry: Section 5 over its closed form."""
+    def model(spec, params, architecture, precision):
+        outputs = math.prod(params.get(axis, 1)
+                            for axis in ("width", "height", "depth", "iterations"))
+        return model_direct(closed_form(spec, params, architecture, precision),
+                            outputs)
+    return model
+
+
 def _register_conv2d_baseline(label: str, fn, analytic, engines) -> None:
+    # the direct kernels run and are modelled; cuDNN and cuFFT have only
+    # their closed form, which no Section 5 scheme describes
     functional = "batched" in engines
+
+    def closed_form(spec, params, architecture, precision):
+        return analytic(spec, params["width"], params["height"], architecture,
+                        precision)
+
     register(Scenario(
         name=f"conv2d-{label}",
         family="convolution",
@@ -523,13 +543,8 @@ def _register_conv2d_baseline(label: str, fn, analytic, engines) -> None:
             params["width"], params["height"], precision, seed=params["width"]),
         oracle=(lambda spec, workload, params: spec.reference(workload))
         if functional else None,
-        analytic=lambda spec, params, architecture, precision: analytic(
-            spec, params["width"], params["height"], architecture, precision),
-        model=lambda spec, params, architecture, precision: model_shared_memory_2d(
-            spec.taps, spec.filter_width - 1, spec.filter_height - 1,
-            params["width"], params["height"], 1, architecture, precision,
-            weights_in_shared=True, kernel_name=f"{label}_conv2d_model",
-            extra_parameters={"baseline": label}),
+        analytic=closed_form,
+        model=_direct_model(closed_form) if functional else None,
         sizes=_CONV2D_SIZES,
         architectures=BASELINE_ARCHITECTURES,
         precisions=BOTH_PRECISIONS,
@@ -545,9 +560,9 @@ _register_conv2d_baseline("arrayfire", arrayfire_like_convolve2d,
 _register_conv2d_baseline("halide", halide_like_convolve2d,
                           halide_like_convolve2d_analytic, ALL_ENGINES)
 _register_conv2d_baseline("cudnn", cudnn_like_convolve2d,
-                          cudnn_like_convolve2d_analytic, ("analytic", "model"))
+                          cudnn_like_convolve2d_analytic, ("analytic",))
 _register_conv2d_baseline("cufft", cufft_like_convolve2d,
-                          cufft_like_convolve2d_analytic, ("analytic", "model"))
+                          cufft_like_convolve2d_analytic, ("analytic",))
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +570,10 @@ _register_conv2d_baseline("cufft", cufft_like_convolve2d,
 # ---------------------------------------------------------------------------
 
 def _register_stencil2d_baseline(label: str, fn, analytic) -> None:
+    def closed_form(spec, params, architecture, precision):
+        return analytic(spec, params["width"], params["height"],
+                        params.get("iterations", 1), architecture, precision)
+
     register(Scenario(
         name=f"stencil2d-{label}",
         family="stencil",
@@ -568,15 +587,8 @@ def _register_stencil2d_baseline(label: str, fn, analytic) -> None:
             params["width"], params["height"], precision, seed=params["height"]),
         oracle=lambda spec, workload, params: spec.reference(
             workload, iterations=params.get("iterations", 1)),
-        analytic=lambda spec, params, architecture, precision: analytic(
-            spec, params["width"], params["height"], params.get("iterations", 1),
-            architecture, precision),
-        model=lambda spec, params, architecture, precision: model_shared_memory_2d(
-            spec.num_points, spec.footprint_width - 1, spec.footprint_height - 1,
-            params["width"], params["height"], params.get("iterations", 1),
-            architecture, precision, weights_in_shared=False,
-            kernel_name=f"{label}_stencil2d_model",
-            extra_parameters={"baseline": label}),
+        analytic=closed_form,
+        model=_direct_model(closed_form),
         sizes=_STENCIL2D_SIZES,
         architectures=BASELINE_ARCHITECTURES,
         precisions=BOTH_PRECISIONS,
@@ -591,6 +603,12 @@ _register_stencil2d_baseline("ppcg", ppcg_like_stencil2d,
                              ppcg_like_stencil2d_analytic)
 _register_stencil2d_baseline("halide", halide_like_stencil2d,
                              halide_like_stencil2d_analytic)
+
+
+def _original_stencil3d_analytic(spec, params, architecture, precision):
+    return original_stencil3d_analytic(
+        spec, params["width"], params["height"], params["depth"],
+        params.get("iterations", 1), architecture, precision)
 
 
 register(Scenario(
@@ -608,13 +626,8 @@ register(Scenario(
         seed=params["depth"]),
     oracle=lambda spec, workload, params: spec.reference(
         workload, iterations=params.get("iterations", 1)),
-    analytic=lambda spec, params, architecture, precision: original_stencil3d_analytic(
-        spec, params["width"], params["height"], params["depth"],
-        params.get("iterations", 1), architecture, precision),
-    model=lambda spec, params, architecture, precision: model_naive_3d(
-        spec.num_points, params["width"], params["height"], params["depth"],
-        params.get("iterations", 1), architecture, precision,
-        kernel_name="original_stencil3d_model"),
+    analytic=_original_stencil3d_analytic,
+    model=_direct_model(_original_stencil3d_analytic),
     sizes=_STENCIL3D_SIZES,
     architectures=BASELINE_ARCHITECTURES,
     precisions=BOTH_PRECISIONS,

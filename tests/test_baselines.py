@@ -183,9 +183,9 @@ DIRECT_BASELINES = ("conv2d-npp", "conv2d-arrayfire", "conv2d-halide",
                     "stencil3d-original")
 
 #: counters on which a closed form and a counted run agree exactly (the
-#: memory counters differ: a closed form also counts fully masked warps)
-EXACT_FIELDS = ("fma", "misc", "smem_load", "sync", "blocks_executed",
-                "warps_executed")
+#: transaction counts differ: a closed form charges every warp full sectors)
+EXACT_FIELDS = ("fma", "misc", "smem_load", "smem_store", "gmem_load",
+                "gmem_store", "sync", "blocks_executed", "warps_executed")
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,22 +201,19 @@ def test_direct_closed_forms_match_counted_runs(name, size, precision):
     analytic = _direct_counters(name, size, precision, "analytic")
     counted = _direct_counters(name, size, precision, "batched")
     assert counted.fma > 0
-    # the float64 shared loads are checked by the test below
-    fields = [f for f in EXACT_FIELDS
-              if not (f == "smem_load" and precision == "float64")]
-    for field in fields:
+    for field in EXACT_FIELDS:
         assert getattr(analytic, field) == getattr(counted, field), field
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a float64 warp's shared load spans twice the banks and is counted as two "
-    "accesses; the shared closed form counts one"))
 @pytest.mark.parametrize("size", ["tiny", "small"])
 @pytest.mark.parametrize("name", ["conv2d-arrayfire", "stencil2d-ppcg"])
 def test_direct_closed_forms_count_float64_shared_loads(name, size):
+    # a float64 warp's shared load spans twice the banks: two accesses
     analytic = _direct_counters(name, size, "float64", "analytic")
     counted = _direct_counters(name, size, "float64", "batched")
     assert analytic.smem_load == counted.smem_load
+    assert analytic.smem_load == 2 * _direct_counters(name, size, "float32",
+                                                      "analytic").smem_load
 
 
 @pytest.mark.parametrize("architecture", ["p100", "v100"])

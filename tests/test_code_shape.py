@@ -21,7 +21,9 @@
   ``functional`` knob — a closed-form cost has its own entry.
 * Two direct schemes: every functional convolution and stencil baseline
   kernel wraps ``repro.baselines.direct.naive_block`` or ``shared_block``,
-  and their launch shapes and closed-form counts come from ``direct`` too.
+  and their launch shapes and closed-form counts come from ``direct`` too;
+  the performance model prices those counts and builds launches and
+  counters only for the two SSAM kernels without an analytic engine.
 * One experiment surface: every module of the runner's registry has
   exactly ``jobs(quick)``, ``assemble(payloads, quick)`` and ``render`` —
   no in-process ``run``/``report`` fork and no sweep-override parameter
@@ -333,6 +335,19 @@ def test_direct_baselines_count_in_the_two_schemes():
         ("baselines/stencil3d.py", "shared_stencil3d"),
         ("baselines/temporal.py", "ssam_temporal_stencil"),
         ("baselines/temporal.py", "stencilgen_like_stencil")}
+
+
+def test_model_builds_no_baseline_launch():
+    # a baseline's model prices its ``direct`` closed form
+    # (``model_direct``); only conv1d and scan, which have no analytic
+    # engine, count in the model, and the plan builds the SSAM launches
+    builders = {(module, name)
+                for module, name in _callers({"KernelCounters", "LaunchConfig"})
+                if module.startswith("core/")}
+    assert builders == {
+        ("core/performance_model.py", "model_convolution1d"),
+        ("core/performance_model.py", "model_scan"),
+        ("core/plan.py", "SSAMPlan.launch_config")}
 
 
 def test_scheme_guard_sees_a_private_block_body():

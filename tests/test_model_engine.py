@@ -34,6 +34,11 @@ SSAM_KERNELS = ("conv1d", "conv2d", "stencil2d", "stencil3d", "scan",
                 "stencil2d-masked", "conv2d-pipeline")
 #: the evaluated parts plus the post-paper Ampere/Hopper axis
 MODEL_ARCHITECTURES = ("p100", "v100", "a100", "h100")
+#: the direct baselines by the memory scheme their kernel runs
+DIRECT_SCHEMES = {"conv2d-npp": "naive", "conv2d-arrayfire": "shared_memory",
+                  "conv2d-halide": "shared_memory", "stencil2d-original": "naive",
+                  "stencil2d-ppcg": "shared_memory",
+                  "stencil2d-halide": "shared_memory", "stencil3d-original": "naive"}
 
 
 # --- the engine itself ------------------------------------------------------
@@ -56,8 +61,10 @@ def test_model_engine_runs_every_ssam_kernel_at_paper_scale(name):
 
 
 def test_every_scenario_evaluates_through_the_model_engine():
-    """Baselines included: the model entry is part of every registration."""
-    for scenario in all_scenarios():
+    """Direct baselines included, each priced as the scheme its kernel runs."""
+    modelled = [s for s in all_scenarios() if "model" in s.engines]
+    assert {s.name for s in modelled if s.role == "baseline"} == set(DIRECT_SCHEMES)
+    for scenario in modelled:
         size = next(s for s in ("small", "tiny", "paper")
                     if s in scenario.sizes and
                     "model" in scenario.engines_for(s))
@@ -65,10 +72,20 @@ def test_every_scenario_evaluates_through_the_model_engine():
         result = scenario.run_case(
             ScenarioCase(scenario.name, arch, "float32", "model", size))
         assert result.milliseconds > 0, scenario.name
-        expected_scheme = ("register_cache" if scenario.role == "ssam"
-                           else ("naive" if scenario.dims == 3
-                                 else "shared_memory"))
+        expected_scheme = DIRECT_SCHEMES.get(scenario.name, "register_cache")
         assert result.parameters["scheme"] == expected_scheme, scenario.name
+
+
+@pytest.mark.parametrize("size", ["tiny", "small", "paper"])
+@pytest.mark.parametrize("name", sorted(DIRECT_SCHEMES))
+def test_direct_baseline_model_prices_its_closed_form(name, size):
+    """One source of truth: a baseline's model keeps its analytic counts."""
+    scenario = get_scenario(name)
+    model, analytic = (
+        scenario.run_case(ScenarioCase(name, "v100", "float32", engine, size))
+        for engine in ("model", "analytic"))
+    assert model.launch.counters.as_dict() == analytic.launch.counters.as_dict()
+    assert model.launch.config == analytic.launch.config
 
 
 def test_predict_launch_occupancy_matches_the_calculator():
