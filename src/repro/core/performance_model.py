@@ -698,19 +698,21 @@ def model_direct(base, outputs: int) -> "object":
     kernel the baseline runs.  One warp pays its counted MACs, scratchpad
     reads and per-tap overhead at the Table 2 latencies (Eq. 3).  A kernel
     that stages a tile (it counts shared stores) waits for the tile fill
-    and the barrier; a naive one pays one global load, and its remaining
-    per-tap loads stream through L1 ``memory_parallelism`` at a time.
+    and the barrier.  A naive warp with an active lane (one per counted
+    store; masked-off warps issue nothing) pays one global load, and its
+    remaining per-tap loads stream through L1 ``memory_parallelism`` at a
+    time.
     """
     launch = base.launch
     arch, config, counters = launch.architecture, launch.config, launch.counters
     lat = arch.latencies
     warps = counters.warps_executed
-    loads = counters.gmem_load / warps
     compute = (counters.fma * (lat.fma + 2.0 * lat.register)
                + counters.smem_load * lat.smem_load
                + counters.misc * lat.misc) / warps
     if counters.smem_store:
         scheme = "shared_memory"
+        loads = counters.gmem_load / warps  # each warp's share of the fill
         if lat.supports_async_copy:
             memory = lat.gmem_to_smem + max(0.0, loads - 1) * SECTOR_SERVICE_CYCLES
         else:
@@ -718,6 +720,7 @@ def model_direct(base, outputs: int) -> "object":
         memory += lat.sync
     else:
         scheme = "naive"
+        loads = counters.gmem_load / counters.gmem_store
         memory = lat.gmem_load + (loads - 1) * lat.l1_load / config.memory_parallelism
     prediction = predict_launch(
         arch, config, scheme=scheme, outputs=outputs, warp_passes=warps,

@@ -522,8 +522,6 @@ def _direct_model(closed_form):
 
 
 def _register_conv2d_baseline(label: str, fn, analytic, engines) -> None:
-    # the direct kernels run and are modelled; cuDNN and cuFFT have only
-    # their closed form, which no Section 5 scheme describes
     functional = "batched" in engines
 
     def closed_form(spec, params, architecture, precision):
@@ -544,7 +542,7 @@ def _register_conv2d_baseline(label: str, fn, analytic, engines) -> None:
         oracle=(lambda spec, workload, params: spec.reference(workload))
         if functional else None,
         analytic=closed_form,
-        model=_direct_model(closed_form) if functional else None,
+        model=_direct_model(closed_form) if "model" in engines else None,
         sizes=_CONV2D_SIZES,
         architectures=BASELINE_ARCHITECTURES,
         precisions=BOTH_PRECISIONS,

@@ -88,6 +88,25 @@ def test_direct_baseline_model_prices_its_closed_form(name, size):
     assert model.launch.config == analytic.launch.config
 
 
+@pytest.mark.parametrize("name", sorted(n for n, scheme in DIRECT_SCHEMES.items()
+                                        if scheme == "naive"))
+def test_naive_baseline_model_streams_every_tap(name):
+    """A warp with an active lane pays one global load and streams the rest.
+
+    At ``small`` the stencils' rows leave warps of each block masked off;
+    those issue no loads, and the per-warp load count must not average
+    over them.
+    """
+    scenario = get_scenario(name)
+    spec = scenario.spec_builder(scenario.sizes["small"])
+    taps = spec.taps if hasattr(spec, "taps") else spec.num_points
+    result = scenario.run_case(ScenarioCase(name, "v100", "float32", "model", "small"))
+    config = result.launch.config
+    lat = result.launch.architecture.latencies
+    assert result.parameters["memory_cycles_per_pass"] == pytest.approx(
+        lat.gmem_load + (taps - 1) * lat.l1_load / config.memory_parallelism)
+
+
 def test_predict_launch_occupancy_matches_the_calculator():
     config = LaunchConfig(grid_dim=(1000, 1, 1), block_threads=128,
                           registers_per_thread=64,
