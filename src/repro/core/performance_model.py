@@ -391,21 +391,13 @@ def _model_result(kernel_name: str, run_name: str, architecture: GPUArchitecture
     )
 
 
-def model_convolution2d(spec, width: int, height: int,
-                        architecture: object = "p100",
-                        precision: object = "float32",
-                        outputs_per_thread: "int | None" = None,
-                        block_threads: "int | None" = None,
-                        block_rows: "int | None" = None,
-                        plan: "object | None" = None) -> "object":
-    """Section 5 prediction of the SSAM 2-D convolution (register cache).
-
-    ``outputs_per_thread``/``block_threads``/``block_rows`` override the
-    resolved launch defaults so the tuner can cost the whole Section 7.1
-    design space closed-form; ``None`` values resolve through the default
-    chain of :mod:`repro.core.launch_defaults`.  A given ``plan`` (the
-    scenario registry hands in the cell's) replaces all three.
-    """
+def _conv2d_pass(spec, width: int, height: int, architecture: object,
+                 precision: object, outputs_per_thread: "int | None",
+                 block_threads: "int | None", block_rows: "int | None",
+                 plan: "object | None"):
+    """What both SSAM 2-D convolution models price one pass from: the
+    part, the precision, the plan, the analytic launch and the Section 5.2
+    compute and memory cycles of one warp."""
     from ..kernels import conv2d_ssam
     from .plan import plan_convolution
 
@@ -421,10 +413,32 @@ def model_convolution2d(spec, width: int, height: int,
         arch, spec.filter_width, spec.filter_height)
     memory = (_coalesced_fill_cycles(arch, blocking.cache_values)
               + _staging_cycles(arch, spec.taps, blocking.warps_per_block))
+    return arch, prec, plan, base, compute, memory
+
+
+def model_convolution2d(spec, width: int, height: int,
+                        architecture: object = "p100",
+                        precision: object = "float32",
+                        outputs_per_thread: "int | None" = None,
+                        block_threads: "int | None" = None,
+                        block_rows: "int | None" = None,
+                        plan: "object | None" = None) -> "object":
+    """Section 5 prediction of the SSAM 2-D convolution (register cache).
+
+    ``outputs_per_thread``/``block_threads``/``block_rows`` override the
+    resolved launch defaults so the tuner can cost the whole Section 7.1
+    design space closed-form; ``None`` values resolve through the default
+    chain of :mod:`repro.core.launch_defaults`.  A given ``plan`` (the
+    scenario registry hands in the cell's) replaces all three.
+    """
+    arch, prec, plan, base, compute, memory = _conv2d_pass(
+        spec, width, height, architecture, precision, outputs_per_thread,
+        block_threads, block_rows, plan)
     prediction = predict_launch(
         arch, base.launch.config, scheme="register_cache",
         outputs=width * height,
-        warp_passes=base.launch.config.total_blocks * blocking.warps_per_block,
+        warp_passes=(base.launch.config.total_blocks
+                     * plan.blocking.warps_per_block),
         compute_cycles_per_pass=compute, memory_cycles_per_pass=memory,
         dram_bytes=base.launch.counters.dram_bytes)
     return _model_result("ssam_conv2d_model", "model", arch, base.launch.config,
@@ -452,23 +466,11 @@ def model_convolution2d_chain(spec, width: int, height: int, passes: int = 2,
     given ``plan`` replaces the launch parameters, as in
     :func:`model_convolution2d`.
     """
-    from ..kernels import conv2d_ssam
-    from .plan import plan_convolution
-
     if passes < 1:
         raise ConfigurationError("a convolution chain needs at least one pass")
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    if plan is None:
-        plan = plan_convolution(spec, arch, prec, outputs_per_thread,
-                                block_threads, block_rows)
-    base = conv2d_ssam.analytic_launch(spec, width, height, arch, prec,
-                                       plan=plan)
-    blocking = plan.blocking
-    compute = plan.outputs_per_thread * register_cache_latency(
-        arch, spec.filter_width, spec.filter_height)
-    memory = (_coalesced_fill_cycles(arch, blocking.cache_values)
-              + _staging_cycles(arch, spec.taps, blocking.warps_per_block))
+    arch, prec, plan, base, compute, memory = _conv2d_pass(
+        spec, width, height, architecture, precision, outputs_per_thread,
+        block_threads, block_rows, plan)
     counters = base.launch.counters.scaled(float(passes))
     if fused:
         # intermediates never reach DRAM: only the first stage reads the
@@ -480,7 +482,7 @@ def model_convolution2d_chain(spec, width: int, height: int, passes: int = 2,
         scheme="register_cache_fused" if fused else "register_cache",
         outputs=width * height * passes,
         warp_passes=(base.launch.config.total_blocks
-                     * blocking.warps_per_block * passes),
+                     * plan.blocking.warps_per_block * passes),
         compute_cycles_per_pass=compute, memory_cycles_per_pass=memory,
         dram_bytes=counters.dram_bytes)
     return _model_result("ssam_conv2d_chain_model", "model", arch,

@@ -21,9 +21,7 @@ the same key both executed the job, and the lookup-then-store sequence in
 the executor was an unlocked read-modify-write on the cache state.  The
 store closes both windows — :meth:`SimulationCache.claim` hands exactly one
 process the right to execute a missing key, and store-back is a
-first-writer-wins atomic upsert.  Legacy directory trees found next to the
-database are imported once, keeping their entries addressable (the file
-digest and the store digest are byte-identical).
+first-writer-wins atomic upsert.
 
 The default location honours ``$SSAM_REPRO_CACHE_DIR`` and
 ``$XDG_CACHE_HOME`` and can be overridden per run (``--cache-dir``) or
@@ -37,13 +35,9 @@ import os
 from functools import lru_cache
 from typing import Dict, Mapping, Optional
 
-from ..serialization import stable_digest
 
 #: environment variable overriding the default cache directory
 CACHE_DIR_ENV = "SSAM_REPRO_CACHE_DIR"
-#: version of the *legacy* one-JSON-per-entry layout (still recognised by
-#: the migration importer; new entries go to the sqlite store)
-CACHE_FORMAT = 1
 #: filename of the sqlite result store inside the cache directory
 STORE_FILENAME = "results.sqlite"
 
@@ -136,10 +130,8 @@ class SimulationCache:
     def result_store(self):
         """The backing :class:`~repro.service.store.ResultStore` (lazy).
 
-        First open also imports any legacy one-JSON-per-entry tree sitting
-        in the same directory, so pre-PR-7 caches keep their contents.  The
-        code-version callable is late-bound through this module so tests
-        that monkeypatch :func:`code_version` affect the store too.
+        The code-version callable is late-bound through this module so
+        tests that monkeypatch :func:`code_version` affect the store too.
         """
         if self._store is None:
             from ..service.store import ResultStore
@@ -149,27 +141,11 @@ class SimulationCache:
                 kwargs["claim_ttl"] = self.claim_ttl
             self._store = ResultStore(
                 self.store_path, code_version=lambda: code_version(), **kwargs)
-            legacy_root = os.path.join(self.directory, f"v{CACHE_FORMAT}")
-            if os.path.isdir(legacy_root):
-                self._store.migrate_directory_entries(legacy_root)
         return self._store
 
     def close(self) -> None:
         if self._store is not None:
             self._store.close()
-
-    # -- keys ---------------------------------------------------------------
-    def entry_path(self, key: Mapping[str, object]) -> str:
-        """Where the *legacy* directory layout kept this key's entry.
-
-        New entries live in the sqlite store under the same digest; this
-        path exists so tests and the migration importer can fabricate
-        pre-PR-7 trees.
-        """
-        digest = stable_digest({"code_version": code_version(), **key},
-                               length=40)
-        return os.path.join(self.directory, f"v{CACHE_FORMAT}",
-                            digest[:2], f"{digest}.json")
 
     # -- operations ---------------------------------------------------------
     def lookup(self, key: Mapping[str, object]) -> Optional[Dict[str, object]]:

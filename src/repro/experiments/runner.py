@@ -96,7 +96,6 @@ def run_experiment_results(name: str = "all", quick: bool = False,
                            cache: Optional[SimulationCache] = None,
                            matrix: Optional[str] = None,
                            tune_stage: str = "full",
-                           confirm_engine: str = "batched",
                            search: str = "exhaustive",
                            ) -> Dict[str, ExperimentResult]:
     """Run one or all experiments through the pipeline.
@@ -108,10 +107,8 @@ def run_experiment_results(name: str = "all", quick: bool = False,
     preset or a JSON matrix file (default ``"smoke"`` under ``--quick``,
     ``"default"`` otherwise).  ``name="tune"`` runs the launch-configuration
     autotuner; ``tune_stage="model"`` stops after the closed-form explore
-    stage (the CI smoke path), ``confirm_engine`` picks the simulator the
-    confirmation stage runs on (``"batched"`` or ``"replay"``), and
-    ``search`` selects the explore strategy (``"exhaustive"`` or the
-    budgeted ``"guided"`` local search).
+    stage (the CI smoke path), and ``search`` selects the explore strategy
+    (``"exhaustive"`` or the budgeted ``"guided"`` local search).
     """
     if name == "sweep":
         sweep = _sweep_module()
@@ -124,7 +121,6 @@ def run_experiment_results(name: str = "all", quick: bool = False,
         return {"tune": tuning.run_tuning(quick=quick, workers=jobs,
                                           cache=cache,
                                           confirm=tune_stage != "model",
-                                          confirm_engine=confirm_engine,
                                           search=search)}
     if name == "analyze":
         analyze = _analyze_module()
@@ -272,12 +268,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="'model' runs the autotuner's exhaustive "
                              "closed-form stage only, skipping the batched "
                              "confirmation (only with --experiment tune)")
-    parser.add_argument("--confirm-engine", default="batched",
-                        choices=["batched", "replay"],
-                        help="engine for the autotuner's confirmation stage: "
-                             "the batched simulator or the compiled "
-                             "trace-replay engine (identical counters, "
-                             "faster; only with --experiment tune)")
     parser.add_argument("--search", default="exhaustive",
                         choices=["exhaustive", "guided"],
                         help="explore-stage search strategy: evaluate every "
@@ -309,8 +299,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--matrix requires --experiment sweep")
     if args.tune_stage != "full" and args.experiment != "tune":
         parser.error("--tune-stage requires --experiment tune")
-    if args.confirm_engine != "batched" and args.experiment != "tune":
-        parser.error("--confirm-engine requires --experiment tune")
     if args.search != "exhaustive" and args.experiment != "tune":
         parser.error("--search requires --experiment tune")
     if args.experiment == "serve":
@@ -324,7 +312,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                          jobs=workers, cache=cache,
                                          matrix=args.matrix,
                                          tune_stage=args.tune_stage,
-                                         confirm_engine=args.confirm_engine,
                                          search=args.search)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -216,7 +216,6 @@ class SweepService:
                 architectures=options.get("architectures"),
                 precisions=options.get("precisions"),
                 confirm=bool(options.get("confirm", True)),
-                confirm_engine=options.get("confirm_engine", "batched"),
                 search=options.get("search", "exhaustive"),
                 cache=self.cache, executor=executor)
             self.store.upsert(self._artifact_key(run_id), result.to_dict(),

@@ -40,8 +40,7 @@ now produce exactly one canonical row, and each learns whether it won).
 
 The schema carries a version number in the ``meta`` table; opening a store
 written by a newer build fails loudly, and older on-disk versions upgrade
-through :data:`MIGRATIONS`.  Legacy directory-cache trees are imported
-once via :meth:`migrate_directory_entries`.
+through :data:`MIGRATIONS`.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ STORE_SCHEMA_VERSION = 4
 #: store reports itself locked
 BUSY_TIMEOUT_S = 30.0
 
-#: length of the hex job-key digest (matches the legacy directory cache)
+#: length of the hex job-key digest
 DIGEST_LENGTH = 40
 
 #: seconds after which an execution claim from a dead process may be
@@ -379,11 +378,7 @@ class ResultStore:
         return self._code_version()
 
     def digest_for(self, key: Mapping[str, object]) -> str:
-        """The 40-hex identity of a job key under the current code digest.
-
-        Byte-compatible with the legacy directory cache's file digest, so
-        imported legacy entries stay addressable.
-        """
+        """The 40-hex identity of a job key under the current code digest."""
         return stable_digest({"code_version": self.code_version(), **key},
                              length=DIGEST_LENGTH)
 
@@ -843,49 +838,3 @@ class ResultStore:
         counts = {r["status"]: int(r["n"]) for r in rows}
         counts["total"] = sum(counts.values())
         return counts
-
-    # -- legacy migration ------------------------------------------------------
-    def migrate_directory_entries(self, directory: str) -> int:
-        """Import a legacy PR-2 directory-cache tree (one JSON per entry).
-
-        Each legacy file is named by the same key digest this store
-        computes, so entries keep their identity: a key that hit the
-        directory cache hits the store after migration, and two distinct
-        keys can never merge into one row (their digests differ).  The
-        legacy entry body does not record which code version produced it,
-        so the column is left empty — such rows are served normally (the
-        digest already pins the code version) but count as stale for
-        refresh queries.  Returns the number of rows imported; the scan is
-        idempotent (existing digests win).
-        """
-        imported = 0
-        if not os.path.isdir(directory):
-            return imported
-        conn = self._conn()
-        for dirpath, dirnames, filenames in os.walk(directory):
-            dirnames.sort()
-            for filename in sorted(filenames):
-                if not filename.endswith(".json"):
-                    continue
-                path = os.path.join(dirpath, filename)
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        entry = json.load(handle)
-                except (OSError, ValueError):
-                    continue
-                if not isinstance(entry, dict):
-                    continue
-                key = entry.get("key")
-                payload = entry.get("payload")
-                if not isinstance(key, dict) or not isinstance(payload, dict):
-                    continue
-                digest = os.path.splitext(filename)[0]
-                with conn:
-                    cursor = conn.execute(
-                        "INSERT INTO results(digest, job_key, code_version,"
-                        " key_json, payload_json, writer, created_at)"
-                        " VALUES(?,?,?,?,?,?,?) ON CONFLICT(digest) DO NOTHING",
-                        (digest, None, "", _encode(key),
-                         _encode(payload), "legacy-import", time.time()))
-                imported += cursor.rowcount
-        return imported

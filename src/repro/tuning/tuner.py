@@ -236,12 +236,11 @@ def _ranked_points(points: Sequence[Mapping[str, int]],
 
 def _confirm_points(cell: TuneCell, scenario: Scenario,
                     ranked: Sequence[Mapping[str, object]], top_k: int,
-                    confirm_size: str,
-                    confirm_engine: str = "batched") -> List[Dict[str, int]]:
+                    confirm_size: str) -> List[Dict[str, int]]:
     """The top-k model candidates plus the paper default, re-validated at
     the confirmation size (filter extents can differ between sizes)."""
     if not scenario.supports(cell.architecture, cell.precision,
-                             confirm_engine, confirm_size):
+                             "batched", confirm_size):
         return []
     candidates = [dict(row["plan_kwargs"]) for row in ranked[:max(1, top_k)]]
     default = paper_default_for(scenario, confirm_size, cell.architecture,
@@ -256,19 +255,15 @@ def _confirm_points(cell: TuneCell, scenario: Scenario,
 def confirm_jobs(cells: Sequence[TuneCell],
                  candidates_by_cell: Mapping[str, Sequence[Mapping[str, int]]],
                  confirm_size: str = CONFIRM_SIZE,
-                 confirm_engine: str = "batched",
                  ) -> Dict[str, List[Tuple[Mapping[str, int], SimulationJob]]]:
-    """Stage 2: a simulator job for each cell's confirm candidates.
+    """Stage 2: a batched-simulator job for each cell's confirm candidates.
 
-    ``confirm_engine`` selects the executing engine: ``"batched"`` (the
-    default) or ``"replay"`` — the compiled trace-replay engine produces
-    bit-identical counters, so the confirmation verdicts are the same, only
-    faster.  Returns each cell's ``(candidate, job)`` pairs in candidate
-    order; cells with no candidates (the scenario cannot run the engine at
+    Returns each cell's ``(candidate, job)`` pairs in candidate order;
+    cells with no candidates (the scenario cannot run the batched engine at
     the confirmation size) have none, and the report then shows the model
     stage only for them.
     """
-    return {cell.cell_id: [(point, _case_job(cell, confirm_engine,
+    return {cell.cell_id: [(point, _case_job(cell, "batched",
                                              confirm_size, point))
                            for point in candidates_by_cell.get(cell.cell_id, ())]
             for cell in cells}
@@ -285,7 +280,6 @@ def run_tuning(quick: bool = False, workers: int = 1, cache=None,
                model_size: str = MODEL_SIZE,
                confirm_size: Optional[str] = None,
                confirm: bool = True,
-               confirm_engine: str = "batched",
                search: "str | SearchStrategy" = "exhaustive",
                executor=None) -> ExperimentResult:
     """Run the two-stage search end to end through the job pipeline.
@@ -295,9 +289,7 @@ def run_tuning(quick: bool = False, workers: int = 1, cache=None,
     ``"guided"`` runs the budgeted coordinate descent of
     :class:`repro.tuning.search.GuidedSearch`.  ``confirm=False`` stops
     after the model stage (the CI smoke path): the report then shows the
-    closed-form ranking only.  ``confirm_engine="replay"`` confirms on the
-    compiled trace-replay engine instead of the batched simulator
-    (identical verdicts, faster).  ``executor`` substitutes the job
+    closed-form ranking only.  ``executor`` substitutes the job
     executor — same signature as
     :func:`repro.experiments.parallel.execute_jobs` — which is how the
     sweep service routes tuning stages through its priority-ordered worker
@@ -341,9 +333,9 @@ def run_tuning(quick: bool = False, workers: int = 1, cache=None,
                 cells,
                 {cell.cell_id: _confirm_points(
                     cell, get_scenario(cell.scenario), rankings[cell.cell_id],
-                    resolved_top_k, resolved_confirm, confirm_engine)
+                    resolved_top_k, resolved_confirm)
                  for cell in cells},
-                resolved_confirm, confirm_engine)
+                resolved_confirm)
             candidates_by_cell = {
                 cell_id: [(point, job.key) for point, job in pairs]
                 for cell_id, pairs in jobs_by_cell.items()}
@@ -354,7 +346,6 @@ def run_tuning(quick: bool = False, workers: int = 1, cache=None,
                           confirm_payloads, quick=quick, top_k=resolved_top_k,
                           model_size=model_size,
                           confirm_size=resolved_confirm if confirm else None,
-                          confirm_engine=confirm_engine,
                           search=strategy.name, evaluations=evaluations)
     if cache is not None and getattr(cache, "enabled", True):
         store_tuned_configs(result, cache.result_store())
@@ -405,7 +396,6 @@ def assemble(cells: Sequence[TuneCell], space: DesignSpace,
              quick: bool = False, top_k: int = TOP_K,
              model_size: str = MODEL_SIZE,
              confirm_size: "str | None" = CONFIRM_SIZE,
-             confirm_engine: str = "batched",
              search: str = "exhaustive",
              evaluations: Optional[Mapping[str, Mapping[str, int]]] = None,
              ) -> ExperimentResult:
@@ -498,7 +488,6 @@ def assemble(cells: Sequence[TuneCell], space: DesignSpace,
             "space": space.describe(),
             "model_size": model_size,
             "confirm_size": confirm_size,
-            "confirm_engine": confirm_engine,
             "top_k": top_k,
             "search": search,
             "evaluations": {
@@ -519,7 +508,7 @@ def render(result: ExperimentResult) -> str:
     meta = result.metadata
     confirm_text = ("confirm stage skipped (model stage only)"
                     if meta["confirm_size"] is None else
-                    f"confirm: engine={meta.get('confirm_engine', 'batched')} "
+                    f"confirm: engine=batched "
                     f"at size {meta['confirm_size']!r} "
                     f"(top-{meta['top_k']} + default)")
     evals = meta.get("evaluations") or {}

@@ -104,12 +104,12 @@ def test_mutated_code_version_invalidates_stored_entries(tmp_path, monkeypatch):
     key = {"func": "worker", "params": {"x": 1}}
     cache.store(key, {"value": 42})
     assert cache.lookup(key) == {"value": 42}
-    before = cache.entry_path(key)
+    before = cache.result_store().digest_for(key)
 
     monkeypatch.setattr(cache_mod, "code_version", lambda: "f" * 16)
     stale_cache = SimulationCache(str(tmp_path))
     # the same logical key now addresses a different entry: a guaranteed miss
-    assert stale_cache.entry_path(key) != before
+    assert stale_cache.result_store().digest_for(key) != before
     assert stale_cache.lookup(key) is None
     assert stale_cache.stats()["misses"] == 1
 
@@ -154,30 +154,3 @@ def test_corrupted_entries_read_as_misses(tmp_path):
                      ("[1, 2]", digest))
     assert fresh.lookup(key) is None
     assert fresh.stats()["misses"] == 2
-
-
-def test_legacy_directory_entries_migrate_into_the_store(tmp_path):
-    """A pre-PR-7 one-JSON-per-entry tree is imported on first open.
-
-    The legacy file digest and the store digest are byte-identical, so
-    migrated entries stay addressable by the same logical key — and
-    unreadable legacy files are skipped, not imported as garbage.
-    """
-    import json
-
-    legacy = SimulationCache(str(tmp_path))
-    key = {"func": "worker", "params": {"x": 7}}
-    path = pathlib.Path(legacy.entry_path(key))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"format": 1, "key": key,
-                                "payload": {"value": 99}}), encoding="utf-8")
-    broken = path.parent / "00" / "broken.json"
-    broken.parent.mkdir(parents=True, exist_ok=True)
-    broken.write_text("{not json", encoding="utf-8")
-
-    migrated = SimulationCache(str(tmp_path))
-    assert migrated.lookup(key) == {"value": 99}
-    assert migrated.entry_count() == 1
-    # legacy rows carry no code-version column: they count as stale for
-    # refresh queries even though their digest pins the code version
-    assert migrated.result_store().stale_entry_count() == 1

@@ -8,9 +8,7 @@ rests on two properties of the key digest:
   digests, or concurrent submitters would silently re-execute each other's
   work;
 * **injectivity in practice** — distinct configurations never collide, or
-  the store would serve one cell's payload for another; and because the
-  legacy directory cache named its files with the *same* digest, the
-  store migration can never merge two previously distinct entries.
+  the store would serve one cell's payload for another.
 """
 
 from __future__ import annotations
@@ -18,9 +16,8 @@ from __future__ import annotations
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.experiments.cache import SimulationCache
 from repro.scenarios.registry import ScenarioCase
 from repro.scenarios.sweep import case_job_key
 from repro.serialization import canonical_json
@@ -87,25 +84,6 @@ def test_distinct_configurations_never_collide(first, second):
         assert first_digest == _STORE.digest_for(second)
     else:
         assert first_digest != _STORE.digest_for(second)
-
-
-@settings(max_examples=25)  # touches the filesystem via the cache layout
-@given(key=key_st)
-def test_store_digests_match_legacy_cache_filenames(key):
-    """The migration-compatibility property: the digest the store addresses
-    ``key`` by is byte-identical to the filename the legacy directory cache
-    used, so importing a legacy tree preserves every entry's identity and
-    two distinct legacy entries land in two distinct rows."""
-    import repro.experiments.cache as cache_mod
-
-    original = cache_mod.code_version
-    cache_mod.code_version = lambda: "cv-fixed"
-    try:
-        cache = SimulationCache(tempfile.mkdtemp())
-        filename = os.path.basename(cache.entry_path(key))
-    finally:
-        cache_mod.code_version = original
-    assert filename == _STORE.digest_for(key) + ".json"
 
 
 @given(kwargs=plan_kwargs_st)

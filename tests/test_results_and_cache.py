@@ -228,8 +228,9 @@ def test_cache_disabled_stores_nothing(tmp_path):
 def test_cache_key_includes_code_version(tmp_path):
     cache = SimulationCache(str(tmp_path / "c"))
     assert code_version() == code_version()
-    path = cache.entry_path({"func": "f"})
-    assert str(tmp_path) in path and path.endswith(".json")
+    digest = cache.result_store().digest_for({"func": "f"})
+    assert digest == stable_digest({"code_version": code_version(),
+                                    "func": "f"}, length=40)
 
 
 def test_execute_jobs_uses_cache_and_preserves_payloads(tmp_path):

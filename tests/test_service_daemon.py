@@ -231,8 +231,7 @@ def test_endpoint_file_discovery(service, tmp_path):
 
 def test_tune_submission_runs_through_the_service_pool(service):
     client, core, _, _ = service
-    run = client.submit_tune({"quick": True, "scenarios": ["conv2d"],
-                              "confirm_engine": "replay"})
+    run = client.submit_tune({"quick": True, "scenarios": ["conv2d"]})
     status = client.wait(run["run_id"], timeout=600)
     assert status["status"] == "done"
     assert status["kind"] == "tune"

@@ -291,31 +291,6 @@ def test_next_run_ordinal_counts_existing_runs(store):
     assert store.next_run_ordinal() == 2
 
 
-# ------------------------------------------------------------- migration
-
-def test_directory_migration_is_idempotent(tmp_path, monkeypatch):
-    from repro.experiments import cache as cache_mod
-
-    monkeypatch.setattr(cache_mod, "code_version", lambda: "cv0")
-    legacy = SimulationCache(str(tmp_path))
-    key = {"func": "worker", "params": {"x": 9}}
-    path = legacy.entry_path(key)
-    import json
-    import os
-
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"format": 1, "key": key, "payload": {"v": 9}}, handle)
-
-    store = ResultStore(str(tmp_path / "s.sqlite"),
-                        code_version=lambda: "cv0")
-    first = store.migrate_directory_entries(str(tmp_path / "v1"))
-    second = store.migrate_directory_entries(str(tmp_path / "v1"))
-    assert (first, second) == (1, 0)
-    assert store.get(key) == {"v": 9}
-    store.close()
-
-
 # ---------------------------------------- cache store-back race (regression)
 
 def test_two_writers_racing_one_key_store_exactly_one_row(tmp_path):

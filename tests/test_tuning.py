@@ -161,30 +161,6 @@ def test_model_and_simulator_agree_on_an_unambiguous_space(tmp_path):
         assert row["oracle_max_abs_error"] < 1e-5
 
 
-def test_replay_confirmation_matches_batched(tmp_path):
-    """Confirming on the trace-replay engine reaches the same verdicts.
-
-    Replay counters are bit-identical to batched, so the simulated times —
-    and therefore the confirmed ranking — must match exactly; only the
-    report's engine label differs.
-    """
-    kwargs = dict(scenarios=["conv2d"], architectures=["p100"],
-                  precisions=["float32"],
-                  space=DesignSpace(outputs_per_thread=(1, 4),
-                                    block_threads=(128,)),
-                  confirm_size="small", top_k=2)
-    batched = run_tuning(cache=SimulationCache(str(tmp_path / "b")), **kwargs)
-    replay = run_tuning(cache=SimulationCache(str(tmp_path / "r")),
-                        confirm_engine="replay", **kwargs)
-    (b_cell,) = batched.metadata["cells"]
-    (r_cell,) = replay.metadata["cells"]
-    assert r_cell["confirmed"] == b_cell["confirmed"]
-    assert replay.metadata["confirm_engine"] == "replay"
-    assert "engine=replay" in render(replay)
-    (measurement,) = replay.measurements
-    assert measurement.extra["confirm_agrees"] is True
-
-
 def test_tune_artifact_round_trips(quick_tuning, tmp_path):
     from repro.experiments.results import load_result
 
