@@ -134,6 +134,28 @@ def test_stale_entries_are_never_served_by_the_pipeline(tmp_path, monkeypatch):
     assert invalidated.stores == len(jobs)
 
 
+def test_a_leftover_directory_tree_is_never_served(tmp_path):
+    """A one-JSON-per-entry tree beside the store is neither read nor
+    touched: its entry, filed under the current digest, still misses."""
+    import json
+
+    cache = SimulationCache(str(tmp_path))
+    key = {"func": "worker", "params": {"x": 7}}
+    digest = cache.result_store().digest_for(key)
+    cache.close()
+    leftover = tmp_path / "v1" / digest[:2] / f"{digest}.json"
+    leftover.parent.mkdir(parents=True)
+    body = json.dumps({"format": 1, "key": key, "payload": {"value": 99}})
+    leftover.write_text(body, encoding="utf-8")
+
+    reopened = SimulationCache(str(tmp_path))
+    assert reopened.lookup(key) is None
+    assert reopened.entry_count() == 0
+    assert leftover.read_text(encoding="utf-8") == body
+    reopened.store(key, {"value": 1})
+    assert reopened.lookup(key) == {"value": 1}
+
+
 def test_corrupted_entries_read_as_misses(tmp_path):
     import sqlite3
 

@@ -17,7 +17,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.metrics import error_bounds, geometric_mean, relative_error
-from repro.core.performance_model import predict_launch
+from repro.convolution.spec import ConvolutionSpec
+from repro.core.performance_model import (
+    model_convolution2d,
+    model_convolution2d_chain,
+    predict_launch,
+)
 from repro.errors import ConfigurationError
 from repro.experiments import load_result, model_validation, runner
 from repro.experiments.cache import SimulationCache
@@ -154,6 +159,43 @@ def test_model_agrees_with_analytic_engine_when_bandwidth_bound():
         ScenarioCase("conv2d", "p100", "float64", "analytic", "paper"))
     assert model.parameters["bandwidth_seconds"] > model.parameters["latency_seconds"]
     assert model.milliseconds == pytest.approx(analytic.milliseconds, rel=1e-6)
+
+
+@pytest.mark.parametrize("architecture,precision,overrides", [
+    ("p100", "float32", {}),
+    ("v100", "float64", {"outputs_per_thread": 4, "block_threads": 128}),
+])
+def test_one_pass_chain_prices_like_the_single_convolution(architecture,
+                                                           precision,
+                                                           overrides):
+    """An unfused one-pass chain is one Section 5.2 launch, priced the same."""
+    spec = ConvolutionSpec.gaussian(5)
+    single = model_convolution2d(spec, 512, 256, architecture, precision,
+                                 **overrides)
+    chain = model_convolution2d_chain(spec, 512, 256, passes=1, fused=False,
+                                      architecture=architecture,
+                                      precision=precision, **overrides)
+    assert chain.milliseconds == single.milliseconds
+    assert chain.launch.config == single.launch.config
+    assert chain.launch.counters.as_dict() == single.launch.counters.as_dict()
+    assert chain.parameters["P"] == single.parameters["P"]
+
+
+def test_fused_chain_moves_dram_traffic_once():
+    """Fusion keeps intermediates resident: one stage's DRAM traffic, every
+    stage's instructions, and never a slower prediction than unfused."""
+    spec = ConvolutionSpec.gaussian(5)
+    single = model_convolution2d(spec, 512, 256)
+    unfused = model_convolution2d_chain(spec, 512, 256, passes=3, fused=False)
+    fused = model_convolution2d_chain(spec, 512, 256, passes=3, fused=True)
+    one, many = single.launch.counters, fused.launch.counters
+    assert many.dram_read_bytes == one.dram_read_bytes
+    assert many.dram_write_bytes == one.dram_write_bytes
+    assert many.fma == 3 * one.fma
+    assert unfused.launch.counters.dram_bytes == 3 * one.dram_bytes
+    assert fused.milliseconds <= unfused.milliseconds
+    with pytest.raises(ConfigurationError):
+        model_convolution2d_chain(spec, 512, 256, passes=0)
 
 
 @pytest.mark.parametrize("name", SSAM_KERNELS)
