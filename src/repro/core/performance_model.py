@@ -15,11 +15,13 @@ can be evaluated, and an optional precision because double-precision halves
 the useful register count.
 
 The second half of the module turns the model into an *execution engine*:
-:func:`model_convolution2d` and friends evaluate the Section 5 latencies plus
-the occupancy calculator (:mod:`repro.gpu.occupancy`) for a whole launch and
-return a :class:`~repro.kernels.common.KernelRunResult`, so paper-scale
-problems run through the scenario sweep pipeline (``engine="model"``) exactly
-like simulations — cached, sharded and rendered from the same typed records.
+:func:`model_convolution2d` and friends price the analytic launch of one
+kernel — its closed form's counters and launch configuration, kept as they
+are — with the Section 5 latencies, the occupancy calculator
+(:mod:`repro.gpu.occupancy`) and the Section 5.3 DRAM floor, and return a
+:class:`~repro.kernels.common.KernelRunResult`, so paper-scale problems run
+through the scenario sweep pipeline (``engine="model"``) exactly like
+simulations — cached, sharded and rendered from the same typed records.
 """
 
 from __future__ import annotations
@@ -28,19 +30,16 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import GPUArchitecture, get_architecture, warp_sectors
-from ..gpu.counters import KernelCounters
+from ..gpu.architecture import GPUArchitecture, get_architecture
 from ..gpu.kernel import LaunchConfig, LaunchResult
-from ..gpu.occupancy import compute_occupancy, validate_block_threads
+from ..gpu.occupancy import compute_occupancy
 from ..gpu.profiler import (
     LAUNCH_OVERHEAD_SECONDS,
     SECTOR_SERVICE_CYCLES,
     TimingBreakdown,
 )
 from .blocking import OverlappedBlocking
-from .launch_defaults import paper_default
 
 
 @dataclass(frozen=True)
@@ -230,16 +229,20 @@ def _default_shared_tile(filter_width: int, filter_height: int,
 # Section 5 as an execution engine (``engine="model"``)
 # ---------------------------------------------------------------------------
 #
-# A launch is modelled as ``warp_passes`` independent warp tiles.  One pass
-# costs the Section 5.2 per-output latency times the outputs it produces
-# (compute) plus the latency of filling its register cache or scratchpad
-# tile (memory).  The SM overlaps as many passes as the occupancy calculator
-# says fit; the device therefore completes
-# ``concurrency = sm_count * active_warps_per_sm`` passes per pass-latency,
-# and the launch takes ``ceil(warp_passes / concurrency)`` such waves.  This
-# is deliberately a *latency* model — the point of promoting it to an engine
-# is that it evaluates in microseconds at paper scale, and the cross-engine
-# validation experiment reports how far it sits from the counted simulation.
+# A launch is modelled as ``warp_passes`` independent warp tiles: every warp
+# the kernel's closed form counts is one pass.  One pass costs the Section
+# 5.2 per-output latency times the outputs it produces (compute) plus the
+# latency of filling its register cache or scratchpad tile (memory).  The SM
+# overlaps as many passes as the occupancy calculator says fit; the device
+# therefore completes ``concurrency = sm_count * active_warps_per_sm``
+# passes per pass-latency, and the launch takes
+# ``ceil(warp_passes / concurrency)`` such waves.  This is deliberately a
+# *latency* model — the point of promoting it to an engine is that it
+# evaluates in microseconds at paper scale, and the cross-engine validation
+# experiment reports how far it sits from the counted simulation.  Each
+# ``model_*`` is handed the kernel's analytic result and keeps its counters
+# and launch configuration as they are, so the model counts nothing and
+# shapes no launch itself.
 
 @dataclass(frozen=True)
 class ModelPrediction:
@@ -280,7 +283,7 @@ class ModelPrediction:
         }
 
 
-def predict_launch(architecture: object, config: LaunchConfig, *, scheme: str,
+def predict_launch(arch: GPUArchitecture, config: LaunchConfig, *, scheme: str,
                    outputs: int, warp_passes: int, compute_cycles_per_pass: float,
                    memory_cycles_per_pass: float,
                    dram_bytes: float = 0.0) -> ModelPrediction:
@@ -291,7 +294,6 @@ def predict_launch(architecture: object, config: LaunchConfig, *, scheme: str,
     grants, and the Section 5.3 traffic floor (the launch's DRAM bytes —
     halo redundancy included — over the sustainable bandwidth).
     """
-    arch = get_architecture(architecture)
     if warp_passes < 1:
         raise ConfigurationError("a launch needs at least one warp pass")
     occ = compute_occupancy(arch, config.block_threads,
@@ -340,20 +342,41 @@ def _staging_cycles(arch: GPUArchitecture, words: int, warps_per_block: int) -> 
     return per_block / max(1, warps_per_block)
 
 
-def _model_result(kernel_name: str, run_name: str, architecture: GPUArchitecture,
-                  config: LaunchConfig, counters: KernelCounters,
-                  prediction: ModelPrediction,
-                  parameters: Dict[str, object]):
-    """Wrap a prediction in the same result types the simulators produce.
+#: the domain axes of a closed form's parameters: a launch computes their
+#: product of outputs
+_DOMAIN_AXES = ("length", "width", "height", "depth", "iterations", "passes")
 
-    The timing breakdown splits the serial pass latency into its compute and
-    memory parts (the model has no per-pipe view); ``total_seconds`` is the
-    model's prediction, so ``result.milliseconds`` reads identically to a
-    simulated launch.
+
+def _priced(base, scheme: str, compute_cycles_per_pass: float,
+            memory_cycles_per_pass: float, outputs: "int | None" = None,
+            parameters: "Dict[str, object] | None" = None):
+    """The Section 5 prediction of the launch ``base`` describes, in the
+    result types the simulators produce.
+
+    ``base`` is a kernel's closed form (its ``analytic`` result); its
+    launch configuration and counters are kept as they are, and every warp
+    it counts is one pass.  ``outputs`` defaults to the product of its
+    domain axes and ``parameters`` to its own, less the ``analytic`` flag.
+    The timing breakdown splits the serial pass latency into its compute
+    and memory parts (the model has no per-pipe view); ``total_seconds``
+    is the model's prediction, so ``result.milliseconds`` reads
+    identically to a simulated launch.
     """
     from ..kernels.common import KernelRunResult  # local: keeps kernels off the core import path
 
-    clock = architecture.core_clock_hz
+    launch = base.launch
+    arch, counters = launch.architecture, launch.counters
+    if outputs is None:
+        outputs = math.prod(base.parameters.get(axis, 1) for axis in _DOMAIN_AXES)
+    if parameters is None:
+        parameters = {k: v for k, v in base.parameters.items() if k != "analytic"}
+    prediction = predict_launch(
+        arch, launch.config, scheme=scheme, outputs=outputs,
+        warp_passes=counters.warps_executed,
+        compute_cycles_per_pass=compute_cycles_per_pass,
+        memory_cycles_per_pass=memory_cycles_per_pass,
+        dram_bytes=counters.dram_bytes)
+    clock = arch.core_clock_hz
     compute_seconds = prediction.waves * prediction.compute_cycles_per_pass / clock
     memory_seconds = max(
         prediction.waves * prediction.memory_cycles_per_pass / clock,
@@ -373,192 +396,74 @@ def _model_result(kernel_name: str, run_name: str, architecture: GPUArchitecture
                               or memory_seconds > compute_seconds)
         else "arithmetic",
     )
-    launch = LaunchResult(
-        kernel_name=kernel_name,
-        config=config,
-        architecture=architecture,
-        counters=counters,
-        blocks_executed=0,
-        sampled=True,
-        sample_fraction=0.0,
-        _timing=timing,
-    )
+    kernel_name = launch.kernel_name.removesuffix("_analytic") + "_model"
     return KernelRunResult(
-        name=run_name,
+        name="model",
         output=None,
-        launch=launch,
+        launch=LaunchResult(kernel_name=kernel_name, config=launch.config,
+                            architecture=arch, counters=counters,
+                            blocks_executed=0, sampled=True,
+                            sample_fraction=0.0, _timing=timing),
         parameters={**parameters, "engine": "model", **prediction.as_dict()},
     )
 
 
-def _conv2d_pass(spec, width: int, height: int, architecture: object,
-                 precision: object, outputs_per_thread: "int | None",
-                 block_threads: "int | None", block_rows: "int | None",
-                 plan: "object | None"):
-    """What both SSAM 2-D convolution models price one pass from: the
-    part, the precision, the plan, the analytic launch and the Section 5.2
-    compute and memory cycles of one warp."""
-    from ..kernels import conv2d_ssam
-    from .plan import plan_convolution
+def model_convolution2d(base, plan) -> "object":
+    """Section 5 prediction of the SSAM 2-D convolution or its chain.
 
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    if plan is None:
-        plan = plan_convolution(spec, arch, prec, outputs_per_thread,
-                                block_threads, block_rows)
-    base = conv2d_ssam.analytic_launch(spec, width, height, arch, prec,
-                                       plan=plan)
-    blocking = plan.blocking
+    ``base`` is the closed form under ``plan``
+    (:func:`repro.kernels.conv2d_ssam.analytic_launch`, or
+    ``analytic_chain_launch`` for ``passes`` back-to-back launches).  One
+    warp pass costs P outputs at the Eq. 4 latency plus the fill of its
+    C-row register cache and its share of the weight staging.  A fused
+    chain keeps the intermediate images resident, so its closed form reads
+    and writes DRAM once: the pass latencies are unchanged and only the
+    Section 5.3 traffic floor shrinks.
+    """
+    arch = base.launch.architecture
+    spec, blocking = plan.problem, plan.blocking
     compute = plan.outputs_per_thread * register_cache_latency(
         arch, spec.filter_width, spec.filter_height)
     memory = (_coalesced_fill_cycles(arch, blocking.cache_values)
               + _staging_cycles(arch, spec.taps, blocking.warps_per_block))
-    return arch, prec, plan, base, compute, memory
+    parameters = {key: base.parameters[key]
+                  for key in ("M", "N", "P", "passes", "fused", "architecture",
+                              "precision") if key in base.parameters}
+    scheme = ("register_cache_fused" if base.parameters.get("fused")
+              else "register_cache")
+    return _priced(base, scheme, compute, memory, parameters=parameters)
 
 
-def model_convolution2d(spec, width: int, height: int,
-                        architecture: object = "p100",
-                        precision: object = "float32",
-                        outputs_per_thread: "int | None" = None,
-                        block_threads: "int | None" = None,
-                        block_rows: "int | None" = None,
-                        plan: "object | None" = None) -> "object":
-    """Section 5 prediction of the SSAM 2-D convolution (register cache).
-
-    ``outputs_per_thread``/``block_threads``/``block_rows`` override the
-    resolved launch defaults so the tuner can cost the whole Section 7.1
-    design space closed-form; ``None`` values resolve through the default
-    chain of :mod:`repro.core.launch_defaults`.  A given ``plan`` (the
-    scenario registry hands in the cell's) replaces all three.
-    """
-    arch, prec, plan, base, compute, memory = _conv2d_pass(
-        spec, width, height, architecture, precision, outputs_per_thread,
-        block_threads, block_rows, plan)
-    prediction = predict_launch(
-        arch, base.launch.config, scheme="register_cache",
-        outputs=width * height,
-        warp_passes=(base.launch.config.total_blocks
-                     * plan.blocking.warps_per_block),
-        compute_cycles_per_pass=compute, memory_cycles_per_pass=memory,
-        dram_bytes=base.launch.counters.dram_bytes)
-    return _model_result("ssam_conv2d_model", "model", arch, base.launch.config,
-                         base.launch.counters, prediction,
-                         {"M": spec.filter_width, "N": spec.filter_height,
-                          "P": plan.outputs_per_thread,
-                          "architecture": arch.name, "precision": prec.name})
-
-
-def model_convolution2d_chain(spec, width: int, height: int, passes: int = 2,
-                              fused: bool = False,
-                              architecture: object = "p100",
-                              precision: object = "float32",
-                              outputs_per_thread: "int | None" = None,
-                              block_threads: "int | None" = None,
-                              block_rows: "int | None" = None,
-                              plan: "object | None" = None) -> "object":
-    """Section 5 prediction of the multi-stage SSAM convolution chain.
-
-    The unfused chain is ``passes`` back-to-back launches of the Section 5.2
-    kernel; the fused chain (PR 6's trace fusion) keeps the intermediate
-    images resident between stages, so only the first stage reads DRAM and
-    only the last one writes it — the compute and staging latencies are
-    unchanged, but the Section 5.3 traffic floor shrinks accordingly.  A
-    given ``plan`` replaces the launch parameters, as in
-    :func:`model_convolution2d`.
-    """
-    if passes < 1:
-        raise ConfigurationError("a convolution chain needs at least one pass")
-    arch, prec, plan, base, compute, memory = _conv2d_pass(
-        spec, width, height, architecture, precision, outputs_per_thread,
-        block_threads, block_rows, plan)
-    counters = base.launch.counters.scaled(float(passes))
-    if fused:
-        # intermediates never reach DRAM: only the first stage reads the
-        # source image and only the last stage writes its output
-        counters.dram_read_bytes = base.launch.counters.dram_read_bytes
-        counters.dram_write_bytes = base.launch.counters.dram_write_bytes
-    prediction = predict_launch(
-        arch, base.launch.config,
-        scheme="register_cache_fused" if fused else "register_cache",
-        outputs=width * height * passes,
-        warp_passes=(base.launch.config.total_blocks
-                     * plan.blocking.warps_per_block * passes),
-        compute_cycles_per_pass=compute, memory_cycles_per_pass=memory,
-        dram_bytes=counters.dram_bytes)
-    return _model_result("ssam_conv2d_chain_model", "model", arch,
-                         base.launch.config, counters, prediction,
-                         {"M": spec.filter_width, "N": spec.filter_height,
-                          "P": plan.outputs_per_thread, "passes": passes,
-                          "fused": fused, "architecture": arch.name,
-                          "precision": prec.name})
-
-
-def model_stencil2d(spec, width: int, height: int, iterations: int = 1,
-                    architecture: object = "p100",
-                    precision: object = "float32",
-                    outputs_per_thread: "int | None" = None,
-                    block_threads: "int | None" = None,
-                    block_rows: "int | None" = None,
-                    plan: "object | None" = None) -> "object":
-    """Section 5 prediction of the SSAM 2-D stencil (immediate coefficients).
-
-    A given ``plan`` replaces the launch parameters, as in
-    :func:`model_convolution2d`.
-    """
-    from ..kernels import stencil2d_ssam
-    from .plan import plan_stencil
-
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    if plan is None:
-        plan = plan_stencil(spec, arch, prec, outputs_per_thread,
-                            block_threads, block_rows)
-    base = stencil2d_ssam.analytic_launch(spec, width, height, iterations,
-                                          arch, prec, plan=plan)
-    blocking = plan.blocking
+def model_stencil2d(base, plan) -> "object":
+    """Section 5 prediction of the SSAM 2-D stencil (immediate coefficients)
+    from its closed form ``base`` under ``plan``."""
+    arch = base.launch.architecture
+    spec = plan.problem
     compute = plan.outputs_per_thread * stencil_register_cache_latency(
         arch, spec.num_points, spec.footprint_width)
-    memory = _coalesced_fill_cycles(arch, blocking.cache_values)
-    prediction = predict_launch(
-        arch, base.launch.config, scheme="register_cache",
-        outputs=width * height * iterations,
-        warp_passes=(base.launch.config.total_blocks
-                     * blocking.warps_per_block * iterations),
-        compute_cycles_per_pass=compute, memory_cycles_per_pass=memory,
-        dram_bytes=base.launch.counters.dram_bytes)
-    return _model_result("ssam_stencil2d_model", "model", arch,
-                         base.launch.config, base.launch.counters, prediction,
-                         {"stencil": spec.name, "iterations": iterations,
-                          "P": plan.outputs_per_thread,
-                          "architecture": arch.name, "precision": prec.name})
+    memory = _coalesced_fill_cycles(arch, plan.blocking.cache_values)
+    given = base.parameters
+    return _priced(base, "register_cache", compute, memory, parameters={
+        "stencil": given["stencil"], "iterations": given["iterations"],
+        "P": plan.outputs_per_thread, "architecture": given["architecture"],
+        "precision": given["precision"]})
 
 
-def model_stencil3d(spec, width: int, height: int, depth: int,
-                    iterations: int = 1, architecture: object = "p100",
-                    precision: object = "float32",
-                    outputs_per_thread: "int | None" = None,
-                    block_threads: "int | None" = None) -> "object":
-    """Section 5 prediction of the SSAM 3-D stencil.
+def model_stencil3d(base, geometry, spec) -> "object":
+    """Section 5 prediction of the SSAM 3-D stencil from its closed form
+    ``base`` under ``geometry`` (its ``launch_geometry``).
 
     The in-plane footprint follows the register-cache scheme; out-of-plane
     taps are charged as pipelined cache loads (axial taps are staged through
     shared memory by the kernel, general taps read global memory directly).
     """
-    from ..kernels import stencil3d_ssam
+    from ..kernels.stencil3d_ssam import split_out_of_plane
 
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
+    arch = base.launch.architecture
     lat = arch.latencies
-    geometry = stencil3d_ssam.launch_geometry(spec, width, height, depth, arch,
-                                              prec, outputs_per_thread,
-                                              block_threads)
     p_extent = geometry.outputs_per_thread
-    config = geometry.config
-    counters = stencil3d_ssam.analytic_counters(
-        spec, width, height, depth, arch, prec, p_extent,
-        geometry.block_threads, iterations)
     columns = spec.columns()
-    axial, general = stencil3d_ssam.split_out_of_plane(spec)
+    axial, general = split_out_of_plane(spec)
     out_of_plane = len(axial) + len(general)
     compute = p_extent * (
         spec.num_points * (lat.fma + 2.0 * lat.register)
@@ -569,141 +474,52 @@ def model_stencil3d(spec, width: int, height: int, depth: int,
     if out_of_plane:
         memory += (lat.l1_load
                    + (p_extent * out_of_plane - 1) * SECTOR_SERVICE_CYCLES)
-    prediction = predict_launch(
-        arch, config, scheme="register_cache",
-        outputs=width * height * depth * iterations,
-        warp_passes=config.total_blocks * geometry.warps_per_block * iterations,
-        compute_cycles_per_pass=compute, memory_cycles_per_pass=memory,
-        dram_bytes=counters.dram_bytes)
-    return _model_result("ssam_stencil3d_model", "model", arch, config,
-                         counters, prediction,
-                         {"stencil": spec.name, "iterations": iterations,
-                          "P": p_extent, "architecture": arch.name,
-                          "precision": prec.name})
+    given = base.parameters
+    return _priced(base, "register_cache", compute, memory, parameters={
+        "stencil": spec.name, "iterations": given["iterations"],
+        "P": p_extent, "architecture": given["architecture"],
+        "precision": given["precision"]})
 
 
-def model_convolution1d(taps: int, length: int, architecture: object = "p100",
-                        precision: object = "float32",
-                        block_threads: "int | None" = None) -> "object":
-    """Section 5 prediction of the SSAM 1-D convolution (Section 3.5)."""
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    if block_threads is None:
-        block_threads = paper_default("block_threads")
-    validate_block_threads(arch, block_threads)
-    if taps < 1 or taps > arch.warp_size:
-        raise ConfigurationError(
-            f"1-D filters must have 1..{arch.warp_size} taps, got {taps}")
-    from ..kernels.conv1d_ssam import (
-        CONV1D_MEMORY_PARALLELISM,
-        CONV1D_REGISTERS_PER_THREAD,
-    )
-
-    warps_per_block = block_threads // arch.warp_size
-    valid_x = arch.warp_size - taps + 1
-    blocks = math.ceil(length / (warps_per_block * valid_x))
-    warp_passes = blocks * warps_per_block
-    # the launch configuration of :func:`repro.kernels.ssam_convolve1d`
-    config = LaunchConfig(
-        grid_dim=(blocks, 1, 1), block_threads=block_threads,
-        registers_per_thread=CONV1D_REGISTERS_PER_THREAD,
-        shared_bytes_per_block=0, precision=prec,
-        memory_parallelism=CONV1D_MEMORY_PARALLELISM)
-    # taps are immediates; one coalesced load fills the lane cache
-    compute = stencil_register_cache_latency(arch, taps, taps)
-    memory = _coalesced_fill_cycles(arch, 1)
-    sectors = warp_sectors(arch, prec.itemsize)
-    counters = KernelCounters()
-    counters.blocks_executed = blocks
-    counters.warps_executed = warp_passes
-    counters.gmem_load = warp_passes
-    counters.gmem_load_transactions = warp_passes * sectors
-    counters.fma = taps * warp_passes
-    counters.shfl = (taps - 1) * warp_passes
-    counters.gmem_store = warp_passes
-    counters.gmem_store_transactions = warp_passes * sectors
-    unique_per_block = warps_per_block * valid_x + taps - 1
-    counters.dram_read_bytes = float(unique_per_block * blocks * prec.itemsize)
-    counters.dram_write_bytes = float(length * prec.itemsize)
-    counters.cache_read_bytes = float(arch.warp_size * warp_passes * prec.itemsize)
-    prediction = predict_launch(
-        arch, config, scheme="register_cache", outputs=length,
-        warp_passes=warp_passes, compute_cycles_per_pass=compute,
-        memory_cycles_per_pass=memory, dram_bytes=counters.dram_bytes)
-    return _model_result("ssam_conv1d_model", "model", arch, config, counters,
-                         prediction,
-                         {"taps": taps, "length": length,
-                          "architecture": arch.name, "precision": prec.name})
+def model_convolution1d(base) -> "object":
+    """Section 5 prediction of the SSAM 1-D convolution (Section 3.5) from
+    its closed form ``base``: the taps are immediates and one coalesced
+    load fills the lane cache."""
+    arch = base.launch.architecture
+    taps = base.parameters["taps"]
+    return _priced(base, "register_cache",
+                   stencil_register_cache_latency(arch, taps, taps),
+                   _coalesced_fill_cycles(arch, 1))
 
 
-def model_scan(length: int, architecture: object = "p100",
-               precision: object = "float32",
-               block_threads: "int | None" = None) -> "object":
-    """Section 5 prediction of the SSAM Kogge-Stone scan (Figure 1e)."""
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    if block_threads is None:
-        block_threads = paper_default("block_threads")
-    validate_block_threads(arch, block_threads)
+def model_scan(base) -> "object":
+    """Section 5 prediction of the SSAM Kogge-Stone scan (Figure 1e) from its
+    closed form ``base``.
+
+    ``log2(WarpSize)`` shuffle+add stages, then the cross-warp combine
+    reads every warp total through the broadcast path.
+    """
+    arch = base.launch.architecture
     lat = arch.latencies
-    warps_per_block = block_threads // arch.warp_size
-    blocks = math.ceil(length / block_threads)
-    warp_passes = blocks * warps_per_block
-    from ..kernels.scan_ssam import (
-        SCAN_MEMORY_PARALLELISM,
-        SCAN_REGISTERS_PER_THREAD,
-    )
-
     stages = int(math.log2(arch.warp_size))
-    # the launch configuration of :func:`repro.kernels.ssam_scan`
-    config = LaunchConfig(
-        grid_dim=(blocks, 1, 1), block_threads=block_threads,
-        registers_per_thread=SCAN_REGISTERS_PER_THREAD,
-        shared_bytes_per_block=warps_per_block * prec.itemsize,
-        precision=prec, memory_parallelism=SCAN_MEMORY_PARALLELISM)
-    # log2(WarpSize) shuffle+add stages, then the cross-warp combine reads
-    # every warp total through the broadcast path
+    warps_per_block = base.launch.config.block_threads // arch.warp_size
     compute = (stages * (lat.shfl + lat.add)
                + warps_per_block * (lat.smem_broadcast + lat.add))
     memory = _coalesced_fill_cycles(arch, 1) + lat.smem_store + lat.sync
-    sectors = warp_sectors(arch, prec.itemsize)
-    counters = KernelCounters()
-    counters.blocks_executed = blocks
-    counters.warps_executed = warp_passes
-    counters.gmem_load = warp_passes
-    counters.gmem_load_transactions = warp_passes * sectors
-    counters.shfl = stages * warp_passes
-    # the stage adds, one carry add per warp total, and the final add
-    counters.add = (stages + warps_per_block + 1) * warp_passes
-    counters.smem_store = warp_passes
-    counters.smem_broadcast = warps_per_block * warp_passes
-    counters.sync = warp_passes
-    counters.gmem_store = warp_passes + blocks
-    counters.gmem_store_transactions = warp_passes * sectors + blocks
-    counters.dram_read_bytes = float(length * prec.itemsize)
-    counters.dram_write_bytes = float((length + blocks) * prec.itemsize)
-    prediction = predict_launch(
-        arch, config, scheme="register_cache", outputs=length,
-        warp_passes=warp_passes, compute_cycles_per_pass=compute,
-        memory_cycles_per_pass=memory, dram_bytes=counters.dram_bytes)
-    return _model_result("ssam_scan_model", "model", arch, config, counters,
-                         prediction,
-                         {"length": length, "B": block_threads,
-                          "architecture": arch.name, "precision": prec.name})
+    return _priced(base, "register_cache", compute, memory)
 
 
 def model_direct(base, outputs: int) -> "object":
     """Section 5 prediction of a direct baseline from its closed-form counts.
 
-    ``base`` is the baseline's ``analytic`` result; its launch configuration
-    and counters are kept as they are, so the model prices exactly the
-    kernel the baseline runs.  One warp pays its counted MACs, scratchpad
-    reads and per-tap overhead at the Table 2 latencies (Eq. 3).  A kernel
-    that stages a tile (it counts shared stores) waits for the tile fill
-    and the barrier.  A naive warp with an active lane (one per counted
-    store; masked-off warps issue nothing) pays one global load, and its
-    remaining per-tap loads stream through L1 ``memory_parallelism`` at a
-    time.
+    ``base`` is the baseline's ``analytic`` result, so the model prices
+    exactly the kernel the baseline runs.  One warp pays its counted MACs,
+    scratchpad reads and per-tap overhead at the Table 2 latencies (Eq. 3).
+    A kernel that stages a tile (it counts shared stores) waits for the
+    tile fill and the barrier.  A naive warp with an active lane (one per
+    counted store; masked-off warps issue nothing) pays one global load,
+    and its remaining per-tap loads stream through L1
+    ``memory_parallelism`` at a time.
     """
     launch = base.launch
     arch, config, counters = launch.architecture, launch.config, launch.counters
@@ -724,10 +540,4 @@ def model_direct(base, outputs: int) -> "object":
         scheme = "naive"
         loads = counters.gmem_load / counters.gmem_store
         memory = lat.gmem_load + (loads - 1) * lat.l1_load / config.memory_parallelism
-    prediction = predict_launch(
-        arch, config, scheme=scheme, outputs=outputs, warp_passes=warps,
-        compute_cycles_per_pass=compute, memory_cycles_per_pass=memory,
-        dram_bytes=counters.dram_bytes)
-    parameters = {k: v for k, v in base.parameters.items() if k != "analytic"}
-    return _model_result(f"{launch.kernel_name}_model", "model", arch, config,
-                         counters, prediction, parameters)
+    return _priced(base, scheme, compute, memory, outputs=outputs)

@@ -112,10 +112,9 @@ class SimulationCache:
     missing key is computed by exactly one process.
     """
 
-    def __init__(self, directory: Optional[str] = None, enabled: bool = True,
+    def __init__(self, directory: Optional[str] = None,
                  claim_ttl: Optional[float] = None) -> None:
         self.directory = directory or default_cache_dir()
-        self.enabled = enabled
         self.claim_ttl = claim_ttl
         self.hits = 0
         self.misses = 0
@@ -150,8 +149,6 @@ class SimulationCache:
     # -- operations ---------------------------------------------------------
     def lookup(self, key: Mapping[str, object]) -> Optional[Dict[str, object]]:
         """Return the cached payload for ``key`` or ``None`` on a miss."""
-        if not self.enabled:
-            return None
         payload = self.result_store().get(key)
         if payload is None:
             self.misses += 1
@@ -165,22 +162,18 @@ class SimulationCache:
         The executor polls with ``peek`` while waiting for another process
         to publish a claimed key, so a wait does not inflate the miss count.
         """
-        if not self.enabled:
-            return None
         return self.result_store().get(key)
 
     def store(self, key: Mapping[str, object],
               payload: Mapping[str, object],
               job_key: Optional[str] = None) -> bool:
-        """Persist ``payload`` under ``key`` (atomic; no-op when disabled).
+        """Persist ``payload`` under ``key`` (atomic).
 
         Returns ``True`` when this call published the entry, ``False`` when
         a concurrent writer got there first (first writer wins — the racing
         payloads are byte-identical by construction, being pure functions
         of the key).
         """
-        if not self.enabled:
-            return False
         won = self.result_store().upsert(key, payload, job_key=job_key)
         self.stores += 1
         return won
@@ -188,19 +181,15 @@ class SimulationCache:
     # -- exactly-once execution ----------------------------------------------
     def claim(self, key: Mapping[str, object]) -> bool:
         """Acquire the execution lease for a missing key (see the store)."""
-        if not self.enabled:
-            return True  # no shared state: every process computes its own
         return self.result_store().claim(key)
 
     def release_claim(self, key: Mapping[str, object]) -> None:
-        if self.enabled:
-            self.result_store().release_claim(key)
+        self.result_store().release_claim(key)
 
     # -- maintenance ---------------------------------------------------------
     def entry_count(self) -> int:
         """Number of results currently stored (all code versions)."""
-        if not self.enabled or (self._store is None
-                                and not os.path.exists(self.store_path)):
+        if self._store is None and not os.path.exists(self.store_path):
             return 0
         return self.result_store().entry_count()
 

@@ -126,7 +126,7 @@ def execute_jobs(jobs: List[SimulationJob], workers: int = 1,
         ``ProcessPoolExecutor``.
     cache:
         Optional persistent cache consulted before execution; fresh
-        payloads are stored back after execution.  An enabled cache also
+        payloads are stored back after execution.  A cache also
         guarantees exactly-once execution across concurrent processes:
         each miss is claimed in the shared store first, and misses another
         process holds wait for that claimant's result instead of
@@ -137,12 +137,11 @@ def execute_jobs(jobs: List[SimulationJob], workers: int = 1,
     payloads: Dict[str, Dict[str, object]] = {}
     misses: List[SimulationJob] = []
     waits: List[SimulationJob] = []
-    claiming = cache is not None and cache.enabled
     for job in unique:
         cached = cache.lookup(job.cache_key()) if cache is not None else None
         if cached is not None:
             payloads[job.key] = cached
-        elif claiming and not cache.claim(job.cache_key()):
+        elif cache is not None and not cache.claim(job.cache_key()):
             waits.append(job)
         else:
             misses.append(job)
@@ -157,7 +156,7 @@ def execute_jobs(jobs: List[SimulationJob], workers: int = 1,
                     cache.store(by_key[key].cache_key(), payload,
                                 job_key=key)
         except BaseException:
-            if claiming:
+            if cache is not None:
                 # don't wedge concurrent waiters on our now-orphaned
                 # leases (published results released theirs via upsert)
                 for job in misses:

@@ -14,17 +14,17 @@ from typing import Optional
 import numpy as np
 
 from ..core.launch_defaults import paper_default
-from ..dtypes import resolve_precision
+from ..dtypes import Precision, resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import get_architecture
+from ..gpu.architecture import GPUArchitecture, get_architecture, warp_sectors
 from ..gpu.batch import BatchedBlockContext
+from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchConfig, grid_1d
 from ..gpu.memory import DeviceBuffer, GlobalMemory
 from ..gpu.occupancy import validate_block_threads
-from .common import KernelRunResult, clamp
+from .common import KernelRunResult, analytic_result, clamp
 
-#: measured register footprint / load parallelism of the 1-D kernel; shared
-#: with the Section 5 model engine so both describe the same launch
+#: measured register footprint / load parallelism of the 1-D kernel
 CONV1D_REGISTERS_PER_THREAD = 22
 CONV1D_MEMORY_PARALLELISM = 2.0
 
@@ -56,6 +56,32 @@ def _conv1d_ssam_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceB
 CONV1D_SSAM_KERNEL = Kernel(_conv1d_ssam_block, name="ssam_conv1d")
 
 
+def launch_config(taps: int, length: int, arch: GPUArchitecture,
+                  prec: Precision,
+                  block_threads: Optional[int] = None) -> LaunchConfig:
+    """The 1-D kernel's launch: B threads (the paper default when unset)
+    per block, each warp producing ``WarpSize - taps + 1`` outputs.
+
+    The kernel wrapper and :func:`analytic_launch` both take their launch
+    from here, so they cannot disagree.
+    """
+    if not 1 <= taps <= arch.warp_size:
+        raise ConfigurationError(
+            f"1-D filters must have 1..{arch.warp_size} taps, got {taps}")
+    if block_threads is None:
+        block_threads = paper_default("block_threads")
+    validate_block_threads(arch, block_threads)
+    per_block = (block_threads // arch.warp_size) * (arch.warp_size - taps + 1)
+    return LaunchConfig(
+        grid_dim=grid_1d(length, per_block),
+        block_threads=block_threads,
+        registers_per_thread=CONV1D_REGISTERS_PER_THREAD,
+        shared_bytes_per_block=0,
+        precision=prec,
+        memory_parallelism=CONV1D_MEMORY_PARALLELISM,
+    )
+
+
 def ssam_convolve1d(sequence: np.ndarray, taps: np.ndarray, anchor: Optional[int] = None,
                     architecture: object = "p100", precision: object = "float32",
                     block_threads: Optional[int] = None,
@@ -76,30 +102,16 @@ def ssam_convolve1d(sequence: np.ndarray, taps: np.ndarray, anchor: Optional[int
     if taps.ndim != 1 or taps.size == 0:
         raise ConfigurationError("taps must be a non-empty 1-D array")
     arch = get_architecture(architecture)
-    if taps.size > arch.warp_size:
-        raise ConfigurationError("1-D filters longer than the warp size are unsupported")
     prec = resolve_precision(precision)
-    if block_threads is None:
-        block_threads = paper_default("block_threads")
-    validate_block_threads(arch, block_threads)
+    length = int(sequence.size)
+    config = launch_config(taps.size, length, arch, prec, block_threads)
     anchor = taps.size // 2 if anchor is None else int(anchor)
     if not 0 <= anchor < taps.size:
         raise ConfigurationError("anchor must lie inside the filter")
-    length = int(sequence.size)
     memory = GlobalMemory()
     src = memory.to_device(sequence, name="sequence", dtype=prec.numpy_dtype,
                            read_only=True)
     dst = memory.allocate((length,), prec, name="convolved")
-    valid_per_warp = arch.warp_size - taps.size + 1
-    per_block = (block_threads // arch.warp_size) * valid_per_warp
-    config = LaunchConfig(
-        grid_dim=grid_1d(length, per_block),
-        block_threads=block_threads,
-        registers_per_thread=CONV1D_REGISTERS_PER_THREAD,
-        shared_bytes_per_block=0,
-        precision=prec,
-        memory_parallelism=CONV1D_MEMORY_PARALLELISM,
-    )
     launch = CONV1D_SSAM_KERNEL.launch(
         config, args=(src, dst, tuple(float(t) for t in taps), length, anchor),
         architecture=arch, max_blocks=max_blocks, batch_size=batch_size)
@@ -110,6 +122,37 @@ def ssam_convolve1d(sequence: np.ndarray, taps: np.ndarray, anchor: Optional[int
         parameters={"taps": taps.size, "anchor": anchor, "architecture": arch.name,
                     "precision": prec.name},
     )
+
+
+def analytic_launch(taps: int, length: int, architecture: object = "p100",
+                    precision: object = "float32",
+                    block_threads: Optional[int] = None) -> KernelRunResult:
+    """Closed-form instruction/traffic profile of the 1-D kernel.
+
+    Every warp fills its lane cache with one coalesced load, applies the
+    taps as immediates with ``taps - 1`` shuffles and stores once; a block
+    reads its outputs plus the ``taps - 1`` halo from DRAM.
+    """
+    arch = get_architecture(architecture)
+    prec = resolve_precision(precision)
+    config = launch_config(taps, length, arch, prec, block_threads)
+    blocks = config.total_blocks
+    warps_per_block = config.block_threads // arch.warp_size
+    warps = blocks * warps_per_block
+    sectors = warp_sectors(arch, prec.itemsize)
+    unique_per_block = warps_per_block * (arch.warp_size - taps + 1) + taps - 1
+    counters = KernelCounters(
+        blocks_executed=blocks, warps_executed=warps,
+        gmem_load=warps, gmem_load_transactions=warps * sectors,
+        fma=taps * warps, shfl=(taps - 1) * warps,
+        gmem_store=warps, gmem_store_transactions=warps * sectors,
+        dram_read_bytes=float(unique_per_block * blocks * prec.itemsize),
+        dram_write_bytes=float(length * prec.itemsize),
+        cache_read_bytes=float(arch.warp_size * warps * prec.itemsize))
+    parameters = {"taps": taps, "length": length, "architecture": arch.name,
+                  "precision": prec.name, "analytic": True}
+    return analytic_result("ssam", counters, config, arch, parameters,
+                           kernel_name="ssam_conv1d_analytic")
 
 
 def reference_convolve1d(sequence: np.ndarray, taps: np.ndarray,

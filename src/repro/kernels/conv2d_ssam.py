@@ -14,7 +14,7 @@ Two evaluation paths are provided:
   (produces the output image and counted costs);
 * :func:`analytic_launch` — closed-form instruction/traffic profile for
   paper-scale domains (8192^2), cross-checked against the counted execution
-  in the test suite.
+  in the test suite (:func:`analytic_chain_launch` for the chain).
 """
 
 from __future__ import annotations
@@ -277,8 +277,8 @@ def analytic_counters(spec: ConvolutionSpec, width: int, height: int,
     The profile mirrors :func:`_conv2d_ssam_block` instruction by
     instruction.  ``tests/test_kernels.py`` checks it against the counted
     execution on small domains, and ``tests/test_trace_counts.py`` checks
-    the warp-instruction fields of :func:`model_convolution2d` (which uses
-    this profile) against the exact counts of the kernel's trace.
+    its warp-instruction fields, as the model engine prices them, against
+    the exact counts of the kernel's trace.
     """
     blocking = plan.blocking
     prec = plan.precision
@@ -364,3 +364,33 @@ def analytic_launch(spec: ConvolutionSpec, width: int, height: int,
     }
     return analytic_result("ssam", counters, config, arch, parameters,
                            kernel_name="ssam_conv2d_analytic")
+
+
+def analytic_chain_launch(spec: ConvolutionSpec, width: int, height: int,
+                          passes: int = 2, fused: bool = False,
+                          architecture: object = "p100",
+                          precision: object = "float32",
+                          outputs_per_thread: Optional[int] = None,
+                          block_threads: Optional[int] = None,
+                          block_rows: Optional[int] = None,
+                          plan: Optional[SSAMPlan] = None) -> KernelRunResult:
+    """Closed-form profile of :func:`ssam_convolve2d_chain`: ``passes``
+    launches of :func:`analytic_launch`.
+
+    Fused, the intermediates never reach DRAM: only the first stage reads
+    the source image and only the last one writes its output.
+    """
+    if passes < 1:
+        raise ConfigurationError("a convolution chain needs at least one pass")
+    single = analytic_launch(spec, width, height, architecture, precision,
+                             outputs_per_thread, block_threads, block_rows,
+                             plan)
+    one = single.launch.counters
+    counters = one.scaled(float(passes))
+    if fused:
+        counters.dram_read_bytes = one.dram_read_bytes
+        counters.dram_write_bytes = one.dram_write_bytes
+    parameters = {**single.parameters, "passes": passes, "fused": fused}
+    return analytic_result("ssam", counters, single.launch.config,
+                           single.launch.architecture, parameters,
+                           kernel_name="ssam_conv2d_chain_analytic")

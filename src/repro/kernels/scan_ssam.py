@@ -15,17 +15,17 @@ from typing import Optional
 import numpy as np
 
 from ..core.launch_defaults import paper_default
-from ..dtypes import resolve_precision
+from ..dtypes import Precision, resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import get_architecture
+from ..gpu.architecture import GPUArchitecture, get_architecture, warp_sectors
 from ..gpu.batch import BatchedBlockContext
+from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchConfig, grid_1d
 from ..gpu.memory import DeviceBuffer, GlobalMemory
 from ..gpu.occupancy import validate_block_threads
-from .common import KernelRunResult
+from .common import KernelRunResult, analytic_result
 
-#: measured register footprint / load parallelism of the scan kernel; shared
-#: with the Section 5 model engine so both describe the same launch
+#: measured register footprint / load parallelism of the scan kernel
 SCAN_REGISTERS_PER_THREAD = 24
 SCAN_MEMORY_PARALLELISM = 2.0
 
@@ -76,6 +76,27 @@ def _scan_block(ctx: BatchedBlockContext, src: DeviceBuffer, dst: DeviceBuffer,
 SCAN_SSAM_KERNEL = Kernel(_scan_block, name="ssam_scan")
 
 
+def launch_config(length: int, arch: GPUArchitecture, prec: Precision,
+                  block_threads: Optional[int] = None) -> LaunchConfig:
+    """The scan's launch: one element per thread, B threads (the paper
+    default when unset) per block and one shared word per warp total.
+
+    The kernel wrapper and :func:`analytic_launch` both take their launch
+    from here, so they cannot disagree.
+    """
+    if block_threads is None:
+        block_threads = paper_default("block_threads")
+    validate_block_threads(arch, block_threads)
+    return LaunchConfig(
+        grid_dim=grid_1d(length, block_threads),
+        block_threads=block_threads,
+        registers_per_thread=SCAN_REGISTERS_PER_THREAD,
+        shared_bytes_per_block=(block_threads // arch.warp_size) * prec.itemsize,
+        precision=prec,
+        memory_parallelism=SCAN_MEMORY_PARALLELISM,
+    )
+
+
 def ssam_scan(sequence: np.ndarray, architecture: object = "p100",
               precision: object = "float32",
               block_threads: Optional[int] = None,
@@ -94,24 +115,13 @@ def ssam_scan(sequence: np.ndarray, architecture: object = "p100",
         raise ConfigurationError("ssam_scan expects a non-empty 1-D sequence")
     arch = get_architecture(architecture)
     prec = resolve_precision(precision)
-    if block_threads is None:
-        block_threads = paper_default("block_threads")
-    validate_block_threads(arch, block_threads)
     length = int(sequence.size)
+    config = launch_config(length, arch, prec, block_threads)
     memory = GlobalMemory()
     src = memory.to_device(sequence, name="sequence", dtype=prec.numpy_dtype,
                            read_only=True)
     dst = memory.allocate((length,), prec, name="scanned")
-    grid = grid_1d(length, block_threads)
-    block_sums = memory.allocate((grid[0],), prec, name="block_sums")
-    config = LaunchConfig(
-        grid_dim=grid,
-        block_threads=block_threads,
-        registers_per_thread=SCAN_REGISTERS_PER_THREAD,
-        shared_bytes_per_block=(block_threads // arch.warp_size) * prec.itemsize,
-        precision=prec,
-        memory_parallelism=SCAN_MEMORY_PARALLELISM,
-    )
+    block_sums = memory.allocate((config.total_blocks,), prec, name="block_sums")
     launch = SCAN_SSAM_KERNEL.launch(config, args=(src, dst, block_sums, length),
                                      architecture=arch, max_blocks=max_blocks,
                                      batch_size=batch_size)
@@ -120,14 +130,50 @@ def ssam_scan(sequence: np.ndarray, architecture: object = "p100",
         # host-side carry propagation across blocks (the "scan of block
         # sums" pass); skipped entirely when the output is discarded
         output = dst.array
-        carry_blocks(output, block_sums.array, block_threads)
+        carry_blocks(output, block_sums.array, config.block_threads)
     return KernelRunResult(
         name="ssam",
         output=output,
         launch=launch,
-        parameters={"length": length, "B": block_threads, "architecture": arch.name,
-                    "precision": prec.name},
+        parameters={"length": length, "B": config.block_threads,
+                    "architecture": arch.name, "precision": prec.name},
     )
+
+
+def analytic_launch(length: int, architecture: object = "p100",
+                    precision: object = "float32",
+                    block_threads: Optional[int] = None) -> KernelRunResult:
+    """Closed-form instruction/traffic profile of the scan kernel.
+
+    Every warp loads once, runs ``log2(WarpSize)`` shuffle+add stages,
+    publishes its total to shared memory, synchronises, reads every warp
+    total through the broadcast path and stores once; one thread per
+    block also stores the block total.
+    """
+    arch = get_architecture(architecture)
+    prec = resolve_precision(precision)
+    config = launch_config(length, arch, prec, block_threads)
+    blocks = config.total_blocks
+    warps_per_block = config.block_threads // arch.warp_size
+    warps = blocks * warps_per_block
+    stages = int(math.log2(arch.warp_size))
+    sectors = warp_sectors(arch, prec.itemsize)
+    counters = KernelCounters(
+        blocks_executed=blocks, warps_executed=warps,
+        gmem_load=warps, gmem_load_transactions=warps * sectors,
+        shfl=stages * warps,
+        # the stage adds, one carry add per warp total, and the final add
+        add=(stages + warps_per_block + 1) * warps,
+        smem_store=warps, smem_broadcast=warps_per_block * warps, sync=warps,
+        gmem_store=warps + blocks,
+        gmem_store_transactions=warps * sectors + blocks,
+        dram_read_bytes=float(length * prec.itemsize),
+        dram_write_bytes=float((length + blocks) * prec.itemsize))
+    parameters = {"length": length, "B": config.block_threads,
+                  "architecture": arch.name, "precision": prec.name,
+                  "analytic": True}
+    return analytic_result("ssam", counters, config, arch, parameters,
+                           kernel_name="ssam_scan_analytic")
 
 
 def carry_blocks(scanned: np.ndarray, block_sums: np.ndarray,

@@ -14,10 +14,10 @@ the masked boundary paths; ``"paper"`` sizes are the evaluation-scale
 domains of Section 6 and run only on the closed-form engines (the
 ``analytic`` instruction/traffic profile and the Section 5 ``model``).
 Every SSAM kernel and direct baseline carries a ``model`` entry, so it can
-be predicted at arbitrary scale without simulating it; a direct baseline's
-model prices the counts of its own closed form
-(:func:`~repro.core.performance_model.model_direct`).  cuDNN and cuFFT are
-``analytic`` only: no Section 5 scheme describes an implicit GEMM or an FFT.
+be predicted at arbitrary scale without simulating it; every ``model``
+prices the counts and launch of the scenario's own closed form
+(:func:`_closed_form_model`).  cuDNN and cuFFT are ``analytic`` only: no
+Section 5 scheme describes an implicit GEMM or an FFT.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from ..convolution.spec import ConvolutionSpec
 from ..core.performance_model import (
     model_convolution1d,
     model_convolution2d,
-    model_convolution2d_chain,
     model_direct,
     model_scan,
     model_stencil2d,
@@ -76,9 +75,13 @@ from ..kernels import (
     ssam_stencil2d_masked,
     ssam_stencil3d,
 )
+from ..kernels.conv1d_ssam import analytic_launch as conv1d_analytic_launch
+from ..kernels.conv2d_ssam import analytic_chain_launch as conv2d_chain_analytic_launch
 from ..kernels.conv2d_ssam import analytic_launch as conv2d_analytic_launch
+from ..kernels.scan_ssam import analytic_launch as scan_analytic_launch
 from ..kernels.stencil2d_ssam import analytic_launch as stencil2d_analytic_launch
 from ..kernels.stencil3d_ssam import analytic_launch as stencil3d_analytic_launch
+from ..kernels.stencil3d_ssam import launch_geometry as stencil3d_launch_geometry
 from ..stencils.catalog import get_stencil
 from ..workloads.generators import random_grid_3d, random_image, sequence
 from .registry import (
@@ -153,6 +156,24 @@ def _plan_args(params: Mapping[str, object]) -> Dict[str, object]:
     return args
 
 
+def _closed_form_model(closed_form, price, planner=None):
+    """A scenario's ``model`` entry: Section 5 prices its closed form.
+
+    ``closed_form`` is the scenario's ``analytic`` evaluator (or the one it
+    would have), and ``price(base, spec, params, **plan)`` makes the
+    evaluation's one ``model_*`` call on its result ``base``, so the model
+    keeps the closed form's counters and launch as they are.  With a
+    ``planner``, the closed form and the price share the cell's plan,
+    planned here when the registry hands none.
+    """
+    def model(spec, params, architecture, precision, **plan):
+        if planner is not None and plan.get("plan") is None:
+            plan["plan"] = planner(spec, params, architecture, precision)
+        base = closed_form(spec, params, architecture, precision, **plan)
+        return price(base, spec, params, **plan)
+    return model
+
+
 # Named problem sizes are shared per family between the SSAM kernel and its
 # baselines, so paired scenarios always describe the same problem domain.
 # ``paper`` domains are closed-form only: both the instruction/traffic
@@ -193,6 +214,12 @@ def _run_conv1d(spec, workload, params, architecture, precision, engine):
                            **_plan_overrides(params))
 
 
+def _conv1d_closed_form(spec, params, architecture, precision):
+    return conv1d_analytic_launch(params["taps"], params["length"],
+                                  architecture, precision,
+                                  **_plan_overrides(params))
+
+
 register(Scenario(
     name="conv1d",
     family="convolution",
@@ -203,9 +230,9 @@ register(Scenario(
     workload_builder=lambda params, precision: sequence(
         params["length"], precision, seed=params["length"]),
     oracle=lambda spec, workload, params: reference_convolve1d(workload, spec),
-    model=lambda spec, params, architecture, precision: model_convolution1d(
-        params["taps"], params["length"], architecture, precision,
-        **_plan_overrides(params)),
+    model=_closed_form_model(
+        _conv1d_closed_form,
+        lambda base, spec, params: model_convolution1d(base)),
     tunables=TUNABLES_1D,
     sizes={
         "tiny": {"length": 193, "taps": 3},
@@ -226,6 +253,20 @@ def _run_conv2d(spec, workload, params, architecture, precision, engine,
                            **_plan_overrides(params))
 
 
+def _plan_convolution(spec, params, architecture, precision):
+    return plan_convolution(spec, architecture, precision, **_plan_args(params))
+
+
+def _conv2d_closed_form(spec, params, architecture, precision, plan=None):
+    return conv2d_analytic_launch(spec, params["width"], params["height"],
+                                  architecture, precision, plan=plan,
+                                  **_plan_overrides(params))
+
+
+def _price_conv2d(base, spec, params, plan):
+    return model_convolution2d(base, plan)
+
+
 register(Scenario(
     name="conv2d",
     family="convolution",
@@ -235,16 +276,11 @@ register(Scenario(
     spec_builder=lambda params: ConvolutionSpec.gaussian(params["filter"]),
     workload_builder=lambda params, precision: random_image(
         params["width"], params["height"], precision, seed=params["width"]),
-    planner=lambda spec, params, architecture, precision: plan_convolution(
-        spec, architecture, precision, **_plan_args(params)),
+    planner=_plan_convolution,
     oracle=lambda spec, workload, params: spec.reference(workload),
-    analytic=lambda spec, params, architecture, precision, plan=None: (
-        conv2d_analytic_launch(
-            spec, params["width"], params["height"], architecture, precision,
-            plan=plan, **_plan_overrides(params))),
-    model=lambda spec, params, architecture, precision, plan=None: model_convolution2d(
-        spec, params["width"], params["height"], architecture, precision,
-        plan=plan, **_plan_overrides(params)),
+    analytic=_conv2d_closed_form,
+    model=_closed_form_model(_conv2d_closed_form, _price_conv2d,
+                             _plan_convolution),
     tunables=TUNABLES_2D,
     sizes=_CONV2D_SIZES,
     architectures=ALL_ARCHITECTURES,
@@ -273,10 +309,16 @@ def _plan_stencil(spec, params, architecture, precision):
     return plan_stencil(spec, architecture, precision, **_plan_args(params))
 
 
-def _model_stencil2d(spec, params, architecture, precision, plan=None):
-    return model_stencil2d(spec, params["width"], params["height"],
-                           params.get("iterations", 1), architecture, precision,
-                           plan=plan, **_plan_overrides(params))
+def _stencil2d_closed_form(spec, params, architecture, precision, plan=None):
+    return stencil2d_analytic_launch(
+        spec, params["width"], params["height"], params.get("iterations", 1),
+        architecture, precision, plan=plan, **_plan_overrides(params))
+
+
+_model_stencil2d = _closed_form_model(
+    _stencil2d_closed_form,
+    lambda base, spec, params, plan: model_stencil2d(base, plan),
+    _plan_stencil)
 
 
 def _register_stencil2d(name: str, sizes, description: str) -> None:
@@ -293,11 +335,7 @@ def _register_stencil2d(name: str, sizes, description: str) -> None:
         planner=_plan_stencil,
         oracle=lambda spec, workload, params: spec.reference(
             workload, iterations=params.get("iterations", 1)),
-        analytic=lambda spec, params, architecture, precision, plan=None: (
-            stencil2d_analytic_launch(
-                spec, params["width"], params["height"],
-                params.get("iterations", 1), architecture, precision,
-                plan=plan, **_plan_overrides(params))),
+        analytic=_stencil2d_closed_form,
         model=_model_stencil2d,
         tunables=TUNABLES_2D,
         sizes=sizes,
@@ -321,6 +359,22 @@ def _run_stencil3d(spec, workload, params, architecture, precision, engine,
                           **_plan_overrides(params))
 
 
+def _stencil3d_closed_form(spec, params, architecture, precision, plan=None):
+    # the 3-D kernel launches from its own geometry, not the in-plane plan
+    return stencil3d_analytic_launch(
+        spec, params["width"], params["height"], params["depth"],
+        params.get("iterations", 1), architecture, precision,
+        **_plan_overrides(params))
+
+
+def _price_stencil3d(base, spec, params, plan=None):
+    geometry = stencil3d_launch_geometry(
+        spec, params["width"], params["height"], params["depth"],
+        base.launch.architecture, base.launch.config.precision,
+        **_plan_overrides(params))
+    return model_stencil3d(base, geometry, spec)
+
+
 register(Scenario(
     name="stencil3d",
     family="stencil",
@@ -334,14 +388,8 @@ register(Scenario(
     planner=_plan_stencil,
     oracle=lambda spec, workload, params: spec.reference(
         workload, iterations=params.get("iterations", 1)),
-    analytic=lambda spec, params, architecture, precision, plan=None: stencil3d_analytic_launch(
-        spec, params["width"], params["height"], params["depth"],
-        params.get("iterations", 1), architecture, precision,
-        **_plan_overrides(params)),
-    model=lambda spec, params, architecture, precision, plan=None: model_stencil3d(
-        spec, params["width"], params["height"], params["depth"],
-        params.get("iterations", 1), architecture, precision,
-        **_plan_overrides(params)),
+    analytic=_stencil3d_closed_form,
+    model=_closed_form_model(_stencil3d_closed_form, _price_stencil3d),
     tunables=TUNABLES_3D,
     sizes=_STENCIL3D_SIZES,
     architectures=ALL_ARCHITECTURES,
@@ -366,9 +414,11 @@ register(Scenario(
     workload_builder=lambda params, precision: sequence(
         params["length"], precision, seed=params["length"] + 1),
     oracle=lambda spec, workload, params: reference_scan(workload),
-    model=lambda spec, params, architecture, precision: model_scan(
-        params["length"], architecture, precision,
-        **_plan_overrides(params)),
+    model=_closed_form_model(
+        lambda spec, params, architecture, precision: scan_analytic_launch(
+            params["length"], architecture, precision,
+            **_plan_overrides(params)),
+        lambda base, spec, params: model_scan(base)),
     tunables=TUNABLES_1D,
     sizes={
         "tiny": {"length": 193},
@@ -462,6 +512,15 @@ def _run_conv2d_pipeline(spec, workload, params, architecture, precision,
                                  plan=plan, **_plan_overrides(params))
 
 
+def _conv2d_chain_closed_form(spec, params, architecture, precision,
+                              plan=None):
+    return conv2d_chain_analytic_launch(
+        spec, params["width"], params["height"],
+        passes=int(params.get("passes", 2)),
+        fused=bool(params.get("fused", False)), architecture=architecture,
+        precision=precision, plan=plan, **_plan_overrides(params))
+
+
 def _chain_oracle(spec, workload, params):
     result = np.asarray(workload, dtype=np.float64)
     for _ in range(int(params.get("passes", 2))):
@@ -478,16 +537,10 @@ register(Scenario(
     spec_builder=lambda params: ConvolutionSpec.gaussian(params["filter"]),
     workload_builder=lambda params, precision: random_image(
         params["width"], params["height"], precision, seed=params["width"]),
-    planner=lambda spec, params, architecture, precision: plan_convolution(
-        spec, architecture, precision, **_plan_args(params)),
+    planner=_plan_convolution,
     oracle=_chain_oracle,
-    model=lambda spec, params, architecture, precision, plan=None: (
-        model_convolution2d_chain(
-            spec, params["width"], params["height"],
-            passes=int(params.get("passes", 2)),
-            fused=bool(params.get("fused", False)),
-            architecture=architecture, precision=precision, plan=plan,
-            **_plan_overrides(params))),
+    model=_closed_form_model(_conv2d_chain_closed_form, _price_conv2d,
+                             _plan_convolution),
     tunables=TUNABLES_2D,
     sizes={
         "tiny": {"width": 49, "height": 37, "filter": 3, "passes": 2},
@@ -511,14 +564,9 @@ register(Scenario(
 # convolution baselines (the Figure 4 competitors)
 # ---------------------------------------------------------------------------
 
-def _direct_model(closed_form):
-    """A direct baseline's ``model`` entry: Section 5 over its closed form."""
-    def model(spec, params, architecture, precision):
-        outputs = math.prod(params.get(axis, 1)
-                            for axis in ("width", "height", "depth", "iterations"))
-        return model_direct(closed_form(spec, params, architecture, precision),
-                            outputs)
-    return model
+def _price_direct(base, spec, params):
+    return model_direct(base, math.prod(
+        params.get(axis, 1) for axis in ("width", "height", "depth", "iterations")))
 
 
 def _register_conv2d_baseline(label: str, fn, analytic, engines) -> None:
@@ -542,7 +590,8 @@ def _register_conv2d_baseline(label: str, fn, analytic, engines) -> None:
         oracle=(lambda spec, workload, params: spec.reference(workload))
         if functional else None,
         analytic=closed_form,
-        model=_direct_model(closed_form) if "model" in engines else None,
+        model=(_closed_form_model(closed_form, _price_direct)
+               if "model" in engines else None),
         sizes=_CONV2D_SIZES,
         architectures=BASELINE_ARCHITECTURES,
         precisions=BOTH_PRECISIONS,
@@ -586,7 +635,7 @@ def _register_stencil2d_baseline(label: str, fn, analytic) -> None:
         oracle=lambda spec, workload, params: spec.reference(
             workload, iterations=params.get("iterations", 1)),
         analytic=closed_form,
-        model=_direct_model(closed_form),
+        model=_closed_form_model(closed_form, _price_direct),
         sizes=_STENCIL2D_SIZES,
         architectures=BASELINE_ARCHITECTURES,
         precisions=BOTH_PRECISIONS,
@@ -625,7 +674,7 @@ register(Scenario(
     oracle=lambda spec, workload, params: spec.reference(
         workload, iterations=params.get("iterations", 1)),
     analytic=_original_stencil3d_analytic,
-    model=_direct_model(_original_stencil3d_analytic),
+    model=_closed_form_model(_original_stencil3d_analytic, _price_direct),
     sizes=_STENCIL3D_SIZES,
     architectures=BASELINE_ARCHITECTURES,
     precisions=BOTH_PRECISIONS,

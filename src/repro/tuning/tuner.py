@@ -347,7 +347,7 @@ def run_tuning(quick: bool = False, workers: int = 1, cache=None,
                           model_size=model_size,
                           confirm_size=resolved_confirm if confirm else None,
                           search=strategy.name, evaluations=evaluations)
-    if cache is not None and getattr(cache, "enabled", True):
+    if cache is not None:
         store_tuned_configs(result, cache.result_store())
     return result
 

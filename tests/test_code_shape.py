@@ -21,9 +21,12 @@
   ``functional`` knob — a closed-form cost has its own entry.
 * Two direct schemes: every functional convolution and stencil baseline
   kernel wraps ``repro.baselines.direct.naive_block`` or ``shared_block``,
-  and their launch shapes and closed-form counts come from ``direct`` too;
-  the performance model prices those counts and builds launches and
-  counters only for the two SSAM kernels without an analytic engine.
+  and their launch shapes and closed-form counts come from ``direct`` too.
+* One launch shape per SSAM kernel: the plan shapes the 2-D launches and
+  each other SSAM kernel module builds its ``LaunchConfig`` in one
+  function.  The performance model prices the closed form it is handed:
+  no model function counts, shapes a launch, resolves a part, a precision
+  or a plan, or takes a launch-parameter knob.
 * One experiment surface: every module of the runner's registry has
   exactly ``jobs(quick)``, ``assemble(payloads, quick)`` and ``render`` —
   no in-process ``run``/``report`` fork and no sweep-override parameter
@@ -338,16 +341,82 @@ def test_direct_baselines_count_in_the_two_schemes():
 
 
 def test_model_builds_no_baseline_launch():
-    # a baseline's model prices its ``direct`` closed form
-    # (``model_direct``); only conv1d and scan, which have no analytic
-    # engine, count in the model, and the plan builds the SSAM launches
+    # every model prices its kernel's closed form (``model_direct`` a
+    # baseline's, the ``model_*`` of the SSAM kernels their
+    # ``analytic_launch``); the plan builds the 2-D SSAM launches
     builders = {(module, name)
                 for module, name in _callers({"KernelCounters", "LaunchConfig"})
                 if module.startswith("core/")}
+    assert builders == {("core/plan.py", "SSAMPlan.launch_config")}
+
+
+def test_each_ssam_kernel_shapes_its_launch_once():
+    # the 2-D kernels take theirs from the plan
+    builders = {}
+    for path in sorted((SOURCE_ROOT / "kernels").glob("*_ssam.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        builders[path.name] = _callers_in(tree, {"LaunchConfig"})
     assert builders == {
-        ("core/performance_model.py", "model_convolution1d"),
-        ("core/performance_model.py", "model_scan"),
-        ("core/plan.py", "SSAMPlan.launch_config")}
+        "conv1d_ssam.py": {"launch_config"},
+        "conv2d_ssam.py": set(),
+        "scan_ssam.py": {"launch_config"},
+        "stencil2d_ssam.py": set(),
+        "stencil3d_ssam.py": {"launch_geometry"}}
+
+
+def test_launch_guard_sees_a_second_builder():
+    # a wrapper that shapes its launch beside the launch function is reported
+    tree = ast.parse(
+        "def launch_config(length, arch, prec):\n"
+        "    return LaunchConfig(grid_dim=(length, 1, 1), precision=prec)\n"
+        "def ssam_scan(sequence, arch, prec):\n"
+        "    config = LaunchConfig(grid_dim=(sequence.size, 1, 1))\n")
+    assert _callers_in(tree, {"LaunchConfig"}) == {"launch_config", "ssam_scan"}
+
+
+#: what the model engine leaves to the closed forms and the registry
+MODEL_FORBIDDEN_CALLS = {"KernelCounters", "LaunchConfig", "get_architecture",
+                         "resolve_precision", "plan_convolution", "plan_stencil",
+                         "paper_default", "launch_geometry", "analytic_launch"}
+MODEL_FORBIDDEN_PARAMETERS = ("outputs_per_thread", "block_threads", "block_rows")
+
+
+def _model_engine_faults(tree: ast.Module) -> set:
+    """Forbidden calls and knobs of the functions from ``ModelPrediction``
+    on (the model engine half of the performance model)."""
+    start = next(node.lineno for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "ModelPrediction")
+    engine = ast.Module(body=[node for node in tree.body if node.lineno >= start],
+                        type_ignores=[])
+    faults = {f"calls:{name}" for name in _callers_in(engine, MODEL_FORBIDDEN_CALLS)}
+    for parameter in MODEL_FORBIDDEN_PARAMETERS:
+        faults.update(f"{name}({parameter})"
+                      for name in _takes_parameter(engine, parameter))
+    return faults
+
+
+def test_model_engine_prices_only_what_it_is_handed():
+    path = SOURCE_ROOT / "core" / "performance_model.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert not _model_engine_faults(tree)
+    # the scan must reach the engine (an empty scan passes vacuously)
+    names = {name for name, _ in _functions(tree)}
+    assert "predict_launch" in names
+    # perfbench counts every ``model_*`` call: one per model evaluation
+    assert {name for name in names if name.startswith("model_")} == {
+        "model_convolution2d", "model_stencil2d", "model_stencil3d",
+        "model_convolution1d", "model_scan", "model_direct"}
+
+
+def test_model_engine_guard_sees_a_knob_and_a_planner():
+    tree = ast.parse(
+        "class ModelPrediction:\n"
+        "    pass\n"
+        "def model_scan(length, architecture, block_threads=None):\n"
+        "    arch = get_architecture(architecture)\n"
+        "    return LaunchConfig(grid_dim=(length, 1, 1))\n")
+    assert _model_engine_faults(tree) == {
+        "calls:model_scan", "model_scan(block_threads)"}
 
 
 def test_scheme_guard_sees_a_private_block_body():

@@ -170,6 +170,8 @@ def _closed_form_entries():
     from repro import baselines
     from repro.convolution.spec import ConvolutionSpec
     from repro.core import performance_model as pm
+    from repro.core.plan import plan_stencil
+    from repro.dtypes import FLOAT32
     from repro.kernels import conv2d_ssam, stencil2d_ssam, stencil3d_ssam
     from repro.stencils.catalog import get_stencil
 
@@ -190,8 +192,12 @@ def _closed_form_entries():
         "stencilgen": lambda a: baselines.stencilgen_like_stencil(st2, 512, 256, architecture=a),
         "ssam_temporal": lambda a: baselines.ssam_temporal_stencil(
             st2, 512, 256, architecture=a),
-        "model_stencil2d": lambda a: pm.model_stencil2d(st2, 512, 256, 1, a),
-        "model_stencil3d": lambda a: pm.model_stencil3d(st3, 64, 64, 64, 1, a),
+        "model_stencil2d": lambda a: pm.model_stencil2d(
+            stencil2d_ssam.analytic_launch(st2, 512, 256, 1, a),
+            plan_stencil(st2, a)),
+        "model_stencil3d": lambda a: pm.model_stencil3d(
+            stencil3d_ssam.analytic_launch(st3, 64, 64, 64, 1, a),
+            stencil3d_ssam.launch_geometry(st3, 64, 64, 64, a, FLOAT32), st3),
     }
 
 

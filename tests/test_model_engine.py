@@ -18,11 +18,8 @@ import pytest
 
 from repro.analysis.metrics import error_bounds, geometric_mean, relative_error
 from repro.convolution.spec import ConvolutionSpec
-from repro.core.performance_model import (
-    model_convolution2d,
-    model_convolution2d_chain,
-    predict_launch,
-)
+from repro.core.performance_model import model_convolution2d, predict_launch
+from repro.core.plan import plan_convolution
 from repro.errors import ConfigurationError
 from repro.experiments import load_result, model_validation, runner
 from repro.experiments.cache import SimulationCache
@@ -30,7 +27,10 @@ from repro.experiments.parallel import execute_jobs
 from repro.gpu.architecture import TESLA_P100
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.occupancy import compute_occupancy
+from repro.kernels import conv1d_ssam, scan_ssam
+from repro.kernels.conv2d_ssam import analytic_chain_launch, analytic_launch
 from repro.scenarios import ScenarioCase, all_scenarios, get_scenario
+from repro.scenarios import builtin
 from repro.scenarios.sweep import jobs as sweep_jobs
 from repro.scenarios.sweep import run_sweep
 
@@ -44,6 +44,16 @@ DIRECT_SCHEMES = {"conv2d-npp": "naive", "conv2d-arrayfire": "shared_memory",
                   "conv2d-halide": "shared_memory", "stencil2d-original": "naive",
                   "stencil2d-ppcg": "shared_memory",
                   "stencil2d-halide": "shared_memory", "stencil3d-original": "naive"}
+#: the SSAM scenarios that also run on the ``analytic`` engine
+SSAM_ANALYTIC = tuple(sorted(s.name for s in all_scenarios(role="ssam")
+                             if "analytic" in s.engines))
+#: the closed forms of the 1-D SSAM kernels, which have no ``analytic`` engine
+ONE_D_CLOSED_FORMS = {
+    "conv1d": lambda p: conv1d_ssam.analytic_launch(
+        p["taps"], p["length"], "v100", block_threads=p["block_threads"]),
+    "scan": lambda p: scan_ssam.analytic_launch(
+        p["length"], "v100", block_threads=p["block_threads"]),
+}
 
 
 # --- the engine itself ------------------------------------------------------
@@ -91,6 +101,54 @@ def test_direct_baseline_model_prices_its_closed_form(name, size):
         for engine in ("model", "analytic"))
     assert model.launch.counters.as_dict() == analytic.launch.counters.as_dict()
     assert model.launch.config == analytic.launch.config
+
+
+@pytest.mark.parametrize("size", ["tiny", "small", "paper"])
+@pytest.mark.parametrize("name", SSAM_ANALYTIC)
+def test_ssam_model_prices_its_analytic_launch(name, size):
+    """An SSAM model keeps the counts and launch of the kernel's closed form."""
+    assert len(SSAM_ANALYTIC) == 6
+    scenario = get_scenario(name)
+    model, analytic = (
+        scenario.run_case(ScenarioCase(name, "v100", "float32", engine, size))
+        for engine in ("model", "analytic"))
+    assert model.launch.counters.as_dict() == analytic.launch.counters.as_dict()
+    assert model.launch.config == analytic.launch.config
+
+
+@pytest.mark.parametrize("size", ["tiny", "small", "paper"])
+@pytest.mark.parametrize("name", sorted(ONE_D_CLOSED_FORMS))
+def test_one_dimensional_model_prices_its_analytic_launch(name, size):
+    scenario = get_scenario(name)
+    model = scenario.run_case(ScenarioCase(name, "v100", "float32", "model", size))
+    analytic = ONE_D_CLOSED_FORMS[name](
+        scenario.case_parameters(size, "v100", "float32"))
+    assert model.launch.counters.as_dict() == analytic.launch.counters.as_dict()
+    assert model.launch.config == analytic.launch.config
+    assert model.launch.config.total_blocks > 1
+
+
+def test_each_model_evaluation_makes_one_model_call(monkeypatch):
+    """Every ``model`` entry prices its closed form with exactly one
+    ``model_*`` call, looked up when it runs (so a wrapper sees it)."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in [n for n in vars(builtin) if n.startswith("model_")]:
+        monkeypatch.setattr(builtin, name, counted(name, getattr(builtin, name)))
+    for scenario in all_scenarios():
+        if "model" in scenario.engines:
+            size = next(s for s in scenario.sizes
+                        if "model" in scenario.engines_for(s))
+            calls.clear()
+            scenario.run_case(ScenarioCase(scenario.name, "v100", "float32",
+                                           "model", size))
+            assert len(calls) == 1, (scenario.name, calls)
 
 
 @pytest.mark.parametrize("name", sorted(n for n, scheme in DIRECT_SCHEMES.items()
@@ -170,11 +228,13 @@ def test_one_pass_chain_prices_like_the_single_convolution(architecture,
                                                            overrides):
     """An unfused one-pass chain is one Section 5.2 launch, priced the same."""
     spec = ConvolutionSpec.gaussian(5)
-    single = model_convolution2d(spec, 512, 256, architecture, precision,
-                                 **overrides)
-    chain = model_convolution2d_chain(spec, 512, 256, passes=1, fused=False,
-                                      architecture=architecture,
-                                      precision=precision, **overrides)
+    plan = plan_convolution(spec, architecture, precision, **overrides)
+    single = model_convolution2d(
+        analytic_launch(spec, 512, 256, architecture, precision, plan=plan), plan)
+    chain = model_convolution2d(
+        analytic_chain_launch(spec, 512, 256, passes=1, fused=False,
+                              architecture=architecture, precision=precision,
+                              plan=plan), plan)
     assert chain.milliseconds == single.milliseconds
     assert chain.launch.config == single.launch.config
     assert chain.launch.counters.as_dict() == single.launch.counters.as_dict()
@@ -185,9 +245,12 @@ def test_fused_chain_moves_dram_traffic_once():
     """Fusion keeps intermediates resident: one stage's DRAM traffic, every
     stage's instructions, and never a slower prediction than unfused."""
     spec = ConvolutionSpec.gaussian(5)
-    single = model_convolution2d(spec, 512, 256)
-    unfused = model_convolution2d_chain(spec, 512, 256, passes=3, fused=False)
-    fused = model_convolution2d_chain(spec, 512, 256, passes=3, fused=True)
+    plan = plan_convolution(spec)
+    single = model_convolution2d(analytic_launch(spec, 512, 256, plan=plan), plan)
+    unfused, fused = (
+        model_convolution2d(analytic_chain_launch(spec, 512, 256, passes=3,
+                                                  fused=fuse, plan=plan), plan)
+        for fuse in (False, True))
     one, many = single.launch.counters, fused.launch.counters
     assert many.dram_read_bytes == one.dram_read_bytes
     assert many.dram_write_bytes == one.dram_write_bytes
@@ -195,7 +258,7 @@ def test_fused_chain_moves_dram_traffic_once():
     assert unfused.launch.counters.dram_bytes == 3 * one.dram_bytes
     assert fused.milliseconds <= unfused.milliseconds
     with pytest.raises(ConfigurationError):
-        model_convolution2d_chain(spec, 512, 256, passes=0)
+        analytic_chain_launch(spec, 512, 256, passes=0)
 
 
 @pytest.mark.parametrize("name", SSAM_KERNELS)

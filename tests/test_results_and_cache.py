@@ -10,7 +10,7 @@ import pytest
 from repro.convolution.spec import ConvolutionSpec
 from repro.core.plan import plan_convolution
 from repro.errors import ConfigurationError
-from repro.experiments.cache import SimulationCache, code_version
+from repro.experiments.cache import CACHE_DIR_ENV, SimulationCache, code_version
 from repro.experiments.jobs import SimulationJob, dedupe_jobs, execute_job, resolve_worker
 from repro.experiments.parallel import execute_jobs
 from repro.experiments.results import (
@@ -218,11 +218,24 @@ def test_cache_lookup_store_round_trip(tmp_path):
     assert cache.entry_count() == 1
 
 
-def test_cache_disabled_stores_nothing(tmp_path):
-    cache = SimulationCache(str(tmp_path / "c"), enabled=False)
-    cache.store({"k": 1}, {"v": 2})
-    assert cache.lookup({"k": 1}) is None
-    assert cache.entry_count() == 0
+def _logging_worker(**params):
+    with open(params["log"], "a") as log:
+        log.write(f"{params['i']}\n")
+    return {"i": params["i"]}
+
+
+def test_no_cache_stores_nothing_and_executes_every_job(tmp_path, monkeypatch):
+    # ``--no-cache`` passes no cache at all: nothing is read or written,
+    # so every job runs on every call
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "default"))
+    log = tmp_path / "executed.log"
+    jobs = [SimulationJob(key=f"n:{i}",
+                          func="tests.test_results_and_cache:_logging_worker",
+                          params={"i": i, "log": str(log)}) for i in range(3)]
+    first = execute_jobs(jobs, workers=1, cache=None)
+    assert execute_jobs(jobs, workers=1, cache=None) == first
+    assert log.read_text().split() == ["0", "1", "2"] * 2
+    assert not (tmp_path / "default").exists()
 
 
 def test_cache_key_includes_code_version(tmp_path):

@@ -3,7 +3,7 @@
 Each kernel runs once under the replay engine at a small size; the static
 prediction (:func:`repro.analysis.lint.predict_counters`) over the full
 recorded grid gives the exact counters of the traced implementation, and
-the hand-written model evaluators are called at the same size.
+the model evaluators price the hand-written closed forms at the same size.
 
 * **Exact** on the warp-instruction fields :data:`EXACT_FIELDS`: a formula
   drifting from the kernel (or vice versa) fails with the field named.
@@ -39,8 +39,18 @@ from repro.core.performance_model import (
     model_stencil2d,
     model_stencil3d,
 )
+from repro.core.plan import plan_convolution, plan_stencil
+from repro.dtypes import FLOAT32
+from repro.gpu.architecture import TESLA_P100
 from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import block_schedule
+from repro.kernels import (
+    conv1d_ssam,
+    conv2d_ssam,
+    scan_ssam,
+    stencil2d_ssam,
+    stencil3d_ssam,
+)
 from repro.kernels.conv1d_ssam import ssam_convolve1d
 from repro.kernels.conv2d_ssam import ssam_convolve2d
 from repro.kernels.scan_ssam import ssam_scan
@@ -61,26 +71,46 @@ _GRID3D = _RNG.random((24, 40, 64), dtype=np.float32)
 _TAPS = _RNG.random(7).astype(np.float32)
 _SEQUENCE = _RNG.random(4096, dtype=np.float32)
 
+def _model_conv2d():
+    plan = plan_convolution(ConvolutionSpec.gaussian(9))
+    return model_convolution2d(
+        conv2d_ssam.analytic_launch(plan.problem, 192, 160, plan=plan), plan)
+
+
+def _model_stencil2d():
+    plan = plan_stencil(get_stencil("2d9pt"))
+    return model_stencil2d(
+        stencil2d_ssam.analytic_launch(plan.problem, 192, 160, plan=plan), plan)
+
+
+def _model_stencil3d():
+    spec = get_stencil("3d7pt")
+    geometry = stencil3d_ssam.launch_geometry(spec, 64, 40, 24, TESLA_P100,
+                                              FLOAT32)
+    return model_stencil3d(stencil3d_ssam.analytic_launch(spec, 64, 40, 24),
+                           geometry, spec)
+
+
 #: kernel -> (replay run, model evaluated at the same size)
 CASES = {
     "convolution2d": (
         lambda: ssam_convolve2d(_IMAGE, ConvolutionSpec.gaussian(9),
                                 batch_size="replay"),
-        lambda: model_convolution2d(ConvolutionSpec.gaussian(9), 192, 160)),
+        _model_conv2d),
     "stencil2d": (
         lambda: ssam_stencil2d(_IMAGE, get_stencil("2d9pt"),
                                batch_size="replay"),
-        lambda: model_stencil2d(get_stencil("2d9pt"), 192, 160)),
+        _model_stencil2d),
     "stencil3d": (
         lambda: ssam_stencil3d(_GRID3D, get_stencil("3d7pt"),
                                batch_size="replay"),
-        lambda: model_stencil3d(get_stencil("3d7pt"), 64, 40, 24)),
+        _model_stencil3d),
     "convolution1d": (
         lambda: ssam_convolve1d(_SEQUENCE, _TAPS, batch_size="replay"),
-        lambda: model_convolution1d(7, 4096)),
+        lambda: model_convolution1d(conv1d_ssam.analytic_launch(7, 4096))),
     "scan": (
         lambda: ssam_scan(_SEQUENCE, batch_size="replay"),
-        lambda: model_scan(4096)),
+        lambda: model_scan(scan_ssam.analytic_launch(4096))),
 }
 
 
