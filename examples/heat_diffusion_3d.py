@@ -8,7 +8,7 @@ throughput the same configuration would reach at the paper's 512^3 scale.
 
 import numpy as np
 
-from repro.kernels.stencil3d_ssam import analytic_launch, ssam_stencil3d
+from repro.kernels.stencil3d_ssam import analytic_launch, launch_geometry, ssam_stencil3d
 from repro.stencils.catalog import get_benchmark
 from repro.workloads import hotspot_grid
 
@@ -29,7 +29,7 @@ def main() -> None:
 
     # paper-scale projection (512^3, one iteration) on both GPUs
     for arch in ("p100", "v100"):
-        projected = analytic_launch(spec, 512, 512, 512, 1, arch)
+        projected = analytic_launch(launch_geometry(spec, 512, 512, 512, arch), 1)
         gcells = projected.gcells_per_second(benchmark.cells, 1)
         print(f"projected 512^3 throughput on {arch.upper():5s}: {gcells:6.1f} GCells/s")
 

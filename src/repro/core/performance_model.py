@@ -22,6 +22,12 @@ are — with the Section 5 latencies, the occupancy calculator
 :class:`~repro.kernels.common.KernelRunResult`, so paper-scale problems run
 through the scenario sweep pipeline (``engine="model"``) exactly like
 simulations — cached, sharded and rendered from the same typed records.
+Each takes the closed form and the launch it was computed under, never a
+part, a precision or a launch knob: ``model_convolution2d(base, plan)``,
+``model_stencil2d(base, plan)``, ``model_stencil3d(base, geometry)`` (the
+kernel's ``launch_geometry``, spec and domain included),
+``model_convolution1d(base)``,
+``model_scan(base)`` and ``model_direct(base, outputs)``.
 """
 
 from __future__ import annotations
@@ -449,9 +455,10 @@ def model_stencil2d(base, plan) -> "object":
         "precision": given["precision"]})
 
 
-def model_stencil3d(base, geometry, spec) -> "object":
+def model_stencil3d(base, geometry) -> "object":
     """Section 5 prediction of the SSAM 3-D stencil from its closed form
-    ``base`` under ``geometry`` (its ``launch_geometry``).
+    ``base`` under ``geometry`` (its ``launch_geometry``, which holds the
+    spec).
 
     The in-plane footprint follows the register-cache scheme; out-of-plane
     taps are charged as pipelined cache loads (axial taps are staged through
@@ -461,7 +468,7 @@ def model_stencil3d(base, geometry, spec) -> "object":
 
     arch = base.launch.architecture
     lat = arch.latencies
-    p_extent = geometry.outputs_per_thread
+    spec, p_extent = geometry.spec, geometry.outputs_per_thread
     columns = spec.columns()
     axial, general = split_out_of_plane(spec)
     out_of_plane = len(axial) + len(general)

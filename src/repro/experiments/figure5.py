@@ -19,8 +19,10 @@ from ..baselines.stencil2d import (
     unrolled_stencil2d,
 )
 from ..baselines.stencil3d import original_stencil3d_analytic, shared_stencil3d
+from ..core.plan import plan_stencil
 from ..kernels.stencil2d_ssam import analytic_launch as ssam_stencil2d_analytic
 from ..kernels.stencil3d_ssam import analytic_launch as ssam_stencil3d_analytic
+from ..kernels.stencil3d_ssam import launch_geometry
 from ..stencils.catalog import CATALOG, FIGURE5_BENCHMARKS, StencilBenchmark
 from .jobs import SimulationJob
 from .results import ExperimentResult, Measurement
@@ -58,7 +60,9 @@ def run_benchmark(benchmark: StencilBenchmark, architecture: str, precision: str
     if spec.dims == 2:
         width, height = benchmark.domain
         results["ssam"] = _throughput(
-            ssam_stencil2d_analytic(spec, width, height, iterations, architecture, precision),
+            ssam_stencil2d_analytic(width, height,
+                                    plan_stencil(spec, architecture, precision),
+                                    iterations),
             benchmark, iterations)
         results["original"] = _throughput(
             original_stencil2d_analytic(spec, width, height, iterations, architecture,
@@ -81,8 +85,9 @@ def run_benchmark(benchmark: StencilBenchmark, architecture: str, precision: str
     else:
         width, height, depth = benchmark.domain
         results["ssam"] = _throughput(
-            ssam_stencil3d_analytic(spec, width, height, depth, iterations, architecture,
-                                    precision),
+            ssam_stencil3d_analytic(
+                launch_geometry(spec, width, height, depth, architecture, precision),
+                iterations),
             benchmark, iterations)
         results["original"] = _throughput(
             original_stencil3d_analytic(spec, width, height, depth, iterations,

@@ -13,8 +13,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..dtypes import Precision
+from ..dtypes import Precision, resolve_precision
 from ..errors import ConfigurationError, SpecificationError
+from ..gpu.architecture import get_architecture
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel, LaunchConfig, LaunchResult
@@ -77,6 +78,35 @@ def analytic_result(name: str, counters: KernelCounters, config: LaunchConfig,
                           blocks_executed=0, sampled=True, sample_fraction=0.0)
     return KernelRunResult(name=name, output=None, launch=launch,
                            parameters=parameters)
+
+
+def resolve_plan(planner, spec, architecture: object, precision: object,
+                 plan, outputs_per_thread: Optional[int],
+                 block_threads: Optional[int], block_rows: Optional[int]):
+    """The one plan a 2-D SSAM kernel wrapper launches.
+
+    Without a ``plan`` this is ``planner(spec, part, precision, P, B, R)``,
+    the part and the precision defaulting to P100 and float32.  A given
+    plan must be ``spec``'s and is the single source of the part, the
+    precision and P, B and R: the part and the precision left as ``None``
+    follow it, and an explicit one that disagrees with it raises
+    :class:`ConfigurationError`, so a wrapper never runs one problem's or
+    part's launch on another problem, part or precision.
+    """
+    if plan is None:
+        return planner(spec, "p100" if architecture is None else architecture,
+                       "float32" if precision is None else precision,
+                       outputs_per_thread, block_threads, block_rows)
+    if (plan.problem is not spec
+            and plan.problem.fingerprint() != spec.fingerprint()):
+        raise ConfigurationError("the plan was made for another problem spec")
+    if architecture is not None and get_architecture(architecture) != plan.architecture:
+        raise ConfigurationError(
+            f"the plan is for {plan.architecture.name}, not {architecture!r}")
+    if precision is not None and resolve_precision(precision) != plan.precision:
+        raise ConfigurationError(
+            f"the plan is for {plan.precision.name}, not {precision!r}")
+    return plan
 
 
 def check_image(image: np.ndarray) -> np.ndarray:

@@ -124,18 +124,16 @@ def ssam_convolve1d(sequence: np.ndarray, taps: np.ndarray, anchor: Optional[int
     )
 
 
-def analytic_launch(taps: int, length: int, architecture: object = "p100",
-                    precision: object = "float32",
-                    block_threads: Optional[int] = None) -> KernelRunResult:
-    """Closed-form instruction/traffic profile of the 1-D kernel.
+def analytic_launch(taps: int, length: int, arch: GPUArchitecture,
+                    config: LaunchConfig) -> KernelRunResult:
+    """Closed-form instruction/traffic profile of the 1-D kernel on ``arch``
+    under ``config`` (its :func:`launch_config`).
 
     Every warp fills its lane cache with one coalesced load, applies the
     taps as immediates with ``taps - 1`` shuffles and stores once; a block
     reads its outputs plus the ``taps - 1`` halo from DRAM.
     """
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    config = launch_config(taps, length, arch, prec, block_threads)
+    prec = config.precision
     blocks = config.total_blocks
     warps_per_block = config.block_threads // arch.warp_size
     warps = blocks * warps_per_block

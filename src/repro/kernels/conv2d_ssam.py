@@ -15,6 +15,12 @@ Two evaluation paths are provided:
 * :func:`analytic_launch` — closed-form instruction/traffic profile for
   paper-scale domains (8192^2), cross-checked against the counted execution
   in the test suite (:func:`analytic_chain_launch` for the chain).
+
+Both run one :class:`~repro.core.plan.SSAMPlan`: the wrappers resolve it
+once at entry (:func:`~repro.kernels.common.resolve_plan`), and the closed
+forms take it as ``analytic_launch(width, height, plan)`` and
+``analytic_chain_launch(width, height, plan, passes, fused)``, reading the
+filter (``plan.problem``), the part, the precision, P, B and R from it.
 """
 
 from __future__ import annotations
@@ -26,9 +32,8 @@ import numpy as np
 
 from ..convolution.spec import ConvolutionSpec
 from ..core.plan import SSAMPlan, plan_convolution
-from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import get_architecture, warp_sectors
+from ..gpu.architecture import warp_sectors
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel
@@ -42,6 +47,7 @@ from .common import (
     load_weights_to_shared,
     make_device_pair,
     require_edge_boundary,
+    resolve_plan,
 )
 
 
@@ -119,7 +125,7 @@ CONV2D_SSAM_KERNEL = Kernel(_conv2d_ssam_block, name="ssam_conv2d")
 
 
 def ssam_convolve2d(image: np.ndarray, spec: ConvolutionSpec,
-                    architecture: object = "p100", precision: object = "float32",
+                    architecture: object = None, precision: object = None,
                     outputs_per_thread: Optional[int] = None,
                     block_threads: Optional[int] = None,
                     block_rows: Optional[int] = None,
@@ -131,19 +137,20 @@ def ssam_convolve2d(image: np.ndarray, spec: ConvolutionSpec,
 
     Launch parameters left as ``None`` resolve through the default chain of
     :mod:`repro.core.launch_defaults` (paper constants P=4, B=128 for a
-    direct call like this one).  Pass ``max_blocks`` to sample the grid when
-    only cost estimates are needed, and ``batch_size`` to choose the blocks
-    per batch (or ``"replay"``).  ``keep_output=True`` returns the (partial)
-    output buffer even for sampled runs — the executed blocks' results are
-    exactly those of a full run; unexecuted blocks leave zeros.
+    direct call like this one).  A given ``plan`` fixes the part, the
+    precision and the launch parameters
+    (:func:`~repro.kernels.common.resolve_plan`).  Pass ``max_blocks`` to
+    sample the grid when only cost estimates are needed, and ``batch_size``
+    to choose the blocks per batch (or ``"replay"``).  ``keep_output=True``
+    returns the (partial) output buffer even for sampled runs — the
+    executed blocks' results are exactly those of a full run; unexecuted
+    blocks leave zeros.
     """
     image = check_image(image)
     require_edge_boundary(spec.boundary, "the SSAM convolution kernel")
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    if plan is None:
-        plan = plan_convolution(spec, arch, prec, outputs_per_thread,
-                                block_threads, block_rows)
+    plan = resolve_plan(plan_convolution, spec, architecture, precision, plan,
+                        outputs_per_thread, block_threads, block_rows)
+    arch, prec = plan.architecture, plan.precision
     height, width = image.shape
     memory, src, dst = make_device_pair(image, prec)
     weights = memory.to_device(spec.weights, name="weights", cached=True,
@@ -177,8 +184,8 @@ def ssam_convolve2d(image: np.ndarray, spec: ConvolutionSpec,
 
 def ssam_convolve2d_chain(image: np.ndarray, spec: ConvolutionSpec,
                           passes: int = 2,
-                          architecture: object = "p100",
-                          precision: object = "float32",
+                          architecture: object = None,
+                          precision: object = None,
                           outputs_per_thread: Optional[int] = None,
                           block_threads: Optional[int] = None,
                           block_rows: Optional[int] = None,
@@ -194,19 +201,17 @@ def ssam_convolve2d_chain(image: np.ndarray, spec: ConvolutionSpec,
     (:func:`repro.trace.fusion.fused_launch`): producer blocks stay a
     halo's worth of rows ahead of consumer blocks, the intermediates are
     held on chip, and their DRAM writes and re-reads disappear from the
-    traffic counters.  Outputs are bit-identical either way.  A given
-    ``plan`` is used for every pass instead of planning the launch
-    parameters.
+    traffic counters.  Outputs are bit-identical either way.  Every pass
+    launches the one plan :func:`~repro.kernels.common.resolve_plan`
+    returns.
     """
     if passes < 2:
         raise ConfigurationError("a convolution chain needs at least 2 passes")
     image = check_image(image)
     require_edge_boundary(spec.boundary, "the SSAM convolution kernel")
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    if plan is None:
-        plan = plan_convolution(spec, arch, prec, outputs_per_thread,
-                                block_threads, block_rows)
+    plan = resolve_plan(plan_convolution, spec, architecture, precision, plan,
+                        outputs_per_thread, block_threads, block_rows)
+    arch, prec = plan.architecture, plan.precision
     height, width = image.shape
     config = plan.launch_config(width, height)
     anchor_x, anchor_y = spec.anchor
@@ -270,8 +275,7 @@ def ssam_convolve2d_chain(image: np.ndarray, spec: ConvolutionSpec,
     )
 
 
-def analytic_counters(spec: ConvolutionSpec, width: int, height: int,
-                      plan: SSAMPlan) -> KernelCounters:
+def analytic_counters(width: int, height: int, plan: SSAMPlan) -> KernelCounters:
     """Closed-form warp-instruction / traffic profile of the SSAM kernel.
 
     The profile mirrors :func:`_conv2d_ssam_block` instruction by
@@ -280,8 +284,7 @@ def analytic_counters(spec: ConvolutionSpec, width: int, height: int,
     its warp-instruction fields, as the model engine prices them, against
     the exact counts of the kernel's trace.
     """
-    blocking = plan.blocking
-    prec = plan.precision
+    spec, blocking, prec = plan.problem, plan.blocking, plan.precision
     m_extent, n_extent = spec.filter_width, spec.filter_height
     p_extent = plan.outputs_per_thread
     cache_rows = blocking.cache_values
@@ -333,58 +336,37 @@ def analytic_counters(spec: ConvolutionSpec, width: int, height: int,
     return counters
 
 
-def analytic_launch(spec: ConvolutionSpec, width: int, height: int,
-                    architecture: object = "p100", precision: object = "float32",
-                    outputs_per_thread: Optional[int] = None,
-                    block_threads: Optional[int] = None,
-                    block_rows: Optional[int] = None,
-                    plan: Optional[SSAMPlan] = None) -> KernelRunResult:
-    """Paper-scale cost estimate of the SSAM convolution without execution.
-
-    A given ``plan`` is used as is; otherwise the launch parameters are
-    planned like :func:`ssam_convolve2d` does.
-    """
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    if plan is None:
-        plan = plan_convolution(spec, arch, prec, outputs_per_thread,
-                                block_threads, block_rows)
-    counters = analytic_counters(spec, width, height, plan)
-    config = plan.launch_config(width, height)
+def analytic_launch(width: int, height: int, plan: SSAMPlan) -> KernelRunResult:
+    """Paper-scale cost estimate of the SSAM convolution under ``plan``
+    without execution: the filter, the part, the precision, P, B and R are
+    the plan's."""
     parameters = {
-        "M": spec.filter_width,
-        "N": spec.filter_height,
+        "M": plan.problem.filter_width,
+        "N": plan.problem.filter_height,
         "P": plan.outputs_per_thread,
         "B": plan.block_threads,
         "width": width,
         "height": height,
-        "architecture": arch.name,
-        "precision": prec.name,
+        "architecture": plan.architecture.name,
+        "precision": plan.precision.name,
         "analytic": True,
     }
-    return analytic_result("ssam", counters, config, arch, parameters,
-                           kernel_name="ssam_conv2d_analytic")
+    return analytic_result("ssam", analytic_counters(width, height, plan),
+                           plan.launch_config(width, height), plan.architecture,
+                           parameters, kernel_name="ssam_conv2d_analytic")
 
 
-def analytic_chain_launch(spec: ConvolutionSpec, width: int, height: int,
-                          passes: int = 2, fused: bool = False,
-                          architecture: object = "p100",
-                          precision: object = "float32",
-                          outputs_per_thread: Optional[int] = None,
-                          block_threads: Optional[int] = None,
-                          block_rows: Optional[int] = None,
-                          plan: Optional[SSAMPlan] = None) -> KernelRunResult:
+def analytic_chain_launch(width: int, height: int, plan: SSAMPlan,
+                          passes: int = 2, fused: bool = False) -> KernelRunResult:
     """Closed-form profile of :func:`ssam_convolve2d_chain`: ``passes``
-    launches of :func:`analytic_launch`.
+    launches of :func:`analytic_launch` under ``plan``.
 
     Fused, the intermediates never reach DRAM: only the first stage reads
     the source image and only the last one writes its output.
     """
     if passes < 1:
         raise ConfigurationError("a convolution chain needs at least one pass")
-    single = analytic_launch(spec, width, height, architecture, precision,
-                             outputs_per_thread, block_threads, block_rows,
-                             plan)
+    single = analytic_launch(width, height, plan)
     one = single.launch.counters
     counters = one.scaled(float(passes))
     if fused:

@@ -140,19 +140,17 @@ def ssam_scan(sequence: np.ndarray, architecture: object = "p100",
     )
 
 
-def analytic_launch(length: int, architecture: object = "p100",
-                    precision: object = "float32",
-                    block_threads: Optional[int] = None) -> KernelRunResult:
-    """Closed-form instruction/traffic profile of the scan kernel.
+def analytic_launch(length: int, arch: GPUArchitecture,
+                    config: LaunchConfig) -> KernelRunResult:
+    """Closed-form instruction/traffic profile of the scan kernel on ``arch``
+    under ``config`` (its :func:`launch_config`).
 
     Every warp loads once, runs ``log2(WarpSize)`` shuffle+add stages,
     publishes its total to shared memory, synchronises, reads every warp
     total through the broadcast path and stores once; one thread per
     block also stores the block total.
     """
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    config = launch_config(length, arch, prec, block_threads)
+    prec = config.precision
     blocks = config.total_blocks
     warps_per_block = config.block_threads // arch.warp_size
     warps = blocks * warps_per_block

@@ -22,12 +22,10 @@ from typing import Optional
 import numpy as np
 
 from ..core.plan import SSAMPlan, plan_stencil
-from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import get_architecture
 from ..gpu.kernel import Kernel
 from ..stencils.spec import StencilSpec
-from .common import KernelRunResult, check_image, run_jacobi
+from .common import KernelRunResult, check_image, resolve_plan, run_jacobi
 from .stencil2d_ssam import _stencil2d_ssam_block, build_column_groups
 
 #: default interior margin: wide enough that order-1/2 footprints never
@@ -41,8 +39,8 @@ STENCIL2D_MASKED_KERNEL = Kernel(_stencil2d_ssam_block,
 
 def ssam_stencil2d_masked(grid: np.ndarray, spec: StencilSpec,
                           iterations: int = 1, margin: int = DEFAULT_MARGIN,
-                          architecture: object = "p100",
-                          precision: object = "float32",
+                          architecture: object = None,
+                          precision: object = None,
                           outputs_per_thread: Optional[int] = None,
                           block_threads: Optional[int] = None,
                           block_rows: Optional[int] = None,
@@ -50,17 +48,15 @@ def ssam_stencil2d_masked(grid: np.ndarray, spec: StencilSpec,
                           max_blocks: Optional[int] = None,
                           batch_size: object = "auto",
                           keep_output: bool = False) -> KernelRunResult:
-    """Apply a masked 2-D stencil for ``iterations`` Jacobi steps."""
+    """Apply a masked 2-D stencil for ``iterations`` Jacobi steps under the
+    one plan :func:`~repro.kernels.common.resolve_plan` returns."""
     grid = check_image(grid)
     if spec.dims != 2:
         raise ConfigurationError(f"stencil {spec.name!r} is not 2-D")
     if margin < 0:
         raise ConfigurationError("the interior margin must be >= 0")
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    if plan is None:
-        plan = plan_stencil(spec, arch, prec, outputs_per_thread,
-                            block_threads, block_rows)
+    plan = resolve_plan(plan_stencil, spec, architecture, precision, plan,
+                        outputs_per_thread, block_threads, block_rows)
     height, width = grid.shape
     x_min, _ = spec.x_range
     y_min, _ = spec.y_range
@@ -69,10 +65,11 @@ def ssam_stencil2d_masked(grid: np.ndarray, spec: StencilSpec,
         (width, height, build_column_groups(spec), spec.footprint_width,
          spec.footprint_height, plan.outputs_per_thread, x_min, y_min,
          plan.block_rows, int(margin)),
-        iterations, arch, "ssam_masked",
+        iterations, plan.architecture, "ssam_masked",
         {"stencil": spec.name, "iterations": iterations, "margin": int(margin),
          "P": plan.outputs_per_thread, "B": plan.block_threads,
-         "architecture": arch.name, "precision": prec.name},
+         "architecture": plan.architecture.name,
+         "precision": plan.precision.name},
         max_blocks=max_blocks, batch_size=batch_size, keep_output=keep_output)
 
 

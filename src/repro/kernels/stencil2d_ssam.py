@@ -19,9 +19,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.plan import SSAMPlan, plan_stencil
-from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
-from ..gpu.architecture import get_architecture, warp_sectors
+from ..gpu.architecture import warp_sectors
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import Kernel
@@ -32,6 +31,7 @@ from .common import (
     analytic_result,
     check_image,
     clamp,
+    resolve_plan,
     run_jacobi,
 )
 
@@ -128,7 +128,7 @@ STENCIL2D_SSAM_KERNEL = Kernel(_stencil2d_ssam_block, name="ssam_stencil2d")
 
 
 def ssam_stencil2d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
-                   architecture: object = "p100", precision: object = "float32",
+                   architecture: object = None, precision: object = None,
                    outputs_per_thread: Optional[int] = None,
                    block_threads: Optional[int] = None,
                    block_rows: Optional[int] = None,
@@ -138,17 +138,16 @@ def ssam_stencil2d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
                    keep_output: bool = False) -> KernelRunResult:
     """Apply a 2-D stencil for ``iterations`` Jacobi steps with the SSAM kernel.
 
+    Every step launches the one plan
+    :func:`~repro.kernels.common.resolve_plan` returns.
     ``keep_output=True`` returns the (partial) output even for sampled
     runs (see :func:`~repro.kernels.common.run_jacobi`).
     """
     grid = check_image(grid)
     if spec.dims != 2:
         raise ConfigurationError(f"stencil {spec.name!r} is not 2-D")
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    if plan is None:
-        plan = plan_stencil(spec, arch, prec, outputs_per_thread,
-                            block_threads, block_rows)
+    plan = resolve_plan(plan_stencil, spec, architecture, precision, plan,
+                        outputs_per_thread, block_threads, block_rows)
     height, width = grid.shape
     x_min, _ = spec.x_range
     y_min, _ = spec.y_range
@@ -157,18 +156,19 @@ def ssam_stencil2d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
         (width, height, build_column_groups(spec), spec.footprint_width,
          spec.footprint_height, plan.outputs_per_thread, x_min, y_min,
          plan.block_rows),
-        iterations, arch, "ssam",
+        iterations, plan.architecture, "ssam",
         {"stencil": spec.name, "iterations": iterations,
          "P": plan.outputs_per_thread, "B": plan.block_threads,
-         "architecture": arch.name, "precision": prec.name},
+         "architecture": plan.architecture.name,
+         "precision": plan.precision.name},
         max_blocks=max_blocks, batch_size=batch_size, keep_output=keep_output)
 
 
-def analytic_counters(spec: StencilSpec, width: int, height: int, plan: SSAMPlan,
+def analytic_counters(width: int, height: int, plan: SSAMPlan,
                       iterations: int = 1) -> KernelCounters:
-    """Closed-form instruction/traffic profile of the SSAM 2-D stencil."""
-    blocking = plan.blocking
-    prec = plan.precision
+    """Closed-form instruction/traffic profile of the SSAM 2-D stencil
+    ``plan.problem``."""
+    spec, blocking, prec = plan.problem, plan.blocking, plan.precision
     p_extent = plan.outputs_per_thread
     cache_rows = blocking.cache_values
     grid_x, grid_y, _ = blocking.grid_dim(width, height)
@@ -204,32 +204,21 @@ def analytic_counters(spec: StencilSpec, width: int, height: int, plan: SSAMPlan
     return counters
 
 
-def analytic_launch(spec: StencilSpec, width: int, height: int, iterations: int = 1,
-                    architecture: object = "p100", precision: object = "float32",
-                    outputs_per_thread: Optional[int] = None,
-                    block_threads: Optional[int] = None,
-                    block_rows: Optional[int] = None,
-                    plan: Optional[SSAMPlan] = None) -> KernelRunResult:
-    """Paper-scale cost estimate of the SSAM 2-D stencil without execution.
-
-    A given ``plan`` is used as is; otherwise the launch parameters are
-    planned like :func:`ssam_stencil2d` does.
-    """
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    if plan is None:
-        plan = plan_stencil(spec, arch, prec, outputs_per_thread,
-                            block_threads, block_rows)
-    counters = analytic_counters(spec, width, height, plan, iterations)
+def analytic_launch(width: int, height: int, plan: SSAMPlan,
+                    iterations: int = 1) -> KernelRunResult:
+    """Paper-scale cost estimate of the SSAM 2-D stencil under ``plan``
+    without execution: the stencil, the part, the precision, P, B and R are
+    the plan's."""
     parameters = {
-        "stencil": spec.name,
+        "stencil": plan.problem.name,
         "width": width,
         "height": height,
         "iterations": iterations,
-        "architecture": arch.name,
-        "precision": prec.name,
+        "architecture": plan.architecture.name,
+        "precision": plan.precision.name,
         "analytic": True,
     }
-    return analytic_result("ssam", counters, plan.launch_config(width, height),
-                           arch, parameters,
-                           kernel_name="ssam_stencil2d_analytic")
+    return analytic_result("ssam",
+                           analytic_counters(width, height, plan, iterations),
+                           plan.launch_config(width, height), plan.architecture,
+                           parameters, kernel_name="ssam_stencil2d_analytic")

@@ -149,25 +149,40 @@ STENCIL3D_SSAM_KERNEL = Kernel(_stencil3d_ssam_block, name="ssam_stencil3d")
 
 
 class Stencil3DGeometry(NamedTuple):
-    """The resolved launch geometry of one SSAM 3-D stencil launch."""
+    """The resolved launch of one SSAM 3-D stencil on one domain: the 3-D
+    kernel's analogue of an :class:`~repro.core.plan.SSAMPlan`."""
 
+    spec: StencilSpec
+    width: int
+    height: int
+    depth: int
+    architecture: GPUArchitecture
     outputs_per_thread: int
     block_threads: int
     warps_per_block: int
     cache_rows: int
     config: LaunchConfig
 
+    @property
+    def precision(self) -> Precision:
+        """The launch's precision (its config's)."""
+        return self.config.precision
+
 
 def launch_geometry(spec: StencilSpec, width: int, height: int, depth: int,
-                    arch: GPUArchitecture, prec: Precision,
+                    architecture: object = "p100", precision: object = "float32",
                     outputs_per_thread: Optional[int] = None,
                     block_threads: Optional[int] = None) -> Stencil3DGeometry:
     """P and B (the paper defaults when unset), the grid, the registers, the
-    shared bytes and the memory parallelism of the 3-D kernel.
+    shared bytes and the memory parallelism of the 3-D kernel on a
+    ``width x height x depth`` domain.
 
-    The kernel wrapper, the closed-form profile and the Section 5 model all
-    take their launch from here, so they cannot disagree.
+    The kernel wrapper resolves its launch here once; the closed-form
+    profile and the Section 5 model take the result, so they cannot
+    disagree.
     """
+    arch = get_architecture(architecture)
+    prec = resolve_precision(precision)
     if outputs_per_thread is None:
         outputs_per_thread = DEFAULT_OUTPUTS_PER_THREAD_3D
     if block_threads is None:
@@ -187,8 +202,9 @@ def launch_geometry(spec: StencilSpec, width: int, height: int, depth: int,
         precision=prec,
         memory_parallelism=float(cache_rows),
     )
-    return Stencil3DGeometry(outputs_per_thread, block_threads, warps_per_block,
-                             cache_rows, config)
+    return Stencil3DGeometry(spec, width, height, depth, arch,
+                             outputs_per_thread, block_threads,
+                             warps_per_block, cache_rows, config)
 
 
 def ssam_stencil3d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
@@ -200,17 +216,16 @@ def ssam_stencil3d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
                    keep_output: bool = False) -> KernelRunResult:
     """Apply a 3-D stencil for ``iterations`` Jacobi steps with the SSAM kernel.
 
+    Every step launches the one :func:`launch_geometry` resolved at entry.
     ``keep_output=True`` returns the (partial) output even for sampled
     runs (see :func:`~repro.kernels.common.run_jacobi`).
     """
     grid = check_grid3d(grid)
     if spec.dims != 3:
         raise ConfigurationError(f"stencil {spec.name!r} is not 3-D")
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
     depth, height, width = grid.shape
-    geometry = launch_geometry(spec, width, height, depth, arch, prec,
-                               outputs_per_thread, block_threads)
+    geometry = launch_geometry(spec, width, height, depth, architecture,
+                               precision, outputs_per_thread, block_threads)
     axial, general = split_out_of_plane(spec)
     x_min, x_max = spec.x_range
     y_min, _ = spec.y_range
@@ -219,23 +234,19 @@ def ssam_stencil3d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
         (width, height, depth, build_column_groups(spec), axial, general,
          spec.footprint_width, spec.footprint_height,
          geometry.outputs_per_thread, x_min, x_max, y_min),
-        iterations, arch, "ssam",
+        iterations, geometry.architecture, "ssam",
         {"stencil": spec.name, "iterations": iterations,
          "P": geometry.outputs_per_thread, "B": geometry.block_threads,
-         "architecture": arch.name, "precision": prec.name},
+         "architecture": geometry.architecture.name,
+         "precision": geometry.precision.name},
         max_blocks=max_blocks, batch_size=batch_size, keep_output=keep_output)
 
 
-def analytic_counters(spec: StencilSpec, width: int, height: int, depth: int,
-                      architecture: object = "p100", precision: object = "float32",
-                      outputs_per_thread: Optional[int] = None,
-                      block_threads: Optional[int] = None,
+def analytic_counters(geometry: Stencil3DGeometry,
                       iterations: int = 1) -> KernelCounters:
-    """Closed-form instruction/traffic profile of the SSAM 3-D stencil."""
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    geometry = launch_geometry(spec, width, height, depth, arch, prec,
-                               outputs_per_thread, block_threads)
+    """Closed-form instruction/traffic profile of the SSAM 3-D stencil
+    launched as ``geometry`` (on its domain)."""
+    spec, prec = geometry.spec, geometry.precision
     p_extent = geometry.outputs_per_thread
     cache_rows = geometry.cache_rows
     warps_per_block = geometry.warps_per_block
@@ -250,7 +261,7 @@ def analytic_counters(spec: StencilSpec, width: int, height: int, depth: int,
     counters = KernelCounters()
     counters.blocks_executed = blocks * iterations
     counters.warps_executed = total_warps * iterations
-    sectors_per_row = warp_sectors(arch, prec.itemsize)
+    sectors_per_row = warp_sectors(geometry.architecture, prec.itemsize)
 
     counters.gmem_load += cache_rows * total_warps * iterations
     counters.gmem_load_transactions += cache_rows * total_warps * sectors_per_row * iterations
@@ -268,25 +279,21 @@ def analytic_counters(spec: StencilSpec, width: int, height: int, depth: int,
 
     slab = (warps_per_block + 2 * r_z) * cache_rows * 32 * prec.itemsize
     counters.dram_read_bytes += slab * blocks * iterations
-    counters.dram_write_bytes += width * height * depth * prec.itemsize * iterations
+    counters.dram_write_bytes += (geometry.width * geometry.height * geometry.depth
+                                  * prec.itemsize * iterations)
     return counters
 
 
-def analytic_launch(spec: StencilSpec, width: int, height: int, depth: int,
-                    iterations: int = 1, architecture: object = "p100",
-                    precision: object = "float32",
-                    outputs_per_thread: Optional[int] = None,
-                    block_threads: Optional[int] = None) -> KernelRunResult:
-    """Paper-scale cost estimate of the SSAM 3-D stencil without execution."""
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    geometry = launch_geometry(spec, width, height, depth, arch, prec,
-                               outputs_per_thread, block_threads)
-    counters = analytic_counters(spec, width, height, depth, arch, prec,
-                                 geometry.outputs_per_thread, geometry.block_threads,
-                                 iterations)
-    parameters = {"stencil": spec.name, "width": width, "height": height,
-                  "depth": depth, "iterations": iterations,
-                  "architecture": arch.name, "precision": prec.name, "analytic": True}
-    return analytic_result("ssam", counters, geometry.config, arch, parameters,
-                           kernel_name="ssam_stencil3d_analytic")
+def analytic_launch(geometry: Stencil3DGeometry,
+                    iterations: int = 1) -> KernelRunResult:
+    """Paper-scale cost estimate of the SSAM 3-D stencil launched as
+    ``geometry`` (on its domain), without execution."""
+    parameters = {"stencil": geometry.spec.name, "width": geometry.width,
+                  "height": geometry.height, "depth": geometry.depth,
+                  "iterations": iterations,
+                  "architecture": geometry.architecture.name,
+                  "precision": geometry.precision.name, "analytic": True}
+    return analytic_result(
+        "ssam", analytic_counters(geometry, iterations),
+        geometry.config, geometry.architecture, parameters,
+        kernel_name="ssam_stencil3d_analytic")

@@ -15,9 +15,10 @@ domains of Section 6 and run only on the closed-form engines (the
 ``analytic`` instruction/traffic profile and the Section 5 ``model``).
 Every SSAM kernel and direct baseline carries a ``model`` entry, so it can
 be predicted at arbitrary scale without simulating it; every ``model``
-prices the counts and launch of the scenario's own closed form
-(:func:`_closed_form_model`).  cuDNN and cuFFT are ``analytic`` only: no
-Section 5 scheme describes an implicit GEMM or an FFT.
+prices the counts and launch of the scenario's own closed form, under the
+one launch resolved per evaluation (:func:`_closed_form`).  cuDNN and
+cuFFT are ``analytic`` only: no Section 5 scheme describes an implicit GEMM
+or an FFT.
 """
 
 from __future__ import annotations
@@ -58,10 +59,12 @@ from ..core.performance_model import (
     model_stencil3d,
 )
 from ..core.plan import plan_convolution, plan_stencil
+from ..dtypes import resolve_precision
 from ..gpu.architecture import (
     EVALUATED_ARCHITECTURES,
     MODERN_ARCHITECTURES,
     architecture_names,
+    get_architecture,
 )
 from ..kernels import (
     masked_reference,
@@ -75,13 +78,7 @@ from ..kernels import (
     ssam_stencil2d_masked,
     ssam_stencil3d,
 )
-from ..kernels.conv1d_ssam import analytic_launch as conv1d_analytic_launch
-from ..kernels.conv2d_ssam import analytic_chain_launch as conv2d_chain_analytic_launch
-from ..kernels.conv2d_ssam import analytic_launch as conv2d_analytic_launch
-from ..kernels.scan_ssam import analytic_launch as scan_analytic_launch
-from ..kernels.stencil2d_ssam import analytic_launch as stencil2d_analytic_launch
-from ..kernels.stencil3d_ssam import analytic_launch as stencil3d_analytic_launch
-from ..kernels.stencil3d_ssam import launch_geometry as stencil3d_launch_geometry
+from ..kernels import conv1d_ssam, conv2d_ssam, scan_ssam, stencil2d_ssam, stencil3d_ssam
 from ..stencils.catalog import get_stencil
 from ..workloads.generators import random_grid_3d, random_image, sequence
 from .registry import (
@@ -156,22 +153,23 @@ def _plan_args(params: Mapping[str, object]) -> Dict[str, object]:
     return args
 
 
-def _closed_form_model(closed_form, price, planner=None):
-    """A scenario's ``model`` entry: Section 5 prices its closed form.
+def _closed_form(resolve, closed_form, price=None):
+    """A scenario's ``analytic`` entry, or with ``price`` its ``model`` entry.
 
-    ``closed_form`` is the scenario's ``analytic`` evaluator (or the one it
-    would have), and ``price(base, spec, params, **plan)`` makes the
-    evaluation's one ``model_*`` call on its result ``base``, so the model
-    keeps the closed form's counters and launch as they are.  With a
-    ``planner``, the closed form and the price share the cell's plan,
-    planned here when the registry hands none.
+    The evaluation resolves one launch and hands it to ``closed_form(spec,
+    params, launch)``, the scenario's closed form, and to ``price(base,
+    params, launch)``, its one ``model_*`` call on that result, so the model
+    keeps the closed form's counters and launch as they are.  The launch is
+    the cell's plan when the registry hands one (2-D SSAM kernels), else
+    ``resolve(spec, params, architecture, precision)``: the kernel's planner
+    (2-D), ``launch_geometry`` (3-D) or part and ``launch_config`` (1-D).
     """
-    def model(spec, params, architecture, precision, **plan):
-        if planner is not None and plan.get("plan") is None:
-            plan["plan"] = planner(spec, params, architecture, precision)
-        base = closed_form(spec, params, architecture, precision, **plan)
-        return price(base, spec, params, **plan)
-    return model
+    def evaluate(spec, params, architecture, precision, plan=None):
+        launch = (resolve(spec, params, architecture, precision)
+                  if plan is None else plan)
+        base = closed_form(spec, params, launch)
+        return base if price is None else price(base, params, launch)
+    return evaluate
 
 
 # Named problem sizes are shared per family between the SSAM kernel and its
@@ -214,10 +212,15 @@ def _run_conv1d(spec, workload, params, architecture, precision, engine):
                            **_plan_overrides(params))
 
 
-def _conv1d_closed_form(spec, params, architecture, precision):
-    return conv1d_analytic_launch(params["taps"], params["length"],
-                                  architecture, precision,
-                                  **_plan_overrides(params))
+def _conv1d_launch(spec, params, architecture, precision):
+    arch = get_architecture(architecture)
+    return arch, conv1d_ssam.launch_config(
+        params["taps"], params["length"], arch, resolve_precision(precision),
+        **_plan_overrides(params))
+
+
+def _conv1d_closed_form(spec, params, launch):
+    return conv1d_ssam.analytic_launch(params["taps"], params["length"], *launch)
 
 
 register(Scenario(
@@ -230,9 +233,8 @@ register(Scenario(
     workload_builder=lambda params, precision: sequence(
         params["length"], precision, seed=params["length"]),
     oracle=lambda spec, workload, params: reference_convolve1d(workload, spec),
-    model=_closed_form_model(
-        _conv1d_closed_form,
-        lambda base, spec, params: model_convolution1d(base)),
+    model=_closed_form(_conv1d_launch, _conv1d_closed_form,
+                       lambda base, params, launch: model_convolution1d(base)),
     tunables=TUNABLES_1D,
     sizes={
         "tiny": {"length": 193, "taps": 3},
@@ -257,13 +259,11 @@ def _plan_convolution(spec, params, architecture, precision):
     return plan_convolution(spec, architecture, precision, **_plan_args(params))
 
 
-def _conv2d_closed_form(spec, params, architecture, precision, plan=None):
-    return conv2d_analytic_launch(spec, params["width"], params["height"],
-                                  architecture, precision, plan=plan,
-                                  **_plan_overrides(params))
+def _conv2d_closed_form(spec, params, plan):
+    return conv2d_ssam.analytic_launch(params["width"], params["height"], plan)
 
 
-def _price_conv2d(base, spec, params, plan):
+def _price_conv2d(base, params, plan):
     return model_convolution2d(base, plan)
 
 
@@ -278,9 +278,8 @@ register(Scenario(
         params["width"], params["height"], precision, seed=params["width"]),
     planner=_plan_convolution,
     oracle=lambda spec, workload, params: spec.reference(workload),
-    analytic=_conv2d_closed_form,
-    model=_closed_form_model(_conv2d_closed_form, _price_conv2d,
-                             _plan_convolution),
+    analytic=_closed_form(_plan_convolution, _conv2d_closed_form),
+    model=_closed_form(_plan_convolution, _conv2d_closed_form, _price_conv2d),
     tunables=TUNABLES_2D,
     sizes=_CONV2D_SIZES,
     architectures=ALL_ARCHITECTURES,
@@ -309,16 +308,14 @@ def _plan_stencil(spec, params, architecture, precision):
     return plan_stencil(spec, architecture, precision, **_plan_args(params))
 
 
-def _stencil2d_closed_form(spec, params, architecture, precision, plan=None):
-    return stencil2d_analytic_launch(
-        spec, params["width"], params["height"], params.get("iterations", 1),
-        architecture, precision, plan=plan, **_plan_overrides(params))
+def _stencil2d_closed_form(spec, params, plan):
+    return stencil2d_ssam.analytic_launch(
+        params["width"], params["height"], plan, params.get("iterations", 1))
 
 
-_model_stencil2d = _closed_form_model(
-    _stencil2d_closed_form,
-    lambda base, spec, params, plan: model_stencil2d(base, plan),
-    _plan_stencil)
+_model_stencil2d = _closed_form(
+    _plan_stencil, _stencil2d_closed_form,
+    lambda base, params, plan: model_stencil2d(base, plan))
 
 
 def _register_stencil2d(name: str, sizes, description: str) -> None:
@@ -335,7 +332,7 @@ def _register_stencil2d(name: str, sizes, description: str) -> None:
         planner=_plan_stencil,
         oracle=lambda spec, workload, params: spec.reference(
             workload, iterations=params.get("iterations", 1)),
-        analytic=_stencil2d_closed_form,
+        analytic=_closed_form(_plan_stencil, _stencil2d_closed_form),
         model=_model_stencil2d,
         tunables=TUNABLES_2D,
         sizes=sizes,
@@ -359,20 +356,24 @@ def _run_stencil3d(spec, workload, params, architecture, precision, engine,
                           **_plan_overrides(params))
 
 
-def _stencil3d_closed_form(spec, params, architecture, precision, plan=None):
-    # the 3-D kernel launches from its own geometry, not the in-plane plan
-    return stencil3d_analytic_launch(
+def _stencil3d_geometry(spec, params, architecture, precision):
+    return stencil3d_ssam.launch_geometry(
         spec, params["width"], params["height"], params["depth"],
-        params.get("iterations", 1), architecture, precision,
-        **_plan_overrides(params))
+        architecture, precision, **_plan_overrides(params))
 
 
-def _price_stencil3d(base, spec, params, plan=None):
-    geometry = stencil3d_launch_geometry(
-        spec, params["width"], params["height"], params["depth"],
-        base.launch.architecture, base.launch.config.precision,
-        **_plan_overrides(params))
-    return model_stencil3d(base, geometry, spec)
+def _stencil3d_closed_form(spec, params, geometry):
+    return stencil3d_ssam.analytic_launch(geometry, params.get("iterations", 1))
+
+
+def _stencil3d_entry(price=None):
+    """stencil3d's ``analytic`` entry, or with ``price`` its ``model``."""
+    evaluate = _closed_form(_stencil3d_geometry, _stencil3d_closed_form, price)
+
+    def entry(spec, params, architecture, precision, plan=None):
+        # the 3-D kernel launches from its own geometry, not the in-plane plan
+        return evaluate(spec, params, architecture, precision)
+    return entry
 
 
 register(Scenario(
@@ -388,8 +389,9 @@ register(Scenario(
     planner=_plan_stencil,
     oracle=lambda spec, workload, params: spec.reference(
         workload, iterations=params.get("iterations", 1)),
-    analytic=_stencil3d_closed_form,
-    model=_closed_form_model(_stencil3d_closed_form, _price_stencil3d),
+    analytic=_stencil3d_entry(),
+    model=_stencil3d_entry(
+        lambda base, params, geometry: model_stencil3d(base, geometry)),
     tunables=TUNABLES_3D,
     sizes=_STENCIL3D_SIZES,
     architectures=ALL_ARCHITECTURES,
@@ -405,6 +407,13 @@ def _run_scan(spec, workload, params, architecture, precision, engine):
                      **_plan_overrides(params))
 
 
+def _scan_launch(spec, params, architecture, precision):
+    arch = get_architecture(architecture)
+    return arch, scan_ssam.launch_config(
+        params["length"], arch, resolve_precision(precision),
+        **_plan_overrides(params))
+
+
 register(Scenario(
     name="scan",
     family="scan",
@@ -414,11 +423,11 @@ register(Scenario(
     workload_builder=lambda params, precision: sequence(
         params["length"], precision, seed=params["length"] + 1),
     oracle=lambda spec, workload, params: reference_scan(workload),
-    model=_closed_form_model(
-        lambda spec, params, architecture, precision: scan_analytic_launch(
-            params["length"], architecture, precision,
-            **_plan_overrides(params)),
-        lambda base, spec, params: model_scan(base)),
+    model=_closed_form(
+        _scan_launch,
+        lambda spec, params, launch: scan_ssam.analytic_launch(
+            params["length"], *launch),
+        lambda base, params, launch: model_scan(base)),
     tunables=TUNABLES_1D,
     sizes={
         "tiny": {"length": 193},
@@ -512,13 +521,10 @@ def _run_conv2d_pipeline(spec, workload, params, architecture, precision,
                                  plan=plan, **_plan_overrides(params))
 
 
-def _conv2d_chain_closed_form(spec, params, architecture, precision,
-                              plan=None):
-    return conv2d_chain_analytic_launch(
-        spec, params["width"], params["height"],
-        passes=int(params.get("passes", 2)),
-        fused=bool(params.get("fused", False)), architecture=architecture,
-        precision=precision, plan=plan, **_plan_overrides(params))
+def _conv2d_chain_closed_form(spec, params, plan):
+    return conv2d_ssam.analytic_chain_launch(
+        params["width"], params["height"], plan, int(params.get("passes", 2)),
+        bool(params.get("fused", False)))
 
 
 def _chain_oracle(spec, workload, params):
@@ -539,8 +545,8 @@ register(Scenario(
         params["width"], params["height"], precision, seed=params["width"]),
     planner=_plan_convolution,
     oracle=_chain_oracle,
-    model=_closed_form_model(_conv2d_chain_closed_form, _price_conv2d,
-                             _plan_convolution),
+    model=_closed_form(_plan_convolution, _conv2d_chain_closed_form,
+                       _price_conv2d),
     tunables=TUNABLES_2D,
     sizes={
         "tiny": {"width": 49, "height": 37, "filter": 3, "passes": 2},
@@ -564,9 +570,15 @@ register(Scenario(
 # convolution baselines (the Figure 4 competitors)
 # ---------------------------------------------------------------------------
 
-def _price_direct(base, spec, params):
-    return model_direct(base, math.prod(
-        params.get(axis, 1) for axis in ("width", "height", "depth", "iterations")))
+def _direct_model(closed_form):
+    """A direct baseline's ``model`` entry: Section 5 prices its closed form
+    ``closed_form(spec, params, architecture, precision)`` over every output."""
+    def model(spec, params, architecture, precision):
+        return model_direct(
+            closed_form(spec, params, architecture, precision),
+            math.prod(params.get(axis, 1)
+                      for axis in ("width", "height", "depth", "iterations")))
+    return model
 
 
 def _register_conv2d_baseline(label: str, fn, analytic, engines) -> None:
@@ -590,8 +602,7 @@ def _register_conv2d_baseline(label: str, fn, analytic, engines) -> None:
         oracle=(lambda spec, workload, params: spec.reference(workload))
         if functional else None,
         analytic=closed_form,
-        model=(_closed_form_model(closed_form, _price_direct)
-               if "model" in engines else None),
+        model=_direct_model(closed_form) if "model" in engines else None,
         sizes=_CONV2D_SIZES,
         architectures=BASELINE_ARCHITECTURES,
         precisions=BOTH_PRECISIONS,
@@ -635,7 +646,7 @@ def _register_stencil2d_baseline(label: str, fn, analytic) -> None:
         oracle=lambda spec, workload, params: spec.reference(
             workload, iterations=params.get("iterations", 1)),
         analytic=closed_form,
-        model=_closed_form_model(closed_form, _price_direct),
+        model=_direct_model(closed_form),
         sizes=_STENCIL2D_SIZES,
         architectures=BASELINE_ARCHITECTURES,
         precisions=BOTH_PRECISIONS,
@@ -674,7 +685,7 @@ register(Scenario(
     oracle=lambda spec, workload, params: spec.reference(
         workload, iterations=params.get("iterations", 1)),
     analytic=_original_stencil3d_analytic,
-    model=_closed_form_model(_original_stencil3d_analytic, _price_direct),
+    model=_direct_model(_original_stencil3d_analytic),
     sizes=_STENCIL3D_SIZES,
     architectures=BASELINE_ARCHITECTURES,
     precisions=BOTH_PRECISIONS,

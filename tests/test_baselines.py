@@ -80,10 +80,12 @@ def test_arrayfire_filter_size_limit_enforced():
 
 def _fig4_times(architecture, size):
     spec = ConvolutionSpec.gaussian(size)
+    from repro.core.plan import plan_convolution
     from repro.kernels.conv2d_ssam import analytic_launch
 
     times = {
-        "ssam": analytic_launch(spec, 8192, 8192, architecture).milliseconds,
+        "ssam": analytic_launch(8192, 8192,
+                                plan_convolution(spec, architecture)).milliseconds,
         "npp": npp_like_convolve2d_analytic(spec, 8192, 8192, architecture).milliseconds,
         "halide": halide_like_convolve2d_analytic(spec, 8192, 8192,
                                                   architecture).milliseconds,
@@ -220,10 +222,12 @@ def test_direct_closed_forms_count_float64_shared_loads(name, size):
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 @pytest.mark.parametrize("name", ["2d5pt", "2d9pt"])
 def test_ssam_beats_naive_stencil_at_paper_scale(architecture, precision, name):
+    from repro.core.plan import plan_stencil
     from repro.kernels.stencil2d_ssam import analytic_launch
 
     spec = get_stencil(name)
-    ssam = analytic_launch(spec, 8192, 8192, 1, architecture, precision).seconds
+    ssam = analytic_launch(8192, 8192,
+                           plan_stencil(spec, architecture, precision)).seconds
     naive = original_stencil2d_analytic(spec, 8192, 8192, 1, architecture,
                                         precision).seconds
     assert naive / ssam > 1.3
@@ -245,11 +249,13 @@ def test_shared_stencil3d_cost_positive():
 # --- temporal blocking (Figure 6) ----------------------------------------------------------
 
 def test_temporal_blocking_beats_single_pass_throughput():
+    from repro.core.plan import plan_stencil
     from repro.kernels.stencil2d_ssam import analytic_launch
 
     spec = get_stencil("2d5pt")
     cells = 8192 * 8192
-    single = analytic_launch(spec, 8192, 8192, 1, "p100").gcells_per_second(cells, 1)
+    single = analytic_launch(8192, 8192,
+                             plan_stencil(spec, "p100")).gcells_per_second(cells, 1)
     temporal = ssam_temporal_stencil(spec, 8192, 8192, time_steps=64,
                                      architecture="p100").gcells_per_second(cells, 64)
     assert temporal > 1.5 * single

@@ -26,7 +26,9 @@
   each other SSAM kernel module builds its ``LaunchConfig`` in one
   function.  The performance model prices the closed form it is handed:
   no model function counts, shapes a launch, resolves a part, a precision
-  or a plan, or takes a launch-parameter knob.
+  or a plan, or takes a launch-parameter knob.  Nor does a kernel's closed
+  form (``analytic_*``): it takes the plan, geometry or config its caller
+  resolved once.
 * One experiment surface: every module of the runner's registry has
   exactly ``jobs(quick)``, ``assemble(payloads, quick)`` and ``render`` —
   no in-process ``run``/``report`` fork and no sweep-override parameter
@@ -372,6 +374,57 @@ def test_launch_guard_sees_a_second_builder():
         "def ssam_scan(sequence, arch, prec):\n"
         "    config = LaunchConfig(grid_dim=(sequence.size, 1, 1))\n")
     assert _callers_in(tree, {"LaunchConfig"}) == {"launch_config", "ssam_scan"}
+
+
+#: what a kernel's closed forms leave to its wrappers and the registry
+ANALYTIC_FORBIDDEN_CALLS = {"get_architecture", "resolve_precision",
+                            "plan_convolution", "plan_stencil", "launch_geometry"}
+
+
+def _closed_forms(tree: ast.Module) -> set:
+    """Functions of ``tree`` named ``analytic_*`` (the closed forms)."""
+    return {name for name, _ in _functions(tree) if name.startswith("analytic_")}
+
+
+def _closed_form_faults(tree: ast.Module) -> set:
+    """Closed forms of ``tree`` that resolve a part, a precision, a plan or
+    a launch geometry instead of taking the resolved one."""
+    return _closed_forms(tree) & _callers_in(tree, ANALYTIC_FORBIDDEN_CALLS)
+
+
+def test_closed_forms_take_their_resolved_launch():
+    closed_forms, faults = set(), set()
+    for path in sorted((SOURCE_ROOT / "kernels").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        closed_forms.update((path.name, name) for name in _closed_forms(tree))
+        faults.update((path.name, name) for name in _closed_form_faults(tree))
+    assert not faults
+    # the scan must reach every closed form (an empty scan passes vacuously)
+    assert closed_forms == {
+        ("common.py", "analytic_result"),
+        ("conv1d_ssam.py", "analytic_launch"),
+        ("conv2d_ssam.py", "analytic_counters"),
+        ("conv2d_ssam.py", "analytic_launch"),
+        ("conv2d_ssam.py", "analytic_chain_launch"),
+        ("scan_ssam.py", "analytic_launch"),
+        ("stencil2d_ssam.py", "analytic_counters"),
+        ("stencil2d_ssam.py", "analytic_launch"),
+        ("stencil3d_ssam.py", "analytic_counters"),
+        ("stencil3d_ssam.py", "analytic_launch")}
+
+
+def test_closed_form_guard_sees_a_planner_and_a_geometry():
+    # a closed form that plans for itself is reported; a wrapper is not
+    tree = ast.parse(
+        "def analytic_launch(spec, width, height, architecture='p100', plan=None):\n"
+        "    if plan is None:\n"
+        "        plan = plan_convolution(spec, get_architecture(architecture))\n"
+        "    return plan\n"
+        "def analytic_counters(spec, width, height, depth):\n"
+        "    return launch_geometry(spec, width, height, depth).config\n"
+        "def ssam_convolve2d(image, spec, architecture='p100'):\n"
+        "    return plan_convolution(spec, architecture)\n")
+    assert _closed_form_faults(tree) == {"analytic_launch", "analytic_counters"}
 
 
 #: what the model engine leaves to the closed forms and the registry

@@ -170,16 +170,25 @@ def _closed_form_entries():
     from repro import baselines
     from repro.convolution.spec import ConvolutionSpec
     from repro.core import performance_model as pm
-    from repro.core.plan import plan_stencil
-    from repro.dtypes import FLOAT32
+    from repro.core.plan import plan_convolution, plan_stencil
     from repro.kernels import conv2d_ssam, stencil2d_ssam, stencil3d_ssam
     from repro.stencils.catalog import get_stencil
 
     conv, st2, st3 = ConvolutionSpec.gaussian(5), get_stencil("2d9pt"), get_stencil("3d7pt")
+
+    def stencil2d(a):
+        plan = plan_stencil(st2, a)
+        return stencil2d_ssam.analytic_launch(512, 256, plan), plan
+
+    def stencil3d(a):
+        geometry = stencil3d_ssam.launch_geometry(st3, 64, 64, 64, a)
+        return stencil3d_ssam.analytic_launch(geometry), geometry
+
     return {
-        "ssam_conv2d": lambda a: conv2d_ssam.analytic_launch(conv, 512, 256, a),
-        "ssam_stencil2d": lambda a: stencil2d_ssam.analytic_launch(st2, 512, 256, 1, a),
-        "ssam_stencil3d": lambda a: stencil3d_ssam.analytic_launch(st3, 64, 64, 64, 1, a),
+        "ssam_conv2d": lambda a: conv2d_ssam.analytic_launch(
+            512, 256, plan_convolution(conv, a)),
+        "ssam_stencil2d": lambda a: stencil2d(a)[0],
+        "ssam_stencil3d": lambda a: stencil3d(a)[0],
         "npp": lambda a: baselines.npp_like_convolve2d_analytic(conv, 512, 256, a),
         "arrayfire": lambda a: baselines.arrayfire_like_convolve2d_analytic(
             conv, 512, 256, a),
@@ -192,12 +201,8 @@ def _closed_form_entries():
         "stencilgen": lambda a: baselines.stencilgen_like_stencil(st2, 512, 256, architecture=a),
         "ssam_temporal": lambda a: baselines.ssam_temporal_stencil(
             st2, 512, 256, architecture=a),
-        "model_stencil2d": lambda a: pm.model_stencil2d(
-            stencil2d_ssam.analytic_launch(st2, 512, 256, 1, a),
-            plan_stencil(st2, a)),
-        "model_stencil3d": lambda a: pm.model_stencil3d(
-            stencil3d_ssam.analytic_launch(st3, 64, 64, 64, 1, a),
-            stencil3d_ssam.launch_geometry(st3, 64, 64, 64, a, FLOAT32), st3),
+        "model_stencil2d": lambda a: pm.model_stencil2d(*stencil2d(a)),
+        "model_stencil3d": lambda a: pm.model_stencil3d(*stencil3d(a)),
     }
 
 

@@ -11,12 +11,13 @@ from repro.errors import ConfigurationError
 from repro.kernels.conv1d_ssam import ssam_convolve1d, reference_convolve1d
 from repro.kernels.conv2d_ssam import analytic_counters as conv_analytic_counters
 from repro.kernels.conv2d_ssam import analytic_launch as conv_analytic_launch
-from repro.kernels.conv2d_ssam import ssam_convolve2d
+from repro.kernels.conv2d_ssam import ssam_convolve2d, ssam_convolve2d_chain
 from repro.kernels.scan_ssam import reference_scan, ssam_scan
 from repro.kernels.stencil2d_ssam import analytic_counters as st2_analytic_counters
+from repro.kernels.stencil2d_masked import ssam_stencil2d_masked
 from repro.kernels.stencil2d_ssam import ssam_stencil2d
 from repro.kernels.stencil3d_ssam import analytic_counters as st3_analytic_counters
-from repro.kernels.stencil3d_ssam import ssam_stencil3d
+from repro.kernels.stencil3d_ssam import launch_geometry, ssam_stencil3d
 from repro.stencils.catalog import get_stencil
 from repro.workloads import random_grid_3d, random_image, sequence
 
@@ -64,6 +65,59 @@ def test_conv2d_image_smaller_than_one_warp_tile():
     np.testing.assert_allclose(result.output, spec.reference(image), **TOL32)
 
 
+#: the four 2-D wrappers, as ``run(image, plan, **part)`` on a float32 image
+PLANNED_WRAPPERS = {
+    "conv2d": lambda image, plan, **part: ssam_convolve2d(image, plan.problem,
+                                                          plan=plan, **part),
+    "conv2d_chain": lambda image, plan, **part: ssam_convolve2d_chain(
+        image, plan.problem, plan=plan, **part),
+    "stencil2d": lambda image, plan, **part: ssam_stencil2d(image, plan.problem,
+                                                            plan=plan, **part),
+    "stencil2d_masked": lambda image, plan, **part: ssam_stencil2d_masked(
+        image, plan.problem, plan=plan, **part),
+}
+
+
+def _v100_float64_plan(wrapper):
+    if wrapper.startswith("conv2d"):
+        return plan_convolution(ConvolutionSpec.gaussian(3), "v100", "float64")
+    return plan_stencil(get_stencil("2d5pt"), "v100", "float64")
+
+
+@pytest.mark.parametrize("wrapper", sorted(PLANNED_WRAPPERS))
+def test_a_wrapper_runs_its_plans_part_and_precision(wrapper):
+    """Given a V100 float64 plan, the buffers are float64 and the launch runs
+    on V100 under that plan's config; a disagreeing part or precision is
+    refused rather than mixed into the launch."""
+    plan = _v100_float64_plan(wrapper)
+    image = random_image(40, 24, seed=31)
+    run = PLANNED_WRAPPERS[wrapper]
+    result = run(image, plan)
+    assert result.output.dtype == np.float64
+    assert result.launch.architecture is plan.architecture
+    assert result.launch.config == plan.launch_config(40, 24)
+    assert result.parameters["architecture"] == "Tesla V100"
+    assert result.parameters["precision"] == "float64"
+    # an explicit part or precision that agrees with the plan is accepted
+    assert run(image, plan, architecture="v100",
+               precision="float64").launch.config == result.launch.config
+    for part in ({"architecture": "p100"}, {"precision": "float32"}):
+        with pytest.raises(ConfigurationError):
+            run(image, plan, **part)
+
+
+def test_a_wrapper_refuses_another_problems_plan():
+    """A 3x3 filter's plan shapes a grid too narrow for a 9x9 filter's
+    valid lanes; run anyway, the right-hand columns stay unwritten."""
+    plan = plan_convolution(ConvolutionSpec.gaussian(3), "p100")
+    image = random_image(512, 32, seed=32)
+    with pytest.raises(ConfigurationError):
+        ssam_convolve2d(image, ConvolutionSpec.gaussian(9), plan=plan)
+    # an equal spec built separately is the same problem
+    assert ssam_convolve2d(image, ConvolutionSpec.gaussian(3),
+                           plan=plan).launch.config == plan.launch_config(512, 32)
+
+
 def test_conv2d_rejects_non_edge_boundary():
     spec = ConvolutionSpec(weights=np.ones((3, 3)) / 9.0, boundary="wrap")
     with pytest.raises(ConfigurationError):
@@ -90,7 +144,7 @@ def test_conv2d_analytic_profile_close_to_counted(size):
     image = random_image(448, 96, seed=7)
     plan = plan_convolution(spec, "p100")
     counted = ssam_convolve2d(image, spec, "p100", plan=plan).launch.counters
-    analytic = conv_analytic_counters(spec, 448, 96, plan)
+    analytic = conv_analytic_counters(448, 96, plan)
     assert analytic.fma == counted.fma
     assert analytic.shfl == counted.shfl
     assert analytic.smem_broadcast == counted.smem_broadcast
@@ -101,8 +155,8 @@ def test_conv2d_analytic_profile_close_to_counted(size):
 
 
 def test_conv2d_analytic_launch_paper_scale_is_memory_or_compute_bound():
-    small = conv_analytic_launch(ConvolutionSpec.gaussian(3), 8192, 8192, "p100")
-    large = conv_analytic_launch(ConvolutionSpec.gaussian(20), 8192, 8192, "p100")
+    small, large = (conv_analytic_launch(8192, 8192, plan_convolution(spec, "p100"))
+                    for spec in (ConvolutionSpec.gaussian(3), ConvolutionSpec.gaussian(20)))
     assert small.launch.timing.bottleneck == "dram"
     assert large.milliseconds > small.milliseconds
     assert 0.5 < small.milliseconds < 5.0
@@ -168,7 +222,7 @@ def test_stencil2d_analytic_profile_instruction_exact(name):
     plan = plan_stencil(spec, "v100")
     grid = random_image(200, 60, seed=15)
     counted = ssam_stencil2d(grid, spec, 2, "v100", plan=plan).launch.counters
-    analytic = st2_analytic_counters(spec, 200, 60, plan, iterations=2)
+    analytic = st2_analytic_counters(200, 60, plan, iterations=2)
     assert analytic.fma == counted.fma
     assert analytic.shfl == counted.shfl
     assert analytic.gmem_load == counted.gmem_load
@@ -211,7 +265,7 @@ def test_stencil3d_analytic_profile_matches_fma_and_shfl():
     spec = get_stencil("3d7pt")
     grid = random_grid_3d(60, 16, 8, seed=24)
     counted = ssam_stencil3d(grid, spec, 1, "p100").launch.counters
-    analytic = st3_analytic_counters(spec, 60, 16, 8, "p100")
+    analytic = st3_analytic_counters(launch_geometry(spec, 60, 16, 8, "p100"))
     assert analytic.fma == counted.fma
     assert analytic.shfl == counted.shfl
     assert analytic.gmem_store == pytest.approx(counted.gmem_store, rel=0.20)

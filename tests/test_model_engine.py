@@ -19,20 +19,23 @@ import pytest
 from repro.analysis.metrics import error_bounds, geometric_mean, relative_error
 from repro.convolution.spec import ConvolutionSpec
 from repro.core.performance_model import model_convolution2d, predict_launch
-from repro.core.plan import plan_convolution
+from repro.core.plan import plan_convolution, plan_stencil
+from repro.dtypes import resolve_precision
 from repro.errors import ConfigurationError
 from repro.experiments import load_result, model_validation, runner
 from repro.experiments.cache import SimulationCache
 from repro.experiments.parallel import execute_jobs
-from repro.gpu.architecture import TESLA_P100
+from repro.gpu.architecture import TESLA_P100, TESLA_V100
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.occupancy import compute_occupancy
 from repro.kernels import conv1d_ssam, scan_ssam
 from repro.kernels.conv2d_ssam import analytic_chain_launch, analytic_launch
+from repro.kernels.stencil2d_ssam import analytic_launch as stencil2d_analytic_launch
 from repro.scenarios import ScenarioCase, all_scenarios, get_scenario
 from repro.scenarios import builtin
 from repro.scenarios.sweep import jobs as sweep_jobs
 from repro.scenarios.sweep import run_sweep
+from repro.stencils.catalog import get_stencil
 
 SSAM_KERNELS = ("conv1d", "conv2d", "stencil2d", "stencil3d", "scan",
                 "stencil2d-order4", "stencil2d-order6", "stencil2d-varcoef",
@@ -47,13 +50,25 @@ DIRECT_SCHEMES = {"conv2d-npp": "naive", "conv2d-arrayfire": "shared_memory",
 #: the SSAM scenarios that also run on the ``analytic`` engine
 SSAM_ANALYTIC = tuple(sorted(s.name for s in all_scenarios(role="ssam")
                              if "analytic" in s.engines))
-#: the closed forms of the 1-D SSAM kernels, which have no ``analytic`` engine
+#: the closed forms of the 1-D SSAM kernels, which have no ``analytic``
+#: engine, as ``closed_form(params, precision)`` on V100
 ONE_D_CLOSED_FORMS = {
-    "conv1d": lambda p: conv1d_ssam.analytic_launch(
-        p["taps"], p["length"], "v100", block_threads=p["block_threads"]),
-    "scan": lambda p: scan_ssam.analytic_launch(
-        p["length"], "v100", block_threads=p["block_threads"]),
+    "conv1d": lambda p, prec: conv1d_ssam.analytic_launch(
+        p["taps"], p["length"], TESLA_V100, conv1d_ssam.launch_config(
+            p["taps"], p["length"], TESLA_V100, resolve_precision(prec),
+            p["block_threads"])),
+    "scan": lambda p, prec: scan_ssam.analytic_launch(
+        p["length"], TESLA_V100, scan_ssam.launch_config(
+            p["length"], TESLA_V100, resolve_precision(prec), p["block_threads"])),
 }
+
+
+def _assert_one_part(result, architecture, precision):
+    """``result`` reports, launches and configures one part and precision."""
+    assert result.parameters["architecture"] == result.launch.architecture.name
+    assert result.parameters["precision"] == result.launch.config.precision.name
+    assert result.launch.architecture.name == architecture
+    assert result.launch.config.precision.name == precision
 
 
 # --- the engine itself ------------------------------------------------------
@@ -103,29 +118,36 @@ def test_direct_baseline_model_prices_its_closed_form(name, size):
     assert model.launch.config == analytic.launch.config
 
 
+@pytest.mark.parametrize("precision", ["float32", "float64"])
 @pytest.mark.parametrize("size", ["tiny", "small", "paper"])
 @pytest.mark.parametrize("name", SSAM_ANALYTIC)
-def test_ssam_model_prices_its_analytic_launch(name, size):
-    """An SSAM model keeps the counts and launch of the kernel's closed form."""
+def test_ssam_model_prices_its_analytic_launch(name, size, precision):
+    """An SSAM model keeps the counts and launch of the kernel's closed form,
+    and both report the one part and precision they were launched on."""
     assert len(SSAM_ANALYTIC) == 6
     scenario = get_scenario(name)
     model, analytic = (
-        scenario.run_case(ScenarioCase(name, "v100", "float32", engine, size))
+        scenario.run_case(ScenarioCase(name, "v100", precision, engine, size))
         for engine in ("model", "analytic"))
     assert model.launch.counters.as_dict() == analytic.launch.counters.as_dict()
     assert model.launch.config == analytic.launch.config
+    for result in (model, analytic):
+        _assert_one_part(result, "Tesla V100", precision)
 
 
+@pytest.mark.parametrize("precision", ["float32", "float64"])
 @pytest.mark.parametrize("size", ["tiny", "small", "paper"])
 @pytest.mark.parametrize("name", sorted(ONE_D_CLOSED_FORMS))
-def test_one_dimensional_model_prices_its_analytic_launch(name, size):
+def test_one_dimensional_model_prices_its_analytic_launch(name, size, precision):
     scenario = get_scenario(name)
-    model = scenario.run_case(ScenarioCase(name, "v100", "float32", "model", size))
+    model = scenario.run_case(ScenarioCase(name, "v100", precision, "model", size))
     analytic = ONE_D_CLOSED_FORMS[name](
-        scenario.case_parameters(size, "v100", "float32"))
+        scenario.case_parameters(size, "v100", precision), precision)
     assert model.launch.counters.as_dict() == analytic.launch.counters.as_dict()
     assert model.launch.config == analytic.launch.config
     assert model.launch.config.total_blocks > 1
+    for result in (model, analytic):
+        _assert_one_part(result, "Tesla V100", precision)
 
 
 def test_each_model_evaluation_makes_one_model_call(monkeypatch):
@@ -229,12 +251,9 @@ def test_one_pass_chain_prices_like_the_single_convolution(architecture,
     """An unfused one-pass chain is one Section 5.2 launch, priced the same."""
     spec = ConvolutionSpec.gaussian(5)
     plan = plan_convolution(spec, architecture, precision, **overrides)
-    single = model_convolution2d(
-        analytic_launch(spec, 512, 256, architecture, precision, plan=plan), plan)
+    single = model_convolution2d(analytic_launch(512, 256, plan), plan)
     chain = model_convolution2d(
-        analytic_chain_launch(spec, 512, 256, passes=1, fused=False,
-                              architecture=architecture, precision=precision,
-                              plan=plan), plan)
+        analytic_chain_launch(512, 256, plan, passes=1, fused=False), plan)
     assert chain.milliseconds == single.milliseconds
     assert chain.launch.config == single.launch.config
     assert chain.launch.counters.as_dict() == single.launch.counters.as_dict()
@@ -246,10 +265,10 @@ def test_fused_chain_moves_dram_traffic_once():
     stage's instructions, and never a slower prediction than unfused."""
     spec = ConvolutionSpec.gaussian(5)
     plan = plan_convolution(spec)
-    single = model_convolution2d(analytic_launch(spec, 512, 256, plan=plan), plan)
+    single = model_convolution2d(analytic_launch(512, 256, plan), plan)
     unfused, fused = (
-        model_convolution2d(analytic_chain_launch(spec, 512, 256, passes=3,
-                                                  fused=fuse, plan=plan), plan)
+        model_convolution2d(analytic_chain_launch(512, 256, plan, passes=3,
+                                                  fused=fuse), plan)
         for fuse in (False, True))
     one, many = single.launch.counters, fused.launch.counters
     assert many.dram_read_bytes == one.dram_read_bytes
@@ -258,7 +277,24 @@ def test_fused_chain_moves_dram_traffic_once():
     assert unfused.launch.counters.dram_bytes == 3 * one.dram_bytes
     assert fused.milliseconds <= unfused.milliseconds
     with pytest.raises(ConfigurationError):
-        analytic_chain_launch(spec, 512, 256, passes=0)
+        analytic_chain_launch(512, 256, plan, passes=0)
+
+
+@pytest.mark.parametrize("closed_form", ["conv2d", "chain", "stencil2d"])
+def test_a_closed_form_reports_its_plans_part(closed_form):
+    """A V100 float64 plan yields a V100 float64 result, never P100/float32
+    parameters beside the plan's config."""
+    if closed_form == "stencil2d":
+        spec = get_stencil("2d9pt")
+        plan = plan_stencil(spec, "v100", "float64")
+        result = stencil2d_analytic_launch(512, 256, plan)
+    else:
+        spec = ConvolutionSpec.gaussian(5)
+        plan = plan_convolution(spec, "v100", "float64")
+        result = (analytic_launch(512, 256, plan) if closed_form == "conv2d"
+                  else analytic_chain_launch(512, 256, plan))
+    _assert_one_part(result, "Tesla V100", "float64")
+    assert result.launch.config == plan.launch_config(512, 256)
 
 
 @pytest.mark.parametrize("name", SSAM_KERNELS)

@@ -74,21 +74,20 @@ _SEQUENCE = _RNG.random(4096, dtype=np.float32)
 def _model_conv2d():
     plan = plan_convolution(ConvolutionSpec.gaussian(9))
     return model_convolution2d(
-        conv2d_ssam.analytic_launch(plan.problem, 192, 160, plan=plan), plan)
+        conv2d_ssam.analytic_launch(192, 160, plan), plan)
 
 
 def _model_stencil2d():
     plan = plan_stencil(get_stencil("2d9pt"))
     return model_stencil2d(
-        stencil2d_ssam.analytic_launch(plan.problem, 192, 160, plan=plan), plan)
+        stencil2d_ssam.analytic_launch(192, 160, plan), plan)
 
 
 def _model_stencil3d():
-    spec = get_stencil("3d7pt")
-    geometry = stencil3d_ssam.launch_geometry(spec, 64, 40, 24, TESLA_P100,
-                                              FLOAT32)
-    return model_stencil3d(stencil3d_ssam.analytic_launch(spec, 64, 40, 24),
-                           geometry, spec)
+    geometry = stencil3d_ssam.launch_geometry(get_stencil("3d7pt"), 64, 40, 24,
+                                              TESLA_P100, FLOAT32)
+    return model_stencil3d(stencil3d_ssam.analytic_launch(geometry),
+                           geometry)
 
 
 #: kernel -> (replay run, model evaluated at the same size)
@@ -107,10 +106,13 @@ CASES = {
         _model_stencil3d),
     "convolution1d": (
         lambda: ssam_convolve1d(_SEQUENCE, _TAPS, batch_size="replay"),
-        lambda: model_convolution1d(conv1d_ssam.analytic_launch(7, 4096))),
+        lambda: model_convolution1d(conv1d_ssam.analytic_launch(
+            7, 4096, TESLA_P100,
+            conv1d_ssam.launch_config(7, 4096, TESLA_P100, FLOAT32)))),
     "scan": (
         lambda: ssam_scan(_SEQUENCE, batch_size="replay"),
-        lambda: model_scan(scan_ssam.analytic_launch(4096))),
+        lambda: model_scan(scan_ssam.analytic_launch(
+            4096, TESLA_P100, scan_ssam.launch_config(4096, TESLA_P100, FLOAT32)))),
 }
 
 
