@@ -8,7 +8,9 @@ bit, output and counters.
 
 It also pins the replay engine's speed: on the flagship conv2d and
 stencil2d kernels at 2048x2048, warm replay runs at least 3x the batched
-engine's blocks/second.
+engine's blocks/second; and, structurally rather than by a timer, that a
+warm replay of the 2-D and 3-D kernels at the engine benchmark's shapes
+runs no block per lane, edge blocks included.
 """
 
 import functools
@@ -18,8 +20,9 @@ import numpy as np
 import pytest
 
 from repro.convolution.spec import ConvolutionSpec
-from repro.kernels.conv2d_ssam import ssam_convolve2d
-from repro.kernels.stencil2d_ssam import ssam_stencil2d
+from repro.kernels.conv2d_ssam import CONV2D_SSAM_KERNEL, ssam_convolve2d
+from repro.kernels.stencil2d_ssam import STENCIL2D_SSAM_KERNEL, ssam_stencil2d
+from repro.kernels.stencil3d_ssam import STENCIL3D_SSAM_KERNEL, ssam_stencil3d
 from repro.stencils.catalog import get_stencil
 from repro.workloads import random_image
 
@@ -107,3 +110,35 @@ def test_warm_replay_is_3x_batched_on_flagship_kernels(kernel, pin_image):
     assert speedup >= MIN_REPLAY_SPEEDUP, (
         f"{kernel}: warm replay is {speedup:.2f}x batched, "
         f"needs >= {MIN_REPLAY_SPEEDUP}x")
+
+
+#: the engine benchmark's sampling, and its conv2d, stencil2d and stencil3d
+#: shapes (``perfbench/inputs.py``)
+EDGE_MAX_BLOCKS = 2048
+_EDGE_KERNELS = {
+    "conv2d": (CONV2D_SSAM_KERNEL, (2048, 2048), lambda data, bs: (
+        ssam_convolve2d(data, ConvolutionSpec.gaussian(9), batch_size=bs,
+                        max_blocks=EDGE_MAX_BLOCKS, keep_output=True))),
+    "stencil2d": (STENCIL2D_SSAM_KERNEL, (2048, 2048), lambda data, bs: (
+        ssam_stencil2d(data, get_stencil("2d9pt"), batch_size=bs,
+                       max_blocks=EDGE_MAX_BLOCKS, keep_output=True))),
+    "stencil3d": (STENCIL3D_SSAM_KERNEL, (64, 256, 256), lambda data, bs: (
+        ssam_stencil3d(data, get_stencil("3d7pt"), batch_size=bs,
+                       max_blocks=EDGE_MAX_BLOCKS, keep_output=True))),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_EDGE_KERNELS))
+def test_warm_replay_runs_no_block_per_lane(kernel):
+    """Every chunk a cold and a warm replay memoize runs all its blocks in
+    row form: the edge blocks, where the replicate clamp and the output
+    mask bind, take their lane remaps instead of per-lane steps."""
+    program_kernel, shape, run = _EDGE_KERNELS[kernel]
+    data = np.random.default_rng(1).random(shape, dtype=np.float32)
+    program_kernel._trace_cache.clear()
+    run(data, "replay")
+    run(data, "replay")
+    (program,) = program_kernel._trace_cache.values()
+    chunks = program.chunk_steps[0].memo.values()
+    assert chunks and all(chunk.exact_blocks is None for chunk in chunks)
+    assert any(chunk.edges for chunk in chunks)

@@ -88,10 +88,10 @@ def resolve_plan(planner, spec, architecture: object, precision: object,
     Without a ``plan`` this is ``planner(spec, part, precision, P, B, R)``,
     the part and the precision defaulting to P100 and float32.  A given
     plan must be ``spec``'s and is the single source of the part, the
-    precision and P, B and R: the part and the precision left as ``None``
-    follow it, and an explicit one that disagrees with it raises
+    precision and P, B and R: each of them left as ``None`` follows it, and
+    an explicit one that disagrees with it raises
     :class:`ConfigurationError`, so a wrapper never runs one problem's or
-    part's launch on another problem, part or precision.
+    part's launch on another problem, part, precision or shape.
     """
     if plan is None:
         return planner(spec, "p100" if architecture is None else architecture,
@@ -106,6 +106,12 @@ def resolve_plan(planner, spec, architecture: object, precision: object,
     if precision is not None and resolve_precision(precision) != plan.precision:
         raise ConfigurationError(
             f"the plan is for {plan.precision.name}, not {precision!r}")
+    for name, value in (("outputs_per_thread", outputs_per_thread),
+                        ("block_threads", block_threads),
+                        ("block_rows", block_rows)):
+        if value is not None and value != getattr(plan, name):
+            raise ConfigurationError(
+                f"the plan has {name}={getattr(plan, name)}, not {value}")
     return plan
 
 

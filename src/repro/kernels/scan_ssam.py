@@ -20,7 +20,7 @@ from ..errors import ConfigurationError
 from ..gpu.architecture import GPUArchitecture, get_architecture, warp_sectors
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
-from ..gpu.kernel import Kernel, LaunchConfig, grid_1d
+from ..gpu.kernel import Kernel, LaunchConfig, block_schedule, grid_1d
 from ..gpu.memory import DeviceBuffer, GlobalMemory
 from ..gpu.occupancy import validate_block_threads
 from .common import KernelRunResult, analytic_result
@@ -130,7 +130,9 @@ def ssam_scan(sequence: np.ndarray, architecture: object = "p100",
         # host-side carry propagation across blocks (the "scan of block
         # sums" pass); skipped entirely when the output is discarded
         output = dst.array
-        carry_blocks(output, block_sums.array, config.block_threads)
+        ran = None if not launch.sampled else \
+            block_schedule(config.grid_dim, max_blocks)[:, 0]
+        carry_blocks(output, block_sums.array, config.block_threads, ran)
     return KernelRunResult(
         name="ssam",
         output=output,
@@ -175,16 +177,37 @@ def analytic_launch(length: int, arch: GPUArchitecture,
 
 
 def carry_blocks(scanned: np.ndarray, block_sums: np.ndarray,
-                 block_threads: int) -> None:
+                 block_threads: int, ran: Optional[np.ndarray] = None) -> None:
     """Add every block's carry, the float64 sum of the block totals before
     it, to that block's per-block scan, in place.
 
     One add over the full blocks and one for the tail: each element gets
     exactly one float64 add of its block's carry, rounded once to the
-    scan's dtype.
+    scan's dtype.  ``ran`` (ascending; None: every block) names the blocks
+    a sampled launch ran.  Only those take the add: every other block's
+    scan is +0.0, so it is filled with its carry plus +0.0 rounded once,
+    the add's result (a -0.0 carry gives +0.0).
     """
     carries = np.cumsum(block_sums, dtype=np.float64)
     full = scanned.size // block_threads
+    if ran is not None:
+        blocks = -(-scanned.size // block_threads)
+        idle = np.ones(blocks, bool)
+        idle[ran] = False
+        idle[0] = False  # the first block has no carry
+        fill = np.zeros(blocks, scanned.dtype)
+        fill[1:] = carries[:blocks - 1] + 0.0
+        body = scanned[:full * block_threads].reshape(full, block_threads)
+        body[idle[:full]] = fill[:full][idle[:full], None]
+        busy = ran[(ran > 0) & (ran < full)]
+        body[busy] += carries[busy - 1, None]
+        if blocks > full:
+            tail = scanned[full * block_threads:]
+            if idle[full]:
+                tail[...] = fill[full]
+            elif full:
+                tail += carries[full - 1:full]
+        return
     if full > 1:
         body = scanned[:full * block_threads].reshape(full, block_threads)
         body[1:] += carries[:full - 1, None]

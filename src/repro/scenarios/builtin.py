@@ -140,6 +140,13 @@ def _plan_overrides(params: Mapping[str, object]) -> Dict[str, int]:
             if key in params}
 
 
+def _launch_args(params: Mapping[str, object], plan) -> Dict[str, object]:
+    """A 2-D SSAM runner's launch arguments: the cell's plan alone, which
+    fixes P, B and R (the planner may clamp the requested values), or
+    without one the overrides its wrapper plans from."""
+    return {"plan": plan} if plan is not None else _plan_overrides(params)
+
+
 def _plan_args(params: Mapping[str, object]) -> Dict[str, object]:
     """Planner keyword arguments from a resolved parameter mapping.
 
@@ -251,8 +258,8 @@ register(Scenario(
 def _run_conv2d(spec, workload, params, architecture, precision, engine,
                 plan=None):
     return ssam_convolve2d(workload, spec, architecture, precision,
-                           batch_size=ENGINE_BATCH_SIZE[engine], plan=plan,
-                           **_plan_overrides(params))
+                           batch_size=ENGINE_BATCH_SIZE[engine],
+                           **_launch_args(params, plan))
 
 
 def _plan_convolution(spec, params, architecture, precision):
@@ -293,8 +300,8 @@ def _run_stencil2d(spec, workload, params, architecture, precision, engine,
                    plan=None):
     return ssam_stencil2d(workload, spec, params.get("iterations", 1),
                           architecture, precision,
-                          batch_size=ENGINE_BATCH_SIZE[engine], plan=plan,
-                          **_plan_overrides(params))
+                          batch_size=ENGINE_BATCH_SIZE[engine],
+                          **_launch_args(params, plan))
 
 
 def _plan_stencil(spec, params, architecture, precision):
@@ -476,7 +483,7 @@ def _run_stencil2d_masked(spec, workload, params, architecture, precision,
                                  margin=params.get("margin", 2),
                                  architecture=architecture, precision=precision,
                                  batch_size=ENGINE_BATCH_SIZE[engine],
-                                 plan=plan, **_plan_overrides(params))
+                                 **_launch_args(params, plan))
 
 
 register(Scenario(
@@ -518,7 +525,7 @@ def _run_conv2d_pipeline(spec, workload, params, architecture, precision,
                                  architecture, precision,
                                  fused=bool(params.get("fused", False)),
                                  batch_size=ENGINE_BATCH_SIZE[engine],
-                                 plan=plan, **_plan_overrides(params))
+                                 **_launch_args(params, plan))
 
 
 def _conv2d_chain_closed_form(spec, params, plan):

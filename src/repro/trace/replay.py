@@ -245,14 +245,11 @@ class ReplaySession:
                         for tail, dtype in program.pool_slots]
         self.B = 0
         self.chunk_key: Optional[tuple] = None
-        #: the chunk's row-form facts (:class:`_ChunkRows`) and, unpacked,
-        #: its accesses' rows and per-lane blocks; the per-lane values of
-        #: row nodes on those blocks; the row bases, when computed
+        #: the chunk's row-form facts (:class:`_ChunkRows`), its per-lane
+        #: blocks and the per-lane values of row nodes on them
         self.chunk_rows = None
-        self.addresses: Dict[int, tuple] = {}
         self.exact_blocks: Optional[np.ndarray] = None
         self.exact: Dict[int, object] = {}
-        self.rows: Optional[Dict[int, object]] = None
         self.windows: Dict[int, np.ndarray] = {}
         for step in program.launch_steps:
             step(self)
@@ -366,10 +363,9 @@ def _fuse_shuffles(nodes, tiers: List[int], working: np.dtype,
     return fused
 
 
-#: lanes below which a chunk runs its row-form accesses per lane: on so
-#: few lanes NumPy's per-call cost, not the lanes, sets an op's time.  A
-#: launch whose chunks never reach it compiles without the row pass
-#: (:meth:`ReplayStage._row_chunks`)
+#: lanes a launch's chunks must reach for it to compile the row pass
+#: (:meth:`ReplayStage._row_chunks`): on fewer NumPy's per-call cost, not
+#: the lanes, sets an op's time
 _ROW_MIN_LANES = 4096
 
 
@@ -686,7 +682,8 @@ def _global_chunk_access(state: _CompileState, node) -> None:
     if access is not None:
         def row_step(session, place=_row_store(state, node, access),
                      slot=node.params["slot"]):
-            scatter_global(session.buffers[slot], *place(session))
+            for args in place(session):
+                scatter_global(session.buffers[slot], *args)
         state.program.chunk_steps.append(row_step)
         return
     out_slot = None if is_store else state.pooled(node)

@@ -6,13 +6,12 @@ chunk-tier global index is usually ``base(block, warp) + lane``.
 (:class:`_RowForm`) and builds the chunk prologue (:class:`_RowProgram`)
 that evaluates the bases on a ``(B, W)`` grid of warp rows; the lowerings
 :func:`_row_load` and :func:`_row_store` then read and write whole warp
-rows.  Every block with a row off its form runs the exact per-lane steps,
-so outputs, the bounds error and counters stay those of the per-lane
-program.
-
+rows.  A row where a clamp or an ordering binds (the halo at a domain
+edge) takes a compile-time lane remap (:class:`_Guard`).  Only blocks with
+a row that leaves its buffer or that no remap covers run per lane, so
+outputs, the bounds error and counters stay the per-lane program's.
 :func:`repro.trace.replay.compile_trace` imports this module only for a
-launch whose chunks can take the row form, so a process that never replays
-a large chunk never loads it.
+launch whose chunks can take the row form.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
 
 import numpy as np
 
-from . import replay
 from .ir import B_AXIS, TIER_CHUNK, TIER_COMPILE, Trace, memory_operands
 
 if TYPE_CHECKING:
@@ -40,6 +38,8 @@ _CHUNK_MEMO_BLOCKS = 4096
 _ROW_OPS = frozenset(("input", "pure", "load_global", "store_global"))
 #: comparisons that are monotone along a stride-1 row
 _ORDERINGS = (np.less, np.less_equal, np.greater, np.greater_equal)
+_ANDS = (np.bitwise_and, np.logical_and)
+_NO_GUARDS: frozenset = frozenset()
 
 
 class _RowForm(NamedTuple):
@@ -48,20 +48,20 @@ class _RowForm(NamedTuple):
     An int64 value is ``base[b, w] + stride * lane`` (``stride`` 0 or 1);
     a bool value is ``base[b, w] & lanes[w, lane]`` (``stride`` None,
     ``lanes`` a compile-time ``(W, ws)`` mask, None for every lane).
-    The form holds on every row where none of ``guards`` binds.
+    The form holds on every row where none of ``guards`` binds; where only
+    ``remaps`` bind, an int adds its clamp's lane offsets to its base and
+    a bool ands in each ordering's lanes.
     """
 
     stride: Optional[int]
     lanes: Optional[np.ndarray]
     guards: frozenset
+    remaps: frozenset = _NO_GUARDS
 
     @property
     def uniform(self) -> bool:
         """One value on every lane of a row."""
         return self.stride == 0 or (self.stride is None and self.lanes is None)
-
-
-_NO_GUARDS: frozenset = frozenset()
 
 
 def _leaf_form(value, num_warps: int, ws: int):
@@ -85,120 +85,135 @@ def _leaf_form(value, num_warps: int, ws: int):
     return None
 
 
-def _range_guard(x: int, lo: Optional[int], hi: int):
-    """Rows where ``lo <= base(x) <= hi``: a clip, minimum or maximum of a
-    stride-1 row passes every lane through unchanged."""
-    def check(rows):
-        base = rows[x]
-        ok = base <= hi
-        return ok if lo is None else ok & (base >= lo)
-    return check
+class _Guard(NamedTuple):
+    """A clamp or an ordering of the stride-1 row ``x``.  ``key(base of
+    x)`` is 0 on a row where it does not bind and otherwise picks the row's
+    lane remap ``table[key]``: the offsets of the clamp's lanes from its
+    row base, or the lanes where the ordering holds.  An ordering's row
+    base is ``base(x)``: whether any lane holds (None for a clamp)."""
+
+    x: int
+    key: Callable
+    table: np.ndarray
+    base: Optional[Callable]
 
 
-def _ordering_guard(node_id: int, fn, x: int, c: int, x_first: bool, k: int):
-    """Rows where an ordering of a stride-1 row against a constant agrees
-    on the first and the last lane (so on every lane) and no lane wraps."""
-    def check(rows):
-        base = rows[x]
-        last = fn(base, c - k) if x_first else fn(c - k, base)
-        return (rows[node_id] == last) & (base <= _INT64_MAX - k)
-    return check
+def _clamp_guard(x: int, lo: Optional[int], hi: Optional[int], ws: int):
+    """A clip, minimum or maximum of ``x`` to ``[lo, hi]`` (None: open).
+    Its lane offsets depend only on how far the first lane lies below
+    ``lo`` (``a``) or the last above ``hi`` (``h``), each clipped to
+    ``[0, ws - 1]``; ``a`` fixes ``h`` when both bind (a domain narrower
+    than a row), so keys ``1..k`` are ``a`` and ``k + 1..2k`` are ``h``."""
+    k = ws - 1
+    if (None not in (lo, hi) and lo > hi) or \
+            min(b for b in (lo, hi) if b is not None) - k < _INT64_MIN:
+        return None
+    span = k if None in (lo, hi) else hi - lo
+    pairs = [(0, k)] + [(a, min(a + span, k)) for a in range(1, ws)] + [
+        (0, k - h) for h in range(1, ws)]
+    lane = np.arange(ws)
+    table = np.array([np.clip(lane, a, b) - a for a, b in pairs], np.int8)
+
+    def key(x):
+        a = 0 if lo is None else lo - _clip_ints(x, lo - k, lo)
+        h = 0 if hi is None else _clip_ints(x, hi - k, hi) - (hi - k)
+        return np.where(a > 0, a, h + k * (h > 0))
+    return _Guard(x, key, table, None)
+
+
+def _ordering_guard(x: int, fn, c: int, x_first: bool, ws: int):
+    """An ordering of ``x`` against ``c``: with ``c`` normalised, ``x +
+    lane < c`` (true on the low lanes) or ``x + lane >= c``, so it holds on
+    the lanes below or from ``t = clip(c - x, 0, ws)``, and binds where
+    ``0 < t < ws``."""
+    low = (fn in (np.less, np.less_equal)) == x_first
+    c += (fn in (np.less_equal, np.greater)) == x_first
+    if not _INT64_MIN + ws <= c <= _INT64_MAX:
+        return None
+    lane = np.arange(ws)
+    table = lane < lane[:, None] if low else lane >= lane[:, None]
+    table[0] = True
+    return _Guard(x, lambda x: (c - _clip_ints(x, c - ws, c)) % ws, table,
+                  lambda x: x < c if low else x > c - ws)
 
 
 def _pure_form(node, ins: List[_RowForm], const_of: Callable, ws: int):
-    """``(form, guard check or None)`` of a chunk-tier int64/bool ``pure``
-    node over row-form operands, or None when it has none.
+    """``(form, guard or None)`` of a chunk-tier int64/bool ``pure`` node
+    over row-form operands, or None when it has none.
 
-    Its row base is always ``node.fn`` of the operands' bases.  Any op of
-    lane-uniform operands is uniform.  A stride-1 operand passes through
-    an add or subtract of a uniform one, and through a clip, minimum or
-    maximum against constants on the rows where that does not bind (a
-    *guard*); an ordering against a constant is uniform on the rows where
-    the first and last lane agree (a guard too).  An ``and`` of masks
-    ands their lane masks.
+    Its row base is ``node.fn`` of the operands' bases.  Any op of
+    lane-uniform operands is uniform, an ``and`` keeping their remaps.  A
+    stride-1 operand passes through an add or subtract of a uniform one,
+    and through a clip, minimum or maximum against constants (a *guard*,
+    remapped where it binds unless the operand has guards of its own); an
+    ordering against a constant is uniform where it does not bind (a guard
+    too).  An ``and`` of masks ands their lane masks.
     """
     fn = node.fn
-    guards = ins[0].guards
-    uniform = ins[0].uniform
-    for f in ins[1:]:
-        if f.guards:
-            guards = guards | f.guards
-        uniform = uniform and f.uniform
+    guards = _NO_GUARDS.union(*(f.guards for f in ins))
+    ands = _NO_GUARDS.union(*(f.remaps for f in ins) if fn in _ANDS else ())
     is_int = node.dtype == _INT64
-    if uniform:
-        return _RowForm(0 if is_int else None, None, guards), None
+    if all(f.uniform for f in ins):
+        return _RowForm(0 if is_int else None, None, guards, ands), None
     if node.kwargs:
         return None
     strides = [f.stride for f in ins]
     consts = [const_of(i) for i in node.inputs]
-    k = ws - 1
+    one = strides.index(1) if 1 in strides else None
     if is_int and strides.count(1) == 1 and strides.count(0) == len(ins) - 1:
-        x = node.inputs[strides.index(1)]
-        row = _RowForm(1, None, guards | {node.id})
-        if fn is np.add or (fn is np.subtract and strides[0] == 1) \
+        if fn is np.add or (fn is np.subtract and one == 0) \
                 or fn is np.positive:
-            return _RowForm(1, None, guards), None
+            return _RowForm(1, None, guards, ins[one].remaps), None
+        other = consts[1 - one] if len(ins) == 2 else None
         if fn is np.clip and None not in consts[1:]:
-            lo, hi = consts[1], consts[2] - k
-            return (row, _range_guard(x, lo, hi)) if lo <= hi else None
-        other = consts[1 - strides.index(1)] if len(ins) == 2 else None
-        if other is not None and fn is np.minimum \
-                and other - k >= _INT64_MIN:
-            return row, _range_guard(x, None, other - k)
-        if other is not None and fn is np.maximum:
-            return row, _range_guard(x, other, _INT64_MAX - k)
-        return None
-    if is_int:
-        return None
-    if fn in _ORDERINGS and strides in ([1, 0], [0, 1]):
-        first = strides[0] == 1
-        c = consts[1 if first else 0]
-        if c is None:
+            guard = _clamp_guard(node.inputs[0], consts[1], consts[2], ws)
+        elif other is not None and fn in (np.minimum, np.maximum):
+            bounds = (None, other) if fn is np.minimum else (other, None)
+            guard = _clamp_guard(node.inputs[one], *bounds, ws)
+        else:
             return None
-        return (_RowForm(None, None, guards | {node.id}),
-                _ordering_guard(node.id, fn, node.inputs[0 if first else 1],
-                                c, first, k))
-    if fn in (np.bitwise_and, np.logical_and) and strides == [None, None]:
+    elif fn in _ORDERINGS and strides in ([1, 0], [0, 1]) \
+            and consts[1 - one] is not None:
+        guard = _ordering_guard(node.inputs[one], fn, consts[1 - one],
+                                one == 0, ws)
+    elif fn in _ANDS and strides == [None, None]:
         lanes = [f.lanes for f in ins if f.lanes is not None]
         mask = lanes[0] if len(lanes) == 1 else lanes[0] & lanes[1]
-        return _RowForm(None, mask, guards), None
-    return None
+        return _RowForm(None, mask, guards, ands), None
+    else:
+        return None
+    if guard is None:
+        return None
+    remaps = _NO_GUARDS if ins[one].guards else frozenset((node.id,))
+    return _RowForm(1 if is_int else None, None, guards | {node.id},
+                    remaps), guard
 
 
 class _RowAccess(NamedTuple):
-    """A chunk-tier global access whose index (and mask) took the row form."""
+    """A chunk-tier global access whose index (and mask) took the row form:
+    the mask's compile-time lanes (None: all), the guards whose binding
+    rows run per lane, the guard whose remap offsets the index's lanes and
+    those whose remaps cut the mask's, the lanes ``[start, stop)`` a row in
+    form touches (a store's the same in every warp, one at stride 0) and
+    the buffer's size."""
 
     index: int
     mask: Optional[int]
     stride: int
-    #: the mask's compile-time lane mask (None: every lane)
     lanes: Optional[np.ndarray]
     guards: frozenset
-    #: bounds on a row's base for the row to lie inside the buffer
-    lo: int
-    hi: int
-    #: a stride-1 store's lanes ``[start, stop)``, the same in every warp
+    clamp: Optional[int]
+    cuts: Tuple[int, ...]
     run: Tuple[int, int]
-
-
-def _lane_run(lanes: Optional[np.ndarray], ws: int):
-    """``(start, stop)`` of the one run of lanes every warp stores, or None
-    when warps differ or a warp's lanes are not contiguous."""
-    if lanes is None:
-        return 0, ws
-    on = np.flatnonzero(lanes[0])
-    if (not on.size or on[-1] - on[0] + 1 != on.size
-            or not (lanes == lanes[0]).all()):
-        return None
-    return int(on[0]), int(on[-1]) + 1
+    size: int
+    store: bool
 
 
 def _row_access(node, index: Optional[_RowForm], mask: Optional[_RowForm],
                 size: int, threads: int, ws: int) -> Optional[_RowAccess]:
     """The row form of one chunk-tier global access, or None: its index is
     a stride-0/1 int and its mask (if any) a bool with a row form; a
-    stride-1 store stores one run of lanes in every warp and a buffer
-    holds at least one row."""
+    stride-1 store stores one run of lanes in every warp."""
     i_idx, _, i_mask = memory_operands(node)
     store = node.op == "store_global"
     if index is None or index.stride is None or (
@@ -206,17 +221,20 @@ def _row_access(node, index: Optional[_RowForm], mask: Optional[_RowForm],
         return None
     if not store and tuple(node.shape) != (B_AXIS, threads):
         return None
-    lanes = None if mask is None else mask.lanes
-    guards = index.guards | (mask.guards if mask is not None else _NO_GUARDS)
-    lo, hi, run = 0, size - 1, (0, 1)
-    if index.stride == 1:
-        run = _lane_run(lanes, ws) if store else (0, ws)
-        if run is None:
+    mask = mask or _RowForm(None, None, _NO_GUARDS)
+    run = (0, 1) if not index.stride else (0, ws)
+    if index.stride and store and mask.lanes is not None:
+        on = np.flatnonzero(mask.lanes[0])
+        if (not on.size or on[-1] - on[0] + 1 != on.size
+                or not (mask.lanes == mask.lanes[0]).all()):
             return None
-        lo, hi = -run[0], size - run[1]
-        if hi < lo:
-            return None
-    return _RowAccess(i_idx, i_mask, index.stride, lanes, guards, lo, hi, run)
+        run = int(on[0]), int(on[-1]) + 1
+    if run[1] - run[0] > size:
+        return None
+    plain = (index.guards - index.remaps) | (mask.guards - mask.remaps)
+    return _RowAccess(i_idx, i_mask, index.stride, mask.lanes, plain,
+                      next(iter(index.remaps - plain), None),
+                      tuple(sorted(mask.remaps - plain)), run, size, store)
 
 
 def _row_forms(trace: Trace, tiers: List[int]) -> Optional["_RowProgram"]:
@@ -234,7 +252,7 @@ def _row_forms(trace: Trace, tiers: List[int]) -> Optional["_RowProgram"]:
     W, ws, T = trace.num_warps, trace.warp_size, trace.block_threads
     forms: Dict[int, Optional[_RowForm]] = {}
     bases: Dict[int, object] = {}
-    checks: Dict[int, Callable] = {}
+    guards: Dict[int, _Guard] = {}
 
     def form_of(i: int) -> Optional[_RowForm]:
         if i not in forms:
@@ -269,9 +287,9 @@ def _row_forms(trace: Trace, tiers: List[int]) -> Optional["_RowProgram"]:
                 continue
             found = _pure_form(node, ins, const_of, ws)
             if found is not None:
-                forms[node.id], check = found
-                if check is not None:
-                    checks[node.id] = check
+                forms[node.id], guard = found
+                if guard is not None:
+                    guards[node.id] = guard
         else:
             i_idx, _, i_mask = memory_operands(node)
             access = _row_access(
@@ -307,39 +325,39 @@ def _row_forms(trace: Trace, tiers: List[int]) -> Optional["_RowProgram"]:
                 for c in users[i]):
             removable.add(i)
     return _RowProgram(
-        W, ws, {i: (bases[i], _lane_grid(nodes[i].value, W, ws))
-                for i in leaves},
+        W, ws, {i: bases[i] for i in leaves},
+        {i: np.reshape(nodes[i].value, (W, ws) if np.ndim(nodes[i].value)
+                       else ()) for i in leaves},
         [(i, nodes[i].fn, nodes[i].inputs, nodes[i].kwargs)
          for i in sorted(ops) if nodes[i].op == "pure"],
-        [(g, checks[g]) for g in sorted(ops) if g in checks],
+        {g: guards[g] for g in ops if g in guards},
         accesses, frozenset(removable),
-        [i for i in sorted(ops) if nodes[i].op == "input"],
-        {i: forms[i] for i in ops if not forms[i].guards})
+        [i for i in sorted(ops) if nodes[i].op == "input"])
 
 
-def _lane_grid(value, num_warps: int, ws: int):
-    """A compile-time value on the ``(W, ws)`` lane grid (scalars as is)."""
-    return value if np.ndim(value) == 0 else \
-        np.asarray(value).reshape(num_warps, ws)
+class _Edge(NamedTuple):
+    """One access's remapped rows in a chunk: flat positions on the ``(B,
+    W)`` grid, index bases, lane offsets (``(n, ws)`` or one row for all),
+    the lanes that read or write (None: all) and, for a store whose rows
+    never overlap, the rows written whole (None: all go lane by lane)."""
+
+    pos: np.ndarray
+    base: np.ndarray
+    offsets: np.ndarray
+    lanes: Optional[np.ndarray]
+    keep: Optional[np.ndarray]
 
 
-class _ChunkRows:
-    """What the row prologue finds for one chunk of blocks.  All of it is
-    data-free, a function of the chunk's blocks alone, so a later launch's
-    chunk of the same blocks (the same grid, sampling and place in the
-    schedule) reuses it."""
+class _ChunkRows(NamedTuple):
+    """What the row prologue finds for a chunk: per access ``(row bases, 0
+    off the form; active rows or None; rows not per lane, None for all)``
+    and remapped rows, and the blocks that run per lane (None: none).  It
+    is data-free, so a later launch's chunk of the same blocks (the same
+    grid, sampling and place in the schedule) reuses it."""
 
-    __slots__ = ("addresses", "exact_blocks", "bases")
-
-    def __init__(self, addresses: Dict[int, tuple],
-                 exact_blocks: Optional[np.ndarray]) -> None:
-        #: access id -> (row bases, active rows or None, rows holding the
-        #: form inside the buffer or None for all)
-        self.addresses = addresses
-        #: positions of the blocks that take per-lane steps (None: none)
-        self.exact_blocks = exact_blocks
-        #: guard-free row node -> its row bases on those blocks
-        self.bases: Dict[int, np.ndarray] = {}
+    addresses: Dict[int, tuple]
+    edges: Dict[int, _Edge]
+    exact_blocks: Optional[np.ndarray]
 
 
 def _clip_ints(a, lo, hi):
@@ -353,68 +371,39 @@ class _RowProgram:
 
     On a ``(B, W)`` grid of warp rows it evaluates the base of every
     row-form index and mask (the node's own op on its operands' bases) and
-    the rows where each guard holds; then, for all accesses at once on an
-    ``(A, B, W)`` stack, the rows that hold their form and lie inside the
-    buffer or store nothing.  The blocks with any other row take per-lane
-    steps, which read :meth:`exact` values: the same ops on just those
-    blocks, on an ``(n, W, ws)`` lane grid where a row base broadcasts.
+    each guard's key; then, per access, the rows in form inside the
+    buffer, the remapped rows (:class:`_Edge`) and those run per lane.
     """
 
     def __init__(self, num_warps: int, ws: int, leaves: Dict[int, object],
-                 ops: List[tuple], checks: List[Tuple[int, Callable]],
-                 accesses: Dict[int, _RowAccess], removable: frozenset,
-                 inputs: List[int], free: Dict[int, _RowForm]) -> None:
+                 lane_leaves: Dict[int, object], ops: List[tuple],
+                 guards: Dict[int, _Guard], accesses: Dict[int, _RowAccess],
+                 removable: frozenset, inputs: List[int]) -> None:
         self.num_warps = num_warps
         #: compile-time leaf -> its row base, and its value on the lane grid
-        self.leaves = {i: base for i, (base, _) in leaves.items()}
-        self.lane_leaves = {i: grid for i, (_, grid) in leaves.items()}
+        self.leaves, self.lane_leaves = leaves, lane_leaves
+        ops = [(nid, partial(fn, **kwargs) if kwargs else
+                _clip_ints if fn is np.clip else fn, ids)
+               for nid, fn, ids, kwargs in ops]
+        #: per-lane rule of each row node: its op and operands
+        self.rules = {nid: (fn, ids) for nid, fn, ids in ops}
         #: (node id, fn, operand ids) of the row nodes, trace order, their
-        #: keyword arguments bound
-        self.ops = [(nid, partial(fn, **kwargs) if kwargs else
-                     _clip_ints if fn is np.clip else fn, ids)
-                    for nid, fn, ids, kwargs in ops]
-        self.checks = checks
-        self.accesses = accesses
-        #: row nodes with no per-lane step
-        self.removable = removable
-        #: the block-index inputs the row nodes read
-        self.inputs = inputs
-        #: per-lane rule of each row node: its op, or the form of a node no
-        #: guard reaches, whose per-lane values its row bases give
-        self.rules: Dict[int, object] = {
-            nid: (fn, ids) for nid, fn, ids in self.ops}
-        self.rules.update(free)
+        #: keyword arguments bound and an ordering guard's its row base
+        self.ops = [(nid, guards[nid].base, (guards[nid].x,))
+                    if nid in guards and guards[nid].base else (nid, fn, ids)
+                    for nid, fn, ids in ops]
+        self.guards, self.accesses = guards, accesses
+        #: row nodes with no per-lane step, and the block inputs rows read
+        self.removable, self.inputs = removable, inputs
         self.lane = np.arange(ws, dtype=np.int64)
         #: chunk key -> its :class:`_ChunkRows` (a function of its blocks),
         #: and the blocks they cover
         self.memo: Dict[tuple, _ChunkRows] = {}
         self.memo_blocks = 0
-        sets = sorted({a.guards for a in accesses.values() if a.guards},
-                      key=sorted)
-        #: access ids in stack order, grouped by guard set
-        self.order = sorted(accesses, key=lambda n: (
-            sets.index(accesses[n].guards) if accesses[n].guards else -1, n))
-        self.indices = [accesses[n].index for n in self.order]
-        self.masks = [(a, accesses[n].mask) for a, n in enumerate(self.order)
-                      if accesses[n].mask is not None]
-        #: (first, stop, guard ids) of each run of accesses sharing guards
-        self.groups = []
-        for guards in sets:
-            at = [a for a, n in enumerate(self.order)
-                  if accesses[n].guards == guards]
-            self.groups.append((at[0], at[-1] + 1, tuple(sorted(guards))))
-        lo = [accesses[n].lo for n in self.order]
-        hi = [accesses[n].hi for n in self.order]
-        # lo <= 0, so base - lo wraps only for bases far above hi, which
-        # the unsigned compare rejects too: it is the whole range check
-        self.lo = np.array(lo, np.int64).reshape(-1, 1, 1)
-        self.span = np.array([h - low for h, low in zip(hi, lo)],
-                             np.uint64).reshape(-1, 1, 1)
 
     def __call__(self, session: "ReplaySession") -> None:
         key = session.chunk_key
         chunk = None if key is None else self.memo.get(key)
-        session.rows = None
         if chunk is None:
             chunk = self._find(session)
             if key is not None:
@@ -424,109 +413,112 @@ class _RowProgram:
                     self.memo_blocks = session.B
                 self.memo[key] = chunk
         session.chunk_rows = chunk
-        session.addresses = chunk.addresses
         session.exact_blocks = chunk.exact_blocks
         session.exact = {}
 
-    def _rows(self, session: "ReplaySession") -> Dict[int, object]:
-        """The row base of every row node on the chunk's ``(B, W)`` grid."""
-        if session.rows is None:
-            env = session.env
-            rows = dict(self.leaves)
-            for nid in self.inputs:
-                rows[nid] = env[nid]
-            for nid, fn, ids in self.ops:
-                if len(ids) == 2:
-                    rows[nid] = fn(rows[ids[0]], rows[ids[1]])
-                else:
-                    rows[nid] = fn(*[rows[i] for i in ids])
-            session.rows = rows
-        return session.rows
-
     def _find(self, session: "ReplaySession") -> "_ChunkRows":
-        """The row bases and rows off their form of every access.  A chunk
-        of fewer than :data:`~repro.trace.replay._ROW_MIN_LANES` lanes
-        runs every block per lane: its per-lane ops cost what the row ops
-        would."""
-        B, W = session.B, self.num_warps
-        if B * W * self.lane.shape[0] < replay._ROW_MIN_LANES:
-            return _ChunkRows(dict.fromkeys(self.order, (None, None, True)),
-                              np.arange(B))
-        rows = self._rows(session)
-        bases = np.empty((len(self.indices), B, W), np.int64)
-        for a, index in enumerate(self.indices):
-            bases[a] = rows[index]
-        fits = np.subtract(bases, self.lo).view(np.uint64) <= self.span
-        actives = {}
-        for a, mask in self.masks:
-            active = rows[mask]
-            if np.ndim(active) or not active:
-                actives[a] = active
-                fits[a] |= ~active
-        if self.groups:
-            ok = {gid: check(rows) for gid, check in self.checks}
-            for first, stop, gids in self.groups:
-                held = ok[gids[0]]
-                for g in gids[1:]:
-                    held = held & ok[g]
-                fits[first:stop] &= held
-        whole = np.logical_and.reduce(fits.reshape(fits.shape[0], -1), axis=1)
-        addresses = {nid: (bases[a], actives.get(a),
-                           None if whole[a] else fits[a])
-                     for a, nid in enumerate(self.order)}
-        if whole.all():
-            return _ChunkRows(addresses, None)
-        held = np.logical_and.reduce(fits[~whole], axis=0)
-        return _ChunkRows(addresses, np.flatnonzero(~held.all(axis=1)))
+        """Each access's row bases, remapped rows and rows per lane."""
+        shape = (session.B, self.num_warps)
+        rows = dict(self.leaves)
+        rows.update((nid, session.env[nid]) for nid in self.inputs)
+        for nid, fn, ids in self.ops:
+            rows[nid] = fn(*[rows[i] for i in ids])
+        # a row whose lanes would wrap past int64 keys -1: no remap
+        wrap = _INT64_MAX - self.lane[-1]
+        keys = {g: np.broadcast_to(np.where(rows[guard.x] > wrap, -1,
+                                            guard.key(rows[guard.x])), shape)
+                for g, guard in self.guards.items()}
+        addresses, edges, exact = {}, {}, np.zeros(shape, bool)
+        for nid, access in self.accesses.items():
+            base = np.broadcast_to(rows[access.index], shape)
+            active = rows.get(access.mask, True)
+            live = np.broadcast_to(active, shape)
+            active = None if np.ndim(active) == 0 and active else active
+            bind, remap = np.zeros(shape, bool), np.zeros(shape, bool)
+            for g in access.guards:
+                bind |= keys[g] != 0
+            for g in access.cuts + (() if access.clamp is None
+                                    else (access.clamp,)):
+                bind |= keys[g] < 0
+                remap |= keys[g] > 0
+            remap &= live & ~bind
+            # a base far outside wraps to a large unsigned value, so this is
+            # the whole range check of the lanes a row in form touches
+            start, stop = access.run
+            form = live & ~bind & ~remap & (np.add(base, start).view(
+                np.uint64) <= access.size - stop + start)
+            off = bind | (live & ~form & ~remap)
+            if remap.any():
+                edges[nid], outside = self._edge(access, base, remap, form,
+                                                 keys)
+                off |= outside
+            exact |= off
+            addresses[nid] = (base if form.all() else np.where(form, base, 0),
+                              active, ~off if off.any() else None)
+        blocks = np.flatnonzero(exact.any(axis=1))
+        return _ChunkRows(addresses, edges, blocks if blocks.size else None)
+
+    def _edge(self, access: _RowAccess, base, remap, form, keys):
+        """``(edge, rows it leaves)``: the remapped rows of one access, and
+        those whose reading or writing lanes leave the buffer, which run
+        per lane too.  A row's indices never fall along it, so its first
+        and last such lane bound them."""
+        W, ws = self.num_warps, self.lane.shape[0]
+        pos, bases = np.flatnonzero(remap), base[remap]
+        offsets = self.lane * access.stride if access.clamp is None else \
+            self.guards[access.clamp].table[keys[access.clamp][remap]]
+        lanes = None
+        if access.mask is not None:
+            lanes = np.ones((pos.size, ws), bool) if access.lanes is None \
+                else access.lanes[pos % W]
+            for g in access.cuts:
+                lanes = lanes & self.guards[g].table[keys[g][remap]]
+        index = bases[:, None] + offsets
+        on = np.ones(index.shape, bool) if lanes is None else lanes
+        used, at = on.any(axis=1), np.arange(pos.size)
+        first = index[at, on.argmax(axis=1)]
+        last = index[at, ws - 1 - on[:, ::-1].argmax(axis=1)]
+        outside = np.zeros(remap.shape, bool)
+        outside.reshape(-1)[pos[used & ((first < 0) | (last >= access.size))]
+                            ] = True
+        keep = None
+        if access.store:
+            keep = form if access.lanes is None else \
+                form & access.lanes.any(axis=1)
+            start, stop = access.run
+            firsts = np.concatenate((base[keep] + start, first[used]))
+            lasts = np.concatenate((base[keep] + stop - 1, last[used]))
+            order = np.argsort(firsts, kind="stable")
+            if not (firsts[order[1:]] > lasts[order[:-1]]).all():
+                keep = None
+        return _Edge(pos, bases, offsets, lanes, keep), outside
 
     def exact(self, session: "ReplaySession", nid: int):
-        """Per-lane value of a row node (or leaf) on the chunk's per-lane
-        blocks, computed once per chunk."""
+        """A row node's per-lane value on the chunk's per-lane blocks."""
         exact = session.exact
-        if nid in exact:
-            return exact[nid]
-        rule = self.rules.get(nid)
-        if rule is None:
-            value = self.lane_leaves[nid]
-        elif type(rule) is _RowForm:
-            # no guard reaches it: its form holds on every row
-            chunk = session.chunk_rows
-            value = chunk.bases.get(nid)
-            if value is None:
-                value = self._rows(session)[nid][chunk.exact_blocks]
-                chunk.bases[nid] = value
-            value = value[..., None]
-            if rule.stride == 1:
-                value = value + self.lane
-            elif rule.lanes is not None:
-                value = value & rule.lanes
-        else:
-            fn, ids = rule
-            value = fn(*[self.exact(session, i) for i in ids])
-        exact[nid] = value
-        return value
+        if nid not in exact:
+            if nid in self.rules:
+                fn, ids = self.rules[nid]
+                exact[nid] = fn(*[self.exact(session, i) for i in ids])
+            elif nid in self.lane_leaves:
+                exact[nid] = self.lane_leaves[nid]
+            else:  # a block index, one value per block
+                exact[nid] = session.env[nid][session.exact_blocks][..., None]
+        return exact[nid]
 
-
-def _exact_values(rows: _RowProgram, session: ReplaySession, index: int,
-                  mask: Optional[int]):
-    """Per-lane ``(index, mask)`` of the chunk's per-lane blocks, on the
-    ``(n, W, ws)`` lane grid."""
-    shape = (session.exact_blocks.shape[0], rows.num_warps,
-             rows.lane.shape[0])
-    values = []
-    for i in (index, mask):
-        value = None if i is None else rows.exact(session, i)
-        if value is not None and np.shape(value) != shape:
-            value = np.broadcast_to(value, shape)
-        values.append(value)
-    return values
+    def exact_values(self, session: "ReplaySession", *ids):
+        """:meth:`exact` of each id (None for None), broadcast."""
+        shape = (session.exact_blocks.shape[0], self.num_warps,
+                 self.lane.shape[0])
+        return [None if i is None else
+                np.broadcast_to(self.exact(session, i), shape) for i in ids]
 
 
 def _row_load(state: _CompileState, node, access: _RowAccess) -> None:
     """A row-form load into the pooled register: one strided-view row per
     warp row (stride 1) or one element broadcast along it (stride 0),
-    masked rows and lanes zeroed; blocks with a row off its form or its
-    buffer then take the per-lane gather."""
+    masked rows and lanes zeroed; the remapped rows then gather their
+    lanes, and the blocks that run per lane their per-lane values."""
     T, ws = state.T, state.ws
     W = T // ws
     idle = None if access.lanes is None else ~access.lanes
@@ -538,45 +530,45 @@ def _row_load(state: _CompileState, node, access: _RowAccess) -> None:
         buffer = session.buffers[slot]
         out = session.s(out_slot)
         rows = out.reshape(B, W, ws)
-        base, active, fits = session.addresses[nid]
-        exact = session.exact_blocks
-        if fits is None or exact.shape[0] < B:
-            use = active if fits is None else (
-                fits if active is None else fits & active)
-            take = base if use is None else np.where(use, base, 0)
-            if stride:
-                rows[...] = session.window(slot, ws)[take]
-            else:
-                rows[...] = buffer.flat[take][..., None]
-            if active is not None and not active.all():
-                np.copyto(rows, 0, where=~active[..., None])
-            if idle is not None:
-                np.copyto(rows, 0, where=idle)
+        base, active, fits = session.chunk_rows.addresses[nid]
+        if stride:
+            rows[...] = session.window(slot, ws)[base]
+        else:
+            rows[...] = buffer.flat[base][..., None]
+        if active is not None and not active.all():
+            np.copyto(rows, 0, where=~active[..., None])
+        if idle is not None:
+            np.copyto(rows, 0, where=idle)
+        edge = session.chunk_rows.edges.get(nid)
+        if edge is not None:
+            # a masked lane may index outside the buffer: clip, then zero it
+            values = np.take(buffer.flat, edge.base[:, None] + edge.offsets,
+                             mode="clip")
+            if edge.lanes is not None:
+                values = np.where(edge.lanes, values, 0)
+            rows.reshape(B * W, ws)[edge.pos] = values
         if fits is not None:
-            idx, lanes = _exact_values(rows_program, session, index, mask)
+            idx, lanes = rows_program.exact_values(session, index, mask)
             if lanes is None:
                 values = buffer.flat[idx]
             else:
                 values = np.zeros(idx.shape, dtype=buffer.dtype)
                 values[lanes] = buffer.flat[idx[lanes]]
-            if exact.shape[0] == B:
-                np.copyto(rows, values, casting="unsafe")
-            else:
-                rows[exact] = values
+            rows[session.exact_blocks] = values
         session.env[nid] = out
     state.program.chunk_steps.append(step)
 
 
 def _row_store(state: _CompileState, node, access: _RowAccess) -> Callable:
-    """``place(session)``: the arguments of the one
+    """``place(session)``: the arguments of each
     :func:`~repro.gpu.memory.scatter_global` call of a row-form store.
 
-    When every row holds its form inside the buffer, a stride-1 store
-    writes its warps' lane run as rows, and a stride-0 one each warp's
-    last storing lane (the lane the per-lane scatter lets win).  Otherwise
-    the chunk's whole per-lane index and mask are scattered, in lane
-    order: the per-lane blocks' exact values, the other rows rebuilt from
-    their bases.
+    A stride-1 store writes its warps' lane run as rows, and a stride-0
+    one each warp's last storing lane (the lane the per-lane scatter lets
+    win); then, when no two rows' destinations overlap, the remapped rows
+    scatter their lanes.  Otherwise the chunk's whole per-lane index and
+    mask are scattered in lane order: the rows rebuilt from their bases,
+    the remapped rows' lanes, the per-lane blocks' exact values.
     """
     T, ws = state.T, state.ws
     W = T // ws
@@ -592,31 +584,41 @@ def _row_store(state: _CompileState, node, access: _RowAccess) -> Callable:
               mask=access.mask, rows_program=state.rows):
         B = session.B
         values = session.env[i_val]
-        base, active, fits = session.addresses[nid]
+        base, active, fits = session.chunk_rows.addresses[nid]
+        edge = session.chunk_rows.edges.get(nid)
         if active is not None and active.shape != (B, W):
             active = np.broadcast_to(active, (B, W))
         if np.shape(values) != (B, T):
             values = np.broadcast_to(values, (B, T))
         rows = values.reshape(B, W, ws)
-        if fits is None and stride:
-            return (base + start if start else base,
-                    rows[:, :, start:stop], active, stop - start)
-        if fits is None:
-            return (base[:, warps], rows[:, warps, last],
-                    None if active is None else active[:, warps], None)
-        idx, lane_mask = _exact_values(rows_program, session, index, mask)
-        exact = session.exact_blocks
-        if exact.shape[0] == B:
-            return idx, rows, lane_mask, None
+        if fits is None and (edge is None or edge.keep is not None):
+            keep = active if edge is None else edge.keep
+            edges = [] if edge is None else [
+                (edge.base[:, None] + edge.offsets,
+                 rows.reshape(B * W, ws)[edge.pos], edge.lanes, None)]
+            if stride:
+                return [(base + start if start else base,
+                         rows[:, :, start:stop], keep, stop - start)] + edges
+            return [(base[:, warps], rows[:, warps, last],
+                     None if keep is None else keep[:, warps], None)] + edges
         full = session.s(idx_slot).reshape(B, W, ws)
         np.add(base[..., None], offsets * stride, out=full)
-        full[exact] = idx
         full_mask = None
         if mask is not None:
             full_mask = session.s(mask_slot).reshape(B, W, ws)
             full_mask[...] = lanes
             if active is not None:
                 full_mask &= active[..., None]
-            full_mask[exact] = lane_mask
-        return full, rows, full_mask, None
+        if edge is not None:
+            full.reshape(B * W, ws)[edge.pos] = edge.base[:, None] + \
+                edge.offsets
+            if mask is not None:
+                full_mask.reshape(B * W, ws)[edge.pos] = edge.lanes
+        if fits is not None:
+            exact = session.exact_blocks
+            full[exact], lane_mask = rows_program.exact_values(session, index,
+                                                               mask)
+            if mask is not None:
+                full_mask[exact] = lane_mask
+        return [(full, rows, full_mask, None)]
     return place

@@ -34,7 +34,8 @@ from repro.baselines.stencil2d import (
 from repro.baselines.stencil3d import original_stencil3d
 from repro.convolution.spec import ConvolutionSpec
 from repro.errors import SimulationError
-from repro.gpu.kernel import REPLAY_CACHE_BYTES, Kernel, LaunchConfig
+from repro.gpu.kernel import (REPLAY_CACHE_BYTES, Kernel, LaunchConfig,
+                              block_schedule)
 from repro.gpu.memory import GlobalMemory
 from repro.kernels import scan_ssam
 from repro.kernels.conv1d_ssam import ssam_convolve1d
@@ -350,6 +351,30 @@ def test_carry_blocks_is_bit_identical_to_the_block_loop(length, precision):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("length, max_blocks", [
+    (7 * T + 45, 3), (7 * T + 45, 4), (100003, 64), (T + 1, 1), (2 * T, 1)])
+def test_sampled_carry_fills_the_idle_blocks_bit_for_bit(length, max_blocks,
+                                                          precision):
+    """A sampled launch's carry adds only on the blocks it ran and fills
+    the others, whose scan is +0.0: the bits are those of the block loop,
+    also where a carry is -0.0 (the add turns it into +0.0)."""
+    rng = np.random.default_rng(length + max_blocks)
+    blocks = -(-length // T)
+    ran = block_schedule((blocks, 1, 1), max_blocks)[:, 0]
+    partial = np.zeros(length, precision)
+    block_sums = np.zeros(blocks, precision)
+    for block in ran:
+        stop = min(length, (block + 1) * T)
+        partial[block * T:stop] = rng.standard_normal(stop - block * T)
+        block_sums[block] = rng.standard_normal() * 1e3
+    block_sums[:2] = -0.0  # the first carries are -0.0
+    got = partial.copy()
+    carry_blocks(got, block_sums, T, ran)
+    want = _carry_loop(partial, block_sums, T).astype(precision)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("engine", ["auto", "replay"])
 @pytest.mark.parametrize("precision", ["float32", "float64"])
 @pytest.mark.parametrize("length", LENGTHS)
@@ -381,9 +406,9 @@ def _spy_carry(monkeypatch):
     calls = []
     real = scan_ssam.carry_blocks
 
-    def spy(scanned, block_sums, block_threads):
+    def spy(scanned, block_sums, block_threads, ran=None):
         calls.append((scanned.copy(), block_sums.copy()))
-        real(scanned, block_sums, block_threads)
+        real(scanned, block_sums, block_threads, ran)
 
     monkeypatch.setattr(scan_ssam, "carry_blocks", spy)
     return calls

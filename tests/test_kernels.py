@@ -106,6 +106,26 @@ def test_a_wrapper_runs_its_plans_part_and_precision(wrapper):
             run(image, plan, **part)
 
 
+@pytest.mark.parametrize("wrapper", sorted(PLANNED_WRAPPERS))
+def test_a_wrapper_refuses_launch_parameters_its_plan_overrides(wrapper):
+    """A plan fixes P, B and R: an explicit value that agrees with it is
+    accepted, one that disagrees is refused rather than silently dropped
+    (the launch would otherwise report the plan's P=4, B=128)."""
+    plan = _v100_float64_plan(wrapper)
+    image = random_image(40, 24, seed=33)
+    run = PLANNED_WRAPPERS[wrapper]
+    agreeing = {"outputs_per_thread": plan.outputs_per_thread,
+                "block_threads": plan.block_threads,
+                "block_rows": plan.block_rows}
+    assert (run(image, plan, **agreeing).launch.config
+            == plan.launch_config(40, 24))
+    for name, value in (("outputs_per_thread", plan.outputs_per_thread * 2),
+                        ("block_threads", plan.block_threads * 2),
+                        ("block_rows", plan.block_rows + 1)):
+        with pytest.raises(ConfigurationError, match=name):
+            run(image, plan, **{name: value})
+
+
 def test_a_wrapper_refuses_another_problems_plan():
     """A 3x3 filter's plan shapes a grid too narrow for a 9x9 filter's
     valid lanes; run anyway, the right-hand columns stay unwritten."""

@@ -684,9 +684,10 @@ def test_every_lowering_has_a_case():
 
 @contextlib.contextmanager
 def _rows_on_every_chunk():
-    """Run the row form on chunks of any size (a chunk of fewer lanes than
-    ``_ROW_MIN_LANES`` otherwise runs its accesses per lane), so the small
-    test grids reach its window loads and row stores."""
+    """Compile the row pass for launches of any size (one whose chunks
+    hold fewer lanes than ``_ROW_MIN_LANES`` otherwise runs its accesses
+    per lane), so the small test grids reach its window loads, row stores
+    and lane remaps."""
     saved = replay_mod._ROW_MIN_LANES
     replay_mod._ROW_MIN_LANES = 0
     try:
@@ -1017,7 +1018,7 @@ def test_engine_kernels_address_every_chunk_access_by_rows(name):
     (program,) = [p for p in kernel._trace_cache.values() if p is not None]
     assert accesses and accesses <= program.row_accesses
     # and the replayed chunks ran them: every access read or wrote rows of
-    # some chunk in row form, the blocks at the domain's edges per lane
+    # some chunk in row form, the rows at the domain's edges by lane remaps
     def rows_ran(chunk, nid):
         fits = chunk.addresses[nid][2]
         return fits is None or (
@@ -1027,6 +1028,38 @@ def test_engine_kernels_address_every_chunk_access_by_rows(name):
     chunks = program.chunk_steps[0].memo.values()
     assert all(any(rows_ran(chunk, nid) for chunk in chunks)
                for nid in accesses)
+
+
+def _edge_store_kernel(stride):
+    """Each block stores one warp-row run per warp from ``block * stride -
+    10``: a stride below the block size overlaps later blocks' rows.  The
+    first rows are edge rows: a maximum clamps their index at 0 and an
+    ordering cuts their mask, and with overlap a later block's rows in
+    form write over them."""
+    def body(ctx, src, wide, taps, scratch, dst, n):
+        tid, gidx = _ids(ctx)
+        x = ctx.block_idx_x * stride + tid - 10
+        ctx.store_global(dst, np.maximum(x, 0), ctx.load_global(src, gidx),
+                         mask=(x >= -5) & (ctx.lane_id >= 1))
+    return Kernel(body, name=f"edge_store_{stride}")
+
+
+@pytest.mark.parametrize("stride, disjoint", [(8, False), (THREADS, True)])
+def test_edge_row_stores_keep_lane_order_where_rows_overlap(stride, disjoint):
+    """A row-form store writes its edge rows lane by lane after the other
+    rows only when no two rows' destinations overlap; where they do, the
+    chunk scatters lane by lane in lane order, so later blocks still win,
+    as in the batched engine."""
+    kernel = _edge_store_kernel(stride)
+    with _rows_on_every_chunk():
+        _assert_replay_matches_batched(kernel)
+    (program,) = kernel._trace_cache.values()
+    rows = program.chunk_steps[0]
+    (store,) = [nid for nid, access in rows.accesses.items() if access.store]
+    edges = [chunk.edges[store] for chunk in rows.memo.values()
+             if store in chunk.edges]
+    assert edges and all((edge.keep is not None) is disjoint
+                         for edge in edges)
 
 
 def test_row_pass_waits_for_a_launch_whose_chunks_can_take_it():
@@ -1066,9 +1099,14 @@ def _shape_for(name, sizes):
 @example(name="conv2d", sizes=(9, 20, 1), max_blocks=None)  # all edges
 @example(name="scan", sizes=(4, 128, 1), max_blocks=None)   # no edge
 @example(name="conv2d-mixed", sizes=(40, 400, 1), max_blocks=None)
+# a domain narrower than a warp row: the x clamp's lo and hi bind on a row
+@example(name="stencil2d", sizes=(12, 5, 1), max_blocks=None)
+@example(name="conv2d", sizes=(20, 33, 1), max_blocks=None)  # ws + 1 wide
+# a depth the slices overrun: the z clamp binds
+@example(name="stencil3d", sizes=(24, 40, 20), max_blocks=None)
 def test_row_form_replay_matches_batched(name, sizes, max_blocks):
-    """Property: replay, whose global accesses run in row form with
-    per-lane blocks at domain edges, equals the batched engine bit for bit
+    """Property: replay, whose global accesses run in row form with lane
+    remaps at domain edges, equals the batched engine bit for bit
     — outputs and every counter field — on the engine-large kernels, for
     any domain size and block sampling, also with a float32 buffer read
     into float64 registers; both with small chunks run per lane and with
@@ -1088,8 +1126,8 @@ def test_row_form_replay_matches_batched(name, sizes, max_blocks):
                 assert (replay.counters.as_dict()
                         == batched.counters.as_dict())
     # every forced chunk ran the row prologue (rows that hold their form
-    # as rows, the others per lane from the row bases), unless no access
-    # has a row form (a domain narrower than a warp row clips every row)
+    # as rows, edge rows by their lane remaps), unless no access has a row
+    # form
     (program,) = [p for p in kernel._trace_cache.values() if p is not None]
     if program.row_accesses:
         chunks = list(program.chunk_steps[0].memo.values())
