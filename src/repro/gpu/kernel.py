@@ -247,16 +247,22 @@ class Kernel:
                              max_blocks=max_blocks, batch_size=batch_size)
 
 
+def sampled_blocks(total: int, max_blocks: Optional[int] = None) -> range:
+    """The launch-order numbers of the blocks a launch of ``total`` blocks
+    runs: all of them, or uniformly strided down to at most ``max_blocks``
+    when that is below ``total``."""
+    if max_blocks is None or max_blocks >= total:
+        return range(total)
+    return range(0, total, max(1, total // max_blocks))[:max_blocks]
+
+
 def block_schedule(grid_dim: Tuple[int, int, int],
                    max_blocks: Optional[int] = None) -> np.ndarray:
-    """The blocks a launch runs: an ``(n, 3)`` int64 matrix of
-    ``(bx, by, bz)`` in bx-fastest launch order, uniformly strided down to
-    at most ``max_blocks`` rows when that is below the grid size."""
+    """The blocks a launch runs (:func:`sampled_blocks`): an ``(n, 3)``
+    int64 matrix of ``(bx, by, bz)`` in bx-fastest launch order."""
     gx, gy, gz = grid_dim
-    order = np.arange(gx * gy * gz, dtype=np.int64)
-    if max_blocks is not None and max_blocks < order.shape[0]:
-        stride = max(1, order.shape[0] // max_blocks)
-        order = order[::stride][:max_blocks]
+    ran = sampled_blocks(gx * gy * gz, max_blocks)
+    order = np.arange(ran.start, ran.stop, ran.step, dtype=np.int64)
     out = np.empty((order.shape[0], 3), dtype=np.int64)
     out[:, 0] = order % gx
     out[:, 1] = (order // gx) % gy

@@ -20,7 +20,7 @@ from ..errors import ConfigurationError
 from ..gpu.architecture import GPUArchitecture, get_architecture, warp_sectors
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
-from ..gpu.kernel import Kernel, LaunchConfig, block_schedule, grid_1d
+from ..gpu.kernel import Kernel, LaunchConfig, grid_1d, sampled_blocks
 from ..gpu.memory import DeviceBuffer, GlobalMemory
 from ..gpu.occupancy import validate_block_threads
 from .common import KernelRunResult, analytic_result
@@ -130,9 +130,8 @@ def ssam_scan(sequence: np.ndarray, architecture: object = "p100",
         # host-side carry propagation across blocks (the "scan of block
         # sums" pass); skipped entirely when the output is discarded
         output = dst.array
-        ran = None if not launch.sampled else \
-            block_schedule(config.grid_dim, max_blocks)[:, 0]
-        carry_blocks(output, block_sums.array, config.block_threads, ran)
+        carry_blocks(output, block_sums.array, config.block_threads,
+                     sampled_blocks(config.total_blocks, max_blocks))
     return KernelRunResult(
         name="ssam",
         output=output,
@@ -177,43 +176,38 @@ def analytic_launch(length: int, arch: GPUArchitecture,
 
 
 def carry_blocks(scanned: np.ndarray, block_sums: np.ndarray,
-                 block_threads: int, ran: Optional[np.ndarray] = None) -> None:
+                 block_threads: int, ran: Optional[range] = None) -> None:
     """Add every block's carry, the float64 sum of the block totals before
     it, to that block's per-block scan, in place.
 
-    One add over the full blocks and one for the tail: each element gets
-    exactly one float64 add of its block's carry, rounded once to the
-    scan's dtype.  ``ran`` (ascending; None: every block) names the blocks
-    a sampled launch ran.  Only those take the add: every other block's
-    scan is +0.0, so it is filled with its carry plus +0.0 rounded once,
-    the add's result (a -0.0 carry gives +0.0).
+    ``ran`` (default every block) names the blocks the launch ran, as
+    :func:`~repro.gpu.kernel.sampled_blocks` does.  Each of them gets
+    exactly one float64 add of its carry, rounded once to the scan's
+    dtype: one strided add over the full blocks and one for the tail.
+    Every other block's scan is +0.0, so it is filled with its carry plus
+    +0.0 rounded once, the add's result (a -0.0 carry gives +0.0).
     """
     carries = np.cumsum(block_sums, dtype=np.float64)
+    blocks = -(-scanned.size // block_threads)
     full = scanned.size // block_threads
-    if ran is not None:
-        blocks = -(-scanned.size // block_threads)
-        idle = np.ones(blocks, bool)
-        idle[ran] = False
-        idle[0] = False  # the first block has no carry
-        fill = np.zeros(blocks, scanned.dtype)
-        fill[1:] = carries[:blocks - 1] + 0.0
-        body = scanned[:full * block_threads].reshape(full, block_threads)
-        body[idle[:full]] = fill[:full][idle[:full], None]
-        busy = ran[(ran > 0) & (ran < full)]
-        body[busy] += carries[busy - 1, None]
-        if blocks > full:
-            tail = scanned[full * block_threads:]
-            if idle[full]:
-                tail[...] = fill[full]
-            elif full:
-                tail += carries[full - 1:full]
-        return
-    if full > 1:
-        body = scanned[:full * block_threads].reshape(full, block_threads)
-        body[1:] += carries[:full - 1, None]
-    if full and scanned.size > full * block_threads:
-        # a one-element array keeps the add in float64 for any scan dtype
-        scanned[full * block_threads:] += carries[full - 1:full]
+    if ran is None:
+        ran = range(blocks)
+    idle = np.ones(blocks, bool)
+    idle[ran.start:ran.stop:ran.step] = False
+    idle[0] = False  # the first block has no carry
+    fill = np.zeros(blocks, scanned.dtype)
+    fill[1:] = carries[:blocks - 1] + 0.0
+    body = scanned[:full * block_threads].reshape(full, block_threads)
+    body[idle[:full]] = fill[:full][idle[:full], None]
+    busy = slice(ran.start or ran.step, min(ran.stop, full), ran.step)
+    body[busy] += carries[busy.start - 1:busy.stop - 1:busy.step, None]
+    if blocks > full:
+        # the tail block; a one-element carry keeps its add in float64
+        tail = scanned[full * block_threads:]
+        if idle[full]:
+            tail[...] = fill[full]
+        elif full:
+            tail += carries[full - 1:full]
 
 
 def reference_scan(sequence: np.ndarray) -> np.ndarray:

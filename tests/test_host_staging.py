@@ -35,7 +35,7 @@ from repro.baselines.stencil3d import original_stencil3d
 from repro.convolution.spec import ConvolutionSpec
 from repro.errors import SimulationError
 from repro.gpu.kernel import (REPLAY_CACHE_BYTES, Kernel, LaunchConfig,
-                              block_schedule)
+                              sampled_blocks)
 from repro.gpu.memory import GlobalMemory
 from repro.kernels import scan_ssam
 from repro.kernels.conv1d_ssam import ssam_convolve1d
@@ -361,7 +361,7 @@ def test_sampled_carry_fills_the_idle_blocks_bit_for_bit(length, max_blocks,
     also where a carry is -0.0 (the add turns it into +0.0)."""
     rng = np.random.default_rng(length + max_blocks)
     blocks = -(-length // T)
-    ran = block_schedule((blocks, 1, 1), max_blocks)[:, 0]
+    ran = sampled_blocks(blocks, max_blocks)
     partial = np.zeros(length, precision)
     block_sums = np.zeros(blocks, precision)
     for block in ran:
