@@ -17,11 +17,7 @@ bit-identical; only the DRAM traffic differs.
 import numpy as np
 
 from repro import ConvolutionSpec
-from repro.baselines import (
-    arrayfire_like_convolve2d,
-    cufft_like_convolve2d,
-    npp_like_convolve2d,
-)
+from repro.baselines import cufft_like_convolve2d, direct
 from repro.kernels.conv2d_ssam import ssam_convolve2d, ssam_convolve2d_chain
 from repro.workloads import gradient_image
 
@@ -31,8 +27,10 @@ def run_filter(name: str, spec: ConvolutionSpec, image: np.ndarray) -> None:
     reference = spec.reference(image)
     implementations = {
         "ssam": ssam_convolve2d(image, spec, "p100"),
-        "npp_like": npp_like_convolve2d(image, spec, "p100"),
-        "arrayfire_like": arrayfire_like_convolve2d(image, spec, "p100"),
+        "npp_like": direct.run(direct.BASELINES["conv2d-npp"], image, spec,
+                               architecture="p100"),
+        "arrayfire_like": direct.run(direct.BASELINES["conv2d-arrayfire"], image,
+                                     spec, architecture="p100"),
         "cufft_like": cufft_like_convolve2d(image, spec, "p100"),
     }
     for label, result in implementations.items():

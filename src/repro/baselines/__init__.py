@@ -1,17 +1,15 @@
-"""Baseline implementations of the libraries and codes SSAM is compared with."""
+"""Baseline implementations of the libraries and codes SSAM is compared with.
+
+The direct baselines (NPP, ArrayFire, Halide, the "original" codes, ppcg)
+are rows of :data:`repro.baselines.direct.BASELINES`; the other modules
+hold the cost models that run no kernel.
+"""
 
 from .conv2d import (
-    ARRAYFIRE_MAX_FILTER,
-    arrayfire_like_convolve2d,
-    arrayfire_like_convolve2d_analytic,
     cudnn_like_convolve2d,
     cudnn_like_convolve2d_analytic,
     cufft_like_convolve2d,
     cufft_like_convolve2d_analytic,
-    halide_like_convolve2d,
-    halide_like_convolve2d_analytic,
-    npp_like_convolve2d,
-    npp_like_convolve2d_analytic,
 )
 from .cpu_reference import (
     convolve2d_fft_reference,
@@ -19,17 +17,9 @@ from .cpu_reference import (
     scan_reference,
     stencil_reference,
 )
-from .stencil2d import (
-    halide_like_stencil2d,
-    halide_like_stencil2d_analytic,
-    original_stencil2d,
-    original_stencil2d_analytic,
-    ppcg_like_stencil2d,
-    ppcg_like_stencil2d_analytic,
-    reordered_stencil2d,
-    unrolled_stencil2d,
-)
-from .stencil3d import original_stencil3d, original_stencil3d_analytic, shared_stencil3d
+from .direct import ARRAYFIRE_MAX_FILTER
+from .stencil2d import reordered_stencil2d, unrolled_stencil2d
+from .stencil3d import shared_stencil3d
 from .temporal import (
     PUBLISHED_REFERENCES,
     published_reference,
@@ -39,30 +29,16 @@ from .temporal import (
 
 __all__ = [
     "ARRAYFIRE_MAX_FILTER",
-    "arrayfire_like_convolve2d",
-    "arrayfire_like_convolve2d_analytic",
     "cudnn_like_convolve2d",
     "cudnn_like_convolve2d_analytic",
     "cufft_like_convolve2d",
     "cufft_like_convolve2d_analytic",
-    "halide_like_convolve2d",
-    "halide_like_convolve2d_analytic",
-    "npp_like_convolve2d",
-    "npp_like_convolve2d_analytic",
     "convolve2d_fft_reference",
     "convolve2d_reference",
     "scan_reference",
     "stencil_reference",
-    "halide_like_stencil2d",
-    "halide_like_stencil2d_analytic",
-    "original_stencil2d",
-    "original_stencil2d_analytic",
-    "ppcg_like_stencil2d",
-    "ppcg_like_stencil2d_analytic",
     "reordered_stencil2d",
     "unrolled_stencil2d",
-    "original_stencil3d",
-    "original_stencil3d_analytic",
     "shared_stencil3d",
     "PUBLISHED_REFERENCES",
     "published_reference",

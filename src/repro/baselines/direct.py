@@ -1,4 +1,4 @@
-"""The two memory schemes behind every direct convolution and stencil baseline.
+"""The direct convolution and stencil baselines: two schemes and one table.
 
 A direct kernel computes one output per thread as a weighted sum over a
 tap list ``((dx, dy, dz, weight), ...)``.  The Figure 4 and Figure 5
@@ -11,25 +11,40 @@ competitors differ only in how a tap reaches the thread:
   (Section 5.2's conventional tile: ArrayFire, Halide, ppcg).
 
 Each scheme is one block body, one launch builder and one closed-form
-count; the footprint extents come from the taps.  The families in
-:mod:`.conv2d`, :mod:`.stencil2d` and :mod:`.stencil3d` supply only their
-own constants: register budget, memory parallelism and per-tap overhead.
+count; the footprint extents come from the taps.  Each baseline is one
+row of :data:`BASELINES`: its kernel, scheme, taps source and constants
+(register rule, memory parallelism, block threads or tile rows, per-tap
+overhead, filter ceiling).  :func:`resolve` turns a row into its launch
+and parameters; :func:`run` executes it on an array and
+:func:`closed_form` counts it without executing, and the registry
+(``repro.scenarios.builtin``) registers one scenario per row.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..convolution.spec import ConvolutionSpec
-from ..gpu.architecture import warp_sectors
+from ..dtypes import resolve_precision
+from ..errors import ConfigurationError
+from ..gpu.architecture import get_architecture, warp_sectors
 from ..gpu.batch import BatchedBlockContext
 from ..gpu.counters import KernelCounters
-from ..gpu.kernel import LaunchConfig
+from ..gpu.kernel import Kernel, LaunchConfig
 from ..gpu.memory import DeviceBuffer
-from ..kernels.common import clamp
+from ..kernels.common import (
+    KernelRunResult,
+    analytic_result,
+    check_grid3d,
+    check_image,
+    clamp,
+    require_edge_boundary,
+    run_jacobi,
+)
 from ..stencils.spec import StencilSpec
 
 #: ``(dx, dy, dz, weight)`` per tap, in accumulation order
@@ -169,7 +184,7 @@ def _staged_elements(taps: Taps, tile_rows: int) -> int:
 
 
 def shared_launch(taps: Taps, width: int, height: int, precision, tile_rows: int,
-                  registers: int) -> LaunchConfig:
+                  registers: int, memory_parallelism: float) -> LaunchConfig:
     """One ``32 x tile_rows`` block per output tile, its staged tile in shared memory."""
     return LaunchConfig(grid_dim=(math.ceil(width / TILE_COLS),
                                   math.ceil(height / tile_rows), 1),
@@ -177,7 +192,7 @@ def shared_launch(taps: Taps, width: int, height: int, precision, tile_rows: int
                         registers_per_thread=registers,
                         shared_bytes_per_block=_staged_elements(taps, tile_rows)
                         * precision.itemsize,
-                        precision=precision, memory_parallelism=3.0)
+                        precision=precision, memory_parallelism=memory_parallelism)
 
 
 def shared_counters(config: LaunchConfig, taps: Taps, arch, width: int, height: int,
@@ -217,3 +232,171 @@ def shared_counters(config: LaunchConfig, taps: Taps, arch, width: int, height: 
         blocks_executed=blocks * iterations,
         warps_executed=total_warps * iterations,
     )
+
+
+# ---------------------------------------------------------------------------
+# the baselines: one row each
+# ---------------------------------------------------------------------------
+
+#: ArrayFire's undocumented filter-size ceiling (Section 6.2 (i))
+ARRAYFIRE_MAX_FILTER = 16
+
+
+@dataclass(frozen=True)
+class DirectBaseline:
+    """One direct baseline: every fact its run, closed form and scenario read."""
+
+    #: registered scenario name, e.g. ``"conv2d-npp"``
+    scenario: str
+    #: name of its results, e.g. ``"npp_like"``
+    name: str
+    kernel: Kernel
+    #: ``"naive"`` or ``"shared"``
+    scheme: str
+    #: :func:`convolution_taps` or :func:`stencil_taps`
+    taps: Callable[[object], Taps]
+    #: dimensionality of its domain
+    dims: int
+    #: registers per thread of a spec
+    registers: Callable[[object], int]
+    memory_parallelism: float
+    #: block threads (naive scheme) or tile rows (shared scheme)
+    extent: int
+    overhead_per_tap: float
+    #: the parameters its results report ahead of the part and precision
+    parameter_keys: Tuple[str, ...]
+    description: str
+    #: largest filter side it accepts (``None``: any)
+    max_filter: Optional[int] = None
+
+
+#: a reported parameter by key, from ``(row, spec, iterations)``
+_PARAMETERS: Dict[str, Callable[[DirectBaseline, object, int], object]] = {
+    "M": lambda row, spec, iterations: spec.filter_width,
+    "N": lambda row, spec, iterations: spec.filter_height,
+    "stencil": lambda row, spec, iterations: spec.name,
+    "iterations": lambda row, spec, iterations: iterations,
+    "B": lambda row, spec, iterations: row.extent,
+    "tile_rows": lambda row, spec, iterations: row.extent,
+}
+
+_SHARED_CONV2D = Kernel(shared_block, name="shared_conv2d")
+_SHARED_STENCIL2D = Kernel(shared_block, name="shared_stencil2d")
+
+#: every direct baseline, by scenario name.  A per-tap overhead stands for
+#: address arithmetic and border predicates; the "original" codes' is an
+#: int, so their closed form's ``misc`` count stays an int.
+BASELINES: Dict[str, DirectBaseline] = {row.scenario: row for row in (
+    DirectBaseline(
+        "conv2d-npp", "npp_like", Kernel(naive_block, name="npp_like_conv2d"),
+        "naive", convolution_taps, 2, registers=lambda spec: 32,
+        memory_parallelism=2.0, extent=128, overhead_per_tap=2.0,
+        parameter_keys=("M", "N", "B"),
+        description="npp-like 2-D convolution baseline"),
+    DirectBaseline(
+        "conv2d-arrayfire", "arrayfire_like", _SHARED_CONV2D, "shared",
+        convolution_taps, 2, registers=lambda spec: 40,
+        memory_parallelism=3.0, extent=8, overhead_per_tap=0.0,
+        parameter_keys=("M", "N", "tile_rows"),
+        description="arrayfire-like 2-D convolution baseline",
+        max_filter=ARRAYFIRE_MAX_FILTER),
+    # Halide's auto-schedule: a smaller tile and generic indexing
+    DirectBaseline(
+        "conv2d-halide", "halide_like", _SHARED_CONV2D, "shared",
+        convolution_taps, 2, registers=lambda spec: 40,
+        memory_parallelism=3.0, extent=4, overhead_per_tap=2.0,
+        parameter_keys=("M", "N", "tile_rows"),
+        description="halide-like 2-D convolution baseline"),
+    DirectBaseline(
+        "stencil2d-original", "original",
+        Kernel(naive_block, name="original_stencil2d"), "naive", stencil_taps, 2,
+        registers=lambda spec: 28 + 2 * spec.num_points // 4,
+        memory_parallelism=3.0, extent=128, overhead_per_tap=1,
+        parameter_keys=("stencil", "iterations"),
+        description="original 2-D stencil baseline"),
+    DirectBaseline(
+        "stencil2d-ppcg", "ppcg", _SHARED_STENCIL2D, "shared", stencil_taps, 2,
+        registers=lambda spec: 36, memory_parallelism=3.0, extent=8,
+        overhead_per_tap=0.0, parameter_keys=("stencil", "iterations", "tile_rows"),
+        description="ppcg 2-D stencil baseline"),
+    DirectBaseline(
+        "stencil2d-halide", "halide", _SHARED_STENCIL2D, "shared", stencil_taps, 2,
+        registers=lambda spec: 36, memory_parallelism=3.0, extent=4,
+        overhead_per_tap=2.0, parameter_keys=("stencil", "iterations", "tile_rows"),
+        description="halide 2-D stencil baseline"),
+    DirectBaseline(
+        "stencil3d-original", "original",
+        Kernel(naive_block, name="original_stencil3d"), "naive", stencil_taps, 3,
+        registers=lambda spec: 32 + spec.num_points // 4,
+        memory_parallelism=3.0, extent=128, overhead_per_tap=1,
+        parameter_keys=("stencil", "iterations"),
+        description="naive one-output-per-thread 3-D stencil baseline"),
+)}
+
+
+def resolve(row: DirectBaseline, spec, domain: Sequence[int], iterations: int,
+            architecture: object, precision: object):
+    """``(arch, config, parameters)`` of ``row`` on a ``(width, height[,
+    depth])`` domain.
+
+    The one place a direct baseline resolves its part and its precision,
+    and refuses a filter above its ceiling or a stencil of other
+    dimensionality.
+    """
+    arch = get_architecture(architecture)
+    prec = resolve_precision(precision)
+    if row.max_filter is not None and max(spec.filter_width,
+                                          spec.filter_height) > row.max_filter:
+        raise ConfigurationError(
+            f"{row.name} supports filters up to {row.max_filter}x{row.max_filter} "
+            f"(got {spec.filter_width}x{spec.filter_height})")
+    if row.taps is stencil_taps and spec.dims != row.dims:
+        raise ConfigurationError(f"{row.scenario} expects a {row.dims}-D stencil")
+    width, height, depth = (*domain, 1)[:3]
+    if row.scheme == "naive":
+        config = naive_launch(width, height, depth, prec, row.extent,
+                              row.registers(spec), row.memory_parallelism)
+    else:
+        config = shared_launch(row.taps(spec), width, height, prec, row.extent,
+                               row.registers(spec), row.memory_parallelism)
+    parameters = {key: _PARAMETERS[key](row, spec, iterations)
+                  for key in row.parameter_keys}
+    parameters.update(architecture=arch.name, precision=prec.name)
+    return arch, config, parameters
+
+
+def _extents(row: DirectBaseline, domain: Sequence[int]) -> Tuple[int, int, int]:
+    """``(width, height, depth or tile rows)``: the scheme's extents after
+    the taps, in its block arguments and its closed form alike."""
+    width, height, depth = (*domain, 1)[:3]
+    return width, height, depth if row.scheme == "naive" else row.extent
+
+
+def run(row: DirectBaseline, array: np.ndarray, spec, iterations: int = 1,
+        architecture: object = "p100", precision: object = "float32",
+        batch_size: object = "auto") -> KernelRunResult:
+    """Run ``row`` on ``array`` for ``iterations`` Jacobi steps (one
+    convolution is one step); convolutions take the edge boundary only."""
+    grid = (check_image if row.dims == 2 else check_grid3d)(array)
+    domain = grid.shape[::-1]
+    arch, config, parameters = resolve(row, spec, domain, iterations,
+                                       architecture, precision)
+    if row.taps is convolution_taps:
+        require_edge_boundary(spec.boundary, f"the {row.name} kernel")
+    args = (row.taps(spec), *_extents(row, domain), row.overhead_per_tap)
+    return run_jacobi(row.kernel, grid, config, args, iterations, arch, row.name,
+                      parameters, batch_size=batch_size)
+
+
+def closed_form(row: DirectBaseline, spec, domain: Sequence[int], iterations: int = 1,
+                architecture: object = "p100",
+                precision: object = "float32") -> KernelRunResult:
+    """Closed-form cost of :func:`run` on a ``(width, height[, depth])``
+    domain, executing nothing."""
+    arch, config, parameters = resolve(row, spec, domain, iterations,
+                                       architecture, precision)
+    args = (config, row.taps(spec), arch, *_extents(row, domain), iterations,
+            row.overhead_per_tap)
+    counters = naive_counters(*args) if row.scheme == "naive" else shared_counters(*args)
+    parameters["analytic"] = True
+    return analytic_result(row.name, counters, config, arch, parameters)

@@ -1,25 +1,15 @@
-"""2-D stencil baselines for Figure 5.
+"""2-D stencil cost models for Figure 5: the register-optimised codes.
 
-The comparison set mirrors the paper's:
-
-* ``original``  — the straightforward one-output-per-thread kernel
-  (functional + analytic), standing in for Rawat et al.'s "original" codes;
 * ``reordered`` — register-optimised codes that keep a column of the grid in
   registers and reuse it across several outputs (analytic cost model of
   Rawat et al.'s reordering framework);
 * ``unrolled``  — the unroll-optimised variant (shallower reuse, lower
-  register pressure);
-* ``ppcg``      — shared-memory tiling as generated by the ppcg polyhedral
-  compiler (functional + analytic);
-* ``halide``    — the same scratchpad scheme with a generic auto-scheduled
-  tile and extra indexing overhead.
+  register pressure).
 
-"original", ppcg and Halide are direct kernels: they run the naive and
-shared schemes of :mod:`.direct` over the stencil's taps, and this module
-supplies only their constants.
-
-All cost profiles follow the same traffic policy as the SSAM kernels
-(perfect intra-block reuse, no inter-block reuse), so differences between
+They run no kernel.  The Figure 5 competitors that do ("original", ppcg,
+Halide) are rows of :data:`repro.baselines.direct.BASELINES`.  All cost
+profiles follow the same traffic policy as the SSAM kernels (perfect
+intra-block reuse, no inter-block reuse), so differences between
 implementations come only from their genuine locality/registers/scratchpad
 trade-offs.
 """
@@ -27,159 +17,14 @@ trade-offs.
 from __future__ import annotations
 
 import math
-from typing import Optional
-
-import numpy as np
 
 from ..dtypes import resolve_precision
-from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture, warp_sectors
 from ..gpu.counters import KernelCounters
-from ..gpu.kernel import Kernel, LaunchConfig
+from ..gpu.kernel import LaunchConfig
 from ..gpu.register_file import registers_for_cache
-from ..kernels.common import (
-    KernelRunResult,
-    analytic_result,
-    check_image,
-    run_jacobi,
-)
+from ..kernels.common import KernelRunResult, analytic_result
 from ..stencils.spec import StencilSpec
-from . import direct
-
-
-NAIVE_STENCIL2D_KERNEL = Kernel(direct.naive_block, name="original_stencil2d")
-SHARED_STENCIL2D_KERNEL = Kernel(direct.shared_block, name="shared_stencil2d")
-
-#: per-tap address arithmetic of the "original" codes; an int, so the
-#: closed form's ``misc`` count stays an int
-ORIGINAL_TAP_OVERHEAD = 1
-
-
-# ---------------------------------------------------------------------------
-# "original": naive per-output kernel
-# ---------------------------------------------------------------------------
-
-def _naive_launch(spec: StencilSpec, width: int, height: int, iterations: int,
-                  arch, prec, block_threads: int):
-    """Launch configuration and parameters of the "original" kernel."""
-    if spec.dims != 2:
-        raise ConfigurationError("original_stencil2d expects a 2-D stencil")
-    config = direct.naive_launch(width, height, 1, prec, block_threads,
-                                 registers=28 + 2 * spec.num_points // 4,
-                                 memory_parallelism=3.0)
-    parameters = {"stencil": spec.name, "iterations": iterations,
-                  "architecture": arch.name, "precision": prec.name}
-    return config, parameters
-
-
-def original_stencil2d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
-                       architecture: object = "p100", precision: object = "float32",
-                       block_threads: int = 128, max_blocks: Optional[int] = None,
-                       batch_size: object = "auto") -> KernelRunResult:
-    """The naive "original" 2-D stencil implementation."""
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    grid = check_image(grid)
-    height, width = grid.shape
-    config, parameters = _naive_launch(spec, width, height, iterations, arch, prec,
-                                       block_threads)
-    args = (direct.stencil_taps(spec), width, height, 1, ORIGINAL_TAP_OVERHEAD)
-    return run_jacobi(NAIVE_STENCIL2D_KERNEL, grid, config, args, iterations, arch,
-                      "original", parameters, max_blocks=max_blocks,
-                      batch_size=batch_size)
-
-
-def original_stencil2d_analytic(spec: StencilSpec, width: int, height: int,
-                                iterations: int = 1, architecture: object = "p100",
-                                precision: object = "float32",
-                                block_threads: int = 128) -> KernelRunResult:
-    """Closed-form cost of :func:`original_stencil2d` on a ``width x height`` grid."""
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    config, parameters = _naive_launch(spec, width, height, iterations, arch, prec,
-                                       block_threads)
-    counters = direct.naive_counters(config, direct.stencil_taps(spec), arch, width,
-                                     height, 1, iterations, ORIGINAL_TAP_OVERHEAD)
-    parameters["analytic"] = True
-    return analytic_result("original", counters, config, arch, parameters)
-
-
-# ---------------------------------------------------------------------------
-# shared-memory tiling ("ppcg" / "halide")
-# ---------------------------------------------------------------------------
-
-def _shared_launch(label: str, spec: StencilSpec, width: int, height: int,
-                   iterations: int, arch, prec, tile_rows: int):
-    """Launch configuration and parameters of a shared-memory tiled kernel."""
-    if spec.dims != 2:
-        raise ConfigurationError(f"{label} expects a 2-D stencil")
-    config = direct.shared_launch(direct.stencil_taps(spec), width, height, prec,
-                                  tile_rows, registers=36)
-    parameters = {"stencil": spec.name, "iterations": iterations, "tile_rows": tile_rows,
-                  "architecture": arch.name, "precision": prec.name}
-    return config, parameters
-
-
-def _shared_stencil2d(label: str, grid, spec, iterations, architecture, precision,
-                      tile_rows, overhead_per_tap, max_blocks,
-                      batch_size: object = "auto"):
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    grid = check_image(grid)
-    height, width = grid.shape
-    config, parameters = _shared_launch(label, spec, width, height, iterations,
-                                        arch, prec, tile_rows)
-    args = (direct.stencil_taps(spec), width, height, tile_rows, overhead_per_tap)
-    return run_jacobi(SHARED_STENCIL2D_KERNEL, grid, config, args, iterations, arch,
-                      label, parameters, max_blocks=max_blocks, batch_size=batch_size)
-
-
-def _shared_stencil2d_analytic(label: str, spec, width, height, iterations,
-                               architecture, precision, tile_rows, overhead_per_tap):
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    config, parameters = _shared_launch(label, spec, width, height, iterations,
-                                        arch, prec, tile_rows)
-    counters = direct.shared_counters(config, direct.stencil_taps(spec), arch, width,
-                                      height, tile_rows, iterations, overhead_per_tap)
-    parameters["analytic"] = True
-    return analytic_result(label, counters, config, arch, parameters)
-
-
-def ppcg_like_stencil2d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
-                        architecture: object = "p100", precision: object = "float32",
-                        tile_rows: int = 8, max_blocks: Optional[int] = None,
-                        batch_size: object = "auto") -> KernelRunResult:
-    """ppcg-generated-style shared-memory tiled stencil."""
-    return _shared_stencil2d("ppcg", grid, spec, iterations, architecture, precision,
-                             tile_rows, 0.0, max_blocks, batch_size=batch_size)
-
-
-def ppcg_like_stencil2d_analytic(spec: StencilSpec, width: int, height: int,
-                                 iterations: int = 1, architecture: object = "p100",
-                                 precision: object = "float32",
-                                 tile_rows: int = 8) -> KernelRunResult:
-    """Closed-form cost of :func:`ppcg_like_stencil2d`."""
-    return _shared_stencil2d_analytic("ppcg", spec, width, height, iterations,
-                                      architecture, precision, tile_rows, 0.0)
-
-
-def halide_like_stencil2d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
-                          architecture: object = "p100", precision: object = "float32",
-                          tile_rows: int = 4, max_blocks: Optional[int] = None,
-                          batch_size: object = "auto") -> KernelRunResult:
-    """Halide-auto-schedule-style shared-memory tiled stencil."""
-    return _shared_stencil2d("halide", grid, spec, iterations, architecture, precision,
-                             tile_rows, 2.0, max_blocks, batch_size=batch_size)
-
-
-def halide_like_stencil2d_analytic(spec: StencilSpec, width: int, height: int,
-                                   iterations: int = 1, architecture: object = "p100",
-                                   precision: object = "float32",
-                                   tile_rows: int = 4) -> KernelRunResult:
-    """Closed-form cost of :func:`halide_like_stencil2d`."""
-    return _shared_stencil2d_analytic("halide", spec, width, height, iterations,
-                                      architecture, precision, tile_rows, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,81 +1,22 @@
-"""3-D stencil baselines ("original" and shared-memory tiling) for Figure 5.
+"""3-D stencil cost model for Figure 5: ppcg's 2.5-D shared-memory tiling.
 
-The naive kernel assigns one output point per thread with no staging
-(functional + analytic): it is the naive scheme of :mod:`.direct` over the
-stencil's taps, and this module supplies only its constants.  The
-shared-memory variant models the classic 2.5-D tiling in which each block
-stages a z-slab tile and streams through z (analytic — its
-traffic/scratchpad profile is what matters for the figure).
+Each block stages a z-slab tile in the scratchpad and streams through z
+(analytic — its traffic/scratchpad profile is what matters for the
+figure).  The naive "original" 3-D stencil is a row of
+:data:`repro.baselines.direct.BASELINES`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
-
-import numpy as np
 
 from ..dtypes import resolve_precision
 from ..errors import ConfigurationError
 from ..gpu.architecture import get_architecture, warp_sectors
 from ..gpu.counters import KernelCounters
-from ..gpu.kernel import Kernel, LaunchConfig
-from ..kernels.common import (
-    KernelRunResult,
-    analytic_result,
-    check_grid3d,
-    run_jacobi,
-)
+from ..gpu.kernel import LaunchConfig
+from ..kernels.common import KernelRunResult, analytic_result
 from ..stencils.spec import StencilSpec
-from . import direct
-from .stencil2d import ORIGINAL_TAP_OVERHEAD
-
-NAIVE_STENCIL3D_KERNEL = Kernel(direct.naive_block, name="original_stencil3d")
-
-
-def _naive3d_launch(spec: StencilSpec, width: int, height: int, depth: int,
-                    iterations: int, arch, prec, block_threads: int):
-    """Launch configuration and parameters of the naive 3-D kernel."""
-    if spec.dims != 3:
-        raise ConfigurationError("original_stencil3d expects a 3-D stencil")
-    config = direct.naive_launch(width, height, depth, prec, block_threads,
-                                 registers=32 + spec.num_points // 4,
-                                 memory_parallelism=3.0)
-    parameters = {"stencil": spec.name, "iterations": iterations,
-                  "architecture": arch.name, "precision": prec.name}
-    return config, parameters
-
-
-def original_stencil3d(grid: np.ndarray, spec: StencilSpec, iterations: int = 1,
-                       architecture: object = "p100", precision: object = "float32",
-                       block_threads: int = 128, max_blocks: Optional[int] = None,
-                       batch_size: object = "auto") -> KernelRunResult:
-    """Naive one-output-per-thread 3-D stencil baseline."""
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    grid = check_grid3d(grid)
-    depth, height, width = grid.shape
-    config, parameters = _naive3d_launch(spec, width, height, depth, iterations,
-                                         arch, prec, block_threads)
-    args = (direct.stencil_taps(spec), width, height, depth, ORIGINAL_TAP_OVERHEAD)
-    return run_jacobi(NAIVE_STENCIL3D_KERNEL, grid, config, args, iterations, arch,
-                      "original", parameters, max_blocks=max_blocks,
-                      batch_size=batch_size)
-
-
-def original_stencil3d_analytic(spec: StencilSpec, width: int, height: int, depth: int,
-                                iterations: int = 1, architecture: object = "p100",
-                                precision: object = "float32",
-                                block_threads: int = 128) -> KernelRunResult:
-    """Closed-form cost of :func:`original_stencil3d`."""
-    arch = get_architecture(architecture)
-    prec = resolve_precision(precision)
-    config, parameters = _naive3d_launch(spec, width, height, depth, iterations,
-                                         arch, prec, block_threads)
-    counters = direct.naive_counters(config, direct.stencil_taps(spec), arch, width,
-                                     height, depth, iterations, ORIGINAL_TAP_OVERHEAD)
-    parameters["analytic"] = True
-    return analytic_result("original", counters, config, arch, parameters)
 
 
 def shared_stencil3d(spec: StencilSpec, width: int, height: int, depth: int,

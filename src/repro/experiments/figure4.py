@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.metrics import geometric_mean, speedup
 from ..analysis.tables import format_series
-from ..baselines.conv2d import ARRAYFIRE_MAX_FILTER
+from ..baselines.direct import ARRAYFIRE_MAX_FILTER
 from ..convolution.spec import ConvolutionSpec
 from ..scenarios import get_scenario
 from .jobs import SimulationJob

@@ -11,18 +11,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.tables import format_series
-from ..baselines.stencil2d import (
-    halide_like_stencil2d_analytic,
-    original_stencil2d_analytic,
-    ppcg_like_stencil2d_analytic,
-    reordered_stencil2d,
-    unrolled_stencil2d,
-)
-from ..baselines.stencil3d import original_stencil3d_analytic, shared_stencil3d
-from ..core.plan import plan_stencil
-from ..kernels.stencil2d_ssam import analytic_launch as ssam_stencil2d_analytic
-from ..kernels.stencil3d_ssam import analytic_launch as ssam_stencil3d_analytic
-from ..kernels.stencil3d_ssam import launch_geometry
+from ..baselines.stencil2d import reordered_stencil2d, unrolled_stencil2d
+from ..baselines.stencil3d import shared_stencil3d
+from ..scenarios import get_scenario
 from ..stencils.catalog import CATALOG, FIGURE5_BENCHMARKS, StencilBenchmark
 from .jobs import SimulationJob
 from .results import ExperimentResult, Measurement
@@ -52,49 +43,31 @@ def _throughput(result, benchmark: StencilBenchmark, iterations: int) -> float:
     return result.gcells_per_second(benchmark.cells, iterations)
 
 
+#: the registered scenario of each series, by the stencil's dimensionality
+SCENARIOS = {
+    2: {"ssam": "stencil2d", "original": "stencil2d-original",
+        "ppcg": "stencil2d-ppcg", "halide": "stencil2d-halide"},
+    3: {"ssam": "stencil3d", "original": "stencil3d-original"},
+}
+
+
 def run_benchmark(benchmark: StencilBenchmark, architecture: str, precision: str,
                   iterations: int = 1) -> Dict[str, float]:
     """GCells/s of every implementation on one Table 3 benchmark."""
     spec = benchmark.spec
-    results: Dict[str, float] = {}
-    if spec.dims == 2:
-        width, height = benchmark.domain
-        results["ssam"] = _throughput(
-            ssam_stencil2d_analytic(width, height,
-                                    plan_stencil(spec, architecture, precision),
-                                    iterations),
-            benchmark, iterations)
-        results["original"] = _throughput(
-            original_stencil2d_analytic(spec, width, height, iterations, architecture,
-                                        precision),
-            benchmark, iterations)
-        results["reordered"] = _throughput(
-            reordered_stencil2d(spec, width, height, iterations, architecture, precision),
-            benchmark, iterations)
-        results["unrolled"] = _throughput(
-            unrolled_stencil2d(spec, width, height, iterations, architecture, precision),
-            benchmark, iterations)
-        results["ppcg"] = _throughput(
-            ppcg_like_stencil2d_analytic(spec, width, height, iterations, architecture,
-                                         precision),
-            benchmark, iterations)
-        results["halide"] = _throughput(
-            halide_like_stencil2d_analytic(spec, width, height, iterations,
-                                           architecture, precision),
-            benchmark, iterations)
-    else:
-        width, height, depth = benchmark.domain
-        results["ssam"] = _throughput(
-            ssam_stencil3d_analytic(
-                launch_geometry(spec, width, height, depth, architecture, precision),
-                iterations),
-            benchmark, iterations)
-        results["original"] = _throughput(
-            original_stencil3d_analytic(spec, width, height, depth, iterations,
-                                        architecture, precision),
-            benchmark, iterations)
-        results["ppcg"] = _throughput(
-            shared_stencil3d(spec, width, height, depth, iterations, architecture, precision),
+    params = dict(zip(("width", "height", "depth"), benchmark.domain),
+                  iterations=iterations)
+    results = {
+        series: _throughput(get_scenario(name).run_analytic(
+            spec, params, architecture, precision), benchmark, iterations)
+        for series, name in SCENARIOS[spec.dims].items()}
+    # the register-optimised codes and ppcg's 2.5-D tiling are cost models
+    # that run no kernel, so no scenario registers them
+    cost_models = ({"reordered": reordered_stencil2d, "unrolled": unrolled_stencil2d}
+                   if spec.dims == 2 else {"ppcg": shared_stencil3d})
+    for series, cost_model in cost_models.items():
+        results[series] = _throughput(
+            cost_model(spec, *benchmark.domain, iterations, architecture, precision),
             benchmark, iterations)
     return results
 

@@ -28,27 +28,8 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from ..baselines.conv2d import (
-    arrayfire_like_convolve2d,
-    arrayfire_like_convolve2d_analytic,
-    cudnn_like_convolve2d,
-    cudnn_like_convolve2d_analytic,
-    cufft_like_convolve2d,
-    cufft_like_convolve2d_analytic,
-    halide_like_convolve2d,
-    halide_like_convolve2d_analytic,
-    npp_like_convolve2d,
-    npp_like_convolve2d_analytic,
-)
-from ..baselines.stencil2d import (
-    halide_like_stencil2d,
-    halide_like_stencil2d_analytic,
-    original_stencil2d,
-    original_stencil2d_analytic,
-    ppcg_like_stencil2d,
-    ppcg_like_stencil2d_analytic,
-)
-from ..baselines.stencil3d import original_stencil3d, original_stencil3d_analytic
+from ..baselines import direct
+from ..baselines.conv2d import cudnn_like_convolve2d_analytic, cufft_like_convolve2d_analytic
 from ..convolution.spec import ConvolutionSpec
 from ..core.performance_model import (
     model_convolution1d,
@@ -208,6 +189,38 @@ _STENCIL3D_SIZES: Dict[str, Mapping[str, object]] = {
 }
 
 
+# The families' builders and oracles are shared the same way.
+def _gaussian(params):
+    return ConvolutionSpec.gaussian(params["filter"])
+
+
+def _image(params, precision):
+    return random_image(params["width"], params["height"], precision,
+                        seed=params["width"])
+
+
+def _convolution_oracle(spec, workload, params):
+    return spec.reference(workload)
+
+
+def _stencil_spec(params):
+    return get_stencil(params["stencil"])
+
+
+def _grid2d(params, precision):
+    return random_image(params["width"], params["height"], precision,
+                        seed=params["height"])
+
+
+def _grid3d(params, precision):
+    return random_grid_3d(params["width"], params["height"], params["depth"],
+                          precision, seed=params["depth"])
+
+
+def _stencil_oracle(spec, workload, params):
+    return spec.reference(workload, iterations=params.get("iterations", 1))
+
+
 # ---------------------------------------------------------------------------
 # SSAM kernels
 # ---------------------------------------------------------------------------
@@ -280,11 +293,10 @@ register(Scenario(
     dims=2,
     role="ssam",
     runner=_run_conv2d,
-    spec_builder=lambda params: ConvolutionSpec.gaussian(params["filter"]),
-    workload_builder=lambda params, precision: random_image(
-        params["width"], params["height"], precision, seed=params["width"]),
+    spec_builder=_gaussian,
+    workload_builder=_image,
     planner=_plan_convolution,
-    oracle=lambda spec, workload, params: spec.reference(workload),
+    oracle=_convolution_oracle,
     analytic=_closed_form(_plan_convolution, _conv2d_closed_form),
     model=_closed_form(_plan_convolution, _conv2d_closed_form, _price_conv2d),
     tunables=TUNABLES_2D,
@@ -333,12 +345,10 @@ def _register_stencil2d(name: str, sizes, description: str) -> None:
         dims=2,
         role="ssam",
         runner=_run_stencil2d,
-        spec_builder=lambda params: get_stencil(params["stencil"]),
-        workload_builder=lambda params, precision: random_image(
-            params["width"], params["height"], precision, seed=params["height"]),
+        spec_builder=_stencil_spec,
+        workload_builder=_grid2d,
         planner=_plan_stencil,
-        oracle=lambda spec, workload, params: spec.reference(
-            workload, iterations=params.get("iterations", 1)),
+        oracle=_stencil_oracle,
         analytic=_closed_form(_plan_stencil, _stencil2d_closed_form),
         model=_model_stencil2d,
         tunables=TUNABLES_2D,
@@ -389,13 +399,10 @@ register(Scenario(
     dims=3,
     role="ssam",
     runner=_run_stencil3d,
-    spec_builder=lambda params: get_stencil(params["stencil"]),
-    workload_builder=lambda params, precision: random_grid_3d(
-        params["width"], params["height"], params["depth"], precision,
-        seed=params["depth"]),
+    spec_builder=_stencil_spec,
+    workload_builder=_grid3d,
     planner=_plan_stencil,
-    oracle=lambda spec, workload, params: spec.reference(
-        workload, iterations=params.get("iterations", 1)),
+    oracle=_stencil_oracle,
     analytic=_stencil3d_entry(),
     model=_stencil3d_entry(
         lambda base, params, geometry: model_stencil3d(base, geometry)),
@@ -492,9 +499,8 @@ register(Scenario(
     dims=2,
     role="ssam",
     runner=_run_stencil2d_masked,
-    spec_builder=lambda params: get_stencil(params["stencil"]),
-    workload_builder=lambda params, precision: random_image(
-        params["width"], params["height"], precision, seed=params["height"]),
+    spec_builder=_stencil_spec,
+    workload_builder=_grid2d,
     planner=_plan_stencil,
     oracle=lambda spec, workload, params: masked_reference(
         workload, spec, iterations=params.get("iterations", 1),
@@ -547,9 +553,8 @@ register(Scenario(
     dims=2,
     role="ssam",
     runner=_run_conv2d_pipeline,
-    spec_builder=lambda params: ConvolutionSpec.gaussian(params["filter"]),
-    workload_builder=lambda params, precision: random_image(
-        params["width"], params["height"], precision, seed=params["width"]),
+    spec_builder=_gaussian,
+    workload_builder=_image,
     planner=_plan_convolution,
     oracle=_chain_oracle,
     model=_closed_form(_plan_convolution, _conv2d_chain_closed_form,
@@ -574,7 +579,7 @@ register(Scenario(
 
 
 # ---------------------------------------------------------------------------
-# convolution baselines (the Figure 4 competitors)
+# baselines (the Figure 4 and Figure 5 competitors)
 # ---------------------------------------------------------------------------
 
 def _direct_model(closed_form):
@@ -588,117 +593,74 @@ def _direct_model(closed_form):
     return model
 
 
-def _register_conv2d_baseline(label: str, fn, analytic, engines) -> None:
-    functional = "batched" in engines
+#: what each family gives its direct baselines, as its SSAM kernel has it:
+#: ``(family, sizes, spec builder, workload builder, oracle)``
+_DIRECT_FAMILIES = {
+    "conv2d": ("convolution", _CONV2D_SIZES, _gaussian, _image, _convolution_oracle),
+    "stencil2d": ("stencil", _STENCIL2D_SIZES, _stencil_spec, _grid2d, _stencil_oracle),
+    "stencil3d": ("stencil", _STENCIL3D_SIZES, _stencil_spec, _grid3d, _stencil_oracle),
+}
+
+
+def _register_direct(row: direct.DirectBaseline) -> None:
+    """One scenario per row of ``direct.BASELINES``."""
+    family, sizes, spec_builder, workload_builder, oracle = _DIRECT_FAMILIES[
+        row.scenario.partition("-")[0]]
+
+    def runner(spec, workload, params, architecture, precision, engine):
+        return direct.run(row, workload, spec, params.get("iterations", 1),
+                          architecture, precision,
+                          batch_size=ENGINE_BATCH_SIZE[engine])
 
     def closed_form(spec, params, architecture, precision):
-        return analytic(spec, params["width"], params["height"], architecture,
-                        precision)
+        domain = [params[axis] for axis in ("width", "height", "depth")[:row.dims]]
+        return direct.closed_form(row, spec, domain, params.get("iterations", 1),
+                                  architecture, precision)
 
+    register(Scenario(
+        name=row.scenario,
+        family=family,
+        dims=row.dims,
+        role="baseline",
+        runner=runner,
+        spec_builder=spec_builder,
+        workload_builder=workload_builder,
+        oracle=oracle,
+        analytic=closed_form,
+        model=_direct_model(closed_form),
+        sizes=sizes,
+        architectures=BASELINE_ARCHITECTURES,
+        precisions=BOTH_PRECISIONS,
+        engines=ALL_ENGINES,
+        description=row.description,
+    ))
+
+
+def _register_conv2d_cost_model(label: str, analytic) -> None:
+    """cuDNN or cuFFT: a closed form alone, no kernel to run."""
     register(Scenario(
         name=f"conv2d-{label}",
         family="convolution",
         dims=2,
         role="baseline",
-        runner=(lambda spec, workload, params, architecture, precision, engine: fn(
-            workload, spec, architecture, precision,
-            batch_size=ENGINE_BATCH_SIZE[engine])) if functional else None,
-        spec_builder=lambda params: ConvolutionSpec.gaussian(params["filter"]),
-        workload_builder=lambda params, precision: random_image(
-            params["width"], params["height"], precision, seed=params["width"]),
-        oracle=(lambda spec, workload, params: spec.reference(workload))
-        if functional else None,
-        analytic=closed_form,
-        model=_direct_model(closed_form) if "model" in engines else None,
+        spec_builder=_gaussian,
+        workload_builder=_image,
+        analytic=lambda spec, params, architecture, precision: analytic(
+            spec, params["width"], params["height"], architecture, precision),
         sizes=_CONV2D_SIZES,
         architectures=BASELINE_ARCHITECTURES,
         precisions=BOTH_PRECISIONS,
-        engines=engines,
+        engines=("analytic",),
         description=f"{label}-like 2-D convolution baseline",
     ))
 
 
-_register_conv2d_baseline("npp", npp_like_convolve2d,
-                          npp_like_convolve2d_analytic, ALL_ENGINES)
-_register_conv2d_baseline("arrayfire", arrayfire_like_convolve2d,
-                          arrayfire_like_convolve2d_analytic, ALL_ENGINES)
-_register_conv2d_baseline("halide", halide_like_convolve2d,
-                          halide_like_convolve2d_analytic, ALL_ENGINES)
-_register_conv2d_baseline("cudnn", cudnn_like_convolve2d,
-                          cudnn_like_convolve2d_analytic, ("analytic",))
-_register_conv2d_baseline("cufft", cufft_like_convolve2d,
-                          cufft_like_convolve2d_analytic, ("analytic",))
-
-
-# ---------------------------------------------------------------------------
-# stencil baselines (the Figure 5 competitors with functional kernels)
-# ---------------------------------------------------------------------------
-
-def _register_stencil2d_baseline(label: str, fn, analytic) -> None:
-    def closed_form(spec, params, architecture, precision):
-        return analytic(spec, params["width"], params["height"],
-                        params.get("iterations", 1), architecture, precision)
-
-    register(Scenario(
-        name=f"stencil2d-{label}",
-        family="stencil",
-        dims=2,
-        role="baseline",
-        runner=lambda spec, workload, params, architecture, precision, engine: fn(
-            workload, spec, params.get("iterations", 1), architecture, precision,
-            batch_size=ENGINE_BATCH_SIZE[engine]),
-        spec_builder=lambda params: get_stencil(params["stencil"]),
-        workload_builder=lambda params, precision: random_image(
-            params["width"], params["height"], precision, seed=params["height"]),
-        oracle=lambda spec, workload, params: spec.reference(
-            workload, iterations=params.get("iterations", 1)),
-        analytic=closed_form,
-        model=_direct_model(closed_form),
-        sizes=_STENCIL2D_SIZES,
-        architectures=BASELINE_ARCHITECTURES,
-        precisions=BOTH_PRECISIONS,
-        engines=ALL_ENGINES,
-        description=f"{label} 2-D stencil baseline",
-    ))
-
-
-_register_stencil2d_baseline("original", original_stencil2d,
-                             original_stencil2d_analytic)
-_register_stencil2d_baseline("ppcg", ppcg_like_stencil2d,
-                             ppcg_like_stencil2d_analytic)
-_register_stencil2d_baseline("halide", halide_like_stencil2d,
-                             halide_like_stencil2d_analytic)
-
-
-def _original_stencil3d_analytic(spec, params, architecture, precision):
-    return original_stencil3d_analytic(
-        spec, params["width"], params["height"], params["depth"],
-        params.get("iterations", 1), architecture, precision)
-
-
-register(Scenario(
-    name="stencil3d-original",
-    family="stencil",
-    dims=3,
-    role="baseline",
-    runner=lambda spec, workload, params, architecture, precision, engine: (
-        original_stencil3d(workload, spec, params.get("iterations", 1),
-                           architecture, precision,
-                           batch_size=ENGINE_BATCH_SIZE[engine])),
-    spec_builder=lambda params: get_stencil(params["stencil"]),
-    workload_builder=lambda params, precision: random_grid_3d(
-        params["width"], params["height"], params["depth"], precision,
-        seed=params["depth"]),
-    oracle=lambda spec, workload, params: spec.reference(
-        workload, iterations=params.get("iterations", 1)),
-    analytic=_original_stencil3d_analytic,
-    model=_direct_model(_original_stencil3d_analytic),
-    sizes=_STENCIL3D_SIZES,
-    architectures=BASELINE_ARCHITECTURES,
-    precisions=BOTH_PRECISIONS,
-    engines=ALL_ENGINES,
-    description="naive one-output-per-thread 3-D stencil baseline",
-))
+for _row in direct.BASELINES.values():
+    if _row.scenario == "stencil2d-original":
+        # the registry lists the cost models after the direct convolutions
+        _register_conv2d_cost_model("cudnn", cudnn_like_convolve2d_analytic)
+        _register_conv2d_cost_model("cufft", cufft_like_convolve2d_analytic)
+    _register_direct(_row)
 
 
 #: every scenario registered above, by name.  What their runners produce

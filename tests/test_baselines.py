@@ -7,21 +7,10 @@ import pytest
 
 from repro.baselines import (
     ARRAYFIRE_MAX_FILTER,
-    arrayfire_like_convolve2d,
-    arrayfire_like_convolve2d_analytic,
     cudnn_like_convolve2d,
     cudnn_like_convolve2d_analytic,
     cufft_like_convolve2d,
     cufft_like_convolve2d_analytic,
-    halide_like_convolve2d,
-    halide_like_convolve2d_analytic,
-    halide_like_stencil2d,
-    npp_like_convolve2d,
-    npp_like_convolve2d_analytic,
-    original_stencil2d,
-    original_stencil2d_analytic,
-    original_stencil3d,
-    ppcg_like_stencil2d,
     published_reference,
     reordered_stencil2d,
     shared_stencil3d,
@@ -30,6 +19,7 @@ from repro.baselines import (
     unrolled_stencil2d,
 )
 from repro.baselines.cpu_reference import convolve2d_fft_reference
+from repro.baselines.direct import BASELINES, closed_form, run
 from repro.convolution.spec import ConvolutionSpec
 from repro.errors import ConfigurationError
 from repro.scenarios import ScenarioCase, get_scenario
@@ -38,16 +28,18 @@ from repro.workloads import random_grid_3d, random_image
 
 TOL32 = dict(rtol=3e-5, atol=3e-5)
 
+DIRECT_CONVOLUTIONS = ("conv2d-npp", "conv2d-arrayfire", "conv2d-halide")
+DIRECT_STENCILS2D = ("stencil2d-original", "stencil2d-ppcg", "stencil2d-halide")
+
 
 # --- convolution baselines: functional correctness ----------------------------------
 
-@pytest.mark.parametrize("impl", [npp_like_convolve2d, arrayfire_like_convolve2d,
-                                  halide_like_convolve2d])
+@pytest.mark.parametrize("name", DIRECT_CONVOLUTIONS)
 @pytest.mark.parametrize("size", [3, 5, 8])
-def test_conv_baselines_match_reference(impl, size):
+def test_conv_baselines_match_reference(name, size):
     spec = ConvolutionSpec.random(size, seed=size)
     image = random_image(73, 49, seed=31)
-    result = impl(image, spec, "p100")
+    result = run(BASELINES[name], image, spec, architecture="p100")
     np.testing.assert_allclose(result.output, spec.reference(image), **TOL32)
 
 
@@ -71,9 +63,21 @@ def test_cufft_like_matches_reference_in_the_interior():
 
 def test_arrayfire_filter_size_limit_enforced():
     spec = ConvolutionSpec.gaussian(17)
+    row = BASELINES["conv2d-arrayfire"]
     with pytest.raises(ConfigurationError):
-        arrayfire_like_convolve2d(random_image(64, 64), spec, "p100")
+        run(row, random_image(64, 64), spec, architecture="p100")
+    with pytest.raises(ConfigurationError):
+        closed_form(row, spec, (64, 64), architecture="p100")
     assert ARRAYFIRE_MAX_FILTER == 16
+
+
+@pytest.mark.parametrize("name", DIRECT_CONVOLUTIONS)
+def test_conv_baselines_run_the_edge_boundary_only(name):
+    # the kernels clamp to the edge; a closed form counts any boundary alike
+    spec = ConvolutionSpec(weights=np.ones((3, 3)) / 9.0, boundary="wrap")
+    with pytest.raises(ConfigurationError, match="boundary"):
+        run(BASELINES[name], random_image(16, 16), spec)
+    assert closed_form(BASELINES[name], spec, (16, 16)).seconds > 0
 
 
 # --- convolution baselines: paper-scale cost shape (Figure 4 claims) ------------------
@@ -83,20 +87,22 @@ def _fig4_times(architecture, size):
     from repro.core.plan import plan_convolution
     from repro.kernels.conv2d_ssam import analytic_launch
 
+    def direct(name):
+        return closed_form(BASELINES[name], spec, (8192, 8192), 1,
+                           architecture).milliseconds
+
     times = {
         "ssam": analytic_launch(8192, 8192,
                                 plan_convolution(spec, architecture)).milliseconds,
-        "npp": npp_like_convolve2d_analytic(spec, 8192, 8192, architecture).milliseconds,
-        "halide": halide_like_convolve2d_analytic(spec, 8192, 8192,
-                                                  architecture).milliseconds,
+        "npp": direct("conv2d-npp"),
+        "halide": direct("conv2d-halide"),
         "cudnn": cudnn_like_convolve2d_analytic(spec, 8192, 8192,
                                                 architecture).milliseconds,
         "cufft": cufft_like_convolve2d_analytic(spec, 8192, 8192,
                                                 architecture).milliseconds,
     }
     if size <= ARRAYFIRE_MAX_FILTER:
-        times["arrayfire"] = arrayfire_like_convolve2d_analytic(
-            spec, 8192, 8192, architecture).milliseconds
+        times["arrayfire"] = direct("conv2d-arrayfire")
     return times
 
 
@@ -143,46 +149,48 @@ def test_v100_narrows_the_gap_over_p100():
 
 # --- stencil baselines ------------------------------------------------------------------
 
-@pytest.mark.parametrize("impl", [original_stencil2d, ppcg_like_stencil2d,
-                                  halide_like_stencil2d])
-@pytest.mark.parametrize("name", ["2d5pt", "2d9pt", "2d25pt"])
-def test_stencil2d_baselines_match_reference(impl, name):
-    spec = get_stencil(name)
+@pytest.mark.parametrize("name", DIRECT_STENCILS2D)
+@pytest.mark.parametrize("stencil", ["2d5pt", "2d9pt", "2d25pt"])
+def test_stencil2d_baselines_match_reference(name, stencil):
+    spec = get_stencil(stencil)
     grid = random_image(69, 47, seed=41)
-    result = impl(grid, spec, 2, "p100")
+    result = run(BASELINES[name], grid, spec, 2, "p100")
     np.testing.assert_allclose(result.output, spec.reference(grid, 2), **TOL32)
 
 
 def test_stencil3d_naive_matches_reference():
     spec = get_stencil("3d7pt")
     grid = random_grid_3d(30, 20, 8, seed=42)
-    result = original_stencil3d(grid, spec, 2, "v100")
+    result = run(BASELINES["stencil3d-original"], grid, spec, 2, "v100")
     np.testing.assert_allclose(result.output, spec.reference(grid, 2), **TOL32)
 
 
 def test_stencil_baselines_reject_wrong_dimensionality():
+    original2d, original3d = BASELINES["stencil2d-original"], BASELINES["stencil3d-original"]
     with pytest.raises(ConfigurationError):
-        original_stencil2d(random_image(16, 16), get_stencil("3d7pt"))
+        run(original2d, random_image(16, 16), get_stencil("3d7pt"))
     with pytest.raises(ConfigurationError):
-        original_stencil3d(random_grid_3d(8, 8, 8), get_stencil("2d5pt"))
+        run(original3d, random_grid_3d(8, 8, 8), get_stencil("2d5pt"))
+    with pytest.raises(ConfigurationError):
+        closed_form(original2d, get_stencil("3d7pt"), (16, 16))
+    with pytest.raises(ConfigurationError):
+        closed_form(original3d, get_stencil("2d5pt"), (8, 8, 8))
 
 
-@pytest.mark.parametrize("impl", [original_stencil2d, ppcg_like_stencil2d,
-                                  halide_like_stencil2d, original_stencil3d])
-def test_stencil_baselines_reject_zero_iterations(impl):
+@pytest.mark.parametrize("name", DIRECT_STENCILS2D + ("stencil3d-original",))
+def test_stencil_baselines_reject_zero_iterations(name):
     # no step would run, so there would be no launch to report
-    grid, stencil = ((random_grid_3d(8, 8, 8), "3d7pt") if impl is original_stencil3d
+    row = BASELINES[name]
+    grid, stencil = ((random_grid_3d(8, 8, 8), "3d7pt") if row.dims == 3
                      else (random_image(16, 16), "2d5pt"))
     with pytest.raises(ConfigurationError, match="iterations"):
-        impl(grid, get_stencil(stencil), iterations=0)
+        run(row, grid, get_stencil(stencil), iterations=0)
 
 
 # --- direct baselines: closed forms against counted runs ----------------------------
 
 #: the scenarios whose kernels run the naive or shared scheme of ``direct``
-DIRECT_BASELINES = ("conv2d-npp", "conv2d-arrayfire", "conv2d-halide",
-                    "stencil2d-original", "stencil2d-ppcg", "stencil2d-halide",
-                    "stencil3d-original")
+DIRECT_BASELINES = tuple(BASELINES)
 
 #: counters on which a closed form and a counted run agree exactly (the
 #: transaction counts differ: a closed form charges every warp full sectors)
@@ -191,9 +199,13 @@ EXACT_FIELDS = ("fma", "misc", "smem_load", "smem_store", "gmem_load",
 
 
 @functools.lru_cache(maxsize=None)
-def _direct_counters(name, size, precision, engine):
+def _direct_result(name, size, precision, engine):
     case = ScenarioCase(name, "p100", precision, engine, size)
-    return get_scenario(name).run_case(case).launch.counters
+    return get_scenario(name).run_case(case)
+
+
+def _direct_counters(name, size, precision, engine):
+    return _direct_result(name, size, precision, engine).launch.counters
 
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
@@ -205,6 +217,17 @@ def test_direct_closed_forms_match_counted_runs(name, size, precision):
     assert counted.fma > 0
     for field in EXACT_FIELDS:
         assert getattr(analytic, field) == getattr(counted, field), field
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("size", ["tiny", "small"])
+@pytest.mark.parametrize("name", DIRECT_BASELINES)
+def test_direct_closed_forms_launch_what_runs(name, size, precision):
+    # one resolver shapes both: the same launch and the same parameters
+    analytic = _direct_result(name, size, precision, "analytic")
+    counted = _direct_result(name, size, precision, "batched")
+    assert analytic.launch.config == counted.launch.config
+    assert analytic.parameters == dict(counted.parameters, analytic=True)
 
 
 @pytest.mark.parametrize("size", ["tiny", "small"])
@@ -228,8 +251,8 @@ def test_ssam_beats_naive_stencil_at_paper_scale(architecture, precision, name):
     spec = get_stencil(name)
     ssam = analytic_launch(8192, 8192,
                            plan_stencil(spec, architecture, precision)).seconds
-    naive = original_stencil2d_analytic(spec, 8192, 8192, 1, architecture,
-                                        precision).seconds
+    naive = closed_form(BASELINES["stencil2d-original"], spec, (8192, 8192), 1,
+                        architecture, precision).seconds
     assert naive / ssam > 1.3
 
 

@@ -106,37 +106,28 @@ def test_scan_batched_matches_batch_of_one(length):
 # --- the functional baselines ---------------------------------------------------
 
 def test_baseline_conv2d_batched_matches_batch_of_one():
-    from repro.baselines.conv2d import (
-        arrayfire_like_convolve2d,
-        halide_like_convolve2d,
-        npp_like_convolve2d,
-    )
+    from repro.baselines.direct import BASELINES, run
 
     spec = ConvolutionSpec.gaussian(5)
     image = random_image(130, 71, seed=6)
-    for runner in (npp_like_convolve2d, arrayfire_like_convolve2d,
-                   halide_like_convolve2d):
-        single = runner(image, spec, batch_size=1)
-        batched = runner(image, spec)
+    for name in ("conv2d-npp", "conv2d-arrayfire", "conv2d-halide"):
+        single = run(BASELINES[name], image, spec, batch_size=1)
+        batched = run(BASELINES[name], image, spec)
         assert_equivalent(single, batched)
 
 
 def test_baseline_stencils_batched_matches_batch_of_one():
-    from repro.baselines.stencil2d import (
-        halide_like_stencil2d,
-        original_stencil2d,
-        ppcg_like_stencil2d,
-    )
-    from repro.baselines.stencil3d import original_stencil3d
+    from repro.baselines.direct import BASELINES, run
 
     spec2d = get_stencil("2d9pt")
     grid2d = random_image(70, 45, seed=7)
-    for runner in (original_stencil2d, ppcg_like_stencil2d, halide_like_stencil2d):
-        assert_equivalent(runner(grid2d, spec2d, batch_size=1), runner(grid2d, spec2d))
+    for name in ("stencil2d-original", "stencil2d-ppcg", "stencil2d-halide"):
+        assert_equivalent(run(BASELINES[name], grid2d, spec2d, batch_size=1),
+                          run(BASELINES[name], grid2d, spec2d))
     spec3d = get_stencil("3d7pt")
     grid3d = random_grid_3d(25, 17, 9, seed=8)
-    assert_equivalent(original_stencil3d(grid3d, spec3d, batch_size=1),
-                      original_stencil3d(grid3d, spec3d))
+    row = BASELINES["stencil3d-original"]
+    assert_equivalent(run(row, grid3d, spec3d, batch_size=1), run(row, grid3d, spec3d))
 
 
 # --- engine plumbing -----------------------------------------------------------

@@ -19,9 +19,12 @@
   only in ``repro.kernels.common.run_jacobi`` (the convolution chain merges
   its passes itself), and no kernel or baseline entry takes a
   ``functional`` knob — a closed-form cost has its own entry.
-* Two direct schemes: every functional convolution and stencil baseline
-  kernel wraps ``repro.baselines.direct.naive_block`` or ``shared_block``,
-  and their launch shapes and closed-form counts come from ``direct`` too.
+* Two direct schemes, one row per baseline: every functional convolution
+  and stencil baseline kernel wraps ``repro.baselines.direct.naive_block``
+  or ``shared_block``, and their launch shapes and closed-form counts come
+  from ``direct`` too.  Only ``direct.resolve`` resolves a baseline's part
+  and precision, and nothing outside ``direct`` calls a scheme's launch
+  builder or closed form.
 * One launch shape per SSAM kernel: the plan shapes the 2-D launches and
   each other SSAM kernel module builds its ``LaunchConfig`` in one
   function.  The performance model prices the closed form it is handed:
@@ -288,11 +291,11 @@ def test_functional_guard_sees_a_knob():
 
 #: kernel name -> block body of every functional direct baseline
 DIRECT_KERNELS = {
-    "npp_like_conv2d": "direct.naive_block",
-    "shared_conv2d": "direct.shared_block",
-    "original_stencil2d": "direct.naive_block",
-    "shared_stencil2d": "direct.shared_block",
-    "original_stencil3d": "direct.naive_block",
+    "npp_like_conv2d": "naive_block",
+    "shared_conv2d": "shared_block",
+    "original_stencil2d": "naive_block",
+    "shared_stencil2d": "shared_block",
+    "original_stencil3d": "naive_block",
 }
 
 
@@ -340,6 +343,56 @@ def test_direct_baselines_count_in_the_two_schemes():
         ("baselines/stencil3d.py", "shared_stencil3d"),
         ("baselines/temporal.py", "ssam_temporal_stencil"),
         ("baselines/temporal.py", "stencilgen_like_stencil")}
+
+
+#: a direct scheme's launch builders and closed forms
+SCHEME_CALLS = {"naive_launch", "shared_launch", "naive_counters", "shared_counters"}
+#: what a direct baseline resolves once, in ``direct.resolve``
+RESOLUTION_CALLS = {"get_architecture", "resolve_precision"}
+DIRECT_MODULE = "baselines/direct.py"
+
+
+def _direct_faults(modules: dict) -> set:
+    """``(module, function)`` of every scheme call outside ``direct`` and
+    every resolution of a part or precision in ``direct`` outside its
+    resolver, over ``{module: tree}``."""
+    faults = set()
+    for module, tree in modules.items():
+        if module == DIRECT_MODULE:
+            found = _callers_in(tree, RESOLUTION_CALLS) - {"resolve"}
+        else:
+            found = _callers_in(tree, SCHEME_CALLS)
+        faults.update((module, name) for name in found)
+    return faults
+
+
+def test_direct_baselines_resolve_once_in_direct():
+    modules = {str(path.relative_to(SOURCE_ROOT)): ast.parse(path.read_text(), str(path))
+               for path in sorted(SOURCE_ROOT.rglob("*.py"))}
+    assert not _direct_faults(modules)
+    # the scan must reach the resolver and the schemes' one caller each
+    direct = modules[DIRECT_MODULE]
+    assert _callers_in(direct, RESOLUTION_CALLS) == {"resolve"}
+    assert _callers_in(direct, {"naive_launch", "shared_launch"}) == {"resolve"}
+    assert _callers_in(direct, {"naive_counters", "shared_counters"}) == {"closed_form"}
+
+
+def test_direct_guard_sees_a_wrapper_and_a_second_resolution():
+    # a per-baseline wrapper beside the table is reported, in either module
+    wrapper = ast.parse(
+        "def npp_like_convolve2d_analytic(spec, width, height, architecture):\n"
+        "    arch = get_architecture(architecture)\n"
+        "    config = naive_launch(width, height, 1, prec, 128, 32, 2.0)\n"
+        "    return naive_counters(config, taps, arch, width, height, 1, 1, 2.0)\n")
+    resolving_run = ast.parse(
+        "def resolve(row, spec, domain, iterations, architecture, precision):\n"
+        "    return get_architecture(architecture)\n"
+        "def run(row, array, spec, architecture='p100', precision='float32'):\n"
+        "    prec = resolve_precision(precision)\n")
+    assert _direct_faults({"baselines/conv2d.py": wrapper,
+                           DIRECT_MODULE: resolving_run}) == {
+        ("baselines/conv2d.py", "npp_like_convolve2d_analytic"),
+        (DIRECT_MODULE, "run")}
 
 
 def test_model_builds_no_baseline_launch():

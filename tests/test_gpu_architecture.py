@@ -168,6 +168,7 @@ def test_occupancy_rejects_invalid_granularities(field, bad):
 def _closed_form_entries():
     """Every closed-form cost entry, as ``entry(arch) -> KernelRunResult``."""
     from repro import baselines
+    from repro.baselines.direct import BASELINES, closed_form
     from repro.convolution.spec import ConvolutionSpec
     from repro.core import performance_model as pm
     from repro.core.plan import plan_convolution, plan_stencil
@@ -189,14 +190,16 @@ def _closed_form_entries():
             512, 256, plan_convolution(conv, a)),
         "ssam_stencil2d": lambda a: stencil2d(a)[0],
         "ssam_stencil3d": lambda a: stencil3d(a)[0],
-        "npp": lambda a: baselines.npp_like_convolve2d_analytic(conv, 512, 256, a),
-        "arrayfire": lambda a: baselines.arrayfire_like_convolve2d_analytic(
-            conv, 512, 256, a),
-        "original2d": lambda a: baselines.original_stencil2d_analytic(st2, 512, 256, 1, a),
-        "ppcg2d": lambda a: baselines.ppcg_like_stencil2d_analytic(st2, 512, 256, 1, a),
+        "npp": lambda a: closed_form(BASELINES["conv2d-npp"], conv, (512, 256), 1, a),
+        "arrayfire": lambda a: closed_form(BASELINES["conv2d-arrayfire"], conv,
+                                           (512, 256), 1, a),
+        "original2d": lambda a: closed_form(BASELINES["stencil2d-original"], st2,
+                                            (512, 256), 1, a),
+        "ppcg2d": lambda a: closed_form(BASELINES["stencil2d-ppcg"], st2, (512, 256),
+                                        1, a),
         "reordered": lambda a: baselines.reordered_stencil2d(st2, 512, 256, 1, a),
-        "original3d": lambda a: baselines.original_stencil3d_analytic(
-            st3, 64, 64, 64, 1, a),
+        "original3d": lambda a: closed_form(BASELINES["stencil3d-original"], st3,
+                                            (64, 64, 64), 1, a),
         "shared3d": lambda a: baselines.shared_stencil3d(st3, 64, 64, 64, 1, a),
         "stencilgen": lambda a: baselines.stencilgen_like_stencil(st2, 512, 256, architecture=a),
         "ssam_temporal": lambda a: baselines.ssam_temporal_stencil(

@@ -21,17 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.baselines.conv2d import (
-    arrayfire_like_convolve2d,
-    halide_like_convolve2d,
-    npp_like_convolve2d,
-)
-from repro.baselines.stencil2d import (
-    halide_like_stencil2d,
-    original_stencil2d,
-    ppcg_like_stencil2d,
-)
-from repro.baselines.stencil3d import original_stencil3d
+from repro.baselines.direct import BASELINES, run
 from repro.convolution.spec import ConvolutionSpec
 from repro.errors import SimulationError
 from repro.gpu.kernel import (REPLAY_CACHE_BYTES, Kernel, LaunchConfig,
@@ -68,32 +58,32 @@ WRAPPERS = {
     "ssam_stencil3d": ((6, 20, 40), lambda x: ssam_stencil3d(
         x, S3D, iterations=2)),
     "ssam_scan": ((300,), lambda x: ssam_scan(x)),
-    "original_stencil2d": ((40, 48), lambda x: original_stencil2d(
-        x, S2D, iterations=2)),
-    "ppcg_like_stencil2d": ((40, 48), lambda x: ppcg_like_stencil2d(
-        x, S2D, iterations=2)),
-    "halide_like_stencil2d": ((40, 48), lambda x: halide_like_stencil2d(
-        x, S2D, iterations=2)),
-    "original_stencil3d": ((6, 20, 40), lambda x: original_stencil3d(
-        x, S3D, iterations=2)),
-    "npp_like_convolve2d": ((40, 48), lambda x: npp_like_convolve2d(
-        x, GAUSS)),
-    "arrayfire_like_convolve2d": (
-        (40, 48), lambda x: arrayfire_like_convolve2d(x, GAUSS)),
-    "halide_like_convolve2d": ((40, 48), lambda x: halide_like_convolve2d(
-        x, GAUSS)),
+    "original_stencil2d": ((40, 48), lambda x: run(
+        BASELINES["stencil2d-original"], x, S2D, iterations=2)),
+    "ppcg_like_stencil2d": ((40, 48), lambda x: run(
+        BASELINES["stencil2d-ppcg"], x, S2D, iterations=2)),
+    "halide_like_stencil2d": ((40, 48), lambda x: run(
+        BASELINES["stencil2d-halide"], x, S2D, iterations=2)),
+    "original_stencil3d": ((6, 20, 40), lambda x: run(
+        BASELINES["stencil3d-original"], x, S3D, iterations=2)),
+    "npp_like_convolve2d": ((40, 48), lambda x: run(
+        BASELINES["conv2d-npp"], x, GAUSS)),
+    "arrayfire_like_convolve2d": ((40, 48), lambda x: run(
+        BASELINES["conv2d-arrayfire"], x, GAUSS)),
+    "halide_like_convolve2d": ((40, 48), lambda x: run(
+        BASELINES["conv2d-halide"], x, GAUSS)),
     "ssam_stencil2d_step": ((40, 48), lambda x: ssam_stencil2d(x, S2D)),
     "ssam_stencil2d_masked_step": ((40, 48), lambda x: ssam_stencil2d_masked(
         x, S2D)),
     "ssam_stencil3d_step": ((6, 20, 40), lambda x: ssam_stencil3d(x, S3D)),
-    "original_stencil2d_step": ((40, 48), lambda x: original_stencil2d(
-        x, S2D)),
-    "ppcg_like_stencil2d_step": ((40, 48), lambda x: ppcg_like_stencil2d(
-        x, S2D)),
-    "halide_like_stencil2d_step": ((40, 48), lambda x: halide_like_stencil2d(
-        x, S2D)),
-    "original_stencil3d_step": ((6, 20, 40), lambda x: original_stencil3d(
-        x, S3D)),
+    "original_stencil2d_step": ((40, 48), lambda x: run(
+        BASELINES["stencil2d-original"], x, S2D)),
+    "ppcg_like_stencil2d_step": ((40, 48), lambda x: run(
+        BASELINES["stencil2d-ppcg"], x, S2D)),
+    "halide_like_stencil2d_step": ((40, 48), lambda x: run(
+        BASELINES["stencil2d-halide"], x, S2D)),
+    "original_stencil3d_step": ((6, 20, 40), lambda x: run(
+        BASELINES["stencil3d-original"], x, S3D)),
 }
 
 #: wrappers whose kernels only read the staged input: every one but the

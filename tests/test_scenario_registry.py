@@ -151,10 +151,11 @@ def test_scenario_plan_respects_register_budget():
 
 def test_run_analytic_matches_direct_baseline_call():
     """The registry path the experiments use is the direct call, verbatim."""
-    from repro.baselines.conv2d import npp_like_convolve2d_analytic
+    from repro.baselines.direct import BASELINES, closed_form
 
     spec = ConvolutionSpec.gaussian(7)
-    direct = npp_like_convolve2d_analytic(spec, 512, 256, "v100", "float32")
+    direct = closed_form(BASELINES["conv2d-npp"], spec, (512, 256), 1, "v100",
+                         "float32")
     routed = get_scenario("conv2d-npp").run_analytic(
         spec, {"width": 512, "height": 256}, "v100", "float32")
     assert routed.launch.counters.as_dict() == direct.launch.counters.as_dict()
@@ -204,8 +205,8 @@ def test_every_builtin_scenario_has_a_model_entry():
 
 def test_every_executable_scenario_has_a_cpu_oracle():
     """Any entry with a functional engine must ship a ground-truth oracle —
-    otherwise the differential matrix cannot check it (CI enforces the same
-    invariant as a standalone coverage step)."""
+    otherwise the differential matrix cannot check it.  This test is the
+    only copy of the check: CI's tier-1 and coverage steps both run it."""
     from repro.scenarios.registry import NON_EXECUTING_ENGINES
 
     for scenario in all_scenarios():
